@@ -27,10 +27,6 @@ class CapExceeded(ValueError):
     """Ambient dimension beyond the configured brute-force budget."""
 
 
-class FormMismatch(ValueError):
-    """Functional not in the diagonal normal form the closed formula needs."""
-
-
 def hs_inner(a, b):
     """Hilbert-Schmidt inner product Tr(a* b), linear in b."""
     return complex(np.vdot(a, b))

@@ -4,6 +4,15 @@ A point's projection onto conv(G) lies in the relative interior of exactly
 one face, so enumerating vertex subsets and solving each equality-constrained
 least-squares problem gives the exact projection for small generator counts.
 The per-subset solves are linear in the query, so batches are matmuls.
+
+The same enumeration projects onto conv(G) intersected with a closed ball
+B(c, r).  The projection p of q lies in the relative interior of some face
+conv(S), so small moves inside aff(S) stay in the face and p is also the
+projection of q onto aff(S) intersected with B.  That section is a ball in
+aff(S), centred at the affine projection c_S of c, with squared radius
+r^2 - |c - c_S|^2; projecting onto it is the affine projection followed by a
+radial clip towards c_S.  Keeping the nearest feasible candidate over all
+subsets gives the exact projection, with no iteration.
 """
 from __future__ import annotations
 
@@ -52,10 +61,14 @@ class HullProjector:
                 b = pinv[:s, s]
                 self._faces.append((gs, w, b))
 
-    def project(self, points):
-        """Projections and distances for a batch of query points.
+    def project(self, points, center=None, radius=None):
+        """Projections and distances for a batch of query points, onto the
+        hull or, given center and radius, onto its intersection with the
+        closed ball B(center, radius).
 
-        Returns (projections (m, dim), distances (m,)).
+        Returns (projections (m, dim), distances (m,)).  Distances are inf
+        when no candidate is feasible, that is, when the intersection is
+        empty.  A ball tangent to the hull meets it.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         m = len(pts)
@@ -63,6 +76,20 @@ class HullProjector:
         best_proj = np.zeros_like(pts)
         for gs, w, b in self._faces:
             lam = pts @ w.T + b[None, :]
+            if center is not None:
+                # radial clip inside the ball's section by aff(gs); a squared
+                # radius just below zero is a tangent touch after rounding
+                lam_c = w @ center + b
+                c_s = lam_c @ gs
+                rho2 = radius * radius - float((center - c_s) @ (center - c_s))
+                if rho2 < -_FEAS_TOL:
+                    continue
+                rho = np.sqrt(max(rho2, 0.0))
+                off = np.linalg.norm(lam @ gs - c_s[None, :], axis=1)
+                scale = np.ones(m)
+                outside = off > rho
+                scale[outside] = rho / off[outside]
+                lam = lam_c[None, :] + scale[:, None] * (lam - lam_c[None, :])
             feasible = (lam >= -_FEAS_TOL).all(axis=1)
             if not feasible.any():
                 continue
@@ -79,44 +106,6 @@ class HullProjector:
 
     def contains(self, points, tol=1e-9):
         return self.distances(points) <= tol
-
-
-def monotone_chain(points):
-    """Indices of the 2D convex hull vertices (Andrew's monotone chain)."""
-    pts = np.atleast_2d(points)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-
-    def cross(o, a, b):
-        return (pts[a, 0] - pts[o, 0]) * (pts[b, 1] - pts[o, 1]) - (
-            pts[a, 1] - pts[o, 1]
-        ) * (pts[b, 0] - pts[o, 0])
-
-    lower, upper = [], []
-    for i in order:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 1e-15:
-            lower.pop()
-        lower.append(i)
-    for i in order[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 1e-15:
-            upper.pop()
-        upper.append(i)
-    hull = lower[:-1] + upper[:-1]
-    return hull if hull else [int(order[0])]
-
-
-def reduce_generators(points):
-    """Minimal-ish generator list spanning the same hull (dims 1 and 2)."""
-    pts = dedupe_points(points)
-    if len(pts) <= 2:
-        return pts
-    dim = pts.shape[1]
-    if dim == 1:
-        return np.array([[pts[:, 0].min()], [pts[:, 0].max()]])
-    if dim == 2:
-        return pts[monotone_chain(pts)]
-    if len(pts) > GENERATOR_CAP:
-        raise TooManyGenerators("generator reduction beyond 2D is not implemented")
-    return pts
 
 
 def segment_ball_clip(a, b, center, radius):

@@ -478,43 +478,3 @@ def array_from_json(obj, complex_scalars=False):
             raise ValueError("complex arrays serialize as trailing [re, im] pairs")
         return a[..., 0] + 1j * a[..., 1]
     return a
-
-
-def sampled_set_to_json(sset):
-    doc = {
-        "complex": bool(np.iscomplexobj(sset.points)),
-        "points": array_to_json(sset.points),
-        "flags": {"convex": sset.convex, "balanced": sset.balanced},
-    }
-    ex = sset.exact
-    if isinstance(ex, SubspaceBall):
-        doc["exact"] = {
-            "kind": "subspace_ball",
-            "complex": bool(np.iscomplexobj(ex.basis)),
-            "basis": array_to_json(ex.basis),
-            "ball_spec": ex.ball_spec.kind,
-        }
-    elif isinstance(ex, DiscFamily):
-        doc["exact"] = {
-            "kind": "disc_family",
-            "complex": bool(np.iscomplexobj(ex.direction)),
-            "direction": array_to_json(ex.direction),
-            "radius": ex.radius,
-            "complex_scalars": ex.complex_scalars,
-        }
-    return doc
-
-
-def sampled_set_from_json(doc):
-    exact = None
-    ex = doc.get("exact")
-    if ex is not None:
-        if ex["kind"] == "subspace_ball":
-            exact = SubspaceBall(array_from_json(ex["basis"], ex["complex"]),
-                                 NormSpec(ex["ball_spec"]))
-        else:
-            exact = DiscFamily(array_from_json(ex["direction"], ex["complex"]),
-                               ex["radius"], ex.get("complex_scalars", True))
-    return SampledSet(points=array_from_json(doc["points"], doc.get("complex", False)),
-                      convex=doc["flags"]["convex"], balanced=doc["flags"]["balanced"],
-                      exact=exact)

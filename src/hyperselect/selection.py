@@ -165,43 +165,25 @@ class HullValue:
 
 
 class BallRestrictedValue:
-    """A hull intersected with a closed ball; projections via Dykstra.
+    """A hull intersected with a closed ball B(center, radius).
 
-    Both component projections are exact, and the alternating scheme with
-    correction terms converges to the projection onto the intersection.
+    Projections are exact: the parent hull's projector enumerates its faces
+    once, and each projection clips inside the faces' ball sections (see
+    `hulls`).  Raises ValueError when the intersection is empty; a tangent
+    ball counts as meeting the hull.
     """
 
-    def __init__(self, hull: HullValue, center, radius, tol=1e-12, max_iter=500):
+    def __init__(self, hull: HullValue, center, radius):
         self.hull = hull
         self.center = np.asarray(center, dtype=np.float64)
         self.radius = float(radius)
-        self.tol = tol
-        self.max_iter = max_iter
         self.generators = None  # no finite generator description
-
-    def _project_ball(self, points):
-        delta = points - self.center[None, :]
-        norms = np.linalg.norm(delta, axis=1)
-        scale = np.ones_like(norms)
-        outside = norms > self.radius
-        scale[outside] = self.radius / norms[outside]
-        return self.center[None, :] + delta * scale[:, None]
+        if not np.isfinite(hull.projector.project(self.center, self.center, self.radius)[1][0]):
+            raise ValueError(f"the ball B({self.center.tolist()}, {self.radius}) "
+                             "misses the hull")
 
     def project(self, points):
-        queries = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        x = queries.copy()
-        p = np.zeros_like(x)
-        q = np.zeros_like(x)
-        for _ in range(self.max_iter):
-            y = self.hull.project(x + p)[0]
-            p = x + p - y
-            x_new = self._project_ball(y + q)
-            q = y + q - x_new
-            shift = np.linalg.norm(x_new - x, axis=1).max()
-            x = x_new
-            if shift < self.tol:
-                break
-        return x, np.linalg.norm(x - queries, axis=1)
+        return self.hull.projector.project(points, self.center, self.radius)
 
     def distances(self, points):
         return self.project(points)[1]
@@ -213,17 +195,18 @@ class BallRestrictedValue:
 def restrict_value(value: HullValue, center, radius):
     """The value intersected with the closed ball B(center, radius).
 
-    Point and segment values intersect exactly (quadratic clip); larger hulls
-    fall back to the Dykstra-backed representation.
+    A point value is its own restriction and a segment value is clipped
+    exactly (quadratic roots); larger hulls become a BallRestrictedValue
+    sharing the value's projector.  Raises ValueError when the intersection
+    is empty.
     """
     gens = value.generators
-    if len(gens) == 1:
-        return value
     if len(gens) == 2:
         clipped = segment_ball_clip(gens[0], gens[1], center, radius)
         if clipped is not None:
             return HullValue(np.stack(clipped))
-    return BallRestrictedValue(value, center, radius)
+    restricted = BallRestrictedValue(value, center, radius)  # raises when empty
+    return value if len(gens) == 1 else restricted
 
 
 class SetValuedMap:

@@ -2,6 +2,7 @@
 families, and the lower-continuity checker."""
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from hyperselect.selection import (
     BallRestrictedValue,
@@ -263,8 +264,76 @@ def test_square_restriction_projects_into_intersection():
     rng = np.random.default_rng(1)
     pts = rng.standard_normal((20, 2)) * 1.5
     proj, _ = restricted.project(pts)
-    assert square.distances(proj).max() <= 1e-6
-    assert np.linalg.norm(proj - center, axis=1).max() <= 0.5 + 1e-6
+    assert square.distances(proj).max() <= 1e-9
+    assert np.linalg.norm(proj - center, axis=1).max() <= 0.5 + 1e-9
+
+
+UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("gens, center, radius", [
+    (np.array([[0.3]]), np.array([1.5]), 0.25),
+    (np.array([[0.0], [1.0]]), np.array([1.5]), 0.25),
+    (UNIT_SQUARE, np.array([2.0, 2.0]), 1.0),
+])
+def test_empty_restriction_raises(gens, center, radius):
+    with pytest.raises(ValueError, match="misses the hull"):
+        restrict_value(HullValue(gens), center, radius)
+
+
+@pytest.mark.parametrize("center, radius, touch", [
+    (np.array([1.3, 1.4]), 0.5, np.array([1.0, 1.0])),   # at a vertex
+    (np.array([0.3, 1.7]), 0.7, np.array([0.3, 1.0])),   # at an edge
+])
+def test_tangent_restriction_is_the_touching_point(center, radius, touch):
+    square = HullValue(UNIT_SQUARE)
+    restricted = restrict_value(square, center, radius)
+    pts = np.random.default_rng(2).standard_normal((20, 2)) * 1.5
+    proj, dist = restricted.project(pts)
+    assert np.isfinite(dist).all()
+    assert square.distances(proj).max() <= 1e-9
+    assert np.linalg.norm(proj - center, axis=1).max() <= radius + 1e-9
+    # a rounding error e in the section's squared radius moves its edge by sqrt(e)
+    assert np.abs(proj - touch).max() <= 1e-6
+
+
+def _slsqp_hull_ball_distance(gens, center, radius, query, rng, starts=3):
+    """Reference: min |lam @ gens - query| over lam in the simplex with
+    lam @ gens in the ball, best of several SLSQP starts."""
+    k = len(gens)
+    cons = [{"type": "eq", "fun": lambda lam: lam.sum() - 1.0,
+             "jac": lambda lam: np.ones((1, k))},
+            {"type": "ineq", "fun": lambda lam: radius ** 2 - ((lam @ gens - center) ** 2).sum(),
+             "jac": lambda lam: -2.0 * gens @ (lam @ gens - center)}]
+    best = np.inf
+    for lam0 in [np.full(k, 1.0 / k)] + list(rng.dirichlet(np.ones(k), starts)):
+        res = minimize(lambda lam: ((lam @ gens - query) ** 2).sum(), lam0,
+                       jac=lambda lam: 2.0 * gens @ (lam @ gens - query), method="SLSQP",
+                       bounds=[(0.0, 1.0)] * k, constraints=cons,
+                       options={"ftol": 1e-15, "maxiter": 200})
+        lam = np.clip(res.x, 0.0, None)
+        x = (lam / lam.sum()) @ gens
+        if np.linalg.norm(x - center) <= radius + 1e-9:
+            best = min(best, float(np.linalg.norm(x - query)))
+    return best
+
+
+def test_restricted_projection_matches_slsqp_reference():
+    rng = np.random.default_rng(1)
+    for _ in range(150):
+        dim = int(rng.integers(1, 4))
+        gens = rng.standard_normal((int(rng.integers(2, 6)), dim))
+        hull = HullValue(gens)
+        center = rng.standard_normal(dim) * 1.2
+        gap = float(hull.distances(center[None, :])[0])
+        radius = gap + float(rng.uniform(0.0, 0.8))  # nonempty, sometimes nearly tangent
+        restricted = BallRestrictedValue(hull, center, radius)
+        query = rng.standard_normal(dim) * 2.0
+        proj, dist = restricted.project(query[None, :])
+        ref = _slsqp_hull_ball_distance(hull.generators, center, radius, query, rng)
+        assert abs(dist[0] - ref) <= 1e-6, (gens, center, radius, query)
+        assert hull.distances(proj)[0] <= 1e-9
+        assert np.linalg.norm(proj[0] - center) <= radius + 1e-9
 
 
 def test_domain_points_must_be_distinct():
