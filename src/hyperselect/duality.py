@@ -25,6 +25,7 @@ from .norms import (
     UnsupportedNorm,
     array_from_json,
     array_to_json,
+    distances_to_points,
     dual_kind,
     eval_dual_norm,
     eval_norm,
@@ -384,7 +385,7 @@ def is_subspace_ball(B: SampledSet, scales, tol=1e-3, spec=None):
     """
     spec = spec if spec is not None else l2()
     mspec = dual_metric_spec(spec)
-    point_norms = np.array([eval_dual_norm(p, spec) for p in B.points])
+    point_norms = distances_to_points(np.zeros(B.dim), B.points, mspec)
     worst_defect = 0.0
     worst = None
     for s in scales:

@@ -2,7 +2,8 @@
 open-ball hit tests, pushforwards, fattened intersections, shape reports.
 
 Sets are norms.SampledSet values; all sup/inf over a set are taken over its
-samples, with exact-descriptor refinement inherited from min_distance_oracle.
+samples, lowered to the exact distance to an exact descriptor where
+min_distance_oracle has one.
 """
 from __future__ import annotations
 

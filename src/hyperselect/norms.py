@@ -10,6 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 class DimensionMismatch(ValueError):
@@ -346,119 +347,79 @@ def distances_to_points(x, points, spec):
     return _pairwise_norms(points - x[None, :], spec)
 
 
-def _zoom_minimize(batch_objective, center, radius, step_target, canon=None):
-    """Coarse-to-fine grid minimization of a convex objective over a box.
-
-    center: (k,) start, radius: scalar box half-width.  Each level lays a
-    9-per-axis grid, keeps the best point and shrinks the box to twice the
-    cell size, until the cell size drops below step_target.  k <= 3.
-
-    canon maps a raw grid point to the feasible representative the
-    objective actually evaluated; recentring on it keeps the search from
-    drifting along a constraint plateau where the objective is flat.
-    """
-    center = np.asarray(center, dtype=np.float64)
-    k = center.shape[0]
-    if k > 3:
-        raise UnsupportedNorm("exact refinement supports descriptor dimension <= 3")
-    best_val = float(batch_objective(center[None, :])[0])
-    best = center.copy()
-    while True:
-        axes = [np.linspace(-radius, radius, 9)] * k
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k) + best
-        vals = batch_objective(grid)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best = grid[i] if canon is None else np.asarray(canon(grid[i]), dtype=np.float64)
-        cell = 2.0 * radius / 8.0
-        if cell <= step_target:
-            return best_val, best
-        radius = 2.0 * cell
-
-
-def _refine_subspace_ball(x, ball, spec):
-    basis = ball.basis
-    if np.iscomplexobj(basis) or np.iscomplexobj(x):
-        basis = basis.astype(np.complex128)
-        k2 = 2 * basis.shape[0]
-        if k2 > 3:
-            return None
-
-        def objective(cs):
-            coeff = cs[:, 0::2] + 1j * cs[:, 1::2]
-            pts = coeff @ basis
-            feas = _pairwise_norms(pts, ball.ball_spec) <= 1.0 + BALL_SLACK
-            vals = _pairwise_norms(pts - x[None, :], spec)
-            vals[~feas] = np.inf
-            return vals
-
-        start = np.zeros(k2)
-    else:
-        if basis.shape[0] > 3:
-            return None
-
-        def objective(cs):
-            pts = cs @ basis
-            feas = _pairwise_norms(pts, ball.ball_spec) <= 1.0 + BALL_SLACK
-            vals = _pairwise_norms(pts - x[None, :], spec)
-            vals[~feas] = np.inf
-            return vals
-
-        start = np.zeros(basis.shape[0])
-    scale = max(1.0, 2.0 * eval_norm(np.asarray(x), spec))
-    val, _ = _zoom_minimize(objective, start, scale, 1e-4)
-    return val
-
-
-def _refine_disc(x, disc, spec):
+def _disc_distance(x, disc, spec):
+    # On the disc's own line x = mu * d, every norm gives
+    # ||mu d - lam d|| = |mu - lam| ||d||, least at lam = mu clipped to radius.
     d = disc.direction
+    dd = np.vdot(d, d).real
+    if dd == 0.0:
+        return eval_norm(x, spec)  # the disc is {0}
+    mu = np.vdot(d, x) / dd
+    if not disc.complex_scalars:
+        mu = mu.real
+    if np.linalg.norm(x - mu * d) > 1e-12 * max(1.0, np.linalg.norm(x)):
+        raise UnsupportedNorm("no exact disc distance for a query off the disc's line")
+    return max(0.0, abs(mu) - disc.radius) * eval_norm(d, spec)
 
-    if disc.complex_scalars:
-        # lambda in Cartesian coordinates, projected radially onto the disc.
-        def to_disc(cs):
-            cs = np.atleast_2d(cs)
-            lam = cs[:, 0] + 1j * cs[:, 1]
-            mags = np.abs(lam)
-            over = mags > disc.radius
-            if over.any():
-                lam = np.where(over, lam * (disc.radius / np.maximum(mags, 1e-300)), lam)
-            return lam
 
-        def objective(cs):
-            lam = to_disc(cs)
-            return _pairwise_norms(lam[:, None] * d[None, :] - x[None, :], spec)
+def _polyhedral_section_distance(x, basis, ball_kind, kind):
+    # One LP in z = (c, t, u): minimize sum(t) subject to |x - c @ basis| <= t
+    # entrywise (one shared t for linf) and |c @ basis| <= u, where u <= 1
+    # for a linf ball and sum(u) <= 1 for an l1 ball.
+    k, n = basis.shape
+    gap = np.eye(n) if kind == "l1" else np.ones((n, 1))
+    m = gap.shape[1]
+    point = np.hstack([basis.T, np.zeros((n, m + n))])
+    t = np.hstack([np.zeros((n, k)), gap, np.zeros((n, n))])
+    u = np.hstack([np.zeros((n, k + m)), np.eye(n)])
+    a_ub = np.vstack([point - t, -point - t, point - u, -point - u])
+    b_ub = np.concatenate([x, -x, np.zeros(2 * n)])
+    if ball_kind == "l1":
+        a_ub = np.vstack([a_ub, np.concatenate([np.zeros(k + m), np.ones(n)])])
+        b_ub = np.append(b_ub, 1.0)
+    cost = np.concatenate([np.zeros(k), np.ones(m), np.zeros(n)])
+    u_max = 1.0 if ball_kind == "linf" else None
+    bounds = [(None, None)] * k + [(0, None)] * m + [(0, u_max)] * n
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if not res.success:
+        raise RuntimeError(f"section distance LP failed: {res.message}")
+    return float(res.fun)
 
-        def canon(c):
-            lam = to_disc(c[None, :])[0]
-            return np.array([lam.real, lam.imag])
 
-        val, _ = _zoom_minimize(objective, np.array([0.0, 0.0]), disc.radius + 1e-9,
-                                1e-4, canon=canon)
-    else:
-        def objective(cs):
-            lam = np.clip(cs[:, 0], -disc.radius, disc.radius)
-            return _pairwise_norms(lam[:, None] * d[None, :] - x[None, :], spec)
-
-        val, _ = _zoom_minimize(objective, np.array([0.0]), disc.radius + 1e-9, 1e-4,
-                                canon=lambda c: np.clip(c, -disc.radius, disc.radius))
-    return val
+def _subspace_ball_distance(x, ball, spec):
+    ball_kind, kind = ball.ball_spec.kind, spec.kind
+    if ball_kind == kind == "l2":
+        # x - Px is orthogonal to the span, so clip Px radially into the ball
+        _, _, vh = np.linalg.svd(ball.basis, full_matrices=False)
+        coeff = vh.conj() @ x
+        along = float(np.linalg.norm(coeff))
+        return float(np.hypot(np.linalg.norm(x - coeff @ vh), max(0.0, along - 1.0)))
+    complex_data = np.iscomplexobj(ball.basis) or np.iscomplexobj(x)
+    polyhedral = ("l1", "linf")
+    if ball_kind in polyhedral and kind in polyhedral and not complex_data:
+        return _polyhedral_section_distance(x, ball.basis, ball_kind, kind)
+    raise UnsupportedNorm(f"no exact distance to a {ball_kind} section in the {kind} metric"
+                          f" on {'complex' if complex_data else 'real'} data")
 
 
 def min_distance_oracle(x, sset, spec):
-    """Distance from x to a sampled set: min over samples, then local grid
-    refinement over the exact descriptor (step <= 1e-4) when one is present."""
+    """Distance from x to a sampled set: the minimum over its samples, or the
+    exact distance to its descriptor when it carries one.
+
+    Exact routes: a query on a disc's own line, in any norm (closed form); an
+    l2 subspace-ball section in the l2 metric (orthogonal projection, then a
+    radial clip); a real l1/linf section in the l1/linf metric (one LP).  Any
+    other descriptor, norm and query combination raises UnsupportedNorm.
+    """
     x = np.asarray(x)
     base = float(distances_to_points(x, sset.points, spec).min())
     if sset.exact is None:
         return base
     if isinstance(sset.exact, SubspaceBall):
-        refined = _refine_subspace_ball(x, sset.exact, spec)
+        exact = _subspace_ball_distance(x, sset.exact, spec)
     else:
-        refined = _refine_disc(x, sset.exact, spec)
-    if refined is None:
-        return base
-    return min(base, refined)
+        exact = _disc_distance(x, sset.exact, spec)
+    return min(base, exact)
 
 
 # ---------------------------------------------------------------------------

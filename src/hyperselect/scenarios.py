@@ -186,7 +186,7 @@ _DUALITY_DEFAULTS = {
     "trials": 50,
     "norms": "l2,l1,linf",
     "tol_l2": 1e-6,
-    "tol_polyhedral": 2e-3,
+    "tol_polyhedral": 1e-9,
 }
 
 _NORM_FACTORY = {"l1": l1, "l2": l2, "linf": linf}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from hyperselect.norms import (
     BALL_SLACK,
@@ -261,12 +262,12 @@ def test_refined_distance_to_diagonal_segment():
     # min over t of max(|1 - t|, |t|) = 1/2, attained at t = 1/2
     sset = _diagonal_ball_samples()
     val = min_distance_oracle(np.array([1.0, 0.0]), sset, linf())
-    assert val == pytest.approx(0.5, abs=1e-4)
+    assert val == pytest.approx(0.5, abs=1e-12)
 
 
 def test_refined_distance_interior_disc_point_is_zero():
-    # a point strictly inside the disc must come back at ~0 even though the
-    # coarse samples sit on a polar grid away from it
+    # a point strictly inside the disc must come back at exactly 0, even
+    # though the coarse samples sit on a polar grid away from it
     d = np.zeros(6, dtype=np.complex128)
     d[0] = 1.0
     disc = DiscFamily(direction=d, radius=1.0, complex_scalars=True)
@@ -274,7 +275,142 @@ def test_refined_distance_interior_disc_point_is_zero():
     pts = np.concatenate([r * angles[:, None] * d[None, :] for r in (1.0, 0.5)])
     sset = SampledSet(points=pts, convex=True, balanced=True, exact=disc)
     x = (1.0 / 6.0) * np.exp(1j * 0.37) * d
-    assert min_distance_oracle(x, sset, l1()) <= 1e-3
+    assert min_distance_oracle(x, sset, l1()) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# exact oracle routes against an independent SLSQP reference
+
+
+def _origin_only(dim, exact):
+    # the origin lies in every disc and section, so the sample minimum is
+    # ||x|| and the oracle returns the exact route's value
+    return SampledSet(points=np.zeros((1, dim)), convex=True, balanced=True, exact=exact)
+
+
+def _slsqp_l2_section_distance(basis, x):
+    """Reference: min |c @ basis - x| over |c @ basis| <= 1, with complex
+    coefficients a + ib written as real (a, b) on stacked [re, im] parts."""
+    basis = np.asarray(basis, dtype=np.complex128)
+    r = np.block([[basis.real, basis.imag], [-basis.imag, basis.real]])
+    xr = np.concatenate([x.real, x.imag])
+    cons = [{"type": "ineq", "fun": lambda c: 1.0 - ((c @ r) ** 2).sum(),
+             "jac": lambda c: -2.0 * r @ (c @ r)}]
+    res = minimize(lambda c: ((c @ r - xr) ** 2).sum(), np.zeros(len(r)),
+                   jac=lambda c: 2.0 * r @ (c @ r - xr), method="SLSQP",
+                   constraints=cons, options={"ftol": 1e-24, "maxiter": 500})
+    point = res.x @ r
+    point /= max(1.0, np.linalg.norm(point))  # undo constraint slack
+    return float(np.linalg.norm(point - xr))
+
+
+def _slsqp_polyhedral_section_distance(basis, x, ball_kind, kind):
+    """Reference: SLSQP on the epigraph form in z = (c, t, u), minimizing
+    sum(t) with t >= |x - c @ basis| and u >= |c @ basis| bounded by the ball."""
+    k, n = basis.shape
+    m = n if kind == "l1" else 1
+
+    def cons(z):
+        c, t, u = z[:k], z[k:k + m], z[k + m:]
+        p = c @ basis
+        ball = [1.0 - u.sum()] if ball_kind == "l1" else 1.0 - u
+        return np.concatenate([t - (x - p), t + (x - p), u - p, u + p, ball])
+
+    size = k + m + n
+    jac = np.array([cons(e) - cons(np.zeros(size)) for e in np.eye(size)]).T  # cons is affine
+    z0 = np.concatenate([np.zeros(k), np.full(m, np.abs(x).sum()), np.zeros(n)])
+    res = minimize(lambda z: z[k:k + m].sum(), z0, method="SLSQP",
+                   jac=lambda z: np.concatenate([np.zeros(k), np.ones(m), np.zeros(n)]),
+                   bounds=[(None, None)] * k + [(0.0, None)] * (m + n),
+                   constraints=[{"type": "ineq", "fun": cons, "jac": lambda z: jac}],
+                   options={"ftol": 1e-15, "maxiter": 500})
+    point = res.x[:k] @ basis
+    point /= max(1.0, eval_norm(point, NormSpec(ball_kind)))  # undo constraint slack
+    return eval_norm(x - point, NormSpec(kind))
+
+
+def _slsqp_disc_distance(disc, x, spec):
+    """Reference: min ||lam d - x|| over |lam| <= radius, lam = a + ib."""
+    d = disc.direction
+    free = 2 if disc.complex_scalars else 1
+
+    def lam(v):
+        return v[0] + 1j * v[1] if free == 2 else v[0]
+
+    res = minimize(lambda v: eval_norm(lam(v) * d - x, spec) ** 2, np.zeros(free),
+                   jac="3-point", method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": lambda v: disc.radius ** 2 - v @ v}],
+                   options={"ftol": 1e-24, "maxiter": 500})
+    best = lam(res.x)
+    best *= min(1.0, disc.radius / max(abs(best), 1e-300))  # undo constraint slack
+    return eval_norm(best * d - x, spec)
+
+
+def _crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_l2_section_distance_matches_slsqp_reference():
+    rng = np.random.default_rng(3)
+    for _ in range(150):
+        dim = int(rng.integers(1, 6))
+        k = int(rng.integers(1, dim + 1))
+        if rng.random() < 0.5:
+            basis, x = _crandn(rng, k, dim), _crandn(rng, dim)
+        else:
+            basis, x = rng.standard_normal((k, dim)), rng.standard_normal(dim)
+        sset = _origin_only(dim, SubspaceBall(basis=basis, ball_spec=l2()))
+        ref = _slsqp_l2_section_distance(basis, x)
+        assert abs(min_distance_oracle(x, sset, l2()) - ref) <= 1e-8, (basis, x)
+
+
+def test_polyhedral_section_distance_matches_slsqp_reference():
+    rng = np.random.default_rng(4)
+    for _ in range(150):
+        dim = int(rng.integers(1, 6))
+        k = int(rng.integers(1, dim + 1))
+        ball_kind, kind = rng.choice(["l1", "linf"], 2)
+        basis = rng.standard_normal((k, dim))
+        x = rng.standard_normal(dim) * 1.5
+        sset = _origin_only(dim, SubspaceBall(basis=basis, ball_spec=NormSpec(ball_kind)))
+        ref = _slsqp_polyhedral_section_distance(basis, x, ball_kind, kind)
+        val = min_distance_oracle(x, sset, NormSpec(kind))
+        assert abs(val - ref) <= 1e-8, (basis, x, ball_kind, kind)
+
+
+def test_on_line_disc_distance_matches_slsqp_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(150):
+        dim = int(rng.integers(1, 6))
+        complex_scalars = bool(rng.random() < 0.5)
+        d = _crandn(rng, dim) if rng.random() < 0.5 else rng.standard_normal(dim)
+        disc = DiscFamily(direction=d, radius=float(rng.uniform(0.2, 2.0)),
+                          complex_scalars=complex_scalars)
+        mu = disc.radius * rng.uniform(0.0, 2.5)
+        if complex_scalars:
+            mu *= np.exp(2j * np.pi * rng.random())
+        elif rng.random() < 0.5:
+            mu = -mu
+        x = mu * d
+        spec = NormSpec(str(rng.choice(["l1", "l2", "linf"])))
+        ref = _slsqp_disc_distance(disc, x, spec)
+        assert abs(min_distance_oracle(x, _origin_only(dim, disc), spec) - ref) <= 1e-8
+
+
+@pytest.mark.parametrize("exact,spec", [
+    (DiscFamily(direction=np.array([1.0, 2.0, 0.0]), radius=1.0), l2()),
+    (SubspaceBall(basis=np.array([[1.0, 2.0, 0.0]]), ball_spec=l2()), linf()),
+    (SubspaceBall(basis=np.array([[1.0, 2j, 0.0]]), ball_spec=linf()), linf()),
+], ids=["off-line-disc-query", "l2-section-in-linf", "complex-linf-section"])
+def test_oracle_raises_without_an_exact_route(exact, spec):
+    with pytest.raises(UnsupportedNorm):
+        min_distance_oracle(np.array([1.0, 0.0, 0.0]), _origin_only(3, exact), spec)
+
+
+def test_zero_direction_disc_is_the_origin():
+    disc = DiscFamily(direction=np.zeros(3, dtype=np.complex128), radius=2.0)
+    x = np.array([3.0, -4.0, 0.0])
+    assert min_distance_oracle(x, _origin_only(3, disc), l1()) == 7.0
 
 
 def test_operator_norm_requires_square_input():
