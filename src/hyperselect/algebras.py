@@ -27,11 +27,6 @@ class CapExceeded(ValueError):
     """Ambient dimension beyond the configured brute-force budget."""
 
 
-def hs_inner(a, b):
-    """Hilbert-Schmidt inner product Tr(a* b), linear in b."""
-    return complex(np.vdot(a, b))
-
-
 def operator_norm(x):
     return float(np.linalg.norm(x, 2))
 
@@ -141,10 +136,11 @@ def _signed_permutations(n):
 
 
 def cayley_unitary(h):
-    """Unitary (1 + i h)(1 - i h)^{-1} of a Hermitian h; stays inside any
-    unital algebra containing h, since the inverse is a polynomial in h."""
-    n = len(h)
-    return (np.eye(n) + 1j * h) @ np.linalg.inv(np.eye(n) - 1j * h)
+    """Unitary (1 + i h)(1 - i h)^{-1} of a Hermitian h, or of each matrix in
+    a stack of them; stays inside any unital algebra containing h, since the
+    inverse is a polynomial in h."""
+    eye = np.eye(h.shape[-1])
+    return (eye + 1j * h) @ np.linalg.inv(eye - 1j * h)
 
 
 _CAYLEY_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -181,8 +177,7 @@ def unit_ball_sample(A: MatrixAlgebra, count, seed=0):
         g = ((coeffs / np.sqrt(2 * A.dim)) @ A._flat).reshape(need, n, n)
         h = (g[:n_cay] + g[:n_cay].conj().transpose(0, 2, 1)) / 2
         h *= np.asarray(_CAYLEY_SCALES)[np.arange(n_cay) % len(_CAYLEY_SCALES)][:, None, None]
-        eye = np.eye(n, dtype=np.complex128)
-        u = (eye + 1j * h) @ np.linalg.inv(eye - 1j * h)
+        u = cayley_unitary(h)
         u = ((u.reshape(n_cay, -1) @ A._flat.conj().T) @ A._flat).reshape(u.shape)
         blocks.append(u)  # reprojection is a no-op up to roundoff
         if need > n_cay:

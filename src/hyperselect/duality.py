@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .norms import (
+    VECTOR_KINDS,
     DiscFamily,
     NormSpec,
     OutsideUnitBall,
@@ -25,11 +26,11 @@ from .norms import (
     UnsupportedNorm,
     array_from_json,
     array_to_json,
+    distance_lp,
     distances_to_points,
     dual_kind,
     eval_dual_norm,
     eval_norm,
-    l1,
     l2,
     linf,
     min_distance_oracle,
@@ -37,9 +38,6 @@ from .norms import (
 
 ORTHO_TOL = 1e-10
 SIDES = ("primal", "dual")
-
-_SPEC_BY_KIND = {"l1": l1, "l2": l2, "linf": linf}
-
 
 class DualityMismatch(RuntimeError):
     """Primal and dual distance computations disagree; signals a bug."""
@@ -280,23 +278,7 @@ def _primal_distance(x, V, spec):
         return float(np.linalg.norm(x - V.project(x), 2))
     if np.iscomplexobj(V.basis) or np.iscomplexobj(x):
         raise UnsupportedNorm("polyhedral primal distance requires real data")
-    basis = V.basis
-    k, n = basis.shape
-    if spec.kind == "l1":
-        # min sum t  s.t.  -t <= x - c@basis <= t
-        c_obj = np.concatenate([np.zeros(k), np.ones(n)])
-        a_ub = np.block([[basis.T, -np.eye(n)], [-basis.T, -np.eye(n)]])
-        b_ub = np.concatenate([x, -x])
-        bounds = [(None, None)] * k + [(0, None)] * n
-    elif spec.kind == "linf":
-        c_obj = np.concatenate([np.zeros(k), [1.0]])
-        ones = np.ones((n, 1))
-        a_ub = np.block([[basis.T, -ones], [-basis.T, -ones]])
-        b_ub = np.concatenate([x, -x])
-        bounds = [(None, None)] * k + [(0, None)]
-    else:
-        raise UnsupportedNorm(f"quotient distance not defined for kind {spec.kind!r}")
-    res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(**distance_lp(x, V.basis, spec.kind))
     if not res.success:
         raise RuntimeError(f"primal distance LP failed: {res.message}")
     return float(res.fun)
@@ -359,7 +341,7 @@ def reconstruct_ball(profile: SupportProfile, mesh, spec=None, grid_bound=1.0):
         raise ValueError("mesh too fine for the ambient dimension")
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    dual_spec = _SPEC_BY_KIND[dual_kind(spec.kind)]()
+    dual_spec = NormSpec(dual_kind(spec.kind))
     norms = np.array([eval_norm(p, dual_spec) for p in pts])
     keep = norms <= 1 + 1e-12
     pairings = np.abs(pts @ profile.probes.T)
@@ -371,11 +353,6 @@ def reconstruct_ball(profile: SupportProfile, mesh, spec=None, grid_bound=1.0):
 # the subspace-ball criterion
 
 
-def dual_metric_spec(spec):
-    """Norm on functionals induced by the vector-space norm."""
-    return _SPEC_BY_KIND[dual_kind(spec.kind)]()
-
-
 def is_subspace_ball(B: SampledSet, scales, tol=1e-3, spec=None):
     """Rescaling criterion: for every s in scales, each sample with dual
     norm <= s must land back within tol of B after division by s.
@@ -384,7 +361,7 @@ def is_subspace_ball(B: SampledSet, scales, tol=1e-3, spec=None):
     witness on failure is (s, rescaled point) with the worst defect.
     """
     spec = spec if spec is not None else l2()
-    mspec = dual_metric_spec(spec)
+    mspec = NormSpec(dual_kind(spec.kind))  # functionals carry the dual norm
     point_norms = distances_to_points(np.zeros(B.dim), B.points, mspec)
     worst_defect = 0.0
     worst = None
@@ -434,37 +411,36 @@ def polar_grid(radii=(1.0, 0.5, 0.25, 0.125), angles=64):
     return lams
 
 
+def _counterexample_disc(n, trunc_dim, radii=(1.0, 0.5, 0.25, 0.125), angles=64):
+    # complex multiples of (1/2) delta_0 + delta_n, or of (1/2) delta_0 alone
+    # for n = 0, sampled on a polar grid
+    direction = np.zeros(trunc_dim, dtype=np.complex128)
+    direction[0] = 0.5
+    if n:
+        direction[n] = 1.0
+    points = polar_grid(radii, angles)[:, None] * direction[None, :]
+    exact = DiscFamily(direction=direction, radius=1.0, complex_scalars=True)
+    return SampledSet(points=points, convex=True, balanced=True, exact=exact)
+
+
 def counterexample_ball(n, trunc_dim, radii=(1.0, 0.5, 0.25, 0.125), angles=64):
     """The disc of complex multiples of (1/2) delta_0 + delta_n, sampled on a
     polar grid, inside a finite truncation of the sequence dual."""
     if not 1 <= n < trunc_dim:
         raise ValueError("need 1 <= n < trunc_dim")
-    direction = np.zeros(trunc_dim, dtype=np.complex128)
-    direction[0] = 0.5
-    direction[n] = 1.0
-    lams = polar_grid(radii, angles)
-    points = lams[:, None] * direction[None, :]
-    exact = DiscFamily(direction=direction, radius=1.0, complex_scalars=True)
-    return SampledSet(points=points, convex=True, balanced=True, exact=exact)
+    return _counterexample_disc(n, trunc_dim, radii, angles)
 
 
 def counterexample_limit_disc(trunc_dim, radii=(1.0, 0.5, 0.25, 0.125), angles=64):
     """The limit family: complex multiples of (1/2) delta_0 alone.  Balanced
     and convex, but not the unit ball of any subspace: rescaling its norm-s
     points by 1/s escapes the disc."""
-    direction = np.zeros(trunc_dim, dtype=np.complex128)
-    direction[0] = 0.5
-    lams = polar_grid(radii, angles)
-    points = lams[:, None] * direction[None, :]
-    exact = DiscFamily(direction=direction, radius=1.0, complex_scalars=True)
-    return SampledSet(points=points, convex=True, balanced=True, exact=exact)
+    return _counterexample_disc(0, trunc_dim, radii, angles)
 
 
 def counterexample_subspace(n, trunc_dim):
     """Span of (1/2) delta_0 + delta_n as a dual-side subspace (sup-norm ambient)."""
-    direction = np.zeros(trunc_dim, dtype=np.complex128)
-    direction[0] = 0.5
-    direction[n] = 1.0
+    direction = _counterexample_disc(n, trunc_dim).exact.direction
     basis = (direction / np.linalg.norm(direction))[None, :]
     return Subspace(basis=basis, ambient=linf(), side="dual")
 
@@ -482,5 +458,6 @@ def subspace_to_json(V: Subspace):
 
 def subspace_from_json(doc):
     basis = array_from_json(doc["basis"], complex_scalars=doc.get("complex", False))
-    spec = _SPEC_BY_KIND[doc["norm"]]()
-    return Subspace(basis=basis, ambient=spec, side=doc["side"])
+    if doc["norm"] not in VECTOR_KINDS:
+        raise UnsupportedNorm(f"subspace norm {doc['norm']!r} is not one of {VECTOR_KINDS}")
+    return Subspace(basis=basis, ambient=NormSpec(doc["norm"]), side=doc["side"])

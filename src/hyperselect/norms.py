@@ -362,28 +362,34 @@ def _disc_distance(x, disc, spec):
     return max(0.0, abs(mu) - disc.radius) * eval_norm(d, spec)
 
 
-def _polyhedral_section_distance(x, basis, ball_kind, kind):
-    # One LP in z = (c, t, u): minimize sum(t) subject to |x - c @ basis| <= t
-    # entrywise (one shared t for linf) and |c @ basis| <= u, where u <= 1
-    # for a linf ball and sum(u) <= 1 for an l1 ball.
+def distance_lp(x, basis, kind, ball_kind=None):
+    """`linprog` arguments for the real l1/linf distance from x to span(basis
+    rows) or, given ball_kind, to its l1/linf unit-ball section.
+
+    One LP in z = (c, t, u): minimize sum(t) subject to |x - c @ basis| <= t
+    entrywise (one shared t for linf) and, with a ball only, |c @ basis| <= u,
+    where u <= 1 for a linf ball and sum(u) <= 1 for an l1 ball.
+    """
+    if kind not in ("l1", "linf"):
+        raise UnsupportedNorm(f"quotient distance not defined for kind {kind!r}")
     k, n = basis.shape
     gap = np.eye(n) if kind == "l1" else np.ones((n, 1))
     m = gap.shape[1]
-    point = np.hstack([basis.T, np.zeros((n, m + n))])
-    t = np.hstack([np.zeros((n, k)), gap, np.zeros((n, n))])
-    u = np.hstack([np.zeros((n, k + m)), np.eye(n)])
-    a_ub = np.vstack([point - t, -point - t, point - u, -point - u])
-    b_ub = np.concatenate([x, -x, np.zeros(2 * n)])
+    w = 0 if ball_kind is None else n  # the u columns
+    point = np.hstack([basis.T, np.zeros((n, m + w))])
+    t = np.hstack([np.zeros((n, k)), gap, np.zeros((n, w))])
+    a_ub = np.vstack([point - t, -point - t])
+    b_ub = np.concatenate([x, -x, np.zeros(2 * w)])
+    if w:
+        u = np.hstack([np.zeros((n, k + m)), np.eye(n)])
+        a_ub = np.vstack([a_ub, point - u, -point - u])
     if ball_kind == "l1":
         a_ub = np.vstack([a_ub, np.concatenate([np.zeros(k + m), np.ones(n)])])
         b_ub = np.append(b_ub, 1.0)
-    cost = np.concatenate([np.zeros(k), np.ones(m), np.zeros(n)])
+    cost = np.concatenate([np.zeros(k), np.ones(m), np.zeros(w)])
     u_max = 1.0 if ball_kind == "linf" else None
-    bounds = [(None, None)] * k + [(0, None)] * m + [(0, u_max)] * n
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"section distance LP failed: {res.message}")
-    return float(res.fun)
+    bounds = [(None, None)] * k + [(0, None)] * m + [(0, u_max)] * w
+    return {"c": cost, "A_ub": a_ub, "b_ub": b_ub, "bounds": bounds, "method": "highs"}
 
 
 def _subspace_ball_distance(x, ball, spec):
@@ -397,7 +403,10 @@ def _subspace_ball_distance(x, ball, spec):
     complex_data = np.iscomplexobj(ball.basis) or np.iscomplexobj(x)
     polyhedral = ("l1", "linf")
     if ball_kind in polyhedral and kind in polyhedral and not complex_data:
-        return _polyhedral_section_distance(x, ball.basis, ball_kind, kind)
+        res = linprog(**distance_lp(x, ball.basis, kind, ball_kind))
+        if not res.success:
+            raise RuntimeError(f"section distance LP failed: {res.message}")
+        return float(res.fun)
     raise UnsupportedNorm(f"no exact distance to a {ball_kind} section in the {kind} metric"
                           f" on {'complex' if complex_data else 'real'} data")
 
@@ -412,6 +421,9 @@ def min_distance_oracle(x, sset, spec):
     other descriptor, norm and query combination raises UnsupportedNorm.
     """
     x = np.asarray(x)
+    # The sample scan stays even with a descriptor: a rescaled polar-grid
+    # sample can sit one ulp outside the disc, where the closed form reads
+    # 2.2e-16 and only the sample minimum returns the exact 0.0.
     base = float(distances_to_points(x, sset.points, spec).min())
     if sset.exact is None:
         return base

@@ -16,11 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .norms import (
+    VECTOR_KINDS,
+    NormSpec,
     array_to_json,
     dyadic_weights,
     eval_norm,
     l1,
-    l2,
     linf,
     make_probe_sequence,
     probe_strong_star,
@@ -110,7 +111,7 @@ def _resolve(params, defaults):
             elif isinstance(default, int):
                 out[key] = int(raw)
             elif isinstance(default, float):
-                out[key] = float(raw)
+                out[key] = _finite(float(raw))
             else:
                 out[key] = raw
         except ValueError as err:
@@ -118,9 +119,15 @@ def _resolve(params, defaults):
     return out
 
 
+def _finite(value):
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
+
+
 def _float_list(raw, key):
     try:
-        values = tuple(float(part) for part in raw.split(",") if part.strip())
+        values = tuple(_finite(float(part)) for part in raw.split(",") if part.strip())
     except ValueError as err:
         raise ConfigError(f"config key {key}: {err}") from None
     if not values:
@@ -189,14 +196,12 @@ _DUALITY_DEFAULTS = {
     "tol_polyhedral": 1e-9,
 }
 
-_NORM_FACTORY = {"l1": l1, "l2": l2, "linf": linf}
-
 
 def run_duality(params, seed, out):
     cfg = _resolve(params, _DUALITY_DEFAULTS)
     kinds = tuple(k.strip() for k in cfg["norms"].split(",") if k.strip())
     for kind in kinds:
-        if kind not in _NORM_FACTORY:
+        if kind not in VECTOR_KINDS:
             raise ConfigError(f"unknown norm kind {kind!r}")
     if cfg["dim"] < 2:
         raise ConfigError("dim must be at least 2")
@@ -206,7 +211,7 @@ def run_duality(params, seed, out):
     rows = []
     summary = {}
     for kind in kinds:
-        spec = _NORM_FACTORY[kind]()
+        spec = NormSpec(kind)
         tol = cfg["tol_l2"] if kind == "l2" else cfg["tol_polyhedral"]
         worst = 0.0
         for trial in range(cfg["trials"]):
@@ -486,17 +491,11 @@ def run_marechal(params, seed, out):
         ("member", "net_index", "m", "p", "theta", "v0", "v1", "v2"), member_rows))
 
     ss_spec = probe_strong_star(make_probe_sequence(2, cfg["probe_count"]))
-    audit_rows = []
-    worst_l2 = worst_ss = 0.0
-    for j, t in enumerate(grid):
-        for g, w in enumerate(F.values[j].generators):
-            best_l2 = min(float(np.linalg.norm(mem.values[j] - w)) for mem in members)
-            target_mat = coords_to_sym(w)
-            best_ss = min(eval_norm(coords_to_sym(mem.values[j]) - target_mat, ss_spec)
-                          for mem in members)
-            audit_rows.append((t, g, best_l2, best_ss))
-            worst_l2 = max(worst_l2, best_l2)
-            worst_ss = max(worst_ss, best_ss)
+    worst_l2, l2_rows = density_audit(members, F)
+    worst_ss, ss_rows = density_audit(members, F, metric=lambda a, b: [
+        eval_norm(coords_to_sym(p) - coords_to_sym(q), ss_spec) for p, q in zip(a, b)])
+    audit_rows = [(grid[j], g, best_l2, best_ss)
+                  for (j, g, _, best_l2), (_, _, _, best_ss) in zip(l2_rows, ss_rows)]
     files.append(_write_csv(out / "hw_audit.csv",
                             ("theta", "generator", "audit_l2", "audit_strong_star"),
                             audit_rows))

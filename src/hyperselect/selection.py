@@ -228,9 +228,6 @@ class SetValuedMap:
     def __len__(self):
         return len(self.values)
 
-    def value_dim(self):
-        return self.target.dim
-
 
 class HullTarget:
     """The target convex set C given by finitely many generators."""
@@ -244,7 +241,7 @@ class HullTarget:
         return self._projector.project(np.atleast_2d(points))[0]
 
     def contains(self, points, tol=1e-9):
-        return self._projector.distances(np.atleast_2d(points)) <= tol
+        return self._projector.contains(points, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +258,29 @@ class SelectionResult:
     defects: np.ndarray         # d(f(x), F(x)) per domain point
 
 
-def _cover_from_bitmaps(domain, bitmaps, labels):
-    keep = [i for i in range(len(bitmaps)) if bitmaps[i].any()]
-    bitmaps = bitmaps[keep]
-    labels = labels[keep]
+def _cover_partition(domain, bitmaps, net):
+    """Partition of unity over the cover whose element i is bitmaps[i] and is
+    labelled by net[i], with the net points it keeps; None when some domain
+    point lies in no element.  Empty elements are dropped, and above
+    _MAX_ELEMENTS a greedy pass keeps only elements that cover new points."""
+    keep = bitmaps.any(axis=1)
+    bitmaps, net = bitmaps[keep], net[keep]
     if len(bitmaps) > _MAX_ELEMENTS:
         covered = np.zeros(len(domain), dtype=bool)
         chosen = []
-        for i in range(len(bitmaps)):
-            new = bitmaps[i] & ~covered
-            if new.any():
+        for i, inside in enumerate(bitmaps):
+            if (inside & ~covered).any():
                 chosen.append(i)
-                covered |= bitmaps[i]
-        bitmaps = bitmaps[chosen]
-        labels = labels[chosen]
-    return bitmaps, labels
+                covered |= inside
+        bitmaps, net = bitmaps[chosen], net[chosen]
+    if len(bitmaps) == 0 or not bitmaps.any(axis=0).all():
+        return None
+    return build_partition_of_unity(domain, OpenCover(domain, bitmaps)), net
+
+
+def _defects(F, values):
+    """d(values[i], F(x_i)) per domain point."""
+    return np.array([F.values[i].distances(values[i][None, :])[0] for i in range(len(F))])
 
 
 def _lex_sort(points):
@@ -296,14 +301,13 @@ def approx_selection(F, eps, net):
     net = net[_lex_sort(net)]
     dists = np.stack([F.values[i].distances(net) for i in range(len(F))], axis=1)
     bitmaps = dists < eps
-    bitmaps, net = _cover_from_bitmaps(F.domain, bitmaps, net)
-    if len(bitmaps) == 0 or not bitmaps.any(axis=0).all():
-        missing = np.nonzero(~bitmaps.any(axis=0))[0] if len(bitmaps) else [0]
+    cover = _cover_partition(F.domain, bitmaps, net)
+    if cover is None:
+        missing = np.nonzero(~bitmaps.any(axis=0))[0]
         raise NetTooCoarse(f"no net point is eps-close to F at domain index {int(missing[0])}")
-    pou = build_partition_of_unity(F.domain, OpenCover(F.domain, bitmaps))
+    pou, net = cover
     values = pou.values.T @ net
-    defects = np.array([F.values[i].distances(values[i][None, :])[0] for i in range(len(F))])
-    return SelectionResult(values=values, pou=pou, net=net, defects=defects)
+    return SelectionResult(values=values, pou=pou, net=net, defects=_defects(F, values))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +319,6 @@ class MichaelResult:
     values: np.ndarray
     rounds: list          # dicts: {"k", "max_defect", "max_step"}
     defects: np.ndarray
-
-    def log_rows(self):
-        return [dict(r) for r in self.rounds]
 
 
 def _adaptive_net(F, anchors, cell):
@@ -349,10 +350,10 @@ def _selection_round(F, anchors, r, eps, cell):
         if anchors is not None:
             ok &= np.linalg.norm(proj - anchors[i][None, :], axis=1) < r
         bitmaps[:, i][ok] = True
-    bitmaps, net = _cover_from_bitmaps(F.domain, bitmaps, net)
-    if len(bitmaps) == 0 or not bitmaps.any(axis=0).all():
+    cover = _cover_partition(F.domain, bitmaps, net)
+    if cover is None:
         return None
-    pou = build_partition_of_unity(F.domain, OpenCover(F.domain, bitmaps))
+    pou, net = cover
     return pou.values.T @ net
 
 
@@ -381,7 +382,7 @@ def michael_selection(F, tol=1e-3):
     values = run_round(None, None, eps1, 0.25 / (8.0 * dim_sqrt))
     if values is None:
         raise IterationStall("initial approximate selection failed to cover the domain (k=1)")
-    defects = np.array([F.values[i].distances(values[i][None, :])[0] for i in range(len(F))])
+    defects = _defects(F, values)
     rounds.append({"k": 0, "max_defect": float(defects.max()), "max_step": None})
     k = 1
     while 0.5 ** k >= tol:
@@ -396,7 +397,7 @@ def michael_selection(F, tol=1e-3):
             raise IterationStall(f"round k={k} left domain index {worst} uncovered")
         step = float(np.linalg.norm(new_values - values, axis=1).max())
         values = new_values
-        defects = np.array([F.values[i].distances(values[i][None, :])[0] for i in range(len(F))])
+        defects = _defects(F, values)
         rounds.append({"k": k, "max_defect": float(defects.max()), "max_step": step})
         k += 1
     return MichaelResult(values=values, rounds=rounds, defects=defects)
@@ -468,7 +469,8 @@ def density_audit(members, F, metric=None):
     """Worst distance from any value generator to the nearest family member.
 
     metric(points_a, points_b) -> pairwise row distances; defaults to L2.
-    Returns the audit gap and the per-point worst rows.
+    Returns the audit gap and one row (point index, generator index,
+    generator, distance) per audited generator.
     """
     if metric is None:
         metric = lambda a, b: np.linalg.norm(a - b, axis=1)
@@ -478,9 +480,9 @@ def density_audit(members, F, metric=None):
         gens = F.values[i].generators
         if gens is None:
             continue
-        for w in gens:
+        for g, w in enumerate(gens):
             best = min(float(metric(mem.values[i][None, :], w[None, :])[0]) for mem in members)
-            rows.append((i, w, best))
+            rows.append((i, g, w, best))
             worst = max(worst, best)
     return worst, rows
 

@@ -130,6 +130,19 @@ def test_sampled_support_is_a_lower_bound_near_closed_form():
         assert samp >= closed - 5e-2
 
 
+def test_cayley_unitary_of_a_stack_matches_single_calls():
+    # stack size 4 differs from matrix size 3, so a length read off the stack
+    # axis would build the wrong identity
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    h = (g + g.conj().transpose(0, 2, 1)) / 2
+    stacked = cayley_unitary(h)
+    assert stacked.shape == (4, 3, 3)
+    for hk, uk in zip(h, stacked):
+        assert np.allclose(uk, cayley_unitary(hk), rtol=0, atol=1e-13)
+        assert np.allclose(uk @ uk.conj().T, np.eye(3), rtol=0, atol=1e-12)
+
+
 def test_support_conjugation_consistency():
     rng = np.random.default_rng(7)
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

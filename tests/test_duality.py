@@ -28,6 +28,7 @@ from hyperselect.norms import (
     DiscFamily,
     SampledSet,
     SubspaceBall,
+    UnsupportedNorm,
     eval_norm,
     l1,
     l2,
@@ -128,6 +129,13 @@ def test_subspace_json_roundtrip():
     W = subspace_from_json(subspace_to_json(V))
     assert W.side == V.side and W.ambient.kind == V.ambient.kind
     assert span_gap(V, W) <= 1e-12
+
+
+def test_subspace_json_rejects_a_non_vector_norm():
+    doc = subspace_to_json(subspace_from_spanning(np.eye(3)[:1], ambient=l2()))
+    doc["norm"] = "operator"
+    with pytest.raises(UnsupportedNorm, match="operator"):
+        subspace_from_json(doc)
 
 
 # ---------------------------------------------------------------------------

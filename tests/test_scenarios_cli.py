@@ -169,6 +169,22 @@ def test_finiteness_sweep_shapes(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 2  # eps grid x block sizes
 
 
+# a nan tolerance would switch the primal/dual gate off (diff > nan is never
+# true), and a non-finite block size used to surface as an invariant violation
+@pytest.mark.parametrize("scenario,text,key", [
+    ("duality", "norms=l1\ntrials=2\ntol_polyhedral=nan\n", "tol_polyhedral"),
+    ("finiteness", "block_sizes=1,inf\n", "block_sizes"),
+    ("finiteness", "block_sizes=1,nan\n", "block_sizes"),
+], ids=["tol_polyhedral-nan", "block_sizes-inf", "block_sizes-nan"])
+def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
+    cfg = _write_config(tmp_path, text)
+    code = main([scenario, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert key in record["message"]
+
+
 def test_block_sizes_must_be_integers(tmp_path, capsys):
     cfg = _write_config(tmp_path, "block_sizes=1.5\n")
     code = main(["finiteness", "--config", cfg, "--out", str(tmp_path / "o")])
