@@ -12,7 +12,7 @@ below.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class MatrixAlgebra:
 
     n: int
     hs_basis: np.ndarray  # (dim, n, n)
-    has_unit: bool = True
     check: bool = True  # skip only for structurally exact bases (matrix units)
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class MatrixAlgebra:
         ):
             if residual > ALGEBRA_TOL:
                 raise ValueError(f"{name} closure residual {residual:.3g} exceeds {ALGEBRA_TOL:g}")
-        if not self.has_unit:
-            raise ValueError("algebras here share the ambient unit")
 
     @property
     def dim(self):
@@ -103,14 +100,14 @@ class MatrixAlgebra:
         return (np.asarray(coeffs, dtype=np.complex128) @ self._flat).reshape(self.n, self.n)
 
 
-def generate_algebra(generators, n, cap=AMBIENT_CAP):
+def generate_algebra(generators, n):
     """Smallest unital *-closed subalgebra of M_n containing the generators.
 
     Span-closure iteration: adjoin adjoints and all pairwise products,
     re-orthonormalize, repeat until the dimension stabilizes.
     """
-    if n > cap:
-        raise CapExceeded(f"ambient size {n} exceeds cap {cap}")
+    if n > AMBIENT_CAP:
+        raise CapExceeded(f"ambient size {n} exceeds cap {AMBIENT_CAP}")
     mats = [np.eye(n, dtype=np.complex128)]
     for g in generators:
         g = np.asarray(g, dtype=np.complex128)
@@ -342,18 +339,18 @@ def _tensor_unit(m, n, k, l):
     return out
 
 
-def build_fS(S: SubsetSeq, cap=FS_CAP, check=None):
+def build_fS(S: SubsetSeq):
     """The block algebra of S: full matrix blocks on each {n} x S_n plus the
     scalar complement, with the projection pi_S onto the blocks.
 
     Returns (algebra, pi_S).  Dimension is sum |S_n|^2, plus one when
-    pi_S != identity.  check=None skips the constructor's brute-force
-    closure pass above dimension 80 (the matrix-unit basis is exactly
-    closed by construction; sampled law reports stay available).
+    pi_S != identity.  The constructor's brute-force closure pass is skipped
+    above dimension 80 (the matrix-unit basis is exactly closed by
+    construction; sampled law reports stay available).
     """
     m = S.m
-    if m * m > cap:
-        raise CapExceeded(f"ambient size {m * m} exceeds cap {cap}")
+    if m * m > FS_CAP:
+        raise CapExceeded(f"ambient size {m * m} exceeds cap {FS_CAP}")
     basis = []
     pi = np.zeros((m * m, m * m), dtype=np.complex128)
     for n, subset in enumerate(S.subsets):
@@ -366,13 +363,11 @@ def build_fS(S: SubsetSeq, cap=FS_CAP, check=None):
     complement = np.eye(m * m, dtype=np.complex128) - pi
     if np.abs(complement).max() > 0.5:
         basis.append(complement / np.linalg.norm(complement))
-    if check is None:
-        check = len(basis) <= 80
-    algebra = MatrixAlgebra(n=m * m, hs_basis=np.array(basis), check=check)
+    algebra = MatrixAlgebra(n=m * m, hs_basis=np.array(basis), check=len(basis) <= 80)
     return algebra, pi
 
 
-def fS_ball_core(S: SubsetSeq, cap=FS_CAP):
+def fS_ball_core(S: SubsetSeq):
     """Finite subset of the unit ball of f(S) that is exactly closed under
     adjoints and products and contains the unit: the block matrix units
     together with 0, pi_S, 1 - pi_S, and 1.
@@ -383,9 +378,7 @@ def fS_ball_core(S: SubsetSeq, cap=FS_CAP):
     at sampling resolution).
     """
     m = S.m
-    if m * m > cap:
-        raise CapExceeded(f"ambient size {m * m} exceeds cap {cap}")
-    _, pi = build_fS(S, cap=cap)
+    _, pi = build_fS(S)  # raises CapExceeded above FS_CAP
     eye = np.eye(m * m, dtype=np.complex128)
     core = [np.zeros((m * m, m * m), dtype=np.complex128), eye, pi, eye - pi]
     for n, subset in enumerate(S.subsets):

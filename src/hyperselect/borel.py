@@ -325,9 +325,7 @@ def bundled_borel_instances(d=10, count=10, prefix_len=4):
 
     def singleton_branch(extra_prefixes):
         def build(depth):
-            tree = PrunedTree.from_predicate(depth, lambda bits: all(bits))
-            if extra_prefixes:
-                tree = tree.union(PrunedTree.from_prefixes(depth, extra_prefixes))
+            tree = PrunedTree.from_prefixes(depth, ["1" * depth] + extra_prefixes)
             return [tree] * count, TruncPoint.from_string("1" * depth)
         return build
 

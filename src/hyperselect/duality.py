@@ -29,7 +29,6 @@ from .norms import (
     distance_lp,
     distances_to_points,
     dual_kind,
-    eval_dual_norm,
     eval_norm,
     l2,
     linf,
@@ -156,7 +155,8 @@ def support_function(F, x, spec=None):
         return 0.0
     x = np.asarray(x)
     if spec is not None:
-        worst = max(eval_dual_norm(p, spec) for p in F.points)
+        worst = float(distances_to_points(np.zeros(F.dim), F.points,
+                                          NormSpec(dual_kind(spec.kind))).max())
         if worst > 1 + 1e-9:
             raise OutsideUnitBall(f"family point has dual norm {worst:.6g} > 1")
     sampled = float(np.abs(F.points @ x).max())

@@ -108,31 +108,6 @@ class HullProjector:
         return self.distances(points) <= tol
 
 
-def segment_ball_clip(a, b, center, radius):
-    """Endpoints of [a, b] intersected with the closed ball B(center, radius),
-    or None when the intersection is empty.  Exact (quadratic roots)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(center, dtype=np.float64)
-    u = b - a
-    w = a - c
-    qa = float(u @ u)
-    if qa < 1e-30:  # degenerate segment
-        return (a.copy(), b.copy()) if np.linalg.norm(w) <= radius else None
-    qb = 2.0 * float(u @ w)
-    qc = float(w @ w) - radius * radius
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0:
-        return None
-    root = np.sqrt(disc)
-    t0 = (-qb - root) / (2.0 * qa)
-    t1 = (-qb + root) / (2.0 * qa)
-    lo, hi = max(t0, 0.0), min(t1, 1.0)
-    if lo > hi:
-        return None
-    return a + lo * u, a + hi * u
-
-
 def lattice_round(points, cell):
     """Snap points to the grid cell * Z^dim (deterministic net construction)."""
     return np.round(np.asarray(points) / cell) * cell

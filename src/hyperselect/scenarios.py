@@ -135,6 +135,12 @@ def _float_list(raw, key):
     return values
 
 
+def _require_positive(cfg, *keys):
+    for key in keys:
+        if cfg[key] <= 0:
+            raise ConfigError(f"config key {key}: expected a positive number, got {cfg[key]}")
+
+
 def _int_list(raw, key):
     return tuple(int(v) if float(v) == int(v) else _bad_int(key) for v in _float_list(raw, key))
 
@@ -205,6 +211,8 @@ def run_duality(params, seed, out):
             raise ConfigError(f"unknown norm kind {kind!r}")
     if cfg["dim"] < 2:
         raise ConfigError("dim must be at least 2")
+    if cfg["trials"] < 1:
+        raise ConfigError(f"config key trials: expected at least 1, got {cfg['trials']}")
     if cfg["dim"] > 8 and any(k in ("l1", "linf") for k in kinds):
         raise ConfigError("polyhedral duality sweeps are capped at dim 8")
     rng = np.random.default_rng(seed)
@@ -258,6 +266,8 @@ def run_counterexample(params, seed, out):
     if not 1 <= cfg["probe_count"] <= trunc:
         raise ConfigError("probe_count must lie in [1, trunc_dim]")
     scales = _float_list(cfg["scales"], "scales")
+    if any(not 0.0 < s < 1.0 for s in scales):
+        raise ConfigError("config key scales: every scale must lie in (0, 1)")
     space = l1()  # the sets live in the dual of little-l1, probed in sup norm
 
     limit = counterexample_limit_disc(trunc, angles=cfg["angles"])
@@ -320,6 +330,7 @@ def _scenario_net(F, raw, key):
 
 def run_selection(params, seed, out):
     cfg = _resolve(params, _SELECTION_DEFAULTS)
+    _require_positive(cfg, "tol", "family_tol", "eps")
     suite = {F.name: F for F in bundled_maps(cfg["n1d"], cfg["n2d"])}
     if cfg["map"] not in suite:
         raise ConfigError(f"unknown map {cfg['map']!r}; choose from "
@@ -468,6 +479,7 @@ def run_marechal(params, seed, out):
     cfg = _resolve(params, _MARECHAL_DEFAULTS)
     if cfg["theta_count"] < 2 or cfg["hw_points"] < 2:
         raise ConfigError("need at least two grid points")
+    _require_positive(cfg, "hw_tol")
     probes = matrix_unit_probes(2, cfg["probe_count"])
     reference = rotated_diagonal_algebra(0.0)
     thetas = np.linspace(0.0, cfg["theta_max"], cfg["theta_count"])

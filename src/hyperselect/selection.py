@@ -11,11 +11,11 @@ consecutive rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hulls import HullProjector, dedupe_points, lattice_round, segment_ball_clip
+from .hulls import HullProjector, dedupe_points, lattice_round
 from .norms import NormSpec, l2
 from .hyperspace import pairwise_distances
 
@@ -29,7 +29,7 @@ class NetTooCoarse(RuntimeError):
 
 
 class IterationStall(RuntimeError):
-    """A selection round could not cover the domain even after refinement."""
+    """A selection round left some domain point uncovered."""
 
 
 class DiscreteDomain:
@@ -195,18 +195,18 @@ class BallRestrictedValue:
 def restrict_value(value: HullValue, center, radius):
     """The value intersected with the closed ball B(center, radius).
 
-    A point value is its own restriction and a segment value is clipped
-    exactly (quadratic roots); larger hulls become a BallRestrictedValue
-    sharing the value's projector.  Raises ValueError when the intersection
-    is empty.
+    A point value is its own restriction.  A segment [a, b] stays a segment:
+    the projection of an endpoint onto [a, b] intersected with the ball is
+    that endpoint clipped to the ball, so both endpoints go once through the
+    hull-and-ball kernel.  Larger hulls become a BallRestrictedValue sharing
+    the value's projector.  Raises ValueError when the intersection is empty.
     """
-    gens = value.generators
-    if len(gens) == 2:
-        clipped = segment_ball_clip(gens[0], gens[1], center, radius)
-        if clipped is not None:
-            return HullValue(np.stack(clipped))
     restricted = BallRestrictedValue(value, center, radius)  # raises when empty
-    return value if len(gens) == 1 else restricted
+    if len(value.generators) == 1:
+        return value
+    if len(value.generators) == 2:
+        return HullValue(restricted.project(value.generators)[0])
+    return restricted
 
 
 class SetValuedMap:
@@ -365,33 +365,32 @@ def michael_selection(F, tol=1e-3):
     Margins (3/4 of each scale, lattice cell an eighth of the ball radius)
     make the cover guaranteed, the defect < 2^-(k+1) after round k, and the
     step bound sup_x |f_{k+1}(x) - f_k(x)| <= 2^-k hold exactly.
+
+    Every round covers, so no round is retried.  Each domain point x has its
+    own net point: the projection p of f_k(x) onto F(x), snapped to the
+    lattice of cell 2^-(k+4)/sqrt(dim) and pulled back into C (nonexpansive,
+    and p lies in C), so within cell * sqrt(dim) / 2 = 2^-(k+5) of p.  That
+    is inside eps = 3 * 2^-(k+4), and its projection onto F(x) lies within
+    d(f_k(x), F(x)) + 2^-(k+5) < 3 * 2^-(k+3) + 2^-(k+5) < r = 2^-(k+1) of
+    the anchor f_k(x).  The first round has the same margin (cell
+    1/(32 sqrt(dim)) against eps 3/16).  IterationStall still guards a
+    round that leaves a point uncovered.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    k_cap = math.ceil(math.log2(1.0 / tol)) + 2
     rounds = []
     dim_sqrt = math.sqrt(F.target.dim)
-
-    def run_round(anchors, r, eps, cell):
-        values = _selection_round(F, anchors, r, eps, cell)
-        if values is None:
-            values = _selection_round(F, anchors, r, eps, cell / 2.0)  # one refinement
-        return values
-
-    eps1 = 0.75 * 0.25
-    values = run_round(None, None, eps1, 0.25 / (8.0 * dim_sqrt))
+    values = _selection_round(F, None, None, 0.75 * 0.25, 0.25 / (8.0 * dim_sqrt))
     if values is None:
         raise IterationStall("initial approximate selection failed to cover the domain (k=1)")
     defects = _defects(F, values)
     rounds.append({"k": 0, "max_defect": float(defects.max()), "max_step": None})
     k = 1
     while 0.5 ** k >= tol:
-        if k > k_cap:
-            raise IterationStall(f"iteration cap {k_cap} exceeded")
         r = 0.5 ** (k + 1)
         eps = 0.75 * 0.5 ** (k + 2)
         cell = 0.5 ** (k + 4) / dim_sqrt
-        new_values = run_round(values, r, eps, cell)
+        new_values = _selection_round(F, values, r, eps, cell)
         if new_values is None:
             worst = int(np.argmax(defects))
             raise IterationStall(f"round k={k} left domain index {worst} uncovered")
@@ -423,13 +422,15 @@ def dense_selection_family(F, net, m_max, p_max, tol=1e-3):
     For net point v_n and m, U_nm = {x : F(x) meets B(v_n, 1/m)} is open; its
     closed exhaustion C_nmp = {x : d(x, X \\ U_nm) >= 1/p} selects where the
     value is replaced by cl(F(x) intersect B(v_n, 1/m)).  Each modified map
-    stays lower-continuous and gets its own selection.  Members are
-    enumerated in lexicographic (n, m, p) order.
+    stays lower-continuous and gets its own selection, computed once per
+    distinct (n, m, pinned set); members pinning no point share the
+    selection of F itself.  Members are enumerated in lexicographic
+    (n, m, p) order.
     """
     net = np.atleast_2d(np.asarray(net, dtype=np.float64))
     if not bool(np.all(F.target.contains(net, tol=1e-9))):
         raise ValueError("net points must lie in the target set C")
-    base = None
+    selections = {}  # (n, m, pinned indices), or None for F itself
     members = []
     for n in range(len(net)):
         value_dists = np.array([F.values[i].distances(net[n][None, :])[0] for i in range(len(F))])
@@ -447,19 +448,18 @@ def dense_selection_family(F, net, m_max, p_max, tol=1e-3):
                 d_comp = np.zeros(len(F))
             for p in range(1, p_max + 1):
                 pinned = d_comp >= 1.0 / p
-                if not pinned.any():
-                    if base is None:
-                        base = michael_selection(F, tol=tol)
-                    members.append(FamilyMember(n, m, p, base.values, base.rounds, 0))
-                    continue
-                new_values = [
-                    restrict_value(F.values[i], net[n], radius) if pinned[i] else F.values[i]
-                    for i in range(len(F))
-                ]
-                modified = SetValuedMap(F.domain, new_values, F.target,
-                                        name=f"{F.name}|n={n},m={m},p={p}",
-                                        slope_hint=F.slope_hint)
-                sel = michael_selection(modified, tol=tol)
+                key = (n, m, tuple(np.nonzero(pinned)[0].tolist())) if pinned.any() else None
+                if key not in selections:
+                    modified = F
+                    if key is not None:
+                        modified = SetValuedMap(
+                            F.domain,
+                            [restrict_value(v, net[n], radius) if pin else v
+                             for v, pin in zip(F.values, pinned)],
+                            F.target, name=f"{F.name}|n={n},m={m},p={p}",
+                            slope_hint=F.slope_hint)
+                    selections[key] = michael_selection(modified, tol=tol)
+                sel = selections[key]
                 members.append(FamilyMember(n, m, p, sel.values, sel.rounds,
                                             int(pinned.sum())))
     return members

@@ -185,6 +185,26 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
     assert key in record["message"]
 
 
+@pytest.mark.parametrize("scenario,text,key", [
+    ("duality", "norms=l1\ntrials=-5\n", "trials"),
+    ("duality", "norms=l1\ntrials=0\n", "trials"),
+    ("counterexample", "scales=0.5,-1\n", "scales"),
+    ("counterexample", "scales=0.5,1\n", "scales"),
+    ("marechal", "hw_tol=-1\n", "hw_tol"),
+    ("selection", "tol=0\n", "tol"),
+    ("selection", "family_tol=-0.01\n", "family_tol"),
+    ("selection", "eps=0\n", "eps"),
+], ids=["trials-negative", "trials-zero", "scales-negative", "scales-one",
+        "hw_tol-negative", "tol-zero", "family_tol-negative", "eps-zero"])
+def test_out_of_range_value_exits_2(tmp_path, capsys, scenario, text, key):
+    cfg = _write_config(tmp_path, text)
+    code = main([scenario, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert f"config key {key}:" in record["message"]
+
+
 def test_block_sizes_must_be_integers(tmp_path, capsys):
     cfg = _write_config(tmp_path, "block_sizes=1.5\n")
     code = main(["finiteness", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -217,6 +217,44 @@ def test_family_audit_bound_and_monotonicity():
     assert audits[1] <= audits[0] + 1e-12
 
 
+def test_family_selects_once_per_distinct_modified_map(monkeypatch):
+    dom = grid_domain_1d(21)
+    F = _interval_map(dom, lambda x: 0.5 + 0.5 * x, lambda x: 1.0)
+    net = np.array([[0.0], [0.5], [1.0]])  # v = 0 is 1/2-far from every value
+    tol = 1e-2
+    calls = []
+
+    def counted(G, tol):
+        calls.append(G)
+        return michael_selection(G, tol=tol)
+
+    monkeypatch.setattr("hyperselect.selection.michael_selection", counted)
+    members = dense_selection_family(F, net, m_max=2, p_max=3, tol=tol)
+    monkeypatch.undo()
+
+    # U_nm = {x : d(v_n, F(x)) < 1/m}; pinned where d(x, X \ U_nm) >= 1/p
+    keys = []
+    for mem in members:
+        v, radius = net[mem.net_index], 1.0 / mem.m
+        inside = np.array([F.values[i].distances(v[None, :])[0] < radius for i in range(len(F))])
+        if inside.all():
+            d_comp = np.full(len(F), np.inf)
+        else:
+            d_comp = np.where(inside, dom.pair_d[:, ~inside].min(axis=1), 0.0)
+        pinned = d_comp >= 1.0 / mem.p
+        assert mem.restricted_count == int(pinned.sum())
+        keys.append((mem.net_index, mem.m, tuple(np.nonzero(pinned)[0].tolist()))
+                    if pinned.any() else None)
+        values = [restrict_value(F.values[i], v, radius) if pinned[i] else F.values[i]
+                  for i in range(len(F))]
+        expected = michael_selection(SetValuedMap(dom, values, F.target), tol=tol)
+        assert np.array_equal(mem.values, expected.values)
+        assert mem.rounds == expected.rounds
+    assert len(members) == 3 * 2 * 3
+    assert None in keys and len(set(keys)) < len(members)
+    assert len(calls) == len(set(keys))
+
+
 # ---------------------------------------------------------------------------
 # lower-continuity checker
 
@@ -247,6 +285,24 @@ def test_jump_map_is_rejected():
 # value restriction
 
 
+def _segment_clip_reference(a, b, center, radius):
+    """Endpoints of [a, b] intersected with B(center, radius) from the roots
+    of |a + t (b - a) - center|^2 = radius^2, or None when they miss [0, 1]."""
+    u, w = b - a, a - center
+    qa, qb, qc = u @ u, 2.0 * (u @ w), w @ w - radius * radius
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0:
+        return None
+    root = np.sqrt(disc)
+    lo, hi = max((-qb - root) / (2.0 * qa), 0.0), min((-qb + root) / (2.0 * qa), 1.0)
+    return None if lo > hi else np.stack([a + lo * u, a + hi * u])
+
+
+def _same_point_sets(gens, expected, tol):
+    return (max(np.linalg.norm(gens - e, axis=1).min() for e in expected) <= tol
+            and max(np.linalg.norm(expected - g, axis=1).min() for g in gens) <= tol)
+
+
 def test_segment_restriction_is_exact():
     value = HullValue(np.array([[0.0], [1.0]]))
     clipped = restrict_value(value, np.array([0.0]), 0.25)
@@ -254,6 +310,36 @@ def test_segment_restriction_is_exact():
     gens = np.sort(clipped.generators[:, 0])
     assert gens[0] == pytest.approx(0.0, abs=1e-12)
     assert gens[-1] == pytest.approx(0.25, abs=1e-12)
+
+    rng = np.random.default_rng(5)
+    for dim in (2, 3):
+        for _ in range(60):
+            a, b = rng.uniform(-1.0, 1.0, (2, dim))
+            u = b - a
+            # a ball meeting the segment around a random point of it
+            foot = a + rng.uniform(0.0, 1.0) * u
+            center = foot + rng.normal(0.0, 0.3, dim)
+            radius = np.linalg.norm(foot - center) + rng.uniform(0.01, 1.0)
+            expected = _segment_clip_reference(a, b, center, radius)
+            clipped = restrict_value(HullValue(np.stack([a, b])), center, radius)
+            assert isinstance(clipped, HullValue)
+            assert _same_point_sets(clipped.generators, expected, 1e-12)
+            # a ball holding the whole segment leaves it unchanged
+            center = rng.uniform(-1.0, 1.0, dim)
+            radius = max(np.linalg.norm(a - center), np.linalg.norm(b - center)) + 0.01
+            inside = restrict_value(HullValue(np.stack([a, b])), center, radius)
+            assert _same_point_sets(inside.generators, np.stack([a, b]), 1e-12)
+            assert _same_point_sets(
+                inside.generators, _segment_clip_reference(a, b, center, radius), 1e-12)
+            # a ball on the segment's line touching it only at a; the roots
+            # often miss [0, 1] by rounding here, so compare with a itself
+            radius = rng.uniform(0.1, 1.0)
+            center = a - radius * u / np.linalg.norm(u)
+            touch = restrict_value(HullValue(np.stack([a, b])), center, radius)
+            assert _same_point_sets(touch.generators, a[None, :], 1e-12)
+            reference = _segment_clip_reference(a, b, center, radius)
+            if reference is not None:
+                assert _same_point_sets(touch.generators, reference, 1e-12)
 
 
 def test_square_restriction_projects_into_intersection():
