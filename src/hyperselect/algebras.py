@@ -96,9 +96,6 @@ class MatrixAlgebra:
             worst = max(worst, float(np.abs(prods - back).max()))
         return worst
 
-    def element(self, coeffs):
-        return (np.asarray(coeffs, dtype=np.complex128) @ self._flat).reshape(self.n, self.n)
-
 
 def generate_algebra(generators, n):
     """Smallest unital *-closed subalgebra of M_n containing the generators.
@@ -229,40 +226,6 @@ def marechal_pseudometric(A: MatrixAlgebra, B: MatrixAlgebra, probes, weights=No
     return total
 
 
-def algebra_laws_report(samples, tol=1e-6, pair_cap=200_000):
-    """Sampled checks of the three unit-ball laws: adjoint closure, unit
-    membership, closure under products.  Distances to the sample set are
-    Frobenius (an upper bound on the operator-norm distance, so passes are
-    conservative; failures in the bundled examples have order-one defects)."""
-    mats = np.asarray(samples, dtype=np.complex128)
-    flat = mats.reshape(len(mats), -1)
-    sq = (np.abs(flat) ** 2).sum(axis=1)
-
-    def dist_to_set(queries):
-        q = queries.reshape(len(queries), -1)
-        out = np.empty(len(q))
-        for s in range(0, len(q), 2048):  # chunked: the Gram block is O(chunk * N)
-            blk = q[s:s + 2048]
-            d2 = ((np.abs(blk) ** 2).sum(axis=1)[:, None] + sq[None, :]
-                  - 2 * np.real(blk @ flat.conj().T))
-            out[s:s + 2048] = np.maximum(d2, 0.0).min(axis=1)
-        return np.sqrt(out)
-
-    adjoint_closed = bool(dist_to_set(mats.conj().transpose(0, 2, 1)).max() <= tol)
-    has_unit = bool(dist_to_set(np.eye(mats.shape[1])[None]).max() <= tol)
-    total = len(mats) * len(mats)
-    stride = total // pair_cap + 1 if total > pair_cap else 1
-    idx = np.arange(0, total, stride)
-    i, j = idx // len(mats), idx % len(mats)
-    mult_closed = True
-    for start in range(0, len(i), 4096):
-        block = np.einsum("bij,bjk->bik", mats[i[start:start + 4096]], mats[j[start:start + 4096]])
-        if dist_to_set(block).max() > tol:
-            mult_closed = False
-            break
-    return {"adjoint_closed": adjoint_closed, "has_unit": has_unit, "mult_closed": mult_closed}
-
-
 # ---------------------------------------------------------------------------
 # the finiteness modulus
 
@@ -324,13 +287,6 @@ class SubsetSeq:
             if any(not 0 <= k < self.m for k in s):
                 raise ValueError("subset entries must lie in range(m)")
 
-    def to_json(self):
-        return {"m": self.m, "S": [sorted(s) for s in self.subsets]}
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls(m=doc["m"], subsets=tuple(map(frozenset, doc["S"])))
-
 
 def _tensor_unit(m, n, k, l):
     """Matrix unit e_{nn} (x) e_{kl} on C^m (x) C^m, index (a, b) -> a m + b."""
@@ -344,9 +300,9 @@ def build_fS(S: SubsetSeq):
     scalar complement, with the projection pi_S onto the blocks.
 
     Returns (algebra, pi_S).  Dimension is sum |S_n|^2, plus one when
-    pi_S != identity.  The constructor's brute-force closure pass is skipped
-    above dimension 80 (the matrix-unit basis is exactly closed by
-    construction; sampled law reports stay available).
+    pi_S != identity.  The constructor's closure check is skipped above
+    dimension 80: block matrix units multiply to matrix units or to 0 and
+    pi_S absorbs them, so the basis is exactly closed by construction.
     """
     m = S.m
     if m * m > FS_CAP:
@@ -365,27 +321,6 @@ def build_fS(S: SubsetSeq):
         basis.append(complement / np.linalg.norm(complement))
     algebra = MatrixAlgebra(n=m * m, hs_basis=np.array(basis), check=len(basis) <= 80)
     return algebra, pi
-
-
-def fS_ball_core(S: SubsetSeq):
-    """Finite subset of the unit ball of f(S) that is exactly closed under
-    adjoints and products and contains the unit: the block matrix units
-    together with 0, pi_S, 1 - pi_S, and 1.
-
-    Matrix units multiply to matrix units or to 0, the projections absorb
-    them, so every law holds with zero defect; this is the witness set for
-    the unit-ball laws at strict tolerance (random ball samples only pass
-    at sampling resolution).
-    """
-    m = S.m
-    _, pi = build_fS(S)  # raises CapExceeded above FS_CAP
-    eye = np.eye(m * m, dtype=np.complex128)
-    core = [np.zeros((m * m, m * m), dtype=np.complex128), eye, pi, eye - pi]
-    for n, subset in enumerate(S.subsets):
-        for k in sorted(subset):
-            for l in sorted(subset):
-                core.append(_tensor_unit(m, n, k, l))
-    return np.array(core)
 
 
 @dataclass(frozen=True)

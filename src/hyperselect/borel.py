@@ -119,17 +119,6 @@ class PrunedTree:
                 return True
         raise DepthInsufficient(f"point {x} sits on the pruning frontier at depth {self.d}")
 
-    def minimal_prefixes(self):
-        """Shortest disjoint prefixes covering exactly the accepted leaves."""
-        return _range_prefixes(self.leaves, self.d)
-
-    def to_json(self):
-        return {"d": self.d, "prefixes": self.minimal_prefixes()}
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls.from_prefixes(doc["d"], doc["prefixes"])
-
 
 @dataclass(frozen=True)
 class CylinderUnion:
@@ -254,18 +243,6 @@ def pfin_census(matrix, deeper=None):
     return {"support_count": support, "verdict": "GrowingWithDepth"}
 
 
-def matrix_to_pairs(matrix):
-    n, m = np.nonzero(np.asarray(matrix))
-    return [(int(a), int(b)) for a, b in zip(n, m)]
-
-
-def pairs_to_matrix(pairs, shape):
-    out = np.zeros(shape, dtype=np.int8)
-    for n, m in pairs:
-        out[n, m] = 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # bundled instances with analytically known membership
 
@@ -296,6 +273,8 @@ def bundled_borel_instances(d=10, count=10, prefix_len=4):
     Each record carries build(d') to rebuild the instance at another depth;
     required_depth is the measured first depth at which certification works.
     """
+    if count < 1:
+        raise ValueError(f"need at least one family member, got count={count}")
     if 2 ** prefix_len <= count:
         raise ValueError("need more prefixes than family members")
 

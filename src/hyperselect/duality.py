@@ -17,15 +17,11 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .norms import (
-    VECTOR_KINDS,
     DiscFamily,
     NormSpec,
-    OutsideUnitBall,
     SampledSet,
     SubspaceBall,
     UnsupportedNorm,
-    array_from_json,
-    array_to_json,
     distance_lp,
     distances_to_points,
     dual_kind,
@@ -110,11 +106,6 @@ def annihilator(V: Subspace) -> Subspace:
     return Subspace(basis=out, ambient=V.ambient, side=side)
 
 
-def span_gap(V: Subspace, W: Subspace) -> float:
-    """Operator-norm distance of Euclidean span projectors (0 iff equal spans)."""
-    return float(np.linalg.norm(V.projector() - W.projector(), 2))
-
-
 # ---------------------------------------------------------------------------
 # support functions
 
@@ -142,63 +133,6 @@ def exact_support(descriptor, x):
             return float(pairings.max()) if len(pairings) else 0.0
         raise UnsupportedNorm(f"no exact support route for kind {kind!r} on this basis")
     raise TypeError(f"unknown exact descriptor {type(descriptor).__name__}")
-
-
-def support_function(F, x, spec=None):
-    """sup_{omega in F} |omega(x)| for a sampled family in the dual unit ball.
-
-    The empty family has support 0 by convention (pass F=None).  When spec is
-    given, sample points are checked to have dual norm <= 1 + 1e-9.  Exact
-    descriptors give the exact supremum; otherwise the sampled maximum.
-    """
-    if F is None:
-        return 0.0
-    x = np.asarray(x)
-    if spec is not None:
-        worst = float(distances_to_points(np.zeros(F.dim), F.points,
-                                          NormSpec(dual_kind(spec.kind))).max())
-        if worst > 1 + 1e-9:
-            raise OutsideUnitBall(f"family point has dual norm {worst:.6g} > 1")
-    sampled = float(np.abs(F.points @ x).max())
-    if F.exact is not None:
-        return max(sampled, exact_support(F.exact, x))
-    return sampled
-
-
-@dataclass(frozen=True)
-class SupportProfile:
-    """Recorded probe points with their support values."""
-
-    probes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        probes = np.atleast_2d(np.asarray(self.probes))
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "probes", probes)
-        object.__setattr__(self, "values", values)
-        if len(probes) != len(values):
-            raise ValueError("one value per probe")
-        if len(values) and values.min() < 0:
-            raise ValueError("support values are nonnegative")
-        # homogeneity on recorded pairs: proportional probes, proportional values
-        for i, j in itertools.combinations(range(len(probes)), 2):
-            xi, xj = probes[i], probes[j]
-            ni = np.linalg.norm(xi)
-            if ni < 1e-15:
-                if np.linalg.norm(xj) < 1e-15 and abs(values[i] - values[j]) > 1e-10:
-                    raise ValueError("zero probes must share value")
-                continue
-            coef = (xi.conj() @ xj) / (xi.conj() @ xi)
-            if np.linalg.norm(xj - coef * xi) < 1e-12 * max(1.0, np.linalg.norm(xj)):
-                if abs(values[j] - abs(coef) * values[i]) > 1e-8:
-                    raise ValueError("recorded values violate homogeneity")
-
-
-def profile_from_set(F, probes, spec=None):
-    probes = np.atleast_2d(np.asarray(probes))
-    vals = np.array([support_function(F, x, spec=spec) for x in probes])
-    return SupportProfile(probes=probes, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -295,58 +229,21 @@ def _dual_distance(x, V, spec):
     return float(np.abs(vertices @ x).max())
 
 
-def quotient_distance(x, V: Subspace, spec=None, tol=1e-6):
-    """Distance from x to the subspace V, computed primal and dual and
-    reconciled; returns the dual-side value.
+def quotient_routes(x, V: Subspace, spec=None):
+    """Distance from x to the subspace V along two independent routes,
+    returned unreconciled as (primal, dual).
 
     Primal: exact Euclidean projection (l2) or a linear program (l1, linf).
     Dual: support of x over the unit ball of the annihilator in the dual
     norm, via exact vertex enumeration of the polytope section (polyhedral
-    kinds) or projection (l2).  Disagreement beyond tol raises
-    DualityMismatch, which indicates a bug rather than bad input.
+    kinds) or projection (l2).  Callers compare the pair; a disagreement
+    beyond rounding indicates a bug rather than bad input.
     """
-    primal, dual = quotient_routes(x, V, spec)
-    if abs(primal - dual) > tol:
-        raise DualityMismatch(
-            f"primal {primal:.9g} vs dual {dual:.9g} exceeds tol {tol:g}")
-    return dual
-
-
-def quotient_routes(x, V: Subspace, spec=None):
-    """Both route values (primal, dual) without reconciliation, for callers
-    that want to report the raw pair."""
     if V.side != "primal":
         raise ValueError("quotient distance expects a primal-side subspace")
     spec = spec if spec is not None else V.ambient
     x = np.asarray(x)
     return _primal_distance(x, V, spec), _dual_distance(x, V, spec)
-
-
-# ---------------------------------------------------------------------------
-# ball reconstruction from a support profile
-
-
-def reconstruct_ball(profile: SupportProfile, mesh, spec=None, grid_bound=1.0):
-    """Mesh samples of {omega : dual norm <= 1, |omega(x_i)| <= rho(x_i)}.
-
-    Contains every family with the given profile; more probes cut the
-    reconstruction closer to the original.
-    """
-    if not len(profile.probes):
-        raise ValueError("profile must record at least one probe")
-    spec = spec if spec is not None else l2()
-    dim = profile.probes.shape[1]
-    axis = np.arange(-grid_bound, grid_bound + mesh / 2, mesh)
-    if len(axis) ** dim > 2_000_000:
-        raise ValueError("mesh too fine for the ambient dimension")
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    dual_spec = NormSpec(dual_kind(spec.kind))
-    norms = np.array([eval_norm(p, dual_spec) for p in pts])
-    keep = norms <= 1 + 1e-12
-    pairings = np.abs(pts @ profile.probes.T)
-    keep &= (pairings <= profile.values[None, :] + 1e-12).all(axis=1)
-    return SampledSet(points=pts[keep], convex=True, balanced=True, exact=None)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +317,7 @@ def _counterexample_disc(n, trunc_dim, radii=(1.0, 0.5, 0.25, 0.125), angles=64)
         direction[n] = 1.0
     points = polar_grid(radii, angles)[:, None] * direction[None, :]
     exact = DiscFamily(direction=direction, radius=1.0, complex_scalars=True)
-    return SampledSet(points=points, convex=True, balanced=True, exact=exact)
+    return SampledSet(points=points, exact=exact)
 
 
 def counterexample_ball(n, trunc_dim, radii=(1.0, 0.5, 0.25, 0.125), angles=64):
@@ -443,21 +340,3 @@ def counterexample_subspace(n, trunc_dim):
     direction = _counterexample_disc(n, trunc_dim).exact.direction
     basis = (direction / np.linalg.norm(direction))[None, :]
     return Subspace(basis=basis, ambient=linf(), side="dual")
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def subspace_to_json(V: Subspace):
-    doc = {"basis": array_to_json(V.basis), "side": V.side, "norm": V.ambient.kind}
-    if np.iscomplexobj(V.basis):
-        doc["complex"] = True
-    return doc
-
-
-def subspace_from_json(doc):
-    basis = array_from_json(doc["basis"], complex_scalars=doc.get("complex", False))
-    if doc["norm"] not in VECTOR_KINDS:
-        raise UnsupportedNorm(f"subspace norm {doc['norm']!r} is not one of {VECTOR_KINDS}")
-    return Subspace(basis=basis, ambient=NormSpec(doc["norm"]), side=doc["side"])

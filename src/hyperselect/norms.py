@@ -1,7 +1,7 @@
 """Finite-dimensional normed spaces, dual norms, probe metrics, sampled sets.
 
 Vectors and matrices are plain numpy arrays (float64 or complex128); a vector
-is its coordinate array, dim = len(coords).  JSON serialization writes complex
+is its coordinate array, dim = len(coords).  JSON output writes complex
 scalars as [re, im] pairs so files stay language-neutral.
 """
 from __future__ import annotations
@@ -128,6 +128,8 @@ def make_probe_sequence(dim, length, seed=0):
     A nonzero seed swaps the rational tail for seeded random unit vectors;
     either way the output is a pure function of (dim, length, seed).
     """
+    if length < 1:
+        raise ValueError(f"probe sequence length must be at least 1, got {length}")
     rows = [np.eye(dim)[i] for i in range(min(dim, length))]
     extra = length - len(rows)
     if extra > 0:
@@ -252,19 +254,6 @@ def dual_kind(kind):
     return _DUAL_OF[kind]
 
 
-def eval_dual_norm(omega, spec):
-    """Norm of the functional `omega` as an element of the dual space.
-
-    `spec` names the norm of the underlying space, so the value is the
-    sup of |<omega, x>| over its unit ball: l1 <-> linf, l2 self-dual.
-    """
-    return eval_norm(omega, NormSpec(dual_kind(spec.kind)))
-
-
-def operator_distance(a, b):
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b), 2))
-
-
 def probe_metric(a, b, spec):
     """Probe pseudometric d(a, b) = rho(a - b) on the operator-norm unit ball."""
     if spec.kind not in PROBE_KINDS:
@@ -306,11 +295,10 @@ class DiscFamily:
 
 @dataclass(frozen=True)
 class SampledSet:
-    """Finite stand-in for a nonempty closed set: samples plus shape flags."""
+    """Finite stand-in for a nonempty closed set: samples plus an optional
+    exact descriptor."""
 
     points: np.ndarray  # (count, dim)
-    convex: bool = False
-    balanced: bool = False
     exact: SubspaceBall | DiscFamily | None = None
 
     def __post_init__(self):
@@ -435,7 +423,7 @@ def min_distance_oracle(x, sset, spec):
 
 
 # ---------------------------------------------------------------------------
-# JSON helpers: complex scalars as [re, im] pairs
+# JSON output: complex scalars as [re, im] pairs
 
 def array_to_json(a):
     a = np.asarray(a)
@@ -443,11 +431,3 @@ def array_to_json(a):
         stacked = np.stack([a.real, a.imag], axis=-1)
         return stacked.tolist()
     return a.tolist()
-
-def array_from_json(obj, complex_scalars=False):
-    a = np.asarray(obj, dtype=np.float64)
-    if complex_scalars:
-        if a.shape[-1] != 2:
-            raise ValueError("complex arrays serialize as trailing [re, im] pairs")
-        return a[..., 0] + 1j * a[..., 1]
-    return a

@@ -51,6 +51,7 @@ from .selection import (
     michael_selection,
 )
 from .algebras import (
+    FS_CAP,
     SubsetSeq,
     adjoint_modulus,
     build_fS,
@@ -211,8 +212,7 @@ def run_duality(params, seed, out):
             raise ConfigError(f"unknown norm kind {kind!r}")
     if cfg["dim"] < 2:
         raise ConfigError("dim must be at least 2")
-    if cfg["trials"] < 1:
-        raise ConfigError(f"config key trials: expected at least 1, got {cfg['trials']}")
+    _require_positive(cfg, "trials")
     if cfg["dim"] > 8 and any(k in ("l1", "linf") for k in kinds):
         raise ConfigError("polyhedral duality sweeps are capped at dim 8")
     rng = np.random.default_rng(seed)
@@ -265,6 +265,7 @@ def run_counterexample(params, seed, out):
         raise ConfigError("need terms >= 1 and trunc_dim > terms")
     if not 1 <= cfg["probe_count"] <= trunc:
         raise ConfigError("probe_count must lie in [1, trunc_dim]")
+    _require_positive(cfg, "angles")
     scales = _float_list(cfg["scales"], "scales")
     if any(not 0.0 < s < 1.0 for s in scales):
         raise ConfigError("config key scales: every scale must lie in (0, 1)")
@@ -330,7 +331,7 @@ def _scenario_net(F, raw, key):
 
 def run_selection(params, seed, out):
     cfg = _resolve(params, _SELECTION_DEFAULTS)
-    _require_positive(cfg, "tol", "family_tol", "eps")
+    _require_positive(cfg, "tol", "family_tol", "eps", "m_max", "p_max")
     suite = {F.name: F for F in bundled_maps(cfg["n1d"], cfg["n2d"])}
     if cfg["map"] not in suite:
         raise ConfigError(f"unknown map {cfg['map']!r}; choose from "
@@ -479,7 +480,7 @@ def run_marechal(params, seed, out):
     cfg = _resolve(params, _MARECHAL_DEFAULTS)
     if cfg["theta_count"] < 2 or cfg["hw_points"] < 2:
         raise ConfigError("need at least two grid points")
-    _require_positive(cfg, "hw_tol")
+    _require_positive(cfg, "hw_tol", "probe_count", "hw_m_max", "hw_p_max")
     probes = matrix_unit_probes(2, cfg["probe_count"])
     reference = rotated_diagonal_algebra(0.0)
     thetas = np.linspace(0.0, cfg["theta_max"], cfg["theta_count"])
@@ -545,6 +546,10 @@ def block_subsets(m, size):
 
 def run_finiteness(params, seed, out):
     cfg = _resolve(params, _FINITENESS_DEFAULTS)
+    _require_positive(cfg, "m", "sample_count", "probe_count")
+    if cfg["m"] ** 2 > FS_CAP:
+        raise ConfigError(f"config key m: the block algebra acts on m*m = {cfg['m'] ** 2}"
+                          f" coordinates, above the cap {FS_CAP}")
     sizes = _int_list(cfg["block_sizes"], "block_sizes")
     if any(not 1 <= b <= cfg["m"] for b in sizes):
         raise ConfigError("block sizes must lie in [1, m]")
@@ -588,6 +593,10 @@ def run_borel(params, seed, out):
         raise ConfigError("frontier_policy must be record or fail")
     if not cfg["prefix_len"] < cfg["d"] <= cfg["d2"]:
         raise ConfigError("need prefix_len < d <= d2")
+    _require_positive(cfg, "count")
+    if 2 ** cfg["prefix_len"] <= cfg["count"]:
+        raise ConfigError(f"config key count: expected fewer than 2**prefix_len ="
+                          f" {2 ** cfg['prefix_len']} family members, got {cfg['count']}")
     shallow = bundled_borel_instances(cfg["d"], cfg["count"], cfg["prefix_len"])
     deep = bundled_borel_instances(cfg["d2"], cfg["count"], cfg["prefix_len"])
     rows = []

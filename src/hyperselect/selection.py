@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .hulls import HullProjector, dedupe_points, lattice_round
-from .norms import NormSpec, l2
-from .hyperspace import pairwise_distances
 
 
 class NotACover(RuntimeError):
@@ -33,12 +32,12 @@ class IterationStall(RuntimeError):
 
 
 class DiscreteDomain:
-    """Finite point grid with a metric; h is the max nearest-neighbor spacing."""
+    """Finite point grid with the Euclidean metric; mesh is the max
+    nearest-neighbor spacing."""
 
-    def __init__(self, points, spec: NormSpec | None = None):
+    def __init__(self, points):
         self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        self.spec = spec if spec is not None else l2()
-        d = pairwise_distances(self.points, self.points, self.spec)
+        d = cdist(self.points, self.points)
         np.fill_diagonal(d, np.inf)
         self.pair_d = d
         if len(self.points) > 1:
@@ -62,15 +61,15 @@ class DiscreteDomain:
         return list(zip(i.tolist(), j.tolist()))
 
 
-def grid_domain_1d(n=101, lo=0.0, hi=1.0, spec=None):
-    return DiscreteDomain(np.linspace(lo, hi, n)[:, None], spec)
+def grid_domain_1d(n=101, lo=0.0, hi=1.0):
+    return DiscreteDomain(np.linspace(lo, hi, n)[:, None])
 
 
-def grid_domain_2d(nx=11, ny=11, lo=0.0, hi=1.0, spec=None):
+def grid_domain_2d(nx=11, ny=11, lo=0.0, hi=1.0):
     xs = np.linspace(lo, hi, nx)
     ys = np.linspace(lo, hi, ny)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return DiscreteDomain(np.stack([gx.ravel(), gy.ravel()], axis=1), spec)
+    return DiscreteDomain(np.stack([gx.ravel(), gy.ravel()], axis=1))
 
 
 @dataclass
@@ -89,7 +88,7 @@ class OpenCover:
     def from_balls(cls, domain, centers, radii):
         centers = np.atleast_2d(centers)
         radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (len(centers),))
-        d = pairwise_distances(centers, domain.points, domain.spec)
+        d = cdist(centers, domain.points)
         return cls(domain=domain, bitmaps=d < radii[:, None])
 
     def __len__(self):

@@ -9,13 +9,11 @@ from hyperselect.algebras import (
     MatrixAlgebra,
     SubsetSeq,
     adjoint_modulus,
-    algebra_laws_report,
     apply_functional,
     adjoint_isometry_defect,
     build_fS,
     cayley_unitary,
     diagonal_algebra,
-    fS_ball_core,
     full_algebra,
     functional_norm_on_fS,
     generate_algebra,
@@ -207,28 +205,44 @@ def test_pseudometric_needs_matching_ambient():
 # unit-ball laws
 
 
+def _outside(A, mats):
+    # largest HS distance from a matrix in the stack to the algebra
+    return max(float(np.linalg.norm(m - A.project(m))) for m in mats)
+
+
 def test_laws_hold_on_a_dense_algebra_ball_sample():
-    # random samples satisfy the laws at sampling resolution, not exactly
-    s = unit_ball_sample(diagonal_algebra(2), 2000, seed=3)
-    report = algebra_laws_report(s, tol=0.5, pair_cap=50_000)
-    assert report == {"adjoint_closed": True, "has_unit": True, "mult_closed": True}
+    # ball samples of an algebra satisfy the three laws exactly: their
+    # adjoints and pairwise products stay in the algebra, and 1 is a sample
+    A = diagonal_algebra(2)
+    s = unit_ball_sample(A, 2000, seed=3)
+    assert any(np.abs(m - np.eye(2)).max() == 0.0 for m in s)
+    assert _outside(A, s.conj().transpose(0, 2, 1)) <= 1e-12
+    assert _outside(A, np.einsum("aij,bjk->abik", s[:60], s[:60]).reshape(-1, 2, 2)) <= 1e-12
 
 
 def test_laws_on_nilpotent_span_ball():
-    t = np.linspace(-1.0, 1.0, 41)
-    s = np.array([c * E12 for c in t])
-    report = algebra_laws_report(s, tol=0.5)
-    assert report["mult_closed"]  # squares vanish
-    assert not report["has_unit"]
-    assert not report["adjoint_closed"]
+    # span{e12}: closed under products (squares vanish), but it lacks the
+    # unit and the adjoint, and the constructor's exact check rejects it
+    A = MatrixAlgebra(n=2, hs_basis=np.array([E12]), check=False)
+    assert _outside(A, [E12 @ E12]) == 0.0
+    assert _outside(A, [np.eye(2)]) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert _outside(A, [E12.conj().T]) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="adjoint closure"):
+        MatrixAlgebra(n=2, hs_basis=np.array([E12]))
 
 
 def test_laws_on_selfadjoint_non_algebra():
-    t = np.linspace(-1.0, 1.0, 41)
-    s = np.array([c * (E12 + E12.conj().T) for c in t])
-    report = algebra_laws_report(s, tol=0.5)
-    assert report["adjoint_closed"]
-    assert not report["mult_closed"]  # square at t=1 is the identity, not in the set
+    # span{e12 + e21} is adjoint-closed, but its square is the identity
+    g = E12 + E12.conj().T
+    h = g / np.sqrt(2.0)
+    A = MatrixAlgebra(n=2, hs_basis=np.array([h]), check=False)
+    assert _outside(A, [g.conj().T]) <= 1e-15
+    assert _outside(A, [g @ g]) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    # with the unit and e11 adjoined, e11 (e12 + e21) = e12 still escapes
+    e11 = np.diag([1.0, 0.0]).astype(np.complex128)
+    basis = np.array([e11, np.diag([0.0, 1.0]).astype(np.complex128), h])
+    with pytest.raises(ValueError, match="product closure"):
+        MatrixAlgebra(n=2, hs_basis=basis)
 
 
 @pytest.mark.parametrize("subsets", [
@@ -236,9 +250,24 @@ def test_laws_on_selfadjoint_non_algebra():
     (set(), set()),
 ])
 def test_laws_exact_on_block_core(subsets):
+    # 0, 1, pi_S, 1 - pi_S and the block matrix units lie in the unit ball
+    # of f(S), and their adjoints and pairwise products stay in f(S) exactly
     S = SubsetSeq(m=len(subsets), subsets=subsets)
-    report = algebra_laws_report(fS_ball_core(S), tol=1e-9)
-    assert report == {"adjoint_closed": True, "has_unit": True, "mult_closed": True}
+    A, pi = build_fS(S)
+    m = S.m
+    eye = np.eye(m * m, dtype=np.complex128)
+    core = [np.zeros_like(eye), eye, pi, eye - pi]
+    for n, subset in enumerate(S.subsets):
+        for k in subset:
+            for l in subset:
+                unit = np.zeros_like(eye)
+                unit[n * m + k, n * m + l] = 1.0
+                core.append(unit)
+    core = np.array(core)
+    assert max(operator_norm(c) for c in core) <= 1.0
+    assert _outside(A, core) == 0.0
+    assert _outside(A, core.conj().transpose(0, 2, 1)) == 0.0
+    assert _outside(A, np.einsum("aij,bjk->abik", core, core).reshape(-1, m * m, m * m)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +331,13 @@ def test_fS_respects_cap():
         build_fS(SubsetSeq(m=9, subsets=tuple(set() for _ in range(9))))
 
 
-def test_subset_seq_validation_and_json():
+def test_subset_seq_validation():
     with pytest.raises(ValueError):
         SubsetSeq(m=2, subsets=({0},))
     with pytest.raises(ValueError):
         SubsetSeq(m=2, subsets=({0}, {2}))
-    S = SubsetSeq(m=2, subsets=({0}, {0, 1}))
-    assert SubsetSeq.from_json(S.to_json()) == S
+    S = SubsetSeq(m=2, subsets=({0}, [1, 0]))
+    assert S.subsets == (frozenset({0}), frozenset({0, 1}))
 
 
 # ---------------------------------------------------------------------------

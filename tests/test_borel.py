@@ -11,8 +11,6 @@ from hyperselect.borel import (
     bundled_borel_instances,
     closed_complement_cylinders,
     increasing_hulls,
-    matrix_to_pairs,
-    pairs_to_matrix,
     pfin_census,
     pi3_reduce,
     sigma2_reduce,
@@ -59,12 +57,6 @@ def test_settled_membership_three_outcomes():
     singleton = PrunedTree.from_predicate(d, lambda b: all(b))
     with pytest.raises(DepthInsufficient):
         singleton.settled_member(TruncPoint.from_string("1" * d))
-
-
-def test_tree_json_roundtrip():
-    t = PrunedTree.from_prefixes(5, ["01", "111"])
-    t2 = PrunedTree.from_json(t.to_json())
-    assert np.array_equal(t.leaves, t2.leaves)
 
 
 def test_cylinder_union_rejects_overlap():
@@ -227,13 +219,6 @@ def test_census_single_depth_uses_row_vanishing():
     assert pfin_census(settled)["verdict"] == "CertifiedFinite"
 
 
-def test_pair_roundtrip():
-    mat = np.zeros((3, 4), dtype=np.int8)
-    mat[0, 1] = mat[2, 0] = 1
-    assert matrix_to_pairs(mat) == [(0, 1), (2, 0)]
-    assert np.array_equal(pairs_to_matrix(matrix_to_pairs(mat), mat.shape), mat)
-
-
 # ---------------------------------------------------------------------------
 # bundled instances
 
@@ -275,3 +260,8 @@ def test_bundle_required_depth_is_sharp():
 def test_bundle_validates_prefix_budget():
     with pytest.raises(ValueError):
         bundled_borel_instances(d=8, count=16, prefix_len=4)
+    # with no family members every point would be certified finite,
+    # contradicting the nonmember instances
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="at least one family member"):
+            bundled_borel_instances(d=8, count=count, prefix_len=4)

@@ -1,11 +1,10 @@
-"""Support functions, annihilators, the two-route distance, ball
-reconstruction, the rescaling ball criterion, and the disc family."""
+"""Support functions, annihilators, the two-route distance, the rescaling
+ball criterion, and the disc family."""
 import numpy as np
 import pytest
 
 from hyperselect.duality import (
     DualityMismatch,
-    Subspace,
     annihilator,
     convergence_gap,
     counterexample_ball,
@@ -13,35 +12,23 @@ from hyperselect.duality import (
     counterexample_subspace,
     exact_support,
     is_subspace_ball,
-    profile_from_set,
-    quotient_distance,
     quotient_routes,
-    reconstruct_ball,
-    span_gap,
-    subspace_from_json,
     subspace_from_spanning,
-    subspace_to_json,
-    support_function,
 )
-from hyperselect.hyperspace import hausdorff_distance
 from hyperselect.norms import (
     DiscFamily,
     SampledSet,
     SubspaceBall,
-    UnsupportedNorm,
-    eval_norm,
     l1,
     l2,
     linf,
 )
+from hyperselect.scenarios import run_duality
 
 
-def _ball_samples(dim, count, spec, rng, radius=1.0, exact=None):
-    g = rng.standard_normal((count, dim))
-    norms = np.array([eval_norm(row, spec) for row in g])
-    scales = radius * rng.random(count) ** (1.0 / dim)
-    return SampledSet(points=g * (scales / norms)[:, None], convex=True,
-                      balanced=True, exact=exact)
+def _span_gap(V, W):
+    # operator-norm distance of the Euclidean span projectors, 0 iff equal spans
+    return float(np.linalg.norm(V.projector() - W.projector(), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -49,16 +36,17 @@ def _ball_samples(dim, count, spec, rng, radius=1.0, exact=None):
 
 
 def test_support_of_full_dual_ball_is_the_norm():
-    rng = np.random.default_rng(0)
-    ball = _ball_samples(2, 500, l2(), rng,
-                         exact=SubspaceBall(basis=np.eye(2), ball_spec=l2()))
-    assert support_function(ball, np.array([3.0, 4.0])) == pytest.approx(5.0, abs=1e-9)
+    # the whole dual ball under each norm supports x at the predual norm
+    x = np.array([3.0, -4.0])
+    for ball_spec, expected in ((l2(), 5.0), (linf(), 7.0), (l1(), 4.0)):
+        ball = SubspaceBall(basis=np.eye(2), ball_spec=ball_spec)
+        assert exact_support(ball, x) == pytest.approx(expected, abs=1e-12)
 
 
 def test_support_of_zero_family():
-    assert support_function(None, np.array([1.0, 2.0])) == 0.0
-    zero = SampledSet(points=np.zeros((1, 2)))
-    assert support_function(zero, np.array([1.0, 2.0])) == 0.0
+    x = np.array([1.0, 2.0])
+    assert exact_support(DiscFamily(direction=np.array([1.0, 1.0]), radius=0.0), x) == 0.0
+    assert exact_support(DiscFamily(direction=np.zeros(2), radius=1.0), x) == 0.0
 
 
 def test_support_of_weighted_disc_family():
@@ -76,23 +64,26 @@ def test_support_of_weighted_disc_family():
 
 def test_support_homogeneity():
     rng = np.random.default_rng(1)
-    ball = _ball_samples(3, 200, l2(), rng)
-    for _ in range(50):
-        x = rng.standard_normal(3)
-        lam = rng.standard_normal() * 2.0
-        lhs = support_function(ball, lam * x)
-        rhs = abs(lam) * support_function(ball, x)
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
+    for ball_spec in (l2(), l1(), linf()):
+        ball = SubspaceBall(basis=rng.standard_normal((2, 3)), ball_spec=ball_spec)
+        for _ in range(50):
+            x = rng.standard_normal(3)
+            lam = rng.standard_normal() * 2.0
+            lhs = exact_support(ball, lam * x)
+            rhs = abs(lam) * exact_support(ball, x)
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
 
 def test_support_monotone_in_the_family():
+    # the section of a subspace sits inside the section of any larger one
     rng = np.random.default_rng(2)
-    small = _ball_samples(3, 150, l2(), rng, radius=0.7)
-    big = SampledSet(points=np.concatenate([small.points,
-                                            rng.standard_normal((150, 3))]))
-    for _ in range(50):
-        x = rng.standard_normal(3)
-        assert support_function(small, x) <= support_function(big, x) + 1e-12
+    for ball_spec in (l2(), l1(), linf()):
+        basis = rng.standard_normal((2, 3))
+        small = SubspaceBall(basis=basis[:1], ball_spec=ball_spec)
+        big = SubspaceBall(basis=basis, ball_spec=ball_spec)
+        for _ in range(50):
+            x = rng.standard_normal(3)
+            assert exact_support(small, x) <= exact_support(big, x) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +95,7 @@ def test_annihilator_of_coordinate_plane():
     W = annihilator(V)
     assert W.side == "dual"
     expected = subspace_from_spanning(np.eye(3)[2:], ambient=l2(), side="dual")
-    assert span_gap(W, expected) <= 1e-10
+    assert _span_gap(W, expected) <= 1e-10
 
 
 def test_annihilator_of_whole_space_is_zero():
@@ -120,22 +111,7 @@ def test_double_annihilator_returns_the_subspace():
         V = subspace_from_spanning(rng.standard_normal((k, dim)),
                                    ambient=l2(), side="primal")
         VV = annihilator(annihilator(V))
-        assert span_gap(VV, V) <= 1e-8
-
-
-def test_subspace_json_roundtrip():
-    rng = np.random.default_rng(4)
-    V = subspace_from_spanning(rng.standard_normal((2, 4)), ambient=linf(), side="primal")
-    W = subspace_from_json(subspace_to_json(V))
-    assert W.side == V.side and W.ambient.kind == V.ambient.kind
-    assert span_gap(V, W) <= 1e-12
-
-
-def test_subspace_json_rejects_a_non_vector_norm():
-    doc = subspace_to_json(subspace_from_spanning(np.eye(3)[:1], ambient=l2()))
-    doc["norm"] = "operator"
-    with pytest.raises(UnsupportedNorm, match="operator"):
-        subspace_from_json(doc)
+        assert _span_gap(VV, V) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +120,24 @@ def test_subspace_json_rejects_a_non_vector_norm():
 
 def test_quotient_distance_orthogonal_projection():
     V = subspace_from_spanning(np.eye(3)[:2], ambient=l2(), side="primal")
-    assert quotient_distance(np.array([3.0, 4.0, 5.0]), V) == pytest.approx(5.0, abs=1e-9)
+    for route in quotient_routes(np.array([3.0, 4.0, 5.0]), V):
+        assert route == pytest.approx(5.0, abs=1e-9)
 
 
 def test_quotient_distance_sup_norm_diagonal():
     # min over t of max(|1 - t|, |t|) = 1/2; dual route: the annihilator
     # span{(1,-1)} meets the l1 unit ball at (1/2, -1/2), pairing 1/2
     V = subspace_from_spanning(np.array([[1.0, 1.0]]), ambient=linf(), side="primal")
-    assert quotient_distance(np.array([1.0, 0.0]), V) == pytest.approx(0.5, abs=1e-9)
+    for route in quotient_routes(np.array([1.0, 0.0]), V):
+        assert route == pytest.approx(0.5, abs=1e-9)
 
 
 def test_quotient_distance_vanishes_on_members():
     rng = np.random.default_rng(5)
     V = subspace_from_spanning(rng.standard_normal((2, 4)), ambient=l2(), side="primal")
     member = V.basis.T @ rng.standard_normal(2)
-    assert quotient_distance(member, V) <= 1e-9
+    for route in quotient_routes(member, V):
+        assert route <= 1e-9
 
 
 @pytest.mark.parametrize("spec,tol", [(l2(), 1e-6), (l1(), 1e-9), (linf(), 1e-9)])
@@ -174,90 +153,11 @@ def test_two_routes_agree_on_random_instances(spec, tol):
         assert abs(primal - dual) <= tol
 
 
-def test_route_mismatch_raises_at_zero_tolerance():
+def test_route_mismatch_raises_at_zero_tolerance(tmp_path):
     # both routes carry independent rounding, so demanding exact agreement
-    # must surface the reconciliation error on a generic instance
-    rng = np.random.default_rng(0)
-    raised = 0
-    for _ in range(20):
-        dim = int(rng.integers(3, 7))
-        V = subspace_from_spanning(rng.standard_normal((2, dim)),
-                                   ambient=linf(), side="primal")
-        x = rng.standard_normal(dim) * 2.0
-        try:
-            quotient_distance(x, V, tol=0.0)
-        except DualityMismatch:
-            raised += 1
-    assert raised > 0
-
-
-# ---------------------------------------------------------------------------
-# ball reconstruction from support profiles
-
-
-def _circle_probes(count):
-    ang = np.linspace(0.0, np.pi, count, endpoint=False)
-    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-
-
-def test_reconstruct_full_ball():
-    rng = np.random.default_rng(7)
-    ball = _ball_samples(2, 800, l2(), rng,
-                         exact=SubspaceBall(basis=np.eye(2), ball_spec=l2()))
-    profile = profile_from_set(ball, _circle_probes(16))
-    mesh = 0.05
-    recon = reconstruct_ball(profile, mesh=mesh)
-    # the profile is identically 1, so the cut reduces to the norm filter
-    # and the reconstruction is exactly the grid sampling of the unit ball
-    axis = np.arange(-1.0, 1.0 + mesh / 2, mesh)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    disc = grid[np.linalg.norm(grid, axis=1) <= 1 + 1e-12]
-    assert hausdorff_distance(recon, SampledSet(points=disc), l2()) <= 1e-12
-
-
-def test_reconstruct_collapses_unseen_coordinate():
-    # support 0 at the second coordinate probe forces that coordinate to 0
-    seg = SampledSet(points=np.stack([np.linspace(-1, 1, 81), np.zeros(81)], axis=1),
-                     convex=True, balanced=True,
-                     exact=SubspaceBall(basis=np.array([[1.0, 0.0]]), ball_spec=l2()))
-    profile = profile_from_set(seg, np.eye(2))
-    recon = reconstruct_ball(profile, mesh=0.05)
-    assert np.abs(recon.points[:, 1]).max() <= 1e-9
-    assert np.abs(recon.points[:, 0]).max() >= 1.0 - 1e-9
-
-
-def test_more_probes_tighten_the_reconstruction():
-    rng = np.random.default_rng(8)
-    basis = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
-    exact = SubspaceBall(basis=basis, ball_spec=l2())
-    coeff = rng.standard_normal((4000, 2))
-    coeff /= np.maximum(1.0, np.linalg.norm(coeff, axis=1))[:, None]
-    ball = SampledSet(points=coeff @ basis, convex=True, balanced=True, exact=exact)
-
-    def recon_error(n_probes):
-        probes = rng.standard_normal((n_probes, 4))
-        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        profile = profile_from_set(ball, probes)
-        recon = reconstruct_ball(profile, mesh=0.2)
-        return hausdorff_distance(recon, ball, l2())
-
-    rng = np.random.default_rng(9)
-    err16 = recon_error(16)
-    rng = np.random.default_rng(9)
-    err64 = recon_error(64)
-    assert err64 < err16
-
-
-def test_reconstruction_is_idempotent_within_mesh():
-    rng = np.random.default_rng(10)
-    ball = _ball_samples(2, 600, l2(), rng,
-                         exact=SubspaceBall(basis=np.eye(2), ball_spec=l2()))
-    probes = _circle_probes(12)
-    mesh = 0.05
-    r1 = reconstruct_ball(profile_from_set(ball, probes), mesh=mesh)
-    r2 = reconstruct_ball(profile_from_set(r1, probes), mesh=mesh)
-    assert hausdorff_distance(r1, r2, l2()) < mesh
+    # must surface the reconciliation error on a generic polyhedral instance
+    with pytest.raises(DualityMismatch, match="linf trial"):
+        run_duality({"norms": "linf", "trials": "20", "tol_polyhedral": "0"}, 0, tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +167,7 @@ def test_reconstruction_is_idempotent_within_mesh():
 def test_subspace_ball_passes_criterion():
     t = np.linspace(-1.0, 1.0, 81)
     d = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    ball = SampledSet(points=t[:, None] * d[None, :], convex=True, balanced=True,
+    ball = SampledSet(points=t[:, None] * d[None, :],
                       exact=SubspaceBall(basis=d[None, :], ball_spec=l2()))
     res = is_subspace_ball(ball, (0.5, 0.75), tol=1e-3, spec=l2())
     assert res["ok"]
@@ -279,7 +179,7 @@ def test_scaled_ball_fails_criterion():
     ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     circle = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     pts = np.concatenate([r * circle for r in (0.75, 0.5, 0.25)])
-    ball = SampledSet(points=pts, convex=True, balanced=True)
+    ball = SampledSet(points=pts)
     res = is_subspace_ball(ball, (0.5,), tol=1e-3, spec=l2())
     assert not res["ok"]
     assert res["defect"] == pytest.approx(0.25, abs=5e-3)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from hyperselect.norms import (
-    BALL_SLACK,
     DiscFamily,
     DimensionMismatch,
     EmptySet,
@@ -22,14 +21,12 @@ from hyperselect.norms import (
     UnsupportedNorm,
     dual_kind,
     dyadic_weights,
-    eval_dual_norm,
     eval_norm,
     l1,
     l2,
     linf,
     make_probe_sequence,
     min_distance_oracle,
-    operator_distance,
     operator_norm,
     probe_metric,
     probe_strong,
@@ -84,9 +81,9 @@ def test_weak_metric_single_cross_term():
 
 
 def test_dual_norm_frozen_values():
-    assert eval_dual_norm(np.array([1.0, -2.0, 3.0]), l1()) == 3.0
-    assert eval_dual_norm(np.array([3.0, 4.0]), l2()) == pytest.approx(5.0, abs=1e-12)
-    assert eval_dual_norm(np.array([1.0, 1.0, -1.0]), linf()) == 3.0
+    assert eval_norm(np.array([1.0, -2.0, 3.0]), NormSpec(dual_kind("l1"))) == 3.0
+    assert eval_norm(np.array([3.0, 4.0]), NormSpec(dual_kind("l2"))) == pytest.approx(5.0, abs=1e-12)
+    assert eval_norm(np.array([1.0, 1.0, -1.0]), NormSpec(dual_kind("linf"))) == 3.0
 
 
 def test_dual_kind_pairing():
@@ -161,7 +158,7 @@ def test_dual_norm_dominates_and_matches_sampled_sup():
             ok = np.array([eval_norm(row, spec) <= 1 + 1e-9 for row in extremes])
             samples = np.concatenate([boundary, extremes[ok]])
             sampled = float(np.abs(samples @ omega).max())
-            exact = eval_dual_norm(omega, spec)
+            exact = eval_norm(omega, NormSpec(dual_kind(spec.kind)))
             assert exact >= sampled - 1e-12
             assert exact - sampled <= 2e-2
 
@@ -175,7 +172,7 @@ def test_probe_metric_dominated_by_operator_distance():
         a /= max(1.0, np.linalg.norm(a, 2))
         b /= max(1.0, np.linalg.norm(b, 2))
         for spec in specs:
-            assert probe_metric(a, b, spec) <= 2.0 * operator_distance(a, b) + 1e-12
+            assert probe_metric(a, b, spec) <= 2.0 * np.linalg.norm(a - b, 2) + 1e-12
 
 
 def test_probe_metric_triangle_inequality():
@@ -211,6 +208,14 @@ def test_probe_sequence_prefix_stability():
     short = make_probe_sequence(3, 8)
     long = make_probe_sequence(3, 16)
     assert np.array_equal(long.vectors[:8], short.vectors)
+
+
+def test_probe_sequence_rejects_empty_length():
+    # the anti-diagonal pairing walk only stops on reaching the length, so a
+    # length below 1 must be refused before it starts
+    for length in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            make_probe_sequence(2, length)
 
 
 def test_probe_sequence_rejects_non_unit_rows():
@@ -255,7 +260,7 @@ def _diagonal_ball_samples():
     ts = np.linspace(-1.0, 1.0, 41)
     pts = np.stack([ts, ts], axis=1)
     exact = SubspaceBall(basis=np.array([[1.0, 1.0]]) / 2.0, ball_spec=linf())
-    return SampledSet(points=pts, convex=True, balanced=True, exact=exact)
+    return SampledSet(points=pts, exact=exact)
 
 
 def test_refined_distance_to_diagonal_segment():
@@ -273,7 +278,7 @@ def test_refined_distance_interior_disc_point_is_zero():
     disc = DiscFamily(direction=d, radius=1.0, complex_scalars=True)
     angles = np.exp(2j * np.pi * np.arange(16) / 16)
     pts = np.concatenate([r * angles[:, None] * d[None, :] for r in (1.0, 0.5)])
-    sset = SampledSet(points=pts, convex=True, balanced=True, exact=disc)
+    sset = SampledSet(points=pts, exact=disc)
     x = (1.0 / 6.0) * np.exp(1j * 0.37) * d
     assert min_distance_oracle(x, sset, l1()) == 0.0
 
@@ -285,7 +290,7 @@ def test_refined_distance_interior_disc_point_is_zero():
 def _origin_only(dim, exact):
     # the origin lies in every disc and section, so the sample minimum is
     # ||x|| and the oracle returns the exact route's value
-    return SampledSet(points=np.zeros((1, dim)), convex=True, balanced=True, exact=exact)
+    return SampledSet(points=np.zeros((1, dim)), exact=exact)
 
 
 def _slsqp_l2_section_distance(basis, x):

@@ -194,8 +194,22 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
     ("selection", "tol=0\n", "tol"),
     ("selection", "family_tol=-0.01\n", "family_tol"),
     ("selection", "eps=0\n", "eps"),
+    ("counterexample", "angles=0\n", "angles"),
+    ("marechal", "hw_m_max=0\n", "hw_m_max"),
+    ("marechal", "hw_p_max=0\n", "hw_p_max"),
+    ("marechal", "probe_count=0\n", "probe_count"),
+    ("selection", "m_max=0\n", "m_max"),
+    ("selection", "p_max=0\n", "p_max"),
+    ("finiteness", "sample_count=0\n", "sample_count"),
+    ("finiteness", "probe_count=0\n", "probe_count"),
+    ("finiteness", "m=9\n", "m"),
+    ("borel", "count=0\n", "count"),
+    ("borel", "count=16\n", "count"),
 ], ids=["trials-negative", "trials-zero", "scales-negative", "scales-one",
-        "hw_tol-negative", "tol-zero", "family_tol-negative", "eps-zero"])
+        "hw_tol-negative", "tol-zero", "family_tol-negative", "eps-zero",
+        "angles-zero", "hw_m_max-zero", "hw_p_max-zero", "marechal-probe_count-zero",
+        "m_max-zero", "p_max-zero", "sample_count-zero", "finiteness-probe_count-zero",
+        "m-over-cap", "count-zero", "count-over-prefixes"])
 def test_out_of_range_value_exits_2(tmp_path, capsys, scenario, text, key):
     cfg = _write_config(tmp_path, text)
     code = main([scenario, "--config", cfg, "--out", str(tmp_path / "o")])
