@@ -1,59 +1,54 @@
-"""Hausdorff and probe-gap metrics, hit tests, pushforward, fattening."""
+"""Set-level distances: open-ball hit tests, probe gaps and Hausdorff
+distances, computed through the distance and support oracles."""
 import numpy as np
 import pytest
 
-from hyperselect.hyperspace import (
-    EmptyIntersection,
-    WijsmanProbe,
-    fatten_intersect,
-    hausdorff_distance,
-    hits_open_ball,
-    make_wijsman_probe,
-    pushforward,
-    sample_axis_disc,
-    sample_segment,
-    shape_report,
-    wijsman_gap,
+from hyperselect.duality import convergence_gap, exact_support, subspace_from_spanning
+from hyperselect.norms import (
+    DiscFamily,
+    SampledSet,
+    SubspaceBall,
+    l1,
+    l2,
+    linf,
+    make_probe_sequence,
+    min_distance_oracle,
 )
-from hyperselect.norms import SampledSet, SubspaceBall, l2, linf
 
 
 def _cloud(rng, n=12, dim=2):
     return SampledSet(points=rng.standard_normal((n, dim)))
 
 
+def _hausdorff(a, b, spec):
+    # sup over each set's samples of the distance to the other set
+    ab = max(min_distance_oracle(p, b, spec) for p in a.points)
+    ba = max(min_distance_oracle(q, a, spec) for q in b.points)
+    return max(ab, ba)
+
+
+def _line(theta):
+    return subspace_from_spanning(np.array([[np.cos(theta), np.sin(theta)]]),
+                                  ambient=l2(), side="dual")
+
+
 # ---------------------------------------------------------------------------
 # Hausdorff distance
 
 
-def test_hausdorff_identical_sets():
-    rng = np.random.default_rng(0)
-    a = _cloud(rng)
-    assert hausdorff_distance(a, a, l2()) == 0.0
-
-
-def test_hausdorff_point_vs_pair():
-    a = SampledSet(points=np.array([[0.0]]))
-    b = SampledSet(points=np.array([[0.0], [1.0]]))
-    assert hausdorff_distance(a, b, l2()) == 1.0
-
-
 def test_hausdorff_nested_discs():
-    # sup over the big disc of the distance to the small one = 1 - 1/2
-    a = sample_axis_disc(1.0, 3, mesh=1e-3)
-    b = sample_axis_disc(0.5, 3, mesh=1e-3)
-    assert hausdorff_distance(a, b, l2()) == pytest.approx(0.5, abs=2e-3)
-
-
-def test_hausdorff_symmetry_and_triangle():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        a, b, c = _cloud(rng, 6), _cloud(rng, 7), _cloud(rng, 5)
-        dab = hausdorff_distance(a, b, l2())
-        assert dab == hausdorff_distance(b, a, l2())
-        dac = hausdorff_distance(a, c, l2())
-        dbc = hausdorff_distance(b, c, l2())
-        assert dac <= dab + dbc + 1e-12
+    # sup over the big disc of the distance to the small one = 1 - 1/2, and
+    # the support gap sup_{|x| <= 1} |h_big(x) - h_small(x)| agrees with it
+    d = np.zeros(3, dtype=np.complex128)
+    d[0] = 1.0
+    ring = np.exp(2j * np.pi * np.arange(8) / 8)
+    big_disc = DiscFamily(direction=d, radius=1.0)
+    small_disc = DiscFamily(direction=d, radius=0.5)
+    big = SampledSet(points=ring[:, None] * d[None, :], exact=big_disc)
+    small = SampledSet(points=0.5 * ring[:, None] * d[None, :], exact=small_disc)
+    assert _hausdorff(big, small, l2()) == pytest.approx(0.5, abs=1e-12)
+    gap = exact_support(big_disc, d) - exact_support(small_disc, d)
+    assert gap == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -62,155 +57,77 @@ def test_hausdorff_symmetry_and_triangle():
 
 def test_probe_gap_identical_sets_is_zero():
     rng = np.random.default_rng(2)
-    a = _cloud(rng)
-    probe = make_wijsman_probe(2, 8, seed=3)
-    assert wijsman_gap(a, a, probe, l2()) == 0.0
+    probes = make_probe_sequence(5, 16, seed=3).vectors
+    for spec in (l1(), l2(), linf()):
+        V = subspace_from_spanning(rng.standard_normal((2, 5)), ambient=spec, side="dual")
+        assert convergence_gap([V], V, probes) == [0.0]
 
 
 def test_probe_gap_two_singletons():
+    # |d(p,A) - d(p,B)| <= |a - b| for every probe p, with equality at p = a, b
     a = SampledSet(points=np.array([[0.0]]))
     b = SampledSet(points=np.array([[1.0]]))
-    probe = WijsmanProbe(points=np.array([[0.0], [1.0]]),
-                         weights=np.array([0.5, 0.5]))
-    # |d(0,A)-d(0,B)| = 1 and |d(1,A)-d(1,B)| = 1, each at weight 1/2
-    assert wijsman_gap(a, b, probe, l2()) == pytest.approx(1.0, abs=1e-12)
-
-
-def _line_samples(theta, n=201):
-    t = np.linspace(-1.0, 1.0, n)
-    d = np.array([np.cos(theta), np.sin(theta)])
-    return SampledSet(points=t[:, None] * d[None, :], convex=True, balanced=True)
+    gaps = [abs(min_distance_oracle(p, a, l2()) - min_distance_oracle(p, b, l2()))
+            for p in np.array([[0.0], [1.0], [0.25], [-3.0], [4.0]])]
+    assert gaps == [1.0, 1.0, 0.5, 1.0, 1.0]
+    # each at weight 1/2, the two endpoint probes give a gap of exactly 1
+    assert 0.5 * gaps[0] + 0.5 * gaps[1] == 1.0
 
 
 def test_probe_gap_orders_nearby_lines():
-    probe = make_wijsman_probe(2, 16, seed=4)
-    base = _line_samples(0.0)
-    near = wijsman_gap(_line_samples(0.1), base, probe, l2())
-    far = wijsman_gap(_line_samples(0.5), base, probe, l2())
+    probes = make_probe_sequence(2, 16).vectors
+    near, far = convergence_gap([_line(0.1), _line(0.5)], _line(0.0), probes)
     assert near < far
+    # ||cos t x1 + sin t x2| - |x1|| <= |(cos t - 1, sin t)| = 2 sin(t/2)
+    assert far <= 2.0 * np.sin(0.25) + 1e-12
 
 
 def test_probe_gap_below_hausdorff():
-    # pointwise distances are 1-Lipschitz in the set, so any convex
-    # probe combination stays below the Hausdorff distance
+    # support functions are 1-Lipschitz in the Hausdorff distance on unit
+    # probes (Hormander), so the dual gap stays below the primal distance
     rng = np.random.default_rng(5)
-    probe = make_wijsman_probe(2, 8, seed=6)
-    assert probe.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    probes = make_probe_sequence(3, 32, seed=6).vectors
     for _ in range(100):
-        a, b = _cloud(rng, 9), _cloud(rng, 8)
-        assert wijsman_gap(a, b, probe, l2()) <= hausdorff_distance(a, b, l2()) + 1e-12
+        u, v = rng.standard_normal((2, 3))
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        seg_u = SampledSet(points=np.stack([u, -u]),
+                           exact=SubspaceBall(basis=u[None, :], ball_spec=l2()))
+        seg_v = SampledSet(points=np.stack([v, -v]),
+                           exact=SubspaceBall(basis=v[None, :], ball_spec=l2()))
+        U = subspace_from_spanning(u[None, :], ambient=l2(), side="dual")
+        W = subspace_from_spanning(v[None, :], ambient=l2(), side="dual")
+        [gap] = convergence_gap([W], U, probes)
+        assert gap <= _hausdorff(seg_u, seg_v, l2()) + 1e-12
 
 
 # ---------------------------------------------------------------------------
-# hit tests
+# hit tests: x hits the open ball B(F, r) iff d(x, F) < r
 
 
 def test_hit_test_accepts_member_point():
     rng = np.random.default_rng(7)
     f = _cloud(rng)
-    x = f.points[3]
-    assert hits_open_ball(f, x, 1e-6, l2())
+    for spec in (l1(), l2(), linf()):
+        assert all(min_distance_oracle(x, f, spec) < 1e-6 for x in f.points)
 
 
 def test_hit_test_open_ball_excludes_boundary():
     f = SampledSet(points=np.array([[0.0, 0.0]]))
-    assert not hits_open_ball(f, np.array([3.0, 4.0]), 5.0, l2())
-    assert hits_open_ball(f, np.array([3.0, 4.0]), 5.0 + 1e-6, l2())
+    x = np.array([3.0, 4.0])
+    for spec, radius in ((l1(), 7.0), (l2(), 5.0), (linf(), 4.0)):
+        d = min_distance_oracle(x, f, spec)
+        assert not d < radius
+        assert d < radius + 1e-6
 
 
 def test_hit_test_uses_exact_descriptor():
-    ts = np.linspace(-1.0, 1.0, 41)
-    pts = np.stack([ts, ts], axis=1)
-    ball = SampledSet(points=pts, convex=True, balanced=True,
+    # only the segment's endpoints are sampled; they sit at sup distance 1
+    # and 2 from (1, 0), while the segment itself comes within 1/2 at (1/2, 1/2)
+    ends = np.array([[1.0, 1.0], [-1.0, -1.0]])
+    x = np.array([1.0, 0.0])
+    samples = SampledSet(points=ends)
+    ball = SampledSet(points=ends,
                       exact=SubspaceBall(basis=np.array([[0.5, 0.5]]), ball_spec=linf()))
-    # distance from (1, 0) to the segment is 1/2 in sup norm
-    assert hits_open_ball(ball, np.array([1.0, 0.0]), 0.6, linf())
-    assert not hits_open_ball(ball, np.array([1.0, 0.0]), 0.4, linf())
-
-
-# ---------------------------------------------------------------------------
-# pushforward
-
-
-def test_pushforward_identity_keeps_points():
-    rng = np.random.default_rng(8)
-    f = _cloud(rng)
-    g = pushforward(lambda p: p, f)
-    assert np.array_equal(g.points, f.points)
-
-
-def test_pushforward_scaling():
-    f = SampledSet(points=np.array([[1.0, 0.0]]))
-    g = pushforward(lambda p: 2.0 * p, f)
-    assert np.array_equal(g.points, np.array([[2.0, 0.0]]))
-
-
-def test_pushforward_linear_map_contracts_gaps():
-    # for linear maps, matched probes see gaps scaled by at most the
-    # operator norm of the map
-    rng = np.random.default_rng(9)
-    mat = rng.standard_normal((2, 2))
-    op = float(np.linalg.norm(mat, 2))
-    probe = make_wijsman_probe(2, 8, seed=10)
-    image_probe = WijsmanProbe(points=probe.points @ mat.T, weights=probe.weights)
-    a, b = _line_samples(0.0), _line_samples(0.2)
-    base_gap = wijsman_gap(a, b, probe, l2())
-    fa, fb = pushforward(lambda p: mat @ p, a), pushforward(lambda p: mat @ p, b)
-    # d(Mx, MA) <= ||M|| d(x, A); both sides of the probe difference scale
-    assert wijsman_gap(fa, fb, image_probe, l2()) <= op * base_gap + op * 2e-2
-
-
-# ---------------------------------------------------------------------------
-# fattening
-
-
-def test_fatten_large_radius_returns_same_set():
-    f = SampledSet(points=np.array([[0.0], [1.0], [2.0]]))
-    out = fatten_intersect(np.array([0.0]), f, 100.0, l2())
-    assert out is f
-
-
-def test_fatten_filters_far_points():
-    f = SampledSet(points=np.array([[0.0], [1.0], [2.0]]))
-    out = fatten_intersect(np.array([0.0]), f, 1.5, l2())
-    assert np.array_equal(out.points, np.array([[0.0], [1.0]]))
-
-
-def test_fatten_segment_keeps_open_window():
-    seg = sample_segment(np.array([0.0]), np.array([1.0]), mesh=1e-3)
-    out = fatten_intersect(np.array([0.9]), seg, 0.25, l2())
-    kept = out.points[:, 0]
-    # (0.65, 1] window: endpoints within one mesh step of 0.65 and 1
-    assert kept.min() == pytest.approx(0.65, abs=2e-3)
-    assert kept.max() == pytest.approx(1.0, abs=2e-3)
-    assert kept.min() > 0.65
-    d = np.linalg.norm(out.points - np.array([0.9]), axis=1)
-    assert (d < 0.25).all()
-
-
-def test_fatten_empty_intersection_raises():
-    f = SampledSet(points=np.array([[5.0]]))
-    with pytest.raises(EmptyIntersection):
-        fatten_intersect(np.array([0.0]), f, 1.0, l2())
-
-
-# ---------------------------------------------------------------------------
-# shape report
-
-
-def test_shape_report_unit_ball():
-    rng = np.random.default_rng(11)
-    g = rng.standard_normal((4000, 2))
-    pts = g / np.maximum(1.0, np.linalg.norm(g, axis=1))[:, None]
-    report = shape_report(SampledSet(points=pts), tol=0.12)
-    assert report["convex"] and report["balanced"]
-
-
-def test_shape_report_single_off_origin_point():
-    report = shape_report(SampledSet(points=np.array([[1.0, 0.0]])), tol=1e-6)
-    assert not report["balanced"]
-
-
-def test_shape_report_two_point_set_not_convex():
-    report = shape_report(SampledSet(points=np.array([[0.0], [1.0]])), tol=0.1)
-    assert not report["convex"]
+    assert min_distance_oracle(x, samples, linf()) == 1.0
+    assert min_distance_oracle(x, ball, linf()) < 0.6
+    assert not min_distance_oracle(x, ball, linf()) < 0.4
