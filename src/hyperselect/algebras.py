@@ -5,9 +5,10 @@ the HS projection onto an algebra is a single contraction.  The support value
 sup {|Tr(a x)| : a in the algebra, operator norm <= 1} then has a closed
 form: writing P for the HS projection, Tr(a x) = <a*, x>_HS = <a*, P(x)>_HS
 for a in the algebra, and the supremum of |Tr(a y)| over the algebra's unit
-ball for y inside the algebra is the trace norm of y.  Every closed-form
-value is guarded by a brute-force sampled supremum, which approaches it from
-below.
+ball for y inside the algebra is the trace norm of y.  The supremum is
+attained: the projection of the polar unitary of P(x) is a member of the
+unit ball whose pairing with x is that trace norm (`polar_witness`), so each
+closed-form value comes with an exact certificate.
 """
 from __future__ import annotations
 
@@ -90,9 +91,8 @@ class MatrixAlgebra:
     def _product_residual(self):
         worst = 0.0
         for a in self.hs_basis:
-            prods = np.einsum("ij,bjk->bik", a, self.hs_basis)
-            coeffs = prods.reshape(len(prods), -1) @ self._flat.conj().T
-            back = (coeffs @ self._flat).reshape(prods.shape)
+            prods = (a @ self.hs_basis).reshape(self.dim, -1)
+            back = (prods @ self._flat.conj().T) @ self._flat
             worst = max(worst, float(np.abs(prods - back).max()))
         return worst
 
@@ -141,14 +141,13 @@ _CAYLEY_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
 def unit_ball_sample(A: MatrixAlgebra, count, seed=0):
-    """Deterministic elements of the algebra's operator-norm unit ball.
+    """Deterministic elements of the algebra's operator-norm unit ball, the
+    draw behind adjoint_modulus's sampled pairs.
 
     Mixes the fixed structure (zero, identity, rescaled basis elements, the
     signed permutations that happen to lie in the algebra) with Cayley
     unitaries of random Hermitian elements at several magnitudes and
-    rescaled random elements.  Unitary-heavy on purpose: trace-pairing
-    suprema are attained at unitaries, and near a smooth maximizer the
-    deficit is quadratic in the covering radius.
+    rescaled random elements.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -190,28 +189,20 @@ def marechal_support(A: MatrixAlgebra, x):
     return trace_norm(A.project(x))
 
 
-def sampled_support(A: MatrixAlgebra, x, count=10_000, seed=0, samples=None):
-    """Support oracle from below: brute force over unit_ball_sample plus a
-    polar-informed candidate.
+def polar_witness(A: MatrixAlgebra, x):
+    """A member w of A's unit ball with |Tr(w x)| = marechal_support(A, x).
 
-    The candidate is the algebra's projection of the polar contraction of
-    P_A(x), clipped to the unit ball, so it is always a genuine member and
-    the maximum stays a sound lower bound.  When the projection really is
-    the conditional expectation onto a *-subalgebra the candidate attains
-    the support value exactly; if the projection were wrong, the pairing
-    drops and the guard exposes the gap.  Pass samples to reuse one drawn
-    set across many probes.
+    w is the projection of U*, for U the unitary polar factor of P_A(x) from
+    its SVD: Tr(w x) = <P_A(U), x>_HS = <U, P_A(x)>_HS, the trace norm.  The
+    projection onto a unital *-subalgebra is the trace-preserving conditional
+    expectation, a contraction, so w lies in the ball up to roundoff; w is
+    rescaled when its operator norm exceeds 1, so it is always a member and
+    |Tr(w x)| an exact lower certificate.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if samples is None:
-        samples = unit_ball_sample(A, count, seed)
-    best = float(np.abs(np.einsum("bij,ji->b", np.asarray(samples), x)).max())
-    u, _, vt = np.linalg.svd(A.project(x))
+    u, _, vt = np.linalg.svd(A.project(np.asarray(x, dtype=np.complex128)))
     w = A.project((u @ vt).conj().T)
     nb = operator_norm(w)
-    if nb > 1.0:
-        w = w / nb
-    return max(best, float(abs(np.trace(w @ x))))
+    return w / nb if nb > 1.0 else w
 
 
 def marechal_pseudometric(A: MatrixAlgebra, B: MatrixAlgebra, probes, weights=None):
@@ -355,6 +346,12 @@ class FunctionalSpec:
             v[j * m:(j + 1) * m] = eta
             yield u, v
 
+    def matrix(self):
+        """rho_omega = sum of u v* over the vector pairs: omega(x) = Tr(x rho_omega)."""
+        n = self.m * self.m
+        return sum((np.outer(u, v.conj()) for u, v in self.vector_pairs()),
+                   np.zeros((n, n), dtype=np.complex128))
+
 
 def apply_functional(omega: FunctionalSpec, x):
     x = np.asarray(x, dtype=np.complex128)
@@ -366,52 +363,31 @@ def apply_functional(omega: FunctionalSpec, x):
 
 @dataclass(frozen=True)
 class FunctionalNormResult:
-    value: float | None
-    oracle: float | None
-    flagged: bool
-
-    def best(self):
-        return self.oracle if self.value is None else self.value
+    value: float | None  # the block formula; None off the proof's normal form
+    route: float  # the trace norm of E_{f(S)}(rho_omega)
 
 
-def functional_norm_on_fS(omega: FunctionalSpec, S: SubsetSeq,
-                          oracle_count=2000, seed=0):
+def functional_norm_on_fS(omega: FunctionalSpec, S: SubsetSeq):
     """Norm of the functional restricted to the block algebra f(S).
 
-    Diagonal terms with distinct indices give the closed form
-    sum_i ||p_{S_i} xi_i|| ||p_{S_i} eta_i|| + |omega(1 - pi_S)|; cross
-    terms vanish on the block-diagonal algebra and are dropped.  A repeated
-    diagonal index leaves the proof's normal form, so only the sampled
-    oracle is returned, flagged.
+    route: omega(x) = Tr(x rho_omega), so the norm is the support value of
+    f(S) at rho_omega, exact for every functional.  value: the proof's
+    block formula sum_i ||p_{S_i} xi_i|| ||p_{S_i} eta_i|| + |omega(1 - pi_S)|
+    over the diagonal terms; cross terms vanish on the block-diagonal
+    algebra and are dropped.  A repeated diagonal index leaves the proof's
+    normal form, and value is None.
     """
-    diag = [(i, xi, eta) for i, j, xi, eta in omega.terms if i == j]
-    seen = [i for i, _, _ in diag]
     algebra, pi = build_fS(S)
-    samples = unit_ball_sample(algebra, oracle_count, seed)
-    sup = max(abs(apply_functional(omega, x)) for x in samples)
-    if len(set(seen)) != len(seen):
-        return FunctionalNormResult(value=None, oracle=float(sup), flagged=True)
-    complement = np.eye(S.m * S.m) - pi
-    total = abs(apply_functional(omega, complement))
+    route = marechal_support(algebra, omega.matrix())
+    diag = [(i, xi, eta) for i, j, xi, eta in omega.terms if i == j]
+    if len({i for i, _, _ in diag}) != len(diag):
+        return FunctionalNormResult(value=None, route=route)
+    total = abs(apply_functional(omega, np.eye(S.m * S.m) - pi))
     for i, xi, eta in diag:
         p = np.zeros(S.m)
         p[sorted(S.subsets[i])] = 1.0
         total += float(np.linalg.norm(p * xi) * np.linalg.norm(p * eta))
-    # attainment witness: per-block rank-one partial isometries aligned in
-    # phase with the complement term; a genuine unit-ball member, so the
-    # oracle stays a lower bound while certifying the formula is reached
-    witness = np.zeros((S.m * S.m, S.m * S.m), dtype=np.complex128)
-    for i, xi, eta in diag:
-        idx = sorted(S.subsets[i])
-        a, b = xi[idx], eta[idx]
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if idx and na > 1e-15 and nb > 1e-15:
-            rows = [i * S.m + k for k in idx]
-            witness[np.ix_(rows, rows)] = np.outer(b / nb, (a / na).conj())
-    z = complex(apply_functional(omega, complement))
-    witness += (z.conjugate() / abs(z) if abs(z) > 1e-15 else 1.0) * complement
-    sup = max(sup, abs(apply_functional(omega, witness)))
-    return FunctionalNormResult(value=float(total), oracle=float(sup), flagged=False)
+    return FunctionalNormResult(value=float(total), route=route)
 
 
 # ---------------------------------------------------------------------------

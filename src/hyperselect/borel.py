@@ -61,6 +61,9 @@ def _prefix_range(prefix, d):
     return lo * span, (lo + 1) * span
 
 
+MAX_DEPTH = 20  # 2**20 leaves: a dense leaf array doubles with each level
+
+
 class PrunedTree:
     """A depth-d pruned binary tree, stored as its accepted-leaf set."""
 

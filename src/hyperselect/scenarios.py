@@ -60,7 +60,13 @@ from .algebras import (
     operator_norm,
     rotated_diagonal_algebra,
 )
-from .borel import DepthInsufficient, bundled_borel_instances, pfin_census, sigma2_reduce
+from .borel import (
+    MAX_DEPTH,
+    DepthInsufficient,
+    bundled_borel_instances,
+    pfin_census,
+    sigma2_reduce,
+)
 
 
 class ConfigError(ValueError):
@@ -199,7 +205,7 @@ _DUALITY_DEFAULTS = {
     "dim": 4,
     "trials": 50,
     "norms": "l2,l1,linf",
-    "tol_l2": 1e-6,
+    "tol_l2": 1e-12,
     "tol_polyhedral": 1e-9,
 }
 
@@ -207,6 +213,8 @@ _DUALITY_DEFAULTS = {
 def run_duality(params, seed, out):
     cfg = _resolve(params, _DUALITY_DEFAULTS)
     kinds = tuple(k.strip() for k in cfg["norms"].split(",") if k.strip())
+    if not kinds:
+        raise ConfigError("config key norms: empty list")
     for kind in kinds:
         if kind not in VECTOR_KINDS:
             raise ConfigError(f"unknown norm kind {kind!r}")
@@ -266,6 +274,8 @@ def run_counterexample(params, seed, out):
     if not 1 <= cfg["probe_count"] <= trunc:
         raise ConfigError("probe_count must lie in [1, trunc_dim]")
     _require_positive(cfg, "angles")
+    if cfg["tol"] < 0:
+        raise ConfigError(f"config key tol: expected a non-negative number, got {cfg['tol']}")
     scales = _float_list(cfg["scales"], "scales")
     if any(not 0.0 < s < 1.0 for s in scales):
         raise ConfigError("config key scales: every scale must lie in (0, 1)")
@@ -324,7 +334,10 @@ _SELECTION_DEFAULTS = {
 
 def _scenario_net(F, raw, key):
     if F.target.dim == 1:
-        return np.array(_float_list(raw, key))[:, None]
+        net = np.array(_float_list(raw, key))[:, None]
+        if not F.target.contains(net).all():
+            raise ConfigError(f"config key {key}: every net point must lie in the target set C")
+        return net
     gens = F.target.generators
     return np.vstack([gens, gens.mean(axis=0)])
 
@@ -593,6 +606,9 @@ def run_borel(params, seed, out):
         raise ConfigError("frontier_policy must be record or fail")
     if not cfg["prefix_len"] < cfg["d"] <= cfg["d2"]:
         raise ConfigError("need prefix_len < d <= d2")
+    if cfg["d2"] > MAX_DEPTH:
+        raise ConfigError(f"config key d2: a depth-{cfg['d2']} tree stores 2**{cfg['d2']} leaves,"
+                          f" above the cap depth {MAX_DEPTH}")
     _require_positive(cfg, "count")
     if 2 ** cfg["prefix_len"] <= cfg["count"]:
         raise ConfigError(f"config key count: expected fewer than 2**prefix_len ="

@@ -12,6 +12,7 @@ import numpy as np
 from hyperselect.algebras import (
     FunctionalSpec,
     SubsetSeq,
+    apply_functional,
     build_fS,
     cayley_unitary,
     default_strong_spec,
@@ -22,8 +23,8 @@ from hyperselect.algebras import (
     marechal_pseudometric,
     marechal_support,
     operator_norm,
+    polar_witness,
     rotated_diagonal_algebra,
-    sampled_support,
     unit_ball_sample,
 )
 from hyperselect.borel import (
@@ -82,7 +83,7 @@ def _crandn(rng, *shape):
 
 
 def test_a1_quotient_norm_routes_agree():
-    tols = {"l2": 1e-6, "l1": 1e-9, "linf": 1e-9}
+    tols = {"l2": 1e-12, "l1": 1e-9, "linf": 1e-9}
     specs = {"l2": l2(), "l1": l1(), "linf": linf()}
     t0 = time.perf_counter()
     worst = {}
@@ -100,7 +101,7 @@ def test_a1_quotient_norm_routes_agree():
     elapsed = time.perf_counter() - t0
     ok = all(worst[k] <= tols[k] for k in tols) and elapsed < 60.0
     assert _line("A1", ok,
-                 "200 pairs/norm, max |primal-dual| l2 %.2e (tol 1e-6), "
+                 "200 pairs/norm, max |primal-dual| l2 %.2e (tol 1e-12), "
                  "l1 %.2e, linf %.2e (tol 1e-9), %.1fs" %
                  (worst["l2"], worst["l1"], worst["linf"], elapsed))
 
@@ -206,8 +207,10 @@ def test_a5_dense_family_audit():
 
 def test_a6_support_closed_form_vs_sampled():
     rng = np.random.default_rng(23)
-    over = 0.0    # sampled above closed form: must stay at fp noise
-    under = 0.0   # closed form above sampled: covering-radius deficit
+    gap = 0.0      # witness pairing against the closed form
+    outside = 0.0  # HS distance from the witness to the algebra
+    excess = 0.0   # witness operator norm above 1
+    over = 0.0     # sampled members above the closed form: fp noise only
     for trial in range(100):
         n = int(rng.integers(1, 5))
         kind = trial % 4
@@ -221,32 +224,37 @@ def test_a6_support_closed_form_vs_sampled():
         else:
             gens = [_crandn(rng, n, n), _crandn(rng, n, n)]
         A = generate_algebra(gens, n)
-        samples = unit_ball_sample(A, 10_000, seed=trial)
+        samples = unit_ball_sample(A, 200, seed=trial)
         for _ in range(20):
             x = _crandn(rng, n, n)
             x /= np.linalg.norm(x)
             closed = marechal_support(A, x)
-            samp = sampled_support(A, x, samples=samples)
-            over = max(over, samp - closed)
-            under = max(under, closed - samp)
+            w = polar_witness(A, x)
+            gap = max(gap, abs(abs(np.trace(w @ x)) - closed))
+            outside = max(outside, float(np.linalg.norm(w - A.project(w))))
+            excess = max(excess, operator_norm(w) - 1.0)
+            pairings = np.abs(np.einsum("bij,ji->b", samples, x))
+            over = max(over, float(pairings.max()) - closed)
     thetas = np.linspace(0.0, np.pi / 4, 16)
     reference = rotated_diagonal_algebra(0.0)
     probes = matrix_unit_probes(2, 8)
     vals = [marechal_pseudometric(rotated_diagonal_algebra(t), reference, probes)
             for t in thetas]
     mono = vals[0] <= 1e-12 and all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-    ok = over <= 1e-9 and under <= 5e-2 and mono and vals[-1] > 0.0
+    ok = (max(gap, outside, excess) <= 1e-12 and over <= 1e-9 and mono
+          and vals[-1] > 0.0)
     assert _line("A6", ok,
-                 "100 algebras x 20 unit probes at 1e4 samples: sampled-closed"
-                 " max %.1e (tol 1e-9), closed-sampled max %.4f (tol 5e-2);"
-                 " rotation pseudometric 0 at theta=0, monotone to %.3f" %
-                 (over, under, vals[-1]))
+                 "100 algebras x 20 unit probes: polar witness |pairing-closed|"
+                 " max %.1e, HS residual %.1e, norm-1 %.1e (tol 1e-12);"
+                 " 200 samples-closed max %.1e (tol 1e-9); rotation"
+                 " pseudometric 0 at theta=0, monotone to %.3f" %
+                 (gap, outside, excess, over, vals[-1]))
 
 
 def test_a7_block_functional_norm_formula():
     rng = np.random.default_rng(41)
-    over = 0.0    # oracle above closed form
-    under = 0.0   # closed form above oracle
+    formula_gap = 0.0  # block formula against the trace-norm route
+    witness_gap = 0.0  # route against the polar witness's pairing
     for trial in range(50):
         m = int(rng.integers(1, 5))
         k = int(rng.integers(1, m + 1))
@@ -257,10 +265,10 @@ def test_a7_block_functional_norm_formula():
         S = SubsetSeq(m, tuple(
             frozenset(int(j) for j in np.nonzero(rng.random(m) < 0.6)[0])
             for _ in range(m)))
-        r = functional_norm_on_fS(omega, S, oracle_count=2000, seed=trial)
-        assert not r.flagged
-        over = max(over, r.oracle - r.value)
-        under = max(under, r.value - r.oracle)
+        r = functional_norm_on_fS(omega, S)
+        w = polar_witness(build_fS(S)[0], omega.matrix())
+        formula_gap = max(formula_gap, abs(r.value - r.route))
+        witness_gap = max(witness_gap, abs(r.route - abs(apply_functional(omega, w))))
     local_ok = True
     for trial in range(10):
         m = 4
@@ -277,11 +285,11 @@ def test_a7_block_functional_norm_formula():
         vals = [functional_norm_on_fS(omega, SubsetSeq(m, head + t)).value
                 for t in tails]
         local_ok &= vals[0] == vals[1]
-    ok = over <= 1e-9 and under <= 5e-2 and local_ok
+    ok = formula_gap <= 1e-12 and witness_gap <= 1e-12 and local_ok
     assert _line("A7", ok,
-                 "50 random functionals: oracle-value max %.1e (tol 1e-9), "
-                 "value-oracle max %.4f (tol 5e-2); tail perturbation exact "
-                 "on 10 draws: %s" % (over, under, local_ok))
+                 "50 random functionals: |formula-route| max %.1e, "
+                 "|route-witness| max %.1e (tol 1e-12); tail perturbation "
+                 "exact on 10 draws: %s" % (formula_gap, witness_gap, local_ok))
 
 
 def test_a8_probe_doubling_within_tail_weight():

@@ -21,8 +21,8 @@ from hyperselect.algebras import (
     marechal_pseudometric,
     marechal_support,
     operator_norm,
+    polar_witness,
     rotated_diagonal_algebra,
-    sampled_support,
     scalar_algebra,
     trace_norm,
     unit_ball_sample,
@@ -109,23 +109,24 @@ def test_support_diagonal_of_hadamard_like_probe():
     x = np.array([[1.0, 1.0], [1.0, -1.0]])
     A = diagonal_algebra(2)
     assert marechal_support(A, x) == pytest.approx(2.0, abs=1e-12)
-    assert sampled_support(A, x, count=10_000) >= 2.0 - 5e-2
+    assert abs(np.trace(polar_witness(A, x) @ x)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_support_scalars_kill_offdiagonal():
     assert marechal_support(scalar_algebra(2), E12) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_sampled_support_is_a_lower_bound_near_closed_form():
+def test_polar_witness_attains_closed_form():
+    # the witness is a member of the unit ball whose pairing is the support
     rng = np.random.default_rng(3)
     for trial in range(20):
         n = int(rng.integers(2, 5))
         A = _random_subalgebra(rng, n)
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        closed = marechal_support(A, x)
-        samp = sampled_support(A, x, count=2000, seed=trial)
-        assert samp <= closed + 1e-9
-        assert samp >= closed - 5e-2
+        w = polar_witness(A, x)
+        assert np.linalg.norm(w - A.project(w)) <= 1e-12
+        assert operator_norm(w) <= 1.0 + 1e-12
+        assert abs(np.trace(w @ x)) == pytest.approx(marechal_support(A, x), abs=1e-12)
 
 
 def test_cayley_unitary_of_a_stack_matches_single_calls():
@@ -352,9 +353,8 @@ def test_functional_norm_term_inside_projection():
     e0 = np.array([1.0, 0.0])
     om = FunctionalSpec(m=2, terms=((0, 0, e0, e0),))
     r = functional_norm_on_fS(om, _fs_example())
-    assert not r.flagged
     assert r.value == pytest.approx(1.0, abs=1e-12)
-    assert r.value - 5e-2 <= r.oracle <= r.value + 1e-9
+    assert r.route == pytest.approx(r.value, abs=1e-12)
 
 
 def test_functional_norm_term_outside_projection():
@@ -363,7 +363,7 @@ def test_functional_norm_term_outside_projection():
     om = FunctionalSpec(m=2, terms=((0, 0, e1, e1),))
     r = functional_norm_on_fS(om, _fs_example())
     assert r.value == pytest.approx(1.0, abs=1e-12)
-    assert r.value - 5e-2 <= r.oracle <= r.value + 1e-9
+    assert r.route == pytest.approx(r.value, abs=1e-12)
 
 
 def test_functional_norm_cross_term_vanishes():
@@ -371,16 +371,17 @@ def test_functional_norm_cross_term_vanishes():
     om = FunctionalSpec(m=2, terms=((0, 1, e0, e1),))
     r = functional_norm_on_fS(om, _fs_example())
     assert r.value == pytest.approx(0.0, abs=1e-12)
-    assert r.oracle <= 5e-2
+    assert r.route == pytest.approx(0.0, abs=1e-12)
 
 
-def test_functional_norm_flags_repeated_diagonal_index():
+def test_functional_norm_repeated_diagonal_index_has_only_the_route():
+    # e0 e0* + e1 e1* on block 0: e00 lies in the block, e11 in the scalar
+    # complement, so the conditional expectation is a rank-two projection
     e0, e1 = np.eye(2)
     om = FunctionalSpec(m=2, terms=((0, 0, e0, e0), (0, 0, e1, e1)))
     r = functional_norm_on_fS(om, _fs_example())
-    assert r.flagged
     assert r.value is None
-    assert r.best() == r.oracle > 0.0
+    assert r.route == pytest.approx(2.0, abs=1e-12)
 
 
 def test_functional_norm_depends_only_on_low_indices():
@@ -389,9 +390,10 @@ def test_functional_norm_depends_only_on_low_indices():
     om = FunctionalSpec(m=4, terms=((0, 0, xi, eta), (1, 1, eta, xi)))
     base = SubsetSeq(m=4, subsets=({0, 1}, {2}, set(), {0}))
     tail_changed = SubsetSeq(m=4, subsets=({0, 1}, {2}, {1, 3}, {0, 1, 2, 3}))
-    va = functional_norm_on_fS(om, base).value
-    vb = functional_norm_on_fS(om, tail_changed).value
-    assert va == vb  # terms only touch indices < 2
+    ra = functional_norm_on_fS(om, base)
+    rb = functional_norm_on_fS(om, tail_changed)
+    assert ra.value == rb.value  # terms only touch indices < 2
+    assert ra.route == pytest.approx(rb.route, abs=1e-12)
 
 
 def test_functional_spec_validation():
@@ -411,6 +413,7 @@ def test_apply_functional_matches_trace_pairing():
     v = np.zeros(4)
     v[3] = 1.0  # e_1 x e_1
     assert apply_functional(om, x) == pytest.approx(v @ x @ u, abs=1e-12)
+    assert apply_functional(om, x) == pytest.approx(np.trace(x @ om.matrix()), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def test_duality_outputs_within_tolerance(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["per_norm"]["l2"]["max_abs_diff"] <= 1e-6
+    assert summary["per_norm"]["l2"]["max_abs_diff"] <= 1e-12
 
 
 def test_finiteness_sweep_shapes(tmp_path, capsys):
@@ -205,11 +205,16 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
     ("finiteness", "m=9\n", "m"),
     ("borel", "count=0\n", "count"),
     ("borel", "count=16\n", "count"),
+    ("counterexample", "tol=-1\n", "tol"),
+    ("selection", "net=5\n", "net"),
+    ("duality", "norms=\n", "norms"),
+    ("borel", "d2=21\n", "d2"),
 ], ids=["trials-negative", "trials-zero", "scales-negative", "scales-one",
         "hw_tol-negative", "tol-zero", "family_tol-negative", "eps-zero",
         "angles-zero", "hw_m_max-zero", "hw_p_max-zero", "marechal-probe_count-zero",
         "m_max-zero", "p_max-zero", "sample_count-zero", "finiteness-probe_count-zero",
-        "m-over-cap", "count-zero", "count-over-prefixes"])
+        "m-over-cap", "count-zero", "count-over-prefixes", "tol-negative",
+        "net-outside-target", "norms-empty", "d2-over-cap"])
 def test_out_of_range_value_exits_2(tmp_path, capsys, scenario, text, key):
     cfg = _write_config(tmp_path, text)
     code = main([scenario, "--config", cfg, "--out", str(tmp_path / "o")])
