@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import dyadic_weights, make_probe_sequence, probe_metric, probe_strong
+from .norms import (dyadic_weights, eval_norm, make_probe_sequence, probe_strong,
+                    require_probe_domain)
 
 ALGEBRA_TOL = 1e-9
 AMBIENT_CAP = 12
@@ -233,24 +234,26 @@ def adjoint_modulus(A: MatrixAlgebra, eps_list, sample_count=400, seed=0, spec=N
     For each eps, the largest delta such that every sampled pair at strong
     distance < delta has adjoint distance <= eps; pairs include the basis
     units against 0 and each other, the worst witnesses for block algebras.
+    Each matrix is checked against the unit ball once (x* has the operator
+    norm of x), and the pairs' probe distances are norms of differences.
     """
     spec = default_strong_spec(A.n) if spec is None else spec
     samples = unit_ball_sample(A, sample_count, seed)
-    rng = np.random.default_rng(seed + 1)
-    pairs = []
-    for b in A.hs_basis:
+    units = {}  # basis index -> the element scaled to operator norm 1
+    for i, b in enumerate(A.hs_basis):
         nb = operator_norm(b)
         if nb > 1e-12:
-            pairs.append((b / nb, np.zeros_like(b)))
-    for i, j in itertools.combinations(range(min(len(A.hs_basis), 24)), 2):
-        bi, bj = A.hs_basis[i], A.hs_basis[j]
-        ni, nj = operator_norm(bi), operator_norm(bj)
-        if ni > 1e-12 and nj > 1e-12:
-            pairs.append((bi / ni, bj / nj))
+            units[i] = b / nb
+    require_probe_domain(spec, *samples, *units.values())
+    rng = np.random.default_rng(seed + 1)
+    pairs = [(u, np.zeros_like(u)) for u in units.values()]
+    pairs.extend((units[i], units[j])
+                 for i, j in itertools.combinations(range(min(len(A.hs_basis), 24)), 2)
+                 if i in units and j in units)
     idx = rng.integers(0, len(samples), size=(2 * sample_count, 2))
     pairs.extend((samples[i], samples[j]) for i, j in idx)
-    fwd = np.array([probe_metric(x, y, spec) for x, y in pairs])
-    bwd = np.array([probe_metric(x.conj().T, y.conj().T, spec) for x, y in pairs])
+    fwd = np.array([eval_norm(x - y, spec) for x, y in pairs])
+    bwd = np.array([eval_norm(x.conj().T - y.conj().T, spec) for x, y in pairs])
     out = []
     for eps in eps_list:
         violating = fwd[bwd > eps]

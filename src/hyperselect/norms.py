@@ -254,14 +254,20 @@ def dual_kind(kind):
     return _DUAL_OF[kind]
 
 
-def probe_metric(a, b, spec):
-    """Probe pseudometric d(a, b) = rho(a - b) on the operator-norm unit ball."""
+def require_probe_domain(spec, *mats):
+    """Raise unless spec is a probe norm and every matrix lies in the
+    operator-norm unit ball, where probe metrics are calibrated."""
     if spec.kind not in PROBE_KINDS:
         raise UnsupportedNorm("probe_metric needs a probe norm spec")
-    a, b = np.asarray(a), np.asarray(b)
-    for m in (a, b):
+    for m in mats:
         if np.linalg.norm(m, 2) > 1.0 + BALL_SLACK:
             raise OutsideUnitBall("probe metrics are calibrated on the unit ball only")
+
+
+def probe_metric(a, b, spec):
+    """Probe pseudometric d(a, b) = rho(a - b) on the operator-norm unit ball."""
+    a, b = np.asarray(a), np.asarray(b)
+    require_probe_domain(spec, a, b)
     return eval_norm(a - b, spec)
 
 

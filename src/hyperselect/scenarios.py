@@ -384,17 +384,16 @@ def run_selection(params, seed, out):
     files.append(_write_csv(out / "approx.csv",
                             x_cols + f_cols + ("defect",), approx_rows))
 
+    # the family at m_max // 2 is the m <= m_max // 2 slice of the one at m_max
+    members = dense_selection_family(F, net, cfg["m_max"], cfg["p_max"], tol=cfg["family_tol"])
     audit_rows = []
-    member_rows = []
     for m_used in sorted({max(1, cfg["m_max"] // 2), cfg["m_max"]}):
-        members = dense_selection_family(F, net, m_used, cfg["p_max"],
-                                         tol=cfg["family_tol"])
-        gap, _ = density_audit(members, F)
-        audit_rows.append((m_used, cfg["p_max"], len(members), gap,
+        sliced = [mem for mem in members if mem.m <= m_used]
+        gap, _ = density_audit(sliced, F)
+        audit_rows.append((m_used, cfg["p_max"], len(sliced), gap,
                            1.0 / m_used + 2.0 * cfg["family_tol"]))
-        if m_used == cfg["m_max"]:
-            member_rows = [(i, mem.net_index, mem.m, mem.p, mem.restricted_count)
-                           for i, mem in enumerate(members)]
+    member_rows = [(i, mem.net_index, mem.m, mem.p, mem.restricted_count)
+                   for i, mem in enumerate(members)]
     files.append(_write_csv(out / "family_audit.csv",
                             ("m_max", "p_max", "members", "audit_gap", "bound"),
                             audit_rows))

@@ -7,6 +7,9 @@ intersected with a closed ball (the restricted maps of the dense family).
 The selection iteration keeps two logged invariants at every grid point:
 membership defect < 2^-(k+1) after round k and sup-step <= 2^-k between
 consecutive rounds.
+
+Value projections go through a diagonal and an all-pairs entry point, and
+one cover-and-average step serves the approximate selection and each round.
 """
 from __future__ import annotations
 
@@ -156,9 +159,6 @@ class HullValue:
     def project(self, points):
         return self.projector.project(points)
 
-    def distances(self, points):
-        return self.projector.distances(points)
-
     def any_point(self):
         return self.generators.mean(axis=0)
 
@@ -183,9 +183,6 @@ class BallRestrictedValue:
 
     def project(self, points):
         return self.hull.projector.project(points, self.center, self.radius)
-
-    def distances(self, points):
-        return self.project(points)[1]
 
     def any_point(self):
         return self.project(self.hull.any_point()[None, :])[0][0]
@@ -257,34 +254,60 @@ class SelectionResult:
     defects: np.ndarray         # d(f(x), F(x)) per domain point
 
 
-def _cover_partition(domain, bitmaps, net):
-    """Partition of unity over the cover whose element i is bitmaps[i] and is
-    labelled by net[i], with the net points it keeps; None when some domain
-    point lies in no element.  Empty elements are dropped, and above
-    _MAX_ELEMENTS a greedy pass keeps only elements that cover new points."""
+def _nearest(F, points):
+    """Projection of points[i] onto F(x_i) and its distance, per domain point."""
+    proj = np.empty((len(F), F.target.dim))
+    dist = np.empty(len(F))
+    for i, value in enumerate(F.values):
+        p, d = value.project(points[i][None, :])
+        proj[i], dist[i] = p[0], d[0]
+    return proj, dist
+
+
+def _project_all(F, queries):
+    """Projections (n_queries, n_points, dim) and distances (n_queries,
+    n_points) of every query onto every value."""
+    proj = np.empty((len(queries), len(F), F.target.dim))
+    dist = np.empty((len(queries), len(F)))
+    for i, value in enumerate(F.values):
+        proj[:, i], dist[:, i] = value.project(queries)
+    return proj, dist
+
+
+def _lex_sort(points):
+    order = np.lexsort(tuple(points[:, c] for c in range(points.shape[1] - 1, -1, -1)))
+    return order
+
+
+def _cover_average(F, net, eps, anchors=None, r=None):
+    """f(x) = sum_v rho_v(x) v over the cover labelled by the net points.
+
+    The element of net point v is U_v = {x : d(v, F(x)) < eps}; given
+    anchors, it keeps only the x whose projection of v onto F(x) lies within
+    r of anchors[x].  Empty elements are dropped, and above _MAX_ELEMENTS a
+    greedy pass keeps only elements that cover new points.  Returns the
+    values, the partition of unity and the net points it keeps; raises
+    NetTooCoarse naming the first domain index that no element covers.
+    """
+    proj, dist = _project_all(F, net)
+    bitmaps = dist < eps
+    if anchors is not None:
+        bitmaps &= np.linalg.norm(proj - anchors[None, :, :], axis=2) < r
+    missing = np.nonzero(~bitmaps.any(axis=0))[0]
+    if missing.size:
+        raise NetTooCoarse(f"no net point is eps-close to F at domain index {int(missing[0])}")
     keep = bitmaps.any(axis=1)
     bitmaps, net = bitmaps[keep], net[keep]
     if len(bitmaps) > _MAX_ELEMENTS:
-        covered = np.zeros(len(domain), dtype=bool)
+        covered = np.zeros(len(F), dtype=bool)
         chosen = []
         for i, inside in enumerate(bitmaps):
             if (inside & ~covered).any():
                 chosen.append(i)
                 covered |= inside
         bitmaps, net = bitmaps[chosen], net[chosen]
-    if len(bitmaps) == 0 or not bitmaps.any(axis=0).all():
-        return None
-    return build_partition_of_unity(domain, OpenCover(domain, bitmaps)), net
-
-
-def _defects(F, values):
-    """d(values[i], F(x_i)) per domain point."""
-    return np.array([F.values[i].distances(values[i][None, :])[0] for i in range(len(F))])
-
-
-def _lex_sort(points):
-    order = np.lexsort(tuple(points[:, c] for c in range(points.shape[1] - 1, -1, -1)))
-    return order
+    pou = build_partition_of_unity(F.domain, OpenCover(F.domain, bitmaps))
+    return pou.values.T @ net, pou, net
 
 
 def approx_selection(F, eps, net):
@@ -297,16 +320,8 @@ def approx_selection(F, eps, net):
     net = np.atleast_2d(np.asarray(net, dtype=np.float64))
     if not bool(np.all(F.target.contains(net, tol=1e-9))):
         raise ValueError("net points must lie in the target set C")
-    net = net[_lex_sort(net)]
-    dists = np.stack([F.values[i].distances(net) for i in range(len(F))], axis=1)
-    bitmaps = dists < eps
-    cover = _cover_partition(F.domain, bitmaps, net)
-    if cover is None:
-        missing = np.nonzero(~bitmaps.any(axis=0))[0]
-        raise NetTooCoarse(f"no net point is eps-close to F at domain index {int(missing[0])}")
-    pou, net = cover
-    values = pou.values.T @ net
-    return SelectionResult(values=values, pou=pou, net=net, defects=_defects(F, values))
+    values, pou, net = _cover_average(F, net[_lex_sort(net)], eps)
+    return SelectionResult(values=values, pou=pou, net=net, defects=_nearest(F, values)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -320,40 +335,12 @@ class MichaelResult:
     defects: np.ndarray
 
 
-def _adaptive_net(F, anchors, cell):
-    """Net points: value-hull projections of the anchors, snapped to the
-    cell lattice and pulled back into C.  Deduped and lex-sorted."""
-    dim = F.target.dim
-    raw = np.empty((len(F), dim))
-    for i in range(len(F)):
-        anchor = anchors[i] if anchors is not None else F.values[i].any_point()
-        raw[i] = F.values[i].project(anchor[None, :])[0][0]
-    snapped = F.target.project(lattice_round(raw, cell))
+def _adaptive_net(F, projections, cell):
+    """Net points: the value-hull projections, snapped to the cell lattice
+    and pulled back into C.  Deduped and lex-sorted."""
+    snapped = F.target.project(lattice_round(projections, cell))
     snapped = dedupe_points(snapped, tol=1e-12)
     return snapped[_lex_sort(snapped)]
-
-
-def _selection_round(F, anchors, r, eps, cell):
-    """One cover-and-average round; anchors=None drops the ball restriction.
-
-    Active pairs require d(v, F(x)) < eps and, when anchored, that the hull
-    projection of v stays within r of the anchor, which realizes the cover by
-    fattened intersections F(x) and B(anchor, r) at net scale eps.
-    """
-    net = _adaptive_net(F, anchors, cell)
-    n_pts, dim = len(F), F.target.dim
-    bitmaps = np.zeros((len(net), n_pts), dtype=bool)
-    for i in range(n_pts):
-        proj, dist = F.values[i].project(net)
-        ok = dist < eps
-        if anchors is not None:
-            ok &= np.linalg.norm(proj - anchors[i][None, :], axis=1) < r
-        bitmaps[:, i][ok] = True
-    cover = _cover_partition(F.domain, bitmaps, net)
-    if cover is None:
-        return None
-    pou, net = cover
-    return pou.values.T @ net
 
 
 def michael_selection(F, tol=1e-3):
@@ -372,30 +359,36 @@ def michael_selection(F, tol=1e-3):
     is inside eps = 3 * 2^-(k+4), and its projection onto F(x) lies within
     d(f_k(x), F(x)) + 2^-(k+5) < 3 * 2^-(k+3) + 2^-(k+5) < r = 2^-(k+1) of
     the anchor f_k(x).  The first round has the same margin (cell
-    1/(32 sqrt(dim)) against eps 3/16).  IterationStall still guards a
-    round that leaves a point uncovered.
+    1/(32 sqrt(dim)) against eps 3/16), with the projections of each
+    value's any_point() as its net and no ball.  The projections that give
+    round k's defects seed round k+1's net, so each is computed once.
+    IterationStall still guards a round that leaves a point uncovered.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rounds = []
     dim_sqrt = math.sqrt(F.target.dim)
-    values = _selection_round(F, None, None, 0.75 * 0.25, 0.25 / (8.0 * dim_sqrt))
-    if values is None:
-        raise IterationStall("initial approximate selection failed to cover the domain (k=1)")
-    defects = _defects(F, values)
-    rounds.append({"k": 0, "max_defect": float(defects.max()), "max_step": None})
+    start, _ = _nearest(F, np.array([v.any_point() for v in F.values]))
+    try:
+        values = _cover_average(F, _adaptive_net(F, start, 0.25 / (8.0 * dim_sqrt)),
+                                0.75 * 0.25)[0]
+    except NetTooCoarse:
+        raise IterationStall(
+            "initial approximate selection failed to cover the domain (k=1)") from None
+    nearest, defects = _nearest(F, values)
+    rounds = [{"k": 0, "max_defect": float(defects.max()), "max_step": None}]
     k = 1
     while 0.5 ** k >= tol:
         r = 0.5 ** (k + 1)
         eps = 0.75 * 0.5 ** (k + 2)
         cell = 0.5 ** (k + 4) / dim_sqrt
-        new_values = _selection_round(F, values, r, eps, cell)
-        if new_values is None:
+        try:
+            new_values = _cover_average(F, _adaptive_net(F, nearest, cell), eps, values, r)[0]
+        except NetTooCoarse:
             worst = int(np.argmax(defects))
-            raise IterationStall(f"round k={k} left domain index {worst} uncovered")
+            raise IterationStall(f"round k={k} left domain index {worst} uncovered") from None
         step = float(np.linalg.norm(new_values - values, axis=1).max())
         values = new_values
-        defects = _defects(F, values)
+        nearest, defects = _nearest(F, values)
         rounds.append({"k": k, "max_defect": float(defects.max()), "max_step": step})
         k += 1
     return MichaelResult(values=values, rounds=rounds, defects=defects)
@@ -431,11 +424,11 @@ def dense_selection_family(F, net, m_max, p_max, tol=1e-3):
         raise ValueError("net points must lie in the target set C")
     selections = {}  # (n, m, pinned indices), or None for F itself
     members = []
+    _, value_dists = _project_all(F, net)
     for n in range(len(net)):
-        value_dists = np.array([F.values[i].distances(net[n][None, :])[0] for i in range(len(F))])
         for m in range(1, m_max + 1):
             radius = 1.0 / m
-            inside_u = value_dists < radius
+            inside_u = value_dists[n] < radius
             if inside_u.any():
                 comp = ~inside_u
                 if comp.any():
@@ -445,6 +438,9 @@ def dense_selection_family(F, net, m_max, p_max, tol=1e-3):
                     d_comp = np.full(len(F), np.inf)
             else:
                 d_comp = np.zeros(len(F))
+            # pinned sets grow with p, so restricting at p_max serves every p
+            restricted = [restrict_value(v, net[n], radius) if pin else v
+                          for v, pin in zip(F.values, d_comp >= 1.0 / p_max)]
             for p in range(1, p_max + 1):
                 pinned = d_comp >= 1.0 / p
                 key = (n, m, tuple(np.nonzero(pinned)[0].tolist())) if pinned.any() else None
@@ -453,8 +449,7 @@ def dense_selection_family(F, net, m_max, p_max, tol=1e-3):
                     if key is not None:
                         modified = SetValuedMap(
                             F.domain,
-                            [restrict_value(v, net[n], radius) if pin else v
-                             for v, pin in zip(F.values, pinned)],
+                            [w if pin else v for v, w, pin in zip(F.values, restricted, pinned)],
                             F.target, name=f"{F.name}|n={n},m={m},p={p}",
                             slope_hint=F.slope_hint)
                     selections[key] = michael_selection(modified, tol=tol)
@@ -498,7 +493,7 @@ def check_lower_continuity(F, probes, slope=None, slack=1e-9):
     """
     slope = F.slope_hint if slope is None else slope
     probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
-    dist = np.stack([F.values[i].distances(probes) for i in range(len(F))], axis=0)
+    dist = _project_all(F, probes)[1].T
     worst = {"x": None, "x_prime": None, "probe": None, "defect": -np.inf}
     ok = True
     for i, j in F.domain.adjacent_pairs():

@@ -27,6 +27,7 @@ from hyperselect.algebras import (
     trace_norm,
     unit_ball_sample,
 )
+from hyperselect.norms import OutsideUnitBall
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 
@@ -287,6 +288,14 @@ def test_modulus_shrinks_with_matrix_size():
     d6 = dict(adjoint_modulus(full_algebra(6), [0.1], sample_count=400, seed=0))[0.1]
     assert d2 > d6  # measured 0.116 vs 0.0159
     assert d6 < 0.05
+
+
+def test_modulus_rejects_a_sample_outside_the_unit_ball(monkeypatch):
+    A = full_algebra(2)
+    monkeypatch.setattr("hyperselect.algebras.unit_ball_sample",
+                        lambda A, count, seed: 2.0 * np.eye(2, dtype=np.complex128)[None])
+    with pytest.raises(OutsideUnitBall):
+        adjoint_modulus(A, [0.1], sample_count=10, seed=0)
 
 
 def test_modulus_separates_block_sizes():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from hyperselect.hulls import HullProjector
 from hyperselect.selection import (
     BallRestrictedValue,
     DiscreteDomain,
@@ -164,6 +165,27 @@ def test_vertical_segment_selection_stays_in_square():
     assert steps.max() <= 10.0 * dom.mesh
 
 
+@pytest.mark.parametrize("name", ["sliding-left-end", "rising-triangle"])
+def test_each_round_projects_every_value_twice(monkeypatch, name):
+    # per run: one projection of each value's any_point() onto its value,
+    # then per round one all-pairs pass over the net and one projection of
+    # f_k(x) onto F(x), whose result also seeds the next round's net
+    F = next(G for G in bundled_maps() if G.name == name)
+    value_projectors = {id(v.projector) for v in F.values}
+    calls = []
+    original = HullProjector.project
+
+    def counted(self, *args, **kwargs):
+        if id(self) in value_projectors:
+            calls.append(len(np.atleast_2d(args[0])))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(HullProjector, "project", counted)
+    res = michael_selection(F, tol=1e-3)
+    monkeypatch.undo()
+    assert len(calls) == len(F) * (2 * len(res.rounds) + 1)
+
+
 def test_bundled_suite_converges_everywhere():
     tol = 1e-3
     for F in bundled_maps(n1d=41, n2d=7):
@@ -217,6 +239,19 @@ def test_family_audit_bound_and_monotonicity():
     assert audits[1] <= audits[0] + 1e-12
 
 
+def test_smaller_family_is_the_slice_of_the_larger():
+    dom = grid_domain_1d(21)
+    F = _interval_map(dom, lambda x: 0.5 + 0.5 * x, lambda x: 1.0)
+    net = np.array([[0.0], [0.5], [1.0]])
+    small = dense_selection_family(F, net, 1, 2, tol=1e-2)
+    sliced = [mem for mem in dense_selection_family(F, net, 2, 2, tol=1e-2) if mem.m <= 1]
+    assert len(small) == len(sliced) == 3 * 2
+    for a, b in zip(small, sliced):
+        assert ((a.net_index, a.m, a.p, a.restricted_count)
+                == (b.net_index, b.m, b.p, b.restricted_count))
+        assert np.array_equal(a.values, b.values)
+
+
 def test_family_selects_once_per_distinct_modified_map(monkeypatch):
     dom = grid_domain_1d(21)
     F = _interval_map(dom, lambda x: 0.5 + 0.5 * x, lambda x: 1.0)
@@ -236,7 +271,7 @@ def test_family_selects_once_per_distinct_modified_map(monkeypatch):
     keys = []
     for mem in members:
         v, radius = net[mem.net_index], 1.0 / mem.m
-        inside = np.array([F.values[i].distances(v[None, :])[0] < radius for i in range(len(F))])
+        inside = np.array([F.values[i].project(v[None, :])[1][0] < radius for i in range(len(F))])
         if inside.all():
             d_comp = np.full(len(F), np.inf)
         else:
@@ -350,7 +385,7 @@ def test_square_restriction_projects_into_intersection():
     rng = np.random.default_rng(1)
     pts = rng.standard_normal((20, 2)) * 1.5
     proj, _ = restricted.project(pts)
-    assert square.distances(proj).max() <= 1e-9
+    assert square.project(proj)[1].max() <= 1e-9
     assert np.linalg.norm(proj - center, axis=1).max() <= 0.5 + 1e-9
 
 
@@ -377,7 +412,7 @@ def test_tangent_restriction_is_the_touching_point(center, radius, touch):
     pts = np.random.default_rng(2).standard_normal((20, 2)) * 1.5
     proj, dist = restricted.project(pts)
     assert np.isfinite(dist).all()
-    assert square.distances(proj).max() <= 1e-9
+    assert square.project(proj)[1].max() <= 1e-9
     assert np.linalg.norm(proj - center, axis=1).max() <= radius + 1e-9
     # a rounding error e in the section's squared radius moves its edge by sqrt(e)
     assert np.abs(proj - touch).max() <= 1e-6
@@ -411,14 +446,14 @@ def test_restricted_projection_matches_slsqp_reference():
         gens = rng.standard_normal((int(rng.integers(2, 6)), dim))
         hull = HullValue(gens)
         center = rng.standard_normal(dim) * 1.2
-        gap = float(hull.distances(center[None, :])[0])
+        gap = float(hull.project(center[None, :])[1][0])
         radius = gap + float(rng.uniform(0.0, 0.8))  # nonempty, sometimes nearly tangent
         restricted = BallRestrictedValue(hull, center, radius)
         query = rng.standard_normal(dim) * 2.0
         proj, dist = restricted.project(query[None, :])
         ref = _slsqp_hull_ball_distance(hull.generators, center, radius, query, rng)
         assert abs(dist[0] - ref) <= 1e-6, (gens, center, radius, query)
-        assert hull.distances(proj)[0] <= 1e-9
+        assert hull.project(proj)[1][0] <= 1e-9
         assert np.linalg.norm(proj[0] - center) <= radius + 1e-9
 
 
