@@ -426,14 +426,20 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def sym_to_coords(m):
-    """Isometric coordinates (x00, x11, sqrt2 x01) of a real symmetric 2x2;
-    Euclidean distance of coordinates equals Frobenius distance."""
+    """Isometric coordinates (x00, x11, sqrt2 x01) of a real symmetric 2x2,
+    or of each matrix in a stack; Euclidean distance of coordinates equals
+    Frobenius distance."""
     m = np.asarray(m)
-    return np.array([m[0, 0].real, m[1, 1].real, _SQRT2 * m[0, 1].real])
+    return np.stack([m[..., 0, 0].real, m[..., 1, 1].real, _SQRT2 * m[..., 0, 1].real],
+                    axis=-1)
 
 
 def coords_to_sym(v):
-    return np.array([[v[0], v[2] / _SQRT2], [v[2] / _SQRT2, v[1]]])
+    """The symmetric 2x2 with coordinates v, or a stack of them for rows v."""
+    v = np.asarray(v)
+    off = v[..., 2] / _SQRT2
+    return np.stack([np.stack([v[..., 0], off], axis=-1),
+                     np.stack([off, v[..., 1]], axis=-1)], axis=-2)
 
 
 class SpectralBallTarget:
@@ -446,17 +452,12 @@ class SpectralBallTarget:
         self.dim = 3
 
     def project(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.empty_like(pts)
-        for r, v in enumerate(pts):
-            w, q = np.linalg.eigh(coords_to_sym(v))
-            out[r] = sym_to_coords((q * np.clip(w, -1.0, 1.0)) @ q.T)
-        return out
+        w, q = np.linalg.eigh(coords_to_sym(np.atleast_2d(np.asarray(points, dtype=np.float64))))
+        return sym_to_coords((q * np.clip(w, -1.0, 1.0)[:, None, :]) @ q.swapaxes(-1, -2))
 
     def contains(self, points, tol=1e-9):
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.array([np.abs(np.linalg.eigvalsh(coords_to_sym(v))).max() <= 1.0 + tol
-                         for v in pts])
+        sym = coords_to_sym(np.atleast_2d(np.asarray(points, dtype=np.float64)))
+        return np.abs(np.linalg.eigvalsh(sym)).max(axis=1) <= 1.0 + tol
 
 
 def rotated_ball_map(count, theta_max):

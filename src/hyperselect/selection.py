@@ -10,6 +10,8 @@ consecutive rounds.
 
 Value projections go through a diagonal and an all-pairs entry point, and
 one cover-and-average step serves the approximate selection and each round.
+A map stacks its values by generator count (see `hulls`), so each entry point
+makes one kernel call per group, with each restricted row's ball riding along.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .hulls import HullProjector, dedupe_points, lattice_round
+from .hulls import HullProjector, HullStack, dedupe_points, lattice_round
 
 
 class NotACover(RuntimeError):
@@ -159,9 +161,6 @@ class HullValue:
     def project(self, points):
         return self.projector.project(points)
 
-    def any_point(self):
-        return self.generators.mean(axis=0)
-
 
 class BallRestrictedValue:
     """A hull intersected with a closed ball B(center, radius).
@@ -178,14 +177,14 @@ class BallRestrictedValue:
         self.radius = float(radius)
         self.generators = None  # no finite generator description
         if not np.isfinite(hull.projector.project(self.center, self.center, self.radius)[1][0]):
-            raise ValueError(f"the ball B({self.center.tolist()}, {self.radius}) "
-                             "misses the hull")
+            raise _ball_misses(self.center, self.radius)
 
     def project(self, points):
         return self.hull.projector.project(points, self.center, self.radius)
 
-    def any_point(self):
-        return self.project(self.hull.any_point()[None, :])[0][0]
+
+def _ball_misses(center, radius):
+    return ValueError(f"the ball B({center.tolist()}, {radius}) misses the hull")
 
 
 def restrict_value(value: HullValue, center, radius):
@@ -197,12 +196,27 @@ def restrict_value(value: HullValue, center, radius):
     hull-and-ball kernel.  Larger hulls become a BallRestrictedValue sharing
     the value's projector.  Raises ValueError when the intersection is empty.
     """
-    restricted = BallRestrictedValue(value, center, radius)  # raises when empty
-    if len(value.generators) == 1:
-        return value
-    if len(value.generators) == 2:
-        return HullValue(restricted.project(value.generators)[0])
-    return restricted
+    return _restrict([value], value.projector.stack, np.array([True]), center, radius)[0]
+
+
+def _restrict(hulls, stack, pinned, center, radius):
+    """restrict_value of each hull where pinned is set, and the hull itself
+    elsewhere.  stack holds the hulls' faces, so the emptiness check and the
+    segment clip are one kernel call each for all the hulls."""
+    center = np.asarray(center, dtype=np.float64)
+    radius = float(radius)
+    centers = np.broadcast_to(center, (len(hulls), len(center)))
+    radii = np.where(pinned, radius, np.inf)
+    if not np.isfinite(stack.project(center[None, None, :], centers, radii)[1]).all():
+        raise _ball_misses(center, radius)
+    k = stack.generators.shape[1]
+    if k == 1:
+        return list(hulls)
+    if k == 2:
+        ends = stack.project(stack.generators.swapaxes(0, 1), centers, radii)[0]
+        return [HullValue(ends[:, i]) if pin else h
+                for i, (h, pin) in enumerate(zip(hulls, pinned))]
+    return [BallRestrictedValue(h, center, radius) if pin else h for h, pin in zip(hulls, pinned)]
 
 
 class SetValuedMap:
@@ -214,15 +228,60 @@ class SetValuedMap:
             raise ValueError("one value per domain point")
         self.values = [v if isinstance(v, (HullValue, BallRestrictedValue)) else HullValue(v)
                        for v in values]
-        for v in self.values:
-            if v.generators is not None and not bool(np.all(target.contains(v.generators))):
-                raise ValueError("value generators must lie in the target set C")
+        gens = [v.generators for v in self.values if v.generators is not None]
+        if gens and not bool(np.all(target.contains(np.concatenate(gens)))):
+            raise ValueError("value generators must lie in the target set C")
         self.target = target
         self.name = name
         self.slope_hint = slope_hint
+        self._groups = None
 
     def __len__(self):
         return len(self.values)
+
+    @property
+    def groups(self):
+        """The values stacked by generator count, built on first use."""
+        if self._groups is None:
+            self._groups = _value_groups(self.values)
+        return self._groups
+
+
+@dataclass
+class _ValueGroup:
+    """The values of one generator count, stacked for the hull kernel."""
+
+    rows: np.ndarray            # indices of the map's values in this group
+    hulls: tuple                # each row's HullValue, the hull a ball restricts
+    stack: HullStack
+    center: np.ndarray | None   # (V, dim) ball centres; None when no row has a ball
+    radius: np.ndarray | None   # (V,) ball radii, inf on rows without a ball
+
+
+def _value_groups(values, reuse=()):
+    """Stack the values by generator count, ascending.  A group holding the
+    same hull objects as a group in reuse keeps that group's face stack and
+    takes only its own balls."""
+    hulls = [v.hull if isinstance(v, BallRestrictedValue) else v for v in values]
+    counts = np.array([len(h.generators) for h in hulls])
+    groups = []
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        members = tuple(hulls[i] for i in rows)
+        stack = next((g.stack for g in reuse if len(g.hulls) == len(members)
+                      and all(a is b for a, b in zip(g.hulls, members))), None)
+        if stack is None:
+            stack = HullStack(np.stack([h.generators for h in members]))
+        center = radius = None
+        row_values = [values[i] for i in rows]
+        if any(isinstance(v, BallRestrictedValue) for v in row_values):
+            plain = np.zeros(stack.generators.shape[2])
+            center = np.stack([v.center if isinstance(v, BallRestrictedValue) else plain
+                               for v in row_values])
+            radius = np.array([v.radius if isinstance(v, BallRestrictedValue) else np.inf
+                               for v in row_values])
+        groups.append(_ValueGroup(rows, members, stack, center, radius))
+    return groups
 
 
 class HullTarget:
@@ -258,9 +317,9 @@ def _nearest(F, points):
     """Projection of points[i] onto F(x_i) and its distance, per domain point."""
     proj = np.empty((len(F), F.target.dim))
     dist = np.empty(len(F))
-    for i, value in enumerate(F.values):
-        p, d = value.project(points[i][None, :])
-        proj[i], dist[i] = p[0], d[0]
+    for g in F.groups:
+        p, d = g.stack.project(points[g.rows][None], g.center, g.radius)
+        proj[g.rows], dist[g.rows] = p[0], d[0]
     return proj, dist
 
 
@@ -269,8 +328,9 @@ def _project_all(F, queries):
     n_points) of every query onto every value."""
     proj = np.empty((len(queries), len(F), F.target.dim))
     dist = np.empty((len(queries), len(F)))
-    for i, value in enumerate(F.values):
-        proj[:, i], dist[:, i] = value.project(queries)
+    for g in F.groups:
+        proj[:, g.rows], dist[:, g.rows] = g.stack.project(queries[:, None, :], g.center,
+                                                           g.radius)
     return proj, dist
 
 
@@ -360,14 +420,18 @@ def michael_selection(F, tol=1e-3):
     d(f_k(x), F(x)) + 2^-(k+5) < 3 * 2^-(k+3) + 2^-(k+5) < r = 2^-(k+1) of
     the anchor f_k(x).  The first round has the same margin (cell
     1/(32 sqrt(dim)) against eps 3/16), with the projections of each
-    value's any_point() as its net and no ball.  The projections that give
-    round k's defects seed round k+1's net, so each is computed once.
-    IterationStall still guards a round that leaves a point uncovered.
+    value's hull-generator mean onto the value as its net and no ball.  The
+    projections that give round k's defects seed round k+1's net, so each
+    is computed once.  IterationStall still guards a round that leaves a
+    point uncovered.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     dim_sqrt = math.sqrt(F.target.dim)
-    start, _ = _nearest(F, np.array([v.any_point() for v in F.values]))
+    means = np.empty((len(F), F.target.dim))
+    for g in F.groups:
+        means[g.rows] = g.stack.generators.mean(axis=1)
+    start, _ = _nearest(F, means)
     try:
         values = _cover_average(F, _adaptive_net(F, start, 0.25 / (8.0 * dim_sqrt)),
                                 0.75 * 0.25)[0]
@@ -439,8 +503,12 @@ def dense_selection_family(F, net, m_max, p_max, tol=1e-3):
             else:
                 d_comp = np.zeros(len(F))
             # pinned sets grow with p, so restricting at p_max serves every p
-            restricted = [restrict_value(v, net[n], radius) if pin else v
-                          for v, pin in zip(F.values, d_comp >= 1.0 / p_max)]
+            restricted = list(F.values)
+            for g in F.groups:
+                pin = d_comp[g.rows] >= 1.0 / p_max
+                if pin.any():
+                    for i, w in zip(g.rows, _restrict(g.hulls, g.stack, pin, net[n], radius)):
+                        restricted[i] = w
             for p in range(1, p_max + 1):
                 pinned = d_comp >= 1.0 / p
                 key = (n, m, tuple(np.nonzero(pinned)[0].tolist())) if pinned.any() else None
@@ -452,6 +520,7 @@ def dense_selection_family(F, net, m_max, p_max, tol=1e-3):
                             [w if pin else v for v, w, pin in zip(F.values, restricted, pinned)],
                             F.target, name=f"{F.name}|n={n},m={m},p={p}",
                             slope_hint=F.slope_hint)
+                        modified._groups = _value_groups(modified.values, reuse=F.groups)
                     selections[key] = michael_selection(modified, tol=tol)
                 sel = selections[key]
                 members.append(FamilyMember(n, m, p, sel.values, sel.rounds,
@@ -468,14 +537,16 @@ def density_audit(members, F, metric=None):
     """
     if metric is None:
         metric = lambda a, b: np.linalg.norm(a - b, axis=1)
+    stacked = np.stack([mem.values for mem in members])  # (members, points, dim)
     worst = 0.0
     rows = []
     for i in range(len(F)):
         gens = F.values[i].generators
         if gens is None:
             continue
+        at_i = stacked[:, i]
         for g, w in enumerate(gens):
-            best = min(float(metric(mem.values[i][None, :], w[None, :])[0]) for mem in members)
+            best = float(np.min(metric(at_i, np.broadcast_to(w, at_i.shape))))
             rows.append((i, g, w, best))
             worst = max(worst, best)
     return worst, rows

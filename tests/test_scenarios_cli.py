@@ -4,10 +4,18 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hyperselect.cli import main
-from hyperselect.scenarios import SCENARIOS, ConfigError, parse_config_file
+from hyperselect.scenarios import (
+    SCENARIOS,
+    ConfigError,
+    SpectralBallTarget,
+    coords_to_sym,
+    parse_config_file,
+    sym_to_coords,
+)
 
 
 def _write_config(tmp_path, text, name="run.cfg"):
@@ -167,6 +175,19 @@ def test_finiteness_sweep_shapes(tmp_path, capsys):
     rows = (out / "finiteness.csv").read_text().strip().splitlines()
     assert rows[0] == "eps,delta,block_size"
     assert len(rows) == 1 + 2 * 2  # eps grid x block sizes
+
+
+def test_spectral_ball_target_matches_one_matrix_at_a_time():
+    target = SpectralBallTarget()
+    points = np.random.default_rng(8).standard_normal((200, 3)) * 1.5
+    projected, inside = [], []
+    for v in points:
+        w, q = np.linalg.eigh(coords_to_sym(v))
+        projected.append(sym_to_coords((q * np.clip(w, -1.0, 1.0)) @ q.T))
+        inside.append(np.abs(np.linalg.eigvalsh(coords_to_sym(v))).max() <= 1.0 + 1e-9)
+    assert np.array_equal(target.project(points), np.array(projected))
+    assert np.array_equal(target.contains(points), np.array(inside))
+    assert target.contains(target.project(points)).all()
 
 
 # a nan tolerance would switch the primal/dual gate off (diff > nan is never

@@ -1,15 +1,19 @@
 """Partitions of unity, approximate and iterated selections, dense
 families, and the lower-continuity checker."""
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from hyperselect.hulls import HullProjector
+from hyperselect.hulls import HullStack, dedupe_points
 from hyperselect.selection import (
     BallRestrictedValue,
     DiscreteDomain,
+    FamilyMember,
     HullTarget,
     HullValue,
+    MichaelResult,
     NetTooCoarse,
     NotACover,
     OpenCover,
@@ -25,7 +29,10 @@ from hyperselect.selection import (
     jump_map,
     michael_selection,
     restrict_value,
+    _nearest,
+    _project_all,
 )
+from hyperselect.scenarios import rotated_ball_map
 
 
 def _interval_map(domain, lo_fn, hi_fn, name=""):
@@ -167,23 +174,26 @@ def test_vertical_segment_selection_stays_in_square():
 
 @pytest.mark.parametrize("name", ["sliding-left-end", "rising-triangle"])
 def test_each_round_projects_every_value_twice(monkeypatch, name):
-    # per run: one projection of each value's any_point() onto its value,
-    # then per round one all-pairs pass over the net and one projection of
-    # f_k(x) onto F(x), whose result also seeds the next round's net
+    # per run and generator-count group: one kernel call projecting each
+    # value's hull-generator mean onto its value, then per round one
+    # all-pairs call over the net and one call projecting f_k(x) onto F(x),
+    # whose result also seeds the next round's net
     F = next(G for G in bundled_maps() if G.name == name)
-    value_projectors = {id(v.projector) for v in F.values}
-    calls = []
-    original = HullProjector.project
+    calls = {id(g.stack): 0 for g in F.groups}
+    rows = []
+    original = HullStack.project
 
     def counted(self, *args, **kwargs):
-        if id(self) in value_projectors:
-            calls.append(len(np.atleast_2d(args[0])))
+        if id(self) in calls:
+            calls[id(self)] += 1
+            rows.append(len(self.generators))
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(HullProjector, "project", counted)
+    monkeypatch.setattr(HullStack, "project", counted)
     res = michael_selection(F, tol=1e-3)
     monkeypatch.undo()
-    assert len(calls) == len(F) * (2 * len(res.rounds) + 1)
+    assert set(calls.values()) == {2 * len(res.rounds) + 1}
+    assert sum(rows) == len(F) * (2 * len(res.rounds) + 1)
 
 
 def test_bundled_suite_converges_everywhere():
@@ -237,6 +247,23 @@ def test_family_audit_bound_and_monotonicity():
         audits.append(worst)
         assert worst <= 1.0 / m_max + 2 * tol
     assert audits[1] <= audits[0] + 1e-12
+
+
+def test_density_audit_matches_one_member_at_a_time():
+    F = next(G for G in bundled_maps(n1d=11, n2d=3) if G.name == "rising-triangle")
+    rng = np.random.default_rng(7)
+    members = [FamilyMember(0, 1, 1, rng.uniform(0.0, 1.0, (len(F), 2)), [], 0)
+               for _ in range(6)]
+    l2 = lambda a, b: np.linalg.norm(a - b, axis=1)
+    l1_rows = lambda a, b: [float(np.abs(p - q).sum()) for p, q in zip(a, b)]
+    for metric in (None, l1_rows):
+        pair = l2 if metric is None else metric
+        expected = [(i, g, w, min(float(pair(mem.values[i][None, :], w[None, :])[0])
+                                  for mem in members))
+                    for i in range(len(F)) for g, w in enumerate(F.values[i].generators)]
+        worst, rows = density_audit(members, F, metric)
+        assert [(i, g, best) for i, g, _, best in rows] == [(i, g, b) for i, g, _, b in expected]
+        assert worst == max(b for *_, b in expected)
 
 
 def test_smaller_family_is_the_slice_of_the_larger():
@@ -427,7 +454,7 @@ def _slsqp_hull_ball_distance(gens, center, radius, query, rng, starts=3):
             {"type": "ineq", "fun": lambda lam: radius ** 2 - ((lam @ gens - center) ** 2).sum(),
              "jac": lambda lam: -2.0 * gens @ (lam @ gens - center)}]
     best = np.inf
-    for lam0 in [np.full(k, 1.0 / k)] + list(rng.dirichlet(np.ones(k), starts)):
+    for lam0 in [np.full(k, 1.0 / k)] + list(rng.dirichlet(np.ones(k), starts)) + list(np.eye(k)):
         res = minimize(lambda lam: ((lam @ gens - query) ** 2).sum(), lam0,
                        jac=lambda lam: 2.0 * gens @ (lam @ gens - query), method="SLSQP",
                        bounds=[(0.0, 1.0)] * k, constraints=cons,
@@ -455,6 +482,137 @@ def test_restricted_projection_matches_slsqp_reference():
         assert abs(dist[0] - ref) <= 1e-6, (gens, center, radius, query)
         assert hull.project(proj)[1][0] <= 1e-9
         assert np.linalg.norm(proj[0] - center) <= radius + 1e-9
+
+
+def _face_loop_projection(gens, points, center=None, radius=None):
+    """Reference: projection onto conv(gens), or its intersection with
+    B(center, radius), one face at a time with a strict < between faces."""
+    pts = np.atleast_2d(points)
+    best_d2 = np.full(len(pts), np.inf)
+    best_proj = np.zeros_like(pts)
+    for size in range(1, len(gens) + 1):
+        for subset in itertools.combinations(range(len(gens)), size):
+            gs = gens[list(subset)]
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = 2.0 * gs @ gs.T
+            kkt[:size, size] = kkt[size, :size] = 1.0
+            pinv = np.linalg.pinv(kkt)
+            w, b = pinv[:size, :size] @ (2.0 * gs), pinv[:size, size]
+            lam = pts @ w.T + b
+            if center is not None:
+                lam_c = w @ center + b
+                c_s = lam_c @ gs
+                rho2 = radius * radius - float((center - c_s) @ (center - c_s))
+                if rho2 < -1e-12:
+                    continue
+                off = np.linalg.norm(lam @ gs - c_s, axis=1)
+                scale = np.minimum(1.0, np.sqrt(max(rho2, 0.0)) / np.maximum(off, 1e-300))
+                lam = lam_c + scale[:, None] * (lam - lam_c)
+            proj = lam @ gs
+            d2 = np.where((lam >= -1e-12).all(axis=1), ((proj - pts) ** 2).sum(axis=1), np.inf)
+            better = d2 < best_d2
+            best_d2[better], best_proj[better] = d2[better], proj[better]
+    return best_proj, np.sqrt(best_d2)
+
+
+def _value_reference(value, points):
+    if isinstance(value, BallRestrictedValue):
+        return _face_loop_projection(value.hull.generators, points, value.center, value.radius)
+    return _face_loop_projection(value.generators, points)
+
+
+def _assert_same_projections(stacked, reference):
+    (p, d), (p_ref, d_ref) = stacked, reference
+    assert np.array_equal(np.isinf(d), np.isinf(d_ref))
+    finite = np.isfinite(d_ref)
+    assert np.abs(d[finite] - d_ref[finite]).max(initial=0.0) <= 1e-12
+    assert np.abs(p[finite] - p_ref[finite]).max(initial=0.0) <= 1e-12
+
+
+def _restricted_maps(monkeypatch, F, net):
+    """The modified maps dense_selection_family hands to michael_selection."""
+    maps = []
+
+    def capture(G, tol):
+        maps.append(G)
+        return MichaelResult(np.zeros((len(G), G.target.dim)), [], np.zeros(len(G)))
+
+    monkeypatch.setattr("hyperselect.selection.michael_selection", capture)
+    dense_selection_family(F, net, m_max=2, p_max=2)
+    monkeypatch.undo()
+    return [G for G in maps if G is not F]
+
+
+def test_stacked_projection_matches_one_value_at_a_time(monkeypatch):
+    rng = np.random.default_rng(4)
+    maps = bundled_maps(n1d=21, n2d=5)
+    for F in [M for M in maps if M.name in ("sliding-left-end", "rising-triangle",
+                                            "constant-square")]:
+        net = np.concatenate([F.target.generators, F.target.generators.mean(axis=0)[None]])
+        maps += _restricted_maps(monkeypatch, F, net)
+    marechal, _ = rotated_ball_map(5, 0.785)
+    corners = np.unique(np.concatenate([v.generators for v in marechal.values]), axis=0)
+    pinned = _restricted_maps(monkeypatch, marechal, np.concatenate([np.zeros((1, 3)), corners]))
+    # pinned rows keep F's hulls, so the modified maps keep F's face stacks,
+    # and the rows left unpinned are not clipped: they project as in F
+    assert pinned and all(G.groups[0].stack is marechal.groups[0].stack for G in pinned)
+    points = rng.uniform(-1.5, 1.5, (len(marechal), 3))
+    plain_p, plain_d = _nearest(marechal, points)
+    mixed = 0
+    for G in pinned:
+        unpinned = np.array([not isinstance(v, BallRestrictedValue) for v in G.values])
+        mixed += bool(unpinned.any())
+        p, d = _nearest(G, points)
+        assert np.array_equal(p[unpinned], plain_p[unpinned])
+        assert np.array_equal(d[unpinned], plain_d[unpinned])
+    assert mixed
+    maps += [marechal] + pinned
+    # one group mixing plain rows with balls tangent at a vertex and at an
+    # edge, and a small ball whose section by most faces' hulls is empty
+    square = HullValue(UNIT_SQUARE)
+    values = [BallRestrictedValue(square, np.array([1.3, 1.4]), 0.5), square,
+              BallRestrictedValue(square, np.array([0.3, 1.7]), 0.7),
+              BallRestrictedValue(square, np.array([0.1, 0.15]), 0.2),
+              HullValue(UNIT_SQUARE[[0, 1, 3]])]
+    maps.append(SetValuedMap(grid_domain_1d(len(values)), values, HullTarget(UNIT_SQUARE)))
+    assert sum(isinstance(v, BallRestrictedValue) for G in maps for v in G.values) > 100
+    for F in maps:
+        gens = np.concatenate([g.stack.generators.reshape(-1, F.target.dim) for g in F.groups])
+        lo, hi = gens.min(axis=0) - 0.5, gens.max(axis=0) + 0.5
+        points = rng.uniform(lo, hi, (len(F), F.target.dim))
+        queries = rng.uniform(lo, hi, (6, F.target.dim))
+        nearest, all_pairs = _nearest(F, points), _project_all(F, queries)
+        for i, value in enumerate(F.values):
+            _assert_same_projections((nearest[0][i:i + 1], nearest[1][i:i + 1]),
+                                     _value_reference(value, points[i]))
+            _assert_same_projections((all_pairs[0][:, i], all_pairs[1][:, i]),
+                                     _value_reference(value, queries))
+    # an empty intersection, which no map can hold, gives inf in its row only
+    stack = HullStack(np.stack([UNIT_SQUARE, UNIT_SQUARE + 0.5]))
+    center, radius = np.array([[2.0, 2.0], [0.2, 0.3]]), np.array([1.0, 0.4])
+    queries = rng.uniform(-0.5, 2.0, (6, 2))
+    proj, dist = stack.project(queries[:, None, :], center, radius)
+    assert np.isinf(dist[:, 0]).all() and np.isfinite(dist[:, 1]).all()
+    for v in range(2):
+        _assert_same_projections((proj[:, v], dist[:, v]), _face_loop_projection(
+            stack.generators[v], queries, center[v], radius[v]))
+
+
+def test_dedupe_points_keeps_first_seen_rows():
+    def reference(points, tol):
+        keep = []
+        for i, p in enumerate(points):
+            if all(np.linalg.norm(p - points[j]) > tol for j in keep):
+                keep.append(i)
+        return points[keep]
+
+    # the third row lies within tol of the second only, which is dropped
+    chain = np.array([[0.0, 0.0], [0.6, 0.0], [1.2, 0.0], [0.0, 0.5]])
+    assert np.array_equal(dedupe_points(chain, tol=1.0), chain[[0, 2]])
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        points = rng.integers(0, 4, (30, 2)) * 0.5 + rng.normal(0.0, 0.1, (30, 2))
+        assert np.array_equal(dedupe_points(points, tol=0.2), reference(points, 0.2))
 
 
 def test_domain_points_must_be_distinct():
