@@ -250,31 +250,12 @@ def pfin_census(matrix, deeper=None):
 # bundled instances with analytically known membership
 
 
-def _first_certifying_depth(build, expected, d_max):
-    """Smallest depth whose truncation certifies the expected membership.
-
-    Certified-out at a truncation is sound (hulls only contain the set), so
-    scanning from shallow depths never accepts a wrong verdict, only a later
-    one.  None when even d_max does not settle the point.
-    """
-    for d in range(1, d_max + 1):
-        trees, x = build(d)
-        try:
-            verdict = pfin_census(sigma2_reduce(trees, x))["verdict"]
-        except DepthInsufficient:
-            continue
-        if (verdict == "CertifiedFinite") == (expected == "in"):
-            return d
-    return None
-
-
 def bundled_borel_instances(d=10, count=10, prefix_len=4):
     """Certified (A_list, x, expected) instances plus frontier demos.
 
     expected is "in"/"out" for certified membership in the union of the
     family, or "depth_insufficient" for points on the pruning frontier.
-    Each record carries build(d') to rebuild the instance at another depth;
-    required_depth is the measured first depth at which certification works.
+    Each record carries build(d') to rebuild the instance at another depth.
     """
     if count < 1:
         raise ValueError(f"need at least one family member, got count={count}")
@@ -327,9 +308,6 @@ def bundled_borel_instances(d=10, count=10, prefix_len=4):
     instances = []
     for name, build, expected in specs:
         trees, x = build(d)
-        need = (None if expected == "depth_insufficient"
-                else _first_certifying_depth(build, expected, d))
         instances.append({"name": name, "trees": trees, "x": x,
-                          "expected": expected, "required_depth": need,
-                          "build": build})
+                          "expected": expected, "build": build})
     return instances

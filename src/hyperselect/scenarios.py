@@ -41,6 +41,7 @@ from .duality import (
 from .selection import (
     DiscreteDomain,
     HullValue,
+    NetTooCoarse,
     SetValuedMap,
     approx_selection,
     bundled_maps,
@@ -100,60 +101,70 @@ def parse_config_file(path):
     return raw
 
 
-def _resolve(params, defaults):
-    unknown = sorted(set(params) - set(defaults))
+# A range is (text, test): how a message names the accepted values, and the
+# check each value (each element, for a comma list) must pass.
+def _at_least(lo):
+    return f"at least {lo}", lambda v: v >= lo
+
+
+def _between(lo, hi):
+    return f"a value in [{lo}, {hi}]", lambda v: lo <= v <= hi
+
+
+def _one_of(*choices):
+    return f"one of {', '.join(choices)}", lambda v: v in choices
+
+
+_POSITIVE = "a positive number", lambda v: v > 0
+_NONZERO = "a nonzero number", lambda v: v != 0
+_UNIT_OPEN = "a number in (0, 1)", lambda v: 0 < v < 1
+_ANY = "any value", lambda v: True
+
+
+def _resolve(params, table):
+    """Parse and check every key of a scenario's table, key -> (default,
+    range).  The default's type fixes the parse, and a tuple default marks a
+    comma list."""
+    unknown = sorted(set(params) - set(table))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     out = {}
-    for key, default in defaults.items():
+    for key, (default, (text, test)) in table.items():
         if key not in params:
             out[key] = default
             continue
-        raw = params[key]
         try:
-            if isinstance(default, bool):
-                if raw.lower() not in ("true", "false"):
-                    raise ValueError("expected true or false")
-                out[key] = raw.lower() == "true"
-            elif isinstance(default, int):
-                out[key] = int(raw)
-            elif isinstance(default, float):
-                out[key] = _finite(float(raw))
-            else:
-                out[key] = raw
+            value = _parse(params[key], default)
         except ValueError as err:
             raise ConfigError(f"config key {key}: {err}") from None
+        for item in value if isinstance(value, tuple) else (value,):
+            if not test(item):
+                raise ConfigError(f"config key {key}: expected {text}, got {item!r}")
+        out[key] = value
     return out
 
 
-def _finite(value):
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value}")
-    return value
-
-
-def _float_list(raw, key):
-    try:
-        values = tuple(_finite(float(part)) for part in raw.split(",") if part.strip())
-    except ValueError as err:
-        raise ConfigError(f"config key {key}: {err}") from None
-    if not values:
-        raise ConfigError(f"config key {key}: empty list")
-    return values
-
-
-def _require_positive(cfg, *keys):
-    for key in keys:
-        if cfg[key] <= 0:
-            raise ConfigError(f"config key {key}: expected a positive number, got {cfg[key]}")
-
-
-def _int_list(raw, key):
-    return tuple(int(v) if float(v) == int(v) else _bad_int(key) for v in _float_list(raw, key))
-
-
-def _bad_int(key):
-    raise ConfigError(f"config key {key}: expected integers")
+def _parse(raw, default, listed=False):
+    if isinstance(default, tuple):
+        parts = [part.strip() for part in raw.split(",") if part.strip()]
+        if not parts:
+            raise ValueError("empty list")
+        return tuple(_parse(part, default[0], listed=True) for part in parts)
+    if isinstance(default, bool):
+        if raw.lower() not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return raw.lower() == "true"
+    if isinstance(default, int) and not listed:
+        return int(raw)
+    if isinstance(default, (int, float)):
+        # a comma list of integers also takes integral floats such as 2.0
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {value}")
+        if isinstance(default, int) and value != int(value):
+            raise ValueError("expected integers")
+        return type(default)(value)
+    return raw
 
 
 def _fmt(value):
@@ -201,32 +212,24 @@ def _write_json(path, obj):
 # duality: the two-route quotient distance sweep
 
 
-_DUALITY_DEFAULTS = {
-    "dim": 4,
-    "trials": 50,
-    "norms": "l2,l1,linf",
-    "tol_l2": 1e-12,
-    "tol_polyhedral": 1e-9,
+_DUALITY_KEYS = {
+    "dim": (4, _at_least(2)),
+    "trials": (50, _at_least(1)),
+    "norms": (("l2", "l1", "linf"), _one_of(*VECTOR_KINDS)),
+    "tol_l2": (1e-12, _at_least(0)),
+    "tol_polyhedral": (1e-9, _at_least(0)),
 }
 
 
 def run_duality(params, seed, out):
-    cfg = _resolve(params, _DUALITY_DEFAULTS)
-    kinds = tuple(k.strip() for k in cfg["norms"].split(",") if k.strip())
-    if not kinds:
-        raise ConfigError("config key norms: empty list")
-    for kind in kinds:
-        if kind not in VECTOR_KINDS:
-            raise ConfigError(f"unknown norm kind {kind!r}")
-    if cfg["dim"] < 2:
-        raise ConfigError("dim must be at least 2")
-    _require_positive(cfg, "trials")
-    if cfg["dim"] > 8 and any(k in ("l1", "linf") for k in kinds):
-        raise ConfigError("polyhedral duality sweeps are capped at dim 8")
+    cfg = _resolve(params, _DUALITY_KEYS)
+    if cfg["dim"] > 8 and any(k in ("l1", "linf") for k in cfg["norms"]):
+        raise ConfigError(f"config key dim: polyhedral duality sweeps are capped at dim 8,"
+                          f" got {cfg['dim']}")
     rng = np.random.default_rng(seed)
     rows = []
     summary = {}
-    for kind in kinds:
+    for kind in cfg["norms"]:
         spec = NormSpec(kind)
         tol = cfg["tol_l2"] if kind == "l2" else cfg["tol_polyhedral"]
         worst = 0.0
@@ -255,30 +258,26 @@ def run_duality(params, seed, out):
 # counterexample: the non-ball limit of subspace balls
 
 
-_COUNTEREXAMPLE_DEFAULTS = {
-    "terms": 16,
-    "trunc_dim": 0,  # 0 means terms + 2
-    "probe_count": 8,
-    "scales": "0.5,0.75",
-    "tol": 1e-3,
-    "angles": 64,
+_COUNTEREXAMPLE_KEYS = {
+    "terms": (16, _at_least(1)),
+    "trunc_dim": (0, _at_least(0)),  # 0 means terms + 2
+    "probe_count": (8, _at_least(1)),
+    "scales": ((0.5, 0.75), _UNIT_OPEN),
+    "tol": (1e-3, _at_least(0)),
+    "angles": (64, _at_least(1)),
 }
 
 
 def run_counterexample(params, seed, out):
-    cfg = _resolve(params, _COUNTEREXAMPLE_DEFAULTS)
-    terms = cfg["terms"]
+    cfg = _resolve(params, _COUNTEREXAMPLE_KEYS)
+    terms, scales = cfg["terms"], cfg["scales"]
     trunc = cfg["trunc_dim"] if cfg["trunc_dim"] else terms + 2
-    if terms < 1 or trunc <= terms:
-        raise ConfigError("need terms >= 1 and trunc_dim > terms")
-    if not 1 <= cfg["probe_count"] <= trunc:
-        raise ConfigError("probe_count must lie in [1, trunc_dim]")
-    _require_positive(cfg, "angles")
-    if cfg["tol"] < 0:
-        raise ConfigError(f"config key tol: expected a non-negative number, got {cfg['tol']}")
-    scales = _float_list(cfg["scales"], "scales")
-    if any(not 0.0 < s < 1.0 for s in scales):
-        raise ConfigError("config key scales: every scale must lie in (0, 1)")
+    if trunc <= terms:
+        raise ConfigError(f"config key trunc_dim: expected more than terms = {terms},"
+                          f" got {trunc}")
+    if cfg["probe_count"] > trunc:
+        raise ConfigError(f"config key probe_count: expected at most trunc_dim = {trunc},"
+                          f" got {cfg['probe_count']}")
     space = l1()  # the sets live in the dual of little-l1, probed in sup norm
 
     limit = counterexample_limit_disc(trunc, angles=cfg["angles"])
@@ -318,38 +317,48 @@ def run_counterexample(params, seed, out):
 # selection: the iteration decay log and the dense family audit
 
 
-_SELECTION_DEFAULTS = {
-    "map": "sliding-left-end",
-    "n1d": 101,
-    "n2d": 11,
-    "tol": 1e-3,
-    "eps": 0.25,
-    "net": "0,0.25,0.5,0.75,1",
-    "m_max": 2,
-    "p_max": 2,
-    "family_tol": 1e-2,
-    "check_jump": True,
+_SELECTION_KEYS = {
+    "map": ("sliding-left-end", _ANY),  # checked against the built suite
+    "n1d": (101, _at_least(1)),
+    "n2d": (11, _at_least(1)),
+    "tol": (1e-3, _POSITIVE),
+    "eps": (0.25, _POSITIVE),
+    "net": ((0.0, 0.25, 0.5, 0.75, 1.0), _ANY),  # 1-D maps only; checked against C
+    "m_max": (2, _at_least(1)),
+    "p_max": (2, _at_least(1)),
+    "family_tol": (1e-2, _POSITIVE),
+    "check_jump": (True, _ANY),
 }
 
 
-def _scenario_net(F, raw, key):
+def _scenario_net(F, points, user_set):
+    """The config's net for a 1-D map; a 2-D map's net is its target's
+    corners and centre."""
     if F.target.dim == 1:
-        net = np.array(_float_list(raw, key))[:, None]
+        net = np.array(points)[:, None]
         if not F.target.contains(net).all():
-            raise ConfigError(f"config key {key}: every net point must lie in the target set C")
+            raise ConfigError("config key net: every net point must lie in the target set C")
         return net
+    if user_set:
+        raise ConfigError(f"config key net: map {F.name} is 2-D, and its net is the"
+                          f" target's corners and centre; set net only for a 1-D map")
     gens = F.target.generators
     return np.vstack([gens, gens.mean(axis=0)])
 
 
 def run_selection(params, seed, out):
-    cfg = _resolve(params, _SELECTION_DEFAULTS)
-    _require_positive(cfg, "tol", "family_tol", "eps", "m_max", "p_max")
+    cfg = _resolve(params, _SELECTION_KEYS)
     suite = {F.name: F for F in bundled_maps(cfg["n1d"], cfg["n2d"])}
     if cfg["map"] not in suite:
-        raise ConfigError(f"unknown map {cfg['map']!r}; choose from "
-                          f"{', '.join(sorted(suite))}")
+        raise ConfigError(f"config key map: expected one of {', '.join(sorted(suite))},"
+                          f" got {cfg['map']!r}")
     F = suite[cfg["map"]]
+    net = _scenario_net(F, cfg["net"], "net" in params)
+    try:
+        approx = approx_selection(F, cfg["eps"], net)
+    except NetTooCoarse as err:
+        raise ConfigError(f"config key eps: {cfg['eps']} is too small for the net:"
+                          f" {err}") from None
 
     probes = np.vstack([F.target.generators, F.target.generators.mean(axis=0)[None, :]])
     continuity = check_lower_continuity(F, probes)
@@ -377,8 +386,6 @@ def run_selection(params, seed, out):
     files.append(_write_csv(out / "selection.csv",
                             x_cols + f_cols + ("defect",), sel_rows))
 
-    net = _scenario_net(F, cfg["net"], "net")
-    approx = approx_selection(F, cfg["eps"], net)
     approx_rows = [tuple(F.domain.points[i]) + tuple(approx.values[i]) + (approx.defects[i],)
                    for i in range(len(F))]
     files.append(_write_csv(out / "approx.csv",
@@ -477,23 +484,20 @@ def rotated_ball_map(count, theta_max):
                         name="rotated-algebra-ball", slope_hint=4.0), thetas
 
 
-_MARECHAL_DEFAULTS = {
-    "theta_count": 16,
-    "theta_max": math.pi / 8,
-    "probe_count": 8,
-    "hw_points": 7,
-    "hw_theta_max": math.pi / 4,
-    "hw_m_max": 2,
-    "hw_p_max": 4,
-    "hw_tol": 1e-2,
+_MARECHAL_KEYS = {
+    "theta_count": (16, _at_least(2)),
+    "theta_max": (math.pi / 8, _ANY),
+    "probe_count": (8, _at_least(1)),
+    "hw_points": (7, _at_least(2)),
+    "hw_theta_max": (math.pi / 4, _NONZERO),  # the grid points must differ
+    "hw_m_max": (2, _at_least(1)),
+    "hw_p_max": (4, _at_least(1)),
+    "hw_tol": (1e-2, _POSITIVE),
 }
 
 
 def run_marechal(params, seed, out):
-    cfg = _resolve(params, _MARECHAL_DEFAULTS)
-    if cfg["theta_count"] < 2 or cfg["hw_points"] < 2:
-        raise ConfigError("need at least two grid points")
-    _require_positive(cfg, "hw_tol", "probe_count", "hw_m_max", "hw_p_max")
+    cfg = _resolve(params, _MARECHAL_KEYS)
     probes = matrix_unit_probes(2, cfg["probe_count"])
     reference = rotated_diagonal_algebra(0.0)
     thetas = np.linspace(0.0, cfg["theta_max"], cfg["theta_count"])
@@ -540,13 +544,13 @@ def run_marechal(params, seed, out):
 # finiteness: adjoint continuity modulus against block size
 
 
-_FINITENESS_DEFAULTS = {
-    "m": 4,
-    "block_sizes": "1,2,4",
-    "eps_list": "0.05,0.1,0.2,0.4",
-    "sample_count": 300,
-    "probe_count": 8,
-    "witness_count": 6,
+_FINITENESS_KEYS = {
+    "m": (4, _between(1, math.isqrt(FS_CAP))),  # the block algebra acts on m*m coordinates
+    "block_sizes": ((1, 2, 4), _at_least(1)),
+    "eps_list": ((0.05, 0.1, 0.2, 0.4), _ANY),
+    "sample_count": (300, _at_least(1)),
+    "probe_count": (8, _at_least(1)),
+    "witness_count": (6, _ANY),
 }
 
 
@@ -558,15 +562,11 @@ def block_subsets(m, size):
 
 
 def run_finiteness(params, seed, out):
-    cfg = _resolve(params, _FINITENESS_DEFAULTS)
-    _require_positive(cfg, "m", "sample_count", "probe_count")
-    if cfg["m"] ** 2 > FS_CAP:
-        raise ConfigError(f"config key m: the block algebra acts on m*m = {cfg['m'] ** 2}"
-                          f" coordinates, above the cap {FS_CAP}")
-    sizes = _int_list(cfg["block_sizes"], "block_sizes")
-    if any(not 1 <= b <= cfg["m"] for b in sizes):
-        raise ConfigError("block sizes must lie in [1, m]")
-    eps_list = _float_list(cfg["eps_list"], "eps_list")
+    cfg = _resolve(params, _FINITENESS_KEYS)
+    sizes, eps_list = cfg["block_sizes"], cfg["eps_list"]
+    if max(sizes) > cfg["m"]:
+        raise ConfigError(f"config key block_sizes: expected at most m = {cfg['m']},"
+                          f" got {max(sizes)}")
     spec = default_strong_spec(cfg["m"] ** 2, cfg["probe_count"])
     rows = []
     witness_rows = []
@@ -591,25 +591,21 @@ def run_finiteness(params, seed, out):
 # borel: the two-depth Pfin census table
 
 
-_BOREL_DEFAULTS = {
-    "d": 8,
-    "d2": 16,
-    "count": 10,
-    "prefix_len": 4,
-    "frontier_policy": "record",
+_BOREL_KEYS = {
+    # a depth-d tree stores 2**d leaves
+    "d": (8, _between(1, MAX_DEPTH)),
+    "d2": (16, _between(1, MAX_DEPTH)),
+    "count": (10, _at_least(1)),
+    "prefix_len": (4, _at_least(0)),
+    "frontier_policy": ("record", _one_of("record", "fail")),
 }
 
 
 def run_borel(params, seed, out):
-    cfg = _resolve(params, _BOREL_DEFAULTS)
-    if cfg["frontier_policy"] not in ("record", "fail"):
-        raise ConfigError("frontier_policy must be record or fail")
+    cfg = _resolve(params, _BOREL_KEYS)
     if not cfg["prefix_len"] < cfg["d"] <= cfg["d2"]:
-        raise ConfigError("need prefix_len < d <= d2")
-    if cfg["d2"] > MAX_DEPTH:
-        raise ConfigError(f"config key d2: a depth-{cfg['d2']} tree stores 2**{cfg['d2']} leaves,"
-                          f" above the cap depth {MAX_DEPTH}")
-    _require_positive(cfg, "count")
+        raise ConfigError(f"config key d: expected prefix_len = {cfg['prefix_len']} < d"
+                          f" <= d2 = {cfg['d2']}, got {cfg['d']}")
     if 2 ** cfg["prefix_len"] <= cfg["count"]:
         raise ConfigError(f"config key count: expected fewer than 2**prefix_len ="
                           f" {2 ** cfg['prefix_len']} family members, got {cfg['count']}")

@@ -167,8 +167,8 @@ class BallRestrictedValue:
 
     Projections are exact: the parent hull's projector enumerates its faces
     once, and each projection clips inside the faces' ball sections (see
-    `hulls`).  Raises ValueError when the intersection is empty; a tangent
-    ball counts as meeting the hull.
+    `hulls`).  The intersection must be nonempty; `restrict_value` checks
+    that before building one, and a tangent ball counts as meeting the hull.
     """
 
     def __init__(self, hull: HullValue, center, radius):
@@ -176,15 +176,9 @@ class BallRestrictedValue:
         self.center = np.asarray(center, dtype=np.float64)
         self.radius = float(radius)
         self.generators = None  # no finite generator description
-        if not np.isfinite(hull.projector.project(self.center, self.center, self.radius)[1][0]):
-            raise _ball_misses(self.center, self.radius)
 
     def project(self, points):
         return self.hull.projector.project(points, self.center, self.radius)
-
-
-def _ball_misses(center, radius):
-    return ValueError(f"the ball B({center.tolist()}, {radius}) misses the hull")
 
 
 def restrict_value(value: HullValue, center, radius):
@@ -208,7 +202,7 @@ def _restrict(hulls, stack, pinned, center, radius):
     centers = np.broadcast_to(center, (len(hulls), len(center)))
     radii = np.where(pinned, radius, np.inf)
     if not np.isfinite(stack.project(center[None, None, :], centers, radii)[1]).all():
-        raise _ball_misses(center, radius)
+        raise ValueError(f"the ball B({center.tolist()}, {radius}) misses the hull")
     k = stack.generators.shape[1]
     if k == 1:
         return list(hulls)

@@ -3,19 +3,29 @@ byte-identical reruns."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hyperselect.cli import main
 from hyperselect.scenarios import (
+    _BOREL_KEYS,
+    _COUNTEREXAMPLE_KEYS,
+    _DUALITY_KEYS,
+    _FINITENESS_KEYS,
+    _MARECHAL_KEYS,
+    _SELECTION_KEYS,
     SCENARIOS,
     ConfigError,
     SpectralBallTarget,
+    _resolve,
     coords_to_sym,
     parse_config_file,
     sym_to_coords,
 )
+
+SAMPLE_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def _write_config(tmp_path, text, name="run.cfg"):
@@ -230,12 +240,23 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
     ("selection", "net=5\n", "net"),
     ("duality", "norms=\n", "norms"),
     ("borel", "d2=21\n", "d2"),
+    ("selection", "n1d=0\n", "n1d"),
+    ("marechal", "hw_theta_max=0\n", "hw_theta_max"),
+    ("duality", "tol_l2=-1\n", "tol_l2"),
+    ("duality", "norms=l1\ntol_polyhedral=-1\n", "tol_polyhedral"),
+    ("selection", "map=vertical-segment\nnet=0.5\n", "net"),
+    ("borel", "prefix_len=-1\n", "prefix_len"),
+    # the default eps is below the distance from the fixed 2-D net to the
+    # triangle at x = 0
+    ("selection", "map=rising-triangle\n", "eps"),
 ], ids=["trials-negative", "trials-zero", "scales-negative", "scales-one",
         "hw_tol-negative", "tol-zero", "family_tol-negative", "eps-zero",
         "angles-zero", "hw_m_max-zero", "hw_p_max-zero", "marechal-probe_count-zero",
         "m_max-zero", "p_max-zero", "sample_count-zero", "finiteness-probe_count-zero",
         "m-over-cap", "count-zero", "count-over-prefixes", "tol-negative",
-        "net-outside-target", "norms-empty", "d2-over-cap"])
+        "net-outside-target", "norms-empty", "d2-over-cap", "n1d-zero",
+        "hw_theta_max-zero", "tol_l2-negative", "tol_polyhedral-negative",
+        "net-with-2d-map", "prefix_len-negative", "eps-too-small-for-net"])
 def test_out_of_range_value_exits_2(tmp_path, capsys, scenario, text, key):
     cfg = _write_config(tmp_path, text)
     code = main([scenario, "--config", cfg, "--out", str(tmp_path / "o")])
@@ -243,6 +264,19 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, scenario, text, key):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
     assert f"config key {key}:" in record["message"]
+
+
+def test_sample_configs_name_and_pass_every_key():
+    # scripts/run_all.py and the benchmark run these files; check them against
+    # each scenario's table without running the scenario
+    tables = {"duality": _DUALITY_KEYS, "counterexample": _COUNTEREXAMPLE_KEYS,
+              "selection": _SELECTION_KEYS, "marechal": _MARECHAL_KEYS,
+              "finiteness": _FINITENESS_KEYS, "borel": _BOREL_KEYS}
+    assert sorted(tables) == sorted(SCENARIOS)
+    for name, table in tables.items():
+        params = parse_config_file(SAMPLE_CONFIGS / f"{name}.cfg")
+        assert sorted(params) == sorted(table), name
+        _resolve(params, table)
 
 
 def test_block_sizes_must_be_integers(tmp_path, capsys):
