@@ -127,11 +127,7 @@ def exact_support(descriptor, x):
         if len(basis) == 1:
             scale = eval_norm(basis[0], descriptor.ball_spec)
             return float(np.abs(basis[0] @ x) / scale)
-        if kind in ("l1", "linf") and not np.iscomplexobj(basis):
-            vertices = ball_section_points(basis, kind)
-            pairings = np.abs(vertices @ x)
-            return float(pairings.max()) if len(pairings) else 0.0
-        raise UnsupportedNorm(f"no exact support route for kind {kind!r} on this basis")
+        return float(np.abs(ball_section_points(basis, kind) @ x).max())
     raise TypeError(f"unknown exact descriptor {type(descriptor).__name__}")
 
 
@@ -141,24 +137,31 @@ def exact_support(descriptor, x):
 _SECTION_DIM_CAP = 9
 
 
-def _sign_matrix(q):
-    return np.array(list(itertools.product((-1.0, 1.0), repeat=q)))
-
-
 def ball_section_points(basis, kind):
-    """Points of {omega in span(basis): ||omega||_kind <= 1} including every
-    vertex of the section polytope, for kind in {l1, linf}.
+    """Points of {omega in span(basis): ||omega||_kind <= 1}, the zero row
+    first, including every vertex of the section, for kind l1 or linf and
+    real, linearly independent basis rows.
 
-    Enumerates faces of the ball by sign pattern sigma in {-1,0,+1}^n.  For
-    linf, coordinates in the support are pinned to sigma_j; for l1,
-    coordinates off the support are pinned to 0 and the signed sum over the
-    support to 1.  A vertex is the unique solution of the system of its
-    minimal face (were the solution set larger, a segment through the vertex
-    would stay inside the section, contradicting extremality), so solving
-    each face system and filtering by membership finds all vertices; extra
-    consistent solutions still lie in the section and are harmless for
-    computing suprema.  Systems are batched over signs per support set.
+    With omega = c @ basis, a vertex is the one c solving the equations of
+    the ball's minimal face through it (a larger solution set would hold a
+    segment through the vertex), and m independent ones among them fix it.
+    For linf, m coordinates pinned to +-1.  For l1, m - 1 independent zero
+    coordinates, which leave a line through the vertex, plus the signed-sum
+    row over the other n - m + 1 coordinates, which meets that line once
+    whatever the signs where the vertex is zero.  So the solutions of all
+    C(n, m) 2^m (linf) or C(n, m - 1) 2^(n - m + 1) (l1) square systems that
+    lie in the ball include every vertex; the others are in the section
+    too, harmless for suprema, as are repeats.  A system is dropped before
+    the one batched solve when its rows, scaled to unit length, span a
+    volume |det A| / prod ||a_i|| <= 1e-12.  That volume is at most 1
+    (Hadamard), 0 for a singular system, and bounds a kept one's smallest
+    singular value below by volume / sqrt(m)^(m - 1), so its condition
+    number is at most m^(m/2) 1e12.
     """
+    if kind not in ("l1", "linf"):
+        raise UnsupportedNorm(f"section vertices need kind l1 or linf, got {kind!r}")
+    if np.iscomplexobj(basis):
+        raise UnsupportedNorm("section vertices need a real basis")
     basis = np.atleast_2d(np.asarray(basis, dtype=np.float64))
     m, n = basis.shape
     if m == 0:
@@ -166,39 +169,25 @@ def ball_section_points(basis, kind):
     if n > _SECTION_DIM_CAP:
         raise UnsupportedNorm(f"vertex enumeration capped at ambient dim {_SECTION_DIM_CAP}")
     cols = basis.T  # row j: coordinate j as a functional of the coefficients
-    found = [np.zeros((1, n))]
-    for bits in range(1, 2 ** n):
-        support = np.array([j for j in range(n) if bits >> j & 1])
-        signs = _sign_matrix(len(support))
-        if kind == "linf":
-            face = cols[support]
-            coeffs = signs @ np.linalg.pinv(face).T
-            ok = np.abs(coeffs @ face.T - signs).max(axis=1) <= 1e-9
-            omegas = coeffs @ basis
-            ok &= np.abs(omegas).max(axis=1) <= 1 + 1e-9
-        else:
-            off = np.array([j for j in range(n) if not bits >> j & 1], dtype=int)
-            if len(off):
-                _, svals, vh = np.linalg.svd(cols[off], full_matrices=True)
-                rank = int((svals > 1e-12).sum())
-                null = vh[rank:]
-            else:
-                null = np.eye(m)
-            if not len(null):
-                continue
-            rows = (signs @ cols[support]) @ null.T
-            sq = (rows * rows).sum(axis=1)
-            ok = sq > 1e-18
-            d = np.zeros_like(rows)
-            d[ok] = rows[ok] / sq[ok, None]  # min-norm solution of <row, d> = 1
-            omegas = (d @ null) @ basis
-            ok &= (signs * omegas[:, support]).min(axis=1) >= -1e-12
-            ok &= np.abs(omegas).sum(axis=1) <= 1 + 1e-9
-        found.append(omegas[ok])
-    points = np.concatenate(found, axis=0)
-    # dedupe on a tolerance grid; exact duplicates dominate
-    _, keep = np.unique(np.round(points / 1e-9) * 1e-9, axis=0, return_index=True)
-    return points[np.sort(keep)]
+    q = m if kind == "linf" else n - m + 1  # coordinates that carry a sign
+    signs = 1.0 - 2.0 * (np.arange(2 ** q)[:, None] >> np.arange(q) & 1)  # (2^q, q)
+    signed = np.array(list(itertools.combinations(range(n), q)))  # (C, q)
+    shape = (len(signed), len(signs))
+    if kind == "linf":
+        mats = np.broadcast_to(cols[signed][:, None], (*shape, m, m))
+        rhs = np.broadcast_to(signs, (*shape, m))
+    else:
+        free = np.ones((len(signed), n), dtype=bool)
+        np.put_along_axis(free, signed, False, axis=1)
+        zeros = cols[np.nonzero(free)[1].reshape(len(signed), m - 1)]  # (C, m - 1, m)
+        mats = np.concatenate([np.broadcast_to(zeros[:, None], (*shape, m - 1, m)),
+                               (signs @ cols[signed])[:, :, None]], axis=2)
+        rhs = np.broadcast_to(np.eye(m)[-1], (*shape, m))
+    mats, rhs = mats.reshape(-1, m, m), rhs.reshape(-1, m)
+    ok = np.abs(np.linalg.det(mats)) > 1e-12 * np.linalg.norm(mats, axis=2).prod(axis=1)
+    omegas = np.linalg.solve(mats[ok], rhs[ok, :, None])[..., 0] @ basis
+    size = np.linalg.norm(omegas, ord=np.inf if kind == "linf" else 1, axis=1)
+    return np.concatenate([np.zeros((1, n)), omegas[size <= 1 + 1e-9]])
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,14 @@ def _rational_directions(dim, count):
     """Unit vectors with rational coordinates, in a fixed enumeration order.
 
     Integer vectors are walked by increasing 1-norm then lexicographically;
-    scalar multiples of an already-emitted direction are skipped.
+    positive multiples of an already-emitted direction are skipped (-v is
+    still emitted).  Dimension 1 has only the directions -1 and +1, so asking
+    it for more raises ValueError.
     """
     out, seen = [], set()
     for total in itertools.count(1):
+        if dim == 1 and total > 1:
+            raise ValueError("dimension 1 has no rational direction beyond -1 and +1")
         for z in _integer_sphere(dim, total):
             v = np.array(z, dtype=np.float64)
             v /= np.linalg.norm(v)

@@ -567,7 +567,10 @@ def run_finiteness(params, seed, out):
     if max(sizes) > cfg["m"]:
         raise ConfigError(f"config key block_sizes: expected at most m = {cfg['m']},"
                           f" got {max(sizes)}")
-    spec = default_strong_spec(cfg["m"] ** 2, cfg["probe_count"])
+    try:
+        spec = default_strong_spec(cfg["m"] ** 2, cfg["probe_count"])
+    except ValueError as err:  # dimension m^2 = 1 runs out of probe directions
+        raise ConfigError(f"config key probe_count: {err}, got {cfg['probe_count']}") from None
     rows = []
     witness_rows = []
     for size in sizes:

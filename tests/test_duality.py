@@ -1,11 +1,15 @@
-"""Support functions, annihilators, the two-route distance, the rescaling
-ball criterion, and the disc family."""
+"""Support functions, section vertices, annihilators, the two-route
+distance, the rescaling ball criterion, and the disc family."""
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from hyperselect.duality import (
     DualityMismatch,
     annihilator,
+    ball_section_points,
     convergence_gap,
     counterexample_ball,
     counterexample_limit_disc,
@@ -19,6 +23,7 @@ from hyperselect.norms import (
     DiscFamily,
     SampledSet,
     SubspaceBall,
+    UnsupportedNorm,
     l1,
     l2,
     linf,
@@ -84,6 +89,113 @@ def test_support_monotone_in_the_family():
         for _ in range(50):
             x = rng.standard_normal(3)
             assert exact_support(small, x) <= exact_support(big, x) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# section vertices against two references
+
+
+def _sign_scan_section_points(basis, kind):
+    """Reference: every face of the ball by support and sign pattern, one
+    pseudo-inverse solve per support, deduped on a 1e-9 grid."""
+    m, n = basis.shape
+    cols = basis.T
+    found = [np.zeros((1, n))]
+    for bits in range(1, 2 ** n):
+        support = np.array([j for j in range(n) if bits >> j & 1])
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=len(support))))
+        if kind == "linf":
+            face = cols[support]
+            coeffs = signs @ np.linalg.pinv(face).T
+            ok = np.abs(coeffs @ face.T - signs).max(axis=1) <= 1e-9
+            omegas = coeffs @ basis
+            ok &= np.abs(omegas).max(axis=1) <= 1 + 1e-9
+        else:
+            off = np.array([j for j in range(n) if not bits >> j & 1], dtype=int)
+            if len(off):
+                _, svals, vh = np.linalg.svd(cols[off], full_matrices=True)
+                null = vh[int((svals > 1e-12).sum()):]
+            else:
+                null = np.eye(m)
+            if not len(null):
+                continue
+            rows = (signs @ cols[support]) @ null.T
+            sq = (rows * rows).sum(axis=1)
+            ok = sq > 1e-18
+            d = np.zeros_like(rows)
+            d[ok] = rows[ok] / sq[ok, None]  # min-norm solution of <row, d> = 1
+            omegas = (d @ null) @ basis
+            ok &= (signs * omegas[:, support]).min(axis=1) >= -1e-12
+            ok &= np.abs(omegas).sum(axis=1) <= 1 + 1e-9
+        found.append(omegas[ok])
+    points = np.concatenate(found, axis=0)
+    _, keep = np.unique(np.round(points / 1e-9) * 1e-9, axis=0, return_index=True)
+    return points[np.sort(keep)]
+
+
+def _lp_section_max(basis, kind, x):
+    """Reference: max of omega(x) over the section by HiGHS, in the
+    coefficients c of omega = c @ basis (plus bounds t >= |omega| for l1)."""
+    m, n = basis.shape
+    if kind == "linf":
+        a_ub, b_ub, pad = np.vstack([basis.T, -basis.T]), np.ones(2 * n), 0
+    else:
+        eye = np.eye(n)
+        a_ub = np.block([[basis.T, -eye], [-basis.T, -eye],
+                         [np.zeros((1, m)), np.ones((1, n))]])
+        b_ub, pad = np.concatenate([np.zeros(2 * n), [1.0]]), n
+    res = linprog(np.concatenate([-(basis @ x), np.zeros(pad)]), A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(None, None)] * m + [(0, None)] * pad, method="highs")
+    assert res.success, res.message
+    return -res.fun
+
+
+def _section_cases():
+    rng = np.random.default_rng(11)
+    for n in range(2, 9):
+        for m in sorted({1, int(rng.integers(1, n + 1)), n}):
+            yield f"random-{m}x{n}", rng.standard_normal((m, n))
+        m = int(rng.integers(1, n + 1))
+        yield f"coordinates-{m}x{n}", np.eye(n)[np.sort(rng.permutation(n)[:m])]
+        if n >= 3:
+            m = int(rng.integers(1, n))
+            repeats = np.concatenate([np.arange(n - 1), [int(rng.integers(n - 1))]])
+            yield f"repeated-{m}x{n}", rng.standard_normal((m, n - 1))[:, repeats]
+
+
+def test_ball_section_points_matches_reference_and_lp():
+    rng = np.random.default_rng(12)
+    for name, basis in _section_cases():
+        _, svals, vh = np.linalg.svd(basis, full_matrices=False)
+        span = vh[:int((svals > 1e-12 * svals[0]).sum())]
+        for kind in ("l1", "linf"):
+            points = ball_section_points(basis, kind)
+            reference = _sign_scan_section_points(basis, kind)
+            assert np.all(points[0] == 0.0), (name, kind)
+            size = np.abs(points).max(axis=1) if kind == "linf" else np.abs(points).sum(axis=1)
+            assert size.max() <= 1 + 1e-9, (name, kind)
+            assert np.abs(points - (points @ span.T) @ span).max() <= 1e-12, (name, kind)
+            # signed maxima in both directions: the section is symmetric, so a
+            # lost sign pattern shows only on one side
+            for x in rng.standard_normal((3, basis.shape[1])) * 2.0:
+                for probe in (x, -x):
+                    value = (points @ probe).max()
+                    gate = 1e-12 * max(1.0, value)
+                    assert abs(value - (reference @ probe).max()) <= gate, (name, kind)
+                    assert abs(value - _lp_section_max(basis, kind, probe)) <= gate, (name, kind)
+
+
+@pytest.mark.parametrize("kind", ["l2", "bogus"])
+def test_ball_section_points_rejects_other_kinds(kind):
+    with pytest.raises(UnsupportedNorm, match="l1 or linf"):
+        ball_section_points(np.eye(3)[:2], kind)
+
+
+def test_ball_section_points_rejects_a_complex_basis():
+    basis = np.array([[1.0, 1j, 0.0], [0.0, 0.0, 1.0]])
+    for kind in ("l1", "linf"):
+        with pytest.raises(UnsupportedNorm, match="real basis"):
+            ball_section_points(basis, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,8 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
     ("finiteness", "sample_count=0\n", "sample_count"),
     ("finiteness", "probe_count=0\n", "probe_count"),
     ("finiteness", "m=9\n", "m"),
+    # m = 1 probes dimension 1, which has only the directions -1 and +1
+    ("finiteness", "m=1\nblock_sizes=1\nprobe_count=4\n", "probe_count"),
     ("borel", "count=0\n", "count"),
     ("borel", "count=16\n", "count"),
     ("counterexample", "tol=-1\n", "tol"),
@@ -253,7 +255,7 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
         "hw_tol-negative", "tol-zero", "family_tol-negative", "eps-zero",
         "angles-zero", "hw_m_max-zero", "hw_p_max-zero", "marechal-probe_count-zero",
         "m_max-zero", "p_max-zero", "sample_count-zero", "finiteness-probe_count-zero",
-        "m-over-cap", "count-zero", "count-over-prefixes", "tol-negative",
+        "m-over-cap", "probe_count-over-dim-1", "count-zero", "count-over-prefixes", "tol-negative",
         "net-outside-target", "norms-empty", "d2-over-cap", "n1d-zero",
         "hw_theta_max-zero", "tol_l2-negative", "tol_polyhedral-negative",
         "net-with-2d-map", "prefix_len-negative", "eps-too-small-for-net"])
