@@ -23,12 +23,10 @@ from .norms import (
     SubspaceBall,
     UnsupportedNorm,
     distance_lp,
-    distances_to_points,
     dual_kind,
     eval_norm,
     l2,
     linf,
-    min_distance_oracle,
 )
 
 ORTHO_TOL = 1e-10
@@ -240,26 +238,44 @@ def quotient_routes(x, V: Subspace, spec=None):
 
 
 def is_subspace_ball(B: SampledSet, scales, tol=1e-3, spec=None):
-    """Rescaling criterion: for every s in scales, each sample with dual
+    """Rescaling criterion: for every s in scales, each point of B with dual
     norm <= s must land back within tol of B after division by s.
 
     Unit balls of weak-* closed subspaces pass for every s in (0, 1); the
-    witness on failure is (s, rescaled point) with the worst defect.
+    witness on failure is (s, rescaled point) with the worst defect, the
+    first such scale on ties.
+
+    Decided in closed form over the whole disc {lam d : |lam| <= r} of B's
+    DiscFamily descriptor, not over its samples.  Let ||d|| be the dual norm
+    of d and rho = r ||d||.  A member lam d has norm |lam| ||d|| <= s exactly
+    when |lam| <= lam* = min(r, s / ||d||), and its rescaling (lam / s) d
+    stays on the disc's line, where every norm gives the distance
+    max(0, |lam| / s - r) ||d|| to the disc.  That grows with |lam|, so the
+    worst defect at scale s is attained at the real lam*, where
+    (lam* / s) ||d|| = min(rho / s, 1):
+
+        defect(s) = max(0, min(1, rho / s) - rho).
+
+    A zero direction or radius gives rho = 0 and defect 0.  Any other set
+    raises UnsupportedNorm.
     """
+    disc = B.exact
+    if not isinstance(disc, DiscFamily):
+        raise UnsupportedNorm("the subspace-ball criterion is decided only on a"
+                              " DiscFamily descriptor")
     spec = spec if spec is not None else l2()
     mspec = NormSpec(dual_kind(spec.kind))  # functionals carry the dual norm
-    point_norms = distances_to_points(np.zeros(B.dim), B.points, mspec)
+    size = eval_norm(disc.direction, mspec)
+    rho = disc.radius * size
     worst_defect = 0.0
     worst = None
     for s in scales:
         if not 0 < s < 1:
             raise ValueError("scales must lie in (0, 1)")
-        for idx in np.nonzero(point_norms <= s + 1e-12)[0]:
-            rescaled = B.points[idx] / s
-            defect = min_distance_oracle(rescaled, B, mspec)
-            if defect > worst_defect:
-                worst_defect = defect
-                worst = (float(s), rescaled)
+        defect = max(0.0, min(1.0, rho / s) - rho)
+        if defect > worst_defect:  # so rho > 0 and size > 0
+            worst_defect = defect
+            worst = (float(s), (min(disc.radius, s / size) / s) * disc.direction)
     ok = worst_defect <= tol
     return {"ok": ok, "witness": None if ok else worst, "defect": float(worst_defect)}
 
@@ -290,38 +306,38 @@ def convergence_gap(V_list, V: Subspace, probes):
 
 def polar_grid(radii=(1.0, 0.5, 0.25, 0.125), angles=64):
     """Complex scalars on circles of dyadic radii, plus 0.  Dyadic radii make
-    the rescaling criterion land on grid points exactly."""
+    a sample rescaled by a dyadic scale land on a grid point exactly."""
     thetas = 2 * np.pi * np.arange(angles) / angles
     ring = np.exp(1j * thetas)
     lams = np.concatenate([[0.0 + 0.0j]] + [r * ring for r in radii])
     return lams
 
 
-def _counterexample_disc(n, trunc_dim, radii=(1.0, 0.5, 0.25, 0.125), angles=64):
+def _counterexample_disc(n, trunc_dim):
     # complex multiples of (1/2) delta_0 + delta_n, or of (1/2) delta_0 alone
     # for n = 0, sampled on a polar grid
     direction = np.zeros(trunc_dim, dtype=np.complex128)
     direction[0] = 0.5
     if n:
         direction[n] = 1.0
-    points = polar_grid(radii, angles)[:, None] * direction[None, :]
+    points = polar_grid()[:, None] * direction[None, :]
     exact = DiscFamily(direction=direction, radius=1.0, complex_scalars=True)
     return SampledSet(points=points, exact=exact)
 
 
-def counterexample_ball(n, trunc_dim, radii=(1.0, 0.5, 0.25, 0.125), angles=64):
+def counterexample_ball(n, trunc_dim):
     """The disc of complex multiples of (1/2) delta_0 + delta_n, sampled on a
     polar grid, inside a finite truncation of the sequence dual."""
     if not 1 <= n < trunc_dim:
         raise ValueError("need 1 <= n < trunc_dim")
-    return _counterexample_disc(n, trunc_dim, radii, angles)
+    return _counterexample_disc(n, trunc_dim)
 
 
-def counterexample_limit_disc(trunc_dim, radii=(1.0, 0.5, 0.25, 0.125), angles=64):
+def counterexample_limit_disc(trunc_dim):
     """The limit family: complex multiples of (1/2) delta_0 alone.  Balanced
     and convex, but not the unit ball of any subspace: rescaling its norm-s
     points by 1/s escapes the disc."""
-    return _counterexample_disc(0, trunc_dim, radii, angles)
+    return _counterexample_disc(0, trunc_dim)
 
 
 def counterexample_subspace(n, trunc_dim):

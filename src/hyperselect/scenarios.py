@@ -264,7 +264,6 @@ _COUNTEREXAMPLE_KEYS = {
     "probe_count": (8, _at_least(1)),
     "scales": ((0.5, 0.75), _UNIT_OPEN),
     "tol": (1e-3, _at_least(0)),
-    "angles": (64, _at_least(1)),
 }
 
 
@@ -280,7 +279,7 @@ def run_counterexample(params, seed, out):
                           f" got {cfg['probe_count']}")
     space = l1()  # the sets live in the dual of little-l1, probed in sup norm
 
-    limit = counterexample_limit_disc(trunc, angles=cfg["angles"])
+    limit = counterexample_limit_disc(trunc)
     verdict = is_subspace_ball(limit, scales, tol=cfg["tol"], spec=space)
     witness = verdict["witness"]
     files = [_write_json(out / "witness.json", {
@@ -297,7 +296,7 @@ def run_counterexample(params, seed, out):
                           ambient=linf(), side="dual")
     rows = []
     for n in range(1, terms + 1):
-        ball = counterexample_ball(n, trunc, angles=cfg["angles"])
+        ball = counterexample_ball(n, trunc)
         ok_n = is_subspace_ball(ball, scales, tol=cfg["tol"], spec=space)["ok"]
         vals = np.array([exact_support(ball.exact, p) for p in probes])
         weighted_gap = float(np.dot(weights, np.abs(vals - limit_vals)))

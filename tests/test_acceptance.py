@@ -112,15 +112,17 @@ def test_a2_limit_disc_is_not_a_subspace_ball():
     verdict = is_subspace_ball(counterexample_limit_disc(trunc),
                                (0.5, 0.75), tol=1e-3, spec=space)
     witness = verdict["witness"]
-    finite_ok = all(
-        is_subspace_ball(counterexample_ball(n, trunc),
-                         (0.5, 0.75), tol=1e-3, spec=space)["ok"]
-        for n in range(1, 9))
+    finite = [is_subspace_ball(counterexample_ball(n, trunc),
+                               (0.5, 0.75), tol=1e-3, spec=space)
+              for n in range(1, 9)]
+    finite_ok = all(res["ok"] and res["defect"] == 0.0 for res in finite)
+    delta0 = np.eye(trunc, dtype=np.complex128)[0]
     ok = (not verdict["ok"] and witness is not None and witness[0] == 0.5
-          and abs(verdict["defect"] - 0.5) <= 1e-12 and finite_ok)
+          and witness[1].dtype == np.complex128 and np.array_equal(witness[1], delta0)
+          and verdict["defect"] == 0.5 and finite_ok)
     assert _line("A2", ok,
-                 "limit disc rejected at s=%s with defect %.9f (want 0.5"
-                 " +- 1e-12); B_1..B_8 all pass" %
+                 "limit disc rejected at s=%s with defect %r (want exactly 0.5,"
+                 " witness delta_0); B_1..B_8 pass with defect exactly 0" %
                  (None if witness is None else witness[0], verdict["defect"]))
 
 

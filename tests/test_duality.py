@@ -21,12 +21,17 @@ from hyperselect.duality import (
 )
 from hyperselect.norms import (
     DiscFamily,
+    NormSpec,
     SampledSet,
     SubspaceBall,
     UnsupportedNorm,
+    distances_to_points,
+    dual_kind,
+    eval_norm,
     l1,
     l2,
     linf,
+    min_distance_oracle,
 )
 from hyperselect.scenarios import run_duality
 
@@ -276,12 +281,35 @@ def test_route_mismatch_raises_at_zero_tolerance(tmp_path):
 # the rescaling ball criterion
 
 
+def _sampled_subspace_ball(B, scales, tol=1e-3, spec=None):
+    """Reference: the rescaling criterion over B's samples only, each sample
+    of dual norm <= s rescaled by 1/s and measured by the distance oracle."""
+    spec = spec if spec is not None else l2()
+    mspec = NormSpec(dual_kind(spec.kind))
+    point_norms = distances_to_points(np.zeros(B.dim), B.points, mspec)
+    worst_defect = 0.0
+    worst = None
+    for s in scales:
+        if not 0 < s < 1:
+            raise ValueError("scales must lie in (0, 1)")
+        for idx in np.nonzero(point_norms <= s + 1e-12)[0]:
+            rescaled = B.points[idx] / s
+            defect = min_distance_oracle(rescaled, B, mspec)
+            if defect > worst_defect:
+                worst_defect = defect
+                worst = (float(s), rescaled)
+    ok = worst_defect <= tol
+    return {"ok": ok, "witness": None if ok else worst, "defect": float(worst_defect)}
+
+
 def test_subspace_ball_passes_criterion():
+    # this test and the next check the sampled reference itself, on sets
+    # without a disc descriptor
     t = np.linspace(-1.0, 1.0, 81)
     d = np.array([1.0, 1.0]) / np.sqrt(2.0)
     ball = SampledSet(points=t[:, None] * d[None, :],
                       exact=SubspaceBall(basis=d[None, :], ball_spec=l2()))
-    res = is_subspace_ball(ball, (0.5, 0.75), tol=1e-3, spec=l2())
+    res = _sampled_subspace_ball(ball, (0.5, 0.75), tol=1e-3, spec=l2())
     assert res["ok"]
 
 
@@ -292,21 +320,96 @@ def test_scaled_ball_fails_criterion():
     circle = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     pts = np.concatenate([r * circle for r in (0.75, 0.5, 0.25)])
     ball = SampledSet(points=pts)
-    res = is_subspace_ball(ball, (0.5,), tol=1e-3, spec=l2())
+    res = _sampled_subspace_ball(ball, (0.5,), tol=1e-3, spec=l2())
     assert not res["ok"]
     assert res["defect"] == pytest.approx(0.25, abs=5e-3)
+
+
+def _disc_samples(disc, radii, angles):
+    """The disc sampled at 0 and on circles of the given radii: at angles
+    angles (complex scalars) or at +-radius (real scalars)."""
+    thetas = 2 * np.pi * np.arange(angles) / angles if disc.complex_scalars else (
+        np.array([0.0, np.pi]))
+    lams = np.concatenate([[0.0]] + [r * np.exp(1j * thetas) for r in radii])
+    if not disc.complex_scalars:
+        lams = lams.real
+    return SampledSet(points=lams[:, None] * disc.direction[None, :], exact=disc)
+
+
+def _disc_cases():
+    rng = np.random.default_rng(21)
+    for trial in range(240):
+        dim = 1 + trial % 8
+        direction = rng.standard_normal(dim)
+        if rng.random() < 0.5:
+            direction = direction + 1j * rng.standard_normal(dim)
+        direction *= rng.uniform(0.2, 1.0) / np.linalg.norm(direction)
+        if trial % 40 == 7:
+            direction = np.zeros(dim)
+        radius = 0.0 if trial % 10 == 3 else float(rng.uniform(0.05, 1.5))
+        disc = DiscFamily(direction=direction, radius=radius,
+                          complex_scalars=bool(trial // 3 % 2))
+        spec = (l1(), l2(), linf())[trial % 3]
+        scales = tuple(float(s) for s in rng.uniform(0.0, 1.0, int(rng.integers(1, 4))))
+        yield rng, disc, spec, scales
+
+
+def test_closed_form_criterion_matches_the_sampled_reference():
+    for rng, disc, spec, scales in _disc_cases():
+        case = (disc, spec.kind, scales)
+        mspec = NormSpec(dual_kind(spec.kind))
+        size = eval_norm(disc.direction, mspec)
+        # a grid holding every lam* = min(r, s / ||d||) at angle 0, plus
+        # smaller radii, attains the closed form at each scale
+        stars = [min(disc.radius, s / size) if size else disc.radius for s in scales]
+        radii = stars + list(rng.uniform(0.0, 1.0, 3) * min(stars))
+        sampled = _disc_samples(disc, radii, 16)
+        res = is_subspace_ball(sampled, scales, tol=0.0, spec=spec)
+        ref = _sampled_subspace_ball(sampled, scales, tol=0.0, spec=spec)
+        assert abs(ref["defect"] - res["defect"]) <= 1e-12, case
+        per_scale = [is_subspace_ball(sampled, (s,), tol=0.0, spec=spec)["defect"]
+                     for s in scales]
+        assert res["defect"] == max(per_scale), case
+        if res["witness"] is None:
+            assert res["defect"] == 0.0, case
+        else:
+            s, point = res["witness"]
+            assert s == scales[per_scale.index(res["defect"])], case
+            # scales whose defects tie within rounding may swap in the reference
+            tied = [t for t, v in zip(scales, per_scale) if v >= res["defect"] - 1e-12]
+            assert ref["witness"] is None or ref["witness"][0] in tied, case
+            if len(tied) == 1 and ref["witness"] is not None:
+                assert ref["witness"][0] == s, case
+            # the witness rescales a disc member of norm <= s and sits at the
+            # defect's distance from the disc
+            assert eval_norm(s * point, mspec) <= s * (1 + 1e-12), case
+            assert min_distance_oracle(s * point, sampled, mspec) <= 1e-12, case
+            assert abs(min_distance_oracle(point, sampled, mspec) - res["defect"]) <= 1e-12, case
+        # no grid of the disc finds a larger defect
+        loose = _disc_samples(disc, rng.uniform(0.0, disc.radius, 5), 8)
+        assert _sampled_subspace_ball(loose, scales, tol=0.0, spec=spec)["defect"] <= (
+            res["defect"] + 1e-12), case
+
+
+def test_criterion_needs_a_disc_descriptor():
+    t = np.linspace(-1.0, 1.0, 5)
+    d = np.array([1.0, 0.0])
+    for exact in (None, SubspaceBall(basis=d[None, :], ball_spec=l2())):
+        with pytest.raises(UnsupportedNorm, match="DiscFamily"):
+            is_subspace_ball(SampledSet(points=t[:, None] * d[None, :], exact=exact),
+                             (0.5,), spec=l2())
 
 
 def test_limit_disc_fails_with_half_defect():
     lim = counterexample_limit_disc(18)
     res = is_subspace_ball(lim, (0.5, 0.75), tol=1e-3, spec=l1())
     assert not res["ok"]
+    assert res["defect"] == 0.5
     s, point = res["witness"]
     assert s == 0.5
-    assert res["defect"] == pytest.approx(0.5, abs=1e-12)
-    # the witness is a phase times the first coordinate functional
-    assert abs(point[0]) == pytest.approx(1.0, abs=1e-9)
-    assert np.abs(point[1:]).max() <= 1e-12
+    # the witness is the first coordinate functional delta_0
+    assert point.dtype == np.complex128
+    assert np.array_equal(point, np.eye(18, dtype=np.complex128)[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])

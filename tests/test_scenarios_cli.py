@@ -1,5 +1,6 @@
 """The command-line runner: config parsing, exit codes, emitted files, and
 byte-identical reruns."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from hyperselect.scenarios import (
 )
 
 SAMPLE_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+SEED0_MANIFEST = SAMPLE_CONFIGS.parent / "seed0.sha256"
 
 
 def _write_config(tmp_path, text, name="run.cfg"):
@@ -88,10 +90,13 @@ def test_unknown_scenario_exits_2(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    cfg = _write_config(tmp_path, "bogus_key=1\n")
-    code = main(["borel", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "bogus_key" in json.loads(capsys.readouterr().err)["message"]
+    # counterexample decides its criterion in closed form on the disc, so it
+    # has no sample-grid key such as angles
+    for scenario, key in (("borel", "bogus_key"), ("counterexample", "angles")):
+        cfg = _write_config(tmp_path, f"{key}=64\n")
+        code = main([scenario, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert key in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_bad_value_type_exits_2(tmp_path, capsys):
@@ -225,7 +230,6 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
     ("selection", "tol=0\n", "tol"),
     ("selection", "family_tol=-0.01\n", "family_tol"),
     ("selection", "eps=0\n", "eps"),
-    ("counterexample", "angles=0\n", "angles"),
     ("marechal", "hw_m_max=0\n", "hw_m_max"),
     ("marechal", "hw_p_max=0\n", "hw_p_max"),
     ("marechal", "probe_count=0\n", "probe_count"),
@@ -253,7 +257,7 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
     ("selection", "map=rising-triangle\n", "eps"),
 ], ids=["trials-negative", "trials-zero", "scales-negative", "scales-one",
         "hw_tol-negative", "tol-zero", "family_tol-negative", "eps-zero",
-        "angles-zero", "hw_m_max-zero", "hw_p_max-zero", "marechal-probe_count-zero",
+        "hw_m_max-zero", "hw_p_max-zero", "marechal-probe_count-zero",
         "m_max-zero", "p_max-zero", "sample_count-zero", "finiteness-probe_count-zero",
         "m-over-cap", "probe_count-over-dim-1", "count-zero", "count-over-prefixes", "tol-negative",
         "net-outside-target", "norms-empty", "d2-over-cap", "n1d-zero",
@@ -301,6 +305,20 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
         outs.append(_read_outputs(out))
     capsys.readouterr()
     assert outs[0] == outs[1]
+
+
+def test_counterexample_sample_config_matches_seed0_manifest(tmp_path, capsys):
+    # every figure is an exact dyadic value, so the digests do not depend on
+    # the numpy or BLAS build
+    out = tmp_path / "counterexample"
+    cfg = str(SAMPLE_CONFIGS / "counterexample.cfg")
+    assert main(["counterexample", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = dict(reversed(line.split("  ", 1))
+                    for line in SEED0_MANIFEST.read_text(encoding="utf-8").splitlines())
+    for name in ("counterexample.csv", "witness.json"):
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == manifest[f"counterexample/{name}"], name
 
 
 def test_duality_rerun_byte_identical_and_seed_sensitive(tmp_path, capsys):
