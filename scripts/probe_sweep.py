@@ -30,8 +30,8 @@ N_MAX = 8
 def weighted_gap(ball, limit, count):
     probes = np.eye(TRUNC)[:count]
     w = dyadic_weights(count)
-    bv = np.array([exact_support(ball.exact, p) for p in probes])
-    lv = np.array([exact_support(limit.exact, p) for p in probes])
+    bv = np.array([exact_support(ball, p) for p in probes])
+    lv = np.array([exact_support(limit, p) for p in probes])
     return float(np.dot(w, np.abs(bv - lv)))
 
 

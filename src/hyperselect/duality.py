@@ -19,7 +19,6 @@ from scipy.optimize import linprog
 from .norms import (
     DiscFamily,
     NormSpec,
-    SampledSet,
     SubspaceBall,
     UnsupportedNorm,
     distance_lp,
@@ -237,17 +236,17 @@ def quotient_routes(x, V: Subspace, spec=None):
 # the subspace-ball criterion
 
 
-def is_subspace_ball(B: SampledSet, scales, tol=1e-3, spec=None):
-    """Rescaling criterion: for every s in scales, each point of B with dual
-    norm <= s must land back within tol of B after division by s.
+def is_subspace_ball(disc, scales, tol=1e-3, spec=None):
+    """Rescaling criterion: for every s in scales, each point of the disc with
+    dual norm <= s must land back within tol of the disc after division by s.
 
     Unit balls of weak-* closed subspaces pass for every s in (0, 1); the
     witness on failure is (s, rescaled point) with the worst defect, the
     first such scale on ties.
 
-    Decided in closed form over the whole disc {lam d : |lam| <= r} of B's
-    DiscFamily descriptor, not over its samples.  Let ||d|| be the dual norm
-    of d and rho = r ||d||.  A member lam d has norm |lam| ||d|| <= s exactly
+    Decided in closed form over the whole DiscFamily {lam d : |lam| <= r},
+    not over samples of it.  Let ||d|| be the dual norm of d and
+    rho = r ||d||.  A member lam d has norm |lam| ||d|| <= s exactly
     when |lam| <= lam* = min(r, s / ||d||), and its rescaling (lam / s) d
     stays on the disc's line, where every norm gives the distance
     max(0, |lam| / s - r) ||d|| to the disc.  That grows with |lam|, so the
@@ -259,7 +258,6 @@ def is_subspace_ball(B: SampledSet, scales, tol=1e-3, spec=None):
     A zero direction or radius gives rho = 0 and defect 0.  Any other set
     raises UnsupportedNorm.
     """
-    disc = B.exact
     if not isinstance(disc, DiscFamily):
         raise UnsupportedNorm("the subspace-ball criterion is decided only on a"
                               " DiscFamily descriptor")
@@ -304,30 +302,19 @@ def convergence_gap(V_list, V: Subspace, probes):
 # the counterexample family: discs that converge to a non-ball
 
 
-def polar_grid(radii=(1.0, 0.5, 0.25, 0.125), angles=64):
-    """Complex scalars on circles of dyadic radii, plus 0.  Dyadic radii make
-    a sample rescaled by a dyadic scale land on a grid point exactly."""
-    thetas = 2 * np.pi * np.arange(angles) / angles
-    ring = np.exp(1j * thetas)
-    lams = np.concatenate([[0.0 + 0.0j]] + [r * ring for r in radii])
-    return lams
-
-
 def _counterexample_disc(n, trunc_dim):
     # complex multiples of (1/2) delta_0 + delta_n, or of (1/2) delta_0 alone
-    # for n = 0, sampled on a polar grid
+    # for n = 0
     direction = np.zeros(trunc_dim, dtype=np.complex128)
     direction[0] = 0.5
     if n:
         direction[n] = 1.0
-    points = polar_grid()[:, None] * direction[None, :]
-    exact = DiscFamily(direction=direction, radius=1.0, complex_scalars=True)
-    return SampledSet(points=points, exact=exact)
+    return DiscFamily(direction=direction, radius=1.0, complex_scalars=True)
 
 
 def counterexample_ball(n, trunc_dim):
-    """The disc of complex multiples of (1/2) delta_0 + delta_n, sampled on a
-    polar grid, inside a finite truncation of the sequence dual."""
+    """The disc of complex multiples of (1/2) delta_0 + delta_n, inside a
+    finite truncation of the sequence dual."""
     if not 1 <= n < trunc_dim:
         raise ValueError("need 1 <= n < trunc_dim")
     return _counterexample_disc(n, trunc_dim)
@@ -342,6 +329,6 @@ def counterexample_limit_disc(trunc_dim):
 
 def counterexample_subspace(n, trunc_dim):
     """Span of (1/2) delta_0 + delta_n as a dual-side subspace (sup-norm ambient)."""
-    direction = _counterexample_disc(n, trunc_dim).exact.direction
+    direction = _counterexample_disc(n, trunc_dim).direction
     basis = (direction / np.linalg.norm(direction))[None, :]
     return Subspace(basis=basis, ambient=linf(), side="dual")

@@ -291,14 +291,14 @@ def run_counterexample(params, seed, out):
 
     probes = np.eye(trunc)[:cfg["probe_count"]]
     weights = dyadic_weights(cfg["probe_count"])
-    limit_vals = np.array([exact_support(limit.exact, p) for p in probes])
+    limit_vals = np.array([exact_support(limit, p) for p in probes])
     limit_span = Subspace(basis=np.eye(trunc)[:1].astype(np.complex128),
                           ambient=linf(), side="dual")
     rows = []
     for n in range(1, terms + 1):
         ball = counterexample_ball(n, trunc)
         ok_n = is_subspace_ball(ball, scales, tol=cfg["tol"], spec=space)["ok"]
-        vals = np.array([exact_support(ball.exact, p) for p in probes])
+        vals = np.array([exact_support(ball, p) for p in probes])
         weighted_gap = float(np.dot(weights, np.abs(vals - limit_vals)))
         V_n = counterexample_subspace(n, trunc)
         fixed_gap = convergence_gap([V_n], limit_span, probes)[0]
@@ -324,7 +324,6 @@ _SELECTION_KEYS = {
     "eps": (0.25, _POSITIVE),
     "net": ((0.0, 0.25, 0.5, 0.75, 1.0), _ANY),  # 1-D maps only; checked against C
     "m_max": (2, _at_least(1)),
-    "p_max": (2, _at_least(1)),
     "family_tol": (1e-2, _POSITIVE),
     "check_jump": (True, _ANY),
 }
@@ -390,21 +389,23 @@ def run_selection(params, seed, out):
     files.append(_write_csv(out / "approx.csv",
                             x_cols + f_cols + ("defect",), approx_rows))
 
-    # the family at m_max // 2 is the m <= m_max // 2 slice of the one at m_max
-    members = dense_selection_family(F, net, cfg["m_max"], cfg["p_max"], tol=cfg["family_tol"])
+    # the family at m_max // 2 is the m <= m_max // 2 slice of the one at
+    # m_max.  Its bound holds only for a net within 1/m of every generator,
+    # which a user net need not be, so the bound is written and not checked.
+    members = dense_selection_family(F, net, cfg["m_max"], tol=cfg["family_tol"])
     audit_rows = []
     for m_used in sorted({max(1, cfg["m_max"] // 2), cfg["m_max"]}):
         sliced = [mem for mem in members if mem.m <= m_used]
         gap, _ = density_audit(sliced, F)
-        audit_rows.append((m_used, cfg["p_max"], len(sliced), gap,
+        audit_rows.append((m_used, len(sliced), gap,
                            1.0 / m_used + 2.0 * cfg["family_tol"]))
-    member_rows = [(i, mem.net_index, mem.m, mem.p, mem.restricted_count)
+    member_rows = [(i, mem.net_index, mem.m, mem.restricted_count)
                    for i, mem in enumerate(members)]
     files.append(_write_csv(out / "family_audit.csv",
-                            ("m_max", "p_max", "members", "audit_gap", "bound"),
+                            ("m_max", "members", "audit_gap", "bound"),
                             audit_rows))
     files.append(_write_csv(out / "family.csv",
-                            ("member", "net_index", "m", "p", "restricted_count"),
+                            ("member", "net_index", "m", "restricted_count"),
                             member_rows))
     return files
 
@@ -490,7 +491,6 @@ _MARECHAL_KEYS = {
     "hw_points": (7, _at_least(2)),
     "hw_theta_max": (math.pi / 4, _NONZERO),  # the grid points must differ
     "hw_m_max": (2, _at_least(1)),
-    "hw_p_max": (4, _at_least(1)),
     "hw_tol": (1e-2, _POSITIVE),
 }
 
@@ -509,15 +509,14 @@ def run_marechal(params, seed, out):
     # vertices drift with theta, so the net carries each grid value's corners.
     gens = np.unique(np.round(np.concatenate([v.generators for v in F.values]), 12), axis=0)
     net = np.concatenate([np.zeros((1, gens.shape[1])), gens])
-    members = dense_selection_family(F, net, cfg["hw_m_max"], cfg["hw_p_max"],
-                                     tol=cfg["hw_tol"])
+    members = dense_selection_family(F, net, cfg["hw_m_max"], tol=cfg["hw_tol"])
     member_rows = []
     for i, mem in enumerate(members):
         for j, t in enumerate(grid):
-            member_rows.append((i, mem.net_index, mem.m, mem.p, t) + tuple(mem.values[j]))
+            member_rows.append((i, mem.net_index, mem.m, t) + tuple(mem.values[j]))
     files.append(_write_csv(
         out / "hw_family.csv",
-        ("member", "net_index", "m", "p", "theta", "v0", "v1", "v2"), member_rows))
+        ("member", "net_index", "m", "theta", "v0", "v1", "v2"), member_rows))
 
     ss_spec = probe_strong_star(make_probe_sequence(2, cfg["probe_count"]))
     worst_l2, l2_rows = density_audit(members, F)
@@ -528,11 +527,18 @@ def run_marechal(params, seed, out):
     files.append(_write_csv(out / "hw_audit.csv",
                             ("theta", "generator", "audit_l2", "audit_strong_star"),
                             audit_rows))
+    # every generator w is a net point v_n, so member (n, m) is pinned at w's
+    # theta and lies within 1/m + 2 tol of w there: the bound is a theorem
+    bound = 1.0 / cfg["hw_m_max"] + 2.0 * cfg["hw_tol"]
+    if worst_l2 > bound:
+        j, g = next((j, g) for j, g, _, best in l2_rows if best == worst_l2)
+        raise RuntimeError(f"dense-family audit gap {worst_l2} exceeds the bound {bound}"
+                           f" at theta {grid[j]}, generator {g}")
     files.append(_write_json(out / "summary.json", {
         "curve_max": max(r[1] for r in curve_rows),
         "curve_min": min(r[1] for r in curve_rows),
         "family_members": len(members),
-        "audit_bound_l2": 1.0 / cfg["hw_m_max"] + 2.0 * cfg["hw_tol"],
+        "audit_bound_l2": bound,
         "worst_audit_l2": worst_l2,
         "worst_audit_strong_star": worst_ss,
     }))

@@ -460,65 +460,53 @@ def michael_selection(F, tol=1e-3):
 class FamilyMember:
     net_index: int
     m: int
-    p: int
     values: np.ndarray
     rounds: list
     restricted_count: int
 
 
-def dense_selection_family(F, net, m_max, p_max, tol=1e-3):
-    """Selections pinned near each net point at scales 1/m.
+def dense_selection_family(F, net, m_max, tol=1e-3):
+    """Selections pinned near each net point at scales 1/m, one per (n, m).
 
-    For net point v_n and m, U_nm = {x : F(x) meets B(v_n, 1/m)} is open; its
-    closed exhaustion C_nmp = {x : d(x, X \\ U_nm) >= 1/p} selects where the
-    value is replaced by cl(F(x) intersect B(v_n, 1/m)).  Each modified map
-    stays lower-continuous and gets its own selection, computed once per
-    distinct (n, m, pinned set); members pinning no point share the
-    selection of F itself.  Members are enumerated in lexicographic
-    (n, m, p) order.
+    For net point v_n and m, U_nm = {x : F(x) meets B(v_n, 1/m)} is open.
+    The paper pins a selection on each set of its closed exhaustion
+    C_nmp = {x : d(x, X \\ U_nm) >= 1/p}, replacing the value there by
+    cl(F(x) intersect B(v_n, 1/m)).  On a finite domain d(x, X \\ U_nm)
+    takes finitely many values, so C_nmp = U_nm for every p >= 1/delta,
+    delta the smallest positive one, and every earlier C_nmp lies inside
+    U_nm.  Density only needs, for each x in U_nm, one member pinned at x,
+    and the member pinned on all of U_nm is that member for every such x at
+    once.  So member (n, m) is the selection of F pinned exactly where
+    d(v_n, F(x)) < 1/m; members pinning no point share one selection of F,
+    computed on first use.  Members are enumerated in lexicographic (n, m)
+    order.
     """
     net = np.atleast_2d(np.asarray(net, dtype=np.float64))
     if not bool(np.all(F.target.contains(net, tol=1e-9))):
         raise ValueError("net points must lie in the target set C")
-    selections = {}  # (n, m, pinned indices), or None for F itself
+    plain = None  # the selection of F itself
     members = []
     _, value_dists = _project_all(F, net)
     for n in range(len(net)):
         for m in range(1, m_max + 1):
             radius = 1.0 / m
-            inside_u = value_dists[n] < radius
-            if inside_u.any():
-                comp = ~inside_u
-                if comp.any():
-                    d_comp = F.domain.pair_d[:, comp].min(axis=1)
-                    d_comp[comp] = 0.0
-                else:
-                    d_comp = np.full(len(F), np.inf)
+            pinned = value_dists[n] < radius
+            if pinned.any():
+                restricted = list(F.values)
+                for g in F.groups:
+                    pin = pinned[g.rows]
+                    if pin.any():
+                        for i, w in zip(g.rows, _restrict(g.hulls, g.stack, pin, net[n], radius)):
+                            restricted[i] = w
+                modified = SetValuedMap(F.domain, restricted, F.target,
+                                        name=f"{F.name}|n={n},m={m}", slope_hint=F.slope_hint)
+                modified._groups = _value_groups(modified.values, reuse=F.groups)
+                sel = michael_selection(modified, tol=tol)
             else:
-                d_comp = np.zeros(len(F))
-            # pinned sets grow with p, so restricting at p_max serves every p
-            restricted = list(F.values)
-            for g in F.groups:
-                pin = d_comp[g.rows] >= 1.0 / p_max
-                if pin.any():
-                    for i, w in zip(g.rows, _restrict(g.hulls, g.stack, pin, net[n], radius)):
-                        restricted[i] = w
-            for p in range(1, p_max + 1):
-                pinned = d_comp >= 1.0 / p
-                key = (n, m, tuple(np.nonzero(pinned)[0].tolist())) if pinned.any() else None
-                if key not in selections:
-                    modified = F
-                    if key is not None:
-                        modified = SetValuedMap(
-                            F.domain,
-                            [w if pin else v for v, w, pin in zip(F.values, restricted, pinned)],
-                            F.target, name=f"{F.name}|n={n},m={m},p={p}",
-                            slope_hint=F.slope_hint)
-                        modified._groups = _value_groups(modified.values, reuse=F.groups)
-                    selections[key] = michael_selection(modified, tol=tol)
-                sel = selections[key]
-                members.append(FamilyMember(n, m, p, sel.values, sel.rounds,
-                                            int(pinned.sum())))
+                if plain is None:
+                    plain = michael_selection(F, tol=tol)
+                sel = plain
+            members.append(FamilyMember(n, m, sel.values, sel.rounds, int(pinned.sum())))
     return members
 
 

@@ -190,21 +190,37 @@ def test_a5_dense_family_audit():
     bound_ok = True
     gaps0 = {}
     for m_max in (2, 4):
-        gap, _ = density_audit(dense_selection_family(F0, net0, m_max, 2, tol=tol), F0)
+        gap, _ = density_audit(dense_selection_family(F0, net0, m_max, tol=tol), F0)
         gaps0[m_max] = gap
         bound_ok &= gap <= 1.0 / m_max + 2.0 * tol
     mono_ok = True
     for F in bundled_maps(21, 5):
         net = np.vstack([F.target.generators,
                          F.target.generators.mean(axis=0)[None, :]])
-        gap2, _ = density_audit(dense_selection_family(F, net, 2, 2, tol=tol), F)
-        gap4, _ = density_audit(dense_selection_family(F, net, 4, 2, tol=tol), F)
+        gap2, _ = density_audit(dense_selection_family(F, net, 2, tol=tol), F)
+        gap4, _ = density_audit(dense_selection_family(F, net, 4, tol=tol), F)
         mono_ok &= gap4 <= gap2 + 1e-12
+    # the marechal scenario's map and net, whose net holds every generator;
+    # the family at m_max is the m <= m_max slice of the one at 4
+    F, _ = rotated_ball_map(7, np.pi / 4)
+    gens = np.unique(np.round(np.concatenate([v.generators for v in F.values]), 12), axis=0)
+    members = dense_selection_family(F, np.concatenate([np.zeros((1, 3)), gens]), 4, tol=tol)
+    gaps_hw = {m_max: density_audit([mem for mem in members if mem.m <= m_max], F)[0]
+               for m_max in (2, 3, 4)}
+    bound_ok &= all(gap <= 1.0 / m + 2.0 * tol for m, gap in gaps_hw.items())
+    # the selection scenario's sample net on sine-band
+    band = next(G for G in bundled_maps(101, 5) if G.name == "sine-band")
+    net = np.linspace(0.0, 1.0, 5)[:, None]
+    gap_band, _ = density_audit(dense_selection_family(band, net, 4, tol=tol), band)
+    bound_ok &= gap_band <= 0.25 + 2.0 * tol
     ok = bound_ok and mono_ok
     assert _line("A5", ok,
                  "constant interval: gap(m=2) %.4f <= %.2f, gap(m=4) %.4f "
-                 "<= %.2f; gap non-increasing 2->4 on all 10 maps: %s" %
-                 (gaps0[2], 0.5 + 2 * tol, gaps0[4], 0.25 + 2 * tol, mono_ok))
+                 "<= %.2f; marechal gap(m=2,3,4) %s <= 1/m + %.2f; sine-band "
+                 "gap(m=4) %.4f <= %.2f; gap non-increasing 2->4 on all 10 maps: %s" %
+                 (gaps0[2], 0.5 + 2 * tol, gaps0[4], 0.25 + 2 * tol,
+                  ", ".join("%.4f" % g for g in gaps_hw.values()), 2 * tol,
+                  gap_band, 0.25 + 2 * tol, mono_ok))
 
 
 def test_a6_support_closed_form_vs_sampled():
@@ -313,8 +329,8 @@ def test_a8_probe_doubling_within_tail_weight():
         for M in (8, 16):
             probes = np.eye(trunc)[:M]
             w = dyadic_weights(M)
-            lv = np.array([exact_support(limit.exact, p) for p in probes])
-            bv = np.array([exact_support(ball.exact, p) for p in probes])
+            lv = np.array([exact_support(limit, p) for p in probes])
+            bv = np.array([exact_support(ball, p) for p in probes])
             gaps[M] = float(np.dot(w, np.abs(bv - lv)))
         worst = max(worst, abs(gaps[16] - gaps[8]))
     deltas["weighted_gap"] = worst
@@ -344,7 +360,7 @@ def test_a8_probe_doubling_within_tail_weight():
     gens = np.unique(np.round(np.concatenate([v.generators for v in F.values]), 12),
                      axis=0)
     net = np.concatenate([np.zeros((1, gens.shape[1])), gens])
-    members = dense_selection_family(F, net, 2, 4, tol=1e-2)
+    members = dense_selection_family(F, net, 2, tol=1e-2)
     from hyperselect.norms import make_probe_sequence, probe_strong_star
     specs = {M: probe_strong_star(make_probe_sequence(2, M)) for M in (8, 16)}
     worst = 0.0

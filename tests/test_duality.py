@@ -352,6 +352,9 @@ def _disc_cases():
         spec = (l1(), l2(), linf())[trial % 3]
         scales = tuple(float(s) for s in rng.uniform(0.0, 1.0, int(rng.integers(1, 4))))
         yield rng, disc, spec, scales
+    # the counterexample scenario's discs, in its space and at its scales
+    for disc in (counterexample_limit_disc(10), counterexample_ball(3, 10)):
+        yield rng, disc, l1(), (0.5, 0.75)
 
 
 def test_closed_form_criterion_matches_the_sampled_reference():
@@ -364,10 +367,10 @@ def test_closed_form_criterion_matches_the_sampled_reference():
         stars = [min(disc.radius, s / size) if size else disc.radius for s in scales]
         radii = stars + list(rng.uniform(0.0, 1.0, 3) * min(stars))
         sampled = _disc_samples(disc, radii, 16)
-        res = is_subspace_ball(sampled, scales, tol=0.0, spec=spec)
+        res = is_subspace_ball(disc, scales, tol=0.0, spec=spec)
         ref = _sampled_subspace_ball(sampled, scales, tol=0.0, spec=spec)
         assert abs(ref["defect"] - res["defect"]) <= 1e-12, case
-        per_scale = [is_subspace_ball(sampled, (s,), tol=0.0, spec=spec)["defect"]
+        per_scale = [is_subspace_ball(disc, (s,), tol=0.0, spec=spec)["defect"]
                      for s in scales]
         assert res["defect"] == max(per_scale), case
         if res["witness"] is None:
@@ -394,10 +397,11 @@ def test_closed_form_criterion_matches_the_sampled_reference():
 def test_criterion_needs_a_disc_descriptor():
     t = np.linspace(-1.0, 1.0, 5)
     d = np.array([1.0, 0.0])
-    for exact in (None, SubspaceBall(basis=d[None, :], ball_spec=l2())):
+    disc = DiscFamily(direction=d, radius=1.0)
+    for B in (None, SubspaceBall(basis=d[None, :], ball_spec=l2()),
+              SampledSet(points=t[:, None] * d[None, :], exact=disc)):
         with pytest.raises(UnsupportedNorm, match="DiscFamily"):
-            is_subspace_ball(SampledSet(points=t[:, None] * d[None, :], exact=exact),
-                             (0.5,), spec=l2())
+            is_subspace_ball(B, (0.5,), spec=l2())
 
 
 def test_limit_disc_fails_with_half_defect():

@@ -91,8 +91,10 @@ def test_unknown_scenario_exits_2(tmp_path, capsys):
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     # counterexample decides its criterion in closed form on the disc, so it
-    # has no sample-grid key such as angles
-    for scenario, key in (("borel", "bogus_key"), ("counterexample", "angles")):
+    # has no sample-grid key such as angles; the dense family pins each member
+    # on all of U_nm, so selection and marechal take no exhaustion depth
+    for scenario, key in (("borel", "bogus_key"), ("counterexample", "angles"),
+                          ("selection", "p_max"), ("marechal", "hw_p_max")):
         cfg = _write_config(tmp_path, f"{key}=64\n")
         code = main([scenario, "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
@@ -205,6 +207,18 @@ def test_spectral_ball_target_matches_one_matrix_at_a_time():
     assert target.contains(target.project(points)).all()
 
 
+def test_marechal_audit_gap_over_its_bound_raises(tmp_path, monkeypatch):
+    # the members at v_0 = 0 alone stay near the origin, about sqrt(2) from
+    # every corner of the values, so the audit must refuse to write a summary
+    import hyperselect.scenarios as scenarios
+    full = scenarios.dense_selection_family
+    monkeypatch.setattr(scenarios, "dense_selection_family", lambda *args, **kw: [
+        mem for mem in full(*args, **kw) if mem.net_index == 0])
+    with pytest.raises(RuntimeError, match=r"exceeds the bound .* at theta .*, generator \d"):
+        scenarios.run_marechal({"theta_count": "2", "hw_points": "3"}, 0, tmp_path)
+    assert not (tmp_path / "summary.json").exists()
+
+
 # a nan tolerance would switch the primal/dual gate off (diff > nan is never
 # true), and a non-finite block size used to surface as an invariant violation
 @pytest.mark.parametrize("scenario,text,key", [
@@ -231,10 +245,8 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
     ("selection", "family_tol=-0.01\n", "family_tol"),
     ("selection", "eps=0\n", "eps"),
     ("marechal", "hw_m_max=0\n", "hw_m_max"),
-    ("marechal", "hw_p_max=0\n", "hw_p_max"),
     ("marechal", "probe_count=0\n", "probe_count"),
     ("selection", "m_max=0\n", "m_max"),
-    ("selection", "p_max=0\n", "p_max"),
     ("finiteness", "sample_count=0\n", "sample_count"),
     ("finiteness", "probe_count=0\n", "probe_count"),
     ("finiteness", "m=9\n", "m"),
@@ -257,8 +269,8 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
     ("selection", "map=rising-triangle\n", "eps"),
 ], ids=["trials-negative", "trials-zero", "scales-negative", "scales-one",
         "hw_tol-negative", "tol-zero", "family_tol-negative", "eps-zero",
-        "hw_m_max-zero", "hw_p_max-zero", "marechal-probe_count-zero",
-        "m_max-zero", "p_max-zero", "sample_count-zero", "finiteness-probe_count-zero",
+        "hw_m_max-zero", "marechal-probe_count-zero",
+        "m_max-zero", "sample_count-zero", "finiteness-probe_count-zero",
         "m-over-cap", "probe_count-over-dim-1", "count-zero", "count-over-prefixes", "tol-negative",
         "net-outside-target", "norms-empty", "d2-over-cap", "n1d-zero",
         "hw_theta_max-zero", "tol_l2-negative", "tol_polyhedral-negative",

@@ -218,7 +218,7 @@ def test_singleton_map_family_is_constant():
     dom = grid_domain_1d(21)
     F = _interval_map(dom, lambda x: 0.5, lambda x: 0.5)
     members = dense_selection_family(F, np.array([[0.0], [0.5], [1.0]]),
-                                     m_max=2, p_max=2, tol=1e-3)
+                                     m_max=2, tol=1e-3)
     for mem in members:
         assert np.abs(mem.values - 0.5).max() <= 1e-3
 
@@ -228,7 +228,7 @@ def test_family_reaches_every_net_point_of_constant_interval():
     F = _interval_map(dom, lambda x: 0.0, lambda x: 1.0)
     net = np.array([[0.0], [0.5], [1.0]])
     tol = 1e-2
-    members = dense_selection_family(F, net, m_max=2, p_max=2, tol=tol)
+    members = dense_selection_family(F, net, m_max=2, tol=tol)
     for v in net[:, 0]:
         for i in range(len(dom)):
             best = min(abs(mem.values[i, 0] - v) for mem in members)
@@ -242,7 +242,7 @@ def test_family_audit_bound_and_monotonicity():
     tol = 1e-2
     audits = []
     for m_max in (2, 4):
-        members = dense_selection_family(F, net, m_max=m_max, p_max=2, tol=tol)
+        members = dense_selection_family(F, net, m_max=m_max, tol=tol)
         worst, _ = density_audit(members, F)
         audits.append(worst)
         assert worst <= 1.0 / m_max + 2 * tol
@@ -252,7 +252,7 @@ def test_family_audit_bound_and_monotonicity():
 def test_density_audit_matches_one_member_at_a_time():
     F = next(G for G in bundled_maps(n1d=11, n2d=3) if G.name == "rising-triangle")
     rng = np.random.default_rng(7)
-    members = [FamilyMember(0, 1, 1, rng.uniform(0.0, 1.0, (len(F), 2)), [], 0)
+    members = [FamilyMember(0, 1, rng.uniform(0.0, 1.0, (len(F), 2)), [], 0)
                for _ in range(6)]
     l2 = lambda a, b: np.linalg.norm(a - b, axis=1)
     l1_rows = lambda a, b: [float(np.abs(p - q).sum()) for p, q in zip(a, b)]
@@ -270,19 +270,19 @@ def test_smaller_family_is_the_slice_of_the_larger():
     dom = grid_domain_1d(21)
     F = _interval_map(dom, lambda x: 0.5 + 0.5 * x, lambda x: 1.0)
     net = np.array([[0.0], [0.5], [1.0]])
-    small = dense_selection_family(F, net, 1, 2, tol=1e-2)
-    sliced = [mem for mem in dense_selection_family(F, net, 2, 2, tol=1e-2) if mem.m <= 1]
-    assert len(small) == len(sliced) == 3 * 2
+    small = dense_selection_family(F, net, 1, tol=1e-2)
+    sliced = [mem for mem in dense_selection_family(F, net, 2, tol=1e-2) if mem.m <= 1]
+    assert len(small) == len(sliced) == 3
     for a, b in zip(small, sliced):
-        assert ((a.net_index, a.m, a.p, a.restricted_count)
-                == (b.net_index, b.m, b.p, b.restricted_count))
+        assert ((a.net_index, a.m, a.restricted_count)
+                == (b.net_index, b.m, b.restricted_count))
         assert np.array_equal(a.values, b.values)
 
 
 def test_family_selects_once_per_distinct_modified_map(monkeypatch):
     dom = grid_domain_1d(21)
-    F = _interval_map(dom, lambda x: 0.5 + 0.5 * x, lambda x: 1.0)
-    net = np.array([[0.0], [0.5], [1.0]])  # v = 0 is 1/2-far from every value
+    F = _interval_map(dom, lambda x: 0.6 + 0.4 * x, lambda x: 1.0)
+    net = np.array([[0.0], [0.5], [1.0]])  # v = 0 is at least 0.6 from every value
     tol = 1e-2
     calls = []
 
@@ -291,30 +291,27 @@ def test_family_selects_once_per_distinct_modified_map(monkeypatch):
         return michael_selection(G, tol=tol)
 
     monkeypatch.setattr("hyperselect.selection.michael_selection", counted)
-    members = dense_selection_family(F, net, m_max=2, p_max=3, tol=tol)
+    members = dense_selection_family(F, net, m_max=2, tol=tol)
     monkeypatch.undo()
 
-    # U_nm = {x : d(v_n, F(x)) < 1/m}; pinned where d(x, X \ U_nm) >= 1/p
-    keys = []
+    # member (n, m) is pinned on exactly U_nm = {x : d(v_n, F(x)) < 1/m}
+    pinning = 0
     for mem in members:
         v, radius = net[mem.net_index], 1.0 / mem.m
-        inside = np.array([F.values[i].project(v[None, :])[1][0] < radius for i in range(len(F))])
-        if inside.all():
-            d_comp = np.full(len(F), np.inf)
-        else:
-            d_comp = np.where(inside, dom.pair_d[:, ~inside].min(axis=1), 0.0)
-        pinned = d_comp >= 1.0 / mem.p
+        pinned = np.array([F.values[i].project(v[None, :])[1][0] < radius
+                           for i in range(len(F))])
         assert mem.restricted_count == int(pinned.sum())
-        keys.append((mem.net_index, mem.m, tuple(np.nonzero(pinned)[0].tolist()))
-                    if pinned.any() else None)
+        pinning += bool(pinned.any())
         values = [restrict_value(F.values[i], v, radius) if pinned[i] else F.values[i]
                   for i in range(len(F))]
         expected = michael_selection(SetValuedMap(dom, values, F.target), tol=tol)
         assert np.array_equal(mem.values, expected.values)
         assert mem.rounds == expected.rounds
-    assert len(members) == 3 * 2 * 3
-    assert None in keys and len(set(keys)) < len(members)
-    assert len(calls) == len(set(keys))
+    assert [(mem.net_index, mem.m) for mem in members] == [(n, m) for n in range(3)
+                                                           for m in (1, 2)]
+    # (v = 0, m = 2) pins nothing and takes the one selection of F
+    assert 0 < pinning < len(members)
+    assert len(calls) == pinning + 1 and sum(G is F for G in calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +535,7 @@ def _restricted_maps(monkeypatch, F, net):
         return MichaelResult(np.zeros((len(G), G.target.dim)), [], np.zeros(len(G)))
 
     monkeypatch.setattr("hyperselect.selection.michael_selection", capture)
-    dense_selection_family(F, net, m_max=2, p_max=2)
+    dense_selection_family(F, net, m_max=2)
     monkeypatch.undo()
     return [G for G in maps if G is not F]
 
