@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import (dyadic_weights, eval_norm, make_probe_sequence, probe_strong,
+from .norms import (NormSpec, dyadic_weights, eval_norm, make_probe_sequence, probe_strong,
                     require_probe_domain)
 
 ALGEBRA_TOL = 1e-9
@@ -30,11 +30,19 @@ class CapExceeded(ValueError):
 
 
 def operator_norm(x):
-    return float(np.linalg.norm(x, 2))
+    """Largest singular value of a matrix, or of each matrix in a stack."""
+    return eval_norm(x, NormSpec("operator"))
 
 
 def trace_norm(x):
-    return float(np.linalg.svd(x, compute_uv=False).sum())
+    """Sum of the singular values of a matrix, or of each matrix in a stack."""
+    return eval_norm(x, NormSpec("trace"))
+
+
+def unit_basis(A):
+    """The algebra's basis elements, each scaled to operator norm 1; an
+    HS-orthonormal element has operator norm at least 1/sqrt(n)."""
+    return A.hs_basis / operator_norm(A.hs_basis)[:, None, None]
 
 
 def _orthonormalize(mats, n):
@@ -155,10 +163,7 @@ def unit_ball_sample(A: MatrixAlgebra, count, seed=0):
     rng = np.random.default_rng(seed)
     n = A.n
     fixed = [np.eye(n, dtype=np.complex128), np.zeros((n, n), dtype=np.complex128)]
-    for b in A.hs_basis:
-        nb = operator_norm(b)
-        if nb > 1e-12:
-            fixed.append(b / nb)
+    fixed.extend(unit_basis(A))
     if n <= 4:
         for m in _signed_permutations(n):
             if np.linalg.norm(m - A.project(m)) <= ALGEBRA_TOL:
@@ -176,11 +181,11 @@ def unit_ball_sample(A: MatrixAlgebra, count, seed=0):
         blocks.append(u)  # reprojection is a no-op up to roundoff
         if need > n_cay:
             gr = g[n_cay:]
-            norms = np.maximum(np.linalg.svd(gr, compute_uv=False)[:, 0], 1e-12)
+            norms = np.maximum(operator_norm(gr), 1e-12)
             targets = np.where(rng.random(need - n_cay) < 0.5, rng.random(need - n_cay), 1.0)
             blocks.append(gr * (targets / norms)[:, None, None])
     out = np.concatenate(blocks)[:count]
-    norms = np.linalg.svd(out, compute_uv=False)[:, 0]
+    norms = operator_norm(out)
     return out * np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-12), 1.0)[:, None, None]
 
 
@@ -239,21 +244,22 @@ def adjoint_modulus(A: MatrixAlgebra, eps_list, sample_count=400, seed=0, spec=N
     """
     spec = default_strong_spec(A.n) if spec is None else spec
     samples = unit_ball_sample(A, sample_count, seed)
-    units = {}  # basis index -> the element scaled to operator norm 1
-    for i, b in enumerate(A.hs_basis):
-        nb = operator_norm(b)
-        if nb > 1e-12:
-            units[i] = b / nb
-    require_probe_domain(spec, *samples, *units.values())
+    units = unit_basis(A)
+    require_probe_domain(spec, samples, units)
     rng = np.random.default_rng(seed + 1)
-    pairs = [(u, np.zeros_like(u)) for u in units.values()]
-    pairs.extend((units[i], units[j])
-                 for i, j in itertools.combinations(range(min(len(A.hs_basis), 24)), 2)
-                 if i in units and j in units)
+    left, right = np.triu_indices(min(len(units), 24), k=1)  # combinations order
     idx = rng.integers(0, len(samples), size=(2 * sample_count, 2))
-    pairs.extend((samples[i], samples[j]) for i, j in idx)
-    fwd = np.array([eval_norm(x - y, spec) for x, y in pairs])
-    bwd = np.array([eval_norm(x.conj().T - y.conj().T, spec) for x, y in pairs])
+    # rows: each unit against 0, the unit pairs, then the sampled pairs
+    diffs = np.empty((len(units) + len(left) + len(idx), A.n, A.n), dtype=np.complex128)
+    cut = len(units) + len(left)
+    diffs[:len(units)] = units
+    diffs[len(units):cut] = units[left]
+    diffs[len(units):cut] -= units[right]
+    diffs[cut:] = samples[idx[:, 0]]
+    diffs[cut:] -= samples[idx[:, 1]]
+    fwd = eval_norm(diffs, spec)
+    np.conj(diffs, out=diffs)  # x* - y* = (x - y)*
+    bwd = eval_norm(diffs.swapaxes(-1, -2), spec)
     out = []
     for eps in eps_list:
         violating = fwd[bwd > eps]

@@ -203,50 +203,51 @@ def probe_strong_star(probes, weights=None):
     return NormSpec("probe_strong_star", probes=probes, weights=weights)
 
 
-def _check_square(x, kind):
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise DimensionMismatch(f"{kind} norm needs a square matrix, got shape {x.shape}")
-    return x
-
-
 def eval_norm(x, spec):
-    """Norm of a vector or matrix under `spec`.
+    """Norm of a vector or matrix under `spec`, or of each one in a stack.
 
-    l1/l2/linf read the flattened coordinates; operator and trace norms are
-    the largest and the summed singular value; the probe kinds are the
-    weighted probe sums (strong-* uses (||x xi|| + ||x* xi||)/2 per probe so
-    every probe kind is dominated by the operator norm times the weight sum).
+    l1/l2/linf reduce the last axis of x (..., dim).  The matrix kinds reduce
+    the last two of x (..., d, d): operator and trace norms are the largest
+    and the summed singular value; the probe kinds are the weighted probe
+    sums (strong-* uses (||x xi|| + ||x* xi||)/2 per probe so every probe
+    kind is dominated by the operator norm times the weight sum).  One
+    vector or matrix gives a float, a stack an array of its leading shape.
     """
     x = np.asarray(x)
     if spec.kind in VECTOR_KINDS:
-        flat = np.abs(x.ravel())
+        a = np.abs(x)
         if spec.kind == "l1":
-            return float(flat.sum())
-        if spec.kind == "l2":
-            return float(np.sqrt((flat * flat).sum()))
-        return float(flat.max()) if flat.size else 0.0
-    x = _check_square(x, spec.kind)
-    if spec.kind == "operator":
-        return float(np.linalg.norm(x, 2))
-    if spec.kind == "trace":
-        return float(np.linalg.svd(x, compute_uv=False).sum())
+            out = a.sum(axis=-1)
+        elif spec.kind == "l2":
+            out = np.sqrt((a * a).sum(axis=-1))
+        else:
+            out = a.max(axis=-1, initial=0.0)
+    else:
+        out = _matrix_norm(x, spec)
+    return float(out) if out.ndim == 0 else out
+
+
+def _matrix_norm(x, spec):
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise DimensionMismatch(f"{spec.kind} norm needs square matrices, got shape {x.shape}")
+    if spec.kind in ("operator", "trace"):
+        s = np.linalg.svd(x, compute_uv=False)  # descending
+        return s[..., 0] if spec.kind == "operator" else s.sum(axis=-1)
     probes = spec.probes
-    if probes.dim != x.shape[0]:
+    if probes.dim != x.shape[-1]:
         raise DimensionMismatch("probe dimension does not match the matrix")
     w = spec.weights
     if spec.kind == "probe_weak":
         k, l = probes.pairing[:, 0], probes.pairing[:, 1]
         images = x @ probes.vectors[k].T  # column m = x xi_{k_m}
-        vals = np.abs(np.einsum("md,dm->m", probes.vectors[l].conj(), images))
-        return float(np.dot(w, vals))
-    images = x @ probes.vectors.T.astype(x.dtype)
-    strong = np.linalg.norm(images, axis=0)
+        vals = np.abs(np.einsum("md,...dm->...m", probes.vectors[l].conj(), images))
+        return (vals * w).sum(axis=-1)
+    vectors = probes.vectors.T.astype(x.dtype)
+    strong = np.linalg.norm(x @ vectors, axis=-2)
     if spec.kind == "probe_strong":
-        return float(np.dot(w, strong))
-    adj_images = x.conj().T @ probes.vectors.T.astype(x.dtype)
-    adj = np.linalg.norm(adj_images, axis=0)
-    return float(np.dot(w, (strong + adj) / 2.0))
+        return (strong * w).sum(axis=-1)
+    adj = np.linalg.norm(x.conj().swapaxes(-1, -2) @ vectors, axis=-2)
+    return ((strong + adj) / 2.0 * w).sum(axis=-1)
 
 
 _DUAL_OF = {"l1": "linf", "linf": "l1", "l2": "l2"}
@@ -260,12 +261,12 @@ def dual_kind(kind):
 
 def require_probe_domain(spec, *mats):
     """Raise unless spec is a probe norm and every matrix lies in the
-    operator-norm unit ball, where probe metrics are calibrated."""
+    operator-norm unit ball, where probe metrics are calibrated.  Each
+    argument is a matrix or a stack of them."""
     if spec.kind not in PROBE_KINDS:
         raise UnsupportedNorm("probe_metric needs a probe norm spec")
-    for m in mats:
-        if np.linalg.norm(m, 2) > 1.0 + BALL_SLACK:
-            raise OutsideUnitBall("probe metrics are calibrated on the unit ball only")
+    if any(np.max(eval_norm(m, operator_norm())) > 1.0 + BALL_SLACK for m in mats):
+        raise OutsideUnitBall("probe metrics are calibrated on the unit ball only")
 
 
 def probe_metric(a, b, spec):
@@ -325,24 +326,15 @@ class SampledSet:
         return len(self.points)
 
 
-def _pairwise_norms(diffs, spec):
-    # diffs: (..., dim) batch of difference vectors, vector norms only
-    if spec.kind == "l1":
-        return np.abs(diffs).sum(axis=-1)
-    if spec.kind == "l2":
-        return np.sqrt((np.abs(diffs) ** 2).sum(axis=-1))
-    if spec.kind == "linf":
-        return np.abs(diffs).max(axis=-1)
-    return np.array([eval_norm(d, spec) for d in diffs.reshape(-1, diffs.shape[-1])]).reshape(diffs.shape[:-1])
-
-
 def distances_to_points(x, points, spec):
     """Vector of spec-distances from x to each row of points."""
     x = np.asarray(x)
     points = np.atleast_2d(points)
     if points.shape[1] != x.shape[0]:
         raise DimensionMismatch("point dimension mismatch")
-    return _pairwise_norms(points - x[None, :], spec)
+    if spec.kind not in VECTOR_KINDS:
+        raise DimensionMismatch(f"{spec.kind} norm needs matrices, not points")
+    return eval_norm(points - x[None, :], spec)
 
 
 def _disc_distance(x, disc, spec):

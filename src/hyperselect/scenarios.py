@@ -58,8 +58,8 @@ from .algebras import (
     build_fS,
     default_strong_spec,
     marechal_pseudometric,
-    operator_norm,
     rotated_diagonal_algebra,
+    unit_basis,
 )
 from .borel import (
     MAX_DEPTH,
@@ -520,8 +520,8 @@ def run_marechal(params, seed, out):
 
     ss_spec = probe_strong_star(make_probe_sequence(2, cfg["probe_count"]))
     worst_l2, l2_rows = density_audit(members, F)
-    worst_ss, ss_rows = density_audit(members, F, metric=lambda a, b: [
-        eval_norm(coords_to_sym(p) - coords_to_sym(q), ss_spec) for p, q in zip(a, b)])
+    worst_ss, ss_rows = density_audit(members, F, metric=lambda a, b: eval_norm(
+        coords_to_sym(a) - coords_to_sym(b), ss_spec))
     audit_rows = [(grid[j], g, best_l2, best_ss)
                   for (j, g, _, best_l2), (_, _, _, best_ss) in zip(l2_rows, ss_rows)]
     files.append(_write_csv(out / "hw_audit.csv",
@@ -584,10 +584,8 @@ def run_finiteness(params, seed, out):
                                           sample_count=cfg["sample_count"],
                                           seed=seed, spec=spec):
             rows.append((eps, delta, size))
-        for idx in range(min(cfg["witness_count"], algebra.dim)):
-            unit = algebra.hs_basis[idx]
-            nb = operator_norm(unit)
-            witness_rows.append((size, idx, eval_norm(unit / nb, spec)))
+        rho = eval_norm(unit_basis(algebra)[:cfg["witness_count"]], spec)
+        witness_rows.extend((size, idx, r) for idx, r in enumerate(rho))
     return [
         _write_csv(out / "finiteness.csv", ("eps", "delta", "block_size"), rows),
         _write_csv(out / "witnesses.csv",

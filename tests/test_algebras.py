@@ -1,5 +1,7 @@
 """Matrix *-algebras: generation, support pseudometrics, unit-ball laws,
 the adjoint modulus, the block algebras f(S), and the isometry bounds."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hyperselect.algebras import (
     adjoint_isometry_defect,
     build_fS,
     cayley_unitary,
+    default_strong_spec,
     diagonal_algebra,
     full_algebra,
     functional_norm_on_fS,
@@ -27,7 +30,7 @@ from hyperselect.algebras import (
     trace_norm,
     unit_ball_sample,
 )
-from hyperselect.norms import OutsideUnitBall
+from hyperselect.norms import OutsideUnitBall, eval_norm
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 
@@ -296,6 +299,34 @@ def test_modulus_rejects_a_sample_outside_the_unit_ball(monkeypatch):
                         lambda A, count, seed: 2.0 * np.eye(2, dtype=np.complex128)[None])
     with pytest.raises(OutsideUnitBall):
         adjoint_modulus(A, [0.1], sample_count=10, seed=0)
+
+
+def _per_pair_modulus(A, eps_list, sample_count, seed, spec):
+    # the reference: one eval_norm call per pair and side, on the pairs
+    # adjoint_modulus draws
+    samples = unit_ball_sample(A, sample_count, seed)
+    units = [b / operator_norm(b) for b in A.hs_basis]
+    rng = np.random.default_rng(seed + 1)
+    pairs = [(u, np.zeros_like(u)) for u in units]
+    pairs += [(units[i], units[j])
+              for i, j in itertools.combinations(range(min(len(units), 24)), 2)]
+    pairs += [(samples[i], samples[j])
+              for i, j in rng.integers(0, len(samples), size=(2 * sample_count, 2))]
+    fwd = np.array([eval_norm(x - y, spec) for x, y in pairs])
+    bwd = np.array([eval_norm(x.conj().T - y.conj().T, spec) for x, y in pairs])
+    return [(eps, float(fwd[bwd > eps].min()) if (bwd > eps).any() else 2.0)
+            for eps in eps_list]
+
+
+def test_modulus_matches_per_pair_reference():
+    # the full block algebra on C^3 (x) C^3 has 27 basis units, past the cap
+    # of 24 on the unit pairs
+    full_blocks, _ = build_fS(SubsetSeq(m=3, subsets=({0, 1, 2},) * 3))
+    eps_list = [0.05, 0.1, 0.2, 0.4]
+    for A in (full_algebra(2), diagonal_algebra(3), full_blocks):
+        spec = default_strong_spec(A.n, 5)
+        got = adjoint_modulus(A, eps_list, sample_count=40, seed=2, spec=spec)
+        assert got == _per_pair_modulus(A, eps_list, 40, 2, spec)
 
 
 def test_modulus_separates_block_sizes():

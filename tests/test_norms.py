@@ -19,6 +19,7 @@ from hyperselect.norms import (
     SampledSet,
     SubspaceBall,
     UnsupportedNorm,
+    distances_to_points,
     dual_kind,
     dyadic_weights,
     eval_norm,
@@ -32,6 +33,7 @@ from hyperselect.norms import (
     probe_strong,
     probe_strong_star,
     probe_weak,
+    require_probe_domain,
     trace_norm,
 )
 
@@ -100,6 +102,28 @@ def test_probe_metric_identity_of_indiscernibles():
     a /= max(1.0, np.linalg.norm(a, 2))
     spec = probe_strong_star(make_probe_sequence(3, 6))
     assert probe_metric(a, a, spec) == 0.0
+
+
+@pytest.mark.parametrize("spec_name", ["l1", "l2", "linf", "operator", "trace",
+                                       "probe_weak", "probe_strong", "probe_strong_star"])
+def test_stack_matches_one_at_a_time(spec_name):
+    # one evaluator for every shape: a (2, 3) stack gives each member's own
+    # value bit for bit, a single vector or matrix gives a float, and a
+    # stack of transposed views (the adjoint side of adjoint_modulus) agrees
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    if spec_name in ("l1", "l2", "linf"):
+        spec, views = NormSpec(spec_name), [x[..., 0, :]]
+    else:
+        probes = make_probe_sequence(4, 6) if spec_name.startswith("probe") else None
+        spec, views = NormSpec(spec_name, probes=probes), [x, x.swapaxes(-1, -2)]
+    for v in views:
+        singles = [[eval_norm(np.array(m), spec) for m in row] for row in v]
+        assert all(type(s) is float for row in singles for s in row)
+        stacked = eval_norm(v, spec)
+        assert stacked.shape == (2, 3)
+        assert np.array_equal(stacked, singles)
+    assert eval_norm(views[0][0, :1], spec).shape == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +217,8 @@ def test_probe_metric_rejects_points_outside_ball():
     spec = probe_strong_star(make_probe_sequence(2, 4))
     with pytest.raises(OutsideUnitBall):
         probe_metric(3.0 * np.eye(2), np.zeros((2, 2)), spec)
+    with pytest.raises(OutsideUnitBall):
+        require_probe_domain(spec, np.stack([np.zeros((2, 2)), 3.0 * np.eye(2)]))
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +450,9 @@ def test_zero_direction_disc_is_the_origin():
 def test_operator_norm_requires_square_input():
     with pytest.raises(DimensionMismatch):
         eval_norm(np.ones((2, 3)), operator_norm())
+    with pytest.raises(DimensionMismatch):
+        # three points in dimension 3 are rows, not one 3 x 3 matrix
+        distances_to_points(np.zeros(3), np.eye(3), operator_norm())
 
 
 def test_probe_kind_requires_probes():
