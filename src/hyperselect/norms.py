@@ -7,6 +7,7 @@ scalars as [re, im] pairs so files stay language-neutral.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,52 +54,25 @@ def _diagonal_pairs(length):
 
 
 def _integer_sphere(dim, total):
-    # Integer vectors with 1-norm exactly `total`, emitted in the same
-    # lexicographic order as scanning [-total, total]^dim, but the scan is a
-    # budget-pruned recursion so high dimensions stay tractable.
+    # Integer vectors with 1-norm exactly `total` and a positive first nonzero
+    # coordinate, each coordinate scanned from +total down to -total; the
+    # scan is a budget-pruned recursion so high dimensions stay tractable.
     vec = [0] * dim
 
-    def rec(pos, budget):
-        remaining = dim - pos - 1
-        if remaining == 0:
-            for c in (-budget, budget) if budget else (0,):
+    def rec(pos, budget, signed):
+        # signed: an earlier coordinate is nonzero, so this one may be negative
+        if pos == dim - 1:
+            for c in (budget, -budget) if signed and budget else (budget,):
                 vec[pos] = c
                 yield tuple(vec)
             vec[pos] = 0
             return
-        for c in range(-min(total, budget), min(total, budget) + 1):
-            rest = budget - abs(c)
-            if rest > remaining * total:
-                continue
+        for c in range(budget, -budget - 1 if signed else -1, -1):
             vec[pos] = c
-            yield from rec(pos + 1, rest)
+            yield from rec(pos + 1, budget - abs(c), signed or c != 0)
         vec[pos] = 0
 
-    yield from rec(0, total)
-
-
-def _rational_directions(dim, count):
-    """Unit vectors with rational coordinates, in a fixed enumeration order.
-
-    Integer vectors are walked by increasing 1-norm then lexicographically;
-    positive multiples of an already-emitted direction are skipped (-v is
-    still emitted).  Dimension 1 has only the directions -1 and +1, so asking
-    it for more raises ValueError.
-    """
-    out, seen = [], set()
-    for total in itertools.count(1):
-        if dim == 1 and total > 1:
-            raise ValueError("dimension 1 has no rational direction beyond -1 and +1")
-        for z in _integer_sphere(dim, total):
-            v = np.array(z, dtype=np.float64)
-            v /= np.linalg.norm(v)
-            key = tuple(np.round(v, 12))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(v)
-            if len(out) == count:
-                return out
+    yield from rec(0, total, False)
 
 
 @dataclass(frozen=True)
@@ -125,26 +99,27 @@ class ProbeSequence:
         return len(self.vectors)
 
 
-def make_probe_sequence(dim, length, seed=0):
-    """Deterministic probe sequence: standard basis first, then a fixed
-    enumeration of rational-direction unit vectors, truncated at `length`.
+def make_probe_sequence(dim, length):
+    """Deterministic probe sequence: unit vectors along the primitive integer
+    vectors (gcd 1, first nonzero coordinate positive) by increasing 1-norm,
+    each coordinate scanned from +t down to -t, truncated at `length`.
 
-    A nonzero seed swaps the rational tail for seeded random unit vectors;
-    either way the output is a pure function of (dim, length, seed).
+    The standard basis comes first, and each direction appears once up to
+    sign, which a probe norm ||x xi|| cannot tell apart.  Dimension 1 has the
+    one direction +1, so asking it for more raises ValueError.
     """
     if length < 1:
         raise ValueError(f"probe sequence length must be at least 1, got {length}")
-    rows = [np.eye(dim)[i] for i in range(min(dim, length))]
-    extra = length - len(rows)
-    if extra > 0:
-        if seed == 0:
-            rows.extend(_rational_directions(dim, extra))
-        else:
-            rng = np.random.default_rng(seed)
-            g = rng.standard_normal((extra, dim))
-            rows.extend(g / np.linalg.norm(g, axis=1, keepdims=True))
-    vectors = np.array(rows[:length], dtype=np.float64)
-    return ProbeSequence(vectors=vectors, pairing=_diagonal_pairs(length))
+    rows = []
+    for total in itertools.count(1):
+        if dim == 1 and total > 1:
+            raise ValueError("dimension 1 has no probe direction beyond +1")
+        for z in _integer_sphere(dim, total):
+            if math.gcd(*z) == 1:
+                rows.append(np.array(z, dtype=np.float64) / np.linalg.norm(z))
+                if len(rows) == length:
+                    return ProbeSequence(vectors=np.array(rows),
+                                         pairing=_diagonal_pairs(length))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,11 @@ def _hausdorff(a, b, spec):
     return max(ab, ba)
 
 
+def _random_unit_rows(rng, count, dim):
+    g = rng.standard_normal((count, dim))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
 def _line(theta):
     return subspace_from_spanning(np.array([[np.cos(theta), np.sin(theta)]]),
                                   ambient=l2(), side="dual")
@@ -57,7 +62,7 @@ def test_hausdorff_nested_discs():
 
 def test_probe_gap_identical_sets_is_zero():
     rng = np.random.default_rng(2)
-    probes = make_probe_sequence(5, 16, seed=3).vectors
+    probes = _random_unit_rows(np.random.default_rng(3), 16, 5)
     for spec in (l1(), l2(), linf()):
         V = subspace_from_spanning(rng.standard_normal((2, 5)), ambient=spec, side="dual")
         assert convergence_gap([V], V, probes) == [0.0]
@@ -86,7 +91,7 @@ def test_probe_gap_below_hausdorff():
     # support functions are 1-Lipschitz in the Hausdorff distance on unit
     # probes (Hormander), so the dual gap stays below the primal distance
     rng = np.random.default_rng(5)
-    probes = make_probe_sequence(3, 32, seed=6).vectors
+    probes = _random_unit_rows(np.random.default_rng(6), 32, 3)
     for _ in range(100):
         u, v = rng.standard_normal((2, 3))
         u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)

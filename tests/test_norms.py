@@ -226,11 +226,32 @@ def test_probe_metric_rejects_points_outside_ball():
 
 
 def test_probe_sequence_rows_are_unit_and_deterministic():
-    for seed in (0, 9):
-        p1 = make_probe_sequence(3, 12, seed=seed)
-        p2 = make_probe_sequence(3, 12, seed=seed)
-        assert np.array_equal(p1.vectors, p2.vectors)
-        assert np.all(np.abs(np.linalg.norm(p1.vectors, axis=1) - 1.0) <= 1e-12)
+    p1 = make_probe_sequence(3, 12)
+    p2 = make_probe_sequence(3, 12)
+    assert np.array_equal(p1.vectors, p2.vectors)
+    assert np.all(np.abs(np.linalg.norm(p1.vectors, axis=1) - 1.0) <= 1e-12)
+
+
+def test_probe_sequence_lists_primitive_directions_in_order():
+    # e0, e1, then (1, +-1), (2, +-1), (1, +-2): 1-norm first, each
+    # coordinate from +t down to -t
+    v = make_probe_sequence(2, 8).vectors
+    scaled = v * np.sqrt([1, 1, 2, 2, 5, 5, 5, 5])[:, None]
+    expected = [[1, 0], [0, 1], [1, 1], [1, -1], [2, 1], [2, -1], [1, 2], [1, -2]]
+    assert np.allclose(scaled, expected, rtol=0, atol=1e-15)
+    assert make_probe_sequence(1, 1).vectors.tolist() == [[1.0]]
+    with pytest.raises(ValueError, match="dimension 1"):
+        make_probe_sequence(1, 2)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_probe_sequence_rows_are_pairwise_non_parallel(dim):
+    # a probe norm ||x xi|| cannot tell xi from -xi, so a row parallel to an
+    # earlier one, of either sign, would only repeat a probe
+    v = make_probe_sequence(dim, 40).vectors
+    cos = np.abs(v @ v.T)
+    np.fill_diagonal(cos, 0.0)
+    assert cos.max() < 1.0 - 1e-9
 
 
 def test_probe_sequence_prefix_stability():
