@@ -63,6 +63,9 @@ class HullStack:
         self._faces = []  # per face size, each with a leading (V, faces) shape
         for s in range(1, g.shape[1] + 1):
             gs = g[:, list(itertools.combinations(range(g.shape[1]), s))]
+            if s == 1:  # a vertex: lam = 1 exactly, where a solve leaves roundoff
+                self._faces.append((gs, np.zeros_like(gs), np.ones(gs.shape[:-1])))
+                continue
             kkt = np.zeros(gs.shape[:2] + (s + 1, s + 1))
             kkt[..., :s, :s] = 2.0 * gs @ gs.swapaxes(-1, -2)
             kkt[..., :s, s] = 1.0

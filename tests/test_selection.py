@@ -266,6 +266,17 @@ def test_density_audit_matches_one_member_at_a_time():
         assert worst == max(b for *_, b in expected)
 
 
+def test_value_exactly_one_over_m_away_is_not_pinned():
+    # a vertex face has lam = 1 exactly, so d(0, [0.5, 1]) = 0.5 and
+    # d(0, {1}) = 1 to the last bit, and a value exactly 1/m from v_n stays
+    # out of the open set U_nm: on F(x) = [x, 1], U_{0,1} = {x < 1}
+    F = _interval_map(grid_domain_1d(3), lambda x: 0.5 + 0.5 * x, lambda x: 1.0)
+    assert _project_all(F, np.zeros((1, 1)))[1][0].tolist() == [0.5, 0.75, 1.0]
+    F = {G.name: G for G in bundled_maps(101, 11)}["sliding-left-end"]
+    members = dense_selection_family(F, np.zeros((1, 1)), 2, tol=1e-2)
+    assert [(mem.m, mem.restricted_count) for mem in members] == [(1, 100), (2, 50)]
+
+
 def test_smaller_family_is_the_slice_of_the_larger():
     dom = grid_domain_1d(21)
     F = _interval_map(dom, lambda x: 0.5 + 0.5 * x, lambda x: 1.0)
