@@ -552,10 +552,10 @@ def run_marechal(params, seed, out):
 _FINITENESS_KEYS = {
     "m": (4, _between(1, math.isqrt(FS_CAP))),  # the block algebra acts on m*m coordinates
     "block_sizes": ((1, 2, 4), _at_least(1)),
-    "eps_list": ((0.05, 0.1, 0.2, 0.4), _ANY),
+    "eps_list": ((0.05, 0.1, 0.2, 0.4), _POSITIVE),
     "sample_count": (300, _at_least(1)),
     "probe_count": (8, _at_least(1)),
-    "witness_count": (6, _ANY),
+    "witness_count": (6, _at_least(0)),
 }
 
 

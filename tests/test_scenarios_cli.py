@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from hyperselect.cli import main
 from hyperselect.scenarios import (
@@ -248,6 +249,8 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
     ("marechal", "probe_count=0\n", "probe_count"),
     ("selection", "m_max=0\n", "m_max"),
     ("finiteness", "sample_count=0\n", "sample_count"),
+    ("finiteness", "witness_count=-1\n", "witness_count"),
+    ("finiteness", "eps_list=0.1,0\n", "eps_list"),
     ("finiteness", "probe_count=0\n", "probe_count"),
     ("finiteness", "m=9\n", "m"),
     # m = 1 probes dimension 1, which has only the directions -1 and +1
@@ -270,7 +273,8 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
 ], ids=["trials-negative", "trials-zero", "scales-negative", "scales-one",
         "hw_tol-negative", "tol-zero", "family_tol-negative", "eps-zero",
         "hw_m_max-zero", "marechal-probe_count-zero",
-        "m_max-zero", "sample_count-zero", "finiteness-probe_count-zero",
+        "m_max-zero", "sample_count-zero", "witness_count-negative", "eps_list-zero",
+        "finiteness-probe_count-zero",
         "m-over-cap", "probe_count-over-dim-1", "count-zero", "count-over-prefixes", "tol-negative",
         "net-outside-target", "norms-empty", "d2-over-cap", "n1d-zero",
         "hw_theta_max-zero", "tol_l2-negative", "tol_polyhedral-negative",
@@ -319,18 +323,24 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_counterexample_sample_config_matches_seed0_manifest(tmp_path, capsys):
-    # every figure is an exact dyadic value, so the digests do not depend on
-    # the numpy or BLAS build
-    out = tmp_path / "counterexample"
-    cfg = str(SAMPLE_CONFIGS / "counterexample.cfg")
-    assert main(["counterexample", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_sample_config_matches_seed0_manifest(tmp_path, capsys, scenario):
+    # counterexample writes only exact dyadic values, so its digests hold on
+    # any numpy or BLAS build; the others are checked on the build that
+    # recorded the manifest (README)
+    if scenario != "counterexample" and (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"):
+        pytest.skip("digests were recorded with numpy 2.4.6 and scipy 1.17.1")
+    out = tmp_path / scenario
+    cfg = str(SAMPLE_CONFIGS / f"{scenario}.cfg")
+    assert main([scenario, "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
     capsys.readouterr()
     manifest = dict(reversed(line.split("  ", 1))
                     for line in SEED0_MANIFEST.read_text(encoding="utf-8").splitlines())
-    for name in ("counterexample.csv", "witness.json"):
-        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        assert digest == manifest[f"counterexample/{name}"], name
+    names = sorted(key for key in manifest if key.startswith(f"{scenario}/"))
+    assert names == sorted(f"{scenario}/{p.name}" for p in out.iterdir())
+    for name in names:
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == manifest[name], name
 
 
 def test_duality_rerun_byte_identical_and_seed_sensitive(tmp_path, capsys):
