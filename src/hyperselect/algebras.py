@@ -76,8 +76,8 @@ class MatrixAlgebra:
             return
         for name, residual in (
             ("adjoint", self._closure_residual(self.hs_basis.conj().transpose(0, 2, 1))),
-            ("unit", float(np.linalg.norm(np.eye(self.n) - self.project(np.eye(self.n))))),
-            ("product", self._product_residual()),
+            ("unit", self._closure_residual(np.eye(self.n)[None])),
+            ("product", max(self._closure_residual(a @ self.hs_basis) for a in self.hs_basis)),
         ):
             if residual > ALGEBRA_TOL:
                 raise ValueError(f"{name} closure residual {residual:.3g} exceeds {ALGEBRA_TOL:g}")
@@ -87,23 +87,19 @@ class MatrixAlgebra:
         return len(self.hs_basis)
 
     def project(self, x):
-        """HS-orthogonal projection onto the algebra."""
-        coeffs = self._flat.conj() @ np.asarray(x, dtype=np.complex128).ravel()
-        return (coeffs @ self._flat).reshape(self.n, self.n)
+        """HS-orthogonal projection onto the algebra, of one matrix or of each
+        matrix in a (..., n, n) stack.  Each matrix is its own (1, n^2) row, so
+        numpy runs one matrix-vector product per matrix, whatever the stack's
+        size, and a stack's entries equal one-at-a-time projections bit for bit.
+        """
+        x = np.asarray(x, dtype=np.complex128)
+        rows = x.reshape(-1, 1, self.n * self.n)
+        coeffs = rows @ self._flat.conj().T
+        return (coeffs @ self._flat).reshape(x.shape)
 
     def _closure_residual(self, mats):
-        worst = 0.0
-        for m in mats:
-            worst = max(worst, float(np.linalg.norm(m - self.project(m))))
-        return worst
-
-    def _product_residual(self):
-        worst = 0.0
-        for a in self.hs_basis:
-            prods = (a @ self.hs_basis).reshape(self.dim, -1)
-            back = (prods @ self._flat.conj().T) @ self._flat
-            worst = max(worst, float(np.abs(prods - back).max()))
-        return worst
+        """Largest HS distance from a matrix of the stack to the algebra."""
+        return float(np.linalg.norm(mats - self.project(mats), axis=(1, 2)).max())
 
 
 def generate_algebra(generators, n):
@@ -165,9 +161,8 @@ def unit_ball_sample(A: MatrixAlgebra, count, seed=0):
     fixed = [np.eye(n, dtype=np.complex128), np.zeros((n, n), dtype=np.complex128)]
     fixed.extend(unit_basis(A))
     if n <= 4:
-        for m in _signed_permutations(n):
-            if np.linalg.norm(m - A.project(m)) <= ALGEBRA_TOL:
-                fixed.append(m.astype(np.complex128))
+        perms = np.array(list(_signed_permutations(n)), dtype=np.complex128)
+        fixed.extend(perms[np.linalg.norm(perms - A.project(perms), axis=(1, 2)) <= ALGEBRA_TOL])
     blocks = [np.array(fixed[:count])]
     need = count - len(blocks[0])
     if need > 0:
@@ -176,9 +171,7 @@ def unit_ball_sample(A: MatrixAlgebra, count, seed=0):
         g = ((coeffs / np.sqrt(2 * A.dim)) @ A._flat).reshape(need, n, n)
         h = (g[:n_cay] + g[:n_cay].conj().transpose(0, 2, 1)) / 2
         h *= np.asarray(_CAYLEY_SCALES)[np.arange(n_cay) % len(_CAYLEY_SCALES)][:, None, None]
-        u = cayley_unitary(h)
-        u = ((u.reshape(n_cay, -1) @ A._flat.conj().T) @ A._flat).reshape(u.shape)
-        blocks.append(u)  # reprojection is a no-op up to roundoff
+        blocks.append(A.project(cayley_unitary(h)))  # a no-op up to roundoff
         if need > n_cay:
             gr = g[n_cay:]
             norms = np.maximum(operator_norm(gr), 1e-12)
@@ -191,7 +184,8 @@ def unit_ball_sample(A: MatrixAlgebra, count, seed=0):
 
 def marechal_support(A: MatrixAlgebra, x):
     """sup {|Tr(a x)| : a in A, operator norm <= 1}, in closed form as the
-    trace norm of the HS projection of x onto A."""
+    trace norm of the HS projection of x onto A; for a (..., n, n) stack, one
+    value per matrix."""
     return trace_norm(A.project(x))
 
 
@@ -205,7 +199,7 @@ def polar_witness(A: MatrixAlgebra, x):
     rescaled when its operator norm exceeds 1, so it is always a member and
     |Tr(w x)| an exact lower certificate.
     """
-    u, _, vt = np.linalg.svd(A.project(np.asarray(x, dtype=np.complex128)))
+    u, _, vt = np.linalg.svd(A.project(x))
     w = A.project((u @ vt).conj().T)
     nb = operator_norm(w)
     return w / nb if nb > 1.0 else w
@@ -215,12 +209,10 @@ def marechal_pseudometric(A: MatrixAlgebra, B: MatrixAlgebra, probes, weights=No
     """Weighted sum of support-value gaps over the probe matrices."""
     if A.n != B.n:
         raise ValueError("algebras must share the ambient size")
-    probes = list(probes)
+    probes = np.array(list(probes), dtype=np.complex128)
     weights = dyadic_weights(len(probes)) if weights is None else np.asarray(weights)
-    total = 0.0
-    for w, x in zip(weights, probes):
-        total += float(w) * abs(marechal_support(A, x) - marechal_support(B, x))
-    return total
+    gaps = np.abs(marechal_support(A, probes) - marechal_support(B, probes))
+    return float(np.dot(weights, gaps))
 
 
 # ---------------------------------------------------------------------------

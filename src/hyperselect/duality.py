@@ -131,7 +131,7 @@ def exact_support(descriptor, x):
 # ---------------------------------------------------------------------------
 # polytope sections of polyhedral unit balls
 
-_SECTION_DIM_CAP = 9
+SECTION_DIM_CAP = 9
 
 
 def ball_section_points(basis, kind):
@@ -163,8 +163,8 @@ def ball_section_points(basis, kind):
     m, n = basis.shape
     if m == 0:
         return np.zeros((1, n))
-    if n > _SECTION_DIM_CAP:
-        raise UnsupportedNorm(f"vertex enumeration capped at ambient dim {_SECTION_DIM_CAP}")
+    if n > SECTION_DIM_CAP:
+        raise UnsupportedNorm(f"vertex enumeration capped at ambient dim {SECTION_DIM_CAP}")
     cols = basis.T  # row j: coordinate j as a functional of the coefficients
     q = m if kind == "linf" else n - m + 1  # coordinates that carry a sign
     signs = 1.0 - 2.0 * (np.arange(2 ** q)[:, None] >> np.arange(q) & 1)  # (2^q, q)

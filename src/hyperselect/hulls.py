@@ -25,11 +25,13 @@ radius leaves that hull unclipped.  A single hull is the V = 1 stack.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
 GENERATOR_CAP = 12
 _FEAS_TOL = 1e-12
+CONTAINS_TOL = 1e-9  # distance at which a point counts as inside a convex set
 
 
 class TooManyGenerators(ValueError):
@@ -115,11 +117,15 @@ class HullStack:
 
 
 class HullProjector:
-    """Exact L2 projection onto the convex hull of a few generator points."""
+    """Exact L2 projection onto the convex hull of a few generator points,
+    deduped once; the faces are enumerated on the first projection."""
 
     def __init__(self, generators):
         self.generators = dedupe_points(np.atleast_2d(np.asarray(generators, dtype=np.float64)))
-        self.stack = HullStack(self.generators[None])
+
+    @cached_property
+    def stack(self):
+        return HullStack(self.generators[None])
 
     def project(self, points, center=None, radius=None):
         """Projections and distances for a batch of query points, onto the
@@ -136,11 +142,8 @@ class HullProjector:
         proj, dist = self.stack.project(pts[:, None, :], center, radius)
         return proj[:, 0], dist[:, 0]
 
-    def distances(self, points):
-        return self.project(points)[1]
-
-    def contains(self, points, tol=1e-9):
-        return self.distances(points) <= tol
+    def contains(self, points):
+        return self.project(points)[1] <= CONTAINS_TOL
 
 
 def lattice_round(points, cell):

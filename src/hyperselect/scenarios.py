@@ -27,6 +27,7 @@ from .norms import (
     probe_strong_star,
 )
 from .duality import (
+    SECTION_DIM_CAP,
     DualityMismatch,
     Subspace,
     convergence_gap,
@@ -38,6 +39,7 @@ from .duality import (
     quotient_routes,
     subspace_from_spanning,
 )
+from .hulls import CONTAINS_TOL
 from .selection import (
     DiscreteDomain,
     HullValue,
@@ -223,9 +225,9 @@ _DUALITY_KEYS = {
 
 def run_duality(params, seed, out):
     cfg = _resolve(params, _DUALITY_KEYS)
-    if cfg["dim"] > 8 and any(k in ("l1", "linf") for k in cfg["norms"]):
-        raise ConfigError(f"config key dim: polyhedral duality sweeps are capped at dim 8,"
-                          f" got {cfg['dim']}")
+    if cfg["dim"] > SECTION_DIM_CAP and any(k in ("l1", "linf") for k in cfg["norms"]):
+        raise ConfigError(f"config key dim: polyhedral duality sweeps are capped at dim"
+                          f" {SECTION_DIM_CAP}, got {cfg['dim']}")
     rng = np.random.default_rng(seed)
     rows = []
     summary = {}
@@ -462,9 +464,9 @@ class SpectralBallTarget:
         w, q = np.linalg.eigh(coords_to_sym(np.atleast_2d(np.asarray(points, dtype=np.float64))))
         return sym_to_coords((q * np.clip(w, -1.0, 1.0)[:, None, :]) @ q.swapaxes(-1, -2))
 
-    def contains(self, points, tol=1e-9):
+    def contains(self, points):
         sym = coords_to_sym(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-        return np.abs(np.linalg.eigvalsh(sym)).max(axis=1) <= 1.0 + tol
+        return np.abs(np.linalg.eigvalsh(sym)).max(axis=1) <= 1.0 + CONTAINS_TOL
 
 
 def rotated_ball_map(count, theta_max):
@@ -615,20 +617,17 @@ def run_borel(params, seed, out):
     if 2 ** cfg["prefix_len"] <= cfg["count"]:
         raise ConfigError(f"config key count: expected fewer than 2**prefix_len ="
                           f" {2 ** cfg['prefix_len']} family members, got {cfg['count']}")
-    shallow = bundled_borel_instances(cfg["d"], cfg["count"], cfg["prefix_len"])
-    deep = bundled_borel_instances(cfg["d2"], cfg["count"], cfg["prefix_len"])
     rows = []
     certified = frontier = 0
-    for inst_s, inst_d in zip(shallow, deep):
-        assert inst_s["name"] == inst_d["name"]
-        expected = inst_s["expected"]
+    for inst in bundled_borel_instances(cfg["d"], cfg["count"], cfg["prefix_len"]):
+        expected = inst["expected"]
         try:
-            m1 = sigma2_reduce(inst_s["trees"], inst_s["x"])
-            m2 = sigma2_reduce(inst_d["trees"], inst_d["x"])
+            m1 = sigma2_reduce(inst["trees"], inst["x"])
+            m2 = sigma2_reduce(*inst["build"](cfg["d2"]))
         except DepthInsufficient:
             if cfg["frontier_policy"] == "fail":
                 raise
-            rows.append((inst_s["name"], expected, "", "", "DepthInsufficient",
+            rows.append((inst["name"], expected, "", "", "DepthInsufficient",
                          expected == "depth_insufficient"))
             frontier += 1
             continue
@@ -638,9 +637,9 @@ def run_borel(params, seed, out):
         if not match:
             raise RuntimeError(
                 f"census verdict {verdict} contradicts analytic membership"
-                f" for {inst_s['name']}")
+                f" for {inst['name']}")
         certified += 1
-        rows.append((inst_s["name"], expected, int(m1.sum()), int(m2.sum()),
+        rows.append((inst["name"], expected, int(m1.sum()), int(m2.sum()),
                      verdict, match))
     files = [
         _write_csv(out / "borel.csv",

@@ -2,8 +2,9 @@
 
 Domains are finite metric grids standing in for a metric space X; set-valued
 maps carry one convex value per grid point.  Values live in Euclidean
-coordinates: a value is either the hull of a few generators or such a hull
-intersected with a closed ball (the restricted maps of the dense family).
+coordinates: a value is either the hull of a few generators (`HullValue`,
+which is `hulls.HullProjector`) or such a hull intersected with one closed
+ball (`BallRestrictedValue`, the restricted maps of the dense family).
 The selection iteration keeps two logged invariants at every grid point:
 membership defect < 2^-(k+1) after round k and sup-step <= 2^-k between
 consecutive rounds.
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .hulls import HullProjector, HullStack, dedupe_points, lattice_round
 
@@ -36,13 +36,22 @@ class IterationStall(RuntimeError):
     """A selection round left some domain point uncovered."""
 
 
+def _pair_distances(a, b):
+    """Euclidean distances between the rows of a and of b, with the squares
+    summed coordinate by coordinate, in the order scipy's cdist sums them."""
+    d2 = np.zeros((len(a), len(b)))
+    for c in range(a.shape[1]):
+        d2 += (a[:, None, c] - b[None, :, c]) ** 2
+    return np.sqrt(d2)
+
+
 class DiscreteDomain:
     """Finite point grid with the Euclidean metric; mesh is the max
     nearest-neighbor spacing."""
 
     def __init__(self, points):
         self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        d = cdist(self.points, self.points)
+        d = _pair_distances(self.points, self.points)
         np.fill_diagonal(d, np.inf)
         self.pair_d = d
         if len(self.points) > 1:
@@ -66,13 +75,13 @@ class DiscreteDomain:
         return list(zip(i.tolist(), j.tolist()))
 
 
-def grid_domain_1d(n=101, lo=0.0, hi=1.0):
-    return DiscreteDomain(np.linspace(lo, hi, n)[:, None])
+def grid_domain_1d(n=101):
+    return DiscreteDomain(np.linspace(0.0, 1.0, n)[:, None])
 
 
-def grid_domain_2d(nx=11, ny=11, lo=0.0, hi=1.0):
-    xs = np.linspace(lo, hi, nx)
-    ys = np.linspace(lo, hi, ny)
+def grid_domain_2d(nx=11, ny=11):
+    xs = np.linspace(0.0, 1.0, nx)
+    ys = np.linspace(0.0, 1.0, ny)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     return DiscreteDomain(np.stack([gx.ravel(), gy.ravel()], axis=1))
 
@@ -93,7 +102,7 @@ class OpenCover:
     def from_balls(cls, domain, centers, radii):
         centers = np.atleast_2d(centers)
         radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (len(centers),))
-        d = cdist(centers, domain.points)
+        d = _pair_distances(centers, domain.points)
         return cls(domain=domain, bitmaps=d < radii[:, None])
 
     def __len__(self):
@@ -145,30 +154,16 @@ def build_partition_of_unity(domain, cover):
 # convex values
 
 
-class HullValue:
-    """Convex hull of a few generator points, with exact projection."""
-
-    def __init__(self, generators):
-        self.generators = dedupe_points(np.atleast_2d(np.asarray(generators, dtype=np.float64)))
-        self._projector = None
-
-    @property
-    def projector(self):
-        if self._projector is None:
-            self._projector = HullProjector(self.generators)
-        return self._projector
-
-    def project(self, points):
-        return self.projector.project(points)
+HullValue = HullProjector  # a value that is the convex hull of a few generators
 
 
 class BallRestrictedValue:
     """A hull intersected with a closed ball B(center, radius).
 
-    Projections are exact: the parent hull's projector enumerates its faces
-    once, and each projection clips inside the faces' ball sections (see
-    `hulls`).  The intersection must be nonempty; `restrict_value` checks
-    that before building one, and a tangent ball counts as meeting the hull.
+    Projections are exact: the parent hull enumerates its faces once, and
+    each projection clips inside the faces' ball sections (see `hulls`).
+    The intersection must be nonempty; `restrict_value` checks that before
+    building one, and a tangent ball counts as meeting the hull.
     """
 
     def __init__(self, hull: HullValue, center, radius):
@@ -178,7 +173,7 @@ class BallRestrictedValue:
         self.generators = None  # no finite generator description
 
     def project(self, points):
-        return self.hull.projector.project(points, self.center, self.radius)
+        return self.hull.project(points, self.center, self.radius)
 
 
 def restrict_value(value: HullValue, center, radius):
@@ -188,29 +183,37 @@ def restrict_value(value: HullValue, center, radius):
     the projection of an endpoint onto [a, b] intersected with the ball is
     that endpoint clipped to the ball, so both endpoints go once through the
     hull-and-ball kernel.  Larger hulls become a BallRestrictedValue sharing
-    the value's projector.  Raises ValueError when the intersection is empty.
+    the value's faces.  Raises ValueError when the intersection is empty, and
+    when the value already has a ball: a BallRestrictedValue holds one ball.
     """
-    return _restrict([value], value.projector.stack, np.array([True]), center, radius)[0]
+    return _restrict([value], [0], np.array([True]), center, radius)[0]
 
 
-def _restrict(hulls, stack, pinned, center, radius):
-    """restrict_value of each hull where pinned is set, and the hull itself
-    elsewhere.  stack holds the hulls' faces, so the emptiness check and the
-    segment clip are one kernel call each for all the hulls."""
+def _restrict(values, rows, pinned, center, radius, stack=None):
+    """restrict_value of each value (named by rows) where pinned is set, and
+    the value itself elsewhere.  stack holds the values' faces (the one
+    value's own when None), so the emptiness check and the segment clip are
+    one kernel call each for all the values."""
+    for i, v, pin in zip(rows, values, pinned):
+        if pin and isinstance(v, BallRestrictedValue):
+            raise ValueError(f"the value at row {i} is already restricted to a ball;"
+                             " a value holds one ball")
+    stack = values[0].stack if stack is None else stack
     center = np.asarray(center, dtype=np.float64)
     radius = float(radius)
-    centers = np.broadcast_to(center, (len(hulls), len(center)))
+    centers = np.broadcast_to(center, (len(values), len(center)))
     radii = np.where(pinned, radius, np.inf)
     if not np.isfinite(stack.project(center[None, None, :], centers, radii)[1]).all():
         raise ValueError(f"the ball B({center.tolist()}, {radius}) misses the hull")
     k = stack.generators.shape[1]
     if k == 1:
-        return list(hulls)
+        return list(values)
     if k == 2:
         ends = stack.project(stack.generators.swapaxes(0, 1), centers, radii)[0]
-        return [HullValue(ends[:, i]) if pin else h
-                for i, (h, pin) in enumerate(zip(hulls, pinned))]
-    return [BallRestrictedValue(h, center, radius) if pin else h for h, pin in zip(hulls, pinned)]
+        return [HullValue(ends[:, i]) if pin else v
+                for i, (v, pin) in enumerate(zip(values, pinned))]
+    return [BallRestrictedValue(v, center, radius) if pin else v
+            for v, pin in zip(values, pinned)]
 
 
 class SetValuedMap:
@@ -284,13 +287,13 @@ class HullTarget:
     def __init__(self, generators):
         self.generators = np.atleast_2d(np.asarray(generators, dtype=np.float64))
         self.dim = self.generators.shape[1]
-        self._projector = HullProjector(self.generators)
+        self._hull = HullProjector(self.generators)
 
     def project(self, points):
-        return self._projector.project(np.atleast_2d(points))[0]
+        return self._hull.project(points)[0]
 
-    def contains(self, points, tol=1e-9):
-        return self._projector.contains(points, tol)
+    def contains(self, points):
+        return self._hull.contains(points)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +375,7 @@ def approx_selection(F, eps, net):
     within eps of the convex value and the combination inherits the bound.
     """
     net = np.atleast_2d(np.asarray(net, dtype=np.float64))
-    if not bool(np.all(F.target.contains(net, tol=1e-9))):
+    if not bool(np.all(F.target.contains(net))):
         raise ValueError("net points must lie in the target set C")
     values, pou, net = _cover_average(F, net[_lex_sort(net)], eps)
     return SelectionResult(values=values, pou=pou, net=net, defects=_nearest(F, values)[1])
@@ -482,7 +485,7 @@ def dense_selection_family(F, net, m_max, tol=1e-3):
     order.
     """
     net = np.atleast_2d(np.asarray(net, dtype=np.float64))
-    if not bool(np.all(F.target.contains(net, tol=1e-9))):
+    if not bool(np.all(F.target.contains(net))):
         raise ValueError("net points must lie in the target set C")
     plain = None  # the selection of F itself
     members = []
@@ -496,7 +499,9 @@ def dense_selection_family(F, net, m_max, tol=1e-3):
                 for g in F.groups:
                     pin = pinned[g.rows]
                     if pin.any():
-                        for i, w in zip(g.rows, _restrict(g.hulls, g.stack, pin, net[n], radius)):
+                        row_values = [F.values[i] for i in g.rows]
+                        for i, w in zip(g.rows, _restrict(row_values, g.rows, pin, net[n], radius,
+                                                          g.stack)):
                             restricted[i] = w
                 modified = SetValuedMap(F.domain, restricted, F.target,
                                         name=f"{F.name}|n={n},m={m}", slope_hint=F.slope_hint)
@@ -538,10 +543,10 @@ def density_audit(members, F, metric=None):
 # lower-continuity surrogate
 
 
-def check_lower_continuity(F, probes, slope=None, slack=1e-9):
+def check_lower_continuity(F, probes, slope=None):
     """Slope-bounded discrete surrogate of lower semicontinuity.
 
-    ok iff d(v, F(x')) <= d(v, F(x)) + L d(x, x') + slack for every ordered
+    ok iff d(v, F(x')) <= d(v, F(x)) + L d(x, x') + 1e-9 for every ordered
     adjacent pair (x, x') and probe v.  Reports the worst violation.
     """
     slope = F.slope_hint if slope is None else slope
@@ -550,7 +555,7 @@ def check_lower_continuity(F, probes, slope=None, slack=1e-9):
     worst = {"x": None, "x_prime": None, "probe": None, "defect": -np.inf}
     ok = True
     for i, j in F.domain.adjacent_pairs():
-        budget = slope * F.domain.pair_d[i, j] + slack
+        budget = slope * F.domain.pair_d[i, j] + 1e-9
         excess = dist[j] - dist[i] - budget
         a = int(np.argmax(excess))
         if excess[a] > worst["defect"]:

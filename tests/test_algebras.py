@@ -146,6 +146,20 @@ def test_cayley_unitary_of_a_stack_matches_single_calls():
         assert np.allclose(uk @ uk.conj().T, np.eye(3), rtol=0, atol=1e-12)
 
 
+def test_stacked_projection_matches_one_matrix_at_a_time():
+    rng = np.random.default_rng(12)
+    algebras = [diagonal_algebra(3), full_algebra(2), scalar_algebra(4),
+                rotated_diagonal_algebra(0.3, 3), _random_subalgebra(rng, 4),
+                build_fS(SubsetSeq(3, ({0, 1}, {1}, {0, 2})))[0]]
+    for A in algebras:
+        x = rng.standard_normal((2, 5, A.n, A.n)) + 1j * rng.standard_normal((2, 5, A.n, A.n))
+        stacked = A.project(x)
+        assert stacked.shape == x.shape
+        assert np.array_equal(stacked, np.array([[A.project(m) for m in row] for row in x]))
+        assert np.array_equal(marechal_support(A, x[0]),
+                              np.array([marechal_support(A, m) for m in x[0]]))
+
+
 def test_support_conjugation_consistency():
     rng = np.random.default_rng(7)
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

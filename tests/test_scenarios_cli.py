@@ -11,6 +11,7 @@ import pytest
 import scipy
 
 from hyperselect.cli import main
+from hyperselect.duality import SECTION_DIM_CAP
 from hyperselect.scenarios import (
     _BOREL_KEYS,
     _COUNTEREXAMPLE_KEYS,
@@ -237,6 +238,7 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
 
 
 @pytest.mark.parametrize("scenario,text,key", [
+    ("duality", f"dim={SECTION_DIM_CAP + 1}\nnorms=l1\n", "dim"),
     ("duality", "norms=l1\ntrials=-5\n", "trials"),
     ("duality", "norms=l1\ntrials=0\n", "trials"),
     ("counterexample", "scales=0.5,-1\n", "scales"),
@@ -270,7 +272,7 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
     # the default eps is below the distance from the fixed 2-D net to the
     # triangle at x = 0
     ("selection", "map=rising-triangle\n", "eps"),
-], ids=["trials-negative", "trials-zero", "scales-negative", "scales-one",
+], ids=["dim-over-section-cap", "trials-negative", "trials-zero", "scales-negative", "scales-one",
         "hw_tol-negative", "tol-zero", "family_tol-negative", "eps-zero",
         "hw_m_max-zero", "marechal-probe_count-zero",
         "m_max-zero", "sample_count-zero", "witness_count-negative", "eps_list-zero",
@@ -286,6 +288,12 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, scenario, text, key):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
     assert f"config key {key}:" in record["message"]
+
+
+def test_polyhedral_duality_runs_at_the_section_cap(tmp_path, capsys):
+    cfg = _write_config(tmp_path, f"dim={SECTION_DIM_CAP}\nnorms=l1,linf\ntrials=3\n")
+    assert main(["duality", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
 
 
 def test_sample_configs_name_and_pass_every_key():

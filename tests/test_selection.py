@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 
 from hyperselect.hulls import HullStack, dedupe_points
 from hyperselect.selection import (
@@ -29,6 +30,7 @@ from hyperselect.selection import (
     jump_map,
     michael_selection,
     restrict_value,
+    _MAX_ELEMENTS,
     _nearest,
     _project_all,
 )
@@ -124,6 +126,21 @@ def test_selection_is_convex_combination_of_net_points():
     assert np.abs(res.pou.values.sum(axis=0) - 1.0).max() <= 1e-12
     recombined = res.pou.values.T @ res.net
     assert np.allclose(recombined, res.values, atol=1e-12)
+
+
+def test_cover_thinning_keeps_a_cover_below_the_element_cap():
+    # 1,001 net points give 1,001 nonempty elements, above the cap, so the
+    # greedy pass keeps only elements that cover new points
+    F = {G.name: G for G in bundled_maps()}["sliding-left-end"]
+    net = np.linspace(0.0, 1.0, 1001)[:, None]
+    eps = 0.25
+    assert (_project_all(F, net)[1] < eps).any(axis=1).sum() > _MAX_ELEMENTS
+    res = approx_selection(F, eps=eps, net=net)
+    assert len(res.pou.cover) == len(res.net) <= _MAX_ELEMENTS
+    assert res.pou.cover.bitmaps.any(axis=0).all()
+    assert res.pou.values.min() >= 0.0
+    assert np.abs(res.pou.values.sum(axis=0) - 1.0).max() <= 1e-12
+    assert res.defects.max() < eps
 
 
 def test_too_coarse_net_raises():
@@ -437,6 +454,37 @@ def test_empty_restriction_raises(gens, center, radius):
         restrict_value(HullValue(gens), center, radius)
 
 
+def test_restricting_a_restricted_value_raises():
+    # a BallRestrictedValue holds one ball, so a second one is refused
+    restricted = restrict_value(HullValue(UNIT_SQUARE), np.zeros(2), 0.3)
+    with pytest.raises(ValueError, match="row 0 is already restricted"):
+        restrict_value(restricted, np.array([0.25, 0.0]), 1.0)
+
+
+def test_family_refuses_to_pin_a_restricted_value():
+    # F(x) = square ∩ B(0, 0.3): pinning the parent square would drop the
+    # value's own ball, and the members would leave F(x) by 0.419
+    dom = grid_domain_1d(5)
+    values = [HullValue(UNIT_SQUARE)] + [restrict_value(HullValue(UNIT_SQUARE), np.zeros(2), 0.3)
+                                         for _ in range(len(dom) - 1)]
+    F = SetValuedMap(dom, values, HullTarget(UNIT_SQUARE))
+    with pytest.raises(ValueError, match="row 1 is already restricted"):
+        dense_selection_family(F, np.array([[0.25, 0.0]]), 1)
+
+
+def test_family_keeps_the_ball_of_an_unpinned_restricted_value():
+    # the corner balls lie more than 1/2 from the net point, so only the
+    # plain squares are pinned, and every member stays in each corner value
+    dom = grid_domain_1d(6)
+    corner = [restrict_value(HullValue(UNIT_SQUARE), np.ones(2), 0.3) for _ in range(3)]
+    F = SetValuedMap(dom, [HullValue(UNIT_SQUARE) for _ in range(3)] + corner,
+                     HullTarget(UNIT_SQUARE))
+    members = dense_selection_family(F, np.array([[0.0, 0.0]]), 2, tol=1e-2)
+    assert [mem.restricted_count for mem in members] == [3, 3]
+    for mem in members:
+        assert _nearest(F, mem.values)[1][3:].max() <= 1e-2
+
+
 @pytest.mark.parametrize("center, radius, touch", [
     (np.array([1.3, 1.4]), 0.5, np.array([1.0, 1.0])),   # at a vertex
     (np.array([0.3, 1.7]), 0.7, np.array([0.3, 1.0])),   # at an edge
@@ -621,6 +669,18 @@ def test_dedupe_points_keeps_first_seen_rows():
     for _ in range(50):
         points = rng.integers(0, 4, (30, 2)) * 0.5 + rng.normal(0.0, 0.1, (30, 2))
         assert np.array_equal(dedupe_points(points, tol=0.2), reference(points, 0.2))
+
+
+def test_domain_and_ball_distances_match_cdist():
+    rng = np.random.default_rng(8)
+    for dim in (1, 2, 3, 4):
+        dom = DiscreteDomain(rng.random((40, dim)))
+        reference = cdist(dom.points, dom.points)
+        np.fill_diagonal(reference, np.inf)
+        assert np.array_equal(dom.pair_d, reference)
+        centers, radii = rng.random((7, dim)), rng.random(7)
+        cover = OpenCover.from_balls(dom, centers, radii)
+        assert np.array_equal(cover.bitmaps, cdist(centers, dom.points) < radii[:, None])
 
 
 def test_domain_points_must_be_distinct():
