@@ -3,8 +3,9 @@
 Functionals pair with vectors bilinearly, omega(x) = sum_j omega_j x_j, with
 no conjugation; Hermitian inner products appear only in orthonormality checks
 and Euclidean projections.  Distances to a subspace are always computed twice,
-from the primal side (projection or linear program) and from the dual side
-(support over the annihilator's unit ball), and reconciled: the identity
+from the primal side (projection, or enumeration of the distance LP's basic
+solutions) and from the dual side (support over the annihilator's unit
+ball), and reconciled: the identity
 d(x, V) = sup {|omega(x)| : omega in the annihilator, dual norm <= 1} is the
 point of the module, so it doubles as a built-in consistency check.
 """
@@ -14,14 +15,13 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # unused here; perfbench/tracer.py traces this name
 
 from .norms import (
     DiscFamily,
     NormSpec,
     SubspaceBall,
     UnsupportedNorm,
-    distance_lp,
     dual_kind,
     eval_norm,
     l2,
@@ -134,6 +134,19 @@ def exact_support(descriptor, x):
 SECTION_DIM_CAP = 9
 
 
+def _solve_well_posed(mats, rhs):
+    """Solutions c of the stacked square systems mats @ c = rhs, (N, m, m)
+    and (N, m), in one batched solve, skipping every system whose rows,
+    scaled to unit length, span a volume |det A| / prod ||a_i|| <= 1e-12.
+
+    That volume is at most 1 (Hadamard), 0 for a singular system, and bounds
+    a kept one's smallest singular value below by volume / sqrt(m)^(m - 1),
+    so its condition number is at most m^(m/2) 1e12.  Returns (kept, m).
+    """
+    ok = np.abs(np.linalg.det(mats)) > 1e-12 * np.linalg.norm(mats, axis=2).prod(axis=1)
+    return np.linalg.solve(mats[ok], rhs[ok, :, None])[..., 0]
+
+
 def ball_section_points(basis, kind):
     """Points of {omega in span(basis): ||omega||_kind <= 1}, the zero row
     first, including every vertex of the section, for kind l1 or linf and
@@ -148,12 +161,8 @@ def ball_section_points(basis, kind):
     whatever the signs where the vertex is zero.  So the solutions of all
     C(n, m) 2^m (linf) or C(n, m - 1) 2^(n - m + 1) (l1) square systems that
     lie in the ball include every vertex; the others are in the section
-    too, harmless for suprema, as are repeats.  A system is dropped before
-    the one batched solve when its rows, scaled to unit length, span a
-    volume |det A| / prod ||a_i|| <= 1e-12.  That volume is at most 1
-    (Hadamard), 0 for a singular system, and bounds a kept one's smallest
-    singular value below by volume / sqrt(m)^(m - 1), so its condition
-    number is at most m^(m/2) 1e12.
+    too, harmless for suprema, as are repeats.  All systems go through one
+    batched `_solve_well_posed`, which drops the near-singular ones.
     """
     if kind not in ("l1", "linf"):
         raise UnsupportedNorm(f"section vertices need kind l1 or linf, got {kind!r}")
@@ -180,15 +189,69 @@ def ball_section_points(basis, kind):
         mats = np.concatenate([np.broadcast_to(zeros[:, None], (*shape, m - 1, m)),
                                (signs @ cols[signed])[:, :, None]], axis=2)
         rhs = np.broadcast_to(np.eye(m)[-1], (*shape, m))
-    mats, rhs = mats.reshape(-1, m, m), rhs.reshape(-1, m)
-    ok = np.abs(np.linalg.det(mats)) > 1e-12 * np.linalg.norm(mats, axis=2).prod(axis=1)
-    omegas = np.linalg.solve(mats[ok], rhs[ok, :, None])[..., 0] @ basis
+    omegas = _solve_well_posed(mats.reshape(-1, m, m), rhs.reshape(-1, m)) @ basis
     size = np.linalg.norm(omegas, ord=np.inf if kind == "linf" else 1, axis=1)
     return np.concatenate([np.zeros((1, n)), omegas[size <= 1 + 1e-9]])
 
 
 # ---------------------------------------------------------------------------
 # quotient distance, two routes
+
+
+def _basic_solution_distance(x, basis, kind):
+    """min ||x - c @ basis|| over the basic solutions of the distance LP, for
+    kind l1 or linf and a real orthonormal k x n basis with 0 < k < n.
+
+    The LP minimizes sum(t) (l1, one t_j per coordinate) or t (linf, one
+    shared t) subject to |x - c @ basis| <= t entrywise.  With basis rows
+    independent its feasible set has no line, and its objective is bounded
+    below by 0, so a minimum is attained at a vertex: a point where active
+    constraints of full rank pin every variable.  Write cols = basis.T, so
+    the residual at coordinate j is r_j = x_j - cols_j @ c.
+      l1: at an optimal vertex each t_j = |r_j|, and only a coordinate with
+    r_j = 0 has both of its constraints active, which then pin t_j and
+    leave cols_j @ c = x_j.  Pinning c takes k independent such rows, so c
+    solves cols_S @ c = x_S for some k coordinates S: C(n, k) systems.
+      linf: an optimum with t > 0 has k + 1 independent active rows
+    cols_j @ c + s_j t = x_j, s_j = +-1, at k + 1 distinct coordinates
+    (one sign each, since t > 0).  Flipping every sign solves to (c, -t),
+    the same c, so the last sign is fixed to +1: C(n, k + 1) 2^k systems.
+    An optimum with t = 0 has every r_j = 0 and is the solution of any
+    nonsingular one of these systems.
+    Every solution c gives the point c @ basis of the span, so the minimum
+    of the actual norm over them bounds the distance above and, holding
+    the optimal vertex, equals it.
+
+    `_solve_well_posed` drops near-singular systems, yet always keeps one.
+    By Cauchy-Binet the squared k x k minors of cols sum to
+    det(basis @ basis.T) = 1, so some minor has |det| >= 1/sqrt(C(n, k));
+    its rows, columns of an orthonormal basis, have length <= 1, so its
+    volume is at least that.  For linf, ||basis @ s||^2 averages k over all
+    sign vectors s, so some s has det([cols, s]^T [cols, s]) =
+    n - ||basis @ s||^2 >= 1, and some (k + 1)-minor of [cols, s] has
+    |det| >= 1/sqrt(C(n, k + 1)), with rows of length <= sqrt(2).  Up to the
+    dim-9 cap both volumes exceed 1e-12 by far, so an empty kept set means
+    a corrupted basis and raises RuntimeError.
+    """
+    k, n = basis.shape
+    cols = basis.T
+    if kind == "l1":
+        subsets = np.array(list(itertools.combinations(range(n), k)))  # (C, k)
+        mats, rhs = cols[subsets], x[subsets]
+    else:
+        subsets = np.array(list(itertools.combinations(range(n), k + 1)))  # (C, k + 1)
+        # bit k of every pattern number below 2^k is 0: the last sign stays +1
+        signs = 1.0 - 2.0 * (np.arange(2 ** k)[:, None] >> np.arange(k + 1) & 1)
+        shape = (len(subsets), len(signs), k + 1)
+        mats = np.concatenate([np.broadcast_to(cols[subsets][:, None], (*shape, k)),
+                               np.broadcast_to(signs[:, :, None], (*shape, 1))], axis=3)
+        mats, rhs = mats.reshape(-1, k + 1, k + 1), np.broadcast_to(
+            x[subsets][:, None], shape).reshape(-1, k + 1)
+    coeffs = _solve_well_posed(mats, rhs)[:, :k]
+    if not len(coeffs):
+        raise RuntimeError(f"no well-posed basic system for the {kind} distance"
+                           f" with k={k}, n={n}")
+    return float(eval_norm(x - coeffs @ basis, NormSpec(kind)).min())
 
 
 def _primal_distance(x, V, spec):
@@ -198,10 +261,14 @@ def _primal_distance(x, V, spec):
         return float(np.linalg.norm(x - V.project(x), 2))
     if np.iscomplexobj(V.basis) or np.iscomplexobj(x):
         raise UnsupportedNorm("polyhedral primal distance requires real data")
-    res = linprog(**distance_lp(x, V.basis, spec.kind))
-    if not res.success:
-        raise RuntimeError(f"primal distance LP failed: {res.message}")
-    return float(res.fun)
+    if spec.kind not in ("l1", "linf"):
+        raise UnsupportedNorm(f"quotient distance not defined for kind {spec.kind!r}")
+    if V.dim == V.ambient_dim:
+        return 0.0  # V is the whole space
+    if V.ambient_dim > SECTION_DIM_CAP:
+        raise UnsupportedNorm(f"basic-solution enumeration capped at ambient dim"
+                              f" {SECTION_DIM_CAP}")
+    return _basic_solution_distance(x, V.basis, spec.kind)
 
 
 def _dual_distance(x, V, spec):
@@ -219,10 +286,12 @@ def quotient_routes(x, V: Subspace, spec=None):
     """Distance from x to the subspace V along two independent routes,
     returned unreconciled as (primal, dual).
 
-    Primal: exact Euclidean projection (l2) or a linear program (l1, linf).
-    Dual: support of x over the unit ball of the annihilator in the dual
-    norm, via exact vertex enumeration of the polytope section (polyhedral
-    kinds) or projection (l2).  Callers compare the pair; a disagreement
+    Primal: exact Euclidean projection (l2), or the least residual norm
+    over every basic solution of the distance LP (l1, linf; see
+    `_basic_solution_distance`), with no LP solved.  Dual: support of x over
+    the unit ball of the annihilator in the dual norm, via exact vertex
+    enumeration of the polytope section (polyhedral kinds) or projection
+    (l2).  Callers compare the pair; a disagreement
     beyond rounding indicates a bug rather than bad input.
     """
     if V.side != "primal":

@@ -219,7 +219,7 @@ _DUALITY_KEYS = {
     "trials": (50, _at_least(1)),
     "norms": (("l2", "l1", "linf"), _one_of(*VECTOR_KINDS)),
     "tol_l2": (1e-12, _at_least(0)),
-    "tol_polyhedral": (1e-9, _at_least(0)),
+    "tol_polyhedral": (1e-12, _at_least(0)),
 }
 
 

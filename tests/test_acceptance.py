@@ -83,7 +83,7 @@ def _crandn(rng, *shape):
 
 
 def test_a1_quotient_norm_routes_agree():
-    tols = {"l2": 1e-12, "l1": 1e-9, "linf": 1e-9}
+    tols = {"l2": 1e-12, "l1": 1e-12, "linf": 1e-12}
     specs = {"l2": l2(), "l1": l1(), "linf": linf()}
     t0 = time.perf_counter()
     worst = {}
@@ -102,7 +102,7 @@ def test_a1_quotient_norm_routes_agree():
     ok = all(worst[k] <= tols[k] for k in tols) and elapsed < 60.0
     assert _line("A1", ok,
                  "200 pairs/norm, max |primal-dual| l2 %.2e (tol 1e-12), "
-                 "l1 %.2e, linf %.2e (tol 1e-9), %.1fs" %
+                 "l1 %.2e, linf %.2e (tol 1e-12), %.1fs" %
                  (worst["l2"], worst["l1"], worst["linf"], elapsed))
 
 

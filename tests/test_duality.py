@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from hyperselect import duality, norms
 from hyperselect.duality import (
+    SECTION_DIM_CAP,
     DualityMismatch,
+    _basic_solution_distance,
     annihilator,
     ball_section_points,
     convergence_gap,
@@ -25,6 +28,7 @@ from hyperselect.norms import (
     SampledSet,
     SubspaceBall,
     UnsupportedNorm,
+    distance_lp,
     distances_to_points,
     dual_kind,
     eval_norm,
@@ -268,6 +272,75 @@ def test_two_routes_agree_on_random_instances(spec, tol):
         x = rng.standard_normal(dim) * 2.0
         primal, dual = quotient_routes(x, V)
         assert abs(primal - dual) <= tol
+
+
+def _lp_distance(x, V):
+    res = linprog(**distance_lp(x, V.basis, V.ambient.kind))
+    assert res.success, res.message
+    return res.fun
+
+
+@pytest.mark.parametrize("spec", [l1(), linf()])
+def test_basic_solutions_match_the_distance_lp(spec):
+    # every ambient dim up to the cap and every subspace dim, the whole space
+    # included; the primal route must also stay an upper bound of the dual
+    rng = np.random.default_rng(7)
+    for n in range(2, 10):
+        for k in range(1, n + 1):
+            for _ in range(3):
+                V = subspace_from_spanning(rng.standard_normal((k, n)),
+                                           ambient=spec, side="primal")
+                x = rng.standard_normal(n) * 2.0
+                primal, dual = quotient_routes(x, V)
+                case = (spec.kind, n, k)
+                assert abs(primal - _lp_distance(x, V)) <= 1e-12 * max(1.0, primal), case
+                assert primal >= dual - 1e-12, case
+
+
+@pytest.mark.parametrize("spec", [l1(), linf()])
+def test_basic_solutions_on_a_near_degenerate_basis(spec):
+    # repeated coordinates make the orthonormal basis carry equal columns up
+    # to rounding, so every system holding both of a pair is near-singular
+    # and dropped; the rest still reach the LP's optimum
+    rng = np.random.default_rng(8)
+    repeats = np.array([0, 1, 2, 3, 0, 1, 4, 4, 2])
+    for k in (1, 2, 4):
+        V = subspace_from_spanning(rng.standard_normal((k, 5))[:, repeats],
+                                   ambient=spec, side="primal")
+        for x in rng.standard_normal((5, 9)) * 2.0:
+            primal, dual = quotient_routes(x, V)
+            assert abs(primal - _lp_distance(x, V)) <= 1e-12 * max(1.0, primal), (spec, k)
+            assert abs(primal - dual) <= 1e-12 * max(1.0, primal), (spec, k)
+
+
+def test_polyhedral_routes_solve_no_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(duality, "linprog", refuse)
+    monkeypatch.setattr(norms, "linprog", refuse)
+    rng = np.random.default_rng(9)
+    for spec in (l1(), linf()):
+        V = subspace_from_spanning(rng.standard_normal((3, 7)), ambient=spec, side="primal")
+        primal, dual = quotient_routes(rng.standard_normal(7), V)
+        assert abs(primal - dual) <= 1e-12
+
+
+def test_basic_solutions_raise_when_no_system_is_kept():
+    # a zero basis makes every system singular: a typed failure, never inf
+    for kind in ("l1", "linf"):
+        with pytest.raises(RuntimeError, match=f"{kind} distance with k=2, n=5"):
+            _basic_solution_distance(np.ones(5), np.zeros((2, 5)), kind)
+
+
+def test_primal_route_rejects_other_kinds_and_dims_past_the_cap():
+    V = subspace_from_spanning(np.eye(3)[:1], ambient=l1(), side="primal")
+    with pytest.raises(UnsupportedNorm, match="not defined for kind 'operator'"):
+        quotient_routes(np.ones(3), V, NormSpec("operator"))
+    n = SECTION_DIM_CAP + 1
+    V = subspace_from_spanning(np.eye(n)[:4], ambient=linf(), side="primal")
+    with pytest.raises(UnsupportedNorm, match="capped at ambient dim"):
+        quotient_routes(np.ones(n), V)
 
 
 def test_route_mismatch_raises_at_zero_tolerance(tmp_path):
