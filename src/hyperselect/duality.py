@@ -245,8 +245,8 @@ def _basic_solution_distance(x, basis, kind):
         shape = (len(subsets), len(signs), k + 1)
         mats = np.concatenate([np.broadcast_to(cols[subsets][:, None], (*shape, k)),
                                np.broadcast_to(signs[:, :, None], (*shape, 1))], axis=3)
-        mats, rhs = mats.reshape(-1, k + 1, k + 1), np.broadcast_to(
-            x[subsets][:, None], shape).reshape(-1, k + 1)
+        rhs = np.broadcast_to(x[subsets][:, None], shape)
+        mats, rhs = mats.reshape(-1, k + 1, k + 1), rhs.reshape(-1, k + 1)
     coeffs = _solve_well_posed(mats, rhs)[:, :k]
     if not len(coeffs):
         raise RuntimeError(f"no well-posed basic system for the {kind} distance"
@@ -291,8 +291,8 @@ def quotient_routes(x, V: Subspace, spec=None):
     `_basic_solution_distance`), with no LP solved.  Dual: support of x over
     the unit ball of the annihilator in the dual norm, via exact vertex
     enumeration of the polytope section (polyhedral kinds) or projection
-    (l2).  Callers compare the pair; a disagreement
-    beyond rounding indicates a bug rather than bad input.
+    (l2).  Callers compare the pair; a disagreement beyond rounding
+    indicates a bug rather than bad input.
     """
     if V.side != "primal":
         raise ValueError("quotient distance expects a primal-side subspace")
