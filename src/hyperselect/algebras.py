@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,12 +40,6 @@ def trace_norm(x):
     return eval_norm(x, NormSpec("trace"))
 
 
-def unit_basis(A):
-    """The algebra's basis elements, each scaled to operator norm 1; an
-    HS-orthonormal element has operator norm at least 1/sqrt(n)."""
-    return A.hs_basis / operator_norm(A.hs_basis)[:, None, None]
-
-
 def _orthonormalize(mats, n):
     """HS-orthonormal basis of the span, via SVD on flattened matrices."""
     if not len(mats):
@@ -61,7 +56,9 @@ class MatrixAlgebra:
 
     n: int
     hs_basis: np.ndarray  # (dim, n, n)
-    check: bool = True  # skip only for structurally exact bases (matrix units)
+    # False only for bases closed by construction (build_fS); the tests run
+    # the check on those bases instead
+    check: bool = True
 
     def __post_init__(self):
         self.hs_basis = np.asarray(self.hs_basis, dtype=np.complex128)
@@ -85,6 +82,12 @@ class MatrixAlgebra:
     @property
     def dim(self):
         return len(self.hs_basis)
+
+    @cached_property
+    def units(self):
+        """The basis elements, each scaled to operator norm 1; an
+        HS-orthonormal element has operator norm at least 1/sqrt(n)."""
+        return self.hs_basis / operator_norm(self.hs_basis)[:, None, None]
 
     def project(self, x):
         """HS-orthogonal projection onto the algebra, of one matrix or of each
@@ -159,7 +162,7 @@ def unit_ball_sample(A: MatrixAlgebra, count, seed=0):
     rng = np.random.default_rng(seed)
     n = A.n
     fixed = [np.eye(n, dtype=np.complex128), np.zeros((n, n), dtype=np.complex128)]
-    fixed.extend(unit_basis(A))
+    fixed.extend(A.units)
     if n <= 4:
         perms = np.array(list(_signed_permutations(n)), dtype=np.complex128)
         fixed.extend(perms[np.linalg.norm(perms - A.project(perms), axis=(1, 2)) <= ALGEBRA_TOL])
@@ -231,13 +234,14 @@ def adjoint_modulus(A: MatrixAlgebra, eps_list, sample_count=400, seed=0, spec=N
     For each eps, the largest delta such that every sampled pair at strong
     distance < delta has adjoint distance <= eps; pairs include the basis
     units against 0 and each other, the worst witnesses for block algebras.
-    Each matrix is checked against the unit ball once (x* has the operator
-    norm of x), and the pairs' probe distances are norms of differences.
+    The samples are checked against the unit ball once (x* has the operator
+    norm of x); the units have norm 1 by construction and are not checked.
+    The pairs' probe distances are norms of differences.
     """
     spec = default_strong_spec(A.n) if spec is None else spec
     samples = unit_ball_sample(A, sample_count, seed)
-    units = unit_basis(A)
-    require_probe_domain(spec, samples, units)
+    units = A.units
+    require_probe_domain(spec, samples)
     rng = np.random.default_rng(seed + 1)
     left, right = np.triu_indices(min(len(units), 24), k=1)  # combinations order
     idx = rng.integers(0, len(samples), size=(2 * sample_count, 2))
@@ -292,9 +296,15 @@ def build_fS(S: SubsetSeq):
     scalar complement, with the projection pi_S onto the blocks.
 
     Returns (algebra, pi_S).  Dimension is sum |S_n|^2, plus one when
-    pi_S != identity.  The constructor's closure check is skipped above
-    dimension 80: block matrix units multiply to matrix units or to 0 and
-    pi_S absorbs them, so the basis is exactly closed by construction.
+    pi_S != identity.  The basis is a *-algebra by construction, so the
+    constructor's numerical closure check is skipped at every size:
+    - products: (e_nn (x) e_kl)(e_n'n' (x) e_k'l') is e_nn (x) e_kl' when
+      n = n' and l = k', a basis unit since k, l' lie in S_n, and 0
+      otherwise; each unit u satisfies u = pi_S u pi_S, so u (1 - pi_S) and
+      (1 - pi_S) u vanish, and 1 - pi_S is a projection;
+    - adjoints: (e_nn (x) e_kl)* = e_nn (x) e_lk, and 1 - pi_S is Hermitian;
+    - unit: 1 = pi_S + (1 - pi_S), and pi_S is the sum of the diagonal units.
+    tests/test_algebras.py runs the check on these bases.
     """
     m = S.m
     if m * m > FS_CAP:
@@ -311,7 +321,7 @@ def build_fS(S: SubsetSeq):
     complement = np.eye(m * m, dtype=np.complex128) - pi
     if np.abs(complement).max() > 0.5:
         basis.append(complement / np.linalg.norm(complement))
-    algebra = MatrixAlgebra(n=m * m, hs_basis=np.array(basis), check=len(basis) <= 80)
+    algebra = MatrixAlgebra(n=m * m, hs_basis=np.array(basis), check=False)
     return algebra, pi
 
 

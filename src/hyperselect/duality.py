@@ -115,6 +115,8 @@ def exact_support(descriptor, x):
     if isinstance(descriptor, SubspaceBall):
         basis = descriptor.basis
         kind = descriptor.ball_spec.kind
+        if not len(basis):  # the zero subspace: the supremum over {0}
+            return 0.0
         if kind == "l2":
             # the l2 section depends only on the span; orthonormalize first,
             # then coefficient phases align every term of the bilinear pairing

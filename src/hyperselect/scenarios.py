@@ -61,7 +61,6 @@ from .algebras import (
     default_strong_spec,
     marechal_pseudometric,
     rotated_diagonal_algebra,
-    unit_basis,
 )
 from .borel import (
     MAX_DEPTH,
@@ -586,7 +585,7 @@ def run_finiteness(params, seed, out):
                                           sample_count=cfg["sample_count"],
                                           seed=seed, spec=spec):
             rows.append((eps, delta, size))
-        rho = eval_norm(unit_basis(algebra)[:cfg["witness_count"]], spec)
+        rho = eval_norm(algebra.units[:cfg["witness_count"]], spec)
         witness_rows.extend((size, idx, r) for idx, r in enumerate(rho))
     return [
         _write_csv(out / "finiteness.csv", ("eps", "delta", "block_size"), rows),

@@ -31,6 +31,7 @@ from hyperselect.algebras import (
     unit_ball_sample,
 )
 from hyperselect.norms import OutsideUnitBall, eval_norm
+from hyperselect.scenarios import block_subsets
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 
@@ -379,6 +380,38 @@ def test_fS_dimension_grows_with_subsets():
     small = SubsetSeq(m=3, subsets=({0}, set(), {1, 2}))
     large = SubsetSeq(m=3, subsets=({0, 1}, set(), {1, 2}))
     assert build_fS(large)[0].dim > build_fS(small)[0].dim
+
+
+def _closure_checked(A):
+    # the constructor's adjoint, unit and product checks, which build_fS
+    # skips because its basis is closed by construction; raises if not closed
+    MatrixAlgebra(n=A.n, hs_basis=A.hs_basis)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fS_is_closed_for_every_subset_sequence(m):
+    subsets = [frozenset(c) for r in range(m + 1) for c in itertools.combinations(range(m), r)]
+    for seq in itertools.product(subsets, repeat=m):
+        _closure_checked(build_fS(SubsetSeq(m, seq))[0])
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_fS_is_closed_for_the_scenario_block_subsets(m):
+    # every block algebra the finiteness scenario can build up to dimension 80;
+    # the check's dim^2 products make the larger ones too slow for this suite
+    for size in range(1, m + 1):
+        A, _ = build_fS(block_subsets(m, size))
+        if A.dim <= 80:
+            _closure_checked(A)
+
+
+def test_fS_units_have_operator_norm_one():
+    # one algebra below dimension 80 and one above
+    for S, dim in ((block_subsets(4, 4), 64), (block_subsets(5, 5), 125)):
+        A, _ = build_fS(S)
+        assert A.dim == dim
+        assert np.abs(operator_norm(A.units) - 1.0).max() <= 1e-12
+        assert A.units is A.units  # computed once per algebra
 
 
 def test_fS_respects_cap():

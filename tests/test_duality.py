@@ -10,6 +10,7 @@ from hyperselect import duality, norms
 from hyperselect.duality import (
     SECTION_DIM_CAP,
     DualityMismatch,
+    Subspace,
     _basic_solution_distance,
     annihilator,
     ball_section_points,
@@ -61,6 +62,16 @@ def test_support_of_zero_family():
     x = np.array([1.0, 2.0])
     assert exact_support(DiscFamily(direction=np.array([1.0, 1.0]), radius=0.0), x) == 0.0
     assert exact_support(DiscFamily(direction=np.zeros(2), radius=1.0), x) == 0.0
+
+
+def test_support_of_the_zero_subspace_ball():
+    # the supremum over {0} is 0 whatever the ball's norm, and a sequence of
+    # zero subspaces converges to the zero subspace with zero gaps
+    x = np.array([1.0, -2.0, 3.0])
+    for spec in (l1(), l2(), linf()):
+        assert exact_support(SubspaceBall(basis=np.zeros((0, 3)), ball_spec=spec), x) == 0.0
+        zero = Subspace(basis=np.zeros((0, 3)), ambient=spec, side="dual")
+        assert convergence_gap([zero, zero], zero, np.eye(3)) == [0.0, 0.0]
 
 
 def test_support_of_weighted_disc_family():
@@ -261,17 +272,17 @@ def test_quotient_distance_vanishes_on_members():
         assert route <= 1e-9
 
 
-@pytest.mark.parametrize("spec,tol", [(l2(), 1e-12), (l1(), 1e-9), (linf(), 1e-9)])
-def test_two_routes_agree_on_random_instances(spec, tol):
+def test_two_l2_routes_agree_on_random_instances():
+    # the polyhedral kinds are gated in test_basic_solutions_match_the_distance_lp
     rng = np.random.default_rng(6)
     for _ in range(30):
         dim = int(rng.integers(2, 7))
         k = int(rng.integers(1, dim))
         V = subspace_from_spanning(rng.standard_normal((k, dim)),
-                                   ambient=spec, side="primal")
+                                   ambient=l2(), side="primal")
         x = rng.standard_normal(dim) * 2.0
         primal, dual = quotient_routes(x, V)
-        assert abs(primal - dual) <= tol
+        assert abs(primal - dual) <= 1e-12
 
 
 def _lp_distance(x, V):
@@ -284,6 +295,7 @@ def _lp_distance(x, V):
 def test_basic_solutions_match_the_distance_lp(spec):
     # every ambient dim up to the cap and every subspace dim, the whole space
     # included; the primal route must also stay an upper bound of the dual
+    # and agree with it
     rng = np.random.default_rng(7)
     for n in range(2, 10):
         for k in range(1, n + 1):
@@ -295,6 +307,7 @@ def test_basic_solutions_match_the_distance_lp(spec):
                 case = (spec.kind, n, k)
                 assert abs(primal - _lp_distance(x, V)) <= 1e-12 * max(1.0, primal), case
                 assert primal >= dual - 1e-12, case
+                assert abs(primal - dual) <= 1e-12 * max(1.0, primal), case
 
 
 @pytest.mark.parametrize("spec", [l1(), linf()])
