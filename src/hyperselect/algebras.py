@@ -101,8 +101,13 @@ class MatrixAlgebra:
         return (coeffs @ self._flat).reshape(x.shape)
 
     def _closure_residual(self, mats):
-        """Largest HS distance from a matrix of the stack to the algebra."""
-        return float(np.linalg.norm(mats - self.project(mats), axis=(1, 2)).max())
+        """Largest HS distance from a matrix of the (k, n, n) stack to the
+        algebra.  A residual needs no bit-for-bit projection, so the stack is
+        projected with one (k, n^2) @ (n^2, dim) product instead of
+        `project`'s k matrix-vector products."""
+        rows = mats.reshape(len(mats), -1)
+        residual = rows - (rows @ self._flat.conj().T) @ self._flat
+        return float(np.linalg.norm(residual, axis=1).max())
 
 
 def generate_algebra(generators, n):

@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog  # unused here; perfbench/tracer.py traces this name
 
 from .norms import (
     DiscFamily,
@@ -26,6 +25,7 @@ from .norms import (
     eval_norm,
     l2,
     linf,
+    linprog,  # unused here; kept so perfbench/tracer.py finds duality.linprog
 )
 
 ORTHO_TOL = 1e-10

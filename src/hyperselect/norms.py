@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 class DimensionMismatch(ValueError):
@@ -325,6 +324,17 @@ def _disc_distance(x, disc, spec):
     if np.linalg.norm(x - mu * d) > 1e-12 * max(1.0, np.linalg.norm(x)):
         raise UnsupportedNorm("no exact disc distance for a query off the disc's line")
     return max(0.0, abs(mu) - disc.radius) * eval_norm(d, spec)
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first LP actually solved so
+    that importing the package does not load scipy.
+
+    `duality.linprog` is this same object; the one call site looks it up here.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 def distance_lp(x, basis, kind, ball_kind=None):

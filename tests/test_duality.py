@@ -332,8 +332,15 @@ def test_polyhedral_routes_solve_no_lp(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("linprog called")
 
+    # one solver object behind both names, so the tracer's duality.linprog
+    # is the function the section LP calls
+    assert duality.linprog is norms.linprog
     monkeypatch.setattr(duality, "linprog", refuse)
     monkeypatch.setattr(norms, "linprog", refuse)
+    section = SampledSet(points=np.array([[1.0, 1.0]]),
+                         exact=SubspaceBall(basis=np.array([[0.5, 0.5]]), ball_spec=linf()))
+    with pytest.raises(AssertionError, match="linprog called"):
+        min_distance_oracle(np.array([1.0, 0.0]), section, linf())
     rng = np.random.default_rng(9)
     for spec in (l1(), linf()):
         V = subspace_from_spanning(rng.standard_normal((3, 7)), ambient=spec, side="primal")

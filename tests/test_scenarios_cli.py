@@ -2,6 +2,7 @@
 byte-identical reruns."""
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -373,3 +374,51 @@ def test_console_script_end_to_end(tmp_path):
     record = json.loads(proc.stdout)
     assert record["scenario"] == "borel"
     assert (out / "borel.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# import path: scipy is loaded only when an LP is solved
+
+SCIPY_FREE_RUN = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))[:3]
+
+
+from hyperselect.cli import main
+from hyperselect.scenarios import SCENARIOS
+
+assert not scipy_modules(), ("import", scipy_modules())
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+for name in SCENARIOS:
+    argv = [name, "--config", str(configs / f"{name}.cfg"), "--out", str(out / name)]
+    assert main(argv) == 0, name
+    assert not scipy_modules(), (name, scipy_modules())
+
+from hyperselect.norms import SampledSet, SubspaceBall, linf, min_distance_oracle
+
+# the samples sit at linf distance 1 and 2; only the section LP finds 1/2
+ends = np.array([[1.0, 1.0], [-1.0, -1.0]])
+ball = SampledSet(points=ends,
+                  exact=SubspaceBall(basis=np.array([[0.5, 0.5]]), ball_spec=linf()))
+d = min_distance_oracle(np.array([1.0, 0.0]), ball, linf())
+assert abs(d - 0.5) <= 1e-12, d
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_is_imported_only_by_the_section_lp(tmp_path):
+    # a fresh interpreter: the test modules import scipy themselves
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN, str(SAMPLE_CONFIGS), str(tmp_path)],
+        capture_output=True, text=True, timeout=300, check=False, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(SCENARIOS)
