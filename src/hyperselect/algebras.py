@@ -91,22 +91,15 @@ class MatrixAlgebra:
 
     def project(self, x):
         """HS-orthogonal projection onto the algebra, of one matrix or of each
-        matrix in a (..., n, n) stack.  Each matrix is its own (1, n^2) row, so
-        numpy runs one matrix-vector product per matrix, whatever the stack's
-        size, and a stack's entries equal one-at-a-time projections bit for bit.
-        """
+        matrix in a (..., n, n) stack, as one (k, n^2) @ (n^2, dim) product."""
         x = np.asarray(x, dtype=np.complex128)
-        rows = x.reshape(-1, 1, self.n * self.n)
-        coeffs = rows @ self._flat.conj().T
-        return (coeffs @ self._flat).reshape(x.shape)
+        rows = x.reshape(-1, self.n * self.n)
+        return ((rows @ self._flat.conj().T) @ self._flat).reshape(x.shape)
 
     def _closure_residual(self, mats):
         """Largest HS distance from a matrix of the (k, n, n) stack to the
-        algebra.  A residual needs no bit-for-bit projection, so the stack is
-        projected with one (k, n^2) @ (n^2, dim) product instead of
-        `project`'s k matrix-vector products."""
-        rows = mats.reshape(len(mats), -1)
-        residual = rows - (rows @ self._flat.conj().T) @ self._flat
+        algebra."""
+        residual = (mats - self.project(mats)).reshape(len(mats), -1)
         return float(np.linalg.norm(residual, axis=1).max())
 
 

@@ -1,9 +1,9 @@
 """Command-line front end: `hyperselect <scenario> --config <path>`.
 
-Exit codes: 0 on success, 2 on an invalid configuration, 3 on an invariant
-violation inside a pipeline (a duality mismatch, a stalled iteration, a
-census contradiction), 4 when a truncation is too shallow to settle a
-membership.  Failures print a single machine-readable JSON record to
+Exit codes: 0 on success, 2 on an invalid configuration or an --out path
+that cannot be made a directory, 3 on an invariant violation inside a
+pipeline (a duality mismatch, a stalled iteration, a census contradiction),
+4 when a truncation is too shallow to settle a membership.  Failures print a single machine-readable JSON record to
 stderr.
 """
 
@@ -45,7 +45,11 @@ def main(argv=None):
         return _fail(2, "ConfigError", err)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        return _fail(2, "ConfigError", f"--out {out}: cannot make the output directory"
+                                       f" ({err.strerror})")
     try:
         files = SCENARIOS[args.scenario](params, args.seed, out)
     except ConfigError as err:

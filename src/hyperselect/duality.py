@@ -12,70 +12,24 @@ point of the module, so it doubles as a built-in consistency check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .norms import (
     DiscFamily,
     NormSpec,
-    SubspaceBall,
+    Subspace,
     UnsupportedNorm,
     dual_kind,
     eval_norm,
     l2,
     linf,
-    linprog,  # unused here; kept so perfbench/tracer.py finds duality.linprog
+    linprog,  # unused here; see the comment on norms.linprog
 )
 
-ORTHO_TOL = 1e-10
-SIDES = ("primal", "dual")
 
 class DualityMismatch(RuntimeError):
     """Primal and dual distance computations disagree; signals a bug."""
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A finite-dimensional subspace with an orthonormal row basis.
-
-    side records which space it lives in: vectors ("primal") or
-    functionals ("dual").  ambient is the norm of that space itself.
-    """
-
-    basis: np.ndarray
-    ambient: NormSpec
-    side: str
-
-    def __post_init__(self):
-        b = np.atleast_2d(np.asarray(self.basis))
-        if not np.iscomplexobj(b):
-            b = b.astype(np.float64)
-        object.__setattr__(self, "basis", b)
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}")
-        if b.shape[0]:
-            gram = b @ b.conj().T
-            if np.abs(gram - np.eye(b.shape[0])).max() > ORTHO_TOL:
-                raise ValueError("basis rows must be orthonormal within 1e-10")
-
-    @property
-    def dim(self):
-        return self.basis.shape[0]
-
-    @property
-    def ambient_dim(self):
-        return self.basis.shape[1]
-
-    def projector(self):
-        """Euclidean orthogonal projector onto the span."""
-        if self.dim == 0:
-            n = self.ambient_dim
-            return np.zeros((n, n), dtype=self.basis.dtype)
-        return self.basis.T @ self.basis.conj()
-
-    def project(self, x):
-        return self.projector() @ np.asarray(x)
 
 
 def subspace_from_spanning(vectors, ambient=None, side="primal"):
@@ -108,23 +62,22 @@ def annihilator(V: Subspace) -> Subspace:
 
 
 def exact_support(descriptor, x):
-    """sup |omega(x)| over an exactly described balanced convex family."""
+    """sup |omega(x)| over an exactly described balanced convex family: a
+    DiscFamily, or the unit ball of a Subspace in its ambient norm."""
     x = np.asarray(x)
     if isinstance(descriptor, DiscFamily):
         return float(descriptor.radius * np.abs(descriptor.direction @ x))
-    if isinstance(descriptor, SubspaceBall):
+    if isinstance(descriptor, Subspace):
         basis = descriptor.basis
-        kind = descriptor.ball_spec.kind
+        kind = descriptor.ambient.kind
         if not len(basis):  # the zero subspace: the supremum over {0}
             return 0.0
         if kind == "l2":
-            # the l2 section depends only on the span; orthonormalize first,
-            # then coefficient phases align every term of the bilinear pairing
-            _, s, vh = np.linalg.svd(basis, full_matrices=False)
-            rank = int((s > 1e-12 * s[0]).sum())
-            return float(np.linalg.norm(vh[:rank] @ x, 2))
+            # omega = c @ basis has ||omega|| = ||c|| on orthonormal rows, and
+            # omega(x) = c @ (basis @ x), largest at the phases of basis @ x
+            return float(np.linalg.norm(basis @ x, 2))
         if len(basis) == 1:
-            scale = eval_norm(basis[0], descriptor.ball_spec)
+            scale = eval_norm(basis[0], descriptor.ambient)
             return float(np.abs(basis[0] @ x) / scale)
         return float(np.abs(ball_section_points(basis, kind) @ x).max())
     raise TypeError(f"unknown exact descriptor {type(descriptor).__name__}")
@@ -284,9 +237,9 @@ def _dual_distance(x, V, spec):
     return float(np.abs(vertices @ x).max())
 
 
-def quotient_routes(x, V: Subspace, spec=None):
-    """Distance from x to the subspace V along two independent routes,
-    returned unreconciled as (primal, dual).
+def quotient_routes(x, V: Subspace):
+    """Distance from x to the subspace V in its ambient norm along two
+    independent routes, returned unreconciled as (primal, dual).
 
     Primal: exact Euclidean projection (l2), or the least residual norm
     over every basic solution of the distance LP (l1, linf; see
@@ -298,9 +251,8 @@ def quotient_routes(x, V: Subspace, spec=None):
     """
     if V.side != "primal":
         raise ValueError("quotient distance expects a primal-side subspace")
-    spec = spec if spec is not None else V.ambient
     x = np.asarray(x)
-    return _primal_distance(x, V, spec), _dual_distance(x, V, spec)
+    return _primal_distance(x, V, V.ambient), _dual_distance(x, V, V.ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +311,10 @@ def convergence_gap(V_list, V: Subspace, probes):
     if V.side != "dual" or any(w.side != "dual" for w in V_list):
         raise ValueError("convergence gaps compare dual-side subspaces")
     probes = np.atleast_2d(np.asarray(probes))
-    ref = SubspaceBall(basis=V.basis, ball_spec=V.ambient)
-    ref_vals = np.array([exact_support(ref, x) for x in probes])
+    ref_vals = np.array([exact_support(V, x) for x in probes])
     gaps = []
     for W in V_list:
-        ball = SubspaceBall(basis=W.basis, ball_spec=W.ambient)
-        vals = np.array([exact_support(ball, x) for x in probes])
+        vals = np.array([exact_support(W, x) for x in probes])
         gaps.append(float(np.abs(vals - ref_vals).max()))
     return gaps
 

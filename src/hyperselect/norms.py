@@ -1,4 +1,5 @@
-"""Finite-dimensional normed spaces, dual norms, probe metrics, sampled sets.
+"""Finite-dimensional normed spaces, dual norms, probe metrics, and the exact
+descriptors of sets: subspaces and discs.
 
 Vectors and matrices are plain numpy arrays (float64 or complex128); a vector
 is its coordinate array, dim = len(coords).  JSON output writes complex
@@ -23,10 +24,6 @@ class UnsupportedNorm(ValueError):
 
 class OutsideUnitBall(ValueError):
     """Probe metrics only accept arguments from the operator-norm unit ball."""
-
-
-class EmptySet(ValueError):
-    """Sampled sets stand for nonempty closed sets and must carry points."""
 
 
 UNIT_TOL = 1e-12
@@ -157,14 +154,6 @@ def linf():
     return NormSpec("linf")
 
 
-def operator_norm():
-    return NormSpec("operator")
-
-
-def trace_norm():
-    return NormSpec("trace")
-
-
 def probe_weak(probes, weights=None):
     return NormSpec("probe_weak", probes=probes, weights=weights)
 
@@ -239,7 +228,7 @@ def require_probe_domain(spec, *mats):
     argument is a matrix or a stack of them."""
     if spec.kind not in PROBE_KINDS:
         raise UnsupportedNorm("probe_metric needs a probe norm spec")
-    if any(np.max(eval_norm(m, operator_norm())) > 1.0 + BALL_SLACK for m in mats):
+    if any(np.max(eval_norm(m, NormSpec("operator"))) > 1.0 + BALL_SLACK for m in mats):
         raise OutsideUnitBall("probe metrics are calibrated on the unit ball only")
 
 
@@ -250,18 +239,52 @@ def probe_metric(a, b, spec):
     return eval_norm(a - b, spec)
 
 
-@dataclass(frozen=True)
-class SubspaceBall:
-    """Exact descriptor: unit ball of span(basis rows) under `ball_spec`."""
+ORTHO_TOL = 1e-10
+SIDES = ("primal", "dual")
 
-    basis: np.ndarray  # (k, dim) rows, linearly independent
-    ball_spec: NormSpec
+
+@dataclass(frozen=True)
+class Subspace:
+    """Exact descriptor: a finite-dimensional subspace with an orthonormal row
+    basis, and with it the unit ball it cuts from its space's ball.
+
+    side records which space it lives in: vectors ("primal") or
+    functionals ("dual").  ambient is the norm of that space itself.
+    """
+
+    basis: np.ndarray
+    ambient: NormSpec
+    side: str
 
     def __post_init__(self):
         b = np.atleast_2d(np.asarray(self.basis))
+        if not np.iscomplexobj(b):
+            b = b.astype(np.float64)
         object.__setattr__(self, "basis", b)
-        if np.linalg.matrix_rank(b) < b.shape[0]:
-            raise ValueError("subspace basis rows must be independent")
+        if self.side not in SIDES:
+            raise ValueError(f"side must be one of {SIDES}")
+        if b.shape[0]:
+            gram = b @ b.conj().T
+            if np.abs(gram - np.eye(b.shape[0])).max() > ORTHO_TOL:
+                raise ValueError("basis rows must be orthonormal within 1e-10")
+
+    @property
+    def dim(self):
+        return self.basis.shape[0]
+
+    @property
+    def ambient_dim(self):
+        return self.basis.shape[1]
+
+    def projector(self):
+        """Euclidean orthogonal projector onto the span."""
+        if self.dim == 0:
+            n = self.ambient_dim
+            return np.zeros((n, n), dtype=self.basis.dtype)
+        return self.basis.T @ self.basis.conj()
+
+    def project(self, x):
+        return self.projector() @ np.asarray(x)
 
 
 @dataclass(frozen=True)
@@ -276,39 +299,6 @@ class DiscFamily:
         object.__setattr__(self, "direction", np.asarray(self.direction))
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SampledSet:
-    """Finite stand-in for a nonempty closed set: samples plus an optional
-    exact descriptor."""
-
-    points: np.ndarray  # (count, dim)
-    exact: SubspaceBall | DiscFamily | None = None
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points))
-        if pts.size == 0:
-            raise EmptySet("a sampled set must contain at least one point")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    def __len__(self):
-        return len(self.points)
-
-
-def distances_to_points(x, points, spec):
-    """Vector of spec-distances from x to each row of points."""
-    x = np.asarray(x)
-    points = np.atleast_2d(points)
-    if points.shape[1] != x.shape[0]:
-        raise DimensionMismatch("point dimension mismatch")
-    if spec.kind not in VECTOR_KINDS:
-        raise DimensionMismatch(f"{spec.kind} norm needs matrices, not points")
-    return eval_norm(points - x[None, :], spec)
 
 
 def _disc_distance(x, disc, spec):
@@ -326,87 +316,40 @@ def _disc_distance(x, disc, spec):
     return max(0.0, abs(mu) - disc.radius) * eval_norm(d, spec)
 
 
-def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`, imported on the first LP actually solved so
-    that importing the package does not load scipy.
+def _section_distance(x, V, spec):
+    if V.ambient.kind == spec.kind == "l2":
+        # x - Px is orthogonal to the span, so clip Px radially into the ball
+        px = V.project(x)
+        return float(np.hypot(np.linalg.norm(x - px), max(0.0, np.linalg.norm(px) - 1.0)))
+    raise UnsupportedNorm(f"no exact distance to a {V.ambient.kind} section in the"
+                          f" {spec.kind} metric")
 
-    `duality.linprog` is this same object; the one call site looks it up here.
-    """
+
+# perfbench/tracer.py looks up `min_distance_oracle` here and `duality.linprog` by
+# name, so both stay until the benchmark reads counters instead (ROADMAP item 2).
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported only if called; no library path
+    calls it.  `duality.linprog` is this same object."""
     from scipy.optimize import linprog as solve
 
     return solve(*args, **kwargs)
 
 
-def distance_lp(x, basis, kind, ball_kind=None):
-    """`linprog` arguments for the real l1/linf distance from x to span(basis
-    rows) or, given ball_kind, to its l1/linf unit-ball section.
-
-    One LP in z = (c, t, u): minimize sum(t) subject to |x - c @ basis| <= t
-    entrywise (one shared t for linf) and, with a ball only, |c @ basis| <= u,
-    where u <= 1 for a linf ball and sum(u) <= 1 for an l1 ball.
-    """
-    if kind not in ("l1", "linf"):
-        raise UnsupportedNorm(f"quotient distance not defined for kind {kind!r}")
-    k, n = basis.shape
-    gap = np.eye(n) if kind == "l1" else np.ones((n, 1))
-    m = gap.shape[1]
-    w = 0 if ball_kind is None else n  # the u columns
-    point = np.hstack([basis.T, np.zeros((n, m + w))])
-    t = np.hstack([np.zeros((n, k)), gap, np.zeros((n, w))])
-    a_ub = np.vstack([point - t, -point - t])
-    b_ub = np.concatenate([x, -x, np.zeros(2 * w)])
-    if w:
-        u = np.hstack([np.zeros((n, k + m)), np.eye(n)])
-        a_ub = np.vstack([a_ub, point - u, -point - u])
-    if ball_kind == "l1":
-        a_ub = np.vstack([a_ub, np.concatenate([np.zeros(k + m), np.ones(n)])])
-        b_ub = np.append(b_ub, 1.0)
-    cost = np.concatenate([np.zeros(k), np.ones(m), np.zeros(w)])
-    u_max = 1.0 if ball_kind == "linf" else None
-    bounds = [(None, None)] * k + [(0, None)] * m + [(0, u_max)] * w
-    return {"c": cost, "A_ub": a_ub, "b_ub": b_ub, "bounds": bounds, "method": "highs"}
-
-
-def _subspace_ball_distance(x, ball, spec):
-    ball_kind, kind = ball.ball_spec.kind, spec.kind
-    if ball_kind == kind == "l2":
-        # x - Px is orthogonal to the span, so clip Px radially into the ball
-        _, _, vh = np.linalg.svd(ball.basis, full_matrices=False)
-        coeff = vh.conj() @ x
-        along = float(np.linalg.norm(coeff))
-        return float(np.hypot(np.linalg.norm(x - coeff @ vh), max(0.0, along - 1.0)))
-    complex_data = np.iscomplexobj(ball.basis) or np.iscomplexobj(x)
-    polyhedral = ("l1", "linf")
-    if ball_kind in polyhedral and kind in polyhedral and not complex_data:
-        res = linprog(**distance_lp(x, ball.basis, kind, ball_kind))
-        if not res.success:
-            raise RuntimeError(f"section distance LP failed: {res.message}")
-        return float(res.fun)
-    raise UnsupportedNorm(f"no exact distance to a {ball_kind} section in the {kind} metric"
-                          f" on {'complex' if complex_data else 'real'} data")
-
-
-def min_distance_oracle(x, sset, spec):
-    """Distance from x to a sampled set: the minimum over its samples, or the
-    exact distance to its descriptor when it carries one.
+def min_distance_oracle(x, descriptor, spec):
+    """Distance in the spec metric from x to the set a DiscFamily or a
+    Subspace's unit ball describes.
 
     Exact routes: a query on a disc's own line, in any norm (closed form); an
-    l2 subspace-ball section in the l2 metric (orthogonal projection, then a
-    radial clip); a real l1/linf section in the l1/linf metric (one LP).  Any
-    other descriptor, norm and query combination raises UnsupportedNorm.
+    l2 Subspace's unit ball in the l2 metric (orthogonal projection, then a
+    radial clip).  Any other descriptor, norm and query combination raises
+    UnsupportedNorm.
     """
     x = np.asarray(x)
-    # The sample scan stays even with a descriptor: a rescaled polar-grid
-    # sample can sit one ulp outside the disc, where the closed form reads
-    # 2.2e-16 and only the sample minimum returns the exact 0.0.
-    base = float(distances_to_points(x, sset.points, spec).min())
-    if sset.exact is None:
-        return base
-    if isinstance(sset.exact, SubspaceBall):
-        exact = _subspace_ball_distance(x, sset.exact, spec)
-    else:
-        exact = _disc_distance(x, sset.exact, spec)
-    return min(base, exact)
+    if isinstance(descriptor, Subspace):
+        return _section_distance(x, descriptor, spec)
+    if isinstance(descriptor, DiscFamily):
+        return _disc_distance(x, descriptor, spec)
+    raise TypeError(f"unknown exact descriptor {type(descriptor).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 from .norms import (
     VECTOR_KINDS,
     NormSpec,
+    Subspace,
     array_to_json,
     dyadic_weights,
     eval_norm,
@@ -29,7 +30,6 @@ from .norms import (
 from .duality import (
     SECTION_DIM_CAP,
     DualityMismatch,
-    Subspace,
     convergence_gap,
     counterexample_ball,
     counterexample_limit_disc,
@@ -239,7 +239,7 @@ def run_duality(params, seed, out):
             V = subspace_from_spanning(rng.standard_normal((k, cfg["dim"])),
                                        ambient=spec, side="primal")
             x = rng.standard_normal(cfg["dim"])
-            primal, dual = quotient_routes(x, V, spec)
+            primal, dual = quotient_routes(x, V)
             diff = abs(primal - dual)
             worst = max(worst, diff)
             rows.append((trial, kind, primal, dual, diff))

@@ -154,11 +154,14 @@ def test_stacked_projection_matches_one_matrix_at_a_time():
                 build_fS(SubsetSeq(3, ({0, 1}, {1}, {0, 2})))[0]]
     for A in algebras:
         x = rng.standard_normal((2, 5, A.n, A.n)) + 1j * rng.standard_normal((2, 5, A.n, A.n))
+        # one product for the stack sums in another order than one per matrix,
+        # so entries of size about 1 agree to rounding, not bit for bit
         stacked = A.project(x)
         assert stacked.shape == x.shape
-        assert np.array_equal(stacked, np.array([[A.project(m) for m in row] for row in x]))
-        assert np.array_equal(marechal_support(A, x[0]),
-                              np.array([marechal_support(A, m) for m in x[0]]))
+        single = np.array([[A.project(m) for m in row] for row in x])
+        assert np.abs(stacked - single).max() <= 1e-13
+        support = np.array([marechal_support(A, m) for m in x[0]])
+        assert np.abs(marechal_support(A, x[0]) - support).max() <= 1e-13
 
 
 def test_support_conjugation_consistency():

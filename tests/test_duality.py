@@ -10,7 +10,6 @@ from hyperselect import duality, norms
 from hyperselect.duality import (
     SECTION_DIM_CAP,
     DualityMismatch,
-    Subspace,
     _basic_solution_distance,
     annihilator,
     ball_section_points,
@@ -26,11 +25,8 @@ from hyperselect.duality import (
 from hyperselect.norms import (
     DiscFamily,
     NormSpec,
-    SampledSet,
-    SubspaceBall,
+    Subspace,
     UnsupportedNorm,
-    distance_lp,
-    distances_to_points,
     dual_kind,
     eval_norm,
     l1,
@@ -54,7 +50,7 @@ def test_support_of_full_dual_ball_is_the_norm():
     # the whole dual ball under each norm supports x at the predual norm
     x = np.array([3.0, -4.0])
     for ball_spec, expected in ((l2(), 5.0), (linf(), 7.0), (l1(), 4.0)):
-        ball = SubspaceBall(basis=np.eye(2), ball_spec=ball_spec)
+        ball = Subspace(basis=np.eye(2), ambient=ball_spec, side="dual")
         assert exact_support(ball, x) == pytest.approx(expected, abs=1e-12)
 
 
@@ -69,8 +65,8 @@ def test_support_of_the_zero_subspace_ball():
     # zero subspaces converges to the zero subspace with zero gaps
     x = np.array([1.0, -2.0, 3.0])
     for spec in (l1(), l2(), linf()):
-        assert exact_support(SubspaceBall(basis=np.zeros((0, 3)), ball_spec=spec), x) == 0.0
         zero = Subspace(basis=np.zeros((0, 3)), ambient=spec, side="dual")
+        assert exact_support(zero, x) == 0.0
         assert convergence_gap([zero, zero], zero, np.eye(3)) == [0.0, 0.0]
 
 
@@ -90,7 +86,8 @@ def test_support_of_weighted_disc_family():
 def test_support_homogeneity():
     rng = np.random.default_rng(1)
     for ball_spec in (l2(), l1(), linf()):
-        ball = SubspaceBall(basis=rng.standard_normal((2, 3)), ball_spec=ball_spec)
+        ball = subspace_from_spanning(rng.standard_normal((2, 3)), ambient=ball_spec,
+                                      side="dual")
         for _ in range(50):
             x = rng.standard_normal(3)
             lam = rng.standard_normal() * 2.0
@@ -104,8 +101,8 @@ def test_support_monotone_in_the_family():
     rng = np.random.default_rng(2)
     for ball_spec in (l2(), l1(), linf()):
         basis = rng.standard_normal((2, 3))
-        small = SubspaceBall(basis=basis[:1], ball_spec=ball_spec)
-        big = SubspaceBall(basis=basis, ball_spec=ball_spec)
+        small = subspace_from_spanning(basis[:1], ambient=ball_spec, side="dual")
+        big = subspace_from_spanning(basis, ambient=ball_spec, side="dual")
         for _ in range(50):
             x = rng.standard_normal(3)
             assert exact_support(small, x) <= exact_support(big, x) + 1e-12
@@ -287,6 +284,20 @@ def test_two_routes_agree_on_random_instances(spec, tol):
         assert abs(primal - dual) <= tol
 
 
+def distance_lp(x, basis, kind):
+    """`linprog` arguments for the real l1/linf distance from x to span(basis
+    rows): one LP in z = (c, t), minimizing sum(t) subject to
+    |x - c @ basis| <= t entrywise, with one shared t for linf."""
+    k, n = basis.shape
+    gap = np.eye(n) if kind == "l1" else np.ones((n, 1))
+    m = gap.shape[1]
+    point = np.hstack([basis.T, np.zeros((n, m))])
+    t = np.hstack([np.zeros((n, k)), gap])
+    return {"c": np.concatenate([np.zeros(k), np.ones(m)]),
+            "A_ub": np.vstack([point - t, -point - t]), "b_ub": np.concatenate([x, -x]),
+            "bounds": [(None, None)] * k + [(0, None)] * m, "method": "highs"}
+
+
 def _lp_distance(x, V):
     res = linprog(**distance_lp(x, V.basis, V.ambient.kind))
     assert res.success, res.message
@@ -332,15 +343,10 @@ def test_polyhedral_routes_solve_no_lp(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("linprog called")
 
-    # one solver object behind both names, so the tracer's duality.linprog
-    # is the function the section LP calls
+    # one solver object behind both names, the one the tracer counts
     assert duality.linprog is norms.linprog
     monkeypatch.setattr(duality, "linprog", refuse)
     monkeypatch.setattr(norms, "linprog", refuse)
-    section = SampledSet(points=np.array([[1.0, 1.0]]),
-                         exact=SubspaceBall(basis=np.array([[0.5, 0.5]]), ball_spec=linf()))
-    with pytest.raises(AssertionError, match="linprog called"):
-        min_distance_oracle(np.array([1.0, 0.0]), section, linf())
     rng = np.random.default_rng(9)
     for spec in (l1(), linf()):
         V = subspace_from_spanning(rng.standard_normal((3, 7)), ambient=spec, side="primal")
@@ -356,9 +362,9 @@ def test_basic_solutions_raise_when_no_system_is_kept():
 
 
 def test_primal_route_rejects_other_kinds_and_dims_past_the_cap():
-    V = subspace_from_spanning(np.eye(3)[:1], ambient=l1(), side="primal")
+    V = subspace_from_spanning(np.eye(3)[:1], ambient=NormSpec("operator"), side="primal")
     with pytest.raises(UnsupportedNorm, match="not defined for kind 'operator'"):
-        quotient_routes(np.ones(3), V, NormSpec("operator"))
+        quotient_routes(np.ones(3), V)
     n = SECTION_DIM_CAP + 1
     V = subspace_from_spanning(np.eye(n)[:4], ambient=linf(), side="primal")
     with pytest.raises(UnsupportedNorm, match="capped at ambient dim"):
@@ -376,19 +382,20 @@ def test_route_mismatch_raises_at_zero_tolerance(tmp_path):
 # the rescaling ball criterion
 
 
-def _sampled_subspace_ball(B, scales, tol=1e-3, spec=None):
-    """Reference: the rescaling criterion over B's samples only, each sample
-    of dual norm <= s rescaled by 1/s and measured by the distance oracle."""
+def _sampled_subspace_ball(points, B, scales, tol=1e-3, spec=None):
+    """Reference: the rescaling criterion over the given samples of the set
+    B only, each sample of dual norm <= s rescaled by 1/s and measured by the
+    distance oracle to B."""
     spec = spec if spec is not None else l2()
     mspec = NormSpec(dual_kind(spec.kind))
-    point_norms = distances_to_points(np.zeros(B.dim), B.points, mspec)
+    point_norms = eval_norm(points, mspec)
     worst_defect = 0.0
     worst = None
     for s in scales:
         if not 0 < s < 1:
             raise ValueError("scales must lie in (0, 1)")
         for idx in np.nonzero(point_norms <= s + 1e-12)[0]:
-            rescaled = B.points[idx] / s
+            rescaled = points[idx] / s
             defect = min_distance_oracle(rescaled, B, mspec)
             if defect > worst_defect:
                 worst_defect = defect
@@ -398,13 +405,12 @@ def _sampled_subspace_ball(B, scales, tol=1e-3, spec=None):
 
 
 def test_subspace_ball_passes_criterion():
-    # this test and the next check the sampled reference itself, on sets
-    # without a disc descriptor
+    # this test and the next check the sampled reference itself
     t = np.linspace(-1.0, 1.0, 81)
     d = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    ball = SampledSet(points=t[:, None] * d[None, :],
-                      exact=SubspaceBall(basis=d[None, :], ball_spec=l2()))
-    res = _sampled_subspace_ball(ball, (0.5, 0.75), tol=1e-3, spec=l2())
+    ball = subspace_from_spanning(d[None, :], ambient=l2(), side="dual")
+    res = _sampled_subspace_ball(t[:, None] * d[None, :], ball, (0.5, 0.75), tol=1e-3,
+                                 spec=l2())
     assert res["ok"]
 
 
@@ -412,10 +418,10 @@ def test_scaled_ball_fails_criterion():
     # radius-3/4 disc: the norm-1/2 sample rescales to norm 1, which sits
     # 1/4 outside the set
     ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-    circle = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    circle = np.exp(1j * ang)[:, None]
     pts = np.concatenate([r * circle for r in (0.75, 0.5, 0.25)])
-    ball = SampledSet(points=pts)
-    res = _sampled_subspace_ball(ball, (0.5,), tol=1e-3, spec=l2())
+    ball = DiscFamily(direction=np.array([1.0 + 0j]), radius=0.75)
+    res = _sampled_subspace_ball(pts, ball, (0.5,), tol=1e-3, spec=l2())
     assert not res["ok"]
     assert res["defect"] == pytest.approx(0.25, abs=5e-3)
 
@@ -428,7 +434,7 @@ def _disc_samples(disc, radii, angles):
     lams = np.concatenate([[0.0]] + [r * np.exp(1j * thetas) for r in radii])
     if not disc.complex_scalars:
         lams = lams.real
-    return SampledSet(points=lams[:, None] * disc.direction[None, :], exact=disc)
+    return lams[:, None] * disc.direction[None, :]
 
 
 def _disc_cases():
@@ -463,7 +469,7 @@ def test_closed_form_criterion_matches_the_sampled_reference():
         radii = stars + list(rng.uniform(0.0, 1.0, 3) * min(stars))
         sampled = _disc_samples(disc, radii, 16)
         res = is_subspace_ball(disc, scales, tol=0.0, spec=spec)
-        ref = _sampled_subspace_ball(sampled, scales, tol=0.0, spec=spec)
+        ref = _sampled_subspace_ball(sampled, disc, scales, tol=0.0, spec=spec)
         assert abs(ref["defect"] - res["defect"]) <= 1e-12, case
         per_scale = [is_subspace_ball(disc, (s,), tol=0.0, spec=spec)["defect"]
                      for s in scales]
@@ -481,20 +487,17 @@ def test_closed_form_criterion_matches_the_sampled_reference():
             # the witness rescales a disc member of norm <= s and sits at the
             # defect's distance from the disc
             assert eval_norm(s * point, mspec) <= s * (1 + 1e-12), case
-            assert min_distance_oracle(s * point, sampled, mspec) <= 1e-12, case
-            assert abs(min_distance_oracle(point, sampled, mspec) - res["defect"]) <= 1e-12, case
+            assert min_distance_oracle(s * point, disc, mspec) <= 1e-12, case
+            assert abs(min_distance_oracle(point, disc, mspec) - res["defect"]) <= 1e-12, case
         # no grid of the disc finds a larger defect
         loose = _disc_samples(disc, rng.uniform(0.0, disc.radius, 5), 8)
-        assert _sampled_subspace_ball(loose, scales, tol=0.0, spec=spec)["defect"] <= (
+        assert _sampled_subspace_ball(loose, disc, scales, tol=0.0, spec=spec)["defect"] <= (
             res["defect"] + 1e-12), case
 
 
 def test_criterion_needs_a_disc_descriptor():
-    t = np.linspace(-1.0, 1.0, 5)
     d = np.array([1.0, 0.0])
-    disc = DiscFamily(direction=d, radius=1.0)
-    for B in (None, SubspaceBall(basis=d[None, :], ball_spec=l2()),
-              SampledSet(points=t[:, None] * d[None, :], exact=disc)):
+    for B in (None, Subspace(basis=d[None, :], ambient=l2(), side="dual")):
         with pytest.raises(UnsupportedNorm, match="DiscFamily"):
             is_subspace_ball(B, (0.5,), spec=l2())
 

@@ -9,17 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from hyperselect.duality import subspace_from_spanning
 from hyperselect.norms import (
     DiscFamily,
     DimensionMismatch,
-    EmptySet,
     NormSpec,
     OutsideUnitBall,
     ProbeSequence,
-    SampledSet,
-    SubspaceBall,
+    Subspace,
     UnsupportedNorm,
-    distances_to_points,
     dual_kind,
     dyadic_weights,
     eval_norm,
@@ -28,13 +26,11 @@ from hyperselect.norms import (
     linf,
     make_probe_sequence,
     min_distance_oracle,
-    operator_norm,
     probe_metric,
     probe_strong,
     probe_strong_star,
     probe_weak,
     require_probe_domain,
-    trace_norm,
 )
 
 
@@ -61,7 +57,7 @@ def test_sup_norm_coordinate_maximum():
 
 def test_trace_norm_of_identity():
     # singular values 1, 1
-    assert eval_norm(np.eye(2), trace_norm()) == pytest.approx(2.0, abs=1e-12)
+    assert eval_norm(np.eye(2), NormSpec("trace")) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_strong_star_single_matrix_unit():
@@ -287,60 +283,33 @@ def test_dyadic_weights_start_at_one_half():
 
 
 # ---------------------------------------------------------------------------
-# sampled sets and the distance oracle
-
-
-def test_sampled_set_must_be_nonempty():
-    with pytest.raises(EmptySet):
-        SampledSet(points=np.zeros((0, 2)))
+# the distance oracle
 
 
 def test_distance_to_own_sample_is_zero():
-    pts = np.array([[0.0, 1.0], [2.0, 3.0]])
-    sset = SampledSet(points=pts)
-    assert min_distance_oracle(np.array([2.0, 3.0]), sset, l2()) == 0.0
+    # samples lam d of the disc, its rim included, are at distance exactly 0
+    disc = DiscFamily(direction=np.array([0.0, 1.0]), radius=3.0)
+    for lam in (0.0, 2.0, -3.0, 3j):
+        assert min_distance_oracle(lam * disc.direction, disc, l2()) == 0.0
 
 
 def test_distance_to_origin_singleton():
-    sset = SampledSet(points=np.array([[0.0, 0.0]]))
-    assert min_distance_oracle(np.array([3.0, 4.0]), sset, l2()) == 5.0
-
-
-def _diagonal_ball_samples():
-    ts = np.linspace(-1.0, 1.0, 41)
-    pts = np.stack([ts, ts], axis=1)
-    exact = SubspaceBall(basis=np.array([[1.0, 1.0]]) / 2.0, ball_spec=linf())
-    return SampledSet(points=pts, exact=exact)
-
-
-def test_refined_distance_to_diagonal_segment():
-    # min over t of max(|1 - t|, |t|) = 1/2, attained at t = 1/2
-    sset = _diagonal_ball_samples()
-    val = min_distance_oracle(np.array([1.0, 0.0]), sset, linf())
-    assert val == pytest.approx(0.5, abs=1e-12)
+    # {0} is the unit ball of the zero subspace
+    origin = Subspace(basis=np.zeros((0, 2)), ambient=l2(), side="primal")
+    assert min_distance_oracle(np.array([3.0, 4.0]), origin, l2()) == 5.0
 
 
 def test_refined_distance_interior_disc_point_is_zero():
-    # a point strictly inside the disc must come back at exactly 0, even
-    # though the coarse samples sit on a polar grid away from it
+    # a point strictly inside the disc must come back at exactly 0
     d = np.zeros(6, dtype=np.complex128)
     d[0] = 1.0
     disc = DiscFamily(direction=d, radius=1.0, complex_scalars=True)
-    angles = np.exp(2j * np.pi * np.arange(16) / 16)
-    pts = np.concatenate([r * angles[:, None] * d[None, :] for r in (1.0, 0.5)])
-    sset = SampledSet(points=pts, exact=disc)
     x = (1.0 / 6.0) * np.exp(1j * 0.37) * d
-    assert min_distance_oracle(x, sset, l1()) == 0.0
+    assert min_distance_oracle(x, disc, l1()) == 0.0
 
 
 # ---------------------------------------------------------------------------
 # exact oracle routes against an independent SLSQP reference
-
-
-def _origin_only(dim, exact):
-    # the origin lies in every disc and section, so the sample minimum is
-    # ||x|| and the oracle returns the exact route's value
-    return SampledSet(points=np.zeros((1, dim)), exact=exact)
 
 
 def _slsqp_l2_section_distance(basis, x):
@@ -357,31 +326,6 @@ def _slsqp_l2_section_distance(basis, x):
     point = res.x @ r
     point /= max(1.0, np.linalg.norm(point))  # undo constraint slack
     return float(np.linalg.norm(point - xr))
-
-
-def _slsqp_polyhedral_section_distance(basis, x, ball_kind, kind):
-    """Reference: SLSQP on the epigraph form in z = (c, t, u), minimizing
-    sum(t) with t >= |x - c @ basis| and u >= |c @ basis| bounded by the ball."""
-    k, n = basis.shape
-    m = n if kind == "l1" else 1
-
-    def cons(z):
-        c, t, u = z[:k], z[k:k + m], z[k + m:]
-        p = c @ basis
-        ball = [1.0 - u.sum()] if ball_kind == "l1" else 1.0 - u
-        return np.concatenate([t - (x - p), t + (x - p), u - p, u + p, ball])
-
-    size = k + m + n
-    jac = np.array([cons(e) - cons(np.zeros(size)) for e in np.eye(size)]).T  # cons is affine
-    z0 = np.concatenate([np.zeros(k), np.full(m, np.abs(x).sum()), np.zeros(n)])
-    res = minimize(lambda z: z[k:k + m].sum(), z0, method="SLSQP",
-                   jac=lambda z: np.concatenate([np.zeros(k), np.ones(m), np.zeros(n)]),
-                   bounds=[(None, None)] * k + [(0.0, None)] * (m + n),
-                   constraints=[{"type": "ineq", "fun": cons, "jac": lambda z: jac}],
-                   options={"ftol": 1e-15, "maxiter": 500})
-    point = res.x[:k] @ basis
-    point /= max(1.0, eval_norm(point, NormSpec(ball_kind)))  # undo constraint slack
-    return eval_norm(x - point, NormSpec(kind))
 
 
 def _slsqp_disc_distance(disc, x, spec):
@@ -414,23 +358,9 @@ def test_l2_section_distance_matches_slsqp_reference():
             basis, x = _crandn(rng, k, dim), _crandn(rng, dim)
         else:
             basis, x = rng.standard_normal((k, dim)), rng.standard_normal(dim)
-        sset = _origin_only(dim, SubspaceBall(basis=basis, ball_spec=l2()))
+        V = subspace_from_spanning(basis, ambient=l2())
         ref = _slsqp_l2_section_distance(basis, x)
-        assert abs(min_distance_oracle(x, sset, l2()) - ref) <= 1e-8, (basis, x)
-
-
-def test_polyhedral_section_distance_matches_slsqp_reference():
-    rng = np.random.default_rng(4)
-    for _ in range(150):
-        dim = int(rng.integers(1, 6))
-        k = int(rng.integers(1, dim + 1))
-        ball_kind, kind = rng.choice(["l1", "linf"], 2)
-        basis = rng.standard_normal((k, dim))
-        x = rng.standard_normal(dim) * 1.5
-        sset = _origin_only(dim, SubspaceBall(basis=basis, ball_spec=NormSpec(ball_kind)))
-        ref = _slsqp_polyhedral_section_distance(basis, x, ball_kind, kind)
-        val = min_distance_oracle(x, sset, NormSpec(kind))
-        assert abs(val - ref) <= 1e-8, (basis, x, ball_kind, kind)
+        assert abs(min_distance_oracle(x, V, l2()) - ref) <= 1e-8, (basis, x)
 
 
 def test_on_line_disc_distance_matches_slsqp_reference():
@@ -449,31 +379,30 @@ def test_on_line_disc_distance_matches_slsqp_reference():
         x = mu * d
         spec = NormSpec(str(rng.choice(["l1", "l2", "linf"])))
         ref = _slsqp_disc_distance(disc, x, spec)
-        assert abs(min_distance_oracle(x, _origin_only(dim, disc), spec) - ref) <= 1e-8
+        assert abs(min_distance_oracle(x, disc, spec) - ref) <= 1e-8
 
 
 @pytest.mark.parametrize("exact,spec", [
     (DiscFamily(direction=np.array([1.0, 2.0, 0.0]), radius=1.0), l2()),
-    (SubspaceBall(basis=np.array([[1.0, 2.0, 0.0]]), ball_spec=l2()), linf()),
-    (SubspaceBall(basis=np.array([[1.0, 2j, 0.0]]), ball_spec=linf()), linf()),
-], ids=["off-line-disc-query", "l2-section-in-linf", "complex-linf-section"])
+    (subspace_from_spanning(np.array([[1.0, 2.0, 0.0]]), ambient=l2()), linf()),
+    (subspace_from_spanning(np.array([[1.0, 2j, 0.0]]), ambient=linf()), linf()),
+    (subspace_from_spanning(np.array([[1.0, 2.0, 0.0]]), ambient=linf()), linf()),
+], ids=["off-line-disc-query", "l2-section-in-linf", "complex-linf-section",
+        "real-linf-section"])
 def test_oracle_raises_without_an_exact_route(exact, spec):
     with pytest.raises(UnsupportedNorm):
-        min_distance_oracle(np.array([1.0, 0.0, 0.0]), _origin_only(3, exact), spec)
+        min_distance_oracle(np.array([1.0, 0.0, 0.0]), exact, spec)
 
 
 def test_zero_direction_disc_is_the_origin():
     disc = DiscFamily(direction=np.zeros(3, dtype=np.complex128), radius=2.0)
     x = np.array([3.0, -4.0, 0.0])
-    assert min_distance_oracle(x, _origin_only(3, disc), l1()) == 7.0
+    assert min_distance_oracle(x, disc, l1()) == 7.0
 
 
 def test_operator_norm_requires_square_input():
     with pytest.raises(DimensionMismatch):
-        eval_norm(np.ones((2, 3)), operator_norm())
-    with pytest.raises(DimensionMismatch):
-        # three points in dimension 3 are rows, not one 3 x 3 matrix
-        distances_to_points(np.zeros(3), np.eye(3), operator_norm())
+        eval_norm(np.ones((2, 3)), NormSpec("operator"))
 
 
 def test_probe_kind_requires_probes():

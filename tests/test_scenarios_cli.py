@@ -92,6 +92,15 @@ def test_unknown_scenario_exits_2(tmp_path, capsys):
     assert record["error"] == "ConfigError"
 
 
+def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["borel", "--out", str(taken)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert str(taken) in record["message"]
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     # counterexample decides its criterion in closed form on the disc, so it
     # has no sample-grid key such as angles; the dense family pins each member
@@ -377,48 +386,50 @@ def test_console_script_end_to_end(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# import path: scipy is loaded only when an LP is solved
+# runtime dependencies: numpy only, scipy serves the tests
 
-SCIPY_FREE_RUN = """
+SCIPY_BLOCKED_RUN = """
+import json
 import sys
 from pathlib import Path
 
-import numpy as np
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
 
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))[:3]
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise SystemExit("the scipy blocker let scipy in")
 
-
+import hyperselect
 from hyperselect.cli import main
 from hyperselect.scenarios import SCENARIOS
 
-assert not scipy_modules(), ("import", scipy_modules())
 configs, out = Path(sys.argv[1]), Path(sys.argv[2])
-for name in SCENARIOS:
-    argv = [name, "--config", str(configs / f"{name}.cfg"), "--out", str(out / name)]
-    assert main(argv) == 0, name
-    assert not scipy_modules(), (name, scipy_modules())
-
-from hyperselect.norms import SampledSet, SubspaceBall, linf, min_distance_oracle
-
-# the samples sit at linf distance 1 and 2; only the section LP finds 1/2
-ends = np.array([[1.0, 1.0], [-1.0, -1.0]])
-ball = SampledSet(points=ends,
-                  exact=SubspaceBall(basis=np.array([[0.5, 0.5]]), ball_spec=linf()))
-d = min_distance_oracle(np.array([1.0, 0.0]), ball, linf())
-assert abs(d - 0.5) <= 1e-12, d
-assert "scipy.optimize" in sys.modules
+codes = {name: main([name, "--config", str(configs / f"{name}.cfg"),
+                     "--out", str(out / name)])
+         for name in SCENARIOS}
+print(json.dumps(codes))
 """
 
 
-def test_scipy_is_imported_only_by_the_section_lp(tmp_path):
+def test_scenarios_run_with_scipy_blocked(tmp_path):
     # a fresh interpreter: the test modules import scipy themselves
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_FREE_RUN, str(SAMPLE_CONFIGS), str(tmp_path)],
+        [sys.executable, "-c", SCIPY_BLOCKED_RUN, str(SAMPLE_CONFIGS), str(tmp_path)],
         capture_output=True, text=True, timeout=300, check=False, env=env)
     assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == dict.fromkeys(SCENARIOS, 0), proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(SCENARIOS)
