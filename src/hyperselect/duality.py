@@ -44,7 +44,8 @@ def subspace_from_spanning(vectors, ambient=None, side="primal"):
 def annihilator(V: Subspace) -> Subspace:
     """The functionals vanishing on V (or, from the dual side, the vectors
     killed by every functional in V).  Bilinear pairing: null space of the
-    basis matrix, not of its conjugate."""
+    basis matrix, not of its conjugate.  Its ambient norm is the dual of
+    V's, the norm of the space it lives in."""
     b = V.basis
     n = V.ambient_dim
     if V.dim == 0:
@@ -54,7 +55,7 @@ def annihilator(V: Subspace) -> Subspace:
         rank = int((s > 1e-12).sum())
         out = vh[rank:].conj()  # bilinear null space; no-op for real bases
     side = "dual" if V.side == "primal" else "primal"
-    return Subspace(basis=out, ambient=V.ambient, side=side)
+    return Subspace(basis=out, ambient=NormSpec(dual_kind(V.ambient.kind)), side=side)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +227,13 @@ def _primal_distance(x, V, spec):
     return _basic_solution_distance(x, V.basis, spec.kind)
 
 
-def _dual_distance(x, V, spec):
-    W = annihilator(V)
+def _dual_distance(x, V):
+    W = annihilator(V)  # functionals, normed by the dual of V's norm
     if W.dim == 0:
         return 0.0
-    if spec.kind == "l2":
+    if W.ambient.kind == "l2":
         return float(np.linalg.norm(W.project(x), 2))
-    ball = dual_kind(spec.kind)  # functionals carry the dual norm
-    vertices = ball_section_points(W.basis, ball)
-    return float(np.abs(vertices @ x).max())
+    return float(np.abs(ball_section_points(W.basis, W.ambient.kind) @ x).max())
 
 
 def quotient_routes(x, V: Subspace):
@@ -252,7 +251,7 @@ def quotient_routes(x, V: Subspace):
     if V.side != "primal":
         raise ValueError("quotient distance expects a primal-side subspace")
     x = np.asarray(x)
-    return _primal_distance(x, V, V.ambient), _dual_distance(x, V, V.ambient)
+    return _primal_distance(x, V, V.ambient), _dual_distance(x, V)
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,22 @@ r^2 - |c - c_S|^2; projecting onto it is the affine projection followed by a
 radial clip towards c_S.  Keeping the nearest feasible candidate over all
 subsets gives the exact projection, with no iteration.
 
-The face loop runs over a stack of V hulls that share a generator count k,
-held as generators (V, k, dim).  For each face size the faces of every hull
-are solved with one batched pseudo-inverse, and each projection handles all
-faces of one size at once.  Queries carry the value axis too: (m, V, dim)
-projects query row j of each hull v onto hull v, and (m, 1, dim) projects
-every query onto every hull.  Each hull may have its own ball; an infinite
-radius leaves that hull unclipped.  A single hull is the V = 1 stack.
+The kernel runs over a stack of V hulls that share a generator count k,
+held as generators (V, k, dim).  The faces of every size are solved once,
+one batched pseudo-inverse per size, into one padded stack of all 2^k - 1
+faces with k columns each, so a projection is one pass over every face of
+every hull with no loop over face sizes.  Queries carry the value axis too:
+(m, V, dim) projects query row j of each hull v onto hull v, and (m, 1, dim)
+projects every query onto every hull.  Each hull may have its own ball; an
+infinite radius leaves that hull unclipped.  The balls' sections by the
+faces depend only on the stack and the balls, so `HullStack.balls` builds
+them once and every projection against those balls reuses them.  A single
+hull is the V = 1 stack.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -54,61 +59,91 @@ def dedupe_points(points, tol=1e-12):
         keep = settled
 
 
+@dataclass(frozen=True)
+class BallSections:
+    """One closed ball B(center, radius) per hull of a stack, with its
+    section by the affine hull of every face, as HullStack.project uses it.
+    The sections depend only on the faces and the balls, so a caller that
+    projects against the same balls many times builds them once."""
+
+    center: np.ndarray    # (V, dim)
+    radius: np.ndarray    # (V,), inf on hulls without a ball
+    lam_c: np.ndarray     # (V, F, k) weights of each centre's affine projection c_S
+    c_s: np.ndarray       # (V, F, dim) the section centres c_S
+    rho: np.ndarray       # (V, F) section radii, 0 where a section is empty
+    section: np.ndarray   # (V, F) the section is nonempty; a tangent touch counts
+    clipped: np.ndarray   # (V, 1, 1) the hull has a finite ball
+
+
 class HullStack:
     """Faces of V hulls with k generators each, for exact projection."""
 
     def __init__(self, generators):
         g = np.asarray(generators, dtype=np.float64)  # (V, k, dim), rows deduped
-        if g.shape[1] > GENERATOR_CAP:
-            raise TooManyGenerators(f"{g.shape[1]} generators exceeds cap {GENERATOR_CAP}")
+        n_hulls, k, dim = g.shape
+        if k > GENERATOR_CAP:
+            raise TooManyGenerators(f"{k} generators exceeds cap {GENERATOR_CAP}")
         self.generators = g
-        self._faces = []  # per face size, each with a leading (V, faces) shape
-        for s in range(1, g.shape[1] + 1):
-            gs = g[:, list(itertools.combinations(range(g.shape[1]), s))]
+        # all 2^k - 1 faces, sizes ascending and combinations order within a
+        # size; face size s fills columns :s of the k, and the zero columns
+        # give lam = 0, which is feasible and adds exact zeros to projections
+        n_faces = 2 ** k - 1
+        self._g = np.zeros((n_hulls, n_faces, k, dim))  # the face generators
+        self._w = np.zeros((n_hulls, n_faces, k, dim))  # lam = w @ p + b, linear in p
+        self._b = np.zeros((n_hulls, n_faces, k))
+        start = 0
+        for s in range(1, k + 1):
+            gs = g[:, list(itertools.combinations(range(k), s))]
+            faces = slice(start, start + gs.shape[1])
+            start = faces.stop
+            self._g[:, faces, :s] = gs
             if s == 1:  # a vertex: lam = 1 exactly, where a solve leaves roundoff
-                self._faces.append((gs, np.zeros_like(gs), np.ones(gs.shape[:-1])))
+                self._b[:, faces, 0] = 1.0
                 continue
             kkt = np.zeros(gs.shape[:2] + (s + 1, s + 1))
             kkt[..., :s, :s] = 2.0 * gs @ gs.swapaxes(-1, -2)
             kkt[..., :s, s] = 1.0
             kkt[..., s, :s] = 1.0
             pinv = np.linalg.pinv(kkt)
-            # lam = w @ p + b, linear in the query point p
-            self._faces.append((gs, pinv[..., :s, :s] @ (2.0 * gs), pinv[..., :s, s]))
+            self._w[:, faces, :s] = pinv[..., :s, :s] @ (2.0 * gs)
+            self._b[:, faces, :s] = pinv[..., :s, s]
 
-    def project(self, points, center=None, radius=None):
+    def balls(self, center, radius):
+        """The sections of the closed balls B(center (V, dim), radius (V,))
+        by every face's affine hull.  A section is the ball in aff(S) centred
+        at the affine projection c_S of the centre, with squared radius
+        r^2 - |c - c_S|^2; one just below zero is a tangent touch after
+        rounding."""
+        center = np.asarray(center, dtype=np.float64)
+        radius = np.asarray(radius, dtype=np.float64)
+        lam_c = np.einsum("vd,vfsd->vfs", center, self._w) + self._b
+        c_s = np.einsum("vfs,vfsd->vfd", lam_c, self._g)
+        rho2 = radius[:, None] ** 2 - ((center[:, None, :] - c_s) ** 2).sum(axis=-1)
+        return BallSections(center, radius, lam_c, c_s, np.sqrt(np.maximum(rho2, 0.0)),
+                            rho2 >= -_FEAS_TOL, np.isfinite(radius)[:, None, None])
+
+    def project(self, points, balls=None):
         """Projections (m, V, dim) and distances (m, V) of points (m, V, dim)
-        or (m, 1, dim) onto each hull or, given center (V, dim) and radius
-        (V,), onto its intersection with the closed ball B(center, radius).
+        or (m, 1, dim) onto each hull or, given balls = self.balls(center,
+        radius), onto each hull's intersection with its closed ball.
 
         Distances are inf when no candidate is feasible, that is, when the
         intersection is empty.  A ball tangent to the hull meets it.  Among
         equally near candidates the first face in enumeration order wins.
         """
-        if center is not None:
-            clipped = np.isfinite(radius)[None, :, None, None]
-        d2s, projs = [], []
-        for gs, w, b in self._faces:
-            lam = np.einsum("mvd,vfsd->mvfs", points, w) + b
-            section = True
-            if center is not None:
-                # radial clip inside each ball's section by aff(gs); a squared
-                # radius just below zero is a tangent touch after rounding
-                lam_c = np.einsum("vd,vfsd->vfs", center, w) + b
-                c_s = np.einsum("vfs,vfsd->vfd", lam_c, gs)
-                rho2 = radius[:, None] ** 2 - ((center[:, None, :] - c_s) ** 2).sum(axis=-1)
-                section = rho2 >= -_FEAS_TOL
-                rho = np.sqrt(np.maximum(rho2, 0.0))
-                off = np.sqrt(((np.einsum("mvfs,vfsd->mvfd", lam, gs) - c_s) ** 2).sum(axis=-1))
-                outside = off > rho
-                scale = np.divide(rho, off, out=np.ones(off.shape), where=outside)
-                lam = np.where(clipped, lam_c + scale[..., None] * (lam - lam_c), lam)
-            proj = np.einsum("mvfs,vfsd->mvfd", lam, gs)
-            d2 = ((proj - points[:, :, None, :]) ** 2).sum(axis=-1)
-            d2[~((lam >= -_FEAS_TOL).all(axis=-1) & section)] = np.inf
-            d2s.append(d2)
-            projs.append(proj)
-        d2, proj = np.concatenate(d2s, axis=-1), np.concatenate(projs, axis=2)
+        lam = np.einsum("mvd,vfsd->mvfs", points, self._w) + self._b
+        section = True
+        if balls is not None:
+            # radial clip towards c_S inside each face's section
+            off = np.sqrt(((np.einsum("mvfs,vfsd->mvfd", lam, self._g) - balls.c_s) ** 2)
+                          .sum(axis=-1))
+            scale = np.divide(balls.rho, off, out=np.ones(off.shape), where=off > balls.rho)
+            lam = np.where(balls.clipped, balls.lam_c + scale[..., None] * (lam - balls.lam_c),
+                           lam)
+            section = balls.section
+        proj = np.einsum("mvfs,vfsd->mvfd", lam, self._g)
+        d2 = ((proj - points[:, :, None, :]) ** 2).sum(axis=-1)
+        d2[~((lam >= -_FEAS_TOL).all(axis=-1) & section)] = np.inf
         face = d2.argmin(axis=-1)  # the first nearest face in enumeration order
         best = np.take_along_axis(proj, face[:, :, None, None], axis=2)[:, :, 0]
         dist = np.sqrt(d2.min(axis=-1))
@@ -136,10 +171,10 @@ class HullProjector:
         HullStack.project.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        balls = None
         if center is not None:
-            center = np.asarray(center, dtype=np.float64)[None, :]
-            radius = np.array([float(radius)])
-        proj, dist = self.stack.project(pts[:, None, :], center, radius)
+            balls = self.stack.balls(np.asarray(center)[None, :], [float(radius)])
+        proj, dist = self.stack.project(pts[:, None, :], balls)
         return proj[:, 0], dist[:, 0]
 
     def contains(self, points):

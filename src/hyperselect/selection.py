@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hulls import HullProjector, HullStack, dedupe_points, lattice_round
+from .hulls import BallSections, HullProjector, HullStack, dedupe_points, lattice_round
 
 
 class NotACover(RuntimeError):
@@ -201,15 +201,15 @@ def _restrict(values, rows, pinned, center, radius, stack=None):
     stack = values[0].stack if stack is None else stack
     center = np.asarray(center, dtype=np.float64)
     radius = float(radius)
-    centers = np.broadcast_to(center, (len(values), len(center)))
-    radii = np.where(pinned, radius, np.inf)
-    if not np.isfinite(stack.project(center[None, None, :], centers, radii)[1]).all():
+    balls = stack.balls(np.broadcast_to(center, (len(values), len(center))),
+                        np.where(pinned, radius, np.inf))
+    if not np.isfinite(stack.project(center[None, None, :], balls)[1]).all():
         raise ValueError(f"the ball B({center.tolist()}, {radius}) misses the hull")
     k = stack.generators.shape[1]
     if k == 1:
         return list(values)
     if k == 2:
-        ends = stack.project(stack.generators.swapaxes(0, 1), centers, radii)[0]
+        ends = stack.project(stack.generators.swapaxes(0, 1), balls)[0]
         return [HullValue(ends[:, i]) if pin else v
                 for i, (v, pin) in enumerate(zip(values, pinned))]
     return [BallRestrictedValue(v, center, radius) if pin else v
@@ -251,14 +251,14 @@ class _ValueGroup:
     rows: np.ndarray            # indices of the map's values in this group
     hulls: tuple                # each row's HullValue, the hull a ball restricts
     stack: HullStack
-    center: np.ndarray | None   # (V, dim) ball centres; None when no row has a ball
-    radius: np.ndarray | None   # (V,) ball radii, inf on rows without a ball
+    balls: BallSections | None  # the rows' balls, radius inf on rows without one;
+                                # None when no row has a ball
 
 
 def _value_groups(values, reuse=()):
     """Stack the values by generator count, ascending.  A group holding the
     same hull objects as a group in reuse keeps that group's face stack and
-    takes only its own balls."""
+    builds only the sections of its own balls."""
     hulls = [v.hull if isinstance(v, BallRestrictedValue) else v for v in values]
     counts = np.array([len(h.generators) for h in hulls])
     groups = []
@@ -269,15 +269,16 @@ def _value_groups(values, reuse=()):
                       and all(a is b for a, b in zip(g.hulls, members))), None)
         if stack is None:
             stack = HullStack(np.stack([h.generators for h in members]))
-        center = radius = None
+        balls = None
         row_values = [values[i] for i in rows]
         if any(isinstance(v, BallRestrictedValue) for v in row_values):
             plain = np.zeros(stack.generators.shape[2])
-            center = np.stack([v.center if isinstance(v, BallRestrictedValue) else plain
-                               for v in row_values])
-            radius = np.array([v.radius if isinstance(v, BallRestrictedValue) else np.inf
-                               for v in row_values])
-        groups.append(_ValueGroup(rows, members, stack, center, radius))
+            balls = stack.balls(
+                np.stack([v.center if isinstance(v, BallRestrictedValue) else plain
+                          for v in row_values]),
+                np.array([v.radius if isinstance(v, BallRestrictedValue) else np.inf
+                          for v in row_values]))
+        groups.append(_ValueGroup(rows, members, stack, balls))
     return groups
 
 
@@ -315,7 +316,7 @@ def _nearest(F, points):
     proj = np.empty((len(F), F.target.dim))
     dist = np.empty(len(F))
     for g in F.groups:
-        p, d = g.stack.project(points[g.rows][None], g.center, g.radius)
+        p, d = g.stack.project(points[g.rows][None], g.balls)
         proj[g.rows], dist[g.rows] = p[0], d[0]
     return proj, dist
 
@@ -326,8 +327,7 @@ def _project_all(F, queries):
     proj = np.empty((len(queries), len(F), F.target.dim))
     dist = np.empty((len(queries), len(F)))
     for g in F.groups:
-        proj[:, g.rows], dist[:, g.rows] = g.stack.project(queries[:, None, :], g.center,
-                                                           g.radius)
+        proj[:, g.rows], dist[:, g.rows] = g.stack.project(queries[:, None, :], g.balls)
     return proj, dist
 
 

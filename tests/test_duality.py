@@ -243,6 +243,21 @@ def test_double_annihilator_returns_the_subspace():
         assert _span_gap(VV, V) <= 1e-8
 
 
+@pytest.mark.parametrize("spec,dual,distance", [
+    (l1(), "linf", 3.0), (l2(), "l2", np.sqrt(4.5)), (linf(), "l1", 2.0)])
+def test_annihilator_support_is_the_quotient_distance(spec, dual, distance):
+    # the annihilator lives in the dual space, so its unit ball is cut from
+    # the dual norm's ball and its support at x is d(x, V); with V's own norm
+    # the l1 and linf supports read 2 and 3, swapped
+    V = subspace_from_spanning(np.array([[1.0, 1.0, 0.0]]), ambient=spec, side="primal")
+    x = np.array([1.0, 0.0, 2.0])
+    W = annihilator(V)
+    assert W.ambient.kind == dual
+    assert annihilator(W).ambient.kind == spec.kind
+    for route in (*quotient_routes(x, V), exact_support(W, x)):
+        assert route == pytest.approx(distance, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # quotient distance, both routes
 

@@ -1,5 +1,6 @@
 """Partitions of unity, approximate and iterated selections, dense
 families, and the lower-continuity checker."""
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
-from hyperselect.hulls import HullStack, dedupe_points
+from hyperselect.hulls import (
+    GENERATOR_CAP,
+    BallSections,
+    HullStack,
+    TooManyGenerators,
+    dedupe_points,
+)
 from hyperselect.selection import (
     BallRestrictedValue,
     DiscreteDomain,
@@ -647,11 +654,143 @@ def test_stacked_projection_matches_one_value_at_a_time(monkeypatch):
     stack = HullStack(np.stack([UNIT_SQUARE, UNIT_SQUARE + 0.5]))
     center, radius = np.array([[2.0, 2.0], [0.2, 0.3]]), np.array([1.0, 0.4])
     queries = rng.uniform(-0.5, 2.0, (6, 2))
-    proj, dist = stack.project(queries[:, None, :], center, radius)
+    proj, dist = stack.project(queries[:, None, :], stack.balls(center, radius))
     assert np.isinf(dist[:, 0]).all() and np.isfinite(dist[:, 1]).all()
     for v in range(2):
         _assert_same_projections((proj[:, v], dist[:, v]), _face_loop_projection(
             stack.generators[v], queries, center[v], radius[v]))
+
+
+class _PerSizeStack:
+    """Reference: the stacked face loop with one batched solve and one
+    projection per face size, which the padded HullStack replaced."""
+
+    def __init__(self, generators):
+        g = np.asarray(generators, dtype=np.float64)
+        self._faces = []
+        for s in range(1, g.shape[1] + 1):
+            gs = g[:, list(itertools.combinations(range(g.shape[1]), s))]
+            if s == 1:
+                self._faces.append((gs, np.zeros_like(gs), np.ones(gs.shape[:-1])))
+                continue
+            kkt = np.zeros(gs.shape[:2] + (s + 1, s + 1))
+            kkt[..., :s, :s] = 2.0 * gs @ gs.swapaxes(-1, -2)
+            kkt[..., :s, s] = 1.0
+            kkt[..., s, :s] = 1.0
+            pinv = np.linalg.pinv(kkt)
+            self._faces.append((gs, pinv[..., :s, :s] @ (2.0 * gs), pinv[..., :s, s]))
+
+    def project(self, points, center=None, radius=None):
+        if center is not None:
+            clipped = np.isfinite(radius)[None, :, None, None]
+        d2s, projs = [], []
+        for gs, w, b in self._faces:
+            lam = np.einsum("mvd,vfsd->mvfs", points, w) + b
+            section = True
+            if center is not None:
+                lam_c = np.einsum("vd,vfsd->vfs", center, w) + b
+                c_s = np.einsum("vfs,vfsd->vfd", lam_c, gs)
+                rho2 = radius[:, None] ** 2 - ((center[:, None, :] - c_s) ** 2).sum(axis=-1)
+                section = rho2 >= -1e-12
+                rho = np.sqrt(np.maximum(rho2, 0.0))
+                off = np.sqrt(((np.einsum("mvfs,vfsd->mvfd", lam, gs) - c_s) ** 2).sum(axis=-1))
+                outside = off > rho
+                scale = np.divide(rho, off, out=np.ones(off.shape), where=outside)
+                lam = np.where(clipped, lam_c + scale[..., None] * (lam - lam_c), lam)
+            proj = np.einsum("mvfs,vfsd->mvfd", lam, gs)
+            d2 = ((proj - points[:, :, None, :]) ** 2).sum(axis=-1)
+            d2[~((lam >= -1e-12).all(axis=-1) & section)] = np.inf
+            d2s.append(d2)
+            projs.append(proj)
+        d2, proj = np.concatenate(d2s, axis=-1), np.concatenate(projs, axis=2)
+        face = d2.argmin(axis=-1)
+        best = np.take_along_axis(proj, face[:, :, None, None], axis=2)[:, :, 0]
+        dist = np.sqrt(d2.min(axis=-1))
+        best[np.isinf(dist)] = 0.0
+        return best, dist
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_padded_kernel_matches_the_per_size_kernel(k):
+    # the padded faces must give the per-size kernel's bits, which is what
+    # keeps the scenario files byte-identical.  One exception: in dim 1 the
+    # face sums over generators are contiguous, and numpy's einsum then
+    # vectorises them with a rounding that depends on the summed length, so
+    # faces of three or more collinear generators may differ in the last
+    # bits there; no scenario has such a hull
+    rng = np.random.default_rng(20 + k)
+    for dim, n_hulls in itertools.product((1, 2, 3), (1, 5)):
+        gens = rng.uniform(-1.0, 1.0, (n_hulls, k, dim))
+        stack, reference = HullStack(gens), _PerSizeStack(gens)
+        center = rng.uniform(-1.5, 1.5, (n_hulls, dim))
+        radius = rng.uniform(0.2, 1.5, n_hulls)
+        radius[1::3] = np.inf
+        if n_hulls > 1:
+            # a ball tangent to hull 2 at its farthest vertex along u, and
+            # one past hull 3's farthest vertex, missing it
+            u = rng.standard_normal((n_hulls, dim))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            top = gens[np.arange(n_hulls), np.argmax(np.einsum("vkd,vd->vk", gens, u), axis=1)]
+            center[2:4] = top[2:4] + radius[2:4, None] * u[2:4]
+            center[3] += 0.5 * u[3]
+        for layout in (n_hulls, 1):
+            queries = rng.uniform(-2.0, 2.0, (5, layout, dim))
+            for ball in ((), (center, radius)):
+                got = stack.project(queries, stack.balls(*ball) if ball else None)
+                want = reference.project(queries, *ball)
+                if n_hulls > 1 and ball:
+                    assert np.isinf(got[1][:, 3]).all() and np.isfinite(got[1][:, 2]).all()
+                if dim == 1 and k >= 3:
+                    for v in range(n_hulls):
+                        _assert_same_projections((got[0][:, v], got[1][:, v]),
+                                                 (want[0][:, v], want[1][:, v]))
+                    continue
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_generator_cap_hull_matches_the_face_loop():
+    # the padded layout is largest here: 4095 faces of 12 columns per hull
+    rng = np.random.default_rng(12)
+    gens = rng.uniform(-1.0, 1.0, (GENERATOR_CAP, 3))
+    hull = HullValue(gens)
+    queries = rng.uniform(-1.5, 1.5, (4, 3))
+    center, radius = gens[0] + 0.3, 0.6
+    _assert_same_projections(hull.project(queries), _face_loop_projection(gens, queries))
+    _assert_same_projections(hull.project(queries, center, radius),
+                             _face_loop_projection(gens, queries, center, radius))
+    more = np.concatenate([gens, [[2.0, 2.0, 2.0]]])
+    with pytest.raises(TooManyGenerators):
+        HullStack(more[None])
+    with pytest.raises(TooManyGenerators):
+        HullValue(more).project(queries)
+
+
+def test_value_groups_hold_the_sections_of_their_own_balls(monkeypatch):
+    marechal, _ = rotated_ball_map(5, 0.785)
+    corners = np.unique(np.concatenate([v.generators for v in marechal.values]), axis=0)
+    maps = [marechal] + _restricted_maps(
+        monkeypatch, marechal, np.concatenate([np.zeros((1, 3)), corners]))
+    square = HullValue(UNIT_SQUARE)
+    maps.append(SetValuedMap(grid_domain_1d(3), [
+        BallRestrictedValue(square, np.array([1.3, 1.4]), 0.5), square,
+        BallRestrictedValue(square, np.array([0.1, 0.15]), 0.2)], HullTarget(UNIT_SQUARE)))
+    held = 0
+    for F in maps:
+        for g in F.groups:
+            values = [F.values[i] for i in g.rows]
+            balls = [(v.center, v.radius) for v in values if isinstance(v, BallRestrictedValue)]
+            if not balls:
+                assert g.balls is None
+                continue
+            held += 1
+            restricted = np.array([isinstance(v, BallRestrictedValue) for v in values])
+            assert np.array_equal(g.balls.center[restricted], [c for c, _ in balls])
+            assert np.array_equal(g.balls.radius[restricted], [r for _, r in balls])
+            assert np.isinf(g.balls.radius[~restricted]).all()
+            rebuilt = g.stack.balls(g.balls.center, g.balls.radius)
+            for field in dataclasses.fields(BallSections):
+                assert np.array_equal(getattr(g.balls, field.name), getattr(rebuilt, field.name))
+    assert held > 5
 
 
 def test_dedupe_points_keeps_first_seen_rows():
