@@ -2,17 +2,21 @@
 
 Writes one subdirectory per scenario under --out and prints each result
 line as it goes.  Exit code is the first nonzero scenario exit, so this
-doubles as a smoke test for a fresh install.
+doubles as a smoke test for a fresh install.  Runs from a source checkout
+too: `src` is put first on the import path, so the package needs no install.
 """
 import argparse
 import sys
 import time
 from pathlib import Path
 
-from hyperselect.cli import main as run_cli
-from hyperselect.scenarios import SCENARIOS
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-CONFIG_DIR = Path(__file__).resolve().parent / "configs"
+from hyperselect.cli import main as run_cli  # noqa: E402
+from hyperselect.scenarios import SCENARIOS  # noqa: E402
+
+CONFIG_DIR = ROOT / "scripts" / "configs"
 
 
 def main():

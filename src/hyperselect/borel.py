@@ -1,16 +1,19 @@
 """Depth-truncated Cantor-space reductions.
 
-Closed sets are pruned binary trees recorded by their depth-d leaf sets
-(boolean arrays over the 2^d leaves).  Membership of a truncated point in a
-closed set is only certified when it is decidable from the truncation:
-definitely out when the leaf is pruned, definitely in when some proper
-prefix has a full subtree (the tree places no constraint below it).  The
-remaining case raises DepthInsufficient rather than guessing.  Clopen
-cylinder decompositions, by contrast, are exactly decidable at depth d,
-which is what makes the indicator reductions computable.
+A clopen set is a finite union of prefix cylinders, and a depth-d pruned
+tree is stored exactly as its canonical prefix code: the sorted maximal
+cylinders it contains, each of length at most d.  Membership of a truncated
+point in a closed set is only certified when it is decidable from the
+truncation: definitely out when no cylinder holds the point, definitely in
+when its cylinder is shorter than d (some proper prefix has a full subtree,
+so the tree places no constraint below it).  A cylinder of length d raises
+DepthInsufficient rather than guessing.  Clopen complements are again
+prefix codes, exactly decidable at depth d, which is what makes the
+indicator reductions computable.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,134 +41,102 @@ class TruncPoint:
     def depth(self):
         return len(self.bits)
 
-    def leaf_index(self):
-        idx = 0
-        for b in self.bits:
-            idx = idx * 2 + b
-        return idx
-
     def __str__(self):
         return "".join(map(str, self.bits))
 
 
-def _prefix_range(prefix, d):
-    """Leaf index range [lo, hi) of the cylinder below a 0/1 prefix.
-
-    A prefix deeper than d denotes a cylinder below the leaves; its depth-d
-    truncation is the hull leaf, so the prefix is cut at d."""
-    prefix = prefix[:d]
-    lo = 0
-    for b in prefix:
-        lo = lo * 2 + int(b)
-    span = 2 ** (d - len(prefix))
-    return lo * span, (lo + 1) * span
-
-
-MAX_DEPTH = 20  # 2**20 leaves: a dense leaf array doubles with each level
-
-
 class PrunedTree:
-    """A depth-d pruned binary tree, stored as its accepted-leaf set."""
+    """A depth-d pruned binary tree, stored as its canonical prefix code.
 
-    def __init__(self, d, leaves):
+    prefixes is the sorted tuple of the maximal cylinders the tree accepts;
+    for an antichain, sorted order is the '0'-first depth-first order.
+    """
+
+    def __init__(self, d, prefixes):
+        cut = set()
+        for p in prefixes:
+            if not isinstance(p, str) or p.strip("01"):
+                raise ValueError(f"prefix {p!r} is not a 0/1 string")
+            # a prefix deeper than d denotes a cylinder below the leaves;
+            # its depth-d truncation is the hull leaf
+            cut.add(p[:d])
+        code = []
+        for p in sorted(cut):
+            # in sorted order a prefix's extensions follow it directly
+            if code and p.startswith(code[-1]):
+                continue
+            code.append(p)
+            while len(code) > 1 and code[-1].endswith("1") and code[-2] == code[-1][:-1] + "0":
+                code.pop()
+                code[-1] = code[-1][:-1]
         self.d = d
-        leaves = np.asarray(leaves, dtype=bool)
-        if leaves.shape != (2 ** d,):
-            raise ValueError("leaf array must have length 2^d")
-        self.leaves = leaves
+        self.prefixes = tuple(code)
 
     @classmethod
     def full(cls, d):
-        return cls(d, np.ones(2 ** d, dtype=bool))
+        return cls(d, [""])
 
     @classmethod
     def empty(cls, d):
-        return cls(d, np.zeros(2 ** d, dtype=bool))
-
-    @classmethod
-    def from_predicate(cls, d, pred):
-        """pred receives the leaf's bit tuple."""
-        leaves = np.zeros(2 ** d, dtype=bool)
-        for idx in range(2 ** d):
-            bits = tuple((idx >> (d - 1 - k)) & 1 for k in range(d))
-            leaves[idx] = bool(pred(bits))
-        return cls(d, leaves)
+        return cls(d, [])
 
     @classmethod
     def from_prefixes(cls, d, prefixes):
-        leaves = np.zeros(2 ** d, dtype=bool)
-        for p in prefixes:
-            lo, hi = _prefix_range(p, d)
-            leaves[lo:hi] = True
-        return cls(d, leaves)
+        return cls(d, prefixes)
+
+    def __len__(self):
+        return len(self.prefixes)
 
     def union(self, other):
         if other.d != self.d:
             raise ValueError("depth mismatch")
-        return PrunedTree(self.d, self.leaves | other.leaves)
+        return PrunedTree(self.d, self.prefixes + other.prefixes)
+
+    def member_index(self, x: TruncPoint):
+        """Index of the cylinder containing x, or None (at most one, since
+        the code is an antichain)."""
+        if x.depth != self.d:
+            raise ValueError("point depth must match the tree depth")
+        s = str(x)
+        # a code prefix of s is the greatest code entry <= s: every entry
+        # between it and s would extend it
+        m = bisect_right(self.prefixes, s) - 1
+        return m if m >= 0 and s.startswith(self.prefixes[m]) else None
 
     def leaf_member(self, x: TruncPoint):
         """Clopen-approximation membership: is the point's leaf accepted?"""
-        if x.depth != self.d:
-            raise ValueError("point depth must match the tree depth")
-        return bool(self.leaves[x.leaf_index()])
+        return self.member_index(x) is not None
 
     def settled_member(self, x: TruncPoint):
         """Certified membership, or DepthInsufficient when the truncation
         cannot decide (accepted leaf, but every proper prefix is pruned
         somewhere below)."""
-        if not self.leaf_member(x):
+        m = self.member_index(x)
+        if m is None:
             return False
-        for length in range(x.depth):
-            lo, hi = _prefix_range(x.bits[:length], self.d)
-            if self.leaves[lo:hi].all():
-                return True
+        # the cylinder is maximal, so a proper prefix of x has a full
+        # subtree exactly when x's cylinder is shorter than d
+        if len(self.prefixes[m]) < self.d:
+            return True
         raise DepthInsufficient(f"point {x} sits on the pruning frontier at depth {self.d}")
 
 
-@dataclass(frozen=True)
-class CylinderUnion:
-    """Pairwise non-comparable prefixes, a disjoint clopen union."""
-
-    prefixes: tuple
-
-    def __post_init__(self):
-        ps = tuple(str(p) for p in self.prefixes)
-        object.__setattr__(self, "prefixes", ps)
-        for i, a in enumerate(ps):
-            for b in ps[i + 1:]:
-                if a.startswith(b) or b.startswith(a):
-                    raise ValueError(f"prefixes {a!r} and {b!r} overlap")
-
-    def __len__(self):
-        return len(self.prefixes)
-
-    def member_index(self, x: TruncPoint):
-        """Index of the cylinder containing x, or None (at most one by
-        disjointness)."""
-        s = str(x)
-        for m, p in enumerate(self.prefixes):
-            if s.startswith(p):
-                return m
-        return None
-
-
-def _range_prefixes(mask, d, prefix=""):
-    """DFS disjointification: emit a prefix when its whole subtree is set,
-    otherwise split, '0' branch first."""
-    lo, hi = _prefix_range(prefix, d)
-    window = mask[lo:hi]
-    if not window.any():
-        return []
-    if window.all():
-        return [prefix]
-    return _range_prefixes(mask, d, prefix + "0") + _range_prefixes(mask, d, prefix + "1")
-
-
-def closed_complement_cylinders(A: PrunedTree) -> CylinderUnion:
-    """The complement of the accepted region as disjoint prefix cylinders,
-    in depth-first order."""
-    return CylinderUnion(prefixes=tuple(_range_prefixes(~A.leaves, A.d)))
+def closed_complement_cylinders(A: PrunedTree) -> PrunedTree:
+    """The complement of the accepted region, whose code lists its disjoint
+    cylinders in depth-first order."""
+    code = A.prefixes
+    out = []
+    # explicit stack of (node, [lo, hi) slice of the code entries below it),
+    # so a deep code costs no recursion
+    todo = [("", 0, len(code))]
+    while todo:
+        node, lo, hi = todo.pop()
+        if lo == hi:
+            out.append(node)
+        elif code[lo] != node:
+            mid = bisect_left(code, node + "1", lo, hi)
+            todo += [(node + "1", mid, hi), (node + "0", lo, mid)]
+    return PrunedTree(A.d, out)
 
 
 def increasing_hulls(A_list):
@@ -186,17 +157,17 @@ def sigma2_reduce(A_list, x: TruncPoint):
     Raises DepthInsufficient when some membership is undecidable at depth d.
     """
     trees = increasing_hulls(A_list)
-    unions = [closed_complement_cylinders(t) for t in trees]
-    width = max((len(u) for u in unions), default=0)
+    complements = [closed_complement_cylinders(t) for t in trees]
+    width = max((len(c) for c in complements), default=0)
     matrix = np.zeros((len(trees), max(width, 1)), dtype=np.int8)
-    for n, (tree, cyls) in enumerate(zip(trees, unions)):
+    for n, (tree, complement) in enumerate(zip(trees, complements)):
         try:
             inside = tree.settled_member(x)
         except DepthInsufficient as err:
             raise DepthInsufficient(f"A_{n}: {err}") from None
         if inside:
             continue
-        m = cyls.member_index(x)
+        m = complement.member_index(x)
         if m is None:  # complement cylinders cover exactly the pruned leaves
             raise AssertionError("point neither settled inside nor in a complement cylinder")
         matrix[n, m] = 1

@@ -63,7 +63,6 @@ from .algebras import (
     rotated_diagonal_algebra,
 )
 from .borel import (
-    MAX_DEPTH,
     DepthInsufficient,
     bundled_borel_instances,
     pfin_census,
@@ -599,11 +598,12 @@ def run_finiteness(params, seed, out):
 
 
 _BOREL_KEYS = {
-    # a depth-d tree stores 2**d leaves
-    "d": (8, _between(1, MAX_DEPTH)),
-    "d2": (16, _between(1, MAX_DEPTH)),
+    "d": (8, _at_least(1)),
+    "d2": (16, _at_least(1)),
     "count": (10, _at_least(1)),
-    "prefix_len": (4, _at_least(0)),
+    # the bundle lists 2**prefix_len instances, so the length needs a cap;
+    # 19 admits every length that prefix_len < d <= 20 allowed
+    "prefix_len": (4, _between(0, 19)),
     "frontier_policy": ("record", _one_of("record", "fail")),
 }
 

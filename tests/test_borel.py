@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hyperselect.borel import (
-    CylinderUnion,
     DepthInsufficient,
     PrunedTree,
     TruncPoint,
@@ -26,26 +25,107 @@ def _point(prefix, d):
     return TruncPoint.from_string(prefix + "0" * (d - len(prefix)))
 
 
+def _from_mask(d, mask):
+    # the accepted leaves of a dense mask, written as full-length prefixes
+    return PrunedTree.from_prefixes(d, [format(i, f"0{d}b") for i in np.flatnonzero(mask)])
+
+
+# ---------------------------------------------------------------------------
+# dense reference: a tree as a boolean mask over its 2^d leaves
+
+
+def _leaf_range(prefix, d):
+    prefix = prefix[:d]
+    span = 2 ** (d - len(prefix))
+    lo = int(prefix, 2) if prefix else 0
+    return lo * span, (lo + 1) * span
+
+
+def _dense_mask(d, prefixes):
+    mask = np.zeros(2 ** d, dtype=bool)
+    for p in prefixes:
+        lo, hi = _leaf_range(p, d)
+        mask[lo:hi] = True
+    return mask
+
+
+def _dense_settled(mask, d, bits):
+    """True/False, or None where the truncation cannot decide."""
+    if not mask[int(bits, 2)]:
+        return False
+    for length in range(d):
+        lo, hi = _leaf_range(bits[:length], d)
+        if mask[lo:hi].all():
+            return True
+    return None
+
+
+def _dense_cylinders(mask, d, prefix=""):
+    """The maximal cylinders inside the mask, '0' branch first."""
+    lo, hi = _leaf_range(prefix, d)
+    window = mask[lo:hi]
+    if not window.any():
+        return []
+    if window.all():
+        return [prefix]
+    return _dense_cylinders(mask, d, prefix + "0") + _dense_cylinders(mask, d, prefix + "1")
+
+
+def _random_prefixes(rng, d):
+    # some prefixes run past d, to exercise the cut
+    return ["".join(map(str, rng.integers(0, 2, size=int(rng.integers(0, d + 3)))))
+            for _ in range(int(rng.integers(0, 7)))]
+
+
 # ---------------------------------------------------------------------------
 # points and trees
 
 
-def test_point_validation_and_leaf_index():
+def test_point_validation():
     with pytest.raises(ValueError):
         TruncPoint((0, 2, 1))
     x = TruncPoint.from_string("101")
     assert x.depth == 3
-    assert x.leaf_index() == 5
     assert str(x) == "101"
 
 
 def test_tree_constructors_agree():
     d = 5
-    by_pred = PrunedTree.from_predicate(d, lambda b: b[0] == 1)
-    by_prefix = PrunedTree.from_prefixes(d, ["1"])
-    assert np.array_equal(by_pred.leaves, by_prefix.leaves)
-    with pytest.raises(ValueError):
-        PrunedTree(3, np.ones(7, dtype=bool))
+    assert PrunedTree.from_prefixes(d, ["0", "1"]).prefixes == PrunedTree.full(d).prefixes == ("",)
+    assert PrunedTree.from_prefixes(d, []).prefixes == PrunedTree.empty(d).prefixes == ()
+    # covered prefixes drop out, sibling pairs fold, and deep prefixes are cut at d
+    by_parts = PrunedTree.from_prefixes(d, ["11", "10", "101", "0111", "011011111", "01100"])
+    assert by_parts.prefixes == ("011", "1")
+
+
+def test_prefixes_must_be_binary_strings():
+    # "2" once gave an empty tree and "02" the cylinder "10"
+    for bad in (["2"], ["02"], [(1, 0)]):
+        with pytest.raises(ValueError, match="0/1 string"):
+            PrunedTree.from_prefixes(3, bad)
+
+
+def test_tree_matches_dense_reference():
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        d = int(rng.integers(1, 13))
+        ps, qs = _random_prefixes(rng, d), _random_prefixes(rng, d)
+        A, B = PrunedTree.from_prefixes(d, ps), PrunedTree.from_prefixes(d, qs)
+        mask = _dense_mask(d, ps)
+        assert list(A.prefixes) == _dense_cylinders(mask, d)
+        union = _dense_mask(d, ps + qs)
+        assert list(A.union(B).prefixes) == _dense_cylinders(union, d)
+        assert list(closed_complement_cylinders(A).prefixes) == _dense_cylinders(~mask, d)
+        for idx in range(2 ** d):
+            bits = format(idx, f"0{d}b")
+            x = TruncPoint.from_string(bits)
+            assert A.leaf_member(x) == mask[idx]
+            want = _dense_settled(mask, d, bits)
+            if want is None:
+                with pytest.raises(DepthInsufficient):
+                    A.settled_member(x)
+            else:
+                assert A.settled_member(x) is want
 
 
 def test_settled_membership_three_outcomes():
@@ -54,14 +134,9 @@ def test_settled_membership_three_outcomes():
     assert tree.settled_member(_point("1", d)) is True
     assert tree.settled_member(_point("0", d)) is False
     # the all-ones singleton branch stays on the pruning frontier forever
-    singleton = PrunedTree.from_predicate(d, lambda b: all(b))
+    singleton = PrunedTree.from_prefixes(d, ["1" * d])
     with pytest.raises(DepthInsufficient):
         singleton.settled_member(TruncPoint.from_string("1" * d))
-
-
-def test_cylinder_union_rejects_overlap():
-    with pytest.raises(ValueError):
-        CylinderUnion(prefixes=("0", "01"))
 
 
 # ---------------------------------------------------------------------------
@@ -77,21 +152,27 @@ def test_complement_of_half_space():
 
 
 def test_complement_of_quarter_space():
-    A = PrunedTree.from_predicate(6, lambda b: b[0] == 1 and b[1] == 1)
+    A = PrunedTree.from_prefixes(6, ["11"])
     assert closed_complement_cylinders(A).prefixes == ("0", "10")
+
+
+def test_complement_of_a_deep_branch_needs_no_recursion():
+    d = 5000
+    cyls = closed_complement_cylinders(PrunedTree.from_prefixes(d, ["1" * d]))
+    assert cyls.prefixes == tuple("1" * k + "0" for k in range(d))
 
 
 def test_complement_covers_exactly_once():
     rng = np.random.default_rng(0)
     for _ in range(20):
         d = int(rng.integers(3, 8))
-        A = PrunedTree(d, rng.random(2 ** d) < 0.6)
-        cyls = closed_complement_cylinders(A)
+        mask = rng.random(2 ** d) < 0.6
+        cyls = closed_complement_cylinders(_from_mask(d, mask))
         for idx in range(2 ** d):
             bits = tuple((idx >> (d - 1 - k)) & 1 for k in range(d))
             hits = [p for p in cyls.prefixes
                     if "".join(map(str, bits)).startswith(p)]
-            assert len(hits) == (0 if A.leaves[idx] else 1)
+            assert len(hits) == (0 if mask[idx] else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +215,7 @@ def test_reduce_disjointness_is_exact():
     rng = np.random.default_rng(1)
     for _ in range(30):
         d = int(rng.integers(3, 7))
-        fam = [PrunedTree(d, rng.random(2 ** d) < 0.5) for _ in range(5)]
+        fam = [_from_mask(d, rng.random(2 ** d) < 0.5) for _ in range(5)]
         bits = "".join(str(int(b)) for b in rng.integers(0, 2, size=d))
         try:
             mat = sigma2_reduce(fam, TruncPoint.from_string(bits))
@@ -145,7 +226,7 @@ def test_reduce_disjointness_is_exact():
 
 def test_reduce_propagates_depth_insufficiency():
     d = 6
-    singleton = PrunedTree.from_predicate(d, lambda b: all(b))
+    singleton = PrunedTree.from_prefixes(d, ["1" * d])
     with pytest.raises(DepthInsufficient):
         sigma2_reduce([singleton], TruncPoint.from_string("1" * d))
 
@@ -153,13 +234,13 @@ def test_reduce_propagates_depth_insufficiency():
 def test_increasing_hulls_idempotent():
     rng = np.random.default_rng(2)
     d = 5
-    fam = [PrunedTree(d, rng.random(2 ** d) < 0.4) for _ in range(6)]
+    fam = [_from_mask(d, rng.random(2 ** d) < 0.4) for _ in range(6)]
     once = increasing_hulls(fam)
     twice = increasing_hulls(once)
     for a, b in zip(once, twice):
-        assert np.array_equal(a.leaves, b.leaves)
+        assert a.prefixes == b.prefixes
     for earlier, later in zip(once, once[1:]):
-        assert np.all(later.leaves >= earlier.leaves)
+        assert later.union(earlier).prefixes == later.prefixes
 
 
 def test_pi3_composes_componentwise():
@@ -175,7 +256,7 @@ def test_pi3_composes_componentwise():
 
 def test_pi3_labels_failing_family():
     d = 5
-    singleton = PrunedTree.from_predicate(d, lambda b: all(b))
+    singleton = PrunedTree.from_prefixes(d, ["1" * d])
     with pytest.raises(DepthInsufficient, match="family 1"):
         pi3_reduce([[PrunedTree.full(d)], [singleton]],
                    TruncPoint.from_string("1" * d))

@@ -184,6 +184,16 @@ def test_borel_census_matches_membership(tmp_path, capsys):
     assert summary["frontier"] == 2
 
 
+@pytest.mark.parametrize("d2", [21, 2000])
+def test_borel_runs_at_any_depth(tmp_path, capsys, d2):
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, f"d2={d2}\n")
+    assert main(["borel", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["depths"], summary["certified"]) == ([8, d2], 20)
+
+
 def test_duality_outputs_within_tolerance(tmp_path, capsys):
     out = tmp_path / "o"
     cfg = _write_config(tmp_path, "norms=l2\ntrials=10\ndim=3\n")
@@ -271,13 +281,15 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
     ("counterexample", "tol=-1\n", "tol"),
     ("selection", "net=5\n", "net"),
     ("duality", "norms=\n", "norms"),
-    ("borel", "d2=21\n", "d2"),
+    ("borel", "d2=0\n", "d2"),
     ("selection", "n1d=0\n", "n1d"),
     ("marechal", "hw_theta_max=0\n", "hw_theta_max"),
     ("duality", "tol_l2=-1\n", "tol_l2"),
     ("duality", "norms=l1\ntol_polyhedral=-1\n", "tol_polyhedral"),
     ("selection", "map=vertical-segment\nnet=0.5\n", "net"),
     ("borel", "prefix_len=-1\n", "prefix_len"),
+    # the bundle lists 2**prefix_len instances
+    ("borel", "d=21\nd2=21\nprefix_len=20\n", "prefix_len"),
     # the default eps is below the distance from the fixed 2-D net to the
     # triangle at x = 0
     ("selection", "map=rising-triangle\n", "eps"),
@@ -287,9 +299,10 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
         "m_max-zero", "sample_count-zero", "witness_count-negative", "eps_list-zero",
         "finiteness-probe_count-zero",
         "m-over-cap", "probe_count-over-dim-1", "count-zero", "count-over-prefixes", "tol-negative",
-        "net-outside-target", "norms-empty", "d2-over-cap", "n1d-zero",
+        "net-outside-target", "norms-empty", "d2-zero", "n1d-zero",
         "hw_theta_max-zero", "tol_l2-negative", "tol_polyhedral-negative",
-        "net-with-2d-map", "prefix_len-negative", "eps-too-small-for-net"])
+        "net-with-2d-map", "prefix_len-negative", "prefix_len-over-cap",
+        "eps-too-small-for-net"])
 def test_out_of_range_value_exits_2(tmp_path, capsys, scenario, text, key):
     cfg = _write_config(tmp_path, text)
     code = main([scenario, "--config", cfg, "--out", str(tmp_path / "o")])
