@@ -35,7 +35,7 @@ def main():
             argv += ["--config", str(cfg)]
         t0 = time.perf_counter()
         code = run_cli(argv)
-        print(f"# {name}: exit {code} in {time.perf_counter() - t0:.1f}s",
+        print(f"# {name}: exit {code} in {1000 * (time.perf_counter() - t0):.0f} ms",
               file=sys.stderr)
         if code != 0:
             return code

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .norms import InvariantViolation
+
 
 class DepthInsufficient(RuntimeError):
     """Membership not decidable from the depth-d truncation."""
@@ -25,24 +27,27 @@ class DepthInsufficient(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncPoint:
-    bits: tuple
+    """The first d bits of a point of Cantor space, kept as one 0/1 string;
+    built from that string or from a sequence of 0/1 integers."""
+
+    bits: str
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
+        bits = self.bits if isinstance(self.bits, str) else "".join(str(int(b)) for b in self.bits)
+        if bits.strip("01"):
             raise ValueError("bits must be 0/1")
         object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_string(cls, s):
-        return cls(tuple(int(c) for c in s))
+        return cls(s)
 
     @property
     def depth(self):
         return len(self.bits)
 
     def __str__(self):
-        return "".join(map(str, self.bits))
+        return self.bits
 
 
 class PrunedTree:
@@ -97,7 +102,7 @@ class PrunedTree:
         the code is an antichain)."""
         if x.depth != self.d:
             raise ValueError("point depth must match the tree depth")
-        s = str(x)
+        s = x.bits
         # a code prefix of s is the greatest code entry <= s: every entry
         # between it and s would extend it
         m = bisect_right(self.prefixes, s) - 1
@@ -169,7 +174,8 @@ def sigma2_reduce(A_list, x: TruncPoint):
             continue
         m = complement.member_index(x)
         if m is None:  # complement cylinders cover exactly the pruned leaves
-            raise AssertionError("point neither settled inside nor in a complement cylinder")
+            raise InvariantViolation(f"A_{n}: point {x} neither settled inside nor in a"
+                                     f" complement cylinder")
         matrix[n, m] = 1
     return matrix
 

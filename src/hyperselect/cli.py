@@ -2,9 +2,11 @@
 
 Exit codes: 0 on success, 2 on an invalid configuration or an --out path
 that cannot be made a directory, 3 on an invariant violation inside a
-pipeline (a duality mismatch, a stalled iteration, a census contradiction),
-4 when a truncation is too shallow to settle a membership.  Failures print a single machine-readable JSON record to
-stderr.
+pipeline (an InvariantViolation: a duality mismatch, a stalled iteration, a
+census contradiction), 4 when a truncation is too shallow to settle a
+membership, and 1 on any other exception, a bug the library did not
+anticipate.  Failures print a single machine-readable JSON record to
+stderr; an exit 1 record carries the traceback too.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ import sys
 from pathlib import Path
 
 from .borel import DepthInsufficient
+from .norms import InvariantViolation
 from .scenarios import SCENARIOS, ConfigError, parse_config_file
 
 
-def _fail(code, kind, message):
+def _fail(code, kind, message, **extra):
     sys.stderr.write(json.dumps(
-        {"error": kind, "message": str(message)}, sort_keys=True) + "\n")
+        {"error": kind, "message": str(message), **extra}, sort_keys=True) + "\n")
     return code
 
 
@@ -56,8 +59,12 @@ def main(argv=None):
         return _fail(2, "ConfigError", err)
     except DepthInsufficient as err:
         return _fail(4, "DepthInsufficient", err)
-    except Exception as err:  # noqa: BLE001 - every library error is an invariant report
+    except InvariantViolation as err:
         return _fail(3, type(err).__name__, err)
+    except Exception as err:  # noqa: BLE001 - an unanticipated failure, reported in full
+        import traceback
+
+        return _fail(1, type(err).__name__, err, traceback=traceback.format_exc())
     print(json.dumps({"scenario": args.scenario, "seed": args.seed,
                       "files": sorted(str(f) for f in files)}, sort_keys=True))
     return 0

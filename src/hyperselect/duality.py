@@ -8,6 +8,13 @@ solutions) and from the dual side (support over the annihilator's unit
 ball), and reconciled: the identity
 d(x, V) = sup {|omega(x)| : omega in the annihilator, dual norm <= 1} is the
 point of the module, so it doubles as a built-in consistency check.
+
+The route kernels work on stacks: T pairs whose subspaces share one
+dimension go through each batched SVD, determinant and solve together, and
+`quotient_routes` is the stack of one pair.  `quotient_routes_by_dimension`
+groups a sweep's pairs by subspace dimension into such stacks.  Only the
+final contractions run pair by pair, where padding or batching would change
+how BLAS rounds them.
 """
 from __future__ import annotations
 
@@ -17,6 +24,7 @@ import numpy as np
 
 from .norms import (
     DiscFamily,
+    InvariantViolation,
     NormSpec,
     Subspace,
     UnsupportedNorm,
@@ -25,35 +33,49 @@ from .norms import (
     l2,
     linf,
     linprog,  # unused here; see the comment on norms.linprog
+    orthonormal_rows,
 )
 
 
-class DualityMismatch(RuntimeError):
+class DualityMismatch(InvariantViolation):
     """Primal and dual distance computations disagree; signals a bug."""
 
 
+def _span_bases(vectors):
+    """Orthonormal bases for a stack (T, k, n) of spanning sets by one
+    batched SVD: the (T,) numerical ranks and the (T, min(k, n), n) right
+    singular vectors, whose first ranks[t] rows span set t."""
+    _, s, vh = np.linalg.svd(vectors, full_matrices=False)
+    rank = (s > 1e-12 * np.maximum(1.0, s[:, :1])).sum(axis=1)
+    return rank, vh
+
+
 def subspace_from_spanning(vectors, ambient=None, side="primal"):
-    """Orthonormalize a spanning list (SVD, deterministic) into a Subspace."""
+    """Orthonormalize a spanning list (SVD, deterministic) into a Subspace:
+    the one-set stack of `_span_bases`."""
     v = np.atleast_2d(np.asarray(vectors))
     ambient = ambient if ambient is not None else l2()
-    _, s, vh = np.linalg.svd(v, full_matrices=False)
-    rank = int((s > 1e-12 * max(1.0, s[0] if len(s) else 1.0)).sum())
-    return Subspace(basis=vh[:rank], ambient=ambient, side=side)
+    rank, vh = _span_bases(v[None])
+    return Subspace(basis=vh[0, :rank[0]], ambient=ambient, side=side)
+
+
+def _null_bases(bases):
+    """Orthonormal bases (T, n - m, n) of the null spaces of a stack
+    (T, m, n) of orthonormal bases, m >= 1, by one batched full SVD.
+    Bilinear pairing: the null space of each basis matrix, not of its
+    conjugate.  Rows orthonormal within ORTHO_TOL have every singular value
+    within m 1e-10 of 1, so each rank is m."""
+    m = bases.shape[1]
+    _, _, vh = np.linalg.svd(bases, full_matrices=True)
+    return vh[:, m:].conj()  # no-op conj for real bases
 
 
 def annihilator(V: Subspace) -> Subspace:
     """The functionals vanishing on V (or, from the dual side, the vectors
-    killed by every functional in V).  Bilinear pairing: null space of the
-    basis matrix, not of its conjugate.  Its ambient norm is the dual of
-    V's, the norm of the space it lives in."""
+    killed by every functional in V).  Its ambient norm is the dual of V's,
+    the norm of the space it lives in."""
     b = V.basis
-    n = V.ambient_dim
-    if V.dim == 0:
-        out = np.eye(n, dtype=b.dtype)
-    else:
-        _, s, vh = np.linalg.svd(b, full_matrices=True)
-        rank = int((s > 1e-12).sum())
-        out = vh[rank:].conj()  # bilinear null space; no-op for real bases
+    out = np.eye(V.ambient_dim, dtype=b.dtype) if V.dim == 0 else _null_bases(b[None])[0]
     side = "dual" if V.side == "primal" else "primal"
     return Subspace(basis=out, ambient=NormSpec(dual_kind(V.ambient.kind)), side=side)
 
@@ -91,22 +113,28 @@ SECTION_DIM_CAP = 9
 
 
 def _solve_well_posed(mats, rhs):
-    """Solutions c of the stacked square systems mats @ c = rhs, (N, m, m)
-    and (N, m), in one batched solve, skipping every system whose rows,
-    scaled to unit length, span a volume |det A| / prod ||a_i|| <= 1e-12.
+    """Solutions c of the square systems mats @ c = rhs, stacked by trial as
+    (T, N, m, m) and (T, N, m), in one batched solve, skipping every system
+    whose rows, scaled to unit length, span a volume
+    |det A| / prod ||a_i|| <= 1e-12.  Returns T arrays (K_t, m), each trial's
+    kept solutions in system order.
 
     That volume is at most 1 (Hadamard), 0 for a singular system, and bounds
     a kept one's smallest singular value below by volume / sqrt(m)^(m - 1),
-    so its condition number is at most m^(m/2) 1e12.  Returns (kept, m).
+    so its condition number is at most m^(m/2) 1e12.
     """
+    trials, count, m = mats.shape[:3]
+    mats, rhs = mats.reshape(-1, m, m), rhs.reshape(-1, m)
     ok = np.abs(np.linalg.det(mats)) > 1e-12 * np.linalg.norm(mats, axis=2).prod(axis=1)
-    return np.linalg.solve(mats[ok], rhs[ok, :, None])[..., 0]
+    solutions = np.linalg.solve(mats[ok], rhs[ok, :, None])[..., 0]
+    return np.split(solutions, np.cumsum(ok.reshape(trials, count).sum(axis=1))[:-1])
 
 
 def ball_section_points(basis, kind):
     """Points of {omega in span(basis): ||omega||_kind <= 1}, the zero row
     first, including every vertex of the section, for kind l1 or linf and
-    real, linearly independent basis rows.
+    real, linearly independent basis rows.  One basis (m, n) gives one
+    (P, n) array; a stack (T, m, n) gives a list of T such arrays.
 
     With omega = c @ basis, a vertex is the one c solving the equations of
     the ball's minimal face through it (a larger solution set would hold a
@@ -117,46 +145,59 @@ def ball_section_points(basis, kind):
     whatever the signs where the vertex is zero.  So the solutions of all
     C(n, m) 2^m (linf) or C(n, m - 1) 2^(n - m + 1) (l1) square systems that
     lie in the ball include every vertex; the others are in the section
-    too, harmless for suprema, as are repeats.  All systems go through one
-    batched `_solve_well_posed`, which drops the near-singular ones.
+    too, harmless for suprema, as are repeats.  The systems of the whole
+    stack go through one batched `_solve_well_posed`, which drops the
+    near-singular ones.  Each trial keeps its own length P: zero rows would
+    not move a support, but padding to one length changes how BLAS rounds
+    `points @ x`.
     """
     if kind not in ("l1", "linf"):
         raise UnsupportedNorm(f"section vertices need kind l1 or linf, got {kind!r}")
     if np.iscomplexobj(basis):
         raise UnsupportedNorm("section vertices need a real basis")
-    basis = np.atleast_2d(np.asarray(basis, dtype=np.float64))
-    m, n = basis.shape
+    bases = np.asarray(basis, dtype=np.float64)
+    single = bases.ndim < 3
+    if single:
+        bases = np.atleast_2d(bases)[None]
+    trials, m, n = bases.shape
     if m == 0:
-        return np.zeros((1, n))
+        points = [np.zeros((1, n)) for _ in range(trials)]
+        return points[0] if single else points
     if n > SECTION_DIM_CAP:
         raise UnsupportedNorm(f"vertex enumeration capped at ambient dim {SECTION_DIM_CAP}")
-    cols = basis.T  # row j: coordinate j as a functional of the coefficients
+    cols = np.swapaxes(bases, 1, 2)  # row j: coordinate j as a functional of the coefficients
     q = m if kind == "linf" else n - m + 1  # coordinates that carry a sign
     signs = 1.0 - 2.0 * (np.arange(2 ** q)[:, None] >> np.arange(q) & 1)  # (2^q, q)
     signed = np.array(list(itertools.combinations(range(n), q)))  # (C, q)
-    shape = (len(signed), len(signs))
+    shape = (trials, len(signed), len(signs))
     if kind == "linf":
-        mats = np.broadcast_to(cols[signed][:, None], (*shape, m, m))
+        mats = np.broadcast_to(cols[:, signed][:, :, None], (*shape, m, m))
         rhs = np.broadcast_to(signs, (*shape, m))
     else:
         free = np.ones((len(signed), n), dtype=bool)
         np.put_along_axis(free, signed, False, axis=1)
-        zeros = cols[np.nonzero(free)[1].reshape(len(signed), m - 1)]  # (C, m - 1, m)
-        mats = np.concatenate([np.broadcast_to(zeros[:, None], (*shape, m - 1, m)),
-                               (signs @ cols[signed])[:, :, None]], axis=2)
+        zeros = cols[:, np.nonzero(free)[1].reshape(len(signed), m - 1)]  # (T, C, m - 1, m)
+        mats = np.concatenate([np.broadcast_to(zeros[:, :, None], (*shape, m - 1, m)),
+                               (signs @ cols[:, signed])[:, :, :, None]], axis=3)
         rhs = np.broadcast_to(np.eye(m)[-1], (*shape, m))
-    omegas = _solve_well_posed(mats.reshape(-1, m, m), rhs.reshape(-1, m)) @ basis
-    size = np.linalg.norm(omegas, ord=np.inf if kind == "linf" else 1, axis=1)
-    return np.concatenate([np.zeros((1, n)), omegas[size <= 1 + 1e-9]])
+    order = np.inf if kind == "linf" else 1
+    points = []
+    for coeffs, b in zip(_solve_well_posed(mats.reshape(trials, -1, m, m),
+                                           rhs.reshape(trials, -1, m)), bases):
+        omegas = coeffs @ b
+        size = np.linalg.norm(omegas, ord=order, axis=1)
+        points.append(np.concatenate([np.zeros((1, n)), omegas[size <= 1 + 1e-9]]))
+    return points[0] if single else points
 
 
 # ---------------------------------------------------------------------------
 # quotient distance, two routes
 
 
-def _basic_solution_distance(x, basis, kind):
-    """min ||x - c @ basis|| over the basic solutions of the distance LP, for
-    kind l1 or linf and a real orthonormal k x n basis with 0 < k < n.
+def _basic_solution_distance(x, bases, kind):
+    """min ||x[t] - c @ bases[t]|| over the basic solutions c of trial t's
+    distance LP, for x (T, n), kind l1 or linf and a stack (T, k, n) of real
+    orthonormal bases with 0 < k < n.  Returns the (T,) minima.
 
     The LP minimizes sum(t) (l1, one t_j per coordinate) or t (linf, one
     shared t) subject to |x - c @ basis| <= t entrywise.  With basis rows
@@ -187,53 +228,75 @@ def _basic_solution_distance(x, basis, kind):
     n - ||basis @ s||^2 >= 1, and some (k + 1)-minor of [cols, s] has
     |det| >= 1/sqrt(C(n, k + 1)), with rows of length <= sqrt(2).  Up to the
     dim-9 cap both volumes exceed 1e-12 by far, so an empty kept set means
-    a corrupted basis and raises RuntimeError.
+    a corrupted basis and raises InvariantViolation.  The systems of every
+    trial go through one batched solve, and each trial's minimum runs over
+    its own kept systems only.
     """
-    k, n = basis.shape
-    cols = basis.T
+    trials, k, n = bases.shape
+    cols = np.swapaxes(bases, 1, 2)
     if kind == "l1":
         subsets = np.array(list(itertools.combinations(range(n), k)))  # (C, k)
-        mats, rhs = cols[subsets], x[subsets]
+        mats, rhs = cols[:, subsets], x[:, subsets]
     else:
         subsets = np.array(list(itertools.combinations(range(n), k + 1)))  # (C, k + 1)
         # bit k of every pattern number below 2^k is 0: the last sign stays +1
         signs = 1.0 - 2.0 * (np.arange(2 ** k)[:, None] >> np.arange(k + 1) & 1)
-        shape = (len(subsets), len(signs), k + 1)
-        mats = np.concatenate([np.broadcast_to(cols[subsets][:, None], (*shape, k)),
-                               np.broadcast_to(signs[:, :, None], (*shape, 1))], axis=3)
-        rhs = np.broadcast_to(x[subsets][:, None], shape)
-        mats, rhs = mats.reshape(-1, k + 1, k + 1), rhs.reshape(-1, k + 1)
-    coeffs = _solve_well_posed(mats, rhs)[:, :k]
-    if not len(coeffs):
-        raise RuntimeError(f"no well-posed basic system for the {kind} distance"
-                           f" with k={k}, n={n}")
-    return float(eval_norm(x - coeffs @ basis, NormSpec(kind)).min())
+        shape = (trials, len(subsets), len(signs), k + 1)
+        mats = np.concatenate([np.broadcast_to(cols[:, subsets][:, :, None], (*shape, k)),
+                               np.broadcast_to(signs[:, :, None], (*shape, 1))], axis=4)
+        rhs = np.broadcast_to(x[:, subsets][:, :, None], shape)
+    m = mats.shape[-1]
+    coeffs = _solve_well_posed(mats.reshape(trials, -1, m, m), rhs.reshape(trials, -1, m))
+    if not all(len(c) for c in coeffs):
+        raise InvariantViolation(f"no well-posed basic system for the {kind} distance"
+                                 f" with k={k}, n={n}")
+    spec = NormSpec(kind)
+    return np.array([eval_norm(xt - c[:, :k] @ b, spec).min()
+                     for xt, c, b in zip(x, coeffs, bases)])
 
 
-def _primal_distance(x, V, spec):
-    if V.dim == 0:
-        return float(eval_norm(x, spec))
+def _projections(x, bases):
+    """Each x[t] projected onto span(bases[t]) as Subspace.project does it,
+    through its Euclidean projector bases[t].T @ bases[t].conj()."""
+    projectors = np.swapaxes(bases, 1, 2) @ bases.conj()
+    return [p @ xt for p, xt in zip(projectors, x)]
+
+
+def _primal_distances(x, bases, spec):
+    trials, k, n = bases.shape
+    if k == 0:
+        return np.array([eval_norm(xt, spec) for xt in x])
     if spec.kind == "l2":
-        return float(np.linalg.norm(x - V.project(x), 2))
-    if np.iscomplexobj(V.basis) or np.iscomplexobj(x):
+        return np.array([np.linalg.norm(xt - p, 2) for xt, p in zip(x, _projections(x, bases))])
+    if np.iscomplexobj(bases) or np.iscomplexobj(x):
         raise UnsupportedNorm("polyhedral primal distance requires real data")
     if spec.kind not in ("l1", "linf"):
         raise UnsupportedNorm(f"quotient distance not defined for kind {spec.kind!r}")
-    if V.dim == V.ambient_dim:
-        return 0.0  # V is the whole space
-    if V.ambient_dim > SECTION_DIM_CAP:
+    if k == n:
+        return np.zeros(trials)  # V is the whole space
+    if n > SECTION_DIM_CAP:
         raise UnsupportedNorm(f"basic-solution enumeration capped at ambient dim"
                               f" {SECTION_DIM_CAP}")
-    return _basic_solution_distance(x, V.basis, spec.kind)
+    return _basic_solution_distance(x, bases, spec.kind)
 
 
-def _dual_distance(x, V):
-    W = annihilator(V)  # functionals, normed by the dual of V's norm
-    if W.dim == 0:
-        return 0.0
-    if W.ambient.kind == "l2":
-        return float(np.linalg.norm(W.project(x), 2))
-    return float(np.abs(ball_section_points(W.basis, W.ambient.kind) @ x).max())
+def _dual_distances(x, bases, spec):
+    trials, k, n = bases.shape
+    if k == n:
+        return np.zeros(trials)  # the annihilator is {0}
+    # the annihilator: functionals, normed by the dual of V's norm
+    null = np.eye(n, dtype=bases.dtype)[None].repeat(trials, 0) if k == 0 else _null_bases(bases)
+    null, kind = orthonormal_rows(null), dual_kind(spec.kind)
+    if kind == "l2":
+        return np.array([np.linalg.norm(p, 2) for p in _projections(x, null)])
+    return np.array([np.abs(p @ xt).max() for p, xt in zip(ball_section_points(null, kind), x)])
+
+
+def _routes(x, bases, spec):
+    """Both routes for a stack of pairs: x (T, n) and orthonormal bases
+    (T, k, n) of primal-side subspaces in the norm `spec`, one k for all.
+    Returns (primal, dual), each (T,)."""
+    return _primal_distances(x, bases, spec), _dual_distances(x, bases, spec)
 
 
 def quotient_routes(x, V: Subspace):
@@ -246,12 +309,50 @@ def quotient_routes(x, V: Subspace):
     the unit ball of the annihilator in the dual norm, via exact vertex
     enumeration of the polytope section (polyhedral kinds) or projection
     (l2).  Callers compare the pair; a disagreement beyond rounding
-    indicates a bug rather than bad input.
+    indicates a bug rather than bad input.  This is the one-pair stack of
+    `quotient_routes_by_dimension`'s kernels.
     """
     if V.side != "primal":
         raise ValueError("quotient distance expects a primal-side subspace")
+    primal, dual = _routes(np.asarray(x)[None], V.basis[None], V.ambient)
+    return float(primal[0]), float(dual[0])
+
+
+# Numbers in one stack's square systems, at most.  Every route's systems
+# for one pair in ambient dim n number at most 3^n (C(n, m) 2^m summed over
+# m is 3^n) and have at most n x n entries, so a stack of
+# STACK_ENTRIES // (3^n n^2) pairs stays under this however many trials a
+# sweep draws: one stack per group at the sample dims, five pairs at dim 9.
+STACK_ENTRIES = 2 ** 23
+
+
+def quotient_routes_by_dimension(x, spanning, ambient):
+    """`quotient_routes` for every pair (x[t], span(spanning[t])), with x
+    (T, n), spanning a sequence of T arrays (k_t, n) and V_t in the norm
+    `ambient`.  Returns (primal, dual), each (T,), in input order.
+
+    The pairs are stacked by subspace dimension: by k_t for one batched SVD
+    of the spanning sets, then by the numerical rank it finds, so a
+    rank-deficient set joins the stack of its actual dimension.  Each stack
+    (split when it would pass STACK_ENTRIES) then takes one batched
+    orthonormality check, one batched SVD for the annihilators and, for l1
+    and linf, one batched solve per route.  Every
+    final contraction runs pair by pair, as in `quotient_routes`, so both
+    figures are bit for bit the ones it returns.
+    """
     x = np.asarray(x)
-    return _primal_distance(x, V, V.ambient), _dual_distance(x, V)
+    primal, dual = np.empty(len(x)), np.empty(len(x))
+    dims = np.array([len(v) for v in spanning])
+    step = max(1, STACK_ENTRIES // (3 ** x.shape[-1] * x.shape[-1] ** 2))
+    for k in np.unique(dims):
+        group = np.flatnonzero(dims == k)
+        rank, vh = _span_bases(np.stack([spanning[t] for t in group]))
+        for r in np.unique(rank):
+            same = np.flatnonzero(rank == r)
+            for part in np.array_split(same, -(-len(same) // step)):
+                bases = orthonormal_rows(vh[part, :r])
+                primal[group[part]], dual[group[part]] = _routes(x[group[part]], bases, ambient)
+    return primal, dual
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,11 @@ class OutsideUnitBall(ValueError):
     """Probe metrics only accept arguments from the operator-norm unit ball."""
 
 
+class InvariantViolation(RuntimeError):
+    """A check that holds on correct code failed inside a pipeline: a bug,
+    not bad input.  The base of every such failure in the package."""
+
+
 UNIT_TOL = 1e-12
 BALL_SLACK = 1e-9
 
@@ -243,6 +248,20 @@ ORTHO_TOL = 1e-10
 SIDES = ("primal", "dual")
 
 
+def orthonormal_rows(bases):
+    """A basis (m, n), or a stack (..., m, n) of them, as Subspace stores
+    it: real data as float64.  Raises ValueError unless the rows of every
+    basis are orthonormal within ORTHO_TOL (Hermitian inner product)."""
+    b = np.asarray(bases)
+    if not np.iscomplexobj(b):
+        b = b.astype(np.float64)
+    if b.shape[-2]:
+        gram = b @ np.swapaxes(b, -1, -2).conj()
+        if np.abs(gram - np.eye(b.shape[-2])).max() > ORTHO_TOL:
+            raise ValueError("basis rows must be orthonormal within 1e-10")
+    return b
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Exact descriptor: a finite-dimensional subspace with an orthonormal row
@@ -257,16 +276,9 @@ class Subspace:
     side: str
 
     def __post_init__(self):
-        b = np.atleast_2d(np.asarray(self.basis))
-        if not np.iscomplexobj(b):
-            b = b.astype(np.float64)
-        object.__setattr__(self, "basis", b)
         if self.side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}")
-        if b.shape[0]:
-            gram = b @ b.conj().T
-            if np.abs(gram - np.eye(b.shape[0])).max() > ORTHO_TOL:
-                raise ValueError("basis rows must be orthonormal within 1e-10")
+        object.__setattr__(self, "basis", orthonormal_rows(np.atleast_2d(self.basis)))
 
     @property
     def dim(self):

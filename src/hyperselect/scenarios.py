@@ -17,6 +17,7 @@ import numpy as np
 
 from .norms import (
     VECTOR_KINDS,
+    InvariantViolation,
     NormSpec,
     Subspace,
     array_to_json,
@@ -36,8 +37,7 @@ from .duality import (
     counterexample_subspace,
     exact_support,
     is_subspace_ball,
-    quotient_routes,
-    subspace_from_spanning,
+    quotient_routes_by_dimension,
 )
 from .hulls import CONTAINS_TOL
 from .selection import (
@@ -233,12 +233,13 @@ def run_duality(params, seed, out):
         spec = NormSpec(kind)
         tol = cfg["tol_l2"] if kind == "l2" else cfg["tol_polyhedral"]
         worst = 0.0
-        for trial in range(cfg["trials"]):
+        spanning, x = [], []
+        for _ in range(cfg["trials"]):
             k = int(rng.integers(1, cfg["dim"]))
-            V = subspace_from_spanning(rng.standard_normal((k, cfg["dim"])),
-                                       ambient=spec, side="primal")
-            x = rng.standard_normal(cfg["dim"])
-            primal, dual = quotient_routes(x, V)
+            spanning.append(rng.standard_normal((k, cfg["dim"])))
+            x.append(rng.standard_normal(cfg["dim"]))
+        routes = quotient_routes_by_dimension(np.array(x), spanning, spec)
+        for trial, (primal, dual) in enumerate(zip(*(r.tolist() for r in routes))):
             diff = abs(primal - dual)
             worst = max(worst, diff)
             rows.append((trial, kind, primal, dual, diff))
@@ -532,8 +533,8 @@ def run_marechal(params, seed, out):
     bound = 1.0 / cfg["hw_m_max"] + 2.0 * cfg["hw_tol"]
     if worst_l2 > bound:
         j, g = next((j, g) for j, g, _, best in l2_rows if best == worst_l2)
-        raise RuntimeError(f"dense-family audit gap {worst_l2} exceeds the bound {bound}"
-                           f" at theta {grid[j]}, generator {g}")
+        raise InvariantViolation(f"dense-family audit gap {worst_l2} exceeds the bound"
+                                 f" {bound} at theta {grid[j]}, generator {g}")
     files.append(_write_json(out / "summary.json", {
         "curve_max": max(r[1] for r in curve_rows),
         "curve_min": min(r[1] for r in curve_rows),
@@ -634,7 +635,7 @@ def run_borel(params, seed, out):
         verdict = census["verdict"]
         match = verdict == ("CertifiedFinite" if expected == "in" else "GrowingWithDepth")
         if not match:
-            raise RuntimeError(
+            raise InvariantViolation(
                 f"census verdict {verdict} contradicts analytic membership"
                 f" for {inst['name']}")
         certified += 1

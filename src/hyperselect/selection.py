@@ -22,17 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hulls import BallSections, HullProjector, HullStack, dedupe_points, lattice_round
+from .norms import InvariantViolation
 
 
-class NotACover(RuntimeError):
+class NotACover(InvariantViolation):
     """Some domain point lies in no cover element."""
 
 
-class NetTooCoarse(RuntimeError):
+class NetTooCoarse(InvariantViolation):
     """The net misses a value set at the requested approximation scale."""
 
 
-class IterationStall(RuntimeError):
+class IterationStall(InvariantViolation):
     """A selection round left some domain point uncovered."""
 
 

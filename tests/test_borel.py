@@ -14,6 +14,7 @@ from hyperselect.borel import (
     pi3_reduce,
     sigma2_reduce,
 )
+from hyperselect.norms import InvariantViolation
 
 
 def _half(d):
@@ -87,6 +88,15 @@ def test_point_validation():
     x = TruncPoint.from_string("101")
     assert x.depth == 3
     assert str(x) == "101"
+
+
+def test_sigma2_reduce_reports_a_point_outside_every_cylinder(monkeypatch):
+    # complement cylinders that miss a pruned point break the reduction's
+    # cover invariant: a typed report, not a bare assertion
+    import hyperselect.borel as borel
+    monkeypatch.setattr(borel, "closed_complement_cylinders", lambda t: PrunedTree.empty(t.d))
+    with pytest.raises(InvariantViolation, match="A_0: point 010 neither settled inside"):
+        sigma2_reduce([PrunedTree.empty(3)], TruncPoint.from_string("010"))
 
 
 def test_tree_constructors_agree():

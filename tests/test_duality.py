@@ -20,10 +20,12 @@ from hyperselect.duality import (
     exact_support,
     is_subspace_ball,
     quotient_routes,
+    quotient_routes_by_dimension,
     subspace_from_spanning,
 )
 from hyperselect.norms import (
     DiscFamily,
+    InvariantViolation,
     NormSpec,
     Subspace,
     UnsupportedNorm,
@@ -370,10 +372,13 @@ def test_polyhedral_routes_solve_no_lp(monkeypatch):
 
 
 def test_basic_solutions_raise_when_no_system_is_kept():
-    # a zero basis makes every system singular: a typed failure, never inf
+    # a zero basis makes every system singular: a typed failure, never inf,
+    # even when the other trials of the stack keep systems
+    good = subspace_from_spanning(np.eye(5)[:2], ambient=l1(), side="primal").basis
     for kind in ("l1", "linf"):
-        with pytest.raises(RuntimeError, match=f"{kind} distance with k=2, n=5"):
-            _basic_solution_distance(np.ones(5), np.zeros((2, 5)), kind)
+        for bases in (np.zeros((1, 2, 5)), np.stack([good, np.zeros((2, 5))])):
+            with pytest.raises(InvariantViolation, match=f"{kind} distance with k=2, n=5"):
+                _basic_solution_distance(np.ones((len(bases), 5)), bases, kind)
 
 
 def test_primal_route_rejects_other_kinds_and_dims_past_the_cap():
@@ -384,6 +389,168 @@ def test_primal_route_rejects_other_kinds_and_dims_past_the_cap():
     V = subspace_from_spanning(np.eye(n)[:4], ambient=linf(), side="primal")
     with pytest.raises(UnsupportedNorm, match="capped at ambient dim"):
         quotient_routes(np.ones(n), V)
+
+
+# ---------------------------------------------------------------------------
+# the stacked sweep against the one-pair-at-a-time routes
+
+
+def _pair_subspace(vectors, spec):
+    """Reference: the orthonormal basis of one spanning set, by its own SVD."""
+    _, s, vh = np.linalg.svd(vectors, full_matrices=False)
+    rank = int((s > 1e-12 * max(1.0, s[0] if len(s) else 1.0)).sum())
+    return Subspace(basis=vh[:rank], ambient=spec, side="primal")
+
+
+def _pair_well_posed(mats, rhs):
+    ok = np.abs(np.linalg.det(mats)) > 1e-12 * np.linalg.norm(mats, axis=2).prod(axis=1)
+    return np.linalg.solve(mats[ok], rhs[ok, :, None])[..., 0]
+
+
+def _pair_section_points(basis, kind):
+    m, n = basis.shape
+    if m == 0:
+        return np.zeros((1, n))
+    cols = basis.T
+    q = m if kind == "linf" else n - m + 1
+    signs = 1.0 - 2.0 * (np.arange(2 ** q)[:, None] >> np.arange(q) & 1)
+    signed = np.array(list(itertools.combinations(range(n), q)))
+    shape = (len(signed), len(signs))
+    if kind == "linf":
+        mats = np.broadcast_to(cols[signed][:, None], (*shape, m, m))
+        rhs = np.broadcast_to(signs, (*shape, m))
+    else:
+        free = np.ones((len(signed), n), dtype=bool)
+        np.put_along_axis(free, signed, False, axis=1)
+        zeros = cols[np.nonzero(free)[1].reshape(len(signed), m - 1)]
+        mats = np.concatenate([np.broadcast_to(zeros[:, None], (*shape, m - 1, m)),
+                               (signs @ cols[signed])[:, :, None]], axis=2)
+        rhs = np.broadcast_to(np.eye(m)[-1], (*shape, m))
+    omegas = _pair_well_posed(mats.reshape(-1, m, m), rhs.reshape(-1, m)) @ basis
+    size = np.linalg.norm(omegas, ord=np.inf if kind == "linf" else 1, axis=1)
+    return np.concatenate([np.zeros((1, n)), omegas[size <= 1 + 1e-9]])
+
+
+def _pair_basic_distance(x, basis, kind):
+    k, n = basis.shape
+    cols = basis.T
+    if kind == "l1":
+        subsets = np.array(list(itertools.combinations(range(n), k)))
+        mats, rhs = cols[subsets], x[subsets]
+    else:
+        subsets = np.array(list(itertools.combinations(range(n), k + 1)))
+        signs = 1.0 - 2.0 * (np.arange(2 ** k)[:, None] >> np.arange(k + 1) & 1)
+        shape = (len(subsets), len(signs), k + 1)
+        mats = np.concatenate([np.broadcast_to(cols[subsets][:, None], (*shape, k)),
+                               np.broadcast_to(signs[:, :, None], (*shape, 1))], axis=3)
+        rhs = np.broadcast_to(x[subsets][:, None], shape)
+        mats, rhs = mats.reshape(-1, k + 1, k + 1), rhs.reshape(-1, k + 1)
+    coeffs = _pair_well_posed(mats, rhs)[:, :k]
+    return float(eval_norm(x - coeffs @ basis, NormSpec(kind)).min())
+
+
+def _pair_routes(x, V):
+    """Reference: both routes for one pair, each SVD, determinant, solve and
+    contraction taken on that pair alone."""
+    kind, n = V.ambient.kind, V.ambient_dim
+    if V.dim == 0:
+        primal = float(eval_norm(x, V.ambient))
+    elif kind == "l2":
+        primal = float(np.linalg.norm(x - V.project(x), 2))
+    else:
+        primal = 0.0 if V.dim == n else _pair_basic_distance(x, V.basis, kind)
+    if V.dim == 0:
+        null = np.eye(n)
+    else:
+        _, s, vh = np.linalg.svd(V.basis, full_matrices=True)
+        null = vh[int((s > 1e-12).sum()):].conj()
+    W = Subspace(basis=null, ambient=NormSpec(dual_kind(kind)), side="dual")
+    if W.dim == 0:
+        dual = 0.0
+    elif W.ambient.kind == "l2":
+        dual = float(np.linalg.norm(W.project(x), 2))
+    else:
+        dual = float(np.abs(_pair_section_points(W.basis, W.ambient.kind) @ x).max())
+    return primal, dual
+
+
+def _deficient(rng, k, n):
+    # rank k - 1: the last vector repeats a combination of the others, or
+    # rank 0 when k = 1
+    if k == 1:
+        return np.zeros((1, n))
+    head = rng.standard_normal((k - 1, n))
+    return np.vstack([head, rng.standard_normal(k - 1) @ head])
+
+
+@pytest.mark.parametrize("spec", [l2(), l1(), linf()], ids=lambda s: s.kind)
+def test_stacked_routes_match_the_pair_routes_bit_for_bit(spec):
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 4, 5, 6, 8):
+        # n = 8 takes one k, in more pairs than one stack holds at that dim
+        ks, repeats = (range(1, n), 4) if n < 8 else ((1,), 25)
+        spanning = [rng.standard_normal((k, n)) for k in ks for _ in range(repeats)]
+        spanning += [_deficient(rng, k, n) for k in ks]
+        spanning = [spanning[i] for i in rng.permutation(len(spanning))]
+        x = rng.standard_normal((len(spanning), n)) * 2.0
+        primal, dual = quotient_routes_by_dimension(x, spanning, spec)
+        assert primal.shape == dual.shape == (len(spanning),)
+        for t, vectors in enumerate(spanning):
+            V = _pair_subspace(vectors, spec)
+            expected = _pair_routes(x[t], V)
+            case = (spec.kind, n, len(vectors), V.dim)
+            assert (primal[t], dual[t]) == expected, case
+            assert quotient_routes(x[t], subspace_from_spanning(vectors, ambient=spec)) \
+                == expected, case
+
+
+def test_stacked_routes_keep_their_refusals():
+    rng = np.random.default_rng(14)
+    spanning = [rng.standard_normal((2, 4)) for _ in range(3)]
+    for kind in ("l1", "linf"):
+        x = rng.standard_normal((3, 4))
+        with pytest.raises(UnsupportedNorm, match="requires real data"):
+            quotient_routes_by_dimension(x + 1j, spanning, NormSpec(kind))
+        with pytest.raises(UnsupportedNorm, match="requires real data"):
+            quotient_routes_by_dimension(x, [v + 1j for v in spanning], NormSpec(kind))
+        n = SECTION_DIM_CAP + 1
+        with pytest.raises(UnsupportedNorm, match="capped at ambient dim"):
+            quotient_routes_by_dimension(np.ones((2, n)), [np.eye(n)[:4]] * 2, NormSpec(kind))
+    # l2 takes complex data, pair for pair as before
+    x, spanning = rng.standard_normal((3, 4)) + 1j, [v + 1j for v in spanning]
+    primal, dual = quotient_routes_by_dimension(x, spanning, l2())
+    for t, vectors in enumerate(spanning):
+        assert (primal[t], dual[t]) == _pair_routes(x[t], _pair_subspace(vectors, l2()))
+
+
+def _pair_sweep_failure(params, seed):
+    """Reference: run_duality's draws and gate, one pair at a time; returns
+    the message of the first DualityMismatch, or None."""
+    rng = np.random.default_rng(seed)
+    dim, trials = int(params.get("dim", 4)), int(params["trials"])
+    for kind in params["norms"].split(","):
+        tol = float(params.get("tol_l2" if kind == "l2" else "tol_polyhedral", 1e-12))
+        for trial in range(trials):
+            k = int(rng.integers(1, dim))
+            V = _pair_subspace(rng.standard_normal((k, dim)), NormSpec(kind))
+            primal, dual = _pair_routes(rng.standard_normal(dim), V)
+            if abs(primal - dual) > tol:
+                return (f"{kind} trial {trial}: primal {primal:.9g} vs dual {dual:.9g}"
+                        f" exceeds tol {tol:g}")
+    return None
+
+
+@pytest.mark.parametrize("params", [
+    {"norms": "l2,l1,linf", "trials": "40", "dim": "6", "tol_polyhedral": "0"},
+    {"norms": "linf,l1", "trials": "40", "dim": "5", "tol_polyhedral": "0"},
+    {"norms": "l1,l2", "trials": "40", "dim": "6", "tol_l2": "0"},
+])
+def test_stacked_sweep_fails_at_the_pair_sweeps_first_trial(params, tmp_path):
+    expected = _pair_sweep_failure(params, 3)
+    assert expected is not None
+    with pytest.raises(DualityMismatch) as err:
+        run_duality(params, 3, tmp_path)
+    assert str(err.value) == expected
 
 
 def test_route_mismatch_raises_at_zero_tolerance(tmp_path):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from hyperselect.cli import main
-from hyperselect.duality import SECTION_DIM_CAP
+from hyperselect.duality import SECTION_DIM_CAP, DualityMismatch
+from hyperselect.norms import InvariantViolation
 from hyperselect.scenarios import (
     _BOREL_KEYS,
     _COUNTEREXAMPLE_KEYS,
@@ -27,6 +28,7 @@ from hyperselect.scenarios import (
     parse_config_file,
     sym_to_coords,
 )
+from hyperselect.selection import IterationStall, NetTooCoarse, NotACover
 
 SAMPLE_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 SEED0_MANIFEST = SAMPLE_CONFIGS.parent / "seed0.sha256"
@@ -141,6 +143,36 @@ def test_invariant_violation_exits_3(tmp_path, capsys):
     assert record["error"] == "DualityMismatch"
 
 
+def test_census_contradiction_exits_3(tmp_path, capsys, monkeypatch):
+    import hyperselect.scenarios as scenarios
+    monkeypatch.setattr(scenarios, "pfin_census", lambda m1, deeper: {"verdict": "Unknown"})
+    code = main(["borel", "--out", str(tmp_path / "o")])
+    assert code == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "InvariantViolation"
+    assert "contradicts analytic membership" in record["message"]
+
+
+def test_invariant_failures_share_one_base():
+    for err in (DualityMismatch, IterationStall, NetTooCoarse, NotACover):
+        assert issubclass(err, InvariantViolation), err
+    assert issubclass(InvariantViolation, RuntimeError)
+
+
+def test_unanticipated_error_exits_1_with_its_traceback(tmp_path, capsys, monkeypatch):
+    # a KeyError is no invariant report: a bug the library did not foresee
+    def broken(params, seed, out):
+        raise KeyError("no such column")
+
+    monkeypatch.setitem(SCENARIOS, "duality", broken)
+    code = main(["duality", "--out", str(tmp_path / "o")])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "KeyError"
+    assert "no such column" in record["message"]
+    assert "in broken" in record["traceback"]
+
+
 def test_frontier_policy_fail_exits_4(tmp_path, capsys):
     cfg = _write_config(tmp_path, "frontier_policy=fail\nd=6\nd2=8\ncount=3\nprefix_len=2\n")
     code = main(["borel", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -235,7 +267,8 @@ def test_marechal_audit_gap_over_its_bound_raises(tmp_path, monkeypatch):
     full = scenarios.dense_selection_family
     monkeypatch.setattr(scenarios, "dense_selection_family", lambda *args, **kw: [
         mem for mem in full(*args, **kw) if mem.net_index == 0])
-    with pytest.raises(RuntimeError, match=r"exceeds the bound .* at theta .*, generator \d"):
+    with pytest.raises(InvariantViolation,
+                       match=r"exceeds the bound .* at theta .*, generator \d"):
         scenarios.run_marechal({"theta_count": "2", "hw_points": "3"}, 0, tmp_path)
     assert not (tmp_path / "summary.json").exists()
 
