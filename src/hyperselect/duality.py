@@ -288,7 +288,9 @@ def _dual_distances(x, bases, spec):
     null = np.eye(n, dtype=bases.dtype)[None].repeat(trials, 0) if k == 0 else _null_bases(bases)
     null, kind = orthonormal_rows(null), dual_kind(spec.kind)
     if kind == "l2":
-        return np.array([np.linalg.norm(p, 2) for p in _projections(x, null)])
+        # the support over {c W : ||c|| <= 1} under the bilinear pairing is
+        # ||W x||, the norm of x projected onto the rows of conj(W)
+        return np.array([np.linalg.norm(p, 2) for p in _projections(x, null.conj())])
     return np.array([np.abs(p @ xt).max() for p, xt in zip(ball_section_points(null, kind), x)])
 
 

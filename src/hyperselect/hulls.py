@@ -45,17 +45,18 @@ class TooManyGenerators(ValueError):
 
 def dedupe_points(points, tol=1e-12):
     """Drop duplicate rows (within tol), preserving first-seen order: a row is
-    dropped iff it lies within tol of an earlier row that is kept."""
+    dropped iff it lies within tol of an earlier row that is kept.  A stack
+    (V, k, dim) is deduped hull by hull in one pass, into a list of V arrays."""
     points = np.atleast_2d(points)
-    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
-    close = np.tril(dist <= tol, k=-1)  # close[j, i]: row i < j lies within tol
-    keep = ~close.any(axis=1)
+    dist = np.linalg.norm(points[..., :, None, :] - points[..., None, :, :], axis=-1)
+    close = np.tril(dist <= tol, k=-1)  # close[.., j, i]: row i < j lies within tol
+    keep = ~close.any(axis=-1)
     # keep[j] depends only on keep[:j], so each sweep settles at least one
     # more row, and the fixed point is the first-seen rule
     while True:
-        settled = ~(close & keep[None, :]).any(axis=1)
+        settled = ~(close & keep[..., None, :]).any(axis=-1)
         if np.array_equal(settled, keep):
-            return points[keep]
+            return points[keep] if points.ndim == 2 else [p[k] for p, k in zip(points, keep)]
         keep = settled
 
 

@@ -41,12 +41,11 @@ from .duality import (
 )
 from .hulls import CONTAINS_TOL
 from .selection import (
+    BUNDLED_MAPS,
     DiscreteDomain,
-    HullValue,
     NetTooCoarse,
     SetValuedMap,
     approx_selection,
-    bundled_maps,
     check_lower_continuity,
     dense_selection_family,
     density_audit,
@@ -318,7 +317,7 @@ def run_counterexample(params, seed, out):
 
 
 _SELECTION_KEYS = {
-    "map": ("sliding-left-end", _ANY),  # checked against the built suite
+    "map": ("sliding-left-end", _ANY),  # checked against BUNDLED_MAPS
     "n1d": (101, _at_least(1)),
     "n2d": (11, _at_least(1)),
     "tol": (1e-3, _POSITIVE),
@@ -347,11 +346,10 @@ def _scenario_net(F, points, user_set):
 
 def run_selection(params, seed, out):
     cfg = _resolve(params, _SELECTION_KEYS)
-    suite = {F.name: F for F in bundled_maps(cfg["n1d"], cfg["n2d"])}
-    if cfg["map"] not in suite:
-        raise ConfigError(f"config key map: expected one of {', '.join(sorted(suite))},"
+    if cfg["map"] not in BUNDLED_MAPS:
+        raise ConfigError(f"config key map: expected one of {', '.join(sorted(BUNDLED_MAPS))},"
                           f" got {cfg['map']!r}")
-    F = suite[cfg["map"]]
+    F = BUNDLED_MAPS[cfg["map"]](cfg["n1d"], cfg["n2d"])
     net = _scenario_net(F, cfg["net"], "net" in params)
     try:
         approx = approx_selection(F, cfg["eps"], net)
@@ -480,7 +478,7 @@ def rotated_ball_map(count, theta_max):
         c, s = math.cos(t), math.sin(t)
         u = np.array([[c, -s], [s, c]])
         d = sym_to_coords(u @ np.diag([1.0, -1.0]) @ u.T)
-        values.append(HullValue(np.array([eye, -eye, d, -d])))
+        values.append(np.array([eye, -eye, d, -d]))
     return SetValuedMap(domain, values, SpectralBallTarget(),
                         name="rotated-algebra-ball", slope_hint=4.0), thetas
 
@@ -508,7 +506,7 @@ def run_marechal(params, seed, out):
     F, grid = rotated_ball_map(cfg["hw_points"], cfg["hw_theta_max"])
     # The net must sit within 1/m of every audited generator, and the rotated
     # vertices drift with theta, so the net carries each grid value's corners.
-    gens = np.unique(np.round(np.concatenate([v.generators for v in F.values]), 12), axis=0)
+    gens = np.unique(np.round(np.concatenate(list(F.generators().values())), 12), axis=0)
     net = np.concatenate([np.zeros((1, gens.shape[1])), gens])
     members = dense_selection_family(F, net, cfg["hw_m_max"], tol=cfg["hw_tol"])
     member_rows = []

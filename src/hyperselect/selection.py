@@ -2,20 +2,19 @@
 
 Domains are finite metric grids standing in for a metric space X; set-valued
 maps carry one convex value per grid point.  Values live in Euclidean
-coordinates: a value is either the hull of a few generators (`HullValue`,
-which is `hulls.HullProjector`) or such a hull intersected with one closed
-ball (`BallRestrictedValue`, the restricted maps of the dense family).
-The selection iteration keeps two logged invariants at every grid point:
-membership defect < 2^-(k+1) after round k and sup-step <= 2^-k between
-consecutive rounds.
-
-Value projections go through a diagonal and an all-pairs entry point, and
-one cover-and-average step serves the approximate selection and each round.
-A map stacks its values by generator count (see `hulls`), so each entry point
-makes one kernel call per group, with each restricted row's ball riding along.
+coordinates: a value is the hull of a few generators, intersected, on the
+restricted maps of the dense family, with one closed ball.  A map holds its
+values only as arrays grouped by generator count, each group a stack of
+generators (V, k, dim) for the hull kernel (see `hulls`) with the sections
+of its rows' balls, so each projection entry point (diagonal or all-pairs)
+makes one kernel call per group.  One cover-and-average step serves the
+approximate selection and each round of the iteration, which keeps two
+logged invariants at every grid point: membership defect < 2^-(k+1) after
+round k and sup-step <= 2^-k between consecutive rounds.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -64,10 +63,6 @@ class DiscreteDomain:
 
     def __len__(self):
         return len(self.points)
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
 
     def adjacent_pairs(self):
         """Ordered index pairs at nearest-neighbor range (both directions)."""
@@ -155,19 +150,12 @@ def build_partition_of_unity(domain, cover):
 # convex values
 
 
-HullValue = HullProjector  # a value that is the convex hull of a few generators
-
-
 class BallRestrictedValue:
-    """A hull intersected with a closed ball B(center, radius).
+    """One hull intersected with a closed ball B(center, radius), nonempty,
+    projected exactly inside the faces' ball sections (see `hulls`).  Maps
+    hold their balls in their value groups instead."""
 
-    Projections are exact: the parent hull enumerates its faces once, and
-    each projection clips inside the faces' ball sections (see `hulls`).
-    The intersection must be nonempty; `restrict_value` checks that before
-    building one, and a tangent ball counts as meeting the hull.
-    """
-
-    def __init__(self, hull: HullValue, center, radius):
+    def __init__(self, hull: HullProjector, center, radius):
         self.hull = hull
         self.center = np.asarray(center, dtype=np.float64)
         self.radius = float(radius)
@@ -177,110 +165,132 @@ class BallRestrictedValue:
         return self.hull.project(points, self.center, self.radius)
 
 
-def restrict_value(value: HullValue, center, radius):
-    """The value intersected with the closed ball B(center, radius).
-
-    A point value is its own restriction.  A segment [a, b] stays a segment:
-    the projection of an endpoint onto [a, b] intersected with the ball is
-    that endpoint clipped to the ball, so both endpoints go once through the
-    hull-and-ball kernel.  Larger hulls become a BallRestrictedValue sharing
-    the value's faces.  Raises ValueError when the intersection is empty, and
-    when the value already has a ball: a BallRestrictedValue holds one ball.
-    """
-    return _restrict([value], [0], np.array([True]), center, radius)[0]
-
-
-def _restrict(values, rows, pinned, center, radius, stack=None):
-    """restrict_value of each value (named by rows) where pinned is set, and
-    the value itself elsewhere.  stack holds the values' faces (the one
-    value's own when None), so the emptiness check and the segment clip are
-    one kernel call each for all the values."""
-    for i, v, pin in zip(rows, values, pinned):
-        if pin and isinstance(v, BallRestrictedValue):
-            raise ValueError(f"the value at row {i} is already restricted to a ball;"
-                             " a value holds one ball")
-    stack = values[0].stack if stack is None else stack
-    center = np.asarray(center, dtype=np.float64)
-    radius = float(radius)
-    balls = stack.balls(np.broadcast_to(center, (len(values), len(center))),
-                        np.where(pinned, radius, np.inf))
-    if not np.isfinite(stack.project(center[None, None, :], balls)[1]).all():
-        raise ValueError(f"the ball B({center.tolist()}, {radius}) misses the hull")
-    k = stack.generators.shape[1]
-    if k == 1:
-        return list(values)
-    if k == 2:
-        ends = stack.project(stack.generators.swapaxes(0, 1), balls)[0]
-        return [HullValue(ends[:, i]) if pin else v
-                for i, (v, pin) in enumerate(zip(values, pinned))]
-    return [BallRestrictedValue(v, center, radius) if pin else v
-            for v, pin in zip(values, pinned)]
-
-
-class SetValuedMap:
-    """One convex value per domain point, inside a common convex target C."""
-
-    def __init__(self, domain, values, target, name="", slope_hint=4.0):
-        self.domain = domain
-        if len(values) != len(domain):
-            raise ValueError("one value per domain point")
-        self.values = [v if isinstance(v, (HullValue, BallRestrictedValue)) else HullValue(v)
-                       for v in values]
-        gens = [v.generators for v in self.values if v.generators is not None]
-        if gens and not bool(np.all(target.contains(np.concatenate(gens)))):
-            raise ValueError("value generators must lie in the target set C")
-        self.target = target
-        self.name = name
-        self.slope_hint = slope_hint
-        self._groups = None
-
-    def __len__(self):
-        return len(self.values)
-
-    @property
-    def groups(self):
-        """The values stacked by generator count, built on first use."""
-        if self._groups is None:
-            self._groups = _value_groups(self.values)
-        return self._groups
+def restrict_value(value: HullProjector, center, radius):
+    """The value intersected with the closed ball B(center, radius): the
+    one-row case of SetValuedMap.restrict, as a HullProjector for a point or
+    segment and a BallRestrictedValue sharing the value's faces otherwise."""
+    if value.generators is None:
+        raise ValueError("the value at row 0 is already restricted to a ball;"
+                         " a value holds one ball")
+    (group,) = _restrict_group(_ValueGroup(np.zeros(1, dtype=np.intp), value.stack, None),
+                               np.atleast_2d(center), np.array([radius], dtype=np.float64))
+    if group.balls is not None:
+        return BallRestrictedValue(value, center, radius)
+    return HullProjector(group.stack.generators[0])
 
 
 @dataclass
 class _ValueGroup:
-    """The values of one generator count, stacked for the hull kernel."""
+    """The rows of one generator count, stacked for the hull kernel."""
 
-    rows: np.ndarray            # indices of the map's values in this group
-    hulls: tuple                # each row's HullValue, the hull a ball restricts
-    stack: HullStack
+    rows: np.ndarray            # the map's rows in this group, ascending
+    stack: HullStack            # their deduped generators, (V, k, dim)
     balls: BallSections | None  # the rows' balls, radius inf on rows without one;
                                 # None when no row has a ball
 
 
-def _value_groups(values, reuse=()):
-    """Stack the values by generator count, ascending.  A group holding the
-    same hull objects as a group in reuse keeps that group's face stack and
-    builds only the sections of its own balls."""
-    hulls = [v.hull if isinstance(v, BallRestrictedValue) else v for v in values]
-    counts = np.array([len(h.generators) for h in hulls])
-    groups = []
-    for k in np.unique(counts):
-        rows = np.flatnonzero(counts == k)
-        members = tuple(hulls[i] for i in rows)
-        stack = next((g.stack for g in reuse if len(g.hulls) == len(members)
-                      and all(a is b for a, b in zip(g.hulls, members))), None)
-        if stack is None:
-            stack = HullStack(np.stack([h.generators for h in members]))
-        balls = None
-        row_values = [values[i] for i in rows]
-        if any(isinstance(v, BallRestrictedValue) for v in row_values):
-            plain = np.zeros(stack.generators.shape[2])
-            balls = stack.balls(
-                np.stack([v.center if isinstance(v, BallRestrictedValue) else plain
-                          for v in row_values]),
-                np.array([v.radius if isinstance(v, BallRestrictedValue) else np.inf
-                          for v in row_values]))
-        groups.append(_ValueGroup(rows, members, stack, balls))
-    return groups
+def _by_count(arrays):
+    """(positions, stacked arrays) for each array length, ascending."""
+    counts = np.array([len(a) for a in arrays])
+    return [(np.flatnonzero(counts == k), np.stack([a for a, c in zip(arrays, counts) if c == k]))
+            for k in np.unique(counts)]
+
+
+def _hull_groups(rows, generators):
+    """Groups of the rows (ascending) from their deduped generator arrays."""
+    return [_ValueGroup(rows[at], HullStack(stack), None) for at, stack in _by_count(generators)]
+
+
+def _restrict_group(group, center, radius):
+    """The groups that the group's rows fall into once intersected with the
+    closed balls B(center, radius), radius inf on the rows left as they are.
+    A point is its own restriction.  A segment's endpoints projected onto its
+    intersection with the ball are the endpoints clipped to the ball, which
+    replace them, deduped.  Larger hulls keep their stack and take the balls."""
+    pinned = np.isfinite(radius)
+    if not pinned.any():
+        return [group]
+    old_center, old_radius = (0.0, np.inf) if group.balls is None else (
+        group.balls.center, group.balls.radius)
+    held = pinned & np.isfinite(old_radius)
+    if held.any():
+        raise ValueError(f"the value at row {int(group.rows[held][0])} is already restricted"
+                         " to a ball; a value holds one ball")
+    stack = group.stack
+    balls = stack.balls(np.where(pinned[:, None], center, old_center),
+                        np.where(pinned, radius, old_radius))
+    missed = ~np.isfinite(stack.project(balls.center[None], balls)[1][0])
+    if missed.any():
+        i = int(np.argmax(missed))
+        raise ValueError(f"the ball B({balls.center[i].tolist()}, {balls.radius[i]}) misses"
+                         f" the hull at row {int(group.rows[i])}")
+    k = stack.generators.shape[1]
+    if k == 1:
+        return [group]
+    if k == 2:
+        ends = stack.project(stack.generators.swapaxes(0, 1), balls)[0].swapaxes(0, 1)
+        generators = list(stack.generators)
+        for j, clipped in zip(np.flatnonzero(pinned), dedupe_points(ends[pinned])):
+            generators[j] = clipped
+        return _hull_groups(group.rows, generators)
+    return [_ValueGroup(group.rows, stack, balls)]
+
+
+class SetValuedMap:
+    """One convex value per domain point, inside a common convex target C:
+    row i's value is the hull of generators[i], a (k_i, dim) array.  The
+    values are held only as stacked arrays, grouped by deduped generator
+    count, ascending (see `_ValueGroup`): the raw arrays are grouped by raw
+    row count, each group deduped in one batched first-seen pass, and the
+    rows regrouped by deduped count."""
+
+    def __init__(self, domain, generators, target, name="", slope_hint=4.0):
+        self.domain = domain
+        if len(generators) != len(domain):
+            raise ValueError("one value per domain point")
+        deduped = [None] * len(domain)
+        for rows, stack in _by_count([np.atleast_2d(np.asarray(g, dtype=np.float64))
+                                      for g in generators]):
+            for i, g in zip(rows, dedupe_points(stack)):
+                deduped[i] = g
+        if not bool(np.all(target.contains(np.concatenate(deduped)))):
+            raise ValueError("value generators must lie in the target set C")
+        self.groups = _hull_groups(np.arange(len(domain)), deduped)
+        self.target = target
+        self.name = name
+        self.slope_hint = slope_hint
+
+    def __len__(self):
+        return len(self.domain)
+
+    def generators(self):
+        """{row: (k, dim) generators} of the rows without a ball, in row order."""
+        out = {}
+        for g in self.groups:
+            plain = slice(None) if g.balls is None else np.isinf(g.balls.radius)
+            out.update(zip(g.rows[plain].tolist(), g.stack.generators[plain]))
+        return dict(sorted(out.items()))
+
+    def restrict(self, center, radius, name=""):
+        """The map with row i's value intersected with the closed ball
+        B(center[i], radius[i]), radius inf on the rows left as they are,
+        sharing this map's stacks where a group keeps its generators.  Raises
+        ValueError when a ball misses its hull, or pins a row with a ball."""
+        center = np.asarray(center, dtype=np.float64)
+        radius = np.asarray(radius, dtype=np.float64)
+        groups = [h for g in self.groups
+                  for h in _restrict_group(g, center[g.rows], radius[g.rows])]
+        # the groups keep ascending counts, so the point rows and the
+        # segments clipped to a point lead
+        points = [g for g in groups if g.stack.generators.shape[1] == 1]
+        if len(points) > 1:
+            rows = np.concatenate([g.rows for g in points])
+            order = np.argsort(rows)
+            generators = np.concatenate([g.stack.generators for g in points])[order]
+            groups[:len(points)] = [_ValueGroup(rows[order], HullStack(generators), None)]
+        restricted = copy.copy(self)
+        restricted.groups, restricted.name = groups, name
+        return restricted
 
 
 class HullTarget:
@@ -496,17 +506,9 @@ def dense_selection_family(F, net, m_max, tol=1e-3):
             radius = 1.0 / m
             pinned = value_dists[n] < radius
             if pinned.any():
-                restricted = list(F.values)
-                for g in F.groups:
-                    pin = pinned[g.rows]
-                    if pin.any():
-                        row_values = [F.values[i] for i in g.rows]
-                        for i, w in zip(g.rows, _restrict(row_values, g.rows, pin, net[n], radius,
-                                                          g.stack)):
-                            restricted[i] = w
-                modified = SetValuedMap(F.domain, restricted, F.target,
-                                        name=f"{F.name}|n={n},m={m}", slope_hint=F.slope_hint)
-                modified._groups = _value_groups(modified.values, reuse=F.groups)
+                modified = F.restrict(np.broadcast_to(net[n], (len(F), net.shape[1])),
+                                      np.where(pinned, radius, np.inf),
+                                      name=f"{F.name}|n={n},m={m}")
                 sel = michael_selection(modified, tol=tol)
             else:
                 if plain is None:
@@ -521,17 +523,15 @@ def density_audit(members, F, metric=None):
 
     metric(points_a, points_b) -> pairwise row distances; defaults to L2.
     Returns the audit gap and one row (point index, generator index,
-    generator, distance) per audited generator.
+    generator, distance) per audited generator, in row order; rows with a
+    ball have no generators to audit.
     """
     if metric is None:
         metric = lambda a, b: np.linalg.norm(a - b, axis=1)
     stacked = np.stack([mem.values for mem in members])  # (members, points, dim)
     worst = 0.0
     rows = []
-    for i in range(len(F)):
-        gens = F.values[i].generators
-        if gens is None:
-            continue
+    for i, gens in F.generators().items():
         at_i = stacked[:, i]
         for g, w in enumerate(gens):
             best = float(np.min(metric(at_i, np.broadcast_to(w, at_i.shape))))
@@ -574,55 +574,53 @@ def _interval_value(lo, hi):
     return np.array([[lo], [hi]])
 
 
-def bundled_maps(n1d=101, n2d=11):
-    """Ten lower-continuous convex-valued maps used across tests and demos."""
-    dom1 = grid_domain_1d(n1d)
-    dom2 = grid_domain_2d(n2d, n2d)
-    unit1 = HullTarget(np.array([[0.0], [1.0]]))
-    unit2 = HullTarget(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-    xs1 = dom1.points[:, 0]
-    maps = []
+_UNIT1 = np.array([[0.0], [1.0]])
+_UNIT2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
-    maps.append(SetValuedMap(dom1, [_interval_value(0.0, 1.0) for _ in xs1], unit1,
-                             name="constant-interval", slope_hint=1.0))
-    maps.append(SetValuedMap(dom1, [_interval_value(x, 1.0) for x in xs1], unit1,
-                             name="sliding-left-end", slope_hint=2.0))
-    maps.append(SetValuedMap(dom1, [_interval_value(0.0, max(x, 0.2)) for x in xs1], unit1,
-                             name="growing-right-end", slope_hint=2.0))
-    maps.append(SetValuedMap(dom1, [np.array([[0.5 + 0.4 * np.sin(2 * np.pi * x)]]) for x in xs1],
-                             unit1, name="sine-singleton", slope_hint=4.0))
-    maps.append(SetValuedMap(
-        dom1,
-        [_interval_value(max(0.0, 0.5 + 0.3 * np.sin(2 * np.pi * x) - 0.2),
-                         min(1.0, 0.5 + 0.3 * np.sin(2 * np.pi * x) + 0.2)) for x in xs1],
-        unit1, name="sine-band", slope_hint=4.0))
-    maps.append(SetValuedMap(dom1, [_interval_value(abs(x - 0.5), 1.0 - 0.2 * abs(x - 0.5))
-                                    for x in xs1], unit1, name="vee-band", slope_hint=2.0))
 
-    pts2 = dom2.points
-    maps.append(SetValuedMap(
-        dom2, [np.array([[p[0], 0.0], [p[0], 1.0]]) for p in pts2], unit2,
-        name="vertical-segment", slope_hint=2.0))
+def _bundled(name, dim, values, slope_hint):
+    """The BUNDLED_MAPS entry of a map on the 1-D grid into [0, 1] (dim 1) or
+    the 2-D grid into the unit square (dim 2), with value values(p) at p."""
+    def build(n1d=101, n2d=11):
+        dom = grid_domain_1d(n1d) if dim == 1 else grid_domain_2d(n2d, n2d)
+        points = dom.points[:, 0] if dim == 1 else dom.points
+        return SetValuedMap(dom, [values(p) for p in points],
+                            HullTarget(_UNIT1 if dim == 1 else _UNIT2),
+                            name=name, slope_hint=slope_hint)
+    return name, build
 
-    def rotating(p):
-        theta = 0.5 * np.pi * p[0]
-        c, s = 0.3 * np.cos(theta), 0.3 * np.sin(theta)
-        return np.array([[0.5 - c, 0.5 - s], [0.5 + c, 0.5 + s]])
 
-    maps.append(SetValuedMap(dom2, [rotating(p) for p in pts2], unit2,
-                             name="rotating-segment", slope_hint=2.0))
-    maps.append(SetValuedMap(
-        dom2,
-        [np.array([[0.2, 0.2], [0.8, 0.2], [0.5, 0.2 + 0.6 * max(p[0], 0.05)]]) for p in pts2],
-        unit2, name="rising-triangle", slope_hint=2.0))
-    maps.append(SetValuedMap(dom2, [unit2.generators for _ in pts2], unit2,
-                             name="constant-square", slope_hint=1.0))
-    return maps
+def _rotating(p):
+    theta = 0.5 * np.pi * p[0]
+    c, s = 0.3 * np.cos(theta), 0.3 * np.sin(theta)
+    return np.array([[0.5 - c, 0.5 - s], [0.5 + c, 0.5 + s]])
+
+
+# Ten lower-continuous convex-valued maps used across tests and demos:
+# BUNDLED_MAPS[name](n1d, n2d) builds one, on the n1d-point 1-D grid or the
+# n2d x n2d 2-D grid.
+BUNDLED_MAPS = dict([
+    _bundled("constant-interval", 1, lambda x: _interval_value(0.0, 1.0), 1.0),
+    _bundled("sliding-left-end", 1, lambda x: _interval_value(x, 1.0), 2.0),
+    _bundled("growing-right-end", 1, lambda x: _interval_value(0.0, max(x, 0.2)), 2.0),
+    _bundled("sine-singleton", 1, lambda x: np.array([[0.5 + 0.4 * np.sin(2 * np.pi * x)]]),
+             4.0),
+    _bundled("sine-band", 1, lambda x: _interval_value(
+        max(0.0, 0.5 + 0.3 * np.sin(2 * np.pi * x) - 0.2),
+        min(1.0, 0.5 + 0.3 * np.sin(2 * np.pi * x) + 0.2)), 4.0),
+    _bundled("vee-band", 1, lambda x: _interval_value(abs(x - 0.5), 1.0 - 0.2 * abs(x - 0.5)),
+             2.0),
+    _bundled("vertical-segment", 2, lambda p: np.array([[p[0], 0.0], [p[0], 1.0]]), 2.0),
+    _bundled("rotating-segment", 2, _rotating, 2.0),
+    _bundled("rising-triangle", 2,
+             lambda p: np.array([[0.2, 0.2], [0.8, 0.2], [0.5, 0.2 + 0.6 * max(p[0], 0.05)]]),
+             2.0),
+    _bundled("constant-square", 2, lambda p: _UNIT2, 1.0),
+])
 
 
 def jump_map(n1d=101):
     """The discontinuous witness: F(x) = {0} for x < 1/2, {1} afterwards."""
     dom1 = grid_domain_1d(n1d)
-    unit1 = HullTarget(np.array([[0.0], [1.0]]))
     vals = [np.array([[0.0]]) if x < 0.5 else np.array([[1.0]]) for x in dom1.points[:, 0]]
-    return SetValuedMap(dom1, vals, unit1, name="jump", slope_hint=4.0)
+    return SetValuedMap(dom1, vals, HullTarget(_UNIT1), name="jump", slope_hint=4.0)

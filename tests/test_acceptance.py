@@ -57,12 +57,11 @@ from hyperselect.scenarios import (
     rotated_ball_map,
 )
 from hyperselect.selection import (
+    BUNDLED_MAPS,
     HullTarget,
-    HullValue,
     OpenCover,
     SetValuedMap,
     build_partition_of_unity,
-    bundled_maps,
     check_lower_continuity,
     dense_selection_family,
     density_audit,
@@ -159,7 +158,7 @@ def test_a3_partition_of_unity_axioms():
 
 
 def test_a4_selection_iteration_contract():
-    suite = bundled_maps()
+    suite = [build() for build in BUNDLED_MAPS.values()]
     worst_defect = 0.0
     worst_ratio = 0.0
     for F in suite:
@@ -184,7 +183,7 @@ def test_a5_dense_family_audit():
     tol = 1e-2
     dom = grid_domain_1d(21)
     interval = np.array([[0.0], [1.0]])
-    F0 = SetValuedMap(dom, [HullValue(interval)] * len(dom),
+    F0 = SetValuedMap(dom, [interval] * len(dom),
                       HullTarget(interval), name="const", slope_hint=1.0)
     net0 = np.linspace(0.0, 1.0, 5)[:, None]
     bound_ok = True
@@ -194,7 +193,7 @@ def test_a5_dense_family_audit():
         gaps0[m_max] = gap
         bound_ok &= gap <= 1.0 / m_max + 2.0 * tol
     mono_ok = True
-    for F in bundled_maps(21, 5):
+    for F in [build(21, 5) for build in BUNDLED_MAPS.values()]:
         net = np.vstack([F.target.generators,
                          F.target.generators.mean(axis=0)[None, :]])
         gap2, _ = density_audit(dense_selection_family(F, net, 2, tol=tol), F)
@@ -203,13 +202,13 @@ def test_a5_dense_family_audit():
     # the marechal scenario's map and net, whose net holds every generator;
     # the family at m_max is the m <= m_max slice of the one at 4
     F, _ = rotated_ball_map(7, np.pi / 4)
-    gens = np.unique(np.round(np.concatenate([v.generators for v in F.values]), 12), axis=0)
+    gens = np.unique(np.round(np.concatenate(list(F.generators().values())), 12), axis=0)
     members = dense_selection_family(F, np.concatenate([np.zeros((1, 3)), gens]), 4, tol=tol)
     gaps_hw = {m_max: density_audit([mem for mem in members if mem.m <= m_max], F)[0]
                for m_max in (2, 3, 4)}
     bound_ok &= all(gap <= 1.0 / m + 2.0 * tol for m, gap in gaps_hw.items())
     # the selection scenario's sample net on sine-band
-    band = next(G for G in bundled_maps(101, 5) if G.name == "sine-band")
+    band = BUNDLED_MAPS["sine-band"](101, 5)
     net = np.linspace(0.0, 1.0, 5)[:, None]
     gap_band, _ = density_audit(dense_selection_family(band, net, 4, tol=tol), band)
     bound_ok &= gap_band <= 0.25 + 2.0 * tol
@@ -357,15 +356,15 @@ def test_a8_probe_doubling_within_tail_weight():
     deltas["rho_strong"] = worst
 
     F, grid = rotated_ball_map(5, np.pi / 4)
-    gens = np.unique(np.round(np.concatenate([v.generators for v in F.values]), 12),
+    gens = np.unique(np.round(np.concatenate(list(F.generators().values())), 12),
                      axis=0)
     net = np.concatenate([np.zeros((1, gens.shape[1])), gens])
     members = dense_selection_family(F, net, 2, tol=1e-2)
     from hyperselect.norms import make_probe_sequence, probe_strong_star
     specs = {M: probe_strong_star(make_probe_sequence(2, M)) for M in (8, 16)}
     worst = 0.0
-    for j in range(len(grid)):
-        for w in F.values[j].generators:
+    for j, gens_j in F.generators().items():
+        for w in gens_j:
             target = coords_to_sym(w)
             vals = {M: min(eval_norm(coords_to_sym(mem.values[j]) - target, spec)
                            for mem in members)

@@ -468,7 +468,9 @@ def _pair_routes(x, V):
     if W.dim == 0:
         dual = 0.0
     elif W.ambient.kind == "l2":
-        dual = float(np.linalg.norm(W.project(x), 2))
+        # the bilinear support ||W x||, as the projection onto conj(W)'s rows
+        dual = float(np.linalg.norm(Subspace(basis=W.basis.conj(), ambient=W.ambient,
+                                             side="dual").project(x), 2))
     else:
         dual = float(np.abs(_pair_section_points(W.basis, W.ambient.kind) @ x).max())
     return primal, dual
@@ -521,6 +523,19 @@ def test_stacked_routes_keep_their_refusals():
     primal, dual = quotient_routes_by_dimension(x, spanning, l2())
     for t, vectors in enumerate(spanning):
         assert (primal[t], dual[t]) == _pair_routes(x[t], _pair_subspace(vectors, l2()))
+
+
+def test_complex_l2_routes_agree_with_the_bilinear_support():
+    # the dual route is the support of x over the annihilator's unit ball
+    # under the bilinear pairing, ||W x||, not ||conj(W) x||
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        vectors = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        V = subspace_from_spanning(vectors, ambient=l2(), side="primal")
+        primal, dual = quotient_routes(x, V)
+        support = exact_support(annihilator(V), x)
+        assert abs(primal - dual) <= 1e-12 and abs(dual - support) <= 1e-12
 
 
 def _pair_sweep_failure(params, seed):

@@ -28,10 +28,16 @@ from hyperselect.scenarios import (
     parse_config_file,
     sym_to_coords,
 )
+from hyperselect.hulls import HullProjector
 from hyperselect.selection import IterationStall, NetTooCoarse, NotACover
 
 SAMPLE_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 SEED0_MANIFEST = SAMPLE_CONFIGS.parent / "seed0.sha256"
+
+
+BUNDLED_MAP_NAMES = ("constant-interval", "sliding-left-end", "growing-right-end",
+                     "sine-singleton", "sine-band", "vee-band", "vertical-segment",
+                     "rotating-segment", "rising-triangle", "constant-square")
 
 
 def _write_config(tmp_path, text, name="run.cfg"):
@@ -326,6 +332,7 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
     # the default eps is below the distance from the fixed 2-D net to the
     # triangle at x = 0
     ("selection", "map=rising-triangle\n", "eps"),
+    ("selection", "map=nope\n", "map"),
 ], ids=["dim-over-section-cap", "trials-negative", "trials-zero", "scales-negative", "scales-one",
         "hw_tol-negative", "tol-zero", "family_tol-negative", "eps-zero",
         "hw_m_max-zero", "marechal-probe_count-zero",
@@ -335,7 +342,7 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
         "net-outside-target", "norms-empty", "d2-zero", "n1d-zero",
         "hw_theta_max-zero", "tol_l2-negative", "tol_polyhedral-negative",
         "net-with-2d-map", "prefix_len-negative", "prefix_len-over-cap",
-        "eps-too-small-for-net"])
+        "eps-too-small-for-net", "map-unknown"])
 def test_out_of_range_value_exits_2(tmp_path, capsys, scenario, text, key):
     cfg = _write_config(tmp_path, text)
     code = main([scenario, "--config", cfg, "--out", str(tmp_path / "o")])
@@ -343,6 +350,24 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, scenario, text, key):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
     assert f"config key {key}:" in record["message"]
+    if key == "map":
+        assert all(name in record["message"] for name in BUNDLED_MAP_NAMES)
+
+
+def test_selection_pass_builds_a_projector_per_target_only(tmp_path, monkeypatch):
+    # a map holds its values as stacked arrays, so on the sample config only
+    # the targets of the map and of the jump witness build a HullProjector
+    built = []
+    init = HullProjector.__init__
+
+    def counted(self, generators):
+        built.append(len(generators))
+        init(self, generators)
+
+    monkeypatch.setattr(HullProjector, "__init__", counted)
+    SCENARIOS["selection"](parse_config_file(SAMPLE_CONFIGS / "selection.cfg"), 0, tmp_path)
+    monkeypatch.undo()
+    assert 0 < len(built) <= 2
 
 
 def test_polyhedral_duality_runs_at_the_section_cap(tmp_path, capsys):

@@ -11,16 +11,17 @@ from scipy.spatial.distance import cdist
 from hyperselect.hulls import (
     GENERATOR_CAP,
     BallSections,
+    HullProjector,
     HullStack,
     TooManyGenerators,
     dedupe_points,
 )
 from hyperselect.selection import (
+    BUNDLED_MAPS,
     BallRestrictedValue,
     DiscreteDomain,
     FamilyMember,
     HullTarget,
-    HullValue,
     MichaelResult,
     NetTooCoarse,
     NotACover,
@@ -28,7 +29,6 @@ from hyperselect.selection import (
     SetValuedMap,
     approx_selection,
     build_partition_of_unity,
-    bundled_maps,
     check_lower_continuity,
     dense_selection_family,
     density_audit,
@@ -45,8 +45,7 @@ from hyperselect.scenarios import rotated_ball_map
 
 
 def _interval_map(domain, lo_fn, hi_fn, name=""):
-    values = [HullValue(np.array([[lo_fn(x)], [hi_fn(x)]]))
-              for x in domain.points[:, 0]]
+    values = [np.array([[lo_fn(x)], [hi_fn(x)]]) for x in domain.points[:, 0]]
     target = HullTarget(np.array([[0.0], [1.0]]))
     return SetValuedMap(domain, values, target, name=name, slope_hint=1.0)
 
@@ -138,7 +137,7 @@ def test_selection_is_convex_combination_of_net_points():
 def test_cover_thinning_keeps_a_cover_below_the_element_cap():
     # 1,001 net points give 1,001 nonempty elements, above the cap, so the
     # greedy pass keeps only elements that cover new points
-    F = {G.name: G for G in bundled_maps()}["sliding-left-end"]
+    F = BUNDLED_MAPS["sliding-left-end"]()
     net = np.linspace(0.0, 1.0, 1001)[:, None]
     eps = 0.25
     assert (_project_all(F, net)[1] < eps).any(axis=1).sum() > _MAX_ELEMENTS
@@ -187,7 +186,7 @@ def test_sliding_interval_bounds_and_decay():
 
 def test_vertical_segment_selection_stays_in_square():
     dom = grid_domain_1d(41)
-    values = [HullValue(np.array([[x, 0.0], [x, 1.0]])) for x in dom.points[:, 0]]
+    values = [np.array([[x, 0.0], [x, 1.0]]) for x in dom.points[:, 0]]
     square = HullTarget(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     F = SetValuedMap(dom, values, square, name="segments", slope_hint=1.0)
     res = michael_selection(F, tol=1e-3)
@@ -202,7 +201,7 @@ def test_each_round_projects_every_value_twice(monkeypatch, name):
     # value's hull-generator mean onto its value, then per round one
     # all-pairs call over the net and one call projecting f_k(x) onto F(x),
     # whose result also seeds the next round's net
-    F = next(G for G in bundled_maps() if G.name == name)
+    F = BUNDLED_MAPS[name]()
     calls = {id(g.stack): 0 for g in F.groups}
     rows = []
     original = HullStack.project
@@ -222,13 +221,13 @@ def test_each_round_projects_every_value_twice(monkeypatch, name):
 
 def test_bundled_suite_converges_everywhere():
     tol = 1e-3
-    for F in bundled_maps(n1d=41, n2d=7):
+    for F in [build(41, 7) for build in BUNDLED_MAPS.values()]:
         res = michael_selection(F, tol=tol)
         assert res.defects.max() <= tol, F.name
 
 
 def test_bundled_maps_pass_continuity_check():
-    for F in bundled_maps(n1d=41, n2d=7):
+    for F in [build(41, 7) for build in BUNDLED_MAPS.values()]:
         probes = F.target.generators
         report = check_lower_continuity(F, probes)
         assert report["ok"], F.name
@@ -274,7 +273,7 @@ def test_family_audit_bound_and_monotonicity():
 
 
 def test_density_audit_matches_one_member_at_a_time():
-    F = next(G for G in bundled_maps(n1d=11, n2d=3) if G.name == "rising-triangle")
+    F = BUNDLED_MAPS["rising-triangle"](11, 3)
     rng = np.random.default_rng(7)
     members = [FamilyMember(0, 1, rng.uniform(0.0, 1.0, (len(F), 2)), [], 0)
                for _ in range(6)]
@@ -284,7 +283,7 @@ def test_density_audit_matches_one_member_at_a_time():
         pair = l2 if metric is None else metric
         expected = [(i, g, w, min(float(pair(mem.values[i][None, :], w[None, :])[0])
                                   for mem in members))
-                    for i in range(len(F)) for g, w in enumerate(F.values[i].generators)]
+                    for i, gens in F.generators().items() for g, w in enumerate(gens)]
         worst, rows = density_audit(members, F, metric)
         assert [(i, g, best) for i, g, _, best in rows] == [(i, g, b) for i, g, _, b in expected]
         assert worst == max(b for *_, b in expected)
@@ -296,7 +295,7 @@ def test_value_exactly_one_over_m_away_is_not_pinned():
     # out of the open set U_nm: on F(x) = [x, 1], U_{0,1} = {x < 1}
     F = _interval_map(grid_domain_1d(3), lambda x: 0.5 + 0.5 * x, lambda x: 1.0)
     assert _project_all(F, np.zeros((1, 1)))[1][0].tolist() == [0.5, 0.75, 1.0]
-    F = {G.name: G for G in bundled_maps(101, 11)}["sliding-left-end"]
+    F = BUNDLED_MAPS["sliding-left-end"](101, 11)
     members = dense_selection_family(F, np.zeros((1, 1)), 2, tol=1e-2)
     assert [(mem.m, mem.restricted_count) for mem in members] == [(1, 100), (2, 50)]
 
@@ -329,17 +328,19 @@ def test_family_selects_once_per_distinct_modified_map(monkeypatch):
     members = dense_selection_family(F, net, m_max=2, tol=tol)
     monkeypatch.undo()
 
-    # member (n, m) is pinned on exactly U_nm = {x : d(v_n, F(x)) < 1/m}
+    # member (n, m) is pinned on exactly U_nm = {x : d(v_n, F(x)) < 1/m},
+    # and is the selection of F with each pinned segment clipped to the ball
+    values = [HullProjector(gens) for gens in F.generators().values()]
     pinning = 0
     for mem in members:
         v, radius = net[mem.net_index], 1.0 / mem.m
-        pinned = np.array([F.values[i].project(v[None, :])[1][0] < radius
-                           for i in range(len(F))])
+        pinned = np.array([value.project(v[None, :])[1][0] < radius for value in values])
         assert mem.restricted_count == int(pinned.sum())
         pinning += bool(pinned.any())
-        values = [restrict_value(F.values[i], v, radius) if pinned[i] else F.values[i]
-                  for i in range(len(F))]
-        expected = michael_selection(SetValuedMap(dom, values, F.target), tol=tol)
+        clipped = [restrict_value(value, v, radius) if pin else value
+                   for value, pin in zip(values, pinned)]
+        expected = michael_selection(
+            SetValuedMap(dom, [value.generators for value in clipped], F.target), tol=tol)
         assert np.array_equal(mem.values, expected.values)
         assert mem.rounds == expected.rounds
     assert [(mem.net_index, mem.m) for mem in members] == [(n, m) for n in range(3)
@@ -398,9 +399,9 @@ def _same_point_sets(gens, expected, tol):
 
 
 def test_segment_restriction_is_exact():
-    value = HullValue(np.array([[0.0], [1.0]]))
+    value = HullProjector(np.array([[0.0], [1.0]]))
     clipped = restrict_value(value, np.array([0.0]), 0.25)
-    assert isinstance(clipped, HullValue)
+    assert isinstance(clipped, HullProjector)
     gens = np.sort(clipped.generators[:, 0])
     assert gens[0] == pytest.approx(0.0, abs=1e-12)
     assert gens[-1] == pytest.approx(0.25, abs=1e-12)
@@ -415,13 +416,13 @@ def test_segment_restriction_is_exact():
             center = foot + rng.normal(0.0, 0.3, dim)
             radius = np.linalg.norm(foot - center) + rng.uniform(0.01, 1.0)
             expected = _segment_clip_reference(a, b, center, radius)
-            clipped = restrict_value(HullValue(np.stack([a, b])), center, radius)
-            assert isinstance(clipped, HullValue)
+            clipped = restrict_value(HullProjector(np.stack([a, b])), center, radius)
+            assert isinstance(clipped, HullProjector)
             assert _same_point_sets(clipped.generators, expected, 1e-12)
             # a ball holding the whole segment leaves it unchanged
             center = rng.uniform(-1.0, 1.0, dim)
             radius = max(np.linalg.norm(a - center), np.linalg.norm(b - center)) + 0.01
-            inside = restrict_value(HullValue(np.stack([a, b])), center, radius)
+            inside = restrict_value(HullProjector(np.stack([a, b])), center, radius)
             assert _same_point_sets(inside.generators, np.stack([a, b]), 1e-12)
             assert _same_point_sets(
                 inside.generators, _segment_clip_reference(a, b, center, radius), 1e-12)
@@ -429,7 +430,7 @@ def test_segment_restriction_is_exact():
             # often miss [0, 1] by rounding here, so compare with a itself
             radius = rng.uniform(0.1, 1.0)
             center = a - radius * u / np.linalg.norm(u)
-            touch = restrict_value(HullValue(np.stack([a, b])), center, radius)
+            touch = restrict_value(HullProjector(np.stack([a, b])), center, radius)
             assert _same_point_sets(touch.generators, a[None, :], 1e-12)
             reference = _segment_clip_reference(a, b, center, radius)
             if reference is not None:
@@ -437,7 +438,7 @@ def test_segment_restriction_is_exact():
 
 
 def test_square_restriction_projects_into_intersection():
-    square = HullValue(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    square = HullProjector(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     center = np.array([0.0, 0.0])
     restricted = restrict_value(square, center, 0.5)
     assert isinstance(restricted, BallRestrictedValue)
@@ -458,34 +459,36 @@ UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 ])
 def test_empty_restriction_raises(gens, center, radius):
     with pytest.raises(ValueError, match="misses the hull"):
-        restrict_value(HullValue(gens), center, radius)
+        restrict_value(HullProjector(gens), center, radius)
 
 
 def test_restricting_a_restricted_value_raises():
     # a BallRestrictedValue holds one ball, so a second one is refused
-    restricted = restrict_value(HullValue(UNIT_SQUARE), np.zeros(2), 0.3)
+    restricted = restrict_value(HullProjector(UNIT_SQUARE), np.zeros(2), 0.3)
     with pytest.raises(ValueError, match="row 0 is already restricted"):
         restrict_value(restricted, np.array([0.25, 0.0]), 1.0)
+
+
+def _square_map(count, center, radius):
+    """count unit squares on the 1-D grid, restricted to B(center[i], radius[i])."""
+    F = SetValuedMap(grid_domain_1d(count), [UNIT_SQUARE] * count, HullTarget(UNIT_SQUARE))
+    return F.restrict(np.broadcast_to(center, (count, 2)), radius)
 
 
 def test_family_refuses_to_pin_a_restricted_value():
     # F(x) = square ∩ B(0, 0.3): pinning the parent square would drop the
     # value's own ball, and the members would leave F(x) by 0.419
-    dom = grid_domain_1d(5)
-    values = [HullValue(UNIT_SQUARE)] + [restrict_value(HullValue(UNIT_SQUARE), np.zeros(2), 0.3)
-                                         for _ in range(len(dom) - 1)]
-    F = SetValuedMap(dom, values, HullTarget(UNIT_SQUARE))
+    F = _square_map(5, np.zeros(2), [np.inf] + [0.3] * 4)
     with pytest.raises(ValueError, match="row 1 is already restricted"):
         dense_selection_family(F, np.array([[0.25, 0.0]]), 1)
+    with pytest.raises(ValueError, match="row 2 is already restricted"):
+        F.restrict(np.zeros((5, 2)), [1.0, np.inf, 1.0, np.inf, np.inf])
 
 
 def test_family_keeps_the_ball_of_an_unpinned_restricted_value():
     # the corner balls lie more than 1/2 from the net point, so only the
     # plain squares are pinned, and every member stays in each corner value
-    dom = grid_domain_1d(6)
-    corner = [restrict_value(HullValue(UNIT_SQUARE), np.ones(2), 0.3) for _ in range(3)]
-    F = SetValuedMap(dom, [HullValue(UNIT_SQUARE) for _ in range(3)] + corner,
-                     HullTarget(UNIT_SQUARE))
+    F = _square_map(6, np.ones(2), [np.inf] * 3 + [0.3] * 3)
     members = dense_selection_family(F, np.array([[0.0, 0.0]]), 2, tol=1e-2)
     assert [mem.restricted_count for mem in members] == [3, 3]
     for mem in members:
@@ -497,7 +500,7 @@ def test_family_keeps_the_ball_of_an_unpinned_restricted_value():
     (np.array([0.3, 1.7]), 0.7, np.array([0.3, 1.0])),   # at an edge
 ])
 def test_tangent_restriction_is_the_touching_point(center, radius, touch):
-    square = HullValue(UNIT_SQUARE)
+    square = HullProjector(UNIT_SQUARE)
     restricted = restrict_value(square, center, radius)
     pts = np.random.default_rng(2).standard_normal((20, 2)) * 1.5
     proj, dist = restricted.project(pts)
@@ -534,7 +537,7 @@ def test_restricted_projection_matches_slsqp_reference():
     for _ in range(150):
         dim = int(rng.integers(1, 4))
         gens = rng.standard_normal((int(rng.integers(2, 6)), dim))
-        hull = HullValue(gens)
+        hull = HullProjector(gens)
         center = rng.standard_normal(dim) * 1.2
         gap = float(hull.project(center[None, :])[1][0])
         radius = gap + float(rng.uniform(0.0, 0.8))  # nonempty, sometimes nearly tangent
@@ -578,10 +581,23 @@ def _face_loop_projection(gens, points, center=None, radius=None):
     return best_proj, np.sqrt(best_d2)
 
 
-def _value_reference(value, points):
-    if isinstance(value, BallRestrictedValue):
-        return _face_loop_projection(value.hull.generators, points, value.center, value.radius)
-    return _face_loop_projection(value.generators, points)
+def _map_rows(F):
+    """Each row's generators, ball centre and ball radius (inf without a
+    ball), in row order, read back from the map's groups."""
+    rows = [None] * len(F)
+    for g in F.groups:
+        for j, i in enumerate(g.rows):
+            center, radius = (None, np.inf) if g.balls is None else (
+                g.balls.center[j], g.balls.radius[j])
+            rows[i] = (g.stack.generators[j], center, radius)
+    return rows
+
+
+def _row_reference(row, points):
+    gens, center, radius = row
+    if np.isfinite(radius):
+        return _face_loop_projection(gens, points, center, radius)
+    return _face_loop_projection(gens, points)
 
 
 def _assert_same_projections(stacked, reference):
@@ -606,15 +622,28 @@ def _restricted_maps(monkeypatch, F, net):
     return [G for G in maps if G is not F]
 
 
+# one group mixing plain rows with balls tangent at a vertex and at an edge,
+# and a small ball whose section by most faces' hulls is empty, next to a
+# triangle row
+MIXED_CENTERS = np.array([[1.3, 1.4], [0.0, 0.0], [0.3, 1.7], [0.1, 0.15], [0.0, 0.0]])
+MIXED_RADII = np.array([0.5, np.inf, 0.7, 0.2, np.inf])
+
+
+def _mixed_square_map():
+    F = SetValuedMap(grid_domain_1d(5), [UNIT_SQUARE] * 4 + [UNIT_SQUARE[[0, 1, 3]]],
+                     HullTarget(UNIT_SQUARE))
+    return F.restrict(MIXED_CENTERS, MIXED_RADII)
+
+
 def test_stacked_projection_matches_one_value_at_a_time(monkeypatch):
     rng = np.random.default_rng(4)
-    maps = bundled_maps(n1d=21, n2d=5)
+    maps = [build(21, 5) for build in BUNDLED_MAPS.values()]
     for F in [M for M in maps if M.name in ("sliding-left-end", "rising-triangle",
                                             "constant-square")]:
         net = np.concatenate([F.target.generators, F.target.generators.mean(axis=0)[None]])
         maps += _restricted_maps(monkeypatch, F, net)
     marechal, _ = rotated_ball_map(5, 0.785)
-    corners = np.unique(np.concatenate([v.generators for v in marechal.values]), axis=0)
+    corners = np.unique(np.concatenate(list(marechal.generators().values())), axis=0)
     pinned = _restricted_maps(monkeypatch, marechal, np.concatenate([np.zeros((1, 3)), corners]))
     # pinned rows keep F's hulls, so the modified maps keep F's face stacks,
     # and the rows left unpinned are not clipped: they project as in F
@@ -623,33 +652,26 @@ def test_stacked_projection_matches_one_value_at_a_time(monkeypatch):
     plain_p, plain_d = _nearest(marechal, points)
     mixed = 0
     for G in pinned:
-        unpinned = np.array([not isinstance(v, BallRestrictedValue) for v in G.values])
+        unpinned = np.isinf([radius for *_, radius in _map_rows(G)])
         mixed += bool(unpinned.any())
         p, d = _nearest(G, points)
         assert np.array_equal(p[unpinned], plain_p[unpinned])
         assert np.array_equal(d[unpinned], plain_d[unpinned])
     assert mixed
     maps += [marechal] + pinned
-    # one group mixing plain rows with balls tangent at a vertex and at an
-    # edge, and a small ball whose section by most faces' hulls is empty
-    square = HullValue(UNIT_SQUARE)
-    values = [BallRestrictedValue(square, np.array([1.3, 1.4]), 0.5), square,
-              BallRestrictedValue(square, np.array([0.3, 1.7]), 0.7),
-              BallRestrictedValue(square, np.array([0.1, 0.15]), 0.2),
-              HullValue(UNIT_SQUARE[[0, 1, 3]])]
-    maps.append(SetValuedMap(grid_domain_1d(len(values)), values, HullTarget(UNIT_SQUARE)))
-    assert sum(isinstance(v, BallRestrictedValue) for G in maps for v in G.values) > 100
+    maps.append(_mixed_square_map())
+    assert sum(np.isfinite([radius for *_, radius in _map_rows(G)]).sum() for G in maps) > 100
     for F in maps:
         gens = np.concatenate([g.stack.generators.reshape(-1, F.target.dim) for g in F.groups])
         lo, hi = gens.min(axis=0) - 0.5, gens.max(axis=0) + 0.5
         points = rng.uniform(lo, hi, (len(F), F.target.dim))
         queries = rng.uniform(lo, hi, (6, F.target.dim))
         nearest, all_pairs = _nearest(F, points), _project_all(F, queries)
-        for i, value in enumerate(F.values):
+        for i, row in enumerate(_map_rows(F)):
             _assert_same_projections((nearest[0][i:i + 1], nearest[1][i:i + 1]),
-                                     _value_reference(value, points[i]))
+                                     _row_reference(row, points[i]))
             _assert_same_projections((all_pairs[0][:, i], all_pairs[1][:, i]),
-                                     _value_reference(value, queries))
+                                     _row_reference(row, queries))
     # an empty intersection, which no map can hold, gives inf in its row only
     stack = HullStack(np.stack([UNIT_SQUARE, UNIT_SQUARE + 0.5]))
     center, radius = np.array([[2.0, 2.0], [0.2, 0.3]]), np.array([1.0, 0.4])
@@ -752,7 +774,7 @@ def test_generator_cap_hull_matches_the_face_loop():
     # the padded layout is largest here: 4095 faces of 12 columns per hull
     rng = np.random.default_rng(12)
     gens = rng.uniform(-1.0, 1.0, (GENERATOR_CAP, 3))
-    hull = HullValue(gens)
+    hull = HullProjector(gens)
     queries = rng.uniform(-1.5, 1.5, (4, 3))
     center, radius = gens[0] + 0.3, 0.6
     _assert_same_projections(hull.project(queries), _face_loop_projection(gens, queries))
@@ -762,35 +784,71 @@ def test_generator_cap_hull_matches_the_face_loop():
     with pytest.raises(TooManyGenerators):
         HullStack(more[None])
     with pytest.raises(TooManyGenerators):
-        HullValue(more).project(queries)
+        HullProjector(more).project(queries)
 
 
 def test_value_groups_hold_the_sections_of_their_own_balls(monkeypatch):
     marechal, _ = rotated_ball_map(5, 0.785)
-    corners = np.unique(np.concatenate([v.generators for v in marechal.values]), axis=0)
-    maps = [marechal] + _restricted_maps(
-        monkeypatch, marechal, np.concatenate([np.zeros((1, 3)), corners]))
-    square = HullValue(UNIT_SQUARE)
-    maps.append(SetValuedMap(grid_domain_1d(3), [
-        BallRestrictedValue(square, np.array([1.3, 1.4]), 0.5), square,
-        BallRestrictedValue(square, np.array([0.1, 0.15]), 0.2)], HullTarget(UNIT_SQUARE)))
+    corners = np.unique(np.concatenate(list(marechal.generators().values())), axis=0)
+    net = np.concatenate([np.zeros((1, 3)), corners])
+    # (map, centres, radii): the balls each map's rows should hold
+    cases = [(marechal, np.zeros((len(marechal), 3)), np.full(len(marechal), np.inf))]
+    dists = _project_all(marechal, net)[1]
+    pins = [(n, dists[n] < 1.0 / m, 1.0 / m) for n in range(len(net)) for m in (1, 2)]
+    restricted = _restricted_maps(monkeypatch, marechal, net)
+    pins = [(n, pinned, r) for n, pinned, r in pins if pinned.any()]
+    assert len(restricted) == len(pins)
+    cases += [(G, np.broadcast_to(net[n], (len(G), 3)), np.where(pinned, r, np.inf))
+              for G, (n, pinned, r) in zip(restricted, pins)]
+    mixed = _mixed_square_map()
+    cases.append((mixed, MIXED_CENTERS, MIXED_RADII))
+    # pinning the plain rows of a map with balls keeps the other rows' balls
+    # and the map's face stacks
+    again = mixed.restrict(np.full((5, 2), 0.5), [np.inf, 0.6, np.inf, np.inf, 0.6])
+    assert all(g.stack is h.stack for g, h in zip(again.groups, mixed.groups))
+    cases.append((again, np.where(np.isinf(MIXED_RADII)[:, None], 0.5, MIXED_CENTERS),
+                  np.where(np.isinf(MIXED_RADII), 0.6, MIXED_RADII)))
     held = 0
-    for F in maps:
+    for F, center, radius in cases:
         for g in F.groups:
-            values = [F.values[i] for i in g.rows]
-            balls = [(v.center, v.radius) for v in values if isinstance(v, BallRestrictedValue)]
-            if not balls:
+            pinned = np.isfinite(radius[g.rows])
+            if not pinned.any():
                 assert g.balls is None
                 continue
             held += 1
-            restricted = np.array([isinstance(v, BallRestrictedValue) for v in values])
-            assert np.array_equal(g.balls.center[restricted], [c for c, _ in balls])
-            assert np.array_equal(g.balls.radius[restricted], [r for _, r in balls])
-            assert np.isinf(g.balls.radius[~restricted]).all()
+            assert np.array_equal(g.balls.center[pinned], center[g.rows][pinned])
+            assert np.array_equal(g.balls.radius, radius[g.rows])
             rebuilt = g.stack.balls(g.balls.center, g.balls.radius)
             for field in dataclasses.fields(BallSections):
                 assert np.array_equal(getattr(g.balls, field.name), getattr(rebuilt, field.name))
     assert held > 5
+
+
+def test_map_restriction_is_the_one_value_restriction_row_by_row():
+    # points, segments and a triangle: the point rows are unchanged, a
+    # segment touched at an end moves to the point rows, and the rows stay
+    # in ascending order in each group
+    gens = [np.array([[0.5, 0.5]]), UNIT_SQUARE[[0, 1]], np.array([[0.2, 0.2]]),
+            UNIT_SQUARE[[0, 3]], UNIT_SQUARE[[0, 1, 2]], UNIT_SQUARE[[1, 2]]]
+    F = SetValuedMap(grid_domain_1d(len(gens)), gens, HullTarget(UNIT_SQUARE))
+    center = np.array([[0.5, 0.55], [-0.5, 0.0], [9.0, 9.0], [0.5, 0.4], [0.0, 0.0], [0.0, 0.0]])
+    radius = np.array([0.1, 0.5, np.inf, 0.3, 0.4, np.inf])
+    G = F.restrict(center, radius)
+    assert [g.rows.tolist() for g in G.groups] == [[0, 1, 2], [3, 5], [4]]
+    assert G.groups[2].stack is F.groups[2].stack and G.groups[2].balls is not None
+    for i, (row_gens, row_center, row_radius) in enumerate(_map_rows(G)):
+        value = HullProjector(gens[i])
+        if np.isinf(radius[i]):
+            assert np.isinf(row_radius) and np.array_equal(row_gens, value.generators)
+            continue
+        one = restrict_value(value, center[i], radius[i])
+        if isinstance(one, BallRestrictedValue):
+            assert np.array_equal(row_gens, value.generators)
+            assert np.array_equal(row_center, center[i]) and row_radius == radius[i]
+        else:
+            assert np.isinf(row_radius) and np.array_equal(row_gens, one.generators)
+    with pytest.raises(ValueError, match="misses the hull at row 3"):
+        F.restrict(center, [np.inf, np.inf, np.inf, 0.05, np.inf, np.inf])
 
 
 def test_dedupe_points_keeps_first_seen_rows():
@@ -808,6 +866,18 @@ def test_dedupe_points_keeps_first_seen_rows():
     for _ in range(50):
         points = rng.integers(0, 4, (30, 2)) * 0.5 + rng.normal(0.0, 0.1, (30, 2))
         assert np.array_equal(dedupe_points(points, tol=0.2), reference(points, 0.2))
+    # a stack is deduped hull by hull, each hull as on its own, with exact
+    # repeats and chains like the one above in some of the hulls
+    for k, dim in ((1, 1), (2, 1), (3, 2), (4, 3), (6, 2)):
+        stack = rng.integers(0, 3, (40, k, dim)) * 0.5 + rng.normal(0.0, 0.1, (40, k, dim))
+        stack[::3, -1] = stack[::3, 0]
+        if k >= 3:
+            stack[1::4, :3] = stack[1::4, :1] + np.arange(3)[:, None] * 0.15
+        got = dedupe_points(stack, tol=0.2)
+        assert len(got) == len(stack)
+        for hull, deduped in zip(stack, got):
+            assert np.array_equal(deduped, dedupe_points(hull, tol=0.2))
+            assert np.array_equal(deduped, reference(hull, 0.2))
 
 
 def test_domain_and_ball_distances_match_cdist():
