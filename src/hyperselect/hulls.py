@@ -28,6 +28,7 @@ hull is the V = 1 stack.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,6 +68,7 @@ class BallSections:
     The sections depend only on the faces and the balls, so a caller that
     projects against the same balls many times builds them once."""
 
+    # each field may carry leading axes, one set of balls per index
     center: np.ndarray    # (V, dim)
     radius: np.ndarray    # (V,), inf on hulls without a ball
     lam_c: np.ndarray     # (V, F, k) weights of each centre's affine projection c_S
@@ -74,6 +76,16 @@ class BallSections:
     rho: np.ndarray       # (V, F) section radii, 0 where a section is empty
     section: np.ndarray   # (V, F) the section is nonempty; a tangent touch counts
     clipped: np.ndarray   # (V, 1, 1) the hull has a finite ball
+
+    def take(self, index):
+        """The sections of the sets of balls at index, along the leading axis."""
+        return BallSections(*(getattr(self, f.name)[index] for f in dataclasses.fields(self)))
+
+    @classmethod
+    def stacked(cls, sections):
+        """Several sets of balls on one stack, along a new leading axis."""
+        return cls(*(np.stack([getattr(s, f.name) for s in sections])
+                     for f in dataclasses.fields(cls)))
 
 
 class HullStack:
@@ -109,24 +121,33 @@ class HullStack:
             self._w[:, faces, :s] = pinv[..., :s, :s] @ (2.0 * gs)
             self._b[:, faces, :s] = pinv[..., :s, s]
 
+    @property
+    def entries(self):
+        """Entries of project's largest temporaries per (query, hull) pair:
+        one per face and generator or coordinate, whichever are more."""
+        return self._g.shape[1] * max(self._g.shape[2], self._g.shape[3])
+
     def balls(self, center, radius):
         """The sections of the closed balls B(center (V, dim), radius (V,))
         by every face's affine hull.  A section is the ball in aff(S) centred
         at the affine projection c_S of the centre, with squared radius
         r^2 - |c - c_S|^2; one just below zero is a tangent touch after
-        rounding."""
+        rounding.  Leading axes stack several sets of balls: center
+        (m, V, dim) and radius (m, V) give one set per query row of
+        project."""
         center = np.asarray(center, dtype=np.float64)
         radius = np.asarray(radius, dtype=np.float64)
-        lam_c = np.einsum("vd,vfsd->vfs", center, self._w) + self._b
-        c_s = np.einsum("vfs,vfsd->vfd", lam_c, self._g)
-        rho2 = radius[:, None] ** 2 - ((center[:, None, :] - c_s) ** 2).sum(axis=-1)
+        lam_c = np.einsum("...vd,vfsd->...vfs", center, self._w) + self._b
+        c_s = np.einsum("...vfs,vfsd->...vfd", lam_c, self._g)
+        rho2 = radius[..., None] ** 2 - ((center[..., None, :] - c_s) ** 2).sum(axis=-1)
         return BallSections(center, radius, lam_c, c_s, np.sqrt(np.maximum(rho2, 0.0)),
-                            rho2 >= -_FEAS_TOL, np.isfinite(radius)[:, None, None])
+                            rho2 >= -_FEAS_TOL, np.isfinite(radius)[..., None, None])
 
     def project(self, points, balls=None):
         """Projections (m, V, dim) and distances (m, V) of points (m, V, dim)
         or (m, 1, dim) onto each hull or, given balls = self.balls(center,
-        radius), onto each hull's intersection with its closed ball.
+        radius), onto each hull's intersection with its closed ball.  Balls
+        built from (m, V) centres and radii give each query row its own.
 
         Distances are inf when no candidate is feasible, that is, when the
         intersection is empty.  A ball tangent to the hull meets it.  Among

@@ -203,7 +203,8 @@ def _round_floats(obj):
 
 def _write_json(path, obj):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(_round_floats(obj), sort_keys=True, indent=2, allow_nan=False)
+                 + "\n")
     return Path(path)
 
 

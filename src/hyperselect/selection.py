@@ -6,22 +6,56 @@ coordinates: a value is the hull of a few generators, intersected, on the
 restricted maps of the dense family, with one closed ball.  A map holds its
 values only as arrays grouped by generator count, each group a stack of
 generators (V, k, dim) for the hull kernel (see `hulls`) with the sections
-of its rows' balls, so each projection entry point (diagonal or all-pairs)
-makes one kernel call per group.  One cover-and-average step serves the
-approximate selection and each round of the iteration, which keeps two
-logged invariants at every grid point: membership defect < 2^-(k+1) after
-round k and sup-step <= 2^-k between consecutive rounds.
+of its rows' balls.  Maps on one domain run in lockstep (`_Lockstep`): the
+maps that hold one stack share each projection pass (diagonal or
+all-pairs) over it, split into kernel calls whose temporaries stay under
+`_KERNEL_ENTRIES` entries.  One cover-and-average step serves the
+approximate selection and each round of the iteration, for every map at
+once, which keeps two logged invariants at every grid point: membership
+defect < 2^-(k+1) after round k and sup-step <= 2^-k between consecutive
+rounds.  A single map is the one-map lockstep, so there is one selection
+path.
 """
 from __future__ import annotations
 
 import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .hulls import BallSections, HullProjector, HullStack, dedupe_points, lattice_round
+from .hulls import (CONTAINS_TOL, BallSections, HullProjector, HullStack, dedupe_points,
+                    lattice_round)
 from .norms import InvariantViolation
+
+
+# cap on the (query, hull, face, max(k, dim)) entries of one kernel call's
+# temporaries, and on the neighbour flags a partition of unity reads at once
+_KERNEL_ENTRIES = 2 ** 14
+_POU_ENTRIES = 2 ** 16
+
+
+def _runs(total, entries_each, cap=_KERNEL_ENTRIES):
+    """Slices splitting range(total) into runs of at most cap // entries_each
+    items, at least one item each."""
+    step = max(1, cap // max(1, entries_each))
+    return [slice(start, start + step) for start in range(0, total, step)]
+
+
+def _project_runs(stack, points, balls=None, owner=None):
+    """stack.project(points, balls) for points (m, V or 1, dim), in calls
+    of at most _KERNEL_ENTRIES temporaries split along the query rows.
+    Balls hold one set per hull, or one per query row: their leading axis,
+    or balls.take(owner) when owner is given."""
+    proj = np.empty((len(points), len(stack.generators), points.shape[-1]))
+    dist = np.empty(proj.shape[:-1])
+    for run in _runs(len(points), len(stack.generators) * stack.entries):
+        rows = balls
+        if balls is not None and (owner is not None or balls.radius.ndim > 1):
+            rows = balls.take(run if owner is None else owner[run])
+        proj[run], dist[run] = stack.project(points[run], rows)
+    return proj, dist
 
 
 class NotACover(InvariantViolation):
@@ -64,6 +98,13 @@ class DiscreteDomain:
     def __len__(self):
         return len(self.points)
 
+    @cached_property
+    def neighbours(self):
+        """Each point's other points, nearest first, and their distances
+        (n, n); the point itself comes last, at distance inf."""
+        order = np.argsort(self.pair_d, axis=1, kind="stable")
+        return order, np.take_along_axis(self.pair_d, order, axis=1)
+
     def adjacent_pairs(self):
         """Ordered index pairs at nearest-neighbor range (both directions)."""
         close = self.pair_d <= self.mesh * (1 + 1e-9)
@@ -91,7 +132,7 @@ class OpenCover:
 
     def __post_init__(self):
         self.bitmaps = np.atleast_2d(np.asarray(self.bitmaps, dtype=bool))
-        if self.bitmaps.shape[1] != len(self.domain):
+        if self.bitmaps.shape[-1] != len(self.domain):
             raise ValueError("bitmap length must match the domain size")
 
     @classmethod
@@ -122,27 +163,38 @@ def build_partition_of_unity(domain, cover):
     f_n = max(0, g_n - g/2), rho_n = f_n / sum_m f_m.  Raises NotACover when
     g vanishes somewhere.  Supports satisfy supp rho_n inside U_n exactly,
     because d(x, X \\ U_n) = 0 off U_n on the grid.
+
+    The bitmaps may be a stack (..., n_elements, n_points) of covers, each
+    with its own partition; an empty element gets rho = 0 and changes no
+    other element's rho, so covers of different sizes stack padded with
+    empty elements.  d(x, X \\ U) is the distance to x's nearest neighbour
+    outside U, found from the domain's neighbour order among x's first |U|
+    neighbours, |U| - 1 of which at most lie in U.
     """
     bitmaps = cover.bitmaps
-    n_pts = len(domain)
-    dist_comp = np.empty((len(bitmaps), n_pts))
-    for i, inside in enumerate(bitmaps):
-        if inside.all():
-            dist_comp[i] = np.inf
-            continue
-        d_to_comp = domain.pair_d[:, ~inside]
-        dist_comp[i] = d_to_comp.min(axis=1)
-        dist_comp[i][~inside] = 0.0
-    weights = 0.5 ** np.arange(1, len(bitmaps) + 1)
+    flat = bitmaps.reshape(-1, bitmaps.shape[-1])
+    size = flat.sum(axis=1)
+    full = size == flat.shape[1]
+    dist_comp = np.zeros(flat.shape)
+    dist_comp[full] = np.inf
+    element, point = np.nonzero(flat & ~full[:, None])
+    if element.size:
+        order, sorted_d = domain.neighbours
+        for run in _runs(element.size, int(size[element].max()), _POU_ENTRIES):
+            e, x = element[run], point[run]
+            outside = ~flat[e[:, None], order[x, :int(size[e].max())]]
+            dist_comp[e, x] = sorted_d[x, outside.argmax(axis=1)]
+    dist_comp = dist_comp.reshape(bitmaps.shape)
+    weights = 0.5 ** np.arange(1, bitmaps.shape[-2] + 1)
     g_n = weights[:, None] * np.minimum(1.0, dist_comp)
-    g = g_n.max(axis=0)
-    uncovered = np.nonzero(g <= 0.0)[0]
+    g = g_n.max(axis=-2)
+    uncovered = np.argwhere(g <= 0.0)
     if uncovered.size:
-        raise NotACover(f"domain point index {int(uncovered[0])} lies in no cover element")
-    f_n = np.maximum(0.0, g_n - g[None, :] / 2.0)
-    total = f_n.sum(axis=0)
-    rho = f_n / total[None, :]
-    max_active = int((rho > 0).sum(axis=0).max())
+        raise NotACover(f"domain point index {int(uncovered[0, -1])} lies in no cover element")
+    f_n = np.maximum(0.0, g_n - g[..., None, :] / 2.0)
+    total = f_n.sum(axis=-2)
+    rho = f_n / total[..., None, :]
+    max_active = int((rho > 0).sum(axis=-2).max())
     return PartitionOfUnity(cover=cover, values=rho, max_active=max_active)
 
 
@@ -172,8 +224,9 @@ def restrict_value(value: HullProjector, center, radius):
     if value.generators is None:
         raise ValueError("the value at row 0 is already restricted to a ball;"
                          " a value holds one ball")
-    (group,) = _restrict_group(_ValueGroup(np.zeros(1, dtype=np.intp), value.stack, None),
-                               np.atleast_2d(center), np.array([radius], dtype=np.float64))
+    ((group,),) = _restrict_group(_ValueGroup(np.zeros(1, dtype=np.intp), value.stack, None),
+                                  np.asarray(center, dtype=np.float64).reshape(1, 1, -1),
+                                  np.array([[radius]], dtype=np.float64))
     if group.balls is not None:
         return BallRestrictedValue(value, center, radius)
     return HullProjector(group.stack.generators[0])
@@ -203,37 +256,51 @@ def _hull_groups(rows, generators):
 
 def _restrict_group(group, center, radius):
     """The groups that the group's rows fall into once intersected with the
-    closed balls B(center, radius), radius inf on the rows left as they are.
-    A point is its own restriction.  A segment's endpoints projected onto its
-    intersection with the ball are the endpoints clipped to the ball, which
-    replace them, deduped.  Larger hulls keep their stack and take the balls."""
+    closed balls B(center[j], radius[j]), one list per restriction j, for
+    center (count, V, dim) and radius (count, V), radius inf on the rows
+    left as they are.  A point is its own restriction.  A segment's
+    endpoints projected onto its intersection with the ball are the
+    endpoints clipped to the ball, which replace them, deduped.  Larger
+    hulls keep their stack and take the balls.  The restrictions that pin
+    some row take each kernel pass together, one set of balls per query
+    row."""
     pinned = np.isfinite(radius)
-    if not pinned.any():
-        return [group]
+    restricted = [[group] for _ in radius]
+    active = np.flatnonzero(pinned.any(axis=1))
+    if not active.size:
+        return restricted
+    pinned, center, radius = pinned[active], center[active], radius[active]
     old_center, old_radius = (0.0, np.inf) if group.balls is None else (
         group.balls.center, group.balls.radius)
     held = pinned & np.isfinite(old_radius)
     if held.any():
-        raise ValueError(f"the value at row {int(group.rows[held][0])} is already restricted"
-                         " to a ball; a value holds one ball")
+        raise ValueError(f"the value at row {int(group.rows[np.argwhere(held)[0, 1]])} is"
+                         " already restricted to a ball; a value holds one ball")
     stack = group.stack
-    balls = stack.balls(np.where(pinned[:, None], center, old_center),
+    balls = stack.balls(np.where(pinned[..., None], center, old_center),
                         np.where(pinned, radius, old_radius))
-    missed = ~np.isfinite(stack.project(balls.center[None], balls)[1][0])
+    missed = ~np.isfinite(_project_runs(stack, balls.center, balls)[1])
     if missed.any():
-        i = int(np.argmax(missed))
-        raise ValueError(f"the ball B({balls.center[i].tolist()}, {balls.radius[i]}) misses"
+        j, i = np.argwhere(missed)[0]
+        raise ValueError(f"the ball B({balls.center[j, i].tolist()}, {balls.radius[j, i]}) misses"
                          f" the hull at row {int(group.rows[i])}")
     k = stack.generators.shape[1]
     if k == 1:
-        return [group]
+        return restricted
     if k == 2:
-        ends = stack.project(stack.generators.swapaxes(0, 1), balls)[0].swapaxes(0, 1)
-        generators = list(stack.generators)
-        for j, clipped in zip(np.flatnonzero(pinned), dedupe_points(ends[pinned])):
-            generators[j] = clipped
-        return _hull_groups(group.rows, generators)
-    return [_ValueGroup(group.rows, stack, balls)]
+        ends = np.stack([_project_runs(stack, np.broadcast_to(stack.generators[:, e],
+                                                              balls.center.shape), balls)[0]
+                         for e in range(2)], axis=2)
+        clipped = iter(dedupe_points(ends[pinned]))
+        for j, pins in zip(active, pinned):
+            generators = list(stack.generators)
+            for i in np.flatnonzero(pins):
+                generators[i] = next(clipped)
+            restricted[j] = _hull_groups(group.rows, generators)
+        return restricted
+    for at, j in enumerate(active):
+        restricted[j] = [_ValueGroup(group.rows, stack, balls.take(at))]
+    return restricted
 
 
 class SetValuedMap:
@@ -276,20 +343,50 @@ class SetValuedMap:
         B(center[i], radius[i]), radius inf on the rows left as they are,
         sharing this map's stacks where a group keeps its generators.  Raises
         ValueError when a ball misses its hull, or pins a row with a ball."""
+        (restricted,) = self._restrict_stacked(np.asarray(center, dtype=np.float64)[None],
+                                               np.asarray(radius, dtype=np.float64)[None],
+                                               [name])
+        return restricted
+
+    def restrict_each(self, center, radius, names):
+        """self.restrict(center[j], radius[j], names[j]) for each j, or the
+        ValueError it raises: one pass over the rows of every restriction,
+        or one restriction at a time when some restriction fails."""
         center = np.asarray(center, dtype=np.float64)
         radius = np.asarray(radius, dtype=np.float64)
-        groups = [h for g in self.groups
-                  for h in _restrict_group(g, center[g.rows], radius[g.rows])]
-        # the groups keep ascending counts, so the point rows and the
-        # segments clipped to a point lead
-        points = [g for g in groups if g.stack.generators.shape[1] == 1]
-        if len(points) > 1:
-            rows = np.concatenate([g.rows for g in points])
-            order = np.argsort(rows)
-            generators = np.concatenate([g.stack.generators for g in points])[order]
-            groups[:len(points)] = [_ValueGroup(rows[order], HullStack(generators), None)]
-        restricted = copy.copy(self)
-        restricted.groups, restricted.name = groups, name
+        try:
+            return self._restrict_stacked(center, radius, names)
+        except ValueError:
+            pass
+        restricted = []
+        for c, r, name in zip(center, radius, names):
+            try:
+                restricted.append(self.restrict(c, r, name))
+            except ValueError as err:
+                restricted.append(err)
+        return restricted
+
+    def _restrict_stacked(self, center, radius, names):
+        """The restrictions by the balls B(center[j] (n, dim), radius[j] (n,)),
+        in one pass per group; an error names its row, not its
+        restriction."""
+        split = [[] for _ in names]  # each restriction's groups
+        for g in self.groups:
+            for groups, parts in zip(_restrict_group(g, center[:, g.rows], radius[:, g.rows]),
+                                     split):
+                parts.extend(groups)
+        restricted = []
+        for groups, name in zip(split, names):
+            # the groups keep ascending counts, so the point rows and the
+            # segments clipped to a point lead
+            points = [g for g in groups if g.stack.generators.shape[1] == 1]
+            if len(points) > 1:
+                rows = np.concatenate([g.rows for g in points])
+                order = np.argsort(rows)
+                generators = np.concatenate([g.stack.generators for g in points])[order]
+                groups[:len(points)] = [_ValueGroup(rows[order], HullStack(generators), None)]
+            restricted.append(copy.copy(self))
+            restricted[-1].groups, restricted[-1].name = groups, name
         return restricted
 
 
@@ -301,35 +398,159 @@ class HullTarget:
         self.dim = self.generators.shape[1]
         self._hull = HullProjector(self.generators)
 
+    def _project(self, points):
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        proj, dist = _project_runs(self._hull.stack, points[:, None, :])
+        return proj[:, 0], dist[:, 0]
+
     def project(self, points):
-        return self._hull.project(points)[0]
+        return self._project(points)[0]
 
     def contains(self, points):
-        return self._hull.contains(points)
+        return self._project(points)[1] <= CONTAINS_TOL
 
 
 # ---------------------------------------------------------------------------
-# approximate selection from an explicit net
+# maps in lockstep: projections and the cover-and-average step
 
 _MAX_ELEMENTS = 900
 
 
 @dataclass
-class SelectionResult:
-    values: np.ndarray          # (n_points, dim)
-    pou: PartitionOfUnity
-    net: np.ndarray             # net points used as cover labels, in order
-    defects: np.ndarray         # d(f(x), F(x)) per domain point
+class _Shared:
+    """One stack and the maps that hold it.  A stack belongs to one set of
+    rows, and a restriction keeps the stack of a group with k >= 3, so a
+    dense family's members share F's stacks there."""
+
+    rows: np.ndarray            # the domain rows of the stack's hulls
+    stack: HullStack
+    maps: np.ndarray            # the maps holding it, ascending
+    balls: BallSections | None  # each map's balls, (len(maps), V, ...), radius inf
+                                # on rows without one; None when no map has one
+
+
+class _Lockstep:
+    """Maps on one domain and into one target, projected together.  The
+    maps that hold one stack fold into the query axis of its kernel calls,
+    each query row with its own map's balls, so a pass makes one call per
+    stack, not one per map, split where a call's temporaries would pass
+    _KERNEL_ENTRIES entries.  A single map keeps its own stacks."""
+
+    def __init__(self, maps):
+        self.domain, self.target, self.count = maps[0].domain, maps[0].target, len(maps)
+        holders = {}
+        for i, G in enumerate(maps):
+            for g in G.groups:
+                holders.setdefault(id(g.stack), []).append((i, g))
+        self.shared = []
+        for parts in holders.values():
+            rows, stack = parts[0][1].rows, parts[0][1].stack
+            balls = None
+            if any(g.balls is not None for _, g in parts):
+                # radius inf projects to the same bits as no ball
+                plain = stack.balls(np.zeros(stack.generators[:, 0].shape),
+                                    np.full(len(rows), np.inf))
+                balls = BallSections.stacked([plain if g.balls is None else g.balls
+                                              for _, g in parts])
+            self.shared.append(_Shared(rows, stack, np.array([i for i, _ in parts]), balls))
+
+    def means(self):
+        """Each value's hull-generator mean, (M, n, dim)."""
+        means = np.empty((self.count, len(self.domain), self.target.dim))
+        for s in self.shared:
+            means[s.maps[:, None], s.rows] = s.stack.generators.mean(axis=1)
+        return means
+
+    def nearest(self, points):
+        """Projections (M, n, dim) of points[i, x] onto map i's value at x,
+        and their distances (M, n): one diagonal pass per stack."""
+        proj, dist = np.empty(points.shape), np.empty(points.shape[:-1])
+        for s in self.shared:
+            at = (s.maps[:, None], s.rows)
+            proj[at], dist[at] = _project_runs(s.stack, points[at], s.balls)
+        return proj, dist
+
+    def nets(self, projections, cell):
+        """Per map, the net of its projections (M, n, dim): snapped to the
+        cell lattice and pulled back into C, deduped and lex-sorted.  The
+        dedupe takes the maps in batches whose (n, n, dim) distance
+        temporaries stay under _KERNEL_ENTRIES entries."""
+        count, n, dim = projections.shape
+        snapped = self.target.project(lattice_round(projections, cell).reshape(
+            -1, dim)).reshape(projections.shape)
+        return [net[_lex_sort(net)] for run in _runs(count, n * n * dim)
+                for net in dedupe_points(snapped[run], tol=1e-12)]
+
+    def cover_average(self, live, nets, eps, anchors=None, r=None):
+        """f(x) = sum_v rho_v(x) v for each map live[j] (map indices,
+        ascending), over the cover labelled by the points of nets[j].
+
+        The element of net point v is U_v = {x : d(v, F(x)) < eps}; given
+        anchors (M, n, dim), it keeps only the x whose projection of v onto
+        F(x) lies within r of anchors[map, x].  Each net point is projected
+        onto its own map's values only: one all-pairs pass per stack, whose
+        query rows are the nets of the maps holding it, with no padding.
+        Empty elements are dropped, and above _MAX_ELEMENTS a greedy pass
+        keeps only elements that cover new points.  The partitions of unity
+        are built for many maps at once, their covers padded with empty
+        elements; each map's values are its own rho.T @ net.
+
+        Returns the values (len(live), n, dim), the first domain index that
+        no element covers per map (-1 for a cover), and, for the maps with a
+        cover, the partitions of unity (one per batch of maps) and the kept
+        net points.
+        """
+        n, dim = len(self.domain), self.target.dim
+        sizes = np.array([len(net) for net in nets])
+        inside = np.zeros((len(live), sizes.max(), n), dtype=bool)
+        for s in self.shared:
+            use = np.flatnonzero(np.isin(s.maps, live))
+            if not use.size:
+                continue
+            at = np.searchsorted(live, s.maps[use])
+            queries = np.concatenate([nets[j] for j in at])
+            owner = np.repeat(use, sizes[at])  # each query row's map, among s.maps
+            point = np.arange(len(queries)) - np.repeat(np.cumsum(sizes[at]) - sizes[at],
+                                                        sizes[at])
+            proj, dist = _project_runs(s.stack, queries[:, None, :], s.balls, owner)
+            hit = dist < eps
+            if anchors is not None:
+                hit &= np.linalg.norm(proj - anchors[s.maps[owner, None], s.rows], axis=2) < r
+            inside[np.searchsorted(live, s.maps[owner])[:, None], point[:, None], s.rows] = hit
+        covered = inside.any(axis=1)
+        missing = np.where(covered.all(axis=1), -1, covered.argmin(axis=1))
+        ok = np.flatnonzero(missing < 0)
+        keep = inside[ok].any(axis=2)
+        kept = keep.sum(axis=1)
+        # the kept elements first, in net order; the rest are empty
+        order = np.argsort(~keep, axis=1, kind="stable")[:, :kept.max(initial=0)]
+        inside = np.take_along_axis(inside[ok], order[:, :, None], axis=1)
+        nets = [nets[j][o[:c]] for j, o, c in zip(ok, order, kept)]
+        for j in np.flatnonzero(kept > _MAX_ELEMENTS):
+            covers = np.zeros(n, dtype=bool)
+            chosen = []
+            for e, element in enumerate(inside[j, :kept[j]]):
+                if (element & ~covers).any():
+                    chosen.append(e)
+                    covers |= element
+            inside[j, :len(chosen)] = inside[j, chosen]
+            inside[j, len(chosen):] = False
+            nets[j] = nets[j][chosen]
+        values = np.zeros((len(live), n, dim))
+        pous = []
+        for run in _runs(len(ok), inside.shape[1] * n):
+            elements = max(len(net) for net in nets[run])
+            pous.append(build_partition_of_unity(
+                self.domain, OpenCover(self.domain, inside[run, :elements])))
+            values[ok[run]] = [rho[:len(net)].T @ net
+                               for rho, net in zip(pous[-1].values, nets[run])]
+        return values, missing, pous, nets
 
 
 def _nearest(F, points):
     """Projection of points[i] onto F(x_i) and its distance, per domain point."""
-    proj = np.empty((len(F), F.target.dim))
-    dist = np.empty(len(F))
-    for g in F.groups:
-        p, d = g.stack.project(points[g.rows][None], g.balls)
-        proj[g.rows], dist[g.rows] = p[0], d[0]
-    return proj, dist
+    proj, dist = _Lockstep([F]).nearest(points[None])
+    return proj[0], dist[0]
 
 
 def _project_all(F, queries):
@@ -338,7 +559,7 @@ def _project_all(F, queries):
     proj = np.empty((len(queries), len(F), F.target.dim))
     dist = np.empty((len(queries), len(F)))
     for g in F.groups:
-        proj[:, g.rows], dist[:, g.rows] = g.stack.project(queries[:, None, :], g.balls)
+        proj[:, g.rows], dist[:, g.rows] = _project_runs(g.stack, queries[:, None, :], g.balls)
     return proj, dist
 
 
@@ -347,35 +568,16 @@ def _lex_sort(points):
     return order
 
 
-def _cover_average(F, net, eps, anchors=None, r=None):
-    """f(x) = sum_v rho_v(x) v over the cover labelled by the net points.
+# ---------------------------------------------------------------------------
+# approximate selection from an explicit net
 
-    The element of net point v is U_v = {x : d(v, F(x)) < eps}; given
-    anchors, it keeps only the x whose projection of v onto F(x) lies within
-    r of anchors[x].  Empty elements are dropped, and above _MAX_ELEMENTS a
-    greedy pass keeps only elements that cover new points.  Returns the
-    values, the partition of unity and the net points it keeps; raises
-    NetTooCoarse naming the first domain index that no element covers.
-    """
-    proj, dist = _project_all(F, net)
-    bitmaps = dist < eps
-    if anchors is not None:
-        bitmaps &= np.linalg.norm(proj - anchors[None, :, :], axis=2) < r
-    missing = np.nonzero(~bitmaps.any(axis=0))[0]
-    if missing.size:
-        raise NetTooCoarse(f"no net point is eps-close to F at domain index {int(missing[0])}")
-    keep = bitmaps.any(axis=1)
-    bitmaps, net = bitmaps[keep], net[keep]
-    if len(bitmaps) > _MAX_ELEMENTS:
-        covered = np.zeros(len(F), dtype=bool)
-        chosen = []
-        for i, inside in enumerate(bitmaps):
-            if (inside & ~covered).any():
-                chosen.append(i)
-                covered |= inside
-        bitmaps, net = bitmaps[chosen], net[chosen]
-    pou = build_partition_of_unity(F.domain, OpenCover(F.domain, bitmaps))
-    return pou.values.T @ net, pou, net
+
+@dataclass
+class SelectionResult:
+    values: np.ndarray          # (n_points, dim)
+    pou: PartitionOfUnity
+    net: np.ndarray             # net points used as cover labels, in order
+    defects: np.ndarray         # d(f(x), F(x)) per domain point
 
 
 def approx_selection(F, eps, net):
@@ -388,8 +590,16 @@ def approx_selection(F, eps, net):
     net = np.atleast_2d(np.asarray(net, dtype=np.float64))
     if not bool(np.all(F.target.contains(net))):
         raise ValueError("net points must lie in the target set C")
-    values, pou, net = _cover_average(F, net[_lex_sort(net)], eps)
-    return SelectionResult(values=values, pou=pou, net=net, defects=_nearest(F, values)[1])
+    run = _Lockstep([F])
+    values, missing, pous, kept = run.cover_average(np.zeros(1, dtype=np.intp),
+                                                    [net[_lex_sort(net)]], eps)
+    if missing[0] >= 0:
+        raise NetTooCoarse(f"no net point is eps-close to F at domain index {missing[0]}")
+    (pou,) = pous
+    pou = PartitionOfUnity(OpenCover(F.domain, pou.cover.bitmaps[0]), pou.values[0],
+                           pou.max_active)
+    return SelectionResult(values=values[0], pou=pou, net=kept[0],
+                           defects=run.nearest(values)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +611,6 @@ class MichaelResult:
     values: np.ndarray
     rounds: list          # dicts: {"k", "max_defect", "max_step"}
     defects: np.ndarray
-
-
-def _adaptive_net(F, projections, cell):
-    """Net points: the value-hull projections, snapped to the cell lattice
-    and pulled back into C.  Deduped and lex-sorted."""
-    snapped = F.target.project(lattice_round(projections, cell))
-    snapped = dedupe_points(snapped, tol=1e-12)
-    return snapped[_lex_sort(snapped)]
 
 
 def michael_selection(F, tol=1e-3):
@@ -432,38 +634,64 @@ def michael_selection(F, tol=1e-3):
     projections that give round k's defects seed round k+1's net, so each
     is computed once.  IterationStall still guards a round that leaves a
     point uncovered.
+
+    This is the one-map case of the lockstep iteration that runs a dense
+    family's members together (`_michael_lockstep`): one code path.
     """
+    (result,) = _michael_lockstep([F], tol)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _michael_lockstep(maps, tol):
+    """michael_selection for maps on one domain and into one target, run in
+    lockstep, round by round: each round makes, over every map at once, one
+    target projection, one batched dedupe, one all-pairs and one diagonal
+    pass per stack (the maps that share a stack share its passes; see
+    `_Lockstep`) and one partition-of-unity pass.  Only the lex sort of
+    each net and the final rho.T @ net run map by map.  Every map takes the
+    same number of rounds, and its values and rounds are bit for bit those
+    of its own run.  Returns per map its MichaelResult or the exception its
+    own run raises; a map whose round fails leaves the lockstep there."""
     if tol <= 0:
-        raise ValueError("tol must be positive")
-    dim_sqrt = math.sqrt(F.target.dim)
-    means = np.empty((len(F), F.target.dim))
-    for g in F.groups:
-        means[g.rows] = g.stack.generators.mean(axis=1)
-    start, _ = _nearest(F, means)
-    try:
-        values = _cover_average(F, _adaptive_net(F, start, 0.25 / (8.0 * dim_sqrt)),
-                                0.75 * 0.25)[0]
-    except NetTooCoarse:
-        raise IterationStall(
-            "initial approximate selection failed to cover the domain (k=1)") from None
-    nearest, defects = _nearest(F, values)
-    rounds = [{"k": 0, "max_defect": float(defects.max()), "max_step": None}]
+        return [ValueError("tol must be positive")] * len(maps)
+    if not maps:
+        return []
+    run = _Lockstep(maps)
+    errors = [None] * len(maps)
+    dim_sqrt = math.sqrt(run.target.dim)
+    live = np.arange(len(maps))
+    start, _ = run.nearest(run.means())
+    values, missing, _, _ = run.cover_average(live, run.nets(start, 0.25 / (8.0 * dim_sqrt)),
+                                              0.75 * 0.25)
+    for i in live[missing >= 0]:
+        errors[i] = IterationStall("initial approximate selection failed to cover the"
+                                   " domain (k=1)")
+    live = live[missing < 0]
+    nearest, defects = run.nearest(values)
+    rounds = [[{"k": 0, "max_defect": float(d.max()), "max_step": None}] for d in defects]
     k = 1
-    while 0.5 ** k >= tol:
+    while 0.5 ** k >= tol and live.size:
         r = 0.5 ** (k + 1)
         eps = 0.75 * 0.5 ** (k + 2)
         cell = 0.5 ** (k + 4) / dim_sqrt
-        try:
-            new_values = _cover_average(F, _adaptive_net(F, nearest, cell), eps, values, r)[0]
-        except NetTooCoarse:
-            worst = int(np.argmax(defects))
-            raise IterationStall(f"round k={k} left domain index {worst} uncovered") from None
-        step = float(np.linalg.norm(new_values - values, axis=1).max())
-        values = new_values
-        nearest, defects = _nearest(F, values)
-        rounds.append({"k": k, "max_defect": float(defects.max()), "max_step": step})
+        new_values, missing, _, _ = run.cover_average(live, run.nets(nearest[live], cell),
+                                                      eps, values, r)
+        for i in live[missing >= 0]:
+            errors[i] = IterationStall(f"round k={k} left domain index"
+                                       f" {int(np.argmax(defects[i]))} uncovered")
+        ok = missing < 0
+        live, new_values = live[ok], new_values[ok]
+        steps = np.linalg.norm(new_values - values[live], axis=2).max(axis=1)
+        values[live] = new_values
+        nearest, defects = run.nearest(values)
+        for i, step in zip(live, steps):
+            rounds[i].append({"k": k, "max_defect": float(defects[i].max()),
+                              "max_step": float(step)})
         k += 1
-    return MichaelResult(values=values, rounds=rounds, defects=defects)
+    return [errors[i] or MichaelResult(values=values[i], rounds=rounds[i], defects=defects[i])
+            for i in range(len(maps))]
 
 
 # ---------------------------------------------------------------------------
@@ -491,53 +719,66 @@ def dense_selection_family(F, net, m_max, tol=1e-3):
     U_nm.  Density only needs, for each x in U_nm, one member pinned at x,
     and the member pinned on all of U_nm is that member for every such x at
     once.  So member (n, m) is the selection of F pinned exactly where
-    d(v_n, F(x)) < 1/m; members pinning no point share one selection of F,
-    computed on first use.  Members are enumerated in lexicographic (n, m)
-    order.
+    d(v_n, F(x)) < 1/m; members pinning no point share one selection of F.
+    Members are enumerated in lexicographic (n, m) order.
+
+    The members run in lockstep, one code path with michael_selection:
+    their maps are built in one restriction over the members' rows
+    (F.restrict_each), and they, with F once when some member pins
+    nothing, run through one selection iteration (`_michael_lockstep`).  A
+    failure raises what running the members one after another would: the
+    error of the first member in (n, m) order whose restriction or
+    selection fails.
     """
     net = np.atleast_2d(np.asarray(net, dtype=np.float64))
     if not bool(np.all(F.target.contains(net))):
         raise ValueError("net points must lie in the target set C")
-    plain = None  # the selection of F itself
-    members = []
-    _, value_dists = _project_all(F, net)
-    for n in range(len(net)):
-        for m in range(1, m_max + 1):
-            radius = 1.0 / m
-            pinned = value_dists[n] < radius
-            if pinned.any():
-                modified = F.restrict(np.broadcast_to(net[n], (len(F), net.shape[1])),
-                                      np.where(pinned, radius, np.inf),
-                                      name=f"{F.name}|n={n},m={m}")
-                sel = michael_selection(modified, tol=tol)
-            else:
-                if plain is None:
-                    plain = michael_selection(F, tol=tol)
-                sel = plain
-            members.append(FamilyMember(n, m, sel.values, sel.rounds, int(pinned.sum())))
-    return members
+    members = [(n, m) for n in range(len(net)) for m in range(1, m_max + 1)]
+    radius = np.array([1.0 / m for _, m in members])
+    pinned = _project_all(F, net)[1][[n for n, _ in members]] < radius[:, None]
+    held = np.flatnonzero(pinned.any(axis=1))  # the members that pin some point
+    restricted = F.restrict_each(
+        np.repeat(net[[members[j][0] for j in held]][:, None], len(F), axis=1),
+        np.where(pinned[held], radius[held, None], np.inf),
+        [f"{F.name}|n={members[j][0]},m={members[j][1]}" for j in held]) if held.size else []
+    # each member's map, F for a member that pins nothing, or its restriction's error
+    chosen = [F] * len(members)
+    for j, G in zip(held, restricted):
+        chosen[j] = G
+    maps = list({id(G): G for G in chosen if not isinstance(G, Exception)}.values())
+    selections = dict(zip(map(id, maps), _michael_lockstep(maps, tol)))
+    family = []
+    for (n, m), G, count in zip(members, chosen, pinned.sum(axis=1)):
+        sel = G if isinstance(G, Exception) else selections[id(G)]
+        if isinstance(sel, Exception):
+            raise sel
+        family.append(FamilyMember(n, m, sel.values, sel.rounds, int(count)))
+    return family
 
 
 def density_audit(members, F, metric=None):
     """Worst distance from any value generator to the nearest family member.
 
     metric(points_a, points_b) -> pairwise row distances; defaults to L2.
-    Returns the audit gap and one row (point index, generator index,
-    generator, distance) per audited generator, in row order; rows with a
-    ball have no generators to audit.
+    It is called once, over every (generator, member) pair.  Returns the
+    audit gap and one row (point index, generator index, generator,
+    distance) per audited generator, in row order; rows with a ball have no
+    generators to audit.
     """
     if metric is None:
         metric = lambda a, b: np.linalg.norm(a - b, axis=1)
     stacked = np.stack([mem.values for mem in members])  # (members, points, dim)
-    worst = 0.0
-    rows = []
-    for i, gens in F.generators().items():
-        at_i = stacked[:, i]
-        for g, w in enumerate(gens):
-            best = float(np.min(metric(at_i, np.broadcast_to(w, at_i.shape))))
-            rows.append((i, g, w, best))
-            worst = max(worst, best)
-    return worst, rows
+    audited = [(i, g, w) for i, gens in F.generators().items() for g, w in enumerate(gens)]
+    if not audited:
+        return 0.0, []
+    at = np.array([i for i, _, _ in audited])
+    gens = np.stack([w for _, _, w in audited])
+    pairs = len(members) * len(audited)
+    dists = np.asarray(metric(stacked[:, at].swapaxes(0, 1).reshape(pairs, -1),
+                              np.repeat(gens, len(members), axis=0)), dtype=np.float64)
+    best = dists.reshape(len(audited), len(members)).min(axis=1)
+    rows = [(i, g, w, float(b)) for (i, g, w), b in zip(audited, best)]
+    return max([0.0] + [row[3] for row in rows]), rows
 
 
 # ---------------------------------------------------------------------------
@@ -548,18 +789,19 @@ def check_lower_continuity(F, probes, slope=None):
     """Slope-bounded discrete surrogate of lower semicontinuity.
 
     ok iff d(v, F(x')) <= d(v, F(x)) + L d(x, x') + 1e-9 for every ordered
-    adjacent pair (x, x') and probe v.  Reports the worst violation.
+    adjacent pair (x, x') and probe v.  Reports the worst violation; its
+    fields are None on a domain with no adjacent pair.
     """
     slope = F.slope_hint if slope is None else slope
     probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
     dist = _project_all(F, probes)[1].T
-    worst = {"x": None, "x_prime": None, "probe": None, "defect": -np.inf}
+    worst = {"x": None, "x_prime": None, "probe": None, "defect": None}
     ok = True
     for i, j in F.domain.adjacent_pairs():
         budget = slope * F.domain.pair_d[i, j] + 1e-9
         excess = dist[j] - dist[i] - budget
         a = int(np.argmax(excess))
-        if excess[a] > worst["defect"]:
+        if worst["defect"] is None or excess[a] > worst["defect"]:
             worst = {"x": int(i), "x_prime": int(j), "probe": a, "defect": float(excess[a])}
         if excess[a] > 0:
             ok = False

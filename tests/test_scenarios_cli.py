@@ -24,6 +24,7 @@ from hyperselect.scenarios import (
     ConfigError,
     SpectralBallTarget,
     _resolve,
+    _write_json,
     coords_to_sym,
     parse_config_file,
     sym_to_coords,
@@ -368,6 +369,28 @@ def test_selection_pass_builds_a_projector_per_target_only(tmp_path, monkeypatch
     SCENARIOS["selection"](parse_config_file(SAMPLE_CONFIGS / "selection.cfg"), 0, tmp_path)
     monkeypatch.undo()
     assert 0 < len(built) <= 2
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_one_point_grid_writes_strict_json(tmp_path, capsys):
+    # a one-point grid has no adjacent pair, so the worst violation has
+    # null fields; it held defect -Infinity, which strict parsers reject
+    cfg = _write_config(tmp_path, "n1d=1\nn2d=1\n")
+    assert main(["selection", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = _strict_json((tmp_path / "o" / "continuity.json").read_text(encoding="utf-8"))
+    assert report["continuity"]["ok"] is True
+    assert report["continuity"]["worst"] == dict.fromkeys(("x", "x_prime", "probe", "defect"))
+
+
+def test_json_files_refuse_non_finite_values(tmp_path):
+    for value in (float("-inf"), float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "out.json", {"defect": value})
 
 
 def test_polyhedral_duality_runs_at_the_section_cap(tmp_path, capsys):

@@ -22,6 +22,7 @@ from hyperselect.selection import (
     DiscreteDomain,
     FamilyMember,
     HullTarget,
+    IterationStall,
     MichaelResult,
     NetTooCoarse,
     NotACover,
@@ -37,7 +38,9 @@ from hyperselect.selection import (
     jump_map,
     michael_selection,
     restrict_value,
+    _KERNEL_ENTRIES,
     _MAX_ELEMENTS,
+    _michael_lockstep,
     _nearest,
     _project_all,
 )
@@ -98,6 +101,63 @@ def test_uncovered_point_raises():
     bitmap = (dom.points[:, 0] < 0.5)[None, :]
     with pytest.raises(NotACover):
         build_partition_of_unity(dom, OpenCover(dom, bitmap))
+
+
+def _loop_partition(domain, bitmaps):
+    """Reference: the partition of unity with each element's distance to its
+    complement taken in a loop of minima, as it was before the neighbour
+    order."""
+    dist_comp = np.empty((len(bitmaps), len(domain)))
+    for i, inside in enumerate(bitmaps):
+        if inside.all():
+            dist_comp[i] = np.inf
+            continue
+        dist_comp[i] = domain.pair_d[:, ~inside].min(axis=1)
+        dist_comp[i][~inside] = 0.0
+    weights = 0.5 ** np.arange(1, len(bitmaps) + 1)
+    g_n = weights[:, None] * np.minimum(1.0, dist_comp)
+    g = g_n.max(axis=0)
+    uncovered = np.nonzero(g <= 0.0)[0]
+    if uncovered.size:
+        raise NotACover(f"domain point index {int(uncovered[0])} lies in no cover element")
+    f_n = np.maximum(0.0, g_n - g[None, :] / 2.0)
+    rho = f_n / f_n.sum(axis=0)[None, :]
+    return rho, int((rho > 0).sum(axis=0).max())
+
+
+def test_partition_matches_the_element_loop():
+    # random covers of 1-D and 2-D grids, some with a full element, give
+    # the loop's rho bit for bit; a stack of covers padded with empty
+    # elements gives each cover's own rho; an uncovered point raises the
+    # loop's NotACover
+    rng = np.random.default_rng(3)
+    for dom in (grid_domain_1d(37), grid_domain_2d(7, 6), grid_domain_1d(1)):
+        covers = []
+        for trial in range(12):
+            count = int(rng.integers(1, 9))
+            bitmaps = rng.random((count, len(dom))) < rng.uniform(0.1, 0.9)
+            if trial % 3 == 0:
+                bitmaps[rng.integers(count)] = True
+            bitmaps[-1] |= ~bitmaps.any(axis=0)
+            pou = build_partition_of_unity(dom, OpenCover(dom, bitmaps))
+            rho, max_active = _loop_partition(dom, bitmaps)
+            assert np.array_equal(pou.values, rho) and pou.max_active == max_active
+            covers.append((bitmaps, rho))
+        padded = np.zeros((len(covers), 8, len(dom)), dtype=bool)
+        for j, (bitmaps, _) in enumerate(covers):
+            padded[j, :len(bitmaps)] = bitmaps
+        stacked = build_partition_of_unity(dom, OpenCover(dom, padded)).values
+        for j, (bitmaps, rho) in enumerate(covers):
+            assert np.array_equal(stacked[j, :len(bitmaps)], rho)
+            assert not stacked[j, len(bitmaps):].any()
+        if len(dom) > 1:
+            bitmaps = rng.random((4, len(dom))) < 0.5
+            bitmaps[:, 5] = False
+            with pytest.raises(NotACover) as got:
+                build_partition_of_unity(dom, OpenCover(dom, bitmaps))
+            with pytest.raises(NotACover) as want:
+                _loop_partition(dom, bitmaps)
+            assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -197,26 +257,32 @@ def test_vertical_segment_selection_stays_in_square():
 
 @pytest.mark.parametrize("name", ["sliding-left-end", "rising-triangle"])
 def test_each_round_projects_every_value_twice(monkeypatch, name):
-    # per run and generator-count group: one kernel call projecting each
+    # per run and generator-count group: one diagonal call projecting each
     # value's hull-generator mean onto its value, then per round one
-    # all-pairs call over the net and one call projecting f_k(x) onto F(x),
-    # whose result also seeds the next round's net
+    # all-pairs pass over the net and one diagonal call projecting f_k(x)
+    # onto F(x), whose result also seeds the next round's net.  An
+    # all-pairs pass may take several calls, each under the entry cap
     F = BUNDLED_MAPS[name]()
-    calls = {id(g.stack): 0 for g in F.groups}
-    rows = []
+    calls = {id(g.stack): [] for g in F.groups}
     original = HullStack.project
 
-    def counted(self, *args, **kwargs):
+    def counted(self, points, balls=None):
         if id(self) in calls:
-            calls[id(self)] += 1
-            rows.append(len(self.generators))
-        return original(self, *args, **kwargs)
+            calls[id(self)].append(points.shape[1] == len(self.generators) > 1)
+            assert points.shape[0] * points.shape[1] * self.entries <= _KERNEL_ENTRIES
+        return original(self, points, balls)
 
     monkeypatch.setattr(HullStack, "project", counted)
     res = michael_selection(F, tol=1e-3)
     monkeypatch.undo()
-    assert set(calls.values()) == {2 * len(res.rounds) + 1}
-    assert sum(rows) == len(F) * (2 * len(res.rounds) + 1)
+    for g in F.groups:
+        diagonal = calls[id(g.stack)]
+        if len(g.rows) == 1:
+            # the two passes look alike here, and a net fits in one call
+            assert len(diagonal) == 2 * len(res.rounds) + 1
+            continue
+        assert sum(diagonal) == len(res.rounds) + 1
+        assert len(diagonal) - sum(diagonal) >= len(res.rounds)
 
 
 def test_bundled_suite_converges_everywhere():
@@ -287,6 +353,16 @@ def test_density_audit_matches_one_member_at_a_time():
         worst, rows = density_audit(members, F, metric)
         assert [(i, g, best) for i, g, _, best in rows] == [(i, g, b) for i, g, _, b in expected]
         assert worst == max(b for *_, b in expected)
+        # one metric call over every (generator, member) pair
+        calls = []
+
+        def counted(a, b, pair=pair):
+            calls.append(len(a))
+            return pair(a, b)
+
+        again, counted_rows = density_audit(members, F, counted)
+        assert again == worst and [r[3] for r in counted_rows] == [r[3] for r in rows]
+        assert calls == [len(members) * len(expected)]
 
 
 def test_value_exactly_one_over_m_away_is_not_pinned():
@@ -320,13 +396,14 @@ def test_family_selects_once_per_distinct_modified_map(monkeypatch):
     tol = 1e-2
     calls = []
 
-    def counted(G, tol):
-        calls.append(G)
-        return michael_selection(G, tol=tol)
+    def counted(maps, tol):
+        calls.append(maps)
+        return _michael_lockstep(maps, tol)
 
-    monkeypatch.setattr("hyperselect.selection.michael_selection", counted)
+    monkeypatch.setattr("hyperselect.selection._michael_lockstep", counted)
     members = dense_selection_family(F, net, m_max=2, tol=tol)
     monkeypatch.undo()
+    (calls,) = calls  # the members run in one lockstep
 
     # member (n, m) is pinned on exactly U_nm = {x : d(v_n, F(x)) < 1/m},
     # and is the selection of F with each pinned segment clipped to the ball
@@ -348,6 +425,153 @@ def test_family_selects_once_per_distinct_modified_map(monkeypatch):
     # (v = 0, m = 2) pins nothing and takes the one selection of F
     assert 0 < pinning < len(members)
     assert len(calls) == pinning + 1 and sum(G is F for G in calls) == 1
+
+
+def _sequential_family(F, net, m_max, tol):
+    """Reference: the family member by member, one michael_selection per
+    distinct map and F's once, as it ran before its members ran in
+    lockstep.  Returns each member, or the exception its own restriction or
+    selection raises."""
+    value_dists = _project_all(F, net)[1]
+    plain, members = None, []
+    for n in range(len(net)):
+        for m in range(1, m_max + 1):
+            pinned = value_dists[n] < 1.0 / m
+            try:
+                if pinned.any():
+                    sel = michael_selection(F.restrict(
+                        np.broadcast_to(net[n], (len(F), net.shape[1])),
+                        np.where(pinned, 1.0 / m, np.inf)), tol=tol)
+                else:
+                    plain = plain or michael_selection(F, tol=tol)
+                    sel = plain
+            except (ValueError, NotACover, NetTooCoarse, IterationStall) as err:
+                members.append(err)
+                continue
+            members.append(FamilyMember(n, m, sel.values, sel.rounds, int(pinned.sum())))
+    return members
+
+
+def _group_layout(G):
+    return [(g.stack.generators.shape[1], tuple(g.rows), g.balls is not None)
+            for g in G.groups]
+
+
+def test_lockstep_family_matches_the_members_one_at_a_time(monkeypatch):
+    marechal, _ = rotated_ball_map(7, np.pi / 4)
+    gens = np.unique(np.round(np.concatenate(list(marechal.generators().values())), 12), axis=0)
+    shifted = _interval_map(grid_domain_1d(21), lambda x: 0.6 + 0.4 * x, lambda x: 1.0)
+    cases = [
+        # the marechal scenario's map and net
+        (marechal, np.concatenate([np.zeros((1, 3)), gens]), "same-layout"),
+        # segments clip to points, so the members' groups differ: v = 1/4 + 1e-13
+        # pins [3/4, 1] at m = 2 and clips it to the point 3/4
+        (BUNDLED_MAPS["sliding-left-end"](41, 5), np.array([[0.0], [0.25 + 1e-13], [0.5],
+                                                              [1.0 - 1e-13]]),
+         "layouts-differ"),
+        # k = 3 with balls
+        (BUNDLED_MAPS["rising-triangle"](41, 6),
+         np.concatenate([_UNIT_SQUARE_CORNERS, [[0.5, 0.5]]]), "triangle-balls"),
+        # (v = 0, m = 2) pins nothing and takes F's own selection
+        (shifted, np.array([[0.0], [0.5], [1.0]]), "unpinned"),
+    ]
+    for F, net, case in cases:
+        maps = _restricted_maps(monkeypatch, F, net)
+        layouts = {tuple(_group_layout(G)) for G in maps}
+        if case == "layouts-differ":
+            assert len(layouts) > 1
+        if case == "triangle-balls":
+            assert any(g.stack.generators.shape[1] == 3 and g.balls is not None
+                       for G in maps for g in G.groups)
+        want = _sequential_family(F, net, 2, 1e-2)
+        got = dense_selection_family(F, net, 2, tol=1e-2)
+        if case == "unpinned":
+            assert any(mem.restricted_count == 0 for mem in got)
+        assert len(got) == len(want) == 2 * len(net)
+        for a, b in zip(got, want):
+            assert ((a.net_index, a.m, a.restricted_count)
+                    == (b.net_index, b.m, b.restricted_count)), case
+            assert np.array_equal(a.values, b.values), case
+            assert a.rounds == b.rounds, case
+
+
+_UNIT_SQUARE_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+class _DriftingTarget(HullTarget):
+    """A target whose projection drifts by a fixed shift, so that nets miss
+    the narrow values and their rounds stall."""
+
+    def __init__(self, generators, shift):
+        super().__init__(generators)
+        self.shift = np.asarray(shift, dtype=np.float64)
+
+    def project(self, points):
+        return np.clip(np.asarray(points) + self.shift, 0.0, 1.0)
+
+
+def _drifting_triangles():
+    # one row already holds a ball, so members that pin it fail to restrict
+    dom = grid_domain_1d(9)
+    values = [np.array([[0.2, 0.2], [0.8, 0.2], [0.5, 0.2 + 0.6 * max(x, 0.05)]])
+              for x in dom.points[:, 0]]
+    F = SetValuedMap(dom, values, _DriftingTarget(_UNIT_SQUARE_CORNERS, [0.05, 0.0]))
+    return F.restrict(np.tile([0.8, 0.2], (9, 1)), np.where(np.arange(9) == 8, 0.05, np.inf))
+
+
+@pytest.mark.parametrize("case", ["stall-before-an-earlier-stall", "stall-first",
+                                  "restriction-first"])
+def test_first_failing_member_decides_the_error(case):
+    if case == "stall-before-an-earlier-stall":
+        dom = grid_domain_1d(21)
+        F = SetValuedMap(dom, [np.array([[0.2 + 0.3 * x], [0.9]]) for x in dom.points[:, 0]],
+                         _DriftingTarget(np.array([[0.0], [1.0]]), [0.08]))
+        net = np.array([[0.0], [0.5], [1.0]])
+    else:
+        F = _drifting_triangles()
+        net = np.array([[0.0, 1.0], [1.0, 1.0], [0.5, 0.5], [0.0, 0.0], [1.0, 0.0]])
+        if case == "restriction-first":
+            net = net[[1, 0]]
+    want = _sequential_family(F, net, 2, 0.125)
+    errors = [mem for mem in want if isinstance(mem, Exception)]
+    first = errors[0]
+    if case == "stall-before-an-earlier-stall":
+        # a later member stalls in an earlier round, which the lockstep meets first
+        rounds = [int(str(err).split("k=")[1].split()[0]) for err in errors]
+        assert isinstance(first, IterationStall) and min(rounds[1:]) < rounds[0]
+    elif case == "stall-first":
+        assert isinstance(first, IterationStall)
+        assert any(type(err) is ValueError for err in errors[1:])
+    else:
+        assert type(first) is ValueError and "already restricted" in str(first)
+        assert any(isinstance(err, IterationStall) for err in errors[1:])
+    with pytest.raises(type(first)) as got:
+        dense_selection_family(F, net, 2, tol=0.125)
+    assert type(got.value) is type(first) and str(got.value) == str(first)
+
+
+def test_kernel_calls_stay_under_the_entry_cap(monkeypatch):
+    shapes = []
+    original = HullStack.project
+
+    def recorded(self, points, balls=None):
+        shapes.append((points.shape[0], self._g.shape[0], self.entries))
+        return original(self, points, balls)
+
+    marechal, _ = rotated_ball_map(7, np.pi / 4)
+    gens = np.unique(np.round(np.concatenate(list(marechal.generators().values())), 12), axis=0)
+    cases = [(marechal, np.concatenate([np.zeros((1, 3)), gens])),
+             (BUNDLED_MAPS["sliding-left-end"](), np.linspace(0.0, 1.0, 5)[:, None]),
+             (BUNDLED_MAPS["rising-triangle"](),
+              np.concatenate([_UNIT_SQUARE_CORNERS, [[0.5, 0.5]]]))]
+    monkeypatch.setattr(HullStack, "project", recorded)
+    for F, net in cases:
+        dense_selection_family(F, net, 2, tol=1e-2)
+        michael_selection(F, tol=1e-2)
+    monkeypatch.undo()
+    # the all-pairs passes over every member's net are split into calls
+    assert max(m * v for m, v, _ in shapes) > 1000
+    assert max(m * v * entries for m, v, entries in shapes) <= _KERNEL_ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -609,14 +833,15 @@ def _assert_same_projections(stacked, reference):
 
 
 def _restricted_maps(monkeypatch, F, net):
-    """The modified maps dense_selection_family hands to michael_selection."""
+    """The modified maps dense_selection_family hands to the lockstep."""
     maps = []
 
-    def capture(G, tol):
-        maps.append(G)
-        return MichaelResult(np.zeros((len(G), G.target.dim)), [], np.zeros(len(G)))
+    def capture(given, tol):
+        maps.extend(given)
+        return [MichaelResult(np.zeros((len(G), G.target.dim)), [], np.zeros(len(G)))
+                for G in given]
 
-    monkeypatch.setattr("hyperselect.selection.michael_selection", capture)
+    monkeypatch.setattr("hyperselect.selection._michael_lockstep", capture)
     dense_selection_family(F, net, m_max=2)
     monkeypatch.undo()
     return [G for G in maps if G is not F]
@@ -849,6 +1074,52 @@ def test_map_restriction_is_the_one_value_restriction_row_by_row():
             assert np.isinf(row_radius) and np.array_equal(row_gens, one.generators)
     with pytest.raises(ValueError, match="misses the hull at row 3"):
         F.restrict(center, [np.inf, np.inf, np.inf, 0.05, np.inf, np.inf])
+
+
+def test_restrict_each_is_one_restriction_at_a_time():
+    # the tiled pass gives each restriction's groups bit for bit, shares
+    # the map's stacks where a group keeps its generators, and a failing
+    # restriction falls back to one at a time, each with its own error
+    gens = [np.array([[0.5, 0.5]]), UNIT_SQUARE[[0, 1]], np.array([[0.2, 0.2]]),
+            UNIT_SQUARE[[0, 3]], UNIT_SQUARE[[0, 1, 2]], UNIT_SQUARE[[1, 2]]]
+    F = SetValuedMap(grid_domain_1d(len(gens)), gens, HullTarget(UNIT_SQUARE))
+    rng = np.random.default_rng(11)
+    # balls around a point of each value, so every ball meets its hull
+    center = np.array([g.mean(axis=0) for g in gens]) + rng.uniform(-0.1, 0.1, (5, len(gens), 2))
+    radius = rng.uniform(0.15, 0.6, (5, len(gens)))
+    radius[rng.random(radius.shape) < 0.3] = np.inf
+    radius[2, 0] = 0.0  # a point restricted to a ball through it: unchanged
+    center[2, 0] = gens[0][0]
+    center[3, 1], radius[3, 1] = [-0.5, 0.0], 0.5  # a segment clipped to its end point
+    names = [f"r{j}" for j in range(5)]
+    for failing in (None, 4):
+        c, r = center.copy(), radius.copy()
+        if failing is not None:
+            c[failing, 3], r[failing, 3] = [5.0, 5.0], 0.1
+        each = F.restrict_each(c, r, names)
+        for j, G in enumerate(each):
+            if j == failing:
+                with pytest.raises(ValueError) as err:
+                    F.restrict(c[j], r[j], names[j])
+                assert type(G) is ValueError and str(G) == str(err.value)
+                continue
+            one = F.restrict(c[j], r[j], names[j])
+            assert G.name == one.name == names[j]
+            assert len(G.groups) == len(one.groups)
+            for g, h in zip(G.groups, one.groups):
+                assert np.array_equal(g.rows, h.rows)
+                for name in ("generators", "_g", "_w", "_b"):
+                    assert np.array_equal(getattr(g.stack, name), getattr(h.stack, name))
+                assert (g.balls is None) == (h.balls is None)
+                if g.balls is not None:
+                    assert g.stack is h.stack
+                    for field in dataclasses.fields(BallSections):
+                        assert np.array_equal(getattr(g.balls, field.name),
+                                              getattr(h.balls, field.name))
+    # the segment clipped to its end point joins the point rows
+    layouts = {tuple(len(g.rows) for g in G.groups)
+               for G in F.restrict_each(center, radius, names)}
+    assert len(layouts) > 1
 
 
 def test_dedupe_points_keeps_first_seen_rows():
