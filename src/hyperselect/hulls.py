@@ -20,8 +20,9 @@ one batched pseudo-inverse per size, into one padded stack of all 2^k - 1
 faces with k columns each, so a projection is one pass over every face of
 every hull with no loop over face sizes.  Queries carry the value axis too:
 (m, V, dim) projects query row j of each hull v onto hull v, and (m, 1, dim)
-projects every query onto every hull.  Each hull may have its own ball; an
-infinite radius leaves that hull unclipped.  The balls' sections by the
+projects every query onto every hull.  Each hull may have its own ball,
+and each query row its own set of balls on the same faces; an infinite
+radius leaves that hull unclipped.  The balls' sections by the
 faces depend only on the stack and the balls, so `HullStack.balls` builds
 them once and every projection against those balls reuses them.  A single
 hull is the V = 1 stack.
