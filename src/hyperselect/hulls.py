@@ -25,7 +25,9 @@ and each query row its own set of balls on the same faces; an infinite
 radius leaves that hull unclipped.  The balls' sections by the
 faces depend only on the stack and the balls, so `HullStack.balls` builds
 them once and every projection against those balls reuses them.  A single
-hull is the V = 1 stack.
+hull is the V = 1 stack.  `HullStack.project_runs` splits a projection
+along the query rows into calls whose temporaries stay under
+`KERNEL_ENTRIES` entries.
 """
 from __future__ import annotations
 
@@ -39,10 +41,20 @@ import numpy as np
 GENERATOR_CAP = 12
 _FEAS_TOL = 1e-12
 CONTAINS_TOL = 1e-9  # distance at which a point counts as inside a convex set
+# cap on the (query, hull, face, max(k, dim)) entries of one kernel call's
+# temporaries
+KERNEL_ENTRIES = 2 ** 14
 
 
 class TooManyGenerators(ValueError):
     """Subset enumeration is exact but only affordable for small hulls."""
+
+
+def capped_runs(total, entries_each, cap=KERNEL_ENTRIES):
+    """Slices splitting range(total) into runs of at most cap // entries_each
+    items, at least one item each."""
+    step = max(1, cap // max(1, entries_each))
+    return [slice(start, start + step) for start in range(0, total, step)]
 
 
 def dedupe_points(points, tol=1e-12):
@@ -173,6 +185,24 @@ class HullStack:
         best[np.isinf(dist)] = 0.0
         return best, dist
 
+    def project_runs(self, points, balls=None, owner=None):
+        """self.project(points, balls) in calls of at most KERNEL_ENTRIES
+        temporaries, split along the query rows.  Balls hold one set per
+        hull, or one per query row along their leading axis; given owner,
+        balls is a list of sets and query row j takes balls[owner[j]], the
+        sets of each call's owners stacked for it alone."""
+        proj = np.empty((len(points), len(self.generators), points.shape[-1]))
+        dist = np.empty(proj.shape[:-1])
+        for run in capped_runs(len(points), len(self.generators) * self.entries):
+            rows = balls
+            if balls is not None and owner is not None:
+                first, last = owner[run].min(), owner[run].max()
+                rows = BallSections.stacked(balls[first:last + 1]).take(owner[run] - first)
+            elif balls is not None and balls.radius.ndim > 1:
+                rows = balls.take(run)
+            proj[run], dist[run] = self.project(points[run], rows)
+        return proj, dist
+
 
 class HullProjector:
     """Exact L2 projection onto the convex hull of a few generator points,
@@ -191,13 +221,13 @@ class HullProjector:
         closed ball B(center, radius).
 
         Returns (projections (m, dim), distances (m,)), as the V = 1 case of
-        HullStack.project.
+        HullStack.project_runs.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         balls = None
         if center is not None:
             balls = self.stack.balls(np.asarray(center)[None, :], [float(radius)])
-        proj, dist = self.stack.project(pts[:, None, :], balls)
+        proj, dist = self.stack.project_runs(pts[:, None, :], balls)
         return proj[:, 0], dist[:, 0]
 
     def contains(self, points):

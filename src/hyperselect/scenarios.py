@@ -202,9 +202,10 @@ def _round_floats(obj):
 
 
 def _write_json(path, obj):
+    # the text first, so a refused non-finite value leaves no file behind
+    text = json.dumps(_round_floats(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(_round_floats(obj), sort_keys=True, indent=2, allow_nan=False)
-                 + "\n")
+        fh.write(text)
     return Path(path)
 
 

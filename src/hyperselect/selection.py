@@ -9,7 +9,7 @@ generators (V, k, dim) for the hull kernel (see `hulls`) with the sections
 of its rows' balls.  Maps on one domain run in lockstep (`_Lockstep`): the
 maps that hold one stack share each projection pass (diagonal or
 all-pairs) over it, split into kernel calls whose temporaries stay under
-`_KERNEL_ENTRIES` entries.  One cover-and-average step serves the
+`hulls.KERNEL_ENTRIES` entries.  One cover-and-average step serves the
 approximate selection and each round of the iteration, for every map at
 once, which keeps two logged invariants at every grid point: membership
 defect < 2^-(k+1) after round k and sup-step <= 2^-k between consecutive
@@ -25,37 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .hulls import (CONTAINS_TOL, BallSections, HullProjector, HullStack, dedupe_points,
+from .hulls import (BallSections, HullProjector, HullStack, capped_runs, dedupe_points,
                     lattice_round)
 from .norms import InvariantViolation
-
-
-# cap on the (query, hull, face, max(k, dim)) entries of one kernel call's
-# temporaries, and on the neighbour flags a partition of unity reads at once
-_KERNEL_ENTRIES = 2 ** 14
-_POU_ENTRIES = 2 ** 16
-
-
-def _runs(total, entries_each, cap=_KERNEL_ENTRIES):
-    """Slices splitting range(total) into runs of at most cap // entries_each
-    items, at least one item each."""
-    step = max(1, cap // max(1, entries_each))
-    return [slice(start, start + step) for start in range(0, total, step)]
-
-
-def _project_runs(stack, points, balls=None, owner=None):
-    """stack.project(points, balls) for points (m, V or 1, dim), in calls
-    of at most _KERNEL_ENTRIES temporaries split along the query rows.
-    Balls hold one set per hull, or one per query row: their leading axis,
-    or balls.take(owner) when owner is given."""
-    proj = np.empty((len(points), len(stack.generators), points.shape[-1]))
-    dist = np.empty(proj.shape[:-1])
-    for run in _runs(len(points), len(stack.generators) * stack.entries):
-        rows = balls
-        if balls is not None and (owner is not None or balls.radius.ndim > 1):
-            rows = balls.take(run if owner is None else owner[run])
-        proj[run], dist[run] = stack.project(points[run], rows)
-    return proj, dist
 
 
 class NotACover(InvariantViolation):
@@ -169,7 +141,8 @@ def build_partition_of_unity(domain, cover):
     other element's rho, so covers of different sizes stack padded with
     empty elements.  d(x, X \\ U) is the distance to x's nearest neighbour
     outside U, found from the domain's neighbour order among x's first |U|
-    neighbours, |U| - 1 of which at most lie in U.
+    neighbours, |U| - 1 of which at most lie in U, in runs reading at most
+    hulls.KERNEL_ENTRIES neighbour flags at once.
     """
     bitmaps = cover.bitmaps
     flat = bitmaps.reshape(-1, bitmaps.shape[-1])
@@ -180,7 +153,7 @@ def build_partition_of_unity(domain, cover):
     element, point = np.nonzero(flat & ~full[:, None])
     if element.size:
         order, sorted_d = domain.neighbours
-        for run in _runs(element.size, int(size[element].max()), _POU_ENTRIES):
+        for run in capped_runs(element.size, int(size[element].max())):
             e, x = element[run], point[run]
             outside = ~flat[e[:, None], order[x, :int(size[e].max())]]
             dist_comp[e, x] = sorted_d[x, outside.argmax(axis=1)]
@@ -224,9 +197,12 @@ def restrict_value(value: HullProjector, center, radius):
     if value.generators is None:
         raise ValueError("the value at row 0 is already restricted to a ball;"
                          " a value holds one ball")
-    ((group,),) = _restrict_group(_ValueGroup(np.zeros(1, dtype=np.intp), value.stack, None),
-                                  np.asarray(center, dtype=np.float64).reshape(1, 1, -1),
-                                  np.array([[radius]], dtype=np.float64))
+    (restricted,) = _restrict_group(_ValueGroup(np.zeros(1, dtype=np.intp), value.stack, None),
+                                    np.asarray(center, dtype=np.float64).reshape(1, 1, -1),
+                                    np.array([[radius]], dtype=np.float64))
+    if isinstance(restricted, ValueError):
+        raise restricted
+    (group,) = restricted
     if group.balls is not None:
         return BallRestrictedValue(value, center, radius)
     return HullProjector(group.stack.generators[0])
@@ -258,38 +234,43 @@ def _restrict_group(group, center, radius):
     """The groups that the group's rows fall into once intersected with the
     closed balls B(center[j], radius[j]), one list per restriction j, for
     center (count, V, dim) and radius (count, V), radius inf on the rows
-    left as they are.  A point is its own restriction.  A segment's
-    endpoints projected onto its intersection with the ball are the
-    endpoints clipped to the ball, which replace them, deduped.  Larger
-    hulls keep their stack and take the balls.  The restrictions that pin
-    some row take each kernel pass together, one set of balls per query
-    row."""
+    left as they are; or, for a restriction that pins a row with a ball or
+    whose ball misses a hull, the ValueError naming its first such row.  A
+    point is its own restriction.  A segment's endpoints projected onto its
+    intersection with the ball are the endpoints clipped to the ball, which
+    replace them, deduped.  Larger hulls keep their stack and take the
+    balls.  The restrictions that pin some row take each kernel pass
+    together, one set of balls per query row."""
     pinned = np.isfinite(radius)
     restricted = [[group] for _ in radius]
-    active = np.flatnonzero(pinned.any(axis=1))
-    if not active.size:
-        return restricted
-    pinned, center, radius = pinned[active], center[active], radius[active]
     old_center, old_radius = (0.0, np.inf) if group.balls is None else (
         group.balls.center, group.balls.radius)
     held = pinned & np.isfinite(old_radius)
-    if held.any():
-        raise ValueError(f"the value at row {int(group.rows[np.argwhere(held)[0, 1]])} is"
-                         " already restricted to a ball; a value holds one ball")
+    for j in np.flatnonzero(held.any(axis=1)):
+        restricted[j] = ValueError(f"the value at row {int(group.rows[held[j].argmax()])} is"
+                                   " already restricted to a ball; a value holds one ball")
+    active = np.flatnonzero(pinned.any(axis=1) & ~held.any(axis=1))
+    if not active.size:
+        return restricted
+    pinned, center, radius = pinned[active], center[active], radius[active]
     stack = group.stack
     balls = stack.balls(np.where(pinned[..., None], center, old_center),
                         np.where(pinned, radius, old_radius))
-    missed = ~np.isfinite(_project_runs(stack, balls.center, balls)[1])
+    missed = ~np.isfinite(stack.project_runs(balls.center, balls)[1])
     if missed.any():
-        j, i = np.argwhere(missed)[0]
-        raise ValueError(f"the ball B({balls.center[j, i].tolist()}, {balls.radius[j, i]}) misses"
-                         f" the hull at row {int(group.rows[i])}")
+        for at in np.flatnonzero(missed.any(axis=1)):
+            i = missed[at].argmax()
+            restricted[active[at]] = ValueError(
+                f"the ball B({balls.center[at, i].tolist()}, {balls.radius[at, i]}) misses"
+                f" the hull at row {int(group.rows[i])}")
+        ok = np.flatnonzero(~missed.any(axis=1))
+        active, pinned, balls = active[ok], pinned[ok], balls.take(ok)
     k = stack.generators.shape[1]
     if k == 1:
         return restricted
     if k == 2:
-        ends = np.stack([_project_runs(stack, np.broadcast_to(stack.generators[:, e],
-                                                              balls.center.shape), balls)[0]
+        ends = np.stack([stack.project_runs(np.broadcast_to(stack.generators[:, e],
+                                                            balls.center.shape), balls)[0]
                          for e in range(2)], axis=2)
         clipped = iter(dedupe_points(ends[pinned]))
         for j, pins in zip(active, pinned):
@@ -343,40 +324,31 @@ class SetValuedMap:
         B(center[i], radius[i]), radius inf on the rows left as they are,
         sharing this map's stacks where a group keeps its generators.  Raises
         ValueError when a ball misses its hull, or pins a row with a ball."""
-        (restricted,) = self._restrict_stacked(np.asarray(center, dtype=np.float64)[None],
-                                               np.asarray(radius, dtype=np.float64)[None],
-                                               [name])
+        (restricted,) = self.restrict_each(np.asarray(center, dtype=np.float64)[None],
+                                           np.asarray(radius, dtype=np.float64)[None], [name])
+        if isinstance(restricted, ValueError):
+            raise restricted
         return restricted
 
     def restrict_each(self, center, radius, names):
         """self.restrict(center[j], radius[j], names[j]) for each j, or the
-        ValueError it raises: one pass over the rows of every restriction,
-        or one restriction at a time when some restriction fails."""
+        ValueError it raises, in one pass per group over the rows of every
+        restriction.  A restriction's error is that of its first failing
+        group, which the later groups skip."""
+        radius = np.array(radius, dtype=np.float64)  # a copy: failed restrictions pin nothing
         center = np.asarray(center, dtype=np.float64)
-        radius = np.asarray(radius, dtype=np.float64)
-        try:
-            return self._restrict_stacked(center, radius, names)
-        except ValueError:
-            pass
-        restricted = []
-        for c, r, name in zip(center, radius, names):
-            try:
-                restricted.append(self.restrict(c, r, name))
-            except ValueError as err:
-                restricted.append(err)
-        return restricted
-
-    def _restrict_stacked(self, center, radius, names):
-        """The restrictions by the balls B(center[j] (n, dim), radius[j] (n,)),
-        in one pass per group; an error names its row, not its
-        restriction."""
-        split = [[] for _ in names]  # each restriction's groups
+        split = [[] for _ in names]  # each restriction's groups, or its error
         for g in self.groups:
-            for groups, parts in zip(_restrict_group(g, center[:, g.rows], radius[:, g.rows]),
-                                     split):
-                parts.extend(groups)
+            for j, groups in enumerate(_restrict_group(g, center[:, g.rows], radius[:, g.rows])):
+                if isinstance(groups, ValueError):
+                    split[j], radius[j] = groups, np.inf
+                elif not isinstance(split[j], ValueError):
+                    split[j].extend(groups)
         restricted = []
         for groups, name in zip(split, names):
+            if isinstance(groups, ValueError):
+                restricted.append(groups)
+                continue
             # the groups keep ascending counts, so the point rows and the
             # segments clipped to a point lead
             points = [g for g in groups if g.stack.generators.shape[1] == 1]
@@ -398,16 +370,11 @@ class HullTarget:
         self.dim = self.generators.shape[1]
         self._hull = HullProjector(self.generators)
 
-    def _project(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        proj, dist = _project_runs(self._hull.stack, points[:, None, :])
-        return proj[:, 0], dist[:, 0]
-
     def project(self, points):
-        return self._project(points)[0]
+        return self._hull.project(points)[0]
 
     def contains(self, points):
-        return self._project(points)[1] <= CONTAINS_TOL
+        return self._hull.contains(points)
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +389,11 @@ class _Shared:
     rows, and a restriction keeps the stack of a group with k >= 3, so a
     dense family's members share F's stacks there."""
 
-    rows: np.ndarray            # the domain rows of the stack's hulls
+    rows: np.ndarray    # the domain rows of the stack's hulls
     stack: HullStack
-    maps: np.ndarray            # the maps holding it, ascending
-    balls: BallSections | None  # each map's balls, (len(maps), V, ...), radius inf
-                                # on rows without one; None when no map has one
+    maps: np.ndarray    # the maps holding it, ascending
+    balls: list | None  # each map's BallSections, radius inf on rows without a ball;
+                        # None when no map has one
 
 
 class _Lockstep:
@@ -434,7 +401,8 @@ class _Lockstep:
     maps that hold one stack fold into the query axis of its kernel calls,
     each query row with its own map's balls, so a pass makes one call per
     stack, not one per map, split where a call's temporaries would pass
-    _KERNEL_ENTRIES entries.  A single map keeps its own stacks."""
+    hulls.KERNEL_ENTRIES entries.  The maps keep their own stacks and balls;
+    a call stacks the balls of its maps alone (HullStack.project_runs)."""
 
     def __init__(self, maps):
         self.domain, self.target, self.count = maps[0].domain, maps[0].target, len(maps)
@@ -450,8 +418,7 @@ class _Lockstep:
                 # radius inf projects to the same bits as no ball
                 plain = stack.balls(np.zeros(stack.generators[:, 0].shape),
                                     np.full(len(rows), np.inf))
-                balls = BallSections.stacked([plain if g.balls is None else g.balls
-                                              for _, g in parts])
+                balls = [plain if g.balls is None else g.balls for _, g in parts]
             self.shared.append(_Shared(rows, stack, np.array([i for i, _ in parts]), balls))
 
     def means(self):
@@ -467,18 +434,19 @@ class _Lockstep:
         proj, dist = np.empty(points.shape), np.empty(points.shape[:-1])
         for s in self.shared:
             at = (s.maps[:, None], s.rows)
-            proj[at], dist[at] = _project_runs(s.stack, points[at], s.balls)
+            proj[at], dist[at] = s.stack.project_runs(points[at], s.balls,
+                                                      np.arange(len(s.maps)))
         return proj, dist
 
     def nets(self, projections, cell):
         """Per map, the net of its projections (M, n, dim): snapped to the
         cell lattice and pulled back into C, deduped and lex-sorted.  The
         dedupe takes the maps in batches whose (n, n, dim) distance
-        temporaries stay under _KERNEL_ENTRIES entries."""
+        temporaries stay under hulls.KERNEL_ENTRIES entries."""
         count, n, dim = projections.shape
         snapped = self.target.project(lattice_round(projections, cell).reshape(
             -1, dim)).reshape(projections.shape)
-        return [net[_lex_sort(net)] for run in _runs(count, n * n * dim)
+        return [net[_lex_sort(net)] for run in capped_runs(count, n * n * dim)
                 for net in dedupe_points(snapped[run], tol=1e-12)]
 
     def cover_average(self, live, nets, eps, anchors=None, r=None):
@@ -512,7 +480,7 @@ class _Lockstep:
             owner = np.repeat(use, sizes[at])  # each query row's map, among s.maps
             point = np.arange(len(queries)) - np.repeat(np.cumsum(sizes[at]) - sizes[at],
                                                         sizes[at])
-            proj, dist = _project_runs(s.stack, queries[:, None, :], s.balls, owner)
+            proj, dist = s.stack.project_runs(queries[:, None, :], s.balls, owner)
             hit = dist < eps
             if anchors is not None:
                 hit &= np.linalg.norm(proj - anchors[s.maps[owner, None], s.rows], axis=2) < r
@@ -538,7 +506,7 @@ class _Lockstep:
             nets[j] = nets[j][chosen]
         values = np.zeros((len(live), n, dim))
         pous = []
-        for run in _runs(len(ok), inside.shape[1] * n):
+        for run in capped_runs(len(ok), inside.shape[1] * n):
             elements = max(len(net) for net in nets[run])
             pous.append(build_partition_of_unity(
                 self.domain, OpenCover(self.domain, inside[run, :elements])))
@@ -559,7 +527,7 @@ def _project_all(F, queries):
     proj = np.empty((len(queries), len(F), F.target.dim))
     dist = np.empty((len(queries), len(F)))
     for g in F.groups:
-        proj[:, g.rows], dist[:, g.rows] = _project_runs(g.stack, queries[:, None, :], g.balls)
+        proj[:, g.rows], dist[:, g.rows] = g.stack.project_runs(queries[:, None, :], g.balls)
     return proj, dist
 
 

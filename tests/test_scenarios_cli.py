@@ -391,6 +391,7 @@ def test_json_files_refuse_non_finite_values(tmp_path):
     for value in (float("-inf"), float("inf"), float("nan")):
         with pytest.raises(ValueError):
             _write_json(tmp_path / "out.json", {"defect": value})
+        assert not (tmp_path / "out.json").exists()
 
 
 def test_polyhedral_duality_runs_at_the_section_cap(tmp_path, capsys):

@@ -10,10 +10,12 @@ from scipy.spatial.distance import cdist
 
 from hyperselect.hulls import (
     GENERATOR_CAP,
+    KERNEL_ENTRIES,
     BallSections,
     HullProjector,
     HullStack,
     TooManyGenerators,
+    capped_runs,
     dedupe_points,
 )
 from hyperselect.selection import (
@@ -38,7 +40,6 @@ from hyperselect.selection import (
     jump_map,
     michael_selection,
     restrict_value,
-    _KERNEL_ENTRIES,
     _MAX_ELEMENTS,
     _michael_lockstep,
     _nearest,
@@ -257,32 +258,45 @@ def test_vertical_segment_selection_stays_in_square():
 
 @pytest.mark.parametrize("name", ["sliding-left-end", "rising-triangle"])
 def test_each_round_projects_every_value_twice(monkeypatch, name):
-    # per run and generator-count group: one diagonal call projecting each
+    # per run and generator-count group: one diagonal pass projecting each
     # value's hull-generator mean onto its value, then per round one
-    # all-pairs pass over the net and one diagonal call projecting f_k(x)
-    # onto F(x), whose result also seeds the next round's net.  An
-    # all-pairs pass may take several calls, each under the entry cap
+    # all-pairs pass over the net and one diagonal pass projecting f_k(x)
+    # onto F(x), whose result also seeds the next round's net.  A pass makes
+    # one kernel call per run of query rows under the entry cap, no more
     F = BUNDLED_MAPS[name]()
-    calls = {id(g.stack): [] for g in F.groups}
-    original = HullStack.project
+    passes = {id(g.stack): [] for g in F.groups}
+    calls = {id(g.stack): 0 for g in F.groups}
+    project_runs, project = HullStack.project_runs, HullStack.project
 
-    def counted(self, points, balls=None):
+    def counted_pass(self, points, balls=None, owner=None):
+        if id(self) in passes:
+            hulls = len(self.generators)
+            kind = "diagonal" if points.shape[1] == hulls else "all-pairs"
+            runs = len(capped_runs(len(points), hulls * self.entries))
+            passes[id(self)].append((kind if hulls > 1 else "either", hulls, runs))
+        return project_runs(self, points, balls, owner)
+
+    def counted_call(self, points, balls=None):
         if id(self) in calls:
-            calls[id(self)].append(points.shape[1] == len(self.generators) > 1)
-            assert points.shape[0] * points.shape[1] * self.entries <= _KERNEL_ENTRIES
-        return original(self, points, balls)
+            calls[id(self)] += 1
+            assert points.shape[0] * len(self.generators) * self.entries <= KERNEL_ENTRIES
+        return project(self, points, balls)
 
-    monkeypatch.setattr(HullStack, "project", counted)
+    monkeypatch.setattr(HullStack, "project_runs", counted_pass)
+    monkeypatch.setattr(HullStack, "project", counted_call)
     res = michael_selection(F, tol=1e-3)
     monkeypatch.undo()
     for g in F.groups:
-        diagonal = calls[id(g.stack)]
+        kinds = [kind for kind, _, _ in passes[id(g.stack)]]
         if len(g.rows) == 1:
-            # the two passes look alike here, and a net fits in one call
-            assert len(diagonal) == 2 * len(res.rounds) + 1
-            continue
-        assert sum(diagonal) == len(res.rounds) + 1
-        assert len(diagonal) - sum(diagonal) >= len(res.rounds)
+            # the two passes look alike here
+            assert kinds == ["either"] * (2 * len(res.rounds) + 1)
+        else:
+            assert kinds.count("diagonal") == len(res.rounds) + 1
+            assert kinds.count("all-pairs") == len(res.rounds)
+        assert calls[id(g.stack)] == sum(runs for _, _, runs in passes[id(g.stack)])
+    assert (sum(hulls for stack in passes.values() for _, hulls, _ in stack)
+            == len(F) * (2 * len(res.rounds) + 1))
 
 
 def test_bundled_suite_converges_everywhere():
@@ -571,7 +585,7 @@ def test_kernel_calls_stay_under_the_entry_cap(monkeypatch):
     monkeypatch.undo()
     # the all-pairs passes over every member's net are split into calls
     assert max(m * v for m, v, _ in shapes) > 1000
-    assert max(m * v * entries for m, v, entries in shapes) <= _KERNEL_ENTRIES
+    assert max(m * v * entries for m, v, entries in shapes) <= KERNEL_ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -1078,8 +1092,9 @@ def test_map_restriction_is_the_one_value_restriction_row_by_row():
 
 def test_restrict_each_is_one_restriction_at_a_time():
     # the tiled pass gives each restriction's groups bit for bit, shares
-    # the map's stacks where a group keeps its generators, and a failing
-    # restriction falls back to one at a time, each with its own error
+    # the map's stacks where a group keeps its generators, and gives a
+    # failing restriction the error of its first failing group, as a
+    # restriction on its own raises it, while the others restrict as usual
     gens = [np.array([[0.5, 0.5]]), UNIT_SQUARE[[0, 1]], np.array([[0.2, 0.2]]),
             UNIT_SQUARE[[0, 3]], UNIT_SQUARE[[0, 1, 2]], UNIT_SQUARE[[1, 2]]]
     F = SetValuedMap(grid_domain_1d(len(gens)), gens, HullTarget(UNIT_SQUARE))
@@ -1092,13 +1107,16 @@ def test_restrict_each_is_one_restriction_at_a_time():
     center[2, 0] = gens[0][0]
     center[3, 1], radius[3, 1] = [-0.5, 0.0], 0.5  # a segment clipped to its end point
     names = [f"r{j}" for j in range(5)]
-    for failing in (None, 4):
+    for failing in ((), (4,), (1, 4)):
         c, r = center.copy(), radius.copy()
-        if failing is not None:
-            c[failing, 3], r[failing, 3] = [5.0, 5.0], 0.1
+        for j in failing:
+            c[j, 3], r[j, 3] = [5.0, 5.0], 0.1
+        if 1 in failing:
+            # a miss at the point row 0 too: the point group comes first
+            c[1, 0], r[1, 0] = [5.0, 5.0], 0.1
         each = F.restrict_each(c, r, names)
         for j, G in enumerate(each):
-            if j == failing:
+            if j in failing:
                 with pytest.raises(ValueError) as err:
                     F.restrict(c[j], r[j], names[j])
                 assert type(G) is ValueError and str(G) == str(err.value)
@@ -1120,6 +1138,20 @@ def test_restrict_each_is_one_restriction_at_a_time():
     layouts = {tuple(len(g.rows) for g in G.groups)
                for G in F.restrict_each(center, radius, names)}
     assert len(layouts) > 1
+    # on a map whose triangle row holds a ball, pinning that row fails,
+    # unless a miss in the earlier segment group fails first
+    G = F.restrict(center[0], np.where(np.arange(len(gens)) == 4, 0.6, np.inf))
+    c, r = np.repeat(center[:1], 3, axis=0), np.full((3, len(gens)), np.inf)
+    r[:2, 4] = 0.5
+    c[1, 1], r[1, 1] = [5.0, 5.0], 0.1
+    r[2, 5] = 0.5
+    each = G.restrict_each(c, r, names[:3])
+    for j, H in enumerate(each[:2]):
+        with pytest.raises(ValueError) as err:
+            G.restrict(c[j], r[j], names[j])
+        assert type(H) is ValueError and str(H) == str(err.value)
+    assert "already restricted" in str(each[0]) and "misses" in str(each[1])
+    assert isinstance(each[2], SetValuedMap)
 
 
 def test_dedupe_points_keeps_first_seen_rows():
