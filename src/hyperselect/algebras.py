@@ -18,8 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .norms import (NormSpec, dyadic_weights, eval_norm, make_probe_sequence, probe_strong,
-                    require_probe_domain)
+from .norms import NormSpec, dyadic_weights, eval_norm, make_probe_sequence, probe_strong
 
 ALGEBRA_TOL = 1e-9
 AMBIENT_CAP = 12
@@ -147,13 +146,14 @@ _CAYLEY_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
 def unit_ball_sample(A: MatrixAlgebra, count, seed=0):
-    """Deterministic elements of the algebra's operator-norm unit ball, the
-    draw behind adjoint_modulus's sampled pairs.
+    """Deterministic elements of the algebra's operator-norm unit ball.
 
-    Mixes the fixed structure (zero, identity, rescaled basis elements, the
-    signed permutations that happen to lie in the algebra) with Cayley
-    unitaries of random Hermitian elements at several magnitudes and
-    rescaled random elements.
+    No library path draws them: with cayley_unitary they serve only as the
+    tests' sampled reference for the exact routes (adjoint_modulus's
+    witnesses, the closed-form support values).  Mixes the fixed structure
+    (zero, identity, rescaled basis elements, the signed permutations that
+    happen to lie in the algebra) with Cayley unitaries of random Hermitian
+    elements at several magnitudes and rescaled random elements.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -226,39 +226,31 @@ def default_strong_spec(n, length=None):
     return probe_strong(make_probe_sequence(n, length))
 
 
-def adjoint_modulus(A: MatrixAlgebra, eps_list, sample_count=400, seed=0, spec=None):
-    """Empirical continuity modulus of x -> x* on the unit ball.
+def adjoint_modulus(A: MatrixAlgebra, eps_list, spec=None):
+    """Upper bound on the continuity modulus of x -> x* on the unit ball.
 
-    For each eps, the largest delta such that every sampled pair at strong
-    distance < delta has adjoint distance <= eps; pairs include the basis
-    units against 0 and each other, the worst witnesses for block algebras.
-    The samples are checked against the unit ball once (x* has the operator
-    norm of x); the units have norm 1 by construction and are not checked.
-    The pairs' probe distances are norms of differences.
+    Differences of unit-ball members fill 2 B_A, so the modulus at eps is
+    delta(eps) = inf {rho(z) : z in 2 B_A, rho(z*) > eps}.  The witnesses z
+    are the basis units and the differences of unit pairs; a witness with
+    rho(z*) > 0 rescaled to adjoint distance eps has strong distance
+    eps rho(z) / rho(z*), and it is admitted when the rescaled copy lies in
+    2 B_A: a unit (norm 1) when eps < 2 rho(z*), a pair (norm at most 2 by
+    the triangle inequality) when eps < rho(z*).  delta is the least
+    admitted figure, an exact upper bound, or 2.0 when no witness fits.
     """
     spec = default_strong_spec(A.n) if spec is None else spec
-    samples = unit_ball_sample(A, sample_count, seed)
     units = A.units
-    require_probe_domain(spec, samples)
-    rng = np.random.default_rng(seed + 1)
     left, right = np.triu_indices(min(len(units), 24), k=1)  # combinations order
-    idx = rng.integers(0, len(samples), size=(2 * sample_count, 2))
-    # rows: each unit against 0, the unit pairs, then the sampled pairs
-    diffs = np.empty((len(units) + len(left) + len(idx), A.n, A.n), dtype=np.complex128)
-    cut = len(units) + len(left)
-    diffs[:len(units)] = units
-    diffs[len(units):cut] = units[left]
-    diffs[len(units):cut] -= units[right]
-    diffs[cut:] = samples[idx[:, 0]]
-    diffs[cut:] -= samples[idx[:, 1]]
+    diffs = np.concatenate([units, units[left] - units[right]])
     fwd = eval_norm(diffs, spec)
-    np.conj(diffs, out=diffs)  # x* - y* = (x - y)*
-    bwd = eval_norm(diffs.swapaxes(-1, -2), spec)
+    bwd = eval_norm(diffs.conj().swapaxes(-1, -2), spec)
+    reach = np.where(np.arange(len(diffs)) < len(units), 2.0, 1.0) * bwd
+    live = bwd > 0
+    ratio, reach = fwd[live] / bwd[live], reach[live]
     out = []
     for eps in eps_list:
-        violating = fwd[bwd > eps]
-        delta = float(violating.min()) if len(violating) else 2.0
-        out.append((float(eps), delta))
+        fits = eps < reach
+        out.append((float(eps), float(eps * ratio[fits].min()) if fits.any() else 2.0))
     return out
 
 

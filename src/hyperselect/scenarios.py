@@ -366,7 +366,9 @@ def run_selection(params, seed, out):
         jump = jump_map(cfg["n1d"])
         jp = np.vstack([jump.target.generators,
                         jump.target.generators.mean(axis=0)[None, :]])
-        report["jump_rejected"] = not check_lower_continuity(jump, jp)["ok"]
+        check = check_lower_continuity(jump, jp)
+        # null on a grid with no adjacent pair, where the witness cannot jump
+        report["jump_rejected"] = None if check["worst"]["x"] is None else not check["ok"]
     files = [_write_json(out / "continuity.json", report)]
 
     result = michael_selection(F, tol=cfg["tol"])
@@ -554,7 +556,6 @@ _FINITENESS_KEYS = {
     "m": (4, _between(1, math.isqrt(FS_CAP))),  # the block algebra acts on m*m coordinates
     "block_sizes": ((1, 2, 4), _at_least(1)),
     "eps_list": ((0.05, 0.1, 0.2, 0.4), _POSITIVE),
-    "sample_count": (300, _at_least(1)),
     "probe_count": (8, _at_least(1)),
     "witness_count": (6, _at_least(0)),
 }
@@ -581,10 +582,7 @@ def run_finiteness(params, seed, out):
     witness_rows = []
     for size in sizes:
         algebra, _ = build_fS(block_subsets(cfg["m"], size))
-        for eps, delta in adjoint_modulus(algebra, eps_list,
-                                          sample_count=cfg["sample_count"],
-                                          seed=seed, spec=spec):
-            rows.append((eps, delta, size))
+        rows.extend((eps, delta, size) for eps, delta in adjoint_modulus(algebra, eps_list, spec))
         rho = eval_norm(algebra.units[:cfg["witness_count"]], spec)
         witness_rows.extend((size, idx, r) for idx, r in enumerate(rho))
     return [

@@ -728,10 +728,11 @@ def density_audit(members, F, metric=None):
     """Worst distance from any value generator to the nearest family member.
 
     metric(points_a, points_b) -> pairwise row distances; defaults to L2.
-    It is called once, over every (generator, member) pair.  Returns the
-    audit gap and one row (point index, generator index, generator,
-    distance) per audited generator, in row order; rows with a ball have no
-    generators to audit.
+    It is called on runs of generators from hulls.capped_runs, each run
+    against every member, so a call's arrays stay under hulls.KERNEL_ENTRIES
+    entries and a small audit takes one call.  Returns the audit gap and one
+    row (point index, generator index, generator, distance) per audited
+    generator, in row order; rows with a ball have no generators to audit.
     """
     if metric is None:
         metric = lambda a, b: np.linalg.norm(a - b, axis=1)
@@ -741,10 +742,12 @@ def density_audit(members, F, metric=None):
         return 0.0, []
     at = np.array([i for i, _, _ in audited])
     gens = np.stack([w for _, _, w in audited])
-    pairs = len(members) * len(audited)
-    dists = np.asarray(metric(stacked[:, at].swapaxes(0, 1).reshape(pairs, -1),
-                              np.repeat(gens, len(members), axis=0)), dtype=np.float64)
-    best = dists.reshape(len(audited), len(members)).min(axis=1)
+    best = np.empty(len(audited))
+    for run in capped_runs(len(audited), len(members) * gens.shape[1]):
+        a = stacked[:, at[run]].swapaxes(0, 1).reshape(-1, gens.shape[1])
+        dists = np.asarray(metric(a, np.repeat(gens[run], len(members), axis=0)),
+                           dtype=np.float64)
+        best[run] = dists.reshape(-1, len(members)).min(axis=1)
     rows = [(i, g, w, float(b)) for (i, g, w), b in zip(audited, best)]
     return max([0.0] + [row[3] for row in rows]), rows
 

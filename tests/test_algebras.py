@@ -30,7 +30,7 @@ from hyperselect.algebras import (
     trace_norm,
     unit_ball_sample,
 )
-from hyperselect.norms import OutsideUnitBall, eval_norm
+from hyperselect.norms import eval_norm
 from hyperselect.scenarios import block_subsets
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
@@ -298,53 +298,80 @@ def test_laws_exact_on_block_core(subsets):
 
 
 def test_modulus_is_identity_like_on_scalars():
+    # conjugation of scalars is isometric, so every unit witness has the
+    # ratio 1; the unit I fits up to eps < 2 rho(I) = 1.875
     sc = scalar_algebra(2)
-    for eps in (0.05, 0.1, 0.2):
-        delta = dict(adjoint_modulus(sc, [eps], sample_count=400, seed=0))[eps]
-        assert eps <= delta <= 1.2 * eps  # conjugation of scalars is isometric
+    got = adjoint_modulus(sc, [0.05, 0.1, 0.2, 1.8, 1.9])
+    assert [eps for eps, _ in got] == [0.05, 0.1, 0.2, 1.8, 1.9]
+    for eps, delta in got[:4]:
+        assert delta == pytest.approx(eps, rel=1e-12, abs=0.0)
+    assert got[4][1] == 2.0  # no witness fits
 
 
 def test_modulus_shrinks_with_matrix_size():
-    d2 = dict(adjoint_modulus(full_algebra(2), [0.1], sample_count=400, seed=0))[0.1]
-    d6 = dict(adjoint_modulus(full_algebra(6), [0.1], sample_count=400, seed=0))[0.1]
-    assert d2 > d6  # measured 0.116 vs 0.0159
+    d2 = dict(adjoint_modulus(full_algebra(2), [0.1]))[0.1]
+    d6 = dict(adjoint_modulus(full_algebra(6), [0.1]))[0.1]
+    assert d2 > d6  # measured 0.0605 vs 0.00302
     assert d6 < 0.05
 
 
-def test_modulus_rejects_a_sample_outside_the_unit_ball(monkeypatch):
-    A = full_algebra(2)
-    monkeypatch.setattr("hyperselect.algebras.unit_ball_sample",
-                        lambda A, count, seed: 2.0 * np.eye(2, dtype=np.complex128)[None])
-    with pytest.raises(OutsideUnitBall):
-        adjoint_modulus(A, [0.1], sample_count=10, seed=0)
-
-
-def _per_pair_modulus(A, eps_list, sample_count, seed, spec):
-    # the reference: one eval_norm call per pair and side, on the pairs
-    # adjoint_modulus draws
-    samples = unit_ball_sample(A, sample_count, seed)
+def _witnesses(A):
+    # each basis unit, then the unit-pair differences in combinations order
     units = [b / operator_norm(b) for b in A.hs_basis]
-    rng = np.random.default_rng(seed + 1)
-    pairs = [(u, np.zeros_like(u)) for u in units]
-    pairs += [(units[i], units[j])
-              for i, j in itertools.combinations(range(min(len(units), 24)), 2)]
-    pairs += [(samples[i], samples[j])
-              for i, j in rng.integers(0, len(samples), size=(2 * sample_count, 2))]
-    fwd = np.array([eval_norm(x - y, spec) for x, y in pairs])
-    bwd = np.array([eval_norm(x.conj().T - y.conj().T, spec) for x, y in pairs])
-    return [(eps, float(fwd[bwd > eps].min()) if (bwd > eps).any() else 2.0)
+    return units + [units[i] - units[j]
+                    for i, j in itertools.combinations(range(min(len(units), 24)), 2)]
+
+
+def _per_witness_modulus(A, eps_list, spec):
+    # the reference: one eval_norm call per witness and side, and the fit of
+    # the rescaled witness in 2 B_A checked with its exact operator norm
+    rho = [(eval_norm(z, spec), eval_norm(z.conj().T, spec), np.linalg.norm(z, 2))
+           for z in _witnesses(A)]
+    return [(eps, min([eps * (fwd / bwd) for fwd, bwd, size in rho
+                       if bwd > 0 and eps * size / bwd < 2.0], default=2.0))
             for eps in eps_list]
 
 
-def test_modulus_matches_per_pair_reference():
+def test_modulus_matches_per_witness_reference():
     # the full block algebra on C^3 (x) C^3 has 27 basis units, past the cap
     # of 24 on the unit pairs
     full_blocks, _ = build_fS(SubsetSeq(m=3, subsets=({0, 1, 2},) * 3))
-    eps_list = [0.05, 0.1, 0.2, 0.4]
     for A in (full_algebra(2), diagonal_algebra(3), full_blocks):
         spec = default_strong_spec(A.n, 5)
-        got = adjoint_modulus(A, eps_list, sample_count=40, seed=2, spec=spec)
-        assert got == _per_pair_modulus(A, eps_list, 40, 2, spec)
+        eps_list = [0.05, 0.1, 0.2, 0.4]
+        assert adjoint_modulus(A, eps_list, spec) == _per_witness_modulus(A, eps_list, spec)
+        # past 0.4 the triangle bound on a pair's norm admits fewer
+        # witnesses than the exact norm, never more
+        for (_, got), (_, ref) in zip(adjoint_modulus(A, [0.8, 1.5], spec),
+                                      _per_witness_modulus(A, [0.8, 1.5], spec)):
+            assert got >= ref
+
+
+def test_modulus_delta_is_certified_by_a_witness_in_the_ball():
+    # each delta below 2 is rho(w) for w = (eps / rho(z*)) z, a witness z
+    # rescaled into 2 B_A with rho(w*) = eps; at eps = 1.5 the best-ratio
+    # witnesses of full_algebra(2) no longer fit
+    algebras = [(full_algebra(2), default_strong_spec(2))]
+    spec = default_strong_spec(16, 8)
+    algebras += [(build_fS(block_subsets(4, size))[0], spec) for size in (1, 2, 4)]
+    for A, spec in algebras:
+        witnesses = _witnesses(A)
+        fwd = np.array([eval_norm(z, spec) for z in witnesses])
+        bwd = np.array([eval_norm(z.conj().T, spec) for z in witnesses])
+        live = np.flatnonzero(bwd > 0)
+        for eps, delta in adjoint_modulus(A, [0.05, 0.1, 0.2, 0.4, 0.8, 1.5], spec):
+            if delta == 2.0:
+                continue
+            attaining = live[np.isclose(eps * fwd[live] / bwd[live], delta,
+                                        rtol=1e-12, atol=1e-15)]
+            certified = []
+            for k in attaining:
+                w = (eps / bwd[k]) * witnesses[k]
+                certified.append(np.linalg.norm(w, 2) <= 2.0 + 1e-12
+                                 and eval_norm(w.conj().T, spec) >= eps * (1.0 - 1e-12)
+                                 and eval_norm(w, spec) == pytest.approx(delta, rel=1e-12,
+                                                                         abs=1e-15))
+            assert any(certified), (A.dim, eps, delta)
 
 
 def test_modulus_separates_block_sizes():
@@ -353,9 +380,9 @@ def test_modulus_separates_block_sizes():
     A1, _ = build_fS(S1)
     A8, _ = build_fS(S8)
     assert (A1.dim, A8.dim) == (9, 512)
-    d1 = dict(adjoint_modulus(A1, [0.1], sample_count=100, seed=5))[0.1]
-    d8 = dict(adjoint_modulus(A8, [0.1], sample_count=100, seed=5))[0.1]
-    assert d1 > d8 + 0.05  # measured 0.105 vs 0.004
+    d1 = dict(adjoint_modulus(A1, [0.1]))[0.1]
+    d8 = dict(adjoint_modulus(A8, [0.1]))[0.1]
+    assert d1 > d8 + 0.05  # measured 0.1 vs 0.000737
 
 
 # ---------------------------------------------------------------------------

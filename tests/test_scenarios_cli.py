@@ -112,9 +112,12 @@ def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     # counterexample decides its criterion in closed form on the disc, so it
     # has no sample-grid key such as angles; the dense family pins each member
-    # on all of U_nm, so selection and marechal take no exhaustion depth
+    # on all of U_nm, so selection and marechal take no exhaustion depth; the
+    # adjoint modulus is bounded by exact witnesses, so finiteness draws no
+    # samples
     for scenario, key in (("borel", "bogus_key"), ("counterexample", "angles"),
-                          ("selection", "p_max"), ("marechal", "hw_p_max")):
+                          ("selection", "p_max"), ("marechal", "hw_p_max"),
+                          ("finiteness", "sample_count")):
         cfg = _write_config(tmp_path, f"{key}=64\n")
         code = main([scenario, "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
@@ -245,7 +248,7 @@ def test_duality_outputs_within_tolerance(tmp_path, capsys):
 
 def test_finiteness_sweep_shapes(tmp_path, capsys):
     out = tmp_path / "o"
-    cfg = _write_config(tmp_path, "m=2\nblock_sizes=1,2\neps_list=0.1,0.2\nsample_count=100\n")
+    cfg = _write_config(tmp_path, "m=2\nblock_sizes=1,2\neps_list=0.1,0.2\n")
     code = main(["finiteness", "--config", cfg, "--out", str(out)])
     assert code == 0
     capsys.readouterr()
@@ -309,7 +312,6 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
     ("marechal", "hw_m_max=0\n", "hw_m_max"),
     ("marechal", "probe_count=0\n", "probe_count"),
     ("selection", "m_max=0\n", "m_max"),
-    ("finiteness", "sample_count=0\n", "sample_count"),
     ("finiteness", "witness_count=-1\n", "witness_count"),
     ("finiteness", "eps_list=0.1,0\n", "eps_list"),
     ("finiteness", "probe_count=0\n", "probe_count"),
@@ -337,7 +339,7 @@ def test_non_finite_number_exits_2(tmp_path, capsys, scenario, text, key):
 ], ids=["dim-over-section-cap", "trials-negative", "trials-zero", "scales-negative", "scales-one",
         "hw_tol-negative", "tol-zero", "family_tol-negative", "eps-zero",
         "hw_m_max-zero", "marechal-probe_count-zero",
-        "m_max-zero", "sample_count-zero", "witness_count-negative", "eps_list-zero",
+        "m_max-zero", "witness_count-negative", "eps_list-zero",
         "finiteness-probe_count-zero",
         "m-over-cap", "probe_count-over-dim-1", "count-zero", "count-over-prefixes", "tol-negative",
         "net-outside-target", "norms-empty", "d2-zero", "n1d-zero",
@@ -385,6 +387,8 @@ def test_one_point_grid_writes_strict_json(tmp_path, capsys):
     report = _strict_json((tmp_path / "o" / "continuity.json").read_text(encoding="utf-8"))
     assert report["continuity"]["ok"] is True
     assert report["continuity"]["worst"] == dict.fromkeys(("x", "x_prime", "probe", "defect"))
+    # nor has the jump witness on one point, so it is neither rejected nor kept
+    assert report["jump_rejected"] is None
 
 
 def test_json_files_refuse_non_finite_values(tmp_path):
@@ -527,3 +531,18 @@ def test_scenarios_run_with_scipy_blocked(tmp_path):
     codes = json.loads(proc.stdout.splitlines()[-1])
     assert codes == dict.fromkeys(SCENARIOS, 0), proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(SCENARIOS)
+
+
+def test_finiteness_runs_with_unit_ball_sampling_blocked(tmp_path, monkeypatch, capsys):
+    # the adjoint modulus comes from exact witnesses; the unit-ball sample is
+    # the tests' reference only, and no library path may draw it
+    def refuse(*args, **kwargs):
+        raise AssertionError("unit_ball_sample called from the library")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "hyperselect"]:
+        if hasattr(module, "unit_ball_sample"):
+            monkeypatch.setattr(module, "unit_ball_sample", refuse)
+    cfg = str(SAMPLE_CONFIGS / "finiteness.cfg")
+    assert main(["finiteness", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "o" / "finiteness.csv").exists()

@@ -367,7 +367,7 @@ def test_density_audit_matches_one_member_at_a_time():
         worst, rows = density_audit(members, F, metric)
         assert [(i, g, best) for i, g, _, best in rows] == [(i, g, b) for i, g, _, b in expected]
         assert worst == max(b for *_, b in expected)
-        # one metric call over every (generator, member) pair
+        # a small audit takes one metric call over every (generator, member) pair
         calls = []
 
         def counted(a, b, pair=pair):
@@ -377,6 +377,35 @@ def test_density_audit_matches_one_member_at_a_time():
         again, counted_rows = density_audit(members, F, counted)
         assert again == worst and [r[3] for r in counted_rows] == [r[3] for r in rows]
         assert calls == [len(members) * len(expected)]
+
+
+def test_density_audit_splits_its_metric_calls_past_the_kernel_cap():
+    # 800 members of dimension 2 take 1,600 entries a generator, so a run
+    # holds at most 10 generators and the audit splits into several calls
+    F = BUNDLED_MAPS["rising-triangle"](11, 3)
+    rng = np.random.default_rng(9)
+    members = [FamilyMember(0, 1, rng.uniform(0.0, 1.0, (len(F), 2)), [], 0)
+               for _ in range(800)]
+    l2 = lambda a, b: np.linalg.norm(a - b, axis=1)
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.size)
+        return l2(a, b)
+
+    worst, rows = density_audit(members, F, counted)
+    audited = [(i, g, w) for i, gens in F.generators().items() for g, w in enumerate(gens)]
+    assert len(calls) > 1 and max(calls) <= KERNEL_ENTRIES
+    assert sum(calls) == len(members) * len(audited) * 2
+    # the rows of one call over every pair
+    stacked = np.stack([mem.values for mem in members])
+    at = [i for i, _, _ in audited]
+    gens = np.stack([w for _, _, w in audited])
+    single = l2(stacked[:, at].swapaxes(0, 1).reshape(-1, 2),
+                np.repeat(gens, len(members), axis=0)).reshape(len(audited), -1).min(axis=1)
+    assert [(i, g, best) for i, g, _, best in rows] == [
+        (i, g, float(b)) for (i, g, _), b in zip(audited, single)]
+    assert worst == float(single.max())
 
 
 def test_value_exactly_one_over_m_away_is_not_pinned():
