@@ -1,12 +1,13 @@
 """Command-line front end: `hyperselect <scenario> --config <path>`.
 
-Exit codes: 0 on success, 2 on an invalid configuration or an --out path
-that cannot be made a directory, 3 on an invariant violation inside a
-pipeline (an InvariantViolation: a duality mismatch, a stalled iteration, a
-census contradiction), 4 when a truncation is too shallow to settle a
-membership, and 1 on any other exception, a bug the library did not
-anticipate.  Failures print a single machine-readable JSON record to
-stderr; an exit 1 record carries the traceback too.
+Exit codes: 0 on success, 2 on an invalid configuration (a config file
+that is not UTF-8 text, a negative --seed) or an --out path that cannot be
+made a directory, 3 on an invariant violation inside a pipeline (an
+InvariantViolation: a duality mismatch, a stalled iteration, a census
+contradiction), 4 when a truncation is too shallow to settle a membership,
+and 1 on any other exception, a bug the library did not anticipate.
+Failures print a single machine-readable JSON record to stderr; an exit 1
+record carries the traceback too.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .borel import DepthInsufficient
-from .norms import InvariantViolation
+# numpy-free: help, usage and config errors exit before any library module loads
 from .scenarios import SCENARIOS, ConfigError, parse_config_file
 
 
@@ -42,6 +42,9 @@ def main(argv=None):
         return _fail(2, "ConfigError",
                      f"unknown scenario {args.scenario!r};"
                      f" choose from {', '.join(sorted(SCENARIOS))}")
+    if args.seed < 0:
+        return _fail(2, "ConfigError", f"--seed: expected a non-negative integer,"
+                                       f" got {args.seed}")
     try:
         params = parse_config_file(args.config) if args.config else {}
     except ConfigError as err:
@@ -53,6 +56,9 @@ def main(argv=None):
     except OSError as err:
         return _fail(2, "ConfigError", f"--out {out}: cannot make the output directory"
                                        f" ({err.strerror})")
+    from .borel import DepthInsufficient
+    from .norms import InvariantViolation
+
     try:
         files = SCENARIOS[args.scenario](params, args.seed, out)
     except ConfigError as err:

@@ -13,60 +13,12 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
-from .norms import (
-    VECTOR_KINDS,
-    InvariantViolation,
-    NormSpec,
-    Subspace,
-    array_to_json,
-    dyadic_weights,
-    eval_norm,
-    l1,
-    linf,
-    make_probe_sequence,
-    probe_strong_star,
-)
-from .duality import (
-    SECTION_DIM_CAP,
-    DualityMismatch,
-    convergence_gap,
-    counterexample_ball,
-    counterexample_limit_disc,
-    counterexample_subspace,
-    exact_support,
-    is_subspace_ball,
-    quotient_routes_by_dimension,
-)
-from .hulls import CONTAINS_TOL
-from .selection import (
-    BUNDLED_MAPS,
-    DiscreteDomain,
-    NetTooCoarse,
-    SetValuedMap,
-    approx_selection,
-    check_lower_continuity,
-    dense_selection_family,
-    density_audit,
-    jump_map,
-    michael_selection,
-)
-from .algebras import (
-    FS_CAP,
-    SubsetSeq,
-    adjoint_modulus,
-    build_fS,
-    default_strong_spec,
-    marechal_pseudometric,
-    rotated_diagonal_algebra,
-)
-from .borel import (
-    DepthInsufficient,
-    bundled_borel_instances,
-    pfin_census,
-    sigma2_reduce,
-)
+# No numpy and no library module at module level: each runner imports, when
+# it is called, only the modules it uses, so a process that fails on its
+# config, or runs one scenario, loads no more than that needs.  Runners read
+# library functions at call time, never through a binding made at import, so
+# a function rebound in its own module (a test's monkeypatch, perfbench's
+# tracer) is the one they call.
 
 
 class ConfigError(ValueError):
@@ -82,7 +34,7 @@ def parse_config_file(path):
     raw = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -167,12 +119,14 @@ def _parse(raw, default, listed=False):
 
 
 def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, str):
         return value
+    if not isinstance(value, (bool, int, float)):
+        value = value.item()  # a numpy scalar, as the Python bool, int or float it holds
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
     f = float(value)
     if f == 0.0:
         f = 0.0  # normalize -0.0
@@ -192,12 +146,10 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(_fmt(float(obj)))
+    if hasattr(obj, "item"):
+        obj = obj.item()  # a numpy scalar, as the Python bool, int or float it holds
+    if isinstance(obj, float):
+        return float(_fmt(obj))
     return obj
 
 
@@ -213,17 +165,25 @@ def _write_json(path, obj):
 # duality: the two-route quotient distance sweep
 
 
-_DUALITY_KEYS = {
-    "dim": (4, _at_least(2)),
-    "trials": (50, _at_least(1)),
-    "norms": (("l2", "l1", "linf"), _one_of(*VECTOR_KINDS)),
-    "tol_l2": (1e-12, _at_least(0)),
-    "tol_polyhedral": (1e-12, _at_least(0)),
-}
+def _duality_keys():
+    from .norms import VECTOR_KINDS
+
+    return {
+        "dim": (4, _at_least(2)),
+        "trials": (50, _at_least(1)),
+        "norms": (("l2", "l1", "linf"), _one_of(*VECTOR_KINDS)),
+        "tol_l2": (1e-12, _at_least(0)),
+        "tol_polyhedral": (1e-12, _at_least(0)),
+    }
 
 
 def run_duality(params, seed, out):
-    cfg = _resolve(params, _DUALITY_KEYS)
+    import numpy as np
+
+    from .duality import SECTION_DIM_CAP, DualityMismatch, quotient_routes_by_dimension
+    from .norms import NormSpec
+
+    cfg = _resolve(params, _duality_keys())
     if cfg["dim"] > SECTION_DIM_CAP and any(k in ("l1", "linf") for k in cfg["norms"]):
         raise ConfigError(f"config key dim: polyhedral duality sweeps are capped at dim"
                           f" {SECTION_DIM_CAP}, got {cfg['dim']}")
@@ -270,6 +230,18 @@ _COUNTEREXAMPLE_KEYS = {
 
 
 def run_counterexample(params, seed, out):
+    import numpy as np
+
+    from .duality import (
+        convergence_gap,
+        counterexample_ball,
+        counterexample_limit_disc,
+        counterexample_subspace,
+        exact_support,
+        is_subspace_ball,
+    )
+    from .norms import Subspace, array_to_json, dyadic_weights, l1, linf
+
     cfg = _resolve(params, _COUNTEREXAMPLE_KEYS)
     terms, scales = cfg["terms"], cfg["scales"]
     trunc = cfg["trunc_dim"] if cfg["trunc_dim"] else terms + 2
@@ -334,6 +306,8 @@ _SELECTION_KEYS = {
 def _scenario_net(F, points, user_set):
     """The config's net for a 1-D map; a 2-D map's net is its target's
     corners and centre."""
+    import numpy as np
+
     if F.target.dim == 1:
         net = np.array(points)[:, None]
         if not F.target.contains(net).all():
@@ -347,6 +321,19 @@ def _scenario_net(F, points, user_set):
 
 
 def run_selection(params, seed, out):
+    import numpy as np
+
+    from .selection import (
+        BUNDLED_MAPS,
+        NetTooCoarse,
+        approx_selection,
+        check_lower_continuity,
+        dense_selection_family,
+        density_audit,
+        jump_map,
+        michael_selection,
+    )
+
     cfg = _resolve(params, _SELECTION_KEYS)
     if cfg["map"] not in BUNDLED_MAPS:
         raise ConfigError(f"config key map: expected one of {', '.join(sorted(BUNDLED_MAPS))},"
@@ -421,6 +408,8 @@ def run_selection(params, seed, out):
 def matrix_unit_probes(n, count):
     """Trace-norm-one probe matrices: matrix units in diagonal-band order,
     cycled when count exceeds n^2, so longer lists extend shorter ones."""
+    import numpy as np
+
     pairs = sorted(((k, l) for k in range(n) for l in range(n)),
                    key=lambda kl: (kl[0] + kl[1], kl[0]))
     out = []
@@ -439,6 +428,8 @@ def sym_to_coords(m):
     """Isometric coordinates (x00, x11, sqrt2 x01) of a real symmetric 2x2,
     or of each matrix in a stack; Euclidean distance of coordinates equals
     Frobenius distance."""
+    import numpy as np
+
     m = np.asarray(m)
     return np.stack([m[..., 0, 0].real, m[..., 1, 1].real, _SQRT2 * m[..., 0, 1].real],
                     axis=-1)
@@ -446,6 +437,8 @@ def sym_to_coords(m):
 
 def coords_to_sym(v):
     """The symmetric 2x2 with coordinates v, or a stack of them for rows v."""
+    import numpy as np
+
     v = np.asarray(v)
     off = v[..., 2] / _SQRT2
     return np.stack([np.stack([v[..., 0], off], axis=-1),
@@ -462,10 +455,16 @@ class SpectralBallTarget:
         self.dim = 3
 
     def project(self, points):
+        import numpy as np
+
         w, q = np.linalg.eigh(coords_to_sym(np.atleast_2d(np.asarray(points, dtype=np.float64))))
         return sym_to_coords((q * np.clip(w, -1.0, 1.0)[:, None, :]) @ q.swapaxes(-1, -2))
 
     def contains(self, points):
+        import numpy as np
+
+        from .hulls import CONTAINS_TOL
+
         sym = coords_to_sym(np.atleast_2d(np.asarray(points, dtype=np.float64)))
         return np.abs(np.linalg.eigvalsh(sym)).max(axis=1) <= 1.0 + CONTAINS_TOL
 
@@ -474,6 +473,10 @@ def rotated_ball_map(count, theta_max):
     """F(theta) = symmetric part of the unit ball of the rotated diagonal
     algebra A_theta, an exact square with vertices +-I and +-D_theta in
     isometric coordinates."""
+    import numpy as np
+
+    from .selection import DiscreteDomain, SetValuedMap
+
     thetas = np.linspace(0.0, theta_max, count)
     domain = DiscreteDomain(thetas[:, None])
     eye = sym_to_coords(np.eye(2))
@@ -499,6 +502,12 @@ _MARECHAL_KEYS = {
 
 
 def run_marechal(params, seed, out):
+    import numpy as np
+
+    from .algebras import marechal_pseudometric, rotated_diagonal_algebra
+    from .norms import InvariantViolation, eval_norm, make_probe_sequence, probe_strong_star
+    from .selection import dense_selection_family, density_audit
+
     cfg = _resolve(params, _MARECHAL_KEYS)
     probes = matrix_unit_probes(2, cfg["probe_count"])
     reference = rotated_diagonal_algebra(0.0)
@@ -552,24 +561,32 @@ def run_marechal(params, seed, out):
 # finiteness: adjoint continuity modulus against block size
 
 
-_FINITENESS_KEYS = {
-    "m": (4, _between(1, math.isqrt(FS_CAP))),  # the block algebra acts on m*m coordinates
-    "block_sizes": ((1, 2, 4), _at_least(1)),
-    "eps_list": ((0.05, 0.1, 0.2, 0.4), _POSITIVE),
-    "probe_count": (8, _at_least(1)),
-    "witness_count": (6, _at_least(0)),
-}
+def _finiteness_keys():
+    from .algebras import FS_CAP
+
+    return {
+        "m": (4, _between(1, math.isqrt(FS_CAP))),  # the block algebra acts on m*m coordinates
+        "block_sizes": ((1, 2, 4), _at_least(1)),
+        "eps_list": ((0.05, 0.1, 0.2, 0.4), _POSITIVE),
+        "probe_count": (8, _at_least(1)),
+        "witness_count": (6, _at_least(0)),
+    }
 
 
 def block_subsets(m, size):
     """S_n = the contiguous block of `size` indices containing n."""
+    from .algebras import SubsetSeq
+
     return SubsetSeq(m, tuple(
         frozenset(range((n // size) * size, min(m, (n // size) * size + size)))
         for n in range(m)))
 
 
 def run_finiteness(params, seed, out):
-    cfg = _resolve(params, _FINITENESS_KEYS)
+    from .algebras import adjoint_modulus, build_fS, default_strong_spec
+    from .norms import eval_norm
+
+    cfg = _resolve(params, _finiteness_keys())
     sizes, eps_list = cfg["block_sizes"], cfg["eps_list"]
     if max(sizes) > cfg["m"]:
         raise ConfigError(f"config key block_sizes: expected at most m = {cfg['m']},"
@@ -608,6 +625,9 @@ _BOREL_KEYS = {
 
 
 def run_borel(params, seed, out):
+    from .borel import DepthInsufficient, bundled_borel_instances, pfin_census, sigma2_reduce
+    from .norms import InvariantViolation
+
     cfg = _resolve(params, _BOREL_KEYS)
     if not cfg["prefix_len"] < cfg["d"] <= cfg["d2"]:
         raise ConfigError(f"config key d: expected prefix_len = {cfg['prefix_len']} < d"

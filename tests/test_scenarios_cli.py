@@ -1,6 +1,7 @@
 """The command-line runner: config parsing, exit codes, emitted files, and
 byte-identical reruns."""
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -16,13 +17,13 @@ from hyperselect.norms import InvariantViolation
 from hyperselect.scenarios import (
     _BOREL_KEYS,
     _COUNTEREXAMPLE_KEYS,
-    _DUALITY_KEYS,
-    _FINITENESS_KEYS,
     _MARECHAL_KEYS,
     _SELECTION_KEYS,
     SCENARIOS,
     ConfigError,
     SpectralBallTarget,
+    _duality_keys,
+    _finiteness_keys,
     _resolve,
     _write_json,
     coords_to_sym,
@@ -89,6 +90,13 @@ def test_parse_missing_file():
         parse_config_file("/nonexistent/path.cfg")
 
 
+def test_parse_rejects_non_utf8_config(tmp_path):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"d=\xff\xfe\n")
+    with pytest.raises(ConfigError, match=f"cannot read config {path}"):
+        parse_config_file(path)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -98,6 +106,17 @@ def test_unknown_scenario_exits_2(tmp_path, capsys):
     assert code == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
+
+
+def test_negative_seed_exits_2_before_anything_runs(tmp_path, capsys):
+    # numpy's generator refuses a negative seed, and the other scenarios
+    # never read it; the CLI rejects it for all six alike
+    for scenario in SCENARIOS:
+        assert main([scenario, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "--seed" in record["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
@@ -154,8 +173,8 @@ def test_invariant_violation_exits_3(tmp_path, capsys):
 
 
 def test_census_contradiction_exits_3(tmp_path, capsys, monkeypatch):
-    import hyperselect.scenarios as scenarios
-    monkeypatch.setattr(scenarios, "pfin_census", lambda m1, deeper: {"verdict": "Unknown"})
+    import hyperselect.borel as borel
+    monkeypatch.setattr(borel, "pfin_census", lambda m1, deeper: {"verdict": "Unknown"})
     code = main(["borel", "--out", str(tmp_path / "o")])
     assert code == 3
     record = json.loads(capsys.readouterr().err)
@@ -274,8 +293,9 @@ def test_marechal_audit_gap_over_its_bound_raises(tmp_path, monkeypatch):
     # the members at v_0 = 0 alone stay near the origin, about sqrt(2) from
     # every corner of the values, so the audit must refuse to write a summary
     import hyperselect.scenarios as scenarios
-    full = scenarios.dense_selection_family
-    monkeypatch.setattr(scenarios, "dense_selection_family", lambda *args, **kw: [
+    import hyperselect.selection as selection
+    full = selection.dense_selection_family
+    monkeypatch.setattr(selection, "dense_selection_family", lambda *args, **kw: [
         mem for mem in full(*args, **kw) if mem.net_index == 0])
     with pytest.raises(InvariantViolation,
                        match=r"exceeds the bound .* at theta .*, generator \d"):
@@ -407,9 +427,9 @@ def test_polyhedral_duality_runs_at_the_section_cap(tmp_path, capsys):
 def test_sample_configs_name_and_pass_every_key():
     # scripts/run_all.py and the benchmark run these files; check them against
     # each scenario's table without running the scenario
-    tables = {"duality": _DUALITY_KEYS, "counterexample": _COUNTEREXAMPLE_KEYS,
+    tables = {"duality": _duality_keys(), "counterexample": _COUNTEREXAMPLE_KEYS,
               "selection": _SELECTION_KEYS, "marechal": _MARECHAL_KEYS,
-              "finiteness": _FINITENESS_KEYS, "borel": _BOREL_KEYS}
+              "finiteness": _finiteness_keys(), "borel": _BOREL_KEYS}
     assert sorted(tables) == sorted(SCENARIOS)
     for name, table in tables.items():
         params = parse_config_file(SAMPLE_CONFIGS / f"{name}.cfg")
@@ -486,6 +506,17 @@ def test_console_script_end_to_end(tmp_path):
 # ---------------------------------------------------------------------------
 # runtime dependencies: numpy only, scipy serves the tests
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(code, *args):
+    """Run `code` in a fresh interpreter with the source tree importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, timeout=300, check=False, env=env)
+
+
 SCIPY_BLOCKED_RUN = """
 import json
 import sys
@@ -521,12 +552,7 @@ print(json.dumps(codes))
 
 def test_scenarios_run_with_scipy_blocked(tmp_path):
     # a fresh interpreter: the test modules import scipy themselves
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_BLOCKED_RUN, str(SAMPLE_CONFIGS), str(tmp_path)],
-        capture_output=True, text=True, timeout=300, check=False, env=env)
+    proc = _fresh_python(SCIPY_BLOCKED_RUN, SAMPLE_CONFIGS, tmp_path)
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout.splitlines()[-1])
     assert codes == dict.fromkeys(SCENARIOS, 0), proc.stderr
@@ -546,3 +572,90 @@ def test_finiteness_runs_with_unit_ball_sampling_blocked(tmp_path, monkeypatch, 
     assert main(["finiteness", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
     assert (tmp_path / "o" / "finiteness.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# start-up: each process imports what it runs, and no more
+
+NUMPY_BLOCKED_CLI = """
+import sys
+
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockNumpy())
+from hyperselect.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv,config,code", [
+    (["--help"], None, 0),
+    (["no-such-thing"], None, 2),
+    (["borel", "--config"], b"d 8\n", 2),
+    (["borel", "--config"], b"d=\xff\xfe\n", 2),
+    (["duality", "--seed", "-1"], None, 2),
+], ids=["help", "unknown-scenario", "malformed-line", "non-utf8", "negative-seed"])
+def test_cli_exits_without_numpy_before_a_scenario_runs(tmp_path, argv, config, code):
+    # a fresh interpreter whose numpy import raises: any numpy import on
+    # these paths would end in an exit-1 record
+    if config is not None:
+        (tmp_path / "run.cfg").write_bytes(config)
+        argv = argv + [tmp_path / "run.cfg"]
+    proc = _fresh_python(NUMPY_BLOCKED_CLI, *argv, "--out", tmp_path / "o")
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert json.loads(proc.stderr)["error"] == "ConfigError"
+    assert not (tmp_path / "o").exists()
+
+
+MODULES_AFTER = """
+import json
+import sys
+
+{statement}
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.split(".")[0] in ("hyperselect", "numpy"))))
+"""
+
+
+def _modules_after(statement, *args):
+    proc = _fresh_python(MODULES_AFTER.format(statement=statement), *args)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_borel_run_imports_only_its_modules(tmp_path):
+    loaded = _modules_after(
+        "from hyperselect.cli import main\nassert main(sys.argv[1:]) == 0",
+        "borel", "--config", SAMPLE_CONFIGS / "borel.cfg", "--out", tmp_path / "o")
+    library = {name for name in loaded if name.startswith("hyperselect.")}
+    assert library == {"hyperselect.cli", "hyperselect.scenarios", "hyperselect.norms",
+                       "hyperselect.borel"}
+
+
+def test_package_exports_names_lazily():
+    assert _modules_after("import hyperselect") == ["hyperselect"]
+    import hyperselect
+
+    for name in hyperselect.__all__:
+        assert not inspect.ismodule(getattr(hyperselect, name)), name
+    with pytest.raises(AttributeError):
+        hyperselect.no_such_name  # noqa: B018
+
+
+def test_tracer_self_check_passes_on_its_own():
+    # run alone, nothing imports the package before the first traced pass,
+    # so a runner that kept a name bound during that pass would keep the
+    # tracer's wrapper and fail the next workload's count
+    root = SRC.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench/tests", "-q", "-p", "no:cacheprovider"],
+        capture_output=True, text=True, timeout=300, check=False, cwd=root)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
