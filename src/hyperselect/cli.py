@@ -56,18 +56,19 @@ def main(argv=None):
     except OSError as err:
         return _fail(2, "ConfigError", f"--out {out}: cannot make the output directory"
                                        f" ({err.strerror})")
-    from .borel import DepthInsufficient
     from .norms import InvariantViolation
 
     try:
         files = SCENARIOS[args.scenario](params, args.seed, out)
     except ConfigError as err:
         return _fail(2, "ConfigError", err)
-    except DepthInsufficient as err:
-        return _fail(4, "DepthInsufficient", err)
     except InvariantViolation as err:
         return _fail(3, type(err).__name__, err)
     except Exception as err:  # noqa: BLE001 - an unanticipated failure, reported in full
+        # only a run that loaded borel can raise its DepthInsufficient
+        borel = sys.modules.get("hyperselect.borel")
+        if borel is not None and isinstance(err, borel.DepthInsufficient):
+            return _fail(4, "DepthInsufficient", err)
         import traceback
 
         return _fail(1, type(err).__name__, err, traceback=traceback.format_exc())

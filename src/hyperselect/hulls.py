@@ -3,7 +3,8 @@
 A point's projection onto conv(G) lies in the relative interior of exactly
 one face, so enumerating vertex subsets and solving each equality-constrained
 least-squares problem gives the exact projection for small generator counts.
-The per-subset solves are linear in the query, so batches are matmuls.
+The per-subset solves are linear in the query, so a face's weights are one
+affine map of the query.
 
 The same enumeration projects onto conv(G) intersected with a closed ball
 B(c, r).  The projection p of q lies in the relative interior of some face
@@ -28,6 +29,19 @@ them once and every projection against those balls reuses them.  A single
 hull is the V = 1 stack.  `HullStack.project_runs` splits a projection
 along the query rows into calls whose temporaries stay under
 `KERNEL_ENTRIES` entries.
+
+There is one contraction path, and it does not depend on the call's shape.
+Per face, the weights lam = W p + b and the affine projection G^T lam are
+each formed once, by broadcast multiply-adds taken coordinate by coordinate
+and generator by generator; squared norms add the coordinates in turn, and
+each face's least weight takes the generators in turn.  A ball clips in
+place: the clipped projection is c_S + scale (proj - c_S), with the clipped
+weights kept only for the feasibility test.  Elementwise operations round
+each entry alone, so a query row's projection and distance are the same
+bits whatever else shares its call: alone, in a full run, in the (m, 1) or
+the (m, V) layout.  A library reduction, a matrix product or a sum along an
+axis, may change its order with the operands' shapes, which would break
+that rule.
 """
 from __future__ import annotations
 
@@ -55,6 +69,14 @@ def capped_runs(total, entries_each, cap=KERNEL_ENTRIES):
     items, at least one item each."""
     step = max(1, cap // max(1, entries_each))
     return [slice(start, start + step) for start in range(0, total, step)]
+
+
+def _square_sum(x):
+    """|x|^2 along the last axis, adding the coordinates in turn."""
+    total = x[..., 0] ** 2
+    for d in range(1, x.shape[-1]):
+        total += x[..., d] ** 2
+    return total
 
 
 def dedupe_points(points, tol=1e-12):
@@ -150,11 +172,28 @@ class HullStack:
         project."""
         center = np.asarray(center, dtype=np.float64)
         radius = np.asarray(radius, dtype=np.float64)
-        lam_c = np.einsum("...vd,vfsd->...vfs", center, self._w) + self._b
-        c_s = np.einsum("...vfs,vfsd->...vfd", lam_c, self._g)
-        rho2 = radius[..., None] ** 2 - ((center[..., None, :] - c_s) ** 2).sum(axis=-1)
+        lam_c = self._weights(center)
+        c_s = self._combine(lam_c)
+        rho2 = radius[..., None] ** 2 - _square_sum(center[..., None, :] - c_s)
         return BallSections(center, radius, lam_c, c_s, np.sqrt(np.maximum(rho2, 0.0)),
                             rho2 >= -_FEAS_TOL, np.isfinite(radius)[..., None, None])
+
+    def _weights(self, points):
+        """Each face's weights lam = W p + b (..., V, F, k) of points
+        (..., V or 1, dim), summed coordinate by coordinate."""
+        x = points[..., None, None, :]
+        lam = x[..., 0] * self._w[..., 0]
+        for d in range(1, points.shape[-1]):
+            lam += x[..., d] * self._w[..., d]
+        return lam + self._b
+
+    def _combine(self, lam):
+        """Each face's point G^T lam (..., V, F, dim), summed generator by
+        generator."""
+        proj = lam[..., 0, None] * self._g[:, :, 0]
+        for s in range(1, lam.shape[-1]):
+            proj += lam[..., s, None] * self._g[:, :, s]
+        return proj
 
     def project(self, points, balls=None):
         """Projections (m, V, dim) and distances (m, V) of points (m, V, dim)
@@ -165,41 +204,43 @@ class HullStack:
         Distances are inf when no candidate is feasible, that is, when the
         intersection is empty.  A ball tangent to the hull meets it.  Among
         equally near candidates the first face in enumeration order wins.
+        Each row's bits are those it gets projected alone.
         """
-        lam = np.einsum("mvd,vfsd->mvfs", points, self._w) + self._b
+        lam = self._weights(points)
+        proj = self._combine(lam)
         section = True
         if balls is not None:
             # radial clip towards c_S inside each face's section
-            off = np.sqrt(((np.einsum("mvfs,vfsd->mvfd", lam, self._g) - balls.c_s) ** 2)
-                          .sum(axis=-1))
+            off = np.sqrt(_square_sum(proj - balls.c_s))
             scale = np.divide(balls.rho, off, out=np.ones(off.shape), where=off > balls.rho)
             lam = np.where(balls.clipped, balls.lam_c + scale[..., None] * (lam - balls.lam_c),
                            lam)
+            proj = np.where(balls.clipped, balls.c_s + scale[..., None] * (proj - balls.c_s),
+                            proj)
             section = balls.section
-        proj = np.einsum("mvfs,vfsd->mvfd", lam, self._g)
-        d2 = ((proj - points[:, :, None, :]) ** 2).sum(axis=-1)
-        d2[~((lam >= -_FEAS_TOL).all(axis=-1) & section)] = np.inf
-        face = d2.argmin(axis=-1)  # the first nearest face in enumeration order
-        best = np.take_along_axis(proj, face[:, :, None, None], axis=2)[:, :, 0]
-        dist = np.sqrt(d2.min(axis=-1))
+        d2 = _square_sum(proj - points[:, :, None, :])
+        low = lam[..., 0]  # each face's least weight
+        for s in range(1, lam.shape[-1]):
+            low = np.minimum(low, lam[..., s])
+        d2[~((low >= -_FEAS_TOL) & section)] = np.inf
+        # the first nearest face in enumeration order, per (query, hull)
+        at = (np.arange(len(d2))[:, None], np.arange(d2.shape[1]), d2.argmin(axis=-1))
+        best, dist = proj[at], np.sqrt(d2[at])
         best[np.isinf(dist)] = 0.0
         return best, dist
 
     def project_runs(self, points, balls=None, owner=None):
         """self.project(points, balls) in calls of at most KERNEL_ENTRIES
         temporaries, split along the query rows.  Balls hold one set per
-        hull, or one per query row along their leading axis; given owner,
-        balls is a list of sets and query row j takes balls[owner[j]], the
-        sets of each call's owners stacked for it alone."""
+        hull, or several sets along their leading axis, query row j taking
+        set owner[j] (set j when owner is None); a call gathers its rows'
+        sets with one index."""
         proj = np.empty((len(points), len(self.generators), points.shape[-1]))
         dist = np.empty(proj.shape[:-1])
         for run in capped_runs(len(points), len(self.generators) * self.entries):
             rows = balls
-            if balls is not None and owner is not None:
-                first, last = owner[run].min(), owner[run].max()
-                rows = BallSections.stacked(balls[first:last + 1]).take(owner[run] - first)
-            elif balls is not None and balls.radius.ndim > 1:
-                rows = balls.take(run)
+            if balls is not None and balls.radius.ndim > 1:
+                rows = balls.take(run if owner is None else owner[run])
             proj[run], dist[run] = self.project(points[run], rows)
         return proj, dist
 

@@ -392,8 +392,9 @@ class _Shared:
     rows: np.ndarray    # the domain rows of the stack's hulls
     stack: HullStack
     maps: np.ndarray    # the maps holding it, ascending
-    balls: list | None  # each map's BallSections, radius inf on rows without a ball;
-                        # None when no map has one
+    balls: BallSections | None  # the maps' balls along a leading axis, one set per
+                                # map, radius inf on rows without a ball; None
+                                # when no map has one
 
 
 class _Lockstep:
@@ -402,7 +403,8 @@ class _Lockstep:
     each query row with its own map's balls, so a pass makes one call per
     stack, not one per map, split where a call's temporaries would pass
     hulls.KERNEL_ENTRIES entries.  The maps keep their own stacks and balls;
-    a call stacks the balls of its maps alone (HullStack.project_runs)."""
+    each shared stack's balls are stacked once, and a call gathers its query
+    rows' sets by map (HullStack.project_runs)."""
 
     def __init__(self, maps):
         self.domain, self.target, self.count = maps[0].domain, maps[0].target, len(maps)
@@ -418,7 +420,8 @@ class _Lockstep:
                 # radius inf projects to the same bits as no ball
                 plain = stack.balls(np.zeros(stack.generators[:, 0].shape),
                                     np.full(len(rows), np.inf))
-                balls = [plain if g.balls is None else g.balls for _, g in parts]
+                balls = BallSections.stacked([plain if g.balls is None else g.balls
+                                              for _, g in parts])
             self.shared.append(_Shared(rows, stack, np.array([i for i, _ in parts]), balls))
 
     def means(self):
@@ -434,8 +437,7 @@ class _Lockstep:
         proj, dist = np.empty(points.shape), np.empty(points.shape[:-1])
         for s in self.shared:
             at = (s.maps[:, None], s.rows)
-            proj[at], dist[at] = s.stack.project_runs(points[at], s.balls,
-                                                      np.arange(len(s.maps)))
+            proj[at], dist[at] = s.stack.project_runs(points[at], s.balls)
         return proj, dist
 
     def nets(self, projections, cell):

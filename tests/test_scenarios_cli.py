@@ -640,6 +640,17 @@ def test_borel_run_imports_only_its_modules(tmp_path):
                        "hyperselect.borel"}
 
 
+def test_counterexample_run_imports_only_its_modules(tmp_path):
+    # the exit-4 classification looks borel up only when a run loaded it
+    loaded = _modules_after(
+        "from hyperselect.cli import main\nassert main(sys.argv[1:]) == 0",
+        "counterexample", "--config", SAMPLE_CONFIGS / "counterexample.cfg",
+        "--out", tmp_path / "o")
+    library = {name for name in loaded if name.startswith("hyperselect.")}
+    assert library == {"hyperselect.cli", "hyperselect.scenarios", "hyperselect.norms",
+                       "hyperselect.duality"}
+
+
 def test_package_exports_names_lazily():
     assert _modules_after("import hyperselect") == ["hyperselect"]
     import hyperselect

@@ -953,7 +953,10 @@ def test_stacked_projection_matches_one_value_at_a_time(monkeypatch):
 
 class _PerSizeStack:
     """Reference: the stacked face loop with one batched solve and one
-    projection per face size, which the padded HullStack replaced."""
+    projection per face size, which the padded HullStack replaced.  Its sums
+    run term by term in the kernel's order, coordinates for the weights and
+    squared norms, generators for the projections, so the padded faces'
+    zero columns, which add exact zeros, must leave the same bits."""
 
     def __init__(self, generators):
         g = np.asarray(generators, dtype=np.float64)
@@ -971,24 +974,34 @@ class _PerSizeStack:
             self._faces.append((gs, pinv[..., :s, :s] @ (2.0 * gs), pinv[..., :s, s]))
 
     def project(self, points, center=None, radius=None):
+        def weights(x, w, b):
+            return sum(x[..., None, None, d] * w[..., d] for d in range(x.shape[-1])) + b
+
+        def combine(lam, gs):
+            return sum(lam[..., s, None] * gs[:, :, s] for s in range(lam.shape[-1]))
+
+        def square_sum(x):
+            return sum(x[..., d] ** 2 for d in range(x.shape[-1]))
+
         if center is not None:
             clipped = np.isfinite(radius)[None, :, None, None]
         d2s, projs = [], []
         for gs, w, b in self._faces:
-            lam = np.einsum("mvd,vfsd->mvfs", points, w) + b
+            lam = weights(points, w, b)
+            proj = combine(lam, gs)
             section = True
             if center is not None:
-                lam_c = np.einsum("vd,vfsd->vfs", center, w) + b
-                c_s = np.einsum("vfs,vfsd->vfd", lam_c, gs)
-                rho2 = radius[:, None] ** 2 - ((center[:, None, :] - c_s) ** 2).sum(axis=-1)
+                lam_c = weights(center, w, b)
+                c_s = combine(lam_c, gs)
+                rho2 = radius[:, None] ** 2 - square_sum(center[:, None, :] - c_s)
                 section = rho2 >= -1e-12
                 rho = np.sqrt(np.maximum(rho2, 0.0))
-                off = np.sqrt(((np.einsum("mvfs,vfsd->mvfd", lam, gs) - c_s) ** 2).sum(axis=-1))
+                off = np.sqrt(square_sum(proj - c_s))
                 outside = off > rho
                 scale = np.divide(rho, off, out=np.ones(off.shape), where=outside)
                 lam = np.where(clipped, lam_c + scale[..., None] * (lam - lam_c), lam)
-            proj = np.einsum("mvfs,vfsd->mvfd", lam, gs)
-            d2 = ((proj - points[:, :, None, :]) ** 2).sum(axis=-1)
+                proj = np.where(clipped, c_s + scale[..., None] * (proj - c_s), proj)
+            d2 = square_sum(proj - points[:, :, None, :])
             d2[~((lam >= -1e-12).all(axis=-1) & section)] = np.inf
             d2s.append(d2)
             projs.append(proj)
@@ -1003,11 +1016,7 @@ class _PerSizeStack:
 @pytest.mark.parametrize("k", range(1, 7))
 def test_padded_kernel_matches_the_per_size_kernel(k):
     # the padded faces must give the per-size kernel's bits, which is what
-    # keeps the scenario files byte-identical.  One exception: in dim 1 the
-    # face sums over generators are contiguous, and numpy's einsum then
-    # vectorises them with a rounding that depends on the summed length, so
-    # faces of three or more collinear generators may differ in the last
-    # bits there; no scenario has such a hull
+    # keeps the scenario files byte-identical
     rng = np.random.default_rng(20 + k)
     for dim, n_hulls in itertools.product((1, 2, 3), (1, 5)):
         gens = rng.uniform(-1.0, 1.0, (n_hulls, k, dim))
@@ -1030,12 +1039,68 @@ def test_padded_kernel_matches_the_per_size_kernel(k):
                 want = reference.project(queries, *ball)
                 if n_hulls > 1 and ball:
                     assert np.isinf(got[1][:, 3]).all() and np.isfinite(got[1][:, 2]).all()
-                if dim == 1 and k >= 3:
-                    for v in range(n_hulls):
-                        _assert_same_projections((got[0][:, v], got[1][:, v]),
-                                                 (want[0][:, v], want[1][:, v]))
-                    continue
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _einsum_projection(stack, points, center=None, radius=None):
+    """Reference: the kernel as it was with einsum contractions, on the
+    stack's padded faces; sections as in HullStack.balls."""
+    w, b, g = stack._w, stack._b, stack._g
+    lam = np.einsum("mvd,vfsd->mvfs", points, w) + b
+    section = True
+    if center is not None:
+        lam_c = np.einsum("...vd,vfsd->...vfs", center, w) + b
+        c_s = np.einsum("...vfs,vfsd->...vfd", lam_c, g)
+        rho2 = radius[..., None] ** 2 - ((center[..., None, :] - c_s) ** 2).sum(axis=-1)
+        rho = np.sqrt(np.maximum(rho2, 0.0))
+        off = np.sqrt(((np.einsum("mvfs,vfsd->mvfd", lam, g) - c_s) ** 2).sum(axis=-1))
+        scale = np.divide(rho, off, out=np.ones(off.shape), where=off > rho)
+        lam = np.where(np.isfinite(radius)[..., None, None],
+                       lam_c + scale[..., None] * (lam - lam_c), lam)
+        section = rho2 >= -1e-12
+    proj = np.einsum("mvfs,vfsd->mvfd", lam, g)
+    d2 = ((proj - points[:, :, None, :]) ** 2).sum(axis=-1)
+    d2[~((lam >= -1e-12).all(axis=-1) & section)] = np.inf
+    best = np.take_along_axis(proj, d2.argmin(axis=-1)[:, :, None, None], axis=2)[:, :, 0]
+    dist = np.sqrt(d2.min(axis=-1))
+    best[np.isinf(dist)] = 0.0
+    return best, dist
+
+
+@pytest.mark.parametrize("k, dim, n_hulls", [(2, 1, 12), (3, 2, 5), (4, 3, 7), (6, 3, 2)])
+def test_a_rows_bits_do_not_depend_on_its_call(k, dim, n_hulls):
+    # every entry is rounded on its own, so a query row with its own balls
+    # gets the same bits projected alone, inside a full capped run, and in
+    # the (m, 1) and (m, V) layouts; a reduction whose order follows the
+    # call's shape, such as a matrix product, would break this
+    rng = np.random.default_rng(27 + k)
+    stack = HullStack(rng.uniform(-1.0, 1.0, (n_hulls, k, dim)))
+    step = capped_runs(KERNEL_ENTRIES, n_hulls * stack.entries)[0].stop
+    queries = rng.uniform(-2.0, 2.0, (2 * step + 3, dim))
+    center = rng.uniform(-1.5, 1.5, (4, n_hulls, dim))
+    radius = rng.uniform(0.2, 1.5, (4, n_hulls))
+    radius[rng.random(radius.shape) < 0.3] = np.inf
+    balls = stack.balls(center, radius)
+    owner = rng.integers(0, 4, len(queries))  # each query row's set of balls
+    wide = np.repeat(queries[:, None, :], n_hulls, axis=1)
+    for rows in (None, balls):
+        layouts = [stack.project_runs(queries[:, None, :], rows, owner),
+                   stack.project_runs(wide, rows, owner)]
+        for j in range(len(queries)):
+            alone = stack.project(queries[j:j + 1, None, :],
+                                  None if rows is None else balls.take(owner[j:j + 1]))
+            for proj, dist in layouts:
+                assert np.array_equal(proj[j], alone[0][0])
+                assert np.array_equal(dist[j], alone[1][0])
+        ball = () if rows is None else (center[owner], radius[owner])
+        want = _einsum_projection(stack, wide, *ball)
+        proj, dist = layouts[1]
+        assert np.array_equal(np.isinf(dist), np.isinf(want[1]))
+        finite = np.isfinite(dist)
+        # some balls miss their hull, so both kinds of row are compared
+        assert finite.all() if rows is None else 0 < finite.sum() < finite.size
+        assert np.abs(dist[finite] - want[1][finite]).max() <= 1e-13
+        assert np.abs(proj - want[0]).max() <= 1e-13
 
 
 def test_generator_cap_hull_matches_the_face_loop():
