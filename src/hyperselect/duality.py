@@ -10,11 +10,14 @@ d(x, V) = sup {|omega(x)| : omega in the annihilator, dual norm <= 1} is the
 point of the module, so it doubles as a built-in consistency check.
 
 The route kernels work on stacks: T pairs whose subspaces share one
-dimension go through each batched SVD, determinant and solve together, and
-`quotient_routes` is the stack of one pair.  `quotient_routes_by_dimension`
-groups a sweep's pairs by subspace dimension into such stacks.  Only the
-final contractions run pair by pair, where padding or batching would change
-how BLAS rounds them.
+dimension go through each batched SVD, QR, determinant and solve together,
+and `quotient_routes` is the stack of one pair.
+`quotient_routes_by_dimension` groups a sweep's pairs by subspace dimension
+into such stacks.  The polyhedral enumerations factor each coordinate subset
+once and read every sign pattern's system off that factorization in closed
+form; the dot products they add are summed term by term, so a pair's bits do
+not depend on its stack.  Only the final contractions run pair by pair,
+where padding or batching would change how BLAS rounds them.
 """
 from __future__ import annotations
 
@@ -112,22 +115,86 @@ def exact_support(descriptor, x):
 SECTION_DIM_CAP = 9
 
 
-def _solve_well_posed(mats, rhs):
-    """Solutions c of the square systems mats @ c = rhs, stacked by trial as
-    (T, N, m, m) and (T, N, m), in one batched solve, skipping every system
-    whose rows, scaled to unit length, span a volume
-    |det A| / prod ||a_i|| <= 1e-12.  Returns T arrays (K_t, m), each trial's
-    kept solutions in system order.
+def _is_well_posed(volume, row_norms):
+    """The near-singular filter: a square system is kept when its rows, scaled
+    to unit length, span a volume |det A| / prod ||a_i|| > 1e-12.
 
     That volume is at most 1 (Hadamard), 0 for a singular system, and bounds
     a kept one's smallest singular value below by volume / sqrt(m)^(m - 1),
-    so its condition number is at most m^(m/2) 1e12.
+    so its condition number is at most m^(m/2) 1e12.  Compared as a
+    product, not a quotient, so a zero volume is rejected without a
+    division, and a rejected system is never divided by or solved."""
+    return np.abs(volume) > 1e-12 * row_norms
+
+
+def _solve_well_posed(mats, rhs):
+    """Solutions c of the square systems mats @ c = rhs, stacked by trial as
+    (T, N, m, m) and (T, N, m), in one batched solve, skipping every system
+    that `_is_well_posed` rejects.  Returns T arrays (K_t, m), each trial's
+    kept solutions in system order.
+
+    Each system is factored twice, once by `det` and once by `solve`.  Only
+    the primal l1 route uses this: its C(n, k) systems share no rows, where
+    every other enumeration shares a matrix or all rows but one across its
+    sign patterns and factors it once per coordinate subset.
     """
     trials, count, m = mats.shape[:3]
     mats, rhs = mats.reshape(-1, m, m), rhs.reshape(-1, m)
-    ok = np.abs(np.linalg.det(mats)) > 1e-12 * np.linalg.norm(mats, axis=2).prod(axis=1)
+    ok = _is_well_posed(np.linalg.det(mats), np.linalg.norm(mats, axis=2).prod(axis=1))
     solutions = np.linalg.solve(mats[ok], rhs[ok, :, None])[..., 0]
-    return np.split(solutions, np.cumsum(ok.reshape(trials, count).sum(axis=1))[:-1])
+    return _per_trial(solutions, ok.reshape(trials, count))
+
+
+def _per_trial(values, kept):
+    """Split values, one row per True entry of the (T, ...) mask `kept` in C
+    order, into T arrays, one per trial."""
+    return np.split(values, np.cumsum(kept.reshape(len(kept), -1).sum(axis=1))[:-1])
+
+
+def _dot(a, b):
+    """a @ b over the last axis, summed term by term in index order: the
+    bits of each entry do not depend on the shape or layout of its stack."""
+    total = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        total = total + a[..., j] * b[..., j]
+    return total
+
+
+def _last_row_cofactors(rows):
+    """The cofactors g (..., m) of the last row of [rows; r] for a stack
+    (..., m - 1, m): det([rows; r]) = r @ g for every row r, and rows @ g = 0.
+    One (m - 1) x (m - 1) determinant per entry; g = 1 when m = 1."""
+    m = rows.shape[-1]
+    others = np.array([[i for i in range(m) if i != j] for j in range(m)], dtype=int)
+    minors = np.moveaxis(rows[..., others], -2, -3)  # (..., m, m - 1, m - 1)
+    return (-1.0) ** (m - 1 + np.arange(m)) * np.linalg.det(minors)
+
+
+def _linf_section_coefficients(mats, signs):
+    """Coefficients c with mats @ c = s for every sign vector s (rows of
+    signs, (P, m)) and every kept matrix of the stack mats (T, C, m, m).
+    The P systems of one coordinate subset share its matrix, so each matrix
+    takes one volume and, when kept, one solve with P right-hand sides.
+    Returns T arrays (K_t, m) in (subset, sign) order."""
+    ok = _is_well_posed(np.linalg.det(mats), np.linalg.norm(mats, axis=3).prod(axis=2))
+    coeffs = np.linalg.solve(mats[ok], signs.T)  # (K, m, P)
+    return _per_trial(np.swapaxes(coeffs, 1, 2).reshape(-1, mats.shape[-1]),
+                      np.repeat(ok[:, :, None], len(signs), axis=2))
+
+
+def _l1_section_coefficients(zeros, rows):
+    """Coefficients c with zeros @ c = 0 and r @ c = 1, for the shared zero
+    rows of each coordinate subset, zeros (T, C, m - 1, m), and each of its
+    signed-sum rows r, rows (T, C, P, m).  With g the last-row cofactors of
+    [zeros; r], det([zeros; r]) = r @ g and c = g / (r @ g): one cofactor
+    evaluation per subset, and the volume of each pattern read off r @ g.
+    Returns T arrays (K_t, m) in (subset, sign) order."""
+    g = _last_row_cofactors(zeros)  # (T, C, m)
+    dets = _dot(rows, g[:, :, None])  # (T, C, P)
+    shared = np.linalg.norm(zeros, axis=3).prod(axis=2)  # (T, C)
+    ok = _is_well_posed(dets, shared[:, :, None] * np.linalg.norm(rows, axis=3))
+    trial, subset, _ = np.nonzero(ok)
+    return _per_trial(g[trial, subset] / dets[ok][:, None], ok)
 
 
 def ball_section_points(basis, kind):
@@ -145,11 +212,18 @@ def ball_section_points(basis, kind):
     whatever the signs where the vertex is zero.  So the solutions of all
     C(n, m) 2^m (linf) or C(n, m - 1) 2^(n - m + 1) (l1) square systems that
     lie in the ball include every vertex; the others are in the section
-    too, harmless for suprema, as are repeats.  The systems of the whole
-    stack go through one batched `_solve_well_posed`, which drops the
-    near-singular ones.  Each trial keeps its own length P: zero rows would
-    not move a support, but padding to one length changes how BLAS rounds
-    `points @ x`.
+    too, harmless for suprema, as are repeats.
+
+    The systems of one coordinate subset differ only in their signs, so each
+    subset is factored once for all of them.  linf: the 2^m systems share
+    the matrix cols[S], which takes one determinant and one solve with 2^m
+    right-hand sides.  l1: the 2^(n - m + 1) systems share their m - 1 zero
+    rows, whose last-row cofactors g give every pattern's determinant r @ g
+    and solution g / (r @ g).  Every system keeps the near-singular filter
+    of `_is_well_posed` on its own volume, and a dropped one is never
+    divided by or solved.  Each trial keeps its own length P: zero rows
+    would not move a support, but padding to one length changes how BLAS
+    rounds `points @ x`.
     """
     if kind not in ("l1", "linf"):
         raise UnsupportedNorm(f"section vertices need kind l1 or linf, got {kind!r}")
@@ -169,22 +243,17 @@ def ball_section_points(basis, kind):
     q = m if kind == "linf" else n - m + 1  # coordinates that carry a sign
     signs = 1.0 - 2.0 * (np.arange(2 ** q)[:, None] >> np.arange(q) & 1)  # (2^q, q)
     signed = np.array(list(itertools.combinations(range(n), q)))  # (C, q)
-    shape = (trials, len(signed), len(signs))
     if kind == "linf":
-        mats = np.broadcast_to(cols[:, signed][:, :, None], (*shape, m, m))
-        rhs = np.broadcast_to(signs, (*shape, m))
+        coeffs = _linf_section_coefficients(cols[:, signed], signs)
     else:
         free = np.ones((len(signed), n), dtype=bool)
         np.put_along_axis(free, signed, False, axis=1)
         zeros = cols[:, np.nonzero(free)[1].reshape(len(signed), m - 1)]  # (T, C, m - 1, m)
-        mats = np.concatenate([np.broadcast_to(zeros[:, :, None], (*shape, m - 1, m)),
-                               (signs @ cols[:, signed])[:, :, :, None]], axis=3)
-        rhs = np.broadcast_to(np.eye(m)[-1], (*shape, m))
+        coeffs = _l1_section_coefficients(zeros, signs @ cols[:, signed])
     order = np.inf if kind == "linf" else 1
     points = []
-    for coeffs, b in zip(_solve_well_posed(mats.reshape(trials, -1, m, m),
-                                           rhs.reshape(trials, -1, m)), bases):
-        omegas = coeffs @ b
+    for c, b in zip(coeffs, bases):
+        omegas = c @ b
         size = np.linalg.norm(omegas, ord=order, axis=1)
         points.append(np.concatenate([np.zeros((1, n)), omegas[size <= 1 + 1e-9]]))
     return points[0] if single else points
@@ -192,6 +261,36 @@ def ball_section_points(basis, kind):
 
 # ---------------------------------------------------------------------------
 # quotient distance, two routes
+
+
+def _linf_basic_coefficients(mats, rhs, signs):
+    """The c of every kept system [mats, s] @ (c, t) = rhs of the linf
+    distance LP, for mats (T, C, k + 1, k), rhs (T, C, k + 1) and each sign
+    vector s of signs (P, k + 1).  Returns T arrays (K_t, k) in (subset,
+    sign) order.
+
+    The P systems of one coordinate subset share mats, so each subset takes
+    one complete QR, mats = Q [R; 0].  With u = Q^T rhs and v = Q^T s, the
+    system reads R c + v[:k] t = u[:k] and v[k] t = u[k], so
+    |det [mats, s]| = |det R| |v[k]|, and its rows [a_i, +-1] have the same
+    lengths for every s.  A kept pattern has t = u[k] / v[k] and
+    R c = u[:k] - t v[:k]; only subsets that keep a pattern are solved, one
+    solve with P right-hand sides each, and a dropped pattern's t is 0,
+    never a quotient, and its c is discarded.
+    """
+    k = mats.shape[-1]
+    qs, r = np.linalg.qr(mats, mode="complete")
+    qt = np.swapaxes(qs, 2, 3)  # row i: column i of Q
+    u = _dot(qt, rhs[:, :, None])  # (T, C, k + 1)
+    v = _dot(qt[:, :, :, None], signs)  # (T, C, k + 1, P)
+    det_r = np.abs(np.diagonal(r, axis1=2, axis2=3)).prod(axis=2)  # (T, C)
+    rows = np.hypot(np.linalg.norm(mats, axis=3), 1.0).prod(axis=2)  # (T, C)
+    ok = _is_well_posed(det_r[:, :, None] * v[:, :, k], rows[:, :, None])  # (T, C, P)
+    solved = ok.any(axis=2)
+    u, v, kept = u[solved], v[solved], ok[solved]
+    t = np.divide(u[:, k:], v[:, k], out=np.zeros(kept.shape), where=kept)
+    c = np.linalg.solve(r[solved][:, :k], u[:, :k, None] - t[:, None] * v[:, :k])
+    return _per_trial(np.swapaxes(c, 1, 2)[kept], ok)
 
 
 def _basic_solution_distance(x, bases, kind):
@@ -219,40 +318,43 @@ def _basic_solution_distance(x, bases, kind):
     of the actual norm over them bounds the distance above and, holding
     the optimal vertex, equals it.
 
-    `_solve_well_posed` drops near-singular systems, yet always keeps one.
-    By Cauchy-Binet the squared k x k minors of cols sum to
+    The l1 systems share no rows and take one det and one solve each
+    (`_solve_well_posed`).  The 2^k linf systems of one coordinate subset
+    share its k columns, which take one complete QR for all of them
+    (`_linf_basic_coefficients`).  Each trial's minimum runs over its own
+    kept systems only.
+
+    Both drop near-singular systems by the volume |det A| / prod ||a_i||
+    of `_is_well_posed`, the linf one read off the QR as
+    |det R| |(Q^T s)[k]| over the same row lengths, yet both always keep
+    one.  By Cauchy-Binet the squared k x k minors of cols sum to
     det(basis @ basis.T) = 1, so some minor has |det| >= 1/sqrt(C(n, k));
     its rows, columns of an orthonormal basis, have length <= 1, so its
     volume is at least that.  For linf, ||basis @ s||^2 averages k over all
     sign vectors s, so some s has det([cols, s]^T [cols, s]) =
     n - ||basis @ s||^2 >= 1, and some (k + 1)-minor of [cols, s] has
-    |det| >= 1/sqrt(C(n, k + 1)), with rows of length <= sqrt(2).  Up to the
-    dim-9 cap both volumes exceed 1e-12 by far, so an empty kept set means
-    a corrupted basis and raises InvariantViolation.  The systems of every
-    trial go through one batched solve, and each trial's minimum runs over
-    its own kept systems only.
+    |det| >= 1/sqrt(C(n, k + 1)), with rows of length <= sqrt(2); flipping
+    every sign keeps |det|, so that system is among those with the last
+    sign +1.  Up to the dim-9 cap both volumes exceed 1e-12 by orders of
+    magnitude more than any rounding of the two ways to evaluate them, so
+    an empty kept set means a corrupted basis and raises
+    InvariantViolation.
     """
-    trials, k, n = bases.shape
+    _, k, n = bases.shape
     cols = np.swapaxes(bases, 1, 2)
     if kind == "l1":
         subsets = np.array(list(itertools.combinations(range(n), k)))  # (C, k)
-        mats, rhs = cols[:, subsets], x[:, subsets]
+        coeffs = _solve_well_posed(cols[:, subsets], x[:, subsets])
     else:
         subsets = np.array(list(itertools.combinations(range(n), k + 1)))  # (C, k + 1)
         # bit k of every pattern number below 2^k is 0: the last sign stays +1
         signs = 1.0 - 2.0 * (np.arange(2 ** k)[:, None] >> np.arange(k + 1) & 1)
-        shape = (trials, len(subsets), len(signs), k + 1)
-        mats = np.concatenate([np.broadcast_to(cols[:, subsets][:, :, None], (*shape, k)),
-                               np.broadcast_to(signs[:, :, None], (*shape, 1))], axis=4)
-        rhs = np.broadcast_to(x[:, subsets][:, :, None], shape)
-    m = mats.shape[-1]
-    coeffs = _solve_well_posed(mats.reshape(trials, -1, m, m), rhs.reshape(trials, -1, m))
+        coeffs = _linf_basic_coefficients(cols[:, subsets], x[:, subsets], signs)
     if not all(len(c) for c in coeffs):
         raise InvariantViolation(f"no well-posed basic system for the {kind} distance"
                                  f" with k={k}, n={n}")
     spec = NormSpec(kind)
-    return np.array([eval_norm(xt - c[:, :k] @ b, spec).min()
-                     for xt, c, b in zip(x, coeffs, bases)])
+    return np.array([eval_norm(xt - c @ b, spec).min() for xt, c, b in zip(x, coeffs, bases)])
 
 
 def _projections(x, bases):
@@ -320,12 +422,16 @@ def quotient_routes(x, V: Subspace):
     return float(primal[0]), float(dual[0])
 
 
-# Numbers in one stack's square systems, at most.  Every route's systems
-# for one pair in ambient dim n number at most 3^n (C(n, m) 2^m summed over
-# m is 3^n) and have at most n x n entries, so a stack of
-# STACK_ENTRIES // (3^n n^2) pairs stays under this however many trials a
-# sweep draws: one stack per group at the sample dims, five pairs at dim 9.
-STACK_ENTRIES = 2 ** 23
+# Numbers in one stack's largest temporary, at most.  No system's matrix is
+# copied per sign pattern, so for one pair in ambient dim n the largest
+# arrays hold one vector of at most n numbers per (subset, sign) system: the solutions, the signed-sum rows, the rotated sign vectors and
+# the section points.  The systems number at most 3^n (C(n, m) 2^m summed
+# over m is 3^n), and up to the dim-9 cap the per-subset matrices, QR
+# factors and cofactor minors are smaller still, so a stack of
+# STACK_ENTRIES // (3^n n) pairs stays under this however many trials a
+# sweep draws: one stack per group at the sample dims, 19 pairs at dim 8
+# and five at dim 9.
+STACK_ENTRIES = 2 ** 20
 
 
 def quotient_routes_by_dimension(x, spanning, ambient):
@@ -338,14 +444,15 @@ def quotient_routes_by_dimension(x, spanning, ambient):
     rank-deficient set joins the stack of its actual dimension.  Each stack
     (split when it would pass STACK_ENTRIES) then takes one batched
     orthonormality check, one batched SVD for the annihilators and, for l1
-    and linf, one batched solve per route.  Every
-    final contraction runs pair by pair, as in `quotient_routes`, so both
-    figures are bit for bit the ones it returns.
+    and linf, one batched enumeration per route, which factors each
+    coordinate subset once.  Every final contraction runs pair by pair, as
+    in `quotient_routes`, so both figures are bit for bit the ones it
+    returns.
     """
     x = np.asarray(x)
     primal, dual = np.empty(len(x)), np.empty(len(x))
     dims = np.array([len(v) for v in spanning])
-    step = max(1, STACK_ENTRIES // (3 ** x.shape[-1] * x.shape[-1] ** 2))
+    step = max(1, STACK_ENTRIES // (3 ** x.shape[-1] * x.shape[-1]))
     for k in np.unique(dims):
         group = np.flatnonzero(dims == k)
         rank, vh = _span_bases(np.stack([spanning[t] for t in group]))

@@ -407,13 +407,19 @@ def _pair_well_posed(mats, rhs):
     return np.linalg.solve(mats[ok], rhs[ok, :, None])[..., 0]
 
 
-def _pair_section_points(basis, kind):
+def _sign_patterns(q):
+    return 1.0 - 2.0 * (np.arange(2 ** q)[:, None] >> np.arange(q) & 1)
+
+
+def _det_solve_section_points(basis, kind):
+    """Reference: the section points with one det and one solve for every
+    (subset, sign) system."""
     m, n = basis.shape
     if m == 0:
         return np.zeros((1, n))
     cols = basis.T
     q = m if kind == "linf" else n - m + 1
-    signs = 1.0 - 2.0 * (np.arange(2 ** q)[:, None] >> np.arange(q) & 1)
+    signs = _sign_patterns(q)
     signed = np.array(list(itertools.combinations(range(n), q)))
     shape = (len(signed), len(signs))
     if kind == "linf":
@@ -431,7 +437,9 @@ def _pair_section_points(basis, kind):
     return np.concatenate([np.zeros((1, n)), omegas[size <= 1 + 1e-9]])
 
 
-def _pair_basic_distance(x, basis, kind):
+def _det_solve_basic_distance(x, basis, kind):
+    """Reference: the primal route with one det and one solve for every
+    basic system."""
     k, n = basis.shape
     cols = basis.T
     if kind == "l1":
@@ -439,7 +447,7 @@ def _pair_basic_distance(x, basis, kind):
         mats, rhs = cols[subsets], x[subsets]
     else:
         subsets = np.array(list(itertools.combinations(range(n), k + 1)))
-        signs = 1.0 - 2.0 * (np.arange(2 ** k)[:, None] >> np.arange(k + 1) & 1)
+        signs = _sign_patterns(k + 1)[:2 ** k]
         shape = (len(subsets), len(signs), k + 1)
         mats = np.concatenate([np.broadcast_to(cols[subsets][:, None], (*shape, k)),
                                np.broadcast_to(signs[:, :, None], (*shape, 1))], axis=3)
@@ -447,6 +455,73 @@ def _pair_basic_distance(x, basis, kind):
         mats, rhs = mats.reshape(-1, k + 1, k + 1), rhs.reshape(-1, k + 1)
     coeffs = _pair_well_posed(mats, rhs)[:, :k]
     return float(eval_norm(x - coeffs @ basis, NormSpec(kind)).min())
+
+
+def _term_sum(terms):
+    # the kernels' dot products: summed term by term in index order
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _pair_section_points(basis, kind):
+    """Reference: the section points of one basis, one factorization per
+    coordinate subset: a det and a solve with every sign vector as a
+    right-hand side (linf), or the last-row cofactors of the shared zero
+    rows (l1)."""
+    m, n = basis.shape
+    if m == 0:
+        return np.zeros((1, n))
+    cols = basis.T
+    q = m if kind == "linf" else n - m + 1
+    signs = _sign_patterns(q)
+    signed = np.array(list(itertools.combinations(range(n), q)))
+    if kind == "linf":
+        mats = cols[signed]
+        ok = np.abs(np.linalg.det(mats)) > 1e-12 * np.linalg.norm(mats, axis=2).prod(axis=1)
+        solved = np.linalg.solve(mats[ok], np.broadcast_to(signs.T, (ok.sum(), m, len(signs))))
+        coeffs = np.swapaxes(solved, 1, 2).reshape(-1, m)
+    else:
+        free = np.ones((len(signed), n), dtype=bool)
+        np.put_along_axis(free, signed, False, axis=1)
+        zeros = cols[np.nonzero(free)[1].reshape(len(signed), m - 1)]
+        rows = signs @ cols[signed]
+        g = np.stack([(-1.0) ** (m - 1 + j) * np.linalg.det(np.delete(zeros, j, axis=2))
+                      for j in range(m)], axis=1)
+        dets = _term_sum([rows[:, :, j] * g[:, None, j] for j in range(m)])
+        ok = np.abs(dets) > 1e-12 * (np.linalg.norm(zeros, axis=2).prod(axis=1)[:, None]
+                                     * np.linalg.norm(rows, axis=2))
+        subset, _ = np.nonzero(ok)
+        coeffs = g[subset] / dets[ok][:, None]
+    omegas = coeffs @ basis
+    size = np.linalg.norm(omegas, ord=np.inf if kind == "linf" else 1, axis=1)
+    return np.concatenate([np.zeros((1, n)), omegas[size <= 1 + 1e-9]])
+
+
+def _pair_basic_distance(x, basis, kind):
+    """Reference: the primal route for one pair, l1 by one det and one solve
+    per system, linf by one complete QR per coordinate subset."""
+    k, n = basis.shape
+    if kind == "l1":
+        return _det_solve_basic_distance(x, basis, kind)
+    cols = basis.T
+    subsets = np.array(list(itertools.combinations(range(n), k + 1)))
+    signs = _sign_patterns(k + 1)[:2 ** k]
+    mats, rhs = cols[subsets], x[subsets]
+    qs, r = np.linalg.qr(mats, mode="complete")
+    u = _term_sum([qs[:, j] * rhs[:, j, None] for j in range(k + 1)])
+    v = _term_sum([qs[:, j, :, None] * signs[:, j] for j in range(k + 1)])
+    det_r = np.abs(np.diagonal(r, axis1=1, axis2=2)).prod(axis=1)
+    rows = np.hypot(np.linalg.norm(mats, axis=2), 1.0).prod(axis=1)
+    ok = np.abs(det_r[:, None] * v[:, k]) > 1e-12 * rows[:, None]
+    solved = ok.any(axis=1)
+    u, v, kept = u[solved], v[solved], ok[solved]
+    t = np.zeros(kept.shape)  # 0 for a dropped pattern, whose c is discarded
+    subset, _ = np.nonzero(kept)
+    t[kept] = u[subset, k] / v[:, k][kept]
+    coeffs = np.linalg.solve(r[solved][:, :k], u[:, :k, None] - t[:, None] * v[:, :k])
+    return float(eval_norm(x - np.swapaxes(coeffs, 1, 2)[kept] @ basis, NormSpec(kind)).min())
 
 
 def _pair_routes(x, V):
@@ -573,6 +648,79 @@ def test_route_mismatch_raises_at_zero_tolerance(tmp_path):
     # must surface the reconciliation error on a generic polyhedral instance
     with pytest.raises(DualityMismatch, match="linf trial"):
         run_duality({"norms": "linf", "trials": "20", "tol_polyhedral": "0"}, 0, tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# one factorization per coordinate subset against one per system
+
+
+def test_per_subset_routes_match_the_det_solve_reference():
+    # the closed forms round differently from a det and a solve per system,
+    # so both routes are bounded against that reference, not matched bit for
+    # bit.  The routes take orthonormal bases; on a raw basis both sides'
+    # errors grow with its condition number (up to 6e-13 apart at 4.7e3)
+    rng = np.random.default_rng(16)
+    for name, spanning in _section_cases():
+        basis = subspace_from_spanning(spanning).basis
+        for kind in ("l1", "linf"):
+            points = ball_section_points(basis, kind)
+            reference = _det_solve_section_points(basis, kind)
+            for x in rng.standard_normal((3, basis.shape[1])) * 2.0:
+                value = np.abs(points @ x).max()
+                gap = abs(value - np.abs(reference @ x).max())
+                assert gap <= 1e-13 * max(1.0, value), (name, kind)
+    repeats = np.array([0, 1, 2, 3, 0, 1, 4, 4, 2])
+    for n in range(2, SECTION_DIM_CAP + 1):
+        for k in range(1, n):
+            vectors = rng.standard_normal((k, n))
+            if n == 9 and k <= 5:  # near-degenerate: equal columns up to rounding
+                vectors = rng.standard_normal((k, 5))[:, repeats]
+            basis = subspace_from_spanning(vectors).basis
+            for x in rng.standard_normal((2, n)) * 2.0:
+                for kind in ("l1", "linf"):
+                    value = _basic_solution_distance(x[None], basis[None], kind)[0]
+                    gap = abs(value - _det_solve_basic_distance(x, basis, kind))
+                    assert gap <= 1e-13 * max(1.0, value), (kind, n, k)
+
+
+@pytest.mark.parametrize("kind,gate", [("l1", 2e-14), ("linf", 1e-14)])
+def test_polyhedral_routes_agree_to_a_few_ulps(kind, gate):
+    # a seeded sweep of the two exact routes, whose gap is rounding only.
+    # Over 40 seeds of this sweep the largest gap read 1.1e-14 for l1
+    # (distances up to about 20 at dim 8) and 7.1e-15 for linf, so each
+    # gate holds for any seed; an SVD pseudo-inverse for the linf basic
+    # systems read 1.6e-14 to 3.7e-14 and fails its gate
+    rng = np.random.default_rng(17)
+    for n in range(3, 9):
+        spanning = [rng.standard_normal((k, n)) for k in rng.integers(1, n, 200)]
+        x = rng.standard_normal((200, n)) * 2.0
+        primal, dual = quotient_routes_by_dimension(x, spanning, NormSpec(kind))
+        assert np.abs(primal - dual).max() <= gate, n
+
+
+def test_singular_patterns_are_dropped_before_any_division():
+    # floating-point errors raise, so a singular pattern that reached a
+    # division or a solve would fail here rather than return inf or nan
+    tilted = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0] / np.sqrt(2.0)])
+    cases = [*_section_cases(), ("tilted-2x3", tilted)]
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        for name, basis in cases:
+            for kind in ("l1", "linf"):
+                assert np.isfinite(ball_section_points(basis, kind)).all(), (name, kind)
+        # on the tilted basis the singular systems are those holding both
+        # equal coordinates: 2 of 12 l1 systems (signed sum 0) and 4 of 12
+        # linf ones; every kept solution is a vertex, so a point
+        assert len(ball_section_points(tilted, "l1")) == 1 + 10
+        assert len(ball_section_points(tilted, "linf")) == 1 + 8
+        # the primal systems on the tilted span: the linf subset's normal is
+        # (0, 1, -1) / sqrt(2), so its patterns with equal last two signs
+        # are singular, and so is the l1 system on those two coordinates
+        x = np.array([[1.0, 2.0, 0.0]])
+        for kind, distance in (("l1", 2.0), ("linf", 1.0)):
+            value = _basic_solution_distance(x, tilted[None], kind)[0]
+            assert value == pytest.approx(distance, abs=1e-15), kind
+            with pytest.raises(InvariantViolation, match=f"{kind} distance"):
+                _basic_solution_distance(np.ones((1, 5)), np.zeros((1, 2, 5)), kind)
 
 
 # ---------------------------------------------------------------------------
