@@ -18,6 +18,13 @@ once and read every sign pattern's system off that factorization in closed
 form; the dot products they add are summed term by term, so a pair's bits do
 not depend on its stack.  Only the final contractions run pair by pair,
 where padding or batching would change how BLAS rounds them.
+
+The support functions work on probe stacks: `exact_support` takes P probes
+(P, n) and contracts each descriptor with all of them at once, and
+`convergence_gap` takes each subspace's support once over its whole probe
+set.  Those contractions are elementwise products summed along the last
+axis, not matrix products, so a probe's support has the same bits alone
+and in any stack.
 """
 from __future__ import annotations
 
@@ -26,6 +33,7 @@ import itertools
 import numpy as np
 
 from .norms import (
+    DimensionMismatch,
     DiscFamily,
     InvariantViolation,
     NormSpec,
@@ -89,24 +97,62 @@ def annihilator(V: Subspace) -> Subspace:
 
 def exact_support(descriptor, x):
     """sup |omega(x)| over an exactly described balanced convex family: a
-    DiscFamily, or the unit ball of a Subspace in its ambient norm."""
-    x = np.asarray(x)
+    DiscFamily, or the unit ball of a Subspace in its ambient norm.
+
+    x is one probe (n,), which gives a float, or a stack (P, n) of them,
+    which gives a (P,) array; n must be the descriptor's ambient dimension.
+    Each descriptor takes one contraction for the whole stack, formed as an
+    elementwise product summed along the last axis, so every row carries the
+    bits the one-row call gives.  A BLAS matrix product would round a row
+    differently from a vector product, and differently by stack size.
+
+    - DiscFamily {lam d : |lam| <= r}: r |sum_j x_j d_j|.
+    - zero Subspace: 0, the supremum over {0}.
+    - l2 Subspace: omega = c @ basis has ||omega|| = ||c|| on orthonormal
+      rows, and omega(x) = c @ (basis @ x) is largest at the phases of
+      basis @ x, so the support is the norm of those coefficients.
+    - one-row l1/linf Subspace with row b: |x . b| / ||b||.
+    - several rows, l1/linf: the largest |omega(x)| over the section points
+      of `ball_section_points`, which include every vertex.
+    """
+    xs = np.asarray(x)
     if isinstance(descriptor, DiscFamily):
-        return float(descriptor.radius * np.abs(descriptor.direction @ x))
-    if isinstance(descriptor, Subspace):
-        basis = descriptor.basis
-        kind = descriptor.ambient.kind
-        if not len(basis):  # the zero subspace: the supremum over {0}
-            return 0.0
-        if kind == "l2":
-            # omega = c @ basis has ||omega|| = ||c|| on orthonormal rows, and
-            # omega(x) = c @ (basis @ x), largest at the phases of basis @ x
-            return float(np.linalg.norm(basis @ x, 2))
-        if len(basis) == 1:
-            scale = eval_norm(basis[0], descriptor.ambient)
-            return float(np.abs(basis[0] @ x) / scale)
-        return float(np.abs(ball_section_points(basis, kind) @ x).max())
-    raise TypeError(f"unknown exact descriptor {type(descriptor).__name__}")
+        d = descriptor.direction
+        values = descriptor.radius * np.abs((_probe_stack(xs, d.shape[-1]) * d).sum(-1))
+    elif isinstance(descriptor, Subspace):
+        values = _subspace_support(descriptor, _probe_stack(xs, descriptor.ambient_dim))
+    else:
+        raise TypeError(f"unknown exact descriptor {type(descriptor).__name__}")
+    return float(values[0]) if xs.ndim == 1 else values
+
+
+def _probe_stack(xs, n):
+    """xs as a (P, n) probe stack.  Raises DimensionMismatch unless its rows
+    have the descriptor's ambient dimension n: a length-1 probe would
+    otherwise broadcast against every coordinate."""
+    if xs.ndim not in (1, 2):
+        raise DimensionMismatch(f"probes must be one vector (n,) or a stack (P, n),"
+                                f" got shape {xs.shape}")
+    if xs.shape[-1] != n:
+        raise DimensionMismatch(f"probe length {xs.shape[-1]} does not match the"
+                                f" descriptor's ambient dimension {n}")
+    return np.atleast_2d(xs)
+
+
+def _subspace_support(V, xs):
+    """`exact_support` of V's unit ball at each row of the stack xs (P, n)."""
+    basis, kind = V.basis, V.ambient.kind
+    if not len(basis):
+        return np.zeros(len(xs))
+    if kind == "l2":
+        return np.linalg.norm((xs[:, None, :] * basis).sum(-1), axis=-1)
+    if len(basis) == 1:
+        return np.abs((xs * basis[0]).sum(-1)) / eval_norm(basis[0], V.ambient)
+    points = ball_section_points(basis, kind)
+    # split the probes so no (p, K, n) product holds more than STACK_ENTRIES
+    parts = max(1, -(-len(xs) * points.size // STACK_ENTRIES))
+    return np.concatenate([np.abs((part[:, None, :] * points).sum(-1)).max(axis=-1)
+                           for part in np.array_split(xs, parts)])
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +562,20 @@ def is_subspace_ball(disc, scales, tol=1e-3, spec=None):
 
 def convergence_gap(V_list, V: Subspace, probes):
     """Per-term sup over probes of the support-value gap between the unit
-    balls of V_i and of V, all computed through exact descriptors."""
+    balls of V_i and of V, all computed through exact descriptors.
+
+    probes is one probe (n,) or a nonempty stack (P, n).  V's support is
+    taken once and each V_i's once, over the whole stack, by
+    `exact_support`, whose rows carry the bits of one-probe calls; so a
+    gap does not depend on which other probes share its stack."""
     if V.side != "dual" or any(w.side != "dual" for w in V_list):
         raise ValueError("convergence gaps compare dual-side subspaces")
     probes = np.atleast_2d(np.asarray(probes))
-    ref_vals = np.array([exact_support(V, x) for x in probes])
-    gaps = []
-    for W in V_list:
-        vals = np.array([exact_support(W, x) for x in probes])
-        gaps.append(float(np.abs(vals - ref_vals).max()))
-    return gaps
+    if not len(probes):
+        raise ValueError(f"convergence gaps need at least one probe; the probe set"
+                         f" of shape {probes.shape} is empty")
+    ref_vals = exact_support(V, probes)
+    return [float(np.abs(exact_support(W, probes) - ref_vals).max()) for W in V_list]
 
 
 # ---------------------------------------------------------------------------

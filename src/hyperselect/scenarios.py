@@ -265,14 +265,14 @@ def run_counterexample(params, seed, out):
 
     probes = np.eye(trunc)[:cfg["probe_count"]]
     weights = dyadic_weights(cfg["probe_count"])
-    limit_vals = np.array([exact_support(limit, p) for p in probes])
+    limit_vals = exact_support(limit, probes)
     limit_span = Subspace(basis=np.eye(trunc)[:1].astype(np.complex128),
                           ambient=linf(), side="dual")
     rows = []
     for n in range(1, terms + 1):
         ball = counterexample_ball(n, trunc)
         ok_n = is_subspace_ball(ball, scales, tol=cfg["tol"], spec=space)["ok"]
-        vals = np.array([exact_support(ball, p) for p in probes])
+        vals = exact_support(ball, probes)
         weighted_gap = float(np.dot(weights, np.abs(vals - limit_vals)))
         V_n = counterexample_subspace(n, trunc)
         fixed_gap = convergence_gap([V_n], limit_span, probes)[0]

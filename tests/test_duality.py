@@ -110,6 +110,90 @@ def test_support_monotone_in_the_family():
             assert exact_support(small, x) <= exact_support(big, x) + 1e-12
 
 
+def _matmul_support(descriptor, x):
+    """Reference: the support at one probe by per-vector `@` products."""
+    if isinstance(descriptor, DiscFamily):
+        return float(descriptor.radius * np.abs(descriptor.direction @ x))
+    basis, kind = descriptor.basis, descriptor.ambient.kind
+    if not len(basis):
+        return 0.0
+    if kind == "l2":
+        return float(np.linalg.norm(basis @ x, 2))
+    if len(basis) == 1:
+        return float(np.abs(basis[0] @ x) / eval_norm(basis[0], descriptor.ambient))
+    return float(np.abs(ball_section_points(basis, kind) @ x).max())
+
+
+def _support_cases():
+    """(name, descriptor, complex probes) for every contraction of
+    exact_support, in ambient dims on both sides of numpy's 8-term unroll."""
+    rng = np.random.default_rng(31)
+
+    def dual(vectors, spec):
+        return subspace_from_spanning(vectors, ambient=spec, side="dual")
+
+    complex_direction = rng.standard_normal(18) + 1j * rng.standard_normal(18)
+    yield "disc-real", DiscFamily(direction=rng.standard_normal(18), radius=1.7), False
+    yield "disc-complex", DiscFamily(direction=complex_direction, radius=0.6), True
+    yield "zero", Subspace(basis=np.zeros((0, 5)), ambient=linf(), side="dual"), False
+    yield "l2-real", dual(rng.standard_normal((3, 11)), l2()), False
+    yield "l2-complex", dual(rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6)),
+                             l2()), True
+    yield "l1-one-row", dual(rng.standard_normal((1, 9)), l1()), False
+    yield "linf-one-row-complex", counterexample_subspace(4, 18), True
+    yield "l1-rows", dual(rng.standard_normal((3, 7)), l1()), False
+    yield "linf-rows", dual(rng.standard_normal((2, 8)), linf()), False
+
+
+@pytest.mark.parametrize("P", [1, 2, 17])
+@pytest.mark.parametrize("name,descriptor,complex_probes",
+                         [pytest.param(*case, id=case[0]) for case in _support_cases()])
+def test_a_probes_support_does_not_depend_on_its_stack(name, descriptor, complex_probes, P):
+    # each row of a stacked call is the one-probe call bit for bit, and
+    # within a few ulps of the per-vector matmul formula it replaced
+    disc = isinstance(descriptor, DiscFamily)
+    n = descriptor.direction.shape[-1] if disc else descriptor.ambient_dim
+    rng = np.random.default_rng(P)
+    X = rng.standard_normal((P, n)) * 3.0
+    if complex_probes:
+        X = X + 1j * rng.standard_normal((P, n))
+    values = exact_support(descriptor, X)
+    assert values.shape == (P,)
+    for i in range(P):
+        assert values[i] == exact_support(descriptor, X[i]), (name, i)
+        reference = _matmul_support(descriptor, X[i])
+        assert abs(values[i] - reference) <= 1e-14 * max(1.0, abs(reference)), (name, i)
+
+
+@pytest.mark.parametrize("spec", [l1(), linf()], ids=lambda s: s.kind)
+def test_section_supports_split_a_large_probe_stack(spec, monkeypatch):
+    # a stack whose (P, K, n) product would pass STACK_ENTRIES runs in parts,
+    # with the bits of the one-part call
+    V = subspace_from_spanning(np.random.default_rng(32).standard_normal((3, 6)),
+                               ambient=spec, side="dual")
+    X = np.random.default_rng(33).standard_normal((17, 6))
+    whole = exact_support(V, X)
+    monkeypatch.setattr(duality, "STACK_ENTRIES", 3 * ball_section_points(V.basis, spec.kind).size)
+    assert np.array_equal(exact_support(V, X), whole)
+
+
+@pytest.mark.parametrize("length", [1, 7])
+def test_support_rejects_probes_of_another_dimension(length):
+    # against 8-dim descriptors a length-1 probe would broadcast and a
+    # length-7 one would not pair; both name the two sizes
+    descriptors = (DiscFamily(direction=np.ones(8), radius=1.0),
+                   Subspace(basis=np.zeros((0, 8)), ambient=l2(), side="dual"),
+                   Subspace(basis=np.eye(8)[:2], ambient=l2(), side="dual"),
+                   counterexample_subspace(3, 8),
+                   Subspace(basis=np.eye(8)[:2], ambient=l1(), side="dual"))
+    for descriptor in descriptors:
+        for probes in (np.ones(length), np.ones((3, length))):
+            with pytest.raises(norms.DimensionMismatch, match=f"length {length} .* dimension 8"):
+                exact_support(descriptor, probes)
+        with pytest.raises(norms.DimensionMismatch, match=r"\(P, n\), got shape"):
+            exact_support(descriptor, np.ones((2, 3, 8)))
+
+
 # ---------------------------------------------------------------------------
 # section vertices against two references
 
@@ -881,6 +965,13 @@ def test_constant_sequence_has_zero_gaps():
     V = counterexample_subspace(2, 8)
     gaps = convergence_gap([V, V, V], V, np.eye(8)[:3])
     assert gaps == [0.0, 0.0, 0.0]
+
+
+def test_convergence_gap_rejects_an_empty_probe_set():
+    V = counterexample_subspace(2, 8)
+    with pytest.raises(ValueError, match="probe set"):
+        convergence_gap([V], V, np.zeros((0, 8)))
+    assert convergence_gap([], V, np.eye(8)[:3]) == []
 
 
 def test_rotating_lines_converge_monotonically():
