@@ -27,7 +27,7 @@ import numpy as np
 
 from .hulls import (BallSections, HullProjector, HullStack, capped_runs, dedupe_points,
                     lattice_round)
-from .norms import InvariantViolation
+from .norms import InvariantViolation, UnsupportedNorm
 
 
 class NotACover(InvariantViolation):
@@ -76,12 +76,6 @@ class DiscreteDomain:
         (n, n); the point itself comes last, at distance inf."""
         order = np.argsort(self.pair_d, axis=1, kind="stable")
         return order, np.take_along_axis(self.pair_d, order, axis=1)
-
-    def adjacent_pairs(self):
-        """Ordered index pairs at nearest-neighbor range (both directions)."""
-        close = self.pair_d <= self.mesh * (1 + 1e-9)
-        i, j = np.nonzero(close)
-        return list(zip(i.tolist(), j.tolist()))
 
 
 def grid_domain_1d(n=101):
@@ -517,12 +511,6 @@ class _Lockstep:
         return values, missing, pous, nets
 
 
-def _nearest(F, points):
-    """Projection of points[i] onto F(x_i) and its distance, per domain point."""
-    proj, dist = _Lockstep([F]).nearest(points[None])
-    return proj[0], dist[0]
-
-
 def _project_all(F, queries):
     """Projections (n_queries, n_points, dim) and distances (n_queries,
     n_points) of every query onto every value."""
@@ -755,30 +743,49 @@ def density_audit(members, F, metric=None):
 
 
 # ---------------------------------------------------------------------------
-# lower-continuity surrogate
+# lower semicontinuity
 
 
-def check_lower_continuity(F, probes, slope=None):
-    """Slope-bounded discrete surrogate of lower semicontinuity.
+def check_lower_continuity(F):
+    """Slope-bounded discrete lower semicontinuity, checked at every v.
 
-    ok iff d(v, F(x')) <= d(v, F(x)) + L d(x, x') + 1e-9 for every ordered
-    adjacent pair (x, x') and probe v.  Reports the worst violation; its
-    fields are None on a domain with no adjacent pair.
+    ok iff d(v, F(x')) <= d(v, F(x)) + L d(x, x') + 1e-9, L = F.slope_hint,
+    for every v in R^dim and ordered pair (x, x') at most the mesh apart.
+    For convex A and B, sup_v [d(v, B) - d(v, A)] = e(A, B) = sup_{a in A}
+    d(a, B) (d(v, B) <= d(v, a) + d(a, B) for a the projection of v onto A;
+    v = a attains it), and the convex d(., B) peaks over a hull at a
+    generator: each value group projects its rows' adjacent values'
+    generators in one (m, V, dim) kernel pass.  Reports the worst pair, the
+    generator of F(x) witnessing it and the least passing slope, max
+    e(F(x), F(x')) / d(x, x'); all None with no adjacent pair.  A row with a
+    ball raises UnsupportedNorm: d(., B) need not peak at a generator there.
     """
-    slope = F.slope_hint if slope is None else slope
-    probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
-    dist = _project_all(F, probes)[1].T
-    worst = {"x": None, "x_prime": None, "probe": None, "defect": None}
-    ok = True
-    for i, j in F.domain.adjacent_pairs():
-        budget = slope * F.domain.pair_d[i, j] + 1e-9
-        excess = dist[j] - dist[i] - budget
-        a = int(np.argmax(excess))
-        if worst["defect"] is None or excess[a] > worst["defect"]:
-            worst = {"x": int(i), "x_prime": int(j), "probe": a, "defect": float(excess[a])}
-        if excess[a] > 0:
-            ok = False
-    return {"ok": ok, "slope": slope, "worst": worst}
+    k = max(g.stack.generators.shape[1] for g in F.groups)
+    padded = np.empty((len(F), k, F.target.dim))  # each row's generators, padded with its last
+    for g in F.groups:
+        if g.balls is not None:
+            row = int(g.rows[np.isfinite(g.balls.radius).argmax()])
+            raise UnsupportedNorm(f"the value at row {row} is restricted to a ball; the closed"
+                                  " form needs its generators")
+        gens = g.stack.generators
+        padded[g.rows] = gens[:, np.minimum(np.arange(k), gens.shape[1] - 1)]
+    order, pair_d = F.domain.neighbours  # each row's adjacent points lead its order
+    adjacent = pair_d <= F.domain.mesh * (1 + 1e-9)
+    slots = adjacent.sum(axis=1).max()
+    if not slots:
+        return {"ok": True, "slope": F.slope_hint, "least_slope": None,
+                "worst": dict.fromkeys(("x", "x_prime", "witness", "defect"))}
+    dist = np.empty((len(F), slots, k))  # [x', s, t]: neighbour s's generator t to F(x')
+    for g in F.groups:
+        queries = padded[order[g.rows, :slots]].reshape(len(g.rows), -1, F.target.dim)
+        dist[g.rows] = g.stack.project_runs(queries.swapaxes(0, 1))[1].T.reshape(-1, slots, k)
+    e = np.where(adjacent[:, :slots], dist.max(axis=2), -np.inf)
+    defect = e - (F.slope_hint * pair_d[:, :slots] + 1e-9)
+    at = np.unravel_index(defect.argmax(), defect.shape)
+    return {"ok": bool(defect[at] <= 0), "slope": F.slope_hint,
+            "least_slope": float((e / pair_d[:, :slots]).max()),
+            "worst": {"x": int(order[at]), "x_prime": int(at[0]), "defect": float(defect[at]),
+                      "witness": padded[order[at], dist[at].argmax()].tolist()}}
 
 
 # ---------------------------------------------------------------------------

@@ -406,7 +406,8 @@ def test_one_point_grid_writes_strict_json(tmp_path, capsys):
     assert main(["selection", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     report = _strict_json((tmp_path / "o" / "continuity.json").read_text(encoding="utf-8"))
     assert report["continuity"]["ok"] is True
-    assert report["continuity"]["worst"] == dict.fromkeys(("x", "x_prime", "probe", "defect"))
+    assert report["continuity"]["worst"] == dict.fromkeys(("x", "x_prime", "witness", "defect"))
+    assert report["continuity"]["least_slope"] is None
     # nor has the jump witness on one point, so it is neither rejected nor kept
     assert report["jump_rejected"] is None
 

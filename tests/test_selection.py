@@ -41,10 +41,11 @@ from hyperselect.selection import (
     michael_selection,
     restrict_value,
     _MAX_ELEMENTS,
+    _Lockstep,
     _michael_lockstep,
-    _nearest,
     _project_all,
 )
+from hyperselect.norms import UnsupportedNorm
 from hyperselect.scenarios import rotated_ball_map
 
 
@@ -52,6 +53,12 @@ def _interval_map(domain, lo_fn, hi_fn, name=""):
     values = [np.array([[lo_fn(x)], [hi_fn(x)]]) for x in domain.points[:, 0]]
     target = HullTarget(np.array([[0.0], [1.0]]))
     return SetValuedMap(domain, values, target, name=name, slope_hint=1.0)
+
+
+def _nearest(F, points):
+    """Projection of points[i] onto F(x_i) and its distance, per domain point."""
+    proj, dist = _Lockstep([F]).nearest(points[None])
+    return proj[0], dist[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +315,9 @@ def test_bundled_suite_converges_everywhere():
 
 def test_bundled_maps_pass_continuity_check():
     for F in [build(41, 7) for build in BUNDLED_MAPS.values()]:
-        probes = F.target.generators
-        report = check_lower_continuity(F, probes)
+        report = check_lower_continuity(F)
         assert report["ok"], F.name
+        assert report["least_slope"] <= F.slope_hint, F.name
 
 
 # ---------------------------------------------------------------------------
@@ -621,26 +628,103 @@ def test_kernel_calls_stay_under_the_entry_cap(monkeypatch):
 # lower-continuity checker
 
 
+def _adjacent_pairs(F):
+    """Ordered index pairs (x, x') at most the mesh apart."""
+    return np.nonzero(F.domain.pair_d <= F.domain.mesh * (1 + 1e-9))
+
+
+def _probe_defects(F, probes):
+    """The probe surrogate of the check: per ordered adjacent pair (x, x'),
+    the max over the probes v of d(v, F(x')) - d(v, F(x)) - (L d(x, x') +
+    1e-9), with L = F.slope_hint."""
+    dist = _project_all(F, np.asarray(probes, dtype=np.float64))[1]
+    x, x_prime = _adjacent_pairs(F)
+    budget = F.slope_hint * F.domain.pair_d[x, x_prime] + 1e-9
+    return (dist[:, x_prime] - dist[:, x]).max(axis=0) - budget
+
+
+def _probe_grid(dim):
+    """201 points of [0, 1], or the 41 x 41 grid of the unit square."""
+    if dim == 1:
+        return np.linspace(0.0, 1.0, 201)[:, None]
+    axis = np.linspace(0.0, 1.0, 41)
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
 def test_constant_map_is_continuous():
     dom = grid_domain_1d(31)
     F = _interval_map(dom, lambda x: 0.2, lambda x: 0.8)
-    report = check_lower_continuity(F, np.array([[0.0], [0.5], [1.0]]))
+    report = check_lower_continuity(F)
     assert report["ok"]
     assert report["worst"]["defect"] <= 0.0
+    assert report["least_slope"] == 0.0
 
 
 def test_sliding_interval_is_one_lipschitz():
     dom = grid_domain_1d(101)
     F = _interval_map(dom, lambda x: x, lambda x: 1.0)
-    report = check_lower_continuity(F, np.array([[0.0], [0.5], [1.0]]), slope=1.0)
+    report = check_lower_continuity(F)
     assert report["ok"]
+    assert report["least_slope"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jump_map_is_rejected():
     F = jump_map(101)
-    report = check_lower_continuity(F, F.target.generators)
+    report = check_lower_continuity(F)
     assert not report["ok"]
     assert report["worst"]["defect"] > 0.9
+    assert {report["worst"]["x"], report["worst"]["x_prime"]} == {49, 50}
+    assert report["least_slope"] == pytest.approx(100.0)
+
+
+@pytest.mark.parametrize("name", [*BUNDLED_MAPS, "jump"])
+def test_dense_probe_grid_never_exceeds_the_closed_form(name):
+    F = jump_map() if name == "jump" else BUNDLED_MAPS[name]()
+    report = check_lower_continuity(F)
+    worst = report["worst"]
+    probes = _probe_grid(F.target.dim)
+    defects = _probe_defects(F, probes)
+    assert defects.max() <= worst["defect"] + 1e-12
+    x, x_prime = _adjacent_pairs(F)
+    slopes = (defects + 1e-9) / F.domain.pair_d[x, x_prime] + F.slope_hint
+    assert slopes.max() <= report["least_slope"] + 1e-12
+    # the witness attains the worst defect, as a probe
+    (at,) = np.flatnonzero((x == worst["x"]) & (x_prime == worst["x_prime"]))
+    witness = np.array([worst["witness"]])
+    assert np.isclose(_probe_defects(F, witness)[at], worst["defect"], rtol=0, atol=1e-12)
+    # d(v, F(x')) - d(v, F(x)) is 2-Lipschitz in v and peaks inside the
+    # target, so the grid comes within twice its covering radius of the peak
+    cover = np.sqrt(F.target.dim) / (len(np.unique(probes[:, 0])) - 1)
+    assert defects.max() >= worst["defect"] - cover - 1e-12
+
+
+def test_closed_form_rejects_a_jump_that_every_target_probe_misses():
+    # F(x) loses the apex (0.5, 0.55) of a flat triangle at x = 1/2.  The
+    # probes of the old check, the target's corners and centre, see at
+    # most 0.0026 of that 0.05 jump, inside the budget 0.1 * 0.1
+    base = np.array([[0.0, 0.5], [1.0, 0.5]])
+    dom = grid_domain_1d(11)
+    values = [np.vstack([base, [[0.5, 0.55]]]) if x < 0.5 else base for x in dom.points[:, 0]]
+    F = SetValuedMap(dom, values, HullTarget(UNIT_SQUARE), name="apex", slope_hint=0.1)
+    corners_and_centre = np.vstack([UNIT_SQUARE, [[0.5, 0.5]]])
+    assert _probe_defects(F, corners_and_centre).max() <= 0
+    report = check_lower_continuity(F)
+    assert not report["ok"]
+    assert (report["worst"]["x"], report["worst"]["x_prime"]) == (4, 5)
+    assert report["worst"]["witness"] == [0.5, 0.55]
+    assert report["worst"]["defect"] == pytest.approx(0.05 - 0.01 - 1e-9, abs=1e-12)
+    assert report["least_slope"] == pytest.approx(0.5)
+
+
+def test_closed_form_refuses_a_value_with_a_ball():
+    with pytest.raises(UnsupportedNorm, match="row 3 is restricted to a ball"):
+        check_lower_continuity(_square_map(6, np.ones(2), [np.inf] * 3 + [0.3] * 3))
+    # a restricted segment is its clipped endpoints' hull, with no ball
+    F = _interval_map(grid_domain_1d(11), lambda x: 0.0, lambda x: 1.0)
+    G = F.restrict(np.full((11, 1), 0.5), np.where(np.arange(11) < 5, 0.25, np.inf))
+    report = check_lower_continuity(G)
+    assert report["worst"]["witness"] == [0.0]
+    assert report["least_slope"] == pytest.approx(2.5)
 
 
 # ---------------------------------------------------------------------------
