@@ -28,7 +28,10 @@ faces depend only on the stack and the balls, so `HullStack.balls` builds
 them once and every projection against those balls reuses them.  A single
 hull is the V = 1 stack.  `HullStack.project_runs` splits a projection
 along the query rows into calls whose temporaries stay under
-`KERNEL_ENTRIES` entries.
+`KERNEL_ENTRIES` entries.  `HullStack.project_pairs` projects a list of
+(point, hull) pairs, each onto its own hull only, over the pairs' faces
+and ball sections gathered in runs under the same cap (`HullStack.take`
+copies solved faces; it solves nothing).
 
 There is one contraction path, and it does not depend on the call's shape.
 Per face, the weights lam = W p + b and the affine projection G^T lam are
@@ -156,6 +159,14 @@ class HullStack:
             self._w[:, faces, :s] = pinv[..., :s, :s] @ (2.0 * gs)
             self._b[:, faces, :s] = pinv[..., :s, s]
 
+    def take(self, index):
+        """The stack of the hulls at index, with their solved faces copied,
+        not solved again."""
+        taken = object.__new__(HullStack)
+        taken.generators, taken._g, taken._w, taken._b = (
+            self.generators[index], self._g[index], self._w[index], self._b[index])
+        return taken
+
     @property
     def entries(self):
         """Entries of project's largest temporaries per (query, hull) pair:
@@ -242,6 +253,22 @@ class HullStack:
             if balls is not None and balls.radius.ndim > 1:
                 rows = balls.take(run if owner is None else owner[run])
             proj[run], dist[run] = self.project(points[run], rows)
+        return proj, dist
+
+    def project_pairs(self, points, hulls, balls=None, owner=None):
+        """Projections (P, dim) and distances (P,) of points[j] (P, dim) onto
+        hull hulls[j] alone, taking ball set owner[j] of the sets that balls
+        holds along its leading axis.  Each run projects its points in the
+        (1, P) layout onto its pairs' gathered faces (self.take) and
+        sections, so a pair gets the bits of its query row in any other
+        layout.  The gathered faces hold k * dim entries per face, at least
+        a kernel temporary's max(k, dim), so runs are capped on them and
+        both stay under KERNEL_ENTRIES entries."""
+        proj, dist = np.empty(points.shape), np.empty(len(points))
+        for run in capped_runs(len(points), self._w[0].size):
+            rows = None if balls is None else balls.take((owner[run], hulls[run]))
+            got = self.take(hulls[run]).project(points[None, run], rows)
+            proj[run], dist[run] = got[0][0], got[1][0]
         return proj, dist
 
 

@@ -7,14 +7,18 @@ restricted maps of the dense family, with one closed ball.  A map holds its
 values only as arrays grouped by generator count, each group a stack of
 generators (V, k, dim) for the hull kernel (see `hulls`) with the sections
 of its rows' balls.  Maps on one domain run in lockstep (`_Lockstep`): the
-maps that hold one stack share each projection pass (diagonal or
-all-pairs) over it, split into kernel calls whose temporaries stay under
-`hulls.KERNEL_ENTRIES` entries.  One cover-and-average step serves the
-approximate selection and each round of the iteration, for every map at
-once, which keeps two logged invariants at every grid point: membership
-defect < 2^-(k+1) after round k and sup-step <= 2^-k between consecutive
-rounds.  A single map is the one-map lockstep, so there is one selection
-path.
+maps that hold one stack share each projection pass (diagonal,
+all-pairs or gathered pairs) over it, split into kernel calls whose
+temporaries stay under `hulls.KERNEL_ENTRIES` entries.  One
+cover-and-average step serves the approximate selection and each round of
+the iteration, for every map at once, which keeps two logged invariants at
+every grid point: membership defect < 2^-(k+1) after round k and sup-step
+<= 2^-k between consecutive rounds.  Every round after the first has an
+anchor f_k(x), and a net point v can enter the cover element at x only
+when d(v, F(x)) < eps and its projection lies within r of f_k(x), so only
+when |v - f_k(x)| < eps + r, by the triangle inequality; those rounds
+project only the (net point, row) pairs that pass this test.  A single map
+is the one-map lockstep, so there is one selection path.
 """
 from __future__ import annotations
 
@@ -375,6 +379,9 @@ class HullTarget:
 # maps in lockstep: projections and the cover-and-average step
 
 _MAX_ELEMENTS = 900
+# slack on the triangle-inequality filter of the anchored cover passes,
+# far above the ~1e-15 rounding of the distances it compares
+_FILTER_MARGIN = 1e-9
 
 
 @dataclass
@@ -447,24 +454,29 @@ class _Lockstep:
 
     def cover_average(self, live, nets, eps, anchors=None, r=None):
         """f(x) = sum_v rho_v(x) v for each map live[j] (map indices,
-        ascending), over the cover labelled by the points of nets[j].
+        ascending), over the cover labelled by the points of nets[j]:
+        self.average(live, nets, self.cover(live, nets, eps, anchors, r))."""
+        return self.average(live, nets, self.cover(live, nets, eps, anchors, r))
+
+    def cover(self, live, nets, eps, anchors=None, r=None):
+        """The cover elements (len(live), max net size, n) of each map
+        live[j] over the points of nets[j], False past a map's net.
 
         The element of net point v is U_v = {x : d(v, F(x)) < eps}; given
-        anchors (M, n, dim), it keeps only the x whose projection of v onto
-        F(x) lies within r of anchors[map, x].  Each net point is projected
-        onto its own map's values only: one all-pairs pass per stack, whose
-        query rows are the nets of the maps holding it, with no padding.
-        Empty elements are dropped, and above _MAX_ELEMENTS a greedy pass
-        keeps only elements that cover new points.  The partitions of unity
-        are built for many maps at once, their covers padded with empty
-        elements; each map's values are its own rho.T @ net.
-
-        Returns the values (len(live), n, dim), the first domain index that
-        no element covers per map (-1 for a cover), and, for the maps with a
-        cover, the partitions of unity (one per batch of maps) and the kept
-        net points.
+        anchors (M, n, dim), it keeps only the x whose projection Pv of v
+        onto F(x) lies within r of a = anchors[map, x].  Each net point is
+        projected onto its own map's values only.  With no anchors, one
+        all-pairs pass per stack projects the nets of the maps holding it,
+        with no padding.  With anchors, an x in U_v has |v - Pv| < eps and
+        |Pv - a| < r, so |v - a| < eps + r by the triangle inequality: the
+        (net point, row) distance table to the anchors is taken first, and
+        only the pairs within eps + r + _FILTER_MARGIN are projected, in one
+        gathered pass per stack (HullStack.project_pairs); every other pair
+        is outside its element.  A row's bits do not depend on the call
+        that projects it, so each projected pair's bits, and so the cover,
+        are those of the all-pairs pass.
         """
-        n, dim = len(self.domain), self.target.dim
+        n = len(self.domain)
         sizes = np.array([len(net) for net in nets])
         inside = np.zeros((len(live), sizes.max(), n), dtype=bool)
         for s in self.shared:
@@ -476,11 +488,32 @@ class _Lockstep:
             owner = np.repeat(use, sizes[at])  # each query row's map, among s.maps
             point = np.arange(len(queries)) - np.repeat(np.cumsum(sizes[at]) - sizes[at],
                                                         sizes[at])
-            proj, dist = s.stack.project_runs(queries[:, None, :], s.balls, owner)
-            hit = dist < eps
-            if anchors is not None:
-                hit &= np.linalg.norm(proj - anchors[s.maps[owner, None], s.rows], axis=2) < r
-            inside[np.searchsorted(live, s.maps[owner])[:, None], point[:, None], s.rows] = hit
+            slot = np.searchsorted(live, s.maps[owner])  # each query row's map, among live
+            if anchors is None:
+                dist = s.stack.project_runs(queries[:, None, :], s.balls, owner)[1]
+                inside[slot[:, None], point[:, None], s.rows] = dist < eps
+                continue
+            anchor = anchors[s.maps[owner, None], s.rows]
+            q, h = np.nonzero(np.linalg.norm(queries[:, None, :] - anchor, axis=2)
+                              < eps + r + _FILTER_MARGIN)
+            proj, dist = s.stack.project_pairs(queries[q], h, s.balls, owner[q])
+            inside[slot[q], point[q], s.rows[h]] = (
+                (dist < eps) & (np.linalg.norm(proj - anchor[q, h], axis=1) < r))
+        return inside
+
+    def average(self, live, nets, inside):
+        """Each map's values over its cover elements inside (see cover).
+        Empty elements are dropped, and above _MAX_ELEMENTS a greedy pass
+        keeps only elements that cover new points.  The partitions of unity
+        are built for many maps at once, their covers padded with empty
+        elements; each map's values are its own rho.T @ net.
+
+        Returns the values (len(live), n, dim), the first domain index that
+        no element covers per map (-1 for a cover), and, for the maps with a
+        cover, the partitions of unity (one per batch of maps) and the kept
+        net points.
+        """
+        n, dim = len(self.domain), self.target.dim
         covered = inside.any(axis=1)
         missing = np.where(covered.all(axis=1), -1, covered.argmin(axis=1))
         ok = np.flatnonzero(missing < 0)
@@ -605,9 +638,13 @@ def michael_selection(F, tol=1e-3):
 def _michael_lockstep(maps, tol):
     """michael_selection for maps on one domain and into one target, run in
     lockstep, round by round: each round makes, over every map at once, one
-    target projection, one batched dedupe, one all-pairs and one diagonal
+    target projection, one batched dedupe, one cover pass and one diagonal
     pass per stack (the maps that share a stack share its passes; see
-    `_Lockstep`) and one partition-of-unity pass.  Only the lex sort of
+    `_Lockstep`) and one partition-of-unity pass.  Round 0's cover pass is
+    all-pairs.  Round k >= 1 is anchored at f_k: a pair (net point v, row
+    x) is a hit only when d(v, F(x)) < eps and |Pv - f_k(x)| < r, so only
+    when |v - f_k(x)| < eps + r, and its cover pass projects only the pairs
+    within that distance, gathered (`_Lockstep.cover`).  Only the lex sort of
     each net and the final rho.T @ net run map by map.  Every map takes the
     same number of rounds, and its values and rounds are bit for bit those
     of its own run.  Returns per map its MichaelResult or the exception its
@@ -623,9 +660,10 @@ def _michael_lockstep(maps, tol):
     start, _ = run.nearest(run.means())
     values, missing, _, _ = run.cover_average(live, run.nets(start, 0.25 / (8.0 * dim_sqrt)),
                                               0.75 * 0.25)
-    for i in live[missing >= 0]:
-        errors[i] = IterationStall("initial approximate selection failed to cover the"
-                                   " domain (k=1)")
+    for i, x in zip(live, missing):
+        if x >= 0:
+            errors[i] = IterationStall(f"round k=0 left domain index {int(x)} uncovered:"
+                                       " the initial approximate selection failed")
     live = live[missing < 0]
     nearest, defects = run.nearest(values)
     rounds = [[{"k": 0, "max_defect": float(d.max()), "max_step": None}] for d in defects]
@@ -636,9 +674,9 @@ def _michael_lockstep(maps, tol):
         cell = 0.5 ** (k + 4) / dim_sqrt
         new_values, missing, _, _ = run.cover_average(live, run.nets(nearest[live], cell),
                                                       eps, values, r)
-        for i in live[missing >= 0]:
-            errors[i] = IterationStall(f"round k={k} left domain index"
-                                       f" {int(np.argmax(defects[i]))} uncovered")
+        for i, x in zip(live, missing):
+            if x >= 0:
+                errors[i] = IterationStall(f"round k={k} left domain index {int(x)} uncovered")
         ok = missing < 0
         live, new_values = live[ok], new_values[ok]
         steps = np.linalg.norm(new_values - values[live], axis=2).max(axis=1)

@@ -1,6 +1,7 @@
 """The command-line runner: config parsing, exit codes, emitted files, and
 byte-identical reruns."""
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
@@ -502,6 +503,31 @@ def test_console_script_end_to_end(tmp_path):
     record = json.loads(proc.stdout)
     assert record["scenario"] == "borel"
     assert (out / "borel.csv").exists()
+
+
+def test_run_all_check_names_each_file_off_the_manifest(tmp_path):
+    # counterexample's digests hold on any numpy, so the run itself matches
+    run_all = SAMPLE_CONFIGS.parent / "run_all.py"
+    out = tmp_path / "runs"
+    proc = subprocess.run([sys.executable, str(run_all), "--only", "counterexample",
+                           "--out", str(out), "--check"],
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert "all files match" in proc.stderr
+    refused = subprocess.run([sys.executable, str(run_all), "--seed", "1", "--check",
+                              "--out", str(out)],
+                             capture_output=True, text=True, timeout=300, check=False)
+    assert refused.returncode == 2 and "--seed 0" in refused.stderr
+    spec = importlib.util.spec_from_file_location("run_all", run_all)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (out / "counterexample" / "witness.json").write_text("{}", encoding="utf-8")
+    (out / "counterexample" / "stray.csv").write_text("", encoding="utf-8")
+    (out / "counterexample" / "counterexample.csv").unlink()
+    assert module.mismatches(out, ["counterexample"]) == [
+        "counterexample/counterexample.csv: not written",
+        "counterexample/stray.csv: not in seed0.sha256",
+        "counterexample/witness.json: digest differs"]
 
 
 # ---------------------------------------------------------------------------

@@ -264,16 +264,20 @@ def test_vertical_segment_selection_stays_in_square():
 
 
 @pytest.mark.parametrize("name", ["sliding-left-end", "rising-triangle"])
-def test_each_round_projects_every_value_twice(monkeypatch, name):
+def test_each_round_makes_one_cover_pass_and_one_diagonal_pass(monkeypatch, name):
     # per run and generator-count group: one diagonal pass projecting each
-    # value's hull-generator mean onto its value, then per round one
-    # all-pairs pass over the net and one diagonal pass projecting f_k(x)
-    # onto F(x), whose result also seeds the next round's net.  A pass makes
-    # one kernel call per run of query rows under the entry cap, no more
+    # value's hull-generator mean onto its value, then per round one cover
+    # pass over the net and one diagonal pass projecting f_k(x) onto F(x),
+    # whose result also seeds the next round's net.  Round 0's cover pass
+    # is all-pairs; each anchored round's is one gathered pass over its
+    # candidate pairs.  A pass makes one kernel call per run under the
+    # entry cap, no more
     F = BUNDLED_MAPS[name]()
     passes = {id(g.stack): [] for g in F.groups}
     calls = {id(g.stack): 0 for g in F.groups}
-    project_runs, project = HullStack.project_runs, HullStack.project
+    parent, taken = {}, []  # each gathered stack's parent stack
+    project_runs, project_pairs = HullStack.project_runs, HullStack.project_pairs
+    take, project = HullStack.take, HullStack.project
 
     def counted_pass(self, points, balls=None, owner=None):
         if id(self) in passes:
@@ -283,27 +287,46 @@ def test_each_round_projects_every_value_twice(monkeypatch, name):
             passes[id(self)].append((kind if hulls > 1 else "either", hulls, runs))
         return project_runs(self, points, balls, owner)
 
+    def counted_pairs(self, points, hulls, balls=None, owner=None):
+        if id(self) in passes:
+            runs = len(capped_runs(len(points), self._w[0].size))
+            passes[id(self)].append(("pairs", 0, runs))
+        return project_pairs(self, points, hulls, balls, owner)
+
+    def counted_take(self, index):
+        stack = take(self, index)
+        taken.append(stack)  # alive, so no other stack takes its id
+        parent[id(stack)] = id(self)
+        return stack
+
     def counted_call(self, points, balls=None):
-        if id(self) in calls:
-            calls[id(self)] += 1
+        key = parent.get(id(self), id(self))
+        if key in calls:
+            calls[key] += 1
             assert points.shape[0] * len(self.generators) * self.entries <= KERNEL_ENTRIES
         return project(self, points, balls)
 
     monkeypatch.setattr(HullStack, "project_runs", counted_pass)
+    monkeypatch.setattr(HullStack, "project_pairs", counted_pairs)
+    monkeypatch.setattr(HullStack, "take", counted_take)
     monkeypatch.setattr(HullStack, "project", counted_call)
     res = michael_selection(F, tol=1e-3)
     monkeypatch.undo()
+    anchored = len(res.rounds) - 1
+    assert anchored > 0
     for g in F.groups:
         kinds = [kind for kind, _, _ in passes[id(g.stack)]]
         if len(g.rows) == 1:
-            # the two passes look alike here
-            assert kinds == ["either"] * (2 * len(res.rounds) + 1)
+            # the diagonal and all-pairs passes look alike here
+            assert kinds.count("either") == len(res.rounds) + 2
         else:
             assert kinds.count("diagonal") == len(res.rounds) + 1
-            assert kinds.count("all-pairs") == len(res.rounds)
+            assert kinds.count("all-pairs") == 1
+            assert kinds.index("all-pairs") < kinds.index("pairs")
+        assert kinds.count("pairs") == anchored
         assert calls[id(g.stack)] == sum(runs for _, _, runs in passes[id(g.stack)])
     assert (sum(hulls for stack in passes.values() for _, hulls, _ in stack)
-            == len(F) * (2 * len(res.rounds) + 1))
+            == len(F) * (len(res.rounds) + 2))
 
 
 def test_bundled_suite_converges_everywhere():
@@ -507,13 +530,18 @@ def _group_layout(G):
             for g in G.groups]
 
 
+def _marechal_case():
+    """The marechal scenario's map and net."""
+    F, _ = rotated_ball_map(7, np.pi / 4)
+    gens = np.unique(np.round(np.concatenate(list(F.generators().values())), 12), axis=0)
+    return F, np.concatenate([np.zeros((1, 3)), gens])
+
+
 def test_lockstep_family_matches_the_members_one_at_a_time(monkeypatch):
-    marechal, _ = rotated_ball_map(7, np.pi / 4)
-    gens = np.unique(np.round(np.concatenate(list(marechal.generators().values())), 12), axis=0)
     shifted = _interval_map(grid_domain_1d(21), lambda x: 0.6 + 0.4 * x, lambda x: 1.0)
     cases = [
         # the marechal scenario's map and net
-        (marechal, np.concatenate([np.zeros((1, 3)), gens]), "same-layout"),
+        (*_marechal_case(), "same-layout"),
         # segments clip to points, so the members' groups differ: v = 1/4 + 1e-13
         # pins [3/4, 1] at m = 2 and clips it to the point 3/4
         (BUNDLED_MAPS["sliding-left-end"](41, 5), np.array([[0.0], [0.25 + 1e-13], [0.5],
@@ -600,21 +628,133 @@ def test_first_failing_member_decides_the_error(case):
     assert type(got.value) is type(first) and str(got.value) == str(first)
 
 
+def _all_pairs_cover(run, live, nets, eps, anchors=None, r=None):
+    """Reference for _Lockstep.cover: every net point projected onto every
+    row of its own map, map by map, with no distance filter."""
+    inside = np.zeros((len(live), max(len(net) for net in nets), len(run.domain)), dtype=bool)
+    for j, (i, net) in enumerate(zip(live, nets)):
+        for s in run.shared:
+            if i not in s.maps:
+                continue
+            owner = np.full(len(net), np.searchsorted(s.maps, i))
+            proj, dist = s.stack.project_runs(net[:, None, :], s.balls, owner)
+            hit = dist < eps
+            if anchors is not None:
+                hit &= np.linalg.norm(proj - anchors[i, s.rows], axis=2) < r
+            inside[j, :len(net)][:, s.rows] = hit
+    return inside
+
+
+def _recorded_covers(monkeypatch, runs):
+    """The arguments of every _Lockstep.cover call made by runs()."""
+    recorded = []
+    cover = _Lockstep.cover
+
+    def recording(self, live, nets, eps, anchors=None, r=None):
+        # the lockstep overwrites its values, the next round's anchors, in place
+        recorded.append((self, live, nets, eps, None if anchors is None else anchors.copy(), r))
+        return cover(self, live, nets, eps, anchors, r)
+
+    monkeypatch.setattr(_Lockstep, "cover", recording)
+    got = runs()
+    monkeypatch.undo()
+    return got, recorded
+
+
+@pytest.mark.parametrize("name", ["marechal", "rising-triangle", "rotating-segment",
+                                  "sliding-left-end"])
+def test_anchored_cover_matches_the_all_pairs_reference(monkeypatch, name):
+    # a pair (v, x) is a hit only when |v - f_k(x)| < eps + r, so projecting
+    # only the pairs within that distance keeps every cover element, and so
+    # every value, uncovered point, kept net and partition of unity
+    if name == "marechal":
+        F, net = _marechal_case()
+    else:
+        F = BUNDLED_MAPS[name]()
+        net = (np.linspace(0.0, 1.0, 5)[:, None] if F.target.dim == 1
+               else np.concatenate([_UNIT_SQUARE_CORNERS, [[0.5, 0.5]]]))
+    _, covers = _recorded_covers(monkeypatch, lambda: dense_selection_family(F, net, 2, tol=1e-2))
+    projected = []
+    project_pairs = HullStack.project_pairs
+
+    def counted(self, points, hulls, balls=None, owner=None):
+        projected.append(len(points))
+        return project_pairs(self, points, hulls, balls, owner)
+
+    anchored = [call for call in covers if call[4] is not None]
+    assert len(anchored) >= 5
+    pairs = 0
+    for run, live, nets, eps, anchors, r in anchored:
+        # the family's restrictions put balls on the hulls with three or more
+        # generators, and clip the segments
+        assert (any(s.balls is not None for s in run.shared)
+                == (name in ("marechal", "rising-triangle")))
+        monkeypatch.setattr(HullStack, "project_pairs", counted)
+        inside = run.cover(live, nets, eps, anchors, r)
+        monkeypatch.undo()
+        want = _all_pairs_cover(run, live, nets, eps, anchors, r)
+        assert np.array_equal(inside, want)
+        pairs += sum(len(net) * len(run.domain) for net in nets)
+        got, ref = run.cover_average(live, nets, eps, anchors, r), run.average(live, nets, want)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert len(got[3]) == len(ref[3])
+        assert all(np.array_equal(a, b) for a, b in zip(got[3], ref[3]))
+        assert len(got[2]) == len(ref[2])
+        for a, b in zip(got[2], ref[2]):
+            assert np.array_equal(a.cover.bitmaps, b.cover.bitmaps)
+            assert np.array_equal(a.values, b.values) and a.max_active == b.max_active
+    # on marechal the filter drops about 70% of the pairs; the rising
+    # triangle's nets sit near every anchor, and it drops none
+    assert 0 < sum(projected) <= pairs
+    if name == "marechal":
+        assert sum(projected) <= 0.4 * pairs
+
+
+@pytest.mark.parametrize("shift, anchored", [(0.08, True), (-0.5, False)])
+def test_a_stall_names_its_first_uncovered_point_and_logged_round(monkeypatch, shift,
+                                                                  anchored):
+    # the drifting target makes the nets miss the values, so the maps stall
+    # in an anchored round or in round 0; each error names the first point
+    # that no element covers in the round that stalls, numbered as the
+    # rounds log it
+    dom = grid_domain_1d(21)
+    F = SetValuedMap(dom, [np.array([[0.2 + 0.3 * x], [0.9]]) for x in dom.points[:, 0]],
+                     _DriftingTarget(np.array([[0.0], [1.0]]), [shift]))
+    maps = [F] + _restricted_maps(monkeypatch, F, np.array([[0.0], [0.5], [1.0]]))
+    results, covers = _recorded_covers(monkeypatch, lambda: _michael_lockstep(maps, 0.125))
+    stalls = [(i, err) for i, err in enumerate(results) if isinstance(err, IterationStall)]
+    assert stalls
+    for i, err in stalls:
+        k, index = (int(str(err).split(word)[1].split()[0]) for word in ("k=", "index"))
+        assert (k > 0) == anchored
+        run, live, nets, eps, anchors, r = covers[k]  # one cover pass per round
+        j = int(np.flatnonzero(live == i)[0])
+        covered = _all_pairs_cover(run, live, nets, eps, anchors, r)[j].any(axis=0)
+        assert not covered[index] and covered[:index].all()
+
+
 def test_kernel_calls_stay_under_the_entry_cap(monkeypatch):
-    shapes = []
-    original = HullStack.project
+    shapes, gathered = [], []
+    original, take = HullStack.project, HullStack.take
 
     def recorded(self, points, balls=None):
         shapes.append((points.shape[0], self._g.shape[0], self.entries))
+        if balls is not None:
+            gathered.append(max(getattr(balls, f.name).size
+                                for f in dataclasses.fields(BallSections)))
         return original(self, points, balls)
 
-    marechal, _ = rotated_ball_map(7, np.pi / 4)
-    gens = np.unique(np.round(np.concatenate(list(marechal.generators().values())), 12), axis=0)
-    cases = [(marechal, np.concatenate([np.zeros((1, 3)), gens])),
+    def recorded_take(self, index):
+        stack = take(self, index)
+        gathered.append(max(stack._g.size, stack._w.size, stack._b.size))
+        return stack
+
+    cases = [_marechal_case(),
              (BUNDLED_MAPS["sliding-left-end"](), np.linspace(0.0, 1.0, 5)[:, None]),
              (BUNDLED_MAPS["rising-triangle"](),
               np.concatenate([_UNIT_SQUARE_CORNERS, [[0.5, 0.5]]]))]
     monkeypatch.setattr(HullStack, "project", recorded)
+    monkeypatch.setattr(HullStack, "take", recorded_take)
     for F, net in cases:
         dense_selection_family(F, net, 2, tol=1e-2)
         michael_selection(F, tol=1e-2)
@@ -622,6 +762,10 @@ def test_kernel_calls_stay_under_the_entry_cap(monkeypatch):
     # the all-pairs passes over every member's net are split into calls
     assert max(m * v for m, v, _ in shapes) > 1000
     assert max(m * v * entries for m, v, entries in shapes) <= KERNEL_ENTRIES
+    # so are the gathered faces and ball sections of the anchored rounds'
+    # pair passes, which hold k * dim entries per face against a kernel
+    # temporary's max(k, dim)
+    assert KERNEL_ENTRIES // 2 < max(gathered) <= KERNEL_ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -1154,9 +1298,10 @@ def _einsum_projection(stack, points, center=None, radius=None):
 @pytest.mark.parametrize("k, dim, n_hulls", [(2, 1, 12), (3, 2, 5), (4, 3, 7), (6, 3, 2)])
 def test_a_rows_bits_do_not_depend_on_its_call(k, dim, n_hulls):
     # every entry is rounded on its own, so a query row with its own balls
-    # gets the same bits projected alone, inside a full capped run, and in
-    # the (m, 1) and (m, V) layouts; a reduction whose order follows the
-    # call's shape, such as a matrix product, would break this
+    # gets the same bits projected alone, inside a full capped run, in the
+    # (m, 1) and (m, V) layouts, and as gathered (query, hull) pairs; a
+    # reduction whose order follows the call's shape, such as a matrix
+    # product, would break this
     rng = np.random.default_rng(27 + k)
     stack = HullStack(rng.uniform(-1.0, 1.0, (n_hulls, k, dim)))
     step = capped_runs(KERNEL_ENTRIES, n_hulls * stack.entries)[0].stop
@@ -1176,6 +1321,10 @@ def test_a_rows_bits_do_not_depend_on_its_call(k, dim, n_hulls):
             for proj, dist in layouts:
                 assert np.array_equal(proj[j], alone[0][0])
                 assert np.array_equal(dist[j], alone[1][0])
+        q, h = np.divmod(np.arange(len(queries) * n_hulls), n_hulls)
+        pairs = stack.project_pairs(queries[q], h, rows, owner[q])
+        assert np.array_equal(pairs[0], layouts[0][0][q, h])
+        assert np.array_equal(pairs[1], layouts[0][1][q, h])
         ball = () if rows is None else (center[owner], radius[owner])
         want = _einsum_projection(stack, wide, *ball)
         proj, dist = layouts[1]
