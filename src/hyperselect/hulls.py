@@ -17,39 +17,45 @@ subsets gives the exact projection, with no iteration.
 
 The kernel runs over a stack of V hulls that share a generator count k,
 held as generators (V, k, dim).  The faces of every size are solved once,
-one batched pseudo-inverse per size, into one padded stack of all 2^k - 1
-faces with k columns each, so a projection is one pass over every face of
-every hull with no loop over face sizes.  Queries carry the value axis too:
-(m, V, dim) projects query row j of each hull v onto hull v, and (m, 1, dim)
-projects every query onto every hull.  Each hull may have its own ball,
-and each query row its own set of balls on the same faces; an infinite
-radius leaves that hull unclipped.  The balls' sections by the
-faces depend only on the stack and the balls, so `HullStack.balls` builds
-them once and every projection against those balls reuses them.  A single
-hull is the V = 1 stack.  `HullStack.project_runs` splits a projection
-along the query rows into calls whose temporaries stay under
-`KERNEL_ENTRIES` entries.  `HullStack.project_pairs` projects a list of
-(point, hull) pairs, each onto its own hull only, over the pairs' faces
-and ball sections gathered in runs under the same cap (`HullStack.take`
-copies solved faces; it solves nothing).
+one batched pseudo-inverse per size, and all 2^k - 1 faces are held in k
+generator slots: slot j holds generator j of every face that has one.  So
+a hull's faces take k 2^(k-1) entries, one per (face, generator), and no
+face carries zero columns.  The faces run by size, ascending, so the faces
+in slot j are a suffix of the face axis.  A projection is one pass over
+every face of every hull, slot by slot, with no loop over face sizes.
+Queries carry the value axis too: (m, V, dim) projects query row j of
+each hull v onto hull v, and (m, 1, dim) projects every query onto every
+hull.  Each hull may have its own ball, and each query row its own set of
+balls on the same faces; an infinite radius leaves that hull unclipped.
+The balls' sections by the faces depend only on the stack and the balls,
+so `HullStack.balls` builds them once and every projection against those
+balls reuses them.  A single hull is the V = 1 stack.
+`HullStack.project_runs` splits a projection along the query rows into
+calls whose temporaries stay under `KERNEL_ENTRIES` entries.
+`HullStack.project_pairs` projects a list of (point, hull) pairs, each
+onto its own hull only, over the pairs' faces and ball sections gathered
+in runs under the same cap (`HullStack.take` copies solved faces; it
+solves nothing).
 
 There is one contraction path, and it does not depend on the call's shape.
 Per face, the weights lam = W p + b and the affine projection G^T lam are
-each formed once, by broadcast multiply-adds taken coordinate by coordinate
-and generator by generator; squared norms add the coordinates in turn, and
-each face's least weight takes the generators in turn.  A ball clips in
-place: the clipped projection is c_S + scale (proj - c_S), with the clipped
-weights kept only for the feasibility test.  Elementwise operations round
-each entry alone, so a query row's projection and distance are the same
-bits whatever else shares its call: alone, in a full run, in the (m, 1) or
-the (m, V) layout.  A library reduction, a matrix product or a sum along an
-axis, may change its order with the operands' shapes, which would break
-that rule.
+each formed once, by broadcast multiply-adds taken coordinate by
+coordinate and slot by slot, that is, generator by generator; squared
+norms add the coordinates in turn, and each face's least weight takes the
+slots in turn.  A ball clips in place: the clipped projection is
+c_S + scale (proj - c_S), with the clipped weights kept only for the
+feasibility test.  Elementwise operations round each entry alone, so a
+query row's projection and distance are the same bits whatever else
+shares its call: alone, in a full run, in the (m, 1) or the (m, V)
+layout.  A library reduction, a matrix product or a sum along an axis,
+may change its order with the operands' shapes, which would break that
+rule.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,8 +64,8 @@ import numpy as np
 GENERATOR_CAP = 12
 _FEAS_TOL = 1e-12
 CONTAINS_TOL = 1e-9  # distance at which a point counts as inside a convex set
-# cap on the (query, hull, face, max(k, dim)) entries of one kernel call's
-# temporaries
+# cap on the entries of one kernel call's temporaries: per (query, hull)
+# pair, k 2^(k-1) face weights or 2^k - 1 face points of dim coordinates
 KERNEL_ENTRIES = 2 ** 14
 
 
@@ -75,10 +81,11 @@ def capped_runs(total, entries_each, cap=KERNEL_ENTRIES):
 
 
 def _square_sum(x):
-    """|x|^2 along the last axis, adding the coordinates in turn."""
-    total = x[..., 0] ** 2
-    for d in range(1, x.shape[-1]):
-        total += x[..., d] ** 2
+    """|x|^2 along the coordinate axis, the last but one, adding the
+    coordinates in turn."""
+    total = x[..., 0, :] ** 2
+    for d in range(1, x.shape[-2]):
+        total += x[..., d, :] ** 2
     return total
 
 
@@ -109,11 +116,12 @@ class BallSections:
     # each field may carry leading axes, one set of balls per index
     center: np.ndarray    # (V, dim)
     radius: np.ndarray    # (V,), inf on hulls without a ball
-    lam_c: np.ndarray     # (V, F, k) weights of each centre's affine projection c_S
-    c_s: np.ndarray       # (V, F, dim) the section centres c_S
+    lam_c: np.ndarray     # (V, E) weights of each centre's affine projection c_S,
+                          # in the stack's generator slots
+    c_s: np.ndarray       # (V, dim, F) the section centres c_S
     rho: np.ndarray       # (V, F) section radii, 0 where a section is empty
     section: np.ndarray   # (V, F) the section is nonempty; a tangent touch counts
-    clipped: np.ndarray   # (V, 1, 1) the hull has a finite ball
+    clipped: np.ndarray   # (V, 1) the hull has a finite ball
 
     def take(self, index):
         """The sections of the sets of balls at index, along the leading axis."""
@@ -127,7 +135,16 @@ class BallSections:
 
 
 class HullStack:
-    """Faces of V hulls with k generators each, for exact projection."""
+    """Faces of V hulls with k generators each, for exact projection.
+
+    The F = 2^k - 1 faces run by size, ascending, and in combinations order
+    within a size, so the faces with more than j generators form a suffix
+    [start_j:].  Slot j holds generator j of each of those faces, and the
+    slots lie one after another along one axis of E = k 2^(k-1) entries per
+    hull: `_slots` lists each slot's (start_j, entries) pair, the entries a
+    slice of that axis.  The face generators and weight rows are held
+    coordinates first, (V, dim, E), and the faces' points come out as
+    (..., V, dim, F), so a coordinate's entries lie together."""
 
     def __init__(self, generators):
         g = np.asarray(generators, dtype=np.float64)  # (V, k, dim), rows deduped
@@ -136,42 +153,50 @@ class HullStack:
             raise TooManyGenerators(f"{k} generators exceeds cap {GENERATOR_CAP}")
         self.generators = g
         # all 2^k - 1 faces, sizes ascending and combinations order within a
-        # size; face size s fills columns :s of the k, and the zero columns
-        # give lam = 0, which is feasible and adds exact zeros to projections
-        n_faces = 2 ** k - 1
-        self._g = np.zeros((n_hulls, n_faces, k, dim))  # the face generators
-        self._w = np.zeros((n_hulls, n_faces, k, dim))  # lam = w @ p + b, linear in p
-        self._b = np.zeros((n_hulls, n_faces, k))
-        start = 0
+        # size, each solved once and stored in its generators' slots
+        self._slots = _slots(k)
+        n_entries = self._slots[-1][1].stop
+        self._g = np.empty((n_hulls, dim, n_entries))  # the face generators
+        self._w = np.zeros((n_hulls, dim, n_entries))  # lam = w @ p + b, linear in p
+        self._b = np.zeros((n_hulls, n_entries))
+        first = 0  # the first face of size s
         for s in range(1, k + 1):
             gs = g[:, list(itertools.combinations(range(k), s))]
-            faces = slice(start, start + gs.shape[1])
-            start = faces.stop
-            self._g[:, faces, :s] = gs
+            # slot j's entries of these faces
+            at = [slice(e.start + first - start, e.start + first - start + gs.shape[1])
+                  for start, e in self._slots[:s]]
+            first += gs.shape[1]
+            for j in range(s):
+                self._g[..., at[j]] = gs[:, :, j].swapaxes(1, 2)
             if s == 1:  # a vertex: lam = 1 exactly, where a solve leaves roundoff
-                self._b[:, faces, 0] = 1.0
+                self._b[:, at[0]] = 1.0
                 continue
             kkt = np.zeros(gs.shape[:2] + (s + 1, s + 1))
             kkt[..., :s, :s] = 2.0 * gs @ gs.swapaxes(-1, -2)
             kkt[..., :s, s] = 1.0
             kkt[..., s, :s] = 1.0
             pinv = np.linalg.pinv(kkt)
-            self._w[:, faces, :s] = pinv[..., :s, :s] @ (2.0 * gs)
-            self._b[:, faces, :s] = pinv[..., :s, s]
+            w, b = pinv[..., :s, :s] @ (2.0 * gs), pinv[..., :s, s]
+            for j in range(s):
+                self._w[..., at[j]], self._b[:, at[j]] = w[:, :, j].swapaxes(1, 2), b[:, :, j]
 
     def take(self, index):
-        """The stack of the hulls at index, with their solved faces copied,
-        not solved again."""
+        """The stack of the hulls at index, with their solved faces copied
+        in their generator slots, k 2^(k-1) entries per hull, not solved
+        again."""
         taken = object.__new__(HullStack)
         taken.generators, taken._g, taken._w, taken._b = (
             self.generators[index], self._g[index], self._w[index], self._b[index])
+        taken._slots = self._slots
         return taken
 
     @property
     def entries(self):
         """Entries of project's largest temporaries per (query, hull) pair:
-        one per face and generator or coordinate, whichever are more."""
-        return self._g.shape[1] * max(self._g.shape[2], self._g.shape[3])
+        the k 2^(k-1) slot weights or the 2^k - 1 faces' dim coordinates,
+        whichever are more."""
+        _, k, dim = self.generators.shape
+        return max(self._b.shape[1], (2 ** k - 1) * dim)
 
     def balls(self, center, radius):
         """The sections of the closed balls B(center (V, dim), radius (V,))
@@ -185,25 +210,30 @@ class HullStack:
         radius = np.asarray(radius, dtype=np.float64)
         lam_c = self._weights(center)
         c_s = self._combine(lam_c)
-        rho2 = radius[..., None] ** 2 - _square_sum(center[..., None, :] - c_s)
+        rho2 = radius[..., None] ** 2 - _square_sum(center[..., None] - c_s)
         return BallSections(center, radius, lam_c, c_s, np.sqrt(np.maximum(rho2, 0.0)),
-                            rho2 >= -_FEAS_TOL, np.isfinite(radius)[..., None, None])
+                            rho2 >= -_FEAS_TOL, np.isfinite(radius)[..., None])
 
     def _weights(self, points):
-        """Each face's weights lam = W p + b (..., V, F, k) of points
-        (..., V or 1, dim), summed coordinate by coordinate."""
-        x = points[..., None, None, :]
-        lam = x[..., 0] * self._w[..., 0]
+        """Each face's weights lam = W p + b (..., V, E), in the generator
+        slots, of points (..., V or 1, dim), summed coordinate by
+        coordinate."""
+        x = points[..., None]
+        lam = x[..., 0, :] * self._w[:, 0]
         for d in range(1, points.shape[-1]):
-            lam += x[..., d] * self._w[..., d]
-        return lam + self._b
+            lam += x[..., d, :] * self._w[:, d]
+        lam += self._b
+        return lam
 
     def _combine(self, lam):
-        """Each face's point G^T lam (..., V, F, dim), summed generator by
-        generator."""
-        proj = lam[..., 0, None] * self._g[:, :, 0]
-        for s in range(1, lam.shape[-1]):
-            proj += lam[..., s, None] * self._g[:, :, s]
+        """Each face's point G^T lam (..., V, dim, F), summed generator by
+        generator: slot j adds into the faces [start_j:] that have a
+        generator j."""
+        (_, at), *rest = self._slots
+        proj = lam[..., None, at] * self._g[..., at]
+        for start, at in rest:
+            faces = proj[..., start:]
+            faces += lam[..., None, at] * self._g[..., at]
         return proj
 
     def project(self, points, balls=None):
@@ -219,24 +249,34 @@ class HullStack:
         """
         lam = self._weights(points)
         proj = self._combine(lam)
-        section = True
         if balls is not None:
-            # radial clip towards c_S inside each face's section
-            off = np.sqrt(_square_sum(proj - balls.c_s))
+            # radial clip towards c_S inside each face's section, into this
+            # call's own arrays: proj = c_S + scale (proj - c_S), and the
+            # weights alike, each slot taking its faces' scale
+            moved = proj - balls.c_s
+            off = np.sqrt(_square_sum(moved))
             scale = np.divide(balls.rho, off, out=np.ones(off.shape), where=off > balls.rho)
-            lam = np.where(balls.clipped, balls.lam_c + scale[..., None] * (lam - balls.lam_c),
-                           lam)
-            proj = np.where(balls.clipped, balls.c_s + scale[..., None] * (proj - balls.c_s),
-                            proj)
-            section = balls.section
-        d2 = _square_sum(proj - points[:, :, None, :])
-        low = lam[..., 0]  # each face's least weight
-        for s in range(1, lam.shape[-1]):
-            low = np.minimum(low, lam[..., s])
-        d2[~((low >= -_FEAS_TOL) & section)] = np.inf
+            moved *= scale[..., None, :]
+            moved += balls.c_s
+            np.copyto(proj, moved, where=balls.clipped[..., None])
+            moved = lam - balls.lam_c
+            moved *= np.concatenate([scale[..., start:] for start, _ in self._slots], axis=-1)
+            moved += balls.lam_c
+            np.copyto(lam, moved, where=balls.clipped)
+        d2 = _square_sum(proj - points[..., None])
+        # each face's least weight, taken slot by slot into slot 0's entries
+        (_, at), *rest = self._slots
+        low = lam[..., at]
+        for start, at in rest:
+            faces = low[..., start:]
+            np.minimum(faces, lam[..., at], out=faces)
+        feasible = low >= -_FEAS_TOL
+        if balls is not None:
+            feasible &= balls.section
+        d2[~feasible] = np.inf
         # the first nearest face in enumeration order, per (query, hull)
         at = (np.arange(len(d2))[:, None], np.arange(d2.shape[1]), d2.argmin(axis=-1))
-        best, dist = proj[at], np.sqrt(d2[at])
+        best, dist = proj[at[0], at[1], :, at[2]], np.sqrt(d2[at])
         best[np.isinf(dist)] = 0.0
         return best, dist
 
@@ -261,15 +301,28 @@ class HullStack:
         holds along its leading axis.  Each run projects its points in the
         (1, P) layout onto its pairs' gathered faces (self.take) and
         sections, so a pair gets the bits of its query row in any other
-        layout.  The gathered faces hold k * dim entries per face, at least
-        a kernel temporary's max(k, dim), so runs are capped on them and
-        both stay under KERNEL_ENTRIES entries."""
+        layout.  A gathered hull's faces hold k 2^(k-1) dim slot entries, at
+        least a pair's slot weights or face points in a kernel temporary or
+        a gathered section, so runs are capped on them and all stay under
+        KERNEL_ENTRIES entries."""
         proj, dist = np.empty(points.shape), np.empty(len(points))
         for run in capped_runs(len(points), self._w[0].size):
             rows = None if balls is None else balls.take((owner[run], hulls[run]))
             got = self.take(hulls[run]).project(points[None, run], rows)
             proj[run], dist[run] = got[0][0], got[1][0]
         return proj, dist
+
+
+def _slots(k):
+    """(start_j, entries) of each generator slot j of a k-generator stack:
+    the faces [start_j:] that have a generator j, and the slice of the entry
+    axis that holds it."""
+    slots, stop = [], 0
+    for j in range(k):
+        start = sum(math.comb(k, s) for s in range(1, j + 1))
+        slots.append((start, slice(stop, stop + 2 ** k - 1 - start)))
+        stop = slots[-1][1].stop
+    return tuple(slots)
 
 
 class HullProjector:

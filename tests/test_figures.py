@@ -6,6 +6,7 @@ config, reads back what it wrote and compares with a closed form derived
 from the scenario's own inputs, within a bound set from the measured error
 of the written digits.
 """
+import json
 from pathlib import Path
 
 import numpy as np
@@ -41,3 +42,68 @@ def test_marechal_curve_is_the_off_diagonal_weight_times_sin_2theta(tmp_path):
     # the file keeps 12 significant digits of theta and of the value, which
     # read 7.2e-13 apart from the closed form at worst
     assert deviation.max() <= 1e-12
+
+
+def _csv_rows(path):
+    """The header and the rows of a written CSV file, as strings."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    return header.split(","), [line.split(",") for line in rows]
+
+
+def test_borel_census_certifies_every_cylinder_and_constant_instance(tmp_path):
+    # The bundle holds one cylinder instance per binary prefix of length
+    # prefix_len, a member of the family or not, and four constant ones:
+    # half in, half out, the full space and a late arrival.  Each is decided
+    # the same way at both depths, so all are certified.  Its two
+    # singleton-branch instances ask about the point 1^infinity, which no
+    # depth certifies, so they land on the frontier.
+    params = parse_config_file(SAMPLE_CONFIGS / "borel.cfg")
+    SCENARIOS["borel"](params, 0, tmp_path)
+    prefix_len = int(params["prefix_len"])
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    print(f"borel/summary.json: {summary}")
+    assert summary == {"certified": 2 ** prefix_len + 4, "frontier": 2,
+                       "depths": [int(params["d"]), int(params["d2"])]}
+    header, rows = _csv_rows(tmp_path / "borel.csv")
+    assert header == ["name", "expected", "support_d", "support_d2", "verdict", "match"]
+    assert sum("cylinder" in name for name, *_ in rows) == 2 ** prefix_len
+    frontier = [row for row in rows if row[4] == "DepthInsufficient"]
+    assert [row[1] for row in frontier] == ["depth_insufficient"] * 2
+    assert all(row[5] == "true" for row in rows)
+
+
+def test_every_duality_route_gap_is_within_its_norms_tolerance(tmp_path):
+    # the primal and dual routes are both exact, so each written gap is
+    # roundoff, within the tolerance the config gives its norm kind
+    params = parse_config_file(SAMPLE_CONFIGS / "duality.cfg")
+    SCENARIOS["duality"](params, 0, tmp_path)
+    norms = params["norms"].split(",")
+    tol = {kind: float(params["tol_l2" if kind == "l2" else "tol_polyhedral"]) for kind in norms}
+    header, rows = _csv_rows(tmp_path / "duality.csv")
+    assert header == ["trial", "norm", "primal", "dual", "abs_diff"]
+    assert len(rows) == int(params["trials"]) * len(norms)
+    assert {norm for _, norm, *_ in rows} == set(norms)
+    worst = {kind: max(float(row[4]) for row in rows if row[1] == kind) for kind in norms}
+    print(f"duality.csv: worst abs_diff per norm {worst} against {tol}")
+    assert all(worst[kind] <= tol[kind] for kind in norms)
+
+
+def test_finiteness_modulus_is_eps_times_its_block_size_constant(tmp_path):
+    # delta / eps reads 1, sqrt(2)/3 and sqrt(2)/12 at block sizes 1, 2 and
+    # 4.  No derivation of these constants from the witness that attains
+    # them is given yet (ROADMAP item 6), so this pins the floats.
+    params = parse_config_file(SAMPLE_CONFIGS / "finiteness.cfg")
+    SCENARIOS["finiteness"](params, 0, tmp_path)
+    constant = {1: 1.0, 2: np.sqrt(2.0) / 3.0, 4: np.sqrt(2.0) / 12.0}
+    header, rows = _csv_rows(tmp_path / "finiteness.csv")
+    assert header == ["eps", "delta", "block_size"]
+    sizes = [int(size) for size in params["block_sizes"].split(",")]
+    eps_list = [float(eps) for eps in params["eps_list"].split(",")]
+    assert [(float(eps), int(size)) for eps, _, size in rows] == [
+        (eps, size) for size in sizes for eps in eps_list]
+    deviation = max(abs(float(delta) - float(eps) * constant[int(size)])
+                    for eps, delta, size in rows)
+    print(f"finiteness.csv: worst deviation {deviation:.2e} of delta from eps * c")
+    # the file keeps 12 significant digits of delta < 1, which read 4.1e-13
+    # apart from eps * c at worst
+    assert deviation <= 1e-12

@@ -289,7 +289,8 @@ def test_each_round_makes_one_cover_pass_and_one_diagonal_pass(monkeypatch, name
 
     def counted_pairs(self, points, hulls, balls=None, owner=None):
         if id(self) in passes:
-            runs = len(capped_runs(len(points), self._w[0].size))
+            _, k, dim = self.generators.shape  # a gathered hull's slot entries
+            runs = len(capped_runs(len(points), k * 2 ** (k - 1) * dim))
             passes[id(self)].append(("pairs", 0, runs))
         return project_pairs(self, points, hulls, balls, owner)
 
@@ -734,11 +735,18 @@ def test_a_stall_names_its_first_uncovered_point_and_logged_round(monkeypatch, s
 
 
 def test_kernel_calls_stay_under_the_entry_cap(monkeypatch):
+    # a stack of k generators holds, per hull, the 2^k - 1 faces' generators
+    # in slots: slot j takes generator j of every face that has one, so the
+    # slots hold k 2^(k-1) entries, one per (face, generator)
     shapes, gathered = [], []
     original, take = HullStack.project, HullStack.take
 
     def recorded(self, points, balls=None):
-        shapes.append((points.shape[0], self._g.shape[0], self.entries))
+        hulls, k, dim = self.generators.shape
+        # a call's largest temporaries hold, per (query, hull) pair, the
+        # slot weights or the faces' points
+        assert self.entries == max(k * 2 ** (k - 1), (2 ** k - 1) * dim)
+        shapes.append((points.shape[0], hulls, self.entries))
         if balls is not None:
             gathered.append(max(getattr(balls, f.name).size
                                 for f in dataclasses.fields(BallSections)))
@@ -746,7 +754,10 @@ def test_kernel_calls_stay_under_the_entry_cap(monkeypatch):
 
     def recorded_take(self, index):
         stack = take(self, index)
-        gathered.append(max(stack._g.size, stack._w.size, stack._b.size))
+        hulls, k, dim = stack.generators.shape
+        # the gathered faces: a weight row and a generator per slot entry
+        assert stack._g.shape == stack._w.shape == (hulls, dim, k * 2 ** (k - 1))
+        gathered.append(stack._w.size)
         return stack
 
     cases = [_marechal_case(),
@@ -763,8 +774,8 @@ def test_kernel_calls_stay_under_the_entry_cap(monkeypatch):
     assert max(m * v for m, v, _ in shapes) > 1000
     assert max(m * v * entries for m, v, entries in shapes) <= KERNEL_ENTRIES
     # so are the gathered faces and ball sections of the anchored rounds'
-    # pair passes, which hold k * dim entries per face against a kernel
-    # temporary's max(k, dim)
+    # pair passes: k 2^(k-1) dim slot entries per gathered hull, at least a
+    # pair's slot weights or face points in a kernel temporary or a section
     assert KERNEL_ENTRIES // 2 < max(gathered) <= KERNEL_ENTRIES
 
 
@@ -1181,10 +1192,11 @@ def test_stacked_projection_matches_one_value_at_a_time(monkeypatch):
 
 class _PerSizeStack:
     """Reference: the stacked face loop with one batched solve and one
-    projection per face size, which the padded HullStack replaced.  Its sums
-    run term by term in the kernel's order, coordinates for the weights and
-    squared norms, generators for the projections, so the padded faces'
-    zero columns, which add exact zeros, must leave the same bits."""
+    projection per face size.  Its sums run term by term in the kernel's
+    order, coordinates for the weights and squared norms, generators for the
+    projections, so HullStack, which holds every face's generators in slots
+    and adds slot after slot, must give the same bits.  Balls may carry one
+    set per query row, center (m, V, dim) and radius (m, V)."""
 
     def __init__(self, generators):
         g = np.asarray(generators, dtype=np.float64)
@@ -1212,7 +1224,7 @@ class _PerSizeStack:
             return sum(x[..., d] ** 2 for d in range(x.shape[-1]))
 
         if center is not None:
-            clipped = np.isfinite(radius)[None, :, None, None]
+            clipped = np.isfinite(radius)[..., None, None]
         d2s, projs = [], []
         for gs, w, b in self._faces:
             lam = weights(points, w, b)
@@ -1221,7 +1233,7 @@ class _PerSizeStack:
             if center is not None:
                 lam_c = weights(center, w, b)
                 c_s = combine(lam_c, gs)
-                rho2 = radius[:, None] ** 2 - square_sum(center[:, None, :] - c_s)
+                rho2 = radius[..., None] ** 2 - square_sum(center[..., None, :] - c_s)
                 section = rho2 >= -1e-12
                 rho = np.sqrt(np.maximum(rho2, 0.0))
                 off = np.sqrt(square_sum(proj - c_s))
@@ -1242,9 +1254,9 @@ class _PerSizeStack:
 
 
 @pytest.mark.parametrize("k", range(1, 7))
-def test_padded_kernel_matches_the_per_size_kernel(k):
-    # the padded faces must give the per-size kernel's bits, which is what
-    # keeps the scenario files byte-identical
+def test_slot_kernel_matches_the_per_size_kernel(k):
+    # the faces held in generator slots must give the per-size kernel's
+    # bits, which is what keeps the scenario files byte-identical
     rng = np.random.default_rng(20 + k)
     for dim, n_hulls in itertools.product((1, 2, 3), (1, 5)):
         gens = rng.uniform(-1.0, 1.0, (n_hulls, k, dim))
@@ -1270,25 +1282,102 @@ def test_padded_kernel_matches_the_per_size_kernel(k):
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-def _einsum_projection(stack, points, center=None, radius=None):
-    """Reference: the kernel as it was with einsum contractions, on the
-    stack's padded faces; sections as in HullStack.balls."""
-    w, b, g = stack._w, stack._b, stack._g
-    lam = np.einsum("mvd,vfsd->mvfs", points, w) + b
-    section = True
-    if center is not None:
-        lam_c = np.einsum("...vd,vfsd->...vfs", center, w) + b
-        c_s = np.einsum("...vfs,vfsd->...vfd", lam_c, g)
-        rho2 = radius[..., None] ** 2 - ((center[..., None, :] - c_s) ** 2).sum(axis=-1)
-        rho = np.sqrt(np.maximum(rho2, 0.0))
-        off = np.sqrt(((np.einsum("mvfs,vfsd->mvfd", lam, g) - c_s) ** 2).sum(axis=-1))
-        scale = np.divide(rho, off, out=np.ones(off.shape), where=off > rho)
-        lam = np.where(np.isfinite(radius)[..., None, None],
-                       lam_c + scale[..., None] * (lam - lam_c), lam)
-        section = rho2 >= -1e-12
-    proj = np.einsum("mvfs,vfsd->mvfd", lam, g)
-    d2 = ((proj - points[:, :, None, :]) ** 2).sum(axis=-1)
-    d2[~((lam >= -1e-12).all(axis=-1) & section)] = np.inf
+def _benchmark_balls(stack, net, rng):
+    """Ball sets (S, V, dim) centres and (S, V) radii on a stack's hulls: the
+    dense family's pins, a net point and radius 1/m on the hulls within 1/m
+    of it and inf elsewhere; balls tangent to each hull at its farthest
+    vertex along a random direction; the same balls pushed off, missing
+    their hulls; no balls at all; and a mix of the four."""
+    gens = stack.generators
+    n_hulls, _, dim = gens.shape
+    dist = stack.project_runs(net[:, None, :])[1]
+    centers, radii = [], []
+    for n, m in itertools.product(range(len(net)), (1, 2)):
+        centers.append(np.broadcast_to(net[n], (n_hulls, dim)))
+        radii.append(np.where(dist[n] < 1.0 / m, 1.0 / m, np.inf))
+    u = rng.standard_normal((n_hulls, dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    top = gens[np.arange(n_hulls), np.argmax(np.einsum("vkd,vd->vk", gens, u), axis=1)]
+    radius = rng.uniform(0.2, 1.0, n_hulls)
+    centers += [top + radius[:, None] * u, top + (radius[:, None] + 0.3) * u, np.zeros_like(top)]
+    radii += [radius, radius, np.full(n_hulls, np.inf)]
+    pick = rng.integers(0, len(radii), n_hulls)
+    centers.append(np.stack(centers)[pick, np.arange(n_hulls)])
+    radii.append(np.stack(radii)[pick, np.arange(n_hulls)])
+    return np.stack(centers), np.stack(radii)
+
+
+@pytest.mark.parametrize("name", ["marechal", "sliding-left-end"])
+def test_slot_kernel_keeps_the_bits_on_the_benchmark_hulls(name):
+    # the per-size kernel's bits, in every layout the selection code calls:
+    # (m, V), (m, 1), one query row alone and gathered (query, hull) pairs.
+    # marechal's values are squares in 3-space, so their four-generator
+    # face's KKT system is singular and goes through pinv; sliding-left-end's
+    # are segments, k = 2
+    rng = np.random.default_rng(32)
+    if name == "marechal":
+        F, net = _marechal_case()
+    else:
+        F, net = BUNDLED_MAPS[name](), np.linspace(0.0, 1.0, 5)[:, None]
+    (group,) = [g for g in F.groups if g.stack.generators.shape[1] > 1]
+    stack = group.stack
+    gens = stack.generators
+    if name == "marechal":
+        assert gens.shape[1:] == (4, 3)
+        assert all(np.linalg.matrix_rank(g[1:] - g[0]) == 2 for g in gens)
+    reference = _PerSizeStack(gens)
+    center, radius = _benchmark_balls(stack, net, rng)
+    balls = stack.balls(center, radius)
+    lo, hi = gens.min(axis=(0, 1)) - 0.5, gens.max(axis=(0, 1)) + 0.5
+    queries = np.concatenate([net, rng.uniform(lo, hi, (40, gens.shape[-1]))])
+    owner = rng.integers(0, len(radius), len(queries))  # each query row's set of balls
+    wide = np.repeat(queries[:, None, :], len(gens), axis=1)
+    q, h = np.divmod(np.arange(wide.shape[0] * wide.shape[1]), wide.shape[1])
+    for ball in (None, (center[owner], radius[owner])):
+        rows = None if ball is None else balls
+        want = reference.project(wide, *(ball or ()))
+        for points in (wide, queries[:, None, :]):
+            got = stack.project_runs(points, rows, owner)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            for j in range(len(queries)):
+                alone = stack.project(points[j:j + 1], None if ball is None
+                                      else balls.take(owner[j:j + 1]))
+                assert np.array_equal(alone[0], want[0][j:j + 1])
+                assert np.array_equal(alone[1], want[1][j:j + 1])
+        pairs = stack.project_pairs(wide[q, h], h, rows, owner[q])
+        assert np.array_equal(pairs[0], want[0][q, h]) and np.array_equal(pairs[1], want[1][q, h])
+    # the tangent balls meet every hull and the pushed-off ones miss it
+    tangent = 2 * len(net)
+    for at, meets in ((tangent, True), (tangent + 1, False)):
+        assert np.isfinite(reference.project(wide, center[at], radius[at])[1]).all() == meets
+        assert np.isinf(reference.project(wide, center[at], radius[at])[1]).all() != meets
+    assert np.isin([tangent, tangent + 1], owner).all() and np.isfinite(radius[:tangent]).any()
+
+
+def _einsum_projection(faces, points, center=None, radius=None):
+    """Reference: the kernel as it was with einsum contractions, over the
+    faces of a _PerSizeStack, one face size at a time; sections as in
+    HullStack.balls."""
+    d2s, projs = [], []
+    for gs, w, b in faces._faces:
+        lam = np.einsum("mvd,vfsd->mvfs", points, w) + b
+        section = True
+        if center is not None:
+            lam_c = np.einsum("...vd,vfsd->...vfs", center, w) + b
+            c_s = np.einsum("...vfs,vfsd->...vfd", lam_c, gs)
+            rho2 = radius[..., None] ** 2 - ((center[..., None, :] - c_s) ** 2).sum(axis=-1)
+            rho = np.sqrt(np.maximum(rho2, 0.0))
+            off = np.sqrt(((np.einsum("mvfs,vfsd->mvfd", lam, gs) - c_s) ** 2).sum(axis=-1))
+            scale = np.divide(rho, off, out=np.ones(off.shape), where=off > rho)
+            lam = np.where(np.isfinite(radius)[..., None, None],
+                           lam_c + scale[..., None] * (lam - lam_c), lam)
+            section = rho2 >= -1e-12
+        proj = np.einsum("mvfs,vfsd->mvfd", lam, gs)
+        d2 = ((proj - points[:, :, None, :]) ** 2).sum(axis=-1)
+        d2[~((lam >= -1e-12).all(axis=-1) & section)] = np.inf
+        d2s.append(d2)
+        projs.append(proj)
+    d2, proj = np.concatenate(d2s, axis=-1), np.concatenate(projs, axis=2)
     best = np.take_along_axis(proj, d2.argmin(axis=-1)[:, :, None, None], axis=2)[:, :, 0]
     dist = np.sqrt(d2.min(axis=-1))
     best[np.isinf(dist)] = 0.0
@@ -1303,7 +1392,8 @@ def test_a_rows_bits_do_not_depend_on_its_call(k, dim, n_hulls):
     # reduction whose order follows the call's shape, such as a matrix
     # product, would break this
     rng = np.random.default_rng(27 + k)
-    stack = HullStack(rng.uniform(-1.0, 1.0, (n_hulls, k, dim)))
+    gens = rng.uniform(-1.0, 1.0, (n_hulls, k, dim))
+    stack = HullStack(gens)
     step = capped_runs(KERNEL_ENTRIES, n_hulls * stack.entries)[0].stop
     queries = rng.uniform(-2.0, 2.0, (2 * step + 3, dim))
     center = rng.uniform(-1.5, 1.5, (4, n_hulls, dim))
@@ -1326,7 +1416,7 @@ def test_a_rows_bits_do_not_depend_on_its_call(k, dim, n_hulls):
         assert np.array_equal(pairs[0], layouts[0][0][q, h])
         assert np.array_equal(pairs[1], layouts[0][1][q, h])
         ball = () if rows is None else (center[owner], radius[owner])
-        want = _einsum_projection(stack, wide, *ball)
+        want = _einsum_projection(_PerSizeStack(gens), wide, *ball)
         proj, dist = layouts[1]
         assert np.array_equal(np.isinf(dist), np.isinf(want[1]))
         finite = np.isfinite(dist)
@@ -1337,7 +1427,8 @@ def test_a_rows_bits_do_not_depend_on_its_call(k, dim, n_hulls):
 
 
 def test_generator_cap_hull_matches_the_face_loop():
-    # the padded layout is largest here: 4095 faces of 12 columns per hull
+    # the stack is largest here: 4095 faces, with 12 * 2^11 generator slot
+    # entries per hull
     rng = np.random.default_rng(12)
     gens = rng.uniform(-1.0, 1.0, (GENERATOR_CAP, 3))
     hull = HullProjector(gens)
