@@ -38,10 +38,6 @@ class TruncPoint:
             raise ValueError("bits must be 0/1")
         object.__setattr__(self, "bits", bits)
 
-    @classmethod
-    def from_string(cls, s):
-        return cls(s)
-
     @property
     def depth(self):
         return len(self.bits)
@@ -84,10 +80,6 @@ class PrunedTree:
     @classmethod
     def empty(cls, d):
         return cls(d, [])
-
-    @classmethod
-    def from_prefixes(cls, d, prefixes):
-        return cls(d, prefixes)
 
     def __len__(self):
         return len(self.prefixes)
@@ -243,18 +235,18 @@ def bundled_borel_instances(d=10, count=10, prefix_len=4):
         return format(j, f"0{prefix_len}b")
 
     def point(p, depth):
-        return TruncPoint.from_string((p + "0" * depth)[:depth])
+        return TruncPoint((p + "0" * depth)[:depth])
 
     def enumerated(p):
         def build(depth):
-            trees = [PrunedTree.from_prefixes(depth, [prefix(j) for j in range(n + 1)])
+            trees = [PrunedTree(depth, [prefix(j) for j in range(n + 1)])
                      for n in range(count)]
             return trees, point(p, depth)
         return build
 
     def constant(tree_prefixes, p):
         def build(depth):
-            return [PrunedTree.from_prefixes(depth, tree_prefixes)] * count, point(p, depth)
+            return [PrunedTree(depth, tree_prefixes)] * count, point(p, depth)
         return build
 
     def late_arrival(p):
@@ -265,8 +257,8 @@ def bundled_borel_instances(d=10, count=10, prefix_len=4):
 
     def singleton_branch(extra_prefixes):
         def build(depth):
-            tree = PrunedTree.from_prefixes(depth, ["1" * depth] + extra_prefixes)
-            return [tree] * count, TruncPoint.from_string("1" * depth)
+            tree = PrunedTree(depth, ["1" * depth] + extra_prefixes)
+            return [tree] * count, TruncPoint("1" * depth)
         return build
 
     specs = []

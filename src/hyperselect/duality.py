@@ -10,14 +10,16 @@ d(x, V) = sup {|omega(x)| : omega in the annihilator, dual norm <= 1} is the
 point of the module, so it doubles as a built-in consistency check.
 
 The route kernels work on stacks: T pairs whose subspaces share one
-dimension go through each batched SVD, QR, determinant and solve together,
-and `quotient_routes` is the stack of one pair.
-`quotient_routes_by_dimension` groups a sweep's pairs by subspace dimension
-into such stacks.  The polyhedral enumerations factor each coordinate subset
-once and read every sign pattern's system off that factorization in closed
-form; the dot products they add are summed term by term, so a pair's bits do
-not depend on its stack.  Only the final contractions run pair by pair,
-where padding or batching would change how BLAS rounds them.
+dimension go through each batched SVD, determinant and solve together, and
+`quotient_routes` is the stack of one pair.  `quotient_routes_by_dimension`
+groups a sweep's pairs by subspace dimension into such stacks.  The
+polyhedral enumerations take each coordinate subset's shared matrix or
+shared rows once, with two kinds of solve: one determinant and one solve
+with all of its right-hand sides, or the last-row cofactors of its shared
+rows, which give every sign pattern's determinant as one dot product.  The
+dot products they add are summed term by term, so a pair's bits do not
+depend on its stack.  Only the final contractions run pair by pair, where
+padding or batching would change how BLAS rounds them.
 
 The support functions work on probe stacks: `exact_support` takes P probes
 (P, n) and contracts each descriptor with all of them at once, and
@@ -173,24 +175,6 @@ def _is_well_posed(volume, row_norms):
     return np.abs(volume) > 1e-12 * row_norms
 
 
-def _solve_well_posed(mats, rhs):
-    """Solutions c of the square systems mats @ c = rhs, stacked by trial as
-    (T, N, m, m) and (T, N, m), in one batched solve, skipping every system
-    that `_is_well_posed` rejects.  Returns T arrays (K_t, m), each trial's
-    kept solutions in system order.
-
-    Each system is factored twice, once by `det` and once by `solve`.  Only
-    the primal l1 route uses this: its C(n, k) systems share no rows, where
-    every other enumeration shares a matrix or all rows but one across its
-    sign patterns and factors it once per coordinate subset.
-    """
-    trials, count, m = mats.shape[:3]
-    mats, rhs = mats.reshape(-1, m, m), rhs.reshape(-1, m)
-    ok = _is_well_posed(np.linalg.det(mats), np.linalg.norm(mats, axis=2).prod(axis=1))
-    solutions = np.linalg.solve(mats[ok], rhs[ok, :, None])[..., 0]
-    return _per_trial(solutions, ok.reshape(trials, count))
-
-
 def _per_trial(values, kept):
     """Split values, one row per True entry of the (T, ...) mask `kept` in C
     order, into T arrays, one per trial."""
@@ -206,26 +190,32 @@ def _dot(a, b):
     return total
 
 
+def _dropping_one(m):
+    """The (m, m - 1) indices whose row j is range(m) without j."""
+    return np.array([[i for i in range(m) if i != j] for j in range(m)], dtype=int)
+
+
 def _last_row_cofactors(rows):
     """The cofactors g (..., m) of the last row of [rows; r] for a stack
     (..., m - 1, m): det([rows; r]) = r @ g for every row r, and rows @ g = 0.
     One (m - 1) x (m - 1) determinant per entry; g = 1 when m = 1."""
     m = rows.shape[-1]
-    others = np.array([[i for i in range(m) if i != j] for j in range(m)], dtype=int)
-    minors = np.moveaxis(rows[..., others], -2, -3)  # (..., m, m - 1, m - 1)
+    minors = np.moveaxis(rows[..., _dropping_one(m)], -2, -3)  # (..., m, m - 1, m - 1)
     return (-1.0) ** (m - 1 + np.arange(m)) * np.linalg.det(minors)
 
 
-def _linf_section_coefficients(mats, signs):
-    """Coefficients c with mats @ c = s for every sign vector s (rows of
-    signs, (P, m)) and every kept matrix of the stack mats (T, C, m, m).
-    The P systems of one coordinate subset share its matrix, so each matrix
-    takes one volume and, when kept, one solve with P right-hand sides.
-    Returns T arrays (K_t, m) in (subset, sign) order."""
+def _kept_solutions(mats, rhs):
+    """Solutions c of mats @ c = b for every kept matrix of the stack mats
+    (T, C, m, m) and each of its P right-hand sides b, the columns of rhs
+    (..., m, P) broadcast per subset.  The P systems of one coordinate subset
+    share its matrix, so each matrix takes one volume and, when kept, one
+    solve with P right-hand sides.  Returns T arrays (K_t, m) in (subset,
+    right-hand side) order."""
     ok = _is_well_posed(np.linalg.det(mats), np.linalg.norm(mats, axis=3).prod(axis=2))
-    coeffs = np.linalg.solve(mats[ok], signs.T)  # (K, m, P)
+    rhs = np.broadcast_to(rhs, (*mats.shape[:3], rhs.shape[-1]))
+    coeffs = np.linalg.solve(mats[ok], rhs[ok])  # (K, m, P)
     return _per_trial(np.swapaxes(coeffs, 1, 2).reshape(-1, mats.shape[-1]),
-                      np.repeat(ok[:, :, None], len(signs), axis=2))
+                      np.repeat(ok[:, :, None], rhs.shape[-1], axis=2))
 
 
 def _l1_section_coefficients(zeros, rows):
@@ -290,7 +280,7 @@ def ball_section_points(basis, kind):
     signs = 1.0 - 2.0 * (np.arange(2 ** q)[:, None] >> np.arange(q) & 1)  # (2^q, q)
     signed = np.array(list(itertools.combinations(range(n), q)))  # (C, q)
     if kind == "linf":
-        coeffs = _linf_section_coefficients(cols[:, signed], signs)
+        coeffs = _kept_solutions(cols[:, signed], signs.T)
     else:
         free = np.ones((len(signed), n), dtype=bool)
         np.put_along_axis(free, signed, False, axis=1)
@@ -315,27 +305,29 @@ def _linf_basic_coefficients(mats, rhs, signs):
     vector s of signs (P, k + 1).  Returns T arrays (K_t, k) in (subset,
     sign) order.
 
-    The P systems of one coordinate subset share mats, so each subset takes
-    one complete QR, mats = Q [R; 0].  With u = Q^T rhs and v = Q^T s, the
-    system reads R c + v[:k] t = u[:k] and v[k] t = u[k], so
-    |det [mats, s]| = |det R| |v[k]|, and its rows [a_i, +-1] have the same
-    lengths for every s.  A kept pattern has t = u[k] / v[k] and
-    R c = u[:k] - t v[:k]; only subsets that keep a pattern are solved, one
-    solve with P right-hand sides each, and a dropped pattern's t is 0,
-    never a quotient, and its c is discarded.
+    The P systems of one coordinate subset share the columns mats, so the
+    last-row cofactors h of mats^T give det [mats, s] = s @ h for every s,
+    and Cramer's rule gives t = (rhs @ h) / (s @ h); the rows [a_i, +-1]
+    have the same lengths for every s.  A subset that keeps a pattern takes
+    one solve of the k x k block of mats that drops the row j of largest
+    |h_j|, with the P right-hand sides rhs - t s on its rows.  That block has
+    |det| = max |h_j| >= |s @ h| / (k + 1) > 0 for any kept s, so no
+    singular block is solved; a dropped pattern's t is 0, never a quotient,
+    and its c is discarded.
     """
     k = mats.shape[-1]
-    qs, r = np.linalg.qr(mats, mode="complete")
-    qt = np.swapaxes(qs, 2, 3)  # row i: column i of Q
-    u = _dot(qt, rhs[:, :, None])  # (T, C, k + 1)
-    v = _dot(qt[:, :, :, None], signs)  # (T, C, k + 1, P)
-    det_r = np.abs(np.diagonal(r, axis1=2, axis2=3)).prod(axis=2)  # (T, C)
+    h = _last_row_cofactors(np.swapaxes(mats, 2, 3))  # (T, C, k + 1)
+    dets = _dot(signs, h[:, :, None])  # (T, C, P)
     rows = np.hypot(np.linalg.norm(mats, axis=3), 1.0).prod(axis=2)  # (T, C)
-    ok = _is_well_posed(det_r[:, :, None] * v[:, :, k], rows[:, :, None])  # (T, C, P)
+    ok = _is_well_posed(dets, rows[:, :, None])
     solved = ok.any(axis=2)
-    u, v, kept = u[solved], v[solved], ok[solved]
-    t = np.divide(u[:, k:], v[:, k], out=np.zeros(kept.shape), where=kept)
-    c = np.linalg.solve(r[solved][:, :k], u[:, :k, None] - t[:, None] * v[:, :k])
+    h, kept = h[solved], ok[solved]
+    t = np.divide(_dot(rhs[solved], h)[:, None], dets[solved], out=np.zeros(kept.shape),
+                  where=kept)  # (K, P)
+    keep = _dropping_one(k + 1)[np.abs(h).argmax(axis=1)]  # (K, k)
+    block = np.take_along_axis(mats[solved], keep[:, :, None], axis=1)
+    c = np.linalg.solve(block, np.take_along_axis(rhs[solved], keep, axis=1)[:, :, None]
+                        - t[:, None] * signs.T[keep])  # (K, k, P)
     return _per_trial(np.swapaxes(c, 1, 2)[kept], ok)
 
 
@@ -364,33 +356,36 @@ def _basic_solution_distance(x, bases, kind):
     of the actual norm over them bounds the distance above and, holding
     the optimal vertex, equals it.
 
-    The l1 systems share no rows and take one det and one solve each
-    (`_solve_well_posed`).  The 2^k linf systems of one coordinate subset
-    share its k columns, which take one complete QR for all of them
-    (`_linf_basic_coefficients`).  Each trial's minimum runs over its own
-    kept systems only.
+    The l1 systems have one right-hand side each and take one det and one
+    solve in `_kept_solutions`, the kernel of the linf sections.  The 2^k
+    linf systems of one coordinate subset share its k columns A = cols_S,
+    and the last-row cofactors h of A^T give every pattern's determinant
+    det [A, s] = s @ h and its t = (x_S @ h) / (s @ h); its c takes one
+    solve, with all 2^k right-hand sides, of the k x k block of A that drops
+    the row of largest |h_j| (`_linf_basic_coefficients`).  Each trial's
+    minimum runs over its own kept systems only.
 
     Both drop near-singular systems by the volume |det A| / prod ||a_i||
-    of `_is_well_posed`, the linf one read off the QR as
-    |det R| |(Q^T s)[k]| over the same row lengths, yet both always keep
-    one.  By Cauchy-Binet the squared k x k minors of cols sum to
-    det(basis @ basis.T) = 1, so some minor has |det| >= 1/sqrt(C(n, k));
-    its rows, columns of an orthonormal basis, have length <= 1, so its
-    volume is at least that.  For linf, ||basis @ s||^2 averages k over all
+    of `_is_well_posed`, the linf one read as |s @ h| over the lengths of
+    the rows [a_i, +-1], yet both always keep one.  By Cauchy-Binet the
+    squared k x k minors of cols sum to det(basis @ basis.T) = 1, so some
+    minor has |det| >= 1/sqrt(C(n, k)); its rows, columns of an orthonormal
+    basis, have length <= 1, so its volume is at least that.  For linf, ||basis @ s||^2 averages k over all
     sign vectors s, so some s has det([cols, s]^T [cols, s]) =
     n - ||basis @ s||^2 >= 1, and some (k + 1)-minor of [cols, s] has
     |det| >= 1/sqrt(C(n, k + 1)), with rows of length <= sqrt(2); flipping
     every sign keeps |det|, so that system is among those with the last
     sign +1.  Up to the dim-9 cap both volumes exceed 1e-12 by orders of
-    magnitude more than any rounding of the two ways to evaluate them, so
-    an empty kept set means a corrupted basis and raises
-    InvariantViolation.
+    magnitude more than any rounding in evaluating them, so an empty kept
+    set means a corrupted basis and raises InvariantViolation.  A kept linf
+    system's block has |det| = max |h_j| >= |s @ h| / (k + 1) > 0, so no
+    singular block is solved.
     """
     _, k, n = bases.shape
     cols = np.swapaxes(bases, 1, 2)
     if kind == "l1":
         subsets = np.array(list(itertools.combinations(range(n), k)))  # (C, k)
-        coeffs = _solve_well_posed(cols[:, subsets], x[:, subsets])
+        coeffs = _kept_solutions(cols[:, subsets], x[:, subsets, None])
     else:
         subsets = np.array(list(itertools.combinations(range(n), k + 1)))  # (C, k + 1)
         # bit k of every pattern number below 2^k is 0: the last sign stays +1
@@ -470,13 +465,13 @@ def quotient_routes(x, V: Subspace):
 
 # Numbers in one stack's largest temporary, at most.  No system's matrix is
 # copied per sign pattern, so for one pair in ambient dim n the largest
-# arrays hold one vector of at most n numbers per (subset, sign) system: the solutions, the signed-sum rows, the rotated sign vectors and
-# the section points.  The systems number at most 3^n (C(n, m) 2^m summed
-# over m is 3^n), and up to the dim-9 cap the per-subset matrices, QR
-# factors and cofactor minors are smaller still, so a stack of
-# STACK_ENTRIES // (3^n n) pairs stays under this however many trials a
-# sweep draws: one stack per group at the sample dims, 19 pairs at dim 8
-# and five at dim 9.
+# arrays hold one vector of at most n numbers per (subset, sign) system:
+# the solutions, the right-hand sides, the signed-sum rows and the section
+# points.  The systems number at most 3^n (C(n, m) 2^m summed over m is
+# 3^n), and up to the dim-9 cap the per-subset matrices and cofactor minors
+# are smaller still, so a stack of STACK_ENTRIES // (3^n n) pairs stays
+# under this however many trials a sweep draws: one stack per group at the
+# sample dims, 19 pairs at dim 8 and five at dim 9.
 STACK_ENTRIES = 2 ** 20
 
 

@@ -19,16 +19,16 @@ from hyperselect.norms import InvariantViolation
 
 def _half(d):
     # the clopen set {x : x_0 = 1}
-    return PrunedTree.from_prefixes(d, ["1"])
+    return PrunedTree(d, ["1"])
 
 
 def _point(prefix, d):
-    return TruncPoint.from_string(prefix + "0" * (d - len(prefix)))
+    return TruncPoint(prefix + "0" * (d - len(prefix)))
 
 
 def _from_mask(d, mask):
     # the accepted leaves of a dense mask, written as full-length prefixes
-    return PrunedTree.from_prefixes(d, [format(i, f"0{d}b") for i in np.flatnonzero(mask)])
+    return PrunedTree(d, [format(i, f"0{d}b") for i in np.flatnonzero(mask)])
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def _random_prefixes(rng, d):
 def test_point_validation():
     with pytest.raises(ValueError):
         TruncPoint((0, 2, 1))
-    x = TruncPoint.from_string("101")
+    x = TruncPoint("101")
     assert x.depth == 3
     assert str(x) == "101"
 
@@ -96,15 +96,15 @@ def test_sigma2_reduce_reports_a_point_outside_every_cylinder(monkeypatch):
     import hyperselect.borel as borel
     monkeypatch.setattr(borel, "closed_complement_cylinders", lambda t: PrunedTree.empty(t.d))
     with pytest.raises(InvariantViolation, match="A_0: point 010 neither settled inside"):
-        sigma2_reduce([PrunedTree.empty(3)], TruncPoint.from_string("010"))
+        sigma2_reduce([PrunedTree.empty(3)], TruncPoint("010"))
 
 
 def test_tree_constructors_agree():
     d = 5
-    assert PrunedTree.from_prefixes(d, ["0", "1"]).prefixes == PrunedTree.full(d).prefixes == ("",)
-    assert PrunedTree.from_prefixes(d, []).prefixes == PrunedTree.empty(d).prefixes == ()
+    assert PrunedTree(d, ["0", "1"]).prefixes == PrunedTree.full(d).prefixes == ("",)
+    assert PrunedTree(d, []).prefixes == PrunedTree.empty(d).prefixes == ()
     # covered prefixes drop out, sibling pairs fold, and deep prefixes are cut at d
-    by_parts = PrunedTree.from_prefixes(d, ["11", "10", "101", "0111", "011011111", "01100"])
+    by_parts = PrunedTree(d, ["11", "10", "101", "0111", "011011111", "01100"])
     assert by_parts.prefixes == ("011", "1")
 
 
@@ -112,7 +112,7 @@ def test_prefixes_must_be_binary_strings():
     # "2" once gave an empty tree and "02" the cylinder "10"
     for bad in (["2"], ["02"], [(1, 0)]):
         with pytest.raises(ValueError, match="0/1 string"):
-            PrunedTree.from_prefixes(3, bad)
+            PrunedTree(3, bad)
 
 
 def test_tree_matches_dense_reference():
@@ -120,7 +120,7 @@ def test_tree_matches_dense_reference():
     for _ in range(40):
         d = int(rng.integers(1, 13))
         ps, qs = _random_prefixes(rng, d), _random_prefixes(rng, d)
-        A, B = PrunedTree.from_prefixes(d, ps), PrunedTree.from_prefixes(d, qs)
+        A, B = PrunedTree(d, ps), PrunedTree(d, qs)
         mask = _dense_mask(d, ps)
         assert list(A.prefixes) == _dense_cylinders(mask, d)
         union = _dense_mask(d, ps + qs)
@@ -128,7 +128,7 @@ def test_tree_matches_dense_reference():
         assert list(closed_complement_cylinders(A).prefixes) == _dense_cylinders(~mask, d)
         for idx in range(2 ** d):
             bits = format(idx, f"0{d}b")
-            x = TruncPoint.from_string(bits)
+            x = TruncPoint(bits)
             assert A.leaf_member(x) == mask[idx]
             want = _dense_settled(mask, d, bits)
             if want is None:
@@ -144,9 +144,9 @@ def test_settled_membership_three_outcomes():
     assert tree.settled_member(_point("1", d)) is True
     assert tree.settled_member(_point("0", d)) is False
     # the all-ones singleton branch stays on the pruning frontier forever
-    singleton = PrunedTree.from_prefixes(d, ["1" * d])
+    singleton = PrunedTree(d, ["1" * d])
     with pytest.raises(DepthInsufficient):
-        singleton.settled_member(TruncPoint.from_string("1" * d))
+        singleton.settled_member(TruncPoint("1" * d))
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +162,13 @@ def test_complement_of_half_space():
 
 
 def test_complement_of_quarter_space():
-    A = PrunedTree.from_prefixes(6, ["11"])
+    A = PrunedTree(6, ["11"])
     assert closed_complement_cylinders(A).prefixes == ("0", "10")
 
 
 def test_complement_of_a_deep_branch_needs_no_recursion():
     d = 5000
-    cyls = closed_complement_cylinders(PrunedTree.from_prefixes(d, ["1" * d]))
+    cyls = closed_complement_cylinders(PrunedTree(d, ["1" * d]))
     assert cyls.prefixes == tuple("1" * k + "0" for k in range(d))
 
 
@@ -215,7 +215,7 @@ def test_reduce_full_space_always_zero():
 def test_reduce_rows_vanish_after_entry():
     # x enters at stage 2 of an enumerated-cylinder family
     d = 8
-    fam = [PrunedTree.from_prefixes(d, [format(j, "03b") for j in range(n + 1)])
+    fam = [PrunedTree(d, [format(j, "03b") for j in range(n + 1)])
            for n in range(6)]
     mat = sigma2_reduce(fam, _point("010", d))
     assert np.array_equal(mat.sum(axis=1), [1, 1, 0, 0, 0, 0])
@@ -228,7 +228,7 @@ def test_reduce_disjointness_is_exact():
         fam = [_from_mask(d, rng.random(2 ** d) < 0.5) for _ in range(5)]
         bits = "".join(str(int(b)) for b in rng.integers(0, 2, size=d))
         try:
-            mat = sigma2_reduce(fam, TruncPoint.from_string(bits))
+            mat = sigma2_reduce(fam, TruncPoint(bits))
         except DepthInsufficient:
             continue
         assert mat.sum(axis=1).max() <= 1
@@ -236,9 +236,9 @@ def test_reduce_disjointness_is_exact():
 
 def test_reduce_propagates_depth_insufficiency():
     d = 6
-    singleton = PrunedTree.from_prefixes(d, ["1" * d])
+    singleton = PrunedTree(d, ["1" * d])
     with pytest.raises(DepthInsufficient):
-        sigma2_reduce([singleton], TruncPoint.from_string("1" * d))
+        sigma2_reduce([singleton], TruncPoint("1" * d))
 
 
 def test_increasing_hulls_idempotent():
@@ -266,10 +266,10 @@ def test_pi3_composes_componentwise():
 
 def test_pi3_labels_failing_family():
     d = 5
-    singleton = PrunedTree.from_prefixes(d, ["1" * d])
+    singleton = PrunedTree(d, ["1" * d])
     with pytest.raises(DepthInsufficient, match="family 1"):
         pi3_reduce([[PrunedTree.full(d)], [singleton]],
-                   TruncPoint.from_string("1" * d))
+                   TruncPoint("1" * d))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def test_census_growth_across_depths():
 
 def test_census_stable_support_certified():
     def run(d):
-        fam = [PrunedTree.from_prefixes(d, [format(j, "04b") for j in range(n + 1)])
+        fam = [PrunedTree(d, [format(j, "04b") for j in range(n + 1)])
                for n in range(6)]
         return sigma2_reduce(fam, _point("0011", d))
 
