@@ -73,10 +73,10 @@ class TooManyGenerators(ValueError):
     """Subset enumeration is exact but only affordable for small hulls."""
 
 
-def capped_runs(total, entries_each, cap=KERNEL_ENTRIES):
-    """Slices splitting range(total) into runs of at most cap // entries_each
-    items, at least one item each."""
-    step = max(1, cap // max(1, entries_each))
+def capped_runs(total, entries_each):
+    """Slices splitting range(total) into runs of at most KERNEL_ENTRIES //
+    entries_each items, at least one item each."""
+    step = max(1, KERNEL_ENTRIES // max(1, entries_each))
     return [slice(start, start + step) for start in range(0, total, step)]
 
 

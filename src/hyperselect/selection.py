@@ -195,12 +195,9 @@ def restrict_value(value: HullProjector, center, radius):
     if value.generators is None:
         raise ValueError("the value at row 0 is already restricted to a ball;"
                          " a value holds one ball")
-    (restricted,) = _restrict_group(_ValueGroup(np.zeros(1, dtype=np.intp), value.stack, None),
-                                    np.asarray(center, dtype=np.float64).reshape(1, 1, -1),
-                                    np.array([[radius]], dtype=np.float64))
-    if isinstance(restricted, ValueError):
-        raise restricted
-    (group,) = restricted
+    ((group,),) = _restrict_group(_ValueGroup(np.zeros(1, dtype=np.intp), value.stack, None),
+                                  np.asarray(center, dtype=np.float64).reshape(1, 1, -1),
+                                  np.array([[radius]], dtype=np.float64))
     if group.balls is not None:
         return BallRestrictedValue(value, center, radius)
     return HullProjector(group.stack.generators[0])
@@ -232,11 +229,12 @@ def _restrict_group(group, center, radius):
     """The groups that the group's rows fall into once intersected with the
     closed balls B(center[j], radius[j]), one list per restriction j, for
     center (count, V, dim) and radius (count, V), radius inf on the rows
-    left as they are; or, for a restriction that pins a row with a ball or
-    whose ball misses a hull, the ValueError naming its first such row.  A
-    point is its own restriction.  A segment's endpoints projected onto its
-    intersection with the ball are the endpoints clipped to the ball, which
-    replace them, deduped.  Larger hulls keep their stack and take the
+    left as they are.  Raises the ValueError of the first restriction that
+    pins a row with a ball, naming its first such row; failing that, of the
+    first restriction whose ball misses a hull, naming its first such row.
+    A point is its own restriction.  A segment's endpoints projected onto
+    its intersection with the ball are the endpoints clipped to the ball,
+    which replace them, deduped.  Larger hulls keep their stack and take the
     balls.  The restrictions that pin some row take each kernel pass
     together, one set of balls per query row."""
     pinned = np.isfinite(radius)
@@ -244,10 +242,11 @@ def _restrict_group(group, center, radius):
     old_center, old_radius = (0.0, np.inf) if group.balls is None else (
         group.balls.center, group.balls.radius)
     held = pinned & np.isfinite(old_radius)
-    for j in np.flatnonzero(held.any(axis=1)):
-        restricted[j] = ValueError(f"the value at row {int(group.rows[held[j].argmax()])} is"
-                                   " already restricted to a ball; a value holds one ball")
-    active = np.flatnonzero(pinned.any(axis=1) & ~held.any(axis=1))
+    if held.any():
+        j = held.any(axis=1).argmax()
+        raise ValueError(f"the value at row {int(group.rows[held[j].argmax()])} is"
+                         " already restricted to a ball; a value holds one ball")
+    active = np.flatnonzero(pinned.any(axis=1))
     if not active.size:
         return restricted
     pinned, center, radius = pinned[active], center[active], radius[active]
@@ -256,13 +255,10 @@ def _restrict_group(group, center, radius):
                         np.where(pinned, radius, old_radius))
     missed = ~np.isfinite(stack.project_runs(balls.center, balls)[1])
     if missed.any():
-        for at in np.flatnonzero(missed.any(axis=1)):
-            i = missed[at].argmax()
-            restricted[active[at]] = ValueError(
-                f"the ball B({balls.center[at, i].tolist()}, {balls.radius[at, i]}) misses"
-                f" the hull at row {int(group.rows[i])}")
-        ok = np.flatnonzero(~missed.any(axis=1))
-        active, pinned, balls = active[ok], pinned[ok], balls.take(ok)
+        at = missed.any(axis=1).argmax()
+        i = missed[at].argmax()
+        raise ValueError(f"the ball B({balls.center[at, i].tolist()}, {balls.radius[at, i]})"
+                         f" misses the hull at row {int(group.rows[i])}")
     k = stack.generators.shape[1]
     if k == 1:
         return restricted
@@ -324,29 +320,19 @@ class SetValuedMap:
         ValueError when a ball misses its hull, or pins a row with a ball."""
         (restricted,) = self.restrict_each(np.asarray(center, dtype=np.float64)[None],
                                            np.asarray(radius, dtype=np.float64)[None], [name])
-        if isinstance(restricted, ValueError):
-            raise restricted
         return restricted
 
     def restrict_each(self, center, radius, names):
-        """self.restrict(center[j], radius[j], names[j]) for each j, or the
-        ValueError it raises, in one pass per group over the rows of every
-        restriction.  A restriction's error is that of its first failing
-        group, which the later groups skip."""
-        radius = np.array(radius, dtype=np.float64)  # a copy: failed restrictions pin nothing
+        """self.restrict(center[j], radius[j], names[j]) for each j, in one
+        pass per group over the rows of every restriction.  Raises the
+        ValueError of the first group that some restriction fails in (see
+        `_restrict_group`)."""
         center = np.asarray(center, dtype=np.float64)
-        split = [[] for _ in names]  # each restriction's groups, or its error
-        for g in self.groups:
-            for j, groups in enumerate(_restrict_group(g, center[:, g.rows], radius[:, g.rows])):
-                if isinstance(groups, ValueError):
-                    split[j], radius[j] = groups, np.inf
-                elif not isinstance(split[j], ValueError):
-                    split[j].extend(groups)
+        radius = np.asarray(radius, dtype=np.float64)
+        split = [_restrict_group(g, center[:, g.rows], radius[:, g.rows]) for g in self.groups]
         restricted = []
-        for groups, name in zip(split, names):
-            if isinstance(groups, ValueError):
-                restricted.append(groups)
-                continue
+        for j, name in enumerate(names):
+            groups = [h for parts in split for h in parts[j]]
             # the groups keep ascending counts, so the point rows and the
             # segments clipped to a point lead
             points = [g for g in groups if g.stack.generators.shape[1] == 1]
@@ -450,17 +436,17 @@ class _Lockstep:
         snapped = self.target.project(lattice_round(projections, cell).reshape(
             -1, dim)).reshape(projections.shape)
         return [net[_lex_sort(net)] for run in capped_runs(count, n * n * dim)
-                for net in dedupe_points(snapped[run], tol=1e-12)]
+                for net in dedupe_points(snapped[run])]
 
-    def cover_average(self, live, nets, eps, anchors=None, r=None):
-        """f(x) = sum_v rho_v(x) v for each map live[j] (map indices,
-        ascending), over the cover labelled by the points of nets[j]:
-        self.average(live, nets, self.cover(live, nets, eps, anchors, r))."""
-        return self.average(live, nets, self.cover(live, nets, eps, anchors, r))
+    def cover_average(self, nets, eps, anchors=None, r=None):
+        """f(x) = sum_v rho_v(x) v for each map i, over the cover labelled by
+        the points of nets[i]: self.average(nets, self.cover(nets, eps,
+        anchors, r))."""
+        return self.average(nets, self.cover(nets, eps, anchors, r))
 
-    def cover(self, live, nets, eps, anchors=None, r=None):
-        """The cover elements (len(live), max net size, n) of each map
-        live[j] over the points of nets[j], False past a map's net.
+    def cover(self, nets, eps, anchors=None, r=None):
+        """The cover elements (M, max net size, n) of each map i over the
+        points of nets[i], False past a map's net.
 
         The element of net point v is U_v = {x : d(v, F(x)) < eps}; given
         anchors (M, n, dim), it keeps only the x whose projection Pv of v
@@ -477,52 +463,47 @@ class _Lockstep:
         are those of the all-pairs pass.
         """
         n = len(self.domain)
-        sizes = np.array([len(net) for net in nets])
-        inside = np.zeros((len(live), sizes.max(), n), dtype=bool)
+        inside = np.zeros((self.count, max(len(net) for net in nets), n), dtype=bool)
         for s in self.shared:
-            use = np.flatnonzero(np.isin(s.maps, live))
-            if not use.size:
-                continue
-            at = np.searchsorted(live, s.maps[use])
-            queries = np.concatenate([nets[j] for j in at])
-            owner = np.repeat(use, sizes[at])  # each query row's map, among s.maps
-            point = np.arange(len(queries)) - np.repeat(np.cumsum(sizes[at]) - sizes[at],
-                                                        sizes[at])
-            slot = np.searchsorted(live, s.maps[owner])  # each query row's map, among live
+            queries = np.concatenate([nets[i] for i in s.maps])
+            sizes = [len(nets[i]) for i in s.maps]
+            owner = np.repeat(np.arange(len(s.maps)), sizes)  # each query row's map, among s.maps
+            point = np.concatenate([np.arange(size) for size in sizes])
             if anchors is None:
                 dist = s.stack.project_runs(queries[:, None, :], s.balls, owner)[1]
-                inside[slot[:, None], point[:, None], s.rows] = dist < eps
+                inside[s.maps[owner, None], point[:, None], s.rows] = dist < eps
                 continue
             anchor = anchors[s.maps[owner, None], s.rows]
             q, h = np.nonzero(np.linalg.norm(queries[:, None, :] - anchor, axis=2)
                               < eps + r + _FILTER_MARGIN)
             proj, dist = s.stack.project_pairs(queries[q], h, s.balls, owner[q])
-            inside[slot[q], point[q], s.rows[h]] = (
+            inside[s.maps[owner[q]], point[q], s.rows[h]] = (
                 (dist < eps) & (np.linalg.norm(proj - anchor[q, h], axis=1) < r))
         return inside
 
-    def average(self, live, nets, inside):
+    def average(self, nets, inside):
         """Each map's values over its cover elements inside (see cover).
         Empty elements are dropped, and above _MAX_ELEMENTS a greedy pass
         keeps only elements that cover new points.  The partitions of unity
         are built for many maps at once, their covers padded with empty
         elements; each map's values are its own rho.T @ net.
 
-        Returns the values (len(live), n, dim), the first domain index that
-        no element covers per map (-1 for a cover), and, for the maps with a
-        cover, the partitions of unity (one per batch of maps) and the kept
-        net points.
+        Returns the values (M, n, dim), the first domain index that no
+        element covers per map (-1 for a cover), the partitions of unity
+        (one per batch of maps) and the kept net points; when some map has
+        no cover, only that index, with None for the rest.
         """
         n, dim = len(self.domain), self.target.dim
         covered = inside.any(axis=1)
         missing = np.where(covered.all(axis=1), -1, covered.argmin(axis=1))
-        ok = np.flatnonzero(missing < 0)
-        keep = inside[ok].any(axis=2)
+        if (missing >= 0).any():
+            return None, missing, None, None
+        keep = inside.any(axis=2)
         kept = keep.sum(axis=1)
         # the kept elements first, in net order; the rest are empty
-        order = np.argsort(~keep, axis=1, kind="stable")[:, :kept.max(initial=0)]
-        inside = np.take_along_axis(inside[ok], order[:, :, None], axis=1)
-        nets = [nets[j][o[:c]] for j, o, c in zip(ok, order, kept)]
+        order = np.argsort(~keep, axis=1, kind="stable")[:, :kept.max()]
+        inside = np.take_along_axis(inside, order[:, :, None], axis=1)
+        nets = [net[o[:c]] for net, o, c in zip(nets, order, kept)]
         for j in np.flatnonzero(kept > _MAX_ELEMENTS):
             covers = np.zeros(n, dtype=bool)
             chosen = []
@@ -533,14 +514,14 @@ class _Lockstep:
             inside[j, :len(chosen)] = inside[j, chosen]
             inside[j, len(chosen):] = False
             nets[j] = nets[j][chosen]
-        values = np.zeros((len(live), n, dim))
+        values = np.zeros((self.count, n, dim))
         pous = []
-        for run in capped_runs(len(ok), inside.shape[1] * n):
+        for run in capped_runs(self.count, inside.shape[1] * n):
             elements = max(len(net) for net in nets[run])
             pous.append(build_partition_of_unity(
                 self.domain, OpenCover(self.domain, inside[run, :elements])))
-            values[ok[run]] = [rho[:len(net)].T @ net
-                               for rho, net in zip(pous[-1].values, nets[run])]
+            values[run] = [rho[:len(net)].T @ net
+                           for rho, net in zip(pous[-1].values, nets[run])]
         return values, missing, pous, nets
 
 
@@ -582,8 +563,7 @@ def approx_selection(F, eps, net):
     if not bool(np.all(F.target.contains(net))):
         raise ValueError("net points must lie in the target set C")
     run = _Lockstep([F])
-    values, missing, pous, kept = run.cover_average(np.zeros(1, dtype=np.intp),
-                                                    [net[_lex_sort(net)]], eps)
+    values, missing, pous, kept = run.cover_average([net[_lex_sort(net)]], eps)
     if missing[0] >= 0:
         raise NetTooCoarse(f"no net point is eps-close to F at domain index {missing[0]}")
     (pou,) = pous
@@ -630,8 +610,6 @@ def michael_selection(F, tol=1e-3):
     family's members together (`_michael_lockstep`): one code path.
     """
     (result,) = _michael_lockstep([F], tol)
-    if isinstance(result, Exception):
-        raise result
     return result
 
 
@@ -647,47 +625,45 @@ def _michael_lockstep(maps, tol):
     within that distance, gathered (`_Lockstep.cover`).  Only the lex sort of
     each net and the final rho.T @ net run map by map.  Every map takes the
     same number of rounds, and its values and rounds are bit for bit those
-    of its own run.  Returns per map its MichaelResult or the exception its
-    own run raises; a map whose round fails leaves the lockstep there."""
+    of its own run.  Returns each map's MichaelResult.  The first round in
+    which some map leaves a point uncovered raises IterationStall, naming
+    the first such map in list order, the round and the map's first
+    uncovered domain index."""
     if tol <= 0:
-        return [ValueError("tol must be positive")] * len(maps)
+        raise ValueError("tol must be positive")
     if not maps:
         return []
     run = _Lockstep(maps)
-    errors = [None] * len(maps)
+
+    def covered(k, nets, eps, anchors=None, r=None):
+        values, missing, _, _ = run.cover_average(nets, eps, anchors, r)
+        if values is None:
+            i = int(np.flatnonzero(missing >= 0)[0])
+            raise IterationStall(f"round k={k} left domain index {int(missing[i])} uncovered"
+                                 f" in map {maps[i].name!r}"
+                                 + (": the initial approximate selection failed" if k == 0
+                                    else ""))
+        return values
+
     dim_sqrt = math.sqrt(run.target.dim)
-    live = np.arange(len(maps))
     start, _ = run.nearest(run.means())
-    values, missing, _, _ = run.cover_average(live, run.nets(start, 0.25 / (8.0 * dim_sqrt)),
-                                              0.75 * 0.25)
-    for i, x in zip(live, missing):
-        if x >= 0:
-            errors[i] = IterationStall(f"round k=0 left domain index {int(x)} uncovered:"
-                                       " the initial approximate selection failed")
-    live = live[missing < 0]
+    values = covered(0, run.nets(start, 0.25 / (8.0 * dim_sqrt)), 0.75 * 0.25)
     nearest, defects = run.nearest(values)
     rounds = [[{"k": 0, "max_defect": float(d.max()), "max_step": None}] for d in defects]
     k = 1
-    while 0.5 ** k >= tol and live.size:
+    while 0.5 ** k >= tol:
         r = 0.5 ** (k + 1)
         eps = 0.75 * 0.5 ** (k + 2)
         cell = 0.5 ** (k + 4) / dim_sqrt
-        new_values, missing, _, _ = run.cover_average(live, run.nets(nearest[live], cell),
-                                                      eps, values, r)
-        for i, x in zip(live, missing):
-            if x >= 0:
-                errors[i] = IterationStall(f"round k={k} left domain index {int(x)} uncovered")
-        ok = missing < 0
-        live, new_values = live[ok], new_values[ok]
-        steps = np.linalg.norm(new_values - values[live], axis=2).max(axis=1)
-        values[live] = new_values
+        new_values = covered(k, run.nets(nearest, cell), eps, values, r)
+        steps = np.linalg.norm(new_values - values, axis=2).max(axis=1)
+        values = new_values
         nearest, defects = run.nearest(values)
-        for i, step in zip(live, steps):
-            rounds[i].append({"k": k, "max_defect": float(defects[i].max()),
-                              "max_step": float(step)})
+        for logged, d, step in zip(rounds, defects, steps):
+            logged.append({"k": k, "max_defect": float(d.max()), "max_step": float(step)})
         k += 1
-    return [errors[i] or MichaelResult(values=values[i], rounds=rounds[i], defects=defects[i])
-            for i in range(len(maps))]
+    return [MichaelResult(values=v, rounds=logged, defects=d)
+            for v, logged, d in zip(values, rounds, defects)]
 
 
 # ---------------------------------------------------------------------------
@@ -722,9 +698,10 @@ def dense_selection_family(F, net, m_max, tol=1e-3):
     their maps are built in one restriction over the members' rows
     (F.restrict_each), and they, with F once when some member pins
     nothing, run through one selection iteration (`_michael_lockstep`).  A
-    failure raises what running the members one after another would: the
-    error of the first member in (n, m) order whose restriction or
-    selection fails.
+    restriction that fails raises its ValueError before any selection runs
+    (see `SetValuedMap.restrict_each`); otherwise the first round in which
+    some member stalls raises the IterationStall of the first such member
+    in (n, m) order, named F.name|n=...,m=..., or F.name for F itself.
     """
     net = np.atleast_2d(np.asarray(net, dtype=np.float64))
     if not bool(np.all(F.target.contains(net))):
@@ -737,19 +714,14 @@ def dense_selection_family(F, net, m_max, tol=1e-3):
         np.repeat(net[[members[j][0] for j in held]][:, None], len(F), axis=1),
         np.where(pinned[held], radius[held, None], np.inf),
         [f"{F.name}|n={members[j][0]},m={members[j][1]}" for j in held]) if held.size else []
-    # each member's map, F for a member that pins nothing, or its restriction's error
+    # each member's map, F for a member that pins nothing
     chosen = [F] * len(members)
     for j, G in zip(held, restricted):
         chosen[j] = G
-    maps = list({id(G): G for G in chosen if not isinstance(G, Exception)}.values())
+    maps = list({id(G): G for G in chosen}.values())
     selections = dict(zip(map(id, maps), _michael_lockstep(maps, tol)))
-    family = []
-    for (n, m), G, count in zip(members, chosen, pinned.sum(axis=1)):
-        sel = G if isinstance(G, Exception) else selections[id(G)]
-        if isinstance(sel, Exception):
-            raise sel
-        family.append(FamilyMember(n, m, sel.values, sel.rounds, int(count)))
-    return family
+    return [FamilyMember(n, m, selections[id(G)].values, selections[id(G)].rounds, int(count))
+            for (n, m), G, count in zip(members, chosen, pinned.sum(axis=1))]
 
 
 def density_audit(members, F, metric=None):

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from hyperselect.norms import dyadic_weights
-from hyperselect.scenarios import SCENARIOS, matrix_unit_probes, parse_config_file
+from hyperselect.algebras import adjoint_modulus, build_fS, default_strong_spec
+from hyperselect.norms import dyadic_weights, eval_norm
+from hyperselect.scenarios import (SCENARIOS, block_subsets, matrix_unit_probes,
+                                   parse_config_file)
 
 SAMPLE_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -91,17 +93,70 @@ def test_every_duality_route_gap_is_within_its_norms_tolerance(tmp_path):
     assert all(worst[kind] <= gate[kind] for kind in norms)
 
 
+def test_counterexample_gaps_and_witness_are_dyadic(tmp_path):
+    # The probes are e_0 .. e_{P-1}, P = probe_count, with weights
+    # w_j = 2^-(j+1).  Ball n is the unit disc along d_n = e_0 / 2 + e_n and
+    # the limit the disc along e_0 / 2, so their supports differ only at
+    # e_n, by 1: the weighted gap is w_n = 2^-(n+1) while e_n is a probe
+    # (n < P), and 0 after.  V_n = span(d_n) has sup-norm unit ball
+    # {z d_n : |z| <= 1}, with support 1/2 at e_0 and 1 at e_n; the limit
+    # span of e_0 has support 1 at e_0.  So the fixed probes see a gap of 1
+    # at e_n while n < P and 1/2 at e_0 after, and adding e_n to them always
+    # sees 1.  Every ball passes the rescaling test.  The limit disc has
+    # rho = r ||e_0 / 2|| = 1/2, so its defect max(0, min(1, rho / s) - rho)
+    # is 1/2 at s = 1/2 (1/6 at 3/4), reached at (lam* / s) e_0 / 2 = e_0.
+    # All of these are dyadic, so they are compared exactly.
+    params = parse_config_file(SAMPLE_CONFIGS / "counterexample.cfg")
+    SCENARIOS["counterexample"](params, 0, tmp_path)
+    terms, probe_count = int(params["terms"]), int(params["probe_count"])
+    trunc = int(params["trunc_dim"]) or terms + 2
+    header, rows = _csv_rows(tmp_path / "counterexample.csv")
+    assert header == ["n", "ball_ok", "weighted_gap", "fixed_probe_gap", "escaping_probe_gap"]
+    got = [(int(n), ok, float(weighted), float(fixed), float(escaping))
+           for n, ok, weighted, fixed, escaping in rows]
+    assert got == [(n, "true", 0.5 ** (n + 1) if n < probe_count else 0.0,
+                    1.0 if n < probe_count else 0.5, 1.0) for n in range(1, terms + 1)]
+    witness = json.loads((tmp_path / "witness.json").read_text(encoding="utf-8"))
+    e_0 = [[1.0, 0.0]] + [[0.0, 0.0]] * (trunc - 1)  # (real, imaginary) pairs
+    assert witness == {"ok": False, "defect": 0.5, "scale": 0.5, "rescaled_point": e_0}
+
+
 def test_finiteness_modulus_is_eps_times_its_block_size_constant(tmp_path):
-    # delta / eps reads 1, sqrt(2)/3 and sqrt(2)/12 at block sizes 1, 2 and
-    # 4.  No derivation of these constants from the witness that attains
-    # them is given yet (ROADMAP item 6), so this pins the floats.
+    # delta = eps * c(b), c(b) the least ratio rho(z) / rho(z*) over the
+    # witnesses z of the block algebra, rho(x) = sum_k w_k |x e_k| over the
+    # probes e_0 .. e_{P-1} with weights w_k = 2^-(k+1).  At b = 1 every
+    # witness is self-adjoint (diagonal units, 1 - pi_S and their
+    # differences), so c(1) = 1.  At b >= 2 the least ratio belongs to the
+    # pair z = u_(0,b-1) - u_(1,b-1) of block n = 0: z has one nonzero
+    # column, b - 1, equal to e_0 - e_1, so rho(z) = sqrt(2) w_{b-1}; z* has
+    # columns 0 and 1, each a unit vector, so rho(z*) = w_0 + w_1; and
+    # c(b) = sqrt(2) w_{b-1} / (w_0 + w_1), sqrt(2)/3 and sqrt(2)/12 at b = 2
+    # and 4.  The pair's ratio reproduces adjoint_modulus bit for bit.
     params = parse_config_file(SAMPLE_CONFIGS / "finiteness.cfg")
     SCENARIOS["finiteness"](params, 0, tmp_path)
-    constant = {1: 1.0, 2: np.sqrt(2.0) / 3.0, 4: np.sqrt(2.0) / 12.0}
-    header, rows = _csv_rows(tmp_path / "finiteness.csv")
-    assert header == ["eps", "delta", "block_size"]
+    m = int(params["m"])
     sizes = [int(size) for size in params["block_sizes"].split(",")]
     eps_list = [float(eps) for eps in params["eps_list"].split(",")]
+    spec = default_strong_spec(m * m, int(params["probe_count"]))
+    w = spec.weights
+    constant = {}
+    for size in sizes:
+        algebra, _ = build_fS(block_subsets(m, size))
+        if size == 1:
+            units = algebra.units
+            assert np.array_equal(units, units.conj().swapaxes(-1, -2))
+            constant[size] = 1.0
+        else:
+            z = np.zeros((m * m, m * m), dtype=np.complex128)
+            z[0, size - 1], z[1, size - 1] = 1.0, -1.0
+            rho, rho_star = eval_norm(z, spec), eval_norm(z.conj().T, spec)
+            assert (rho, rho_star) == (np.sqrt(2.0) * w[size - 1], w[0] + w[1])
+            constant[size] = rho / rho_star
+        assert adjoint_modulus(algebra, eps_list, spec) == [
+            (eps, eps * constant[size]) for eps in eps_list]
+    assert constant == {1: 1.0, 2: np.sqrt(2.0) / 3.0, 4: np.sqrt(2.0) / 12.0}
+    header, rows = _csv_rows(tmp_path / "finiteness.csv")
+    assert header == ["eps", "delta", "block_size"]
     assert [(float(eps), int(size)) for eps, _, size in rows] == [
         (eps, size) for size in sizes for eps in eps_list]
     deviation = max(abs(float(delta) - float(eps) * constant[int(size)])
@@ -110,3 +165,34 @@ def test_finiteness_modulus_is_eps_times_its_block_size_constant(tmp_path):
     # the file keeps 12 significant digits of delta < 1, which read 4.1e-13
     # apart from eps * c at worst
     assert deviation <= 1e-12
+
+
+def test_finiteness_witness_norms_are_probe_weight_sums(tmp_path):
+    # The units of the block algebra are the 0/1 matrix units
+    # u_(n,k,l) = e_(nm+k, nm+l), for n < m and k, l in S_n in order, then
+    # 1 - pi_S when the blocks miss a diagonal entry.  x e_j is column j of
+    # x, so rho_strong(x) = sum_k w_k |x e_k| sums the weights w_k = 2^-(k+1)
+    # of the probe indices k < P where x has a nonzero column (each such
+    # column a unit vector): w_(nm+l) for u_(n,k,l), and the weights of the
+    # diagonal entries outside the blocks for 1 - pi_S.  Each is a sum of a
+    # few dyadic weights, so it is compared exactly.
+    params = parse_config_file(SAMPLE_CONFIGS / "finiteness.cfg")
+    SCENARIOS["finiteness"](params, 0, tmp_path)
+    m, count = int(params["m"]), int(params["witness_count"])
+    w = dyadic_weights(int(params["probe_count"]))
+
+    def weight(column):
+        return float(w[column]) if column < len(w) else 0.0
+
+    expected = []
+    for size in (int(size) for size in params["block_sizes"].split(",")):
+        S = block_subsets(m, size).subsets
+        rho = [weight(n * m + l) for n in range(m) for k in sorted(S[n]) for l in sorted(S[n])]
+        diagonal = {n * m + k for n in range(m) for k in S[n]}
+        if len(diagonal) < m * m:
+            rho.append(sum(weight(j) for j in range(m * m) if j not in diagonal))
+        expected.extend((size, index, r) for index, r in enumerate(rho[:count]))
+    header, rows = _csv_rows(tmp_path / "witnesses.csv")
+    assert header == ["block_size", "unit_index", "rho_strong"]
+    assert [(int(size), int(index), float(r)) for size, index, r in rows] == expected
+    assert expected[4] == (1, 4, 0.48046875)  # w_1 + w_2 + w_3 + w_4 + w_6 + w_7

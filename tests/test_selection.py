@@ -505,7 +505,7 @@ def _sequential_family(F, net, m_max, tol):
     """Reference: the family member by member, one michael_selection per
     distinct map and F's once, as it ran before its members ran in
     lockstep.  Returns each member, or the exception its own restriction or
-    selection raises."""
+    selection raises, with the member's map named as the family names it."""
     value_dists = _project_all(F, net)[1]
     plain, members = None, []
     for n in range(len(net)):
@@ -515,7 +515,7 @@ def _sequential_family(F, net, m_max, tol):
                 if pinned.any():
                     sel = michael_selection(F.restrict(
                         np.broadcast_to(net[n], (len(F), net.shape[1])),
-                        np.where(pinned, 1.0 / m, np.inf)), tol=tol)
+                        np.where(pinned, 1.0 / m, np.inf), f"{F.name}|n={n},m={m}"), tol=tol)
                 else:
                     plain = plain or michael_selection(F, tol=tol)
                     sel = plain
@@ -598,13 +598,22 @@ def _drifting_triangles():
     return F.restrict(np.tile([0.8, 0.2], (9, 1)), np.where(np.arange(9) == 8, 0.05, np.inf))
 
 
+def _stall_round(err):
+    return int(str(err).split("k=")[1].split()[0])
+
+
 @pytest.mark.parametrize("case", ["stall-before-an-earlier-stall", "stall-first",
                                   "restriction-first"])
-def test_first_failing_member_decides_the_error(case):
+def test_a_restriction_error_then_the_earliest_stall_decides_the_error(monkeypatch, case):
+    # a failing restriction raises before any selection runs; with none,
+    # the earliest round in which some member stalls raises the stall of
+    # the first member in (n, m) order that stalls in it
     if case == "stall-before-an-earlier-stall":
+        # at this drift two members stall first, in round 2, so the tie is
+        # broken by (n, m) order
         dom = grid_domain_1d(21)
         F = SetValuedMap(dom, [np.array([[0.2 + 0.3 * x], [0.9]]) for x in dom.points[:, 0]],
-                         _DriftingTarget(np.array([[0.0], [1.0]]), [0.08]))
+                         _DriftingTarget(np.array([[0.0], [1.0]]), [0.1]))
         net = np.array([[0.0], [0.5], [1.0]])
     else:
         F = _drifting_triangles()
@@ -613,27 +622,38 @@ def test_first_failing_member_decides_the_error(case):
             net = net[[1, 0]]
     want = _sequential_family(F, net, 2, 0.125)
     errors = [mem for mem in want if isinstance(mem, Exception)]
-    first = errors[0]
+    refused = [err for err in errors if type(err) is ValueError]
+    stalls = [err for err in errors if isinstance(err, IterationStall)]
+    assert stalls
     if case == "stall-before-an-earlier-stall":
-        # a later member stalls in an earlier round, which the lockstep meets first
-        rounds = [int(str(err).split("k=")[1].split()[0]) for err in errors]
-        assert isinstance(first, IterationStall) and min(rounds[1:]) < rounds[0]
-    elif case == "stall-first":
-        assert isinstance(first, IterationStall)
-        assert any(type(err) is ValueError for err in errors[1:])
+        # a later member stalls in an earlier round
+        rounds = [_stall_round(err) for err in stalls]
+        assert not refused and min(rounds[1:]) < rounds[0]
+        expected = stalls[rounds.index(min(rounds))]
+        assert len({str(err) for err, k in zip(stalls, rounds) if k == min(rounds)}) > 1
     else:
-        assert type(first) is ValueError and "already restricted" in str(first)
-        assert any(isinstance(err, IterationStall) for err in errors[1:])
-    with pytest.raises(type(first)) as got:
+        assert "already restricted" in str(refused[0])
+        assert isinstance(errors[0], IterationStall) == (case == "stall-first")
+        expected = refused[0]
+    calls = []
+
+    def counted(maps, tol):
+        calls.append(maps)
+        return _michael_lockstep(maps, tol)
+
+    monkeypatch.setattr("hyperselect.selection._michael_lockstep", counted)
+    with pytest.raises(type(expected)) as got:
         dense_selection_family(F, net, 2, tol=0.125)
-    assert type(got.value) is type(first) and str(got.value) == str(first)
+    assert type(got.value) is type(expected) and str(got.value) == str(expected)
+    # no selection runs once a restriction fails
+    assert len(calls) == (0 if refused else 1)
 
 
-def _all_pairs_cover(run, live, nets, eps, anchors=None, r=None):
+def _all_pairs_cover(run, nets, eps, anchors=None, r=None):
     """Reference for _Lockstep.cover: every net point projected onto every
     row of its own map, map by map, with no distance filter."""
-    inside = np.zeros((len(live), max(len(net) for net in nets), len(run.domain)), dtype=bool)
-    for j, (i, net) in enumerate(zip(live, nets)):
+    inside = np.zeros((run.count, max(len(net) for net in nets), len(run.domain)), dtype=bool)
+    for i, net in enumerate(nets):
         for s in run.shared:
             if i not in s.maps:
                 continue
@@ -642,7 +662,7 @@ def _all_pairs_cover(run, live, nets, eps, anchors=None, r=None):
             hit = dist < eps
             if anchors is not None:
                 hit &= np.linalg.norm(proj - anchors[i, s.rows], axis=2) < r
-            inside[j, :len(net)][:, s.rows] = hit
+            inside[i, :len(net)][:, s.rows] = hit
     return inside
 
 
@@ -651,10 +671,9 @@ def _recorded_covers(monkeypatch, runs):
     recorded = []
     cover = _Lockstep.cover
 
-    def recording(self, live, nets, eps, anchors=None, r=None):
-        # the lockstep overwrites its values, the next round's anchors, in place
-        recorded.append((self, live, nets, eps, None if anchors is None else anchors.copy(), r))
-        return cover(self, live, nets, eps, anchors, r)
+    def recording(self, nets, eps, anchors=None, r=None):
+        recorded.append((self, nets, eps, anchors, r))
+        return cover(self, nets, eps, anchors, r)
 
     monkeypatch.setattr(_Lockstep, "cover", recording)
     got = runs()
@@ -685,18 +704,18 @@ def test_anchored_cover_matches_the_all_pairs_reference(monkeypatch, name):
     anchored = [call for call in covers if call[4] is not None]
     assert len(anchored) >= 5
     pairs = 0
-    for run, live, nets, eps, anchors, r in anchored:
+    for run, nets, eps, anchors, r in anchored:
         # the family's restrictions put balls on the hulls with three or more
         # generators, and clip the segments
         assert (any(s.balls is not None for s in run.shared)
                 == (name in ("marechal", "rising-triangle")))
         monkeypatch.setattr(HullStack, "project_pairs", counted)
-        inside = run.cover(live, nets, eps, anchors, r)
+        inside = run.cover(nets, eps, anchors, r)
         monkeypatch.undo()
-        want = _all_pairs_cover(run, live, nets, eps, anchors, r)
+        want = _all_pairs_cover(run, nets, eps, anchors, r)
         assert np.array_equal(inside, want)
         pairs += sum(len(net) * len(run.domain) for net in nets)
-        got, ref = run.cover_average(live, nets, eps, anchors, r), run.average(live, nets, want)
+        got, ref = run.cover_average(nets, eps, anchors, r), run.average(nets, want)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
         assert len(got[3]) == len(ref[3])
         assert all(np.array_equal(a, b) for a, b in zip(got[3], ref[3]))
@@ -715,23 +734,27 @@ def test_anchored_cover_matches_the_all_pairs_reference(monkeypatch, name):
 def test_a_stall_names_its_first_uncovered_point_and_logged_round(monkeypatch, shift,
                                                                   anchored):
     # the drifting target makes the nets miss the values, so the maps stall
-    # in an anchored round or in round 0; each error names the first point
-    # that no element covers in the round that stalls, numbered as the
-    # rounds log it
+    # in an anchored round or in round 0; the error names the first map that
+    # leaves a point uncovered in the first round that does, numbered as
+    # the rounds log it, and that map's first point that no element covers
     dom = grid_domain_1d(21)
     F = SetValuedMap(dom, [np.array([[0.2 + 0.3 * x], [0.9]]) for x in dom.points[:, 0]],
                      _DriftingTarget(np.array([[0.0], [1.0]]), [shift]))
     maps = [F] + _restricted_maps(monkeypatch, F, np.array([[0.0], [0.5], [1.0]]))
-    results, covers = _recorded_covers(monkeypatch, lambda: _michael_lockstep(maps, 0.125))
-    stalls = [(i, err) for i, err in enumerate(results) if isinstance(err, IterationStall)]
-    assert stalls
-    for i, err in stalls:
-        k, index = (int(str(err).split(word)[1].split()[0]) for word in ("k=", "index"))
-        assert (k > 0) == anchored
-        run, live, nets, eps, anchors, r = covers[k]  # one cover pass per round
-        j = int(np.flatnonzero(live == i)[0])
-        covered = _all_pairs_cover(run, live, nets, eps, anchors, r)[j].any(axis=0)
-        assert not covered[index] and covered[:index].all()
+
+    def stall():
+        with pytest.raises(IterationStall) as err:
+            _michael_lockstep(maps, 0.125)
+        return err.value
+
+    err, covers = _recorded_covers(monkeypatch, stall)
+    k = len(covers) - 1  # one cover pass per round, and none after the stall
+    assert (k > 0) == anchored and _stall_round(err) == k
+    covered = _all_pairs_cover(*covers[k]).any(axis=1)
+    i = int(np.flatnonzero(~covered.all(axis=1))[0])
+    index = int(covered[i].argmin())
+    assert str(err).startswith(f"round k={k} left domain index {index} uncovered"
+                               f" in map {maps[i].name!r}")
 
 
 def test_kernel_calls_stay_under_the_entry_cap(monkeypatch):
@@ -1509,10 +1532,10 @@ def test_map_restriction_is_the_one_value_restriction_row_by_row():
 
 
 def test_restrict_each_is_one_restriction_at_a_time():
-    # the tiled pass gives each restriction's groups bit for bit, shares
-    # the map's stacks where a group keeps its generators, and gives a
-    # failing restriction the error of its first failing group, as a
-    # restriction on its own raises it, while the others restrict as usual
+    # the tiled pass gives each restriction's groups bit for bit and shares
+    # the map's stacks where a group keeps its generators; a failing pass
+    # raises the error of the first group that some restriction fails in,
+    # as that restriction on its own raises it
     gens = [np.array([[0.5, 0.5]]), UNIT_SQUARE[[0, 1]], np.array([[0.2, 0.2]]),
             UNIT_SQUARE[[0, 3]], UNIT_SQUARE[[0, 1, 2]], UNIT_SQUARE[[1, 2]]]
     F = SetValuedMap(grid_domain_1d(len(gens)), gens, HullTarget(UNIT_SQUARE))
@@ -1525,51 +1548,62 @@ def test_restrict_each_is_one_restriction_at_a_time():
     center[2, 0] = gens[0][0]
     center[3, 1], radius[3, 1] = [-0.5, 0.0], 0.5  # a segment clipped to its end point
     names = [f"r{j}" for j in range(5)]
-    for failing in ((), (4,), (1, 4)):
+    each = F.restrict_each(center, radius, names)
+    for j, G in enumerate(each):
+        one = F.restrict(center[j], radius[j], names[j])
+        assert G.name == one.name == names[j]
+        assert len(G.groups) == len(one.groups)
+        for g, h in zip(G.groups, one.groups):
+            assert np.array_equal(g.rows, h.rows)
+            for name in ("generators", "_g", "_w", "_b"):
+                assert np.array_equal(getattr(g.stack, name), getattr(h.stack, name))
+            assert (g.balls is None) == (h.balls is None)
+            if g.balls is not None:
+                assert g.stack is h.stack
+                for field in dataclasses.fields(BallSections):
+                    assert np.array_equal(getattr(g.balls, field.name),
+                                          getattr(h.balls, field.name))
+    # the segment clipped to its end point joins the point rows
+    assert len({tuple(len(g.rows) for g in G.groups) for G in each}) > 1
+
+    def raised(G, c, r, names):
+        with pytest.raises(ValueError) as err:
+            G.restrict_each(c, r, names)
+        return str(err.value)
+
+    def alone(G, c, r):
+        with pytest.raises(ValueError) as err:
+            G.restrict(c, r)
+        return str(err.value)
+
+    # restriction 4 misses at the segment row 3; restriction 1 also misses
+    # at the point row 0, and the point group comes first
+    for failing in ((4,), (1, 4)):
         c, r = center.copy(), radius.copy()
         for j in failing:
             c[j, 3], r[j, 3] = [5.0, 5.0], 0.1
         if 1 in failing:
-            # a miss at the point row 0 too: the point group comes first
             c[1, 0], r[1, 0] = [5.0, 5.0], 0.1
-        each = F.restrict_each(c, r, names)
-        for j, G in enumerate(each):
-            if j in failing:
-                with pytest.raises(ValueError) as err:
-                    F.restrict(c[j], r[j], names[j])
-                assert type(G) is ValueError and str(G) == str(err.value)
-                continue
-            one = F.restrict(c[j], r[j], names[j])
-            assert G.name == one.name == names[j]
-            assert len(G.groups) == len(one.groups)
-            for g, h in zip(G.groups, one.groups):
-                assert np.array_equal(g.rows, h.rows)
-                for name in ("generators", "_g", "_w", "_b"):
-                    assert np.array_equal(getattr(g.stack, name), getattr(h.stack, name))
-                assert (g.balls is None) == (h.balls is None)
-                if g.balls is not None:
-                    assert g.stack is h.stack
-                    for field in dataclasses.fields(BallSections):
-                        assert np.array_equal(getattr(g.balls, field.name),
-                                              getattr(h.balls, field.name))
-    # the segment clipped to its end point joins the point rows
-    layouts = {tuple(len(g.rows) for g in G.groups)
-               for G in F.restrict_each(center, radius, names)}
-    assert len(layouts) > 1
-    # on a map whose triangle row holds a ball, pinning that row fails,
-    # unless a miss in the earlier segment group fails first
+        assert raised(F, c, r, names) == alone(F, c[failing[0]], r[failing[0]])
+    # on a map whose triangle row holds a ball, a miss in the earlier
+    # segment group fails before a pin of that row, whichever restriction
+    # comes first
     G = F.restrict(center[0], np.where(np.arange(len(gens)) == 4, 0.6, np.inf))
     c, r = np.repeat(center[:1], 3, axis=0), np.full((3, len(gens)), np.inf)
     r[:2, 4] = 0.5
     c[1, 1], r[1, 1] = [5.0, 5.0], 0.1
     r[2, 5] = 0.5
-    each = G.restrict_each(c, r, names[:3])
-    for j, H in enumerate(each[:2]):
-        with pytest.raises(ValueError) as err:
-            G.restrict(c[j], r[j], names[j])
-        assert type(H) is ValueError and str(H) == str(err.value)
-    assert "already restricted" in str(each[0]) and "misses" in str(each[1])
-    assert isinstance(each[2], SetValuedMap)
+    assert "misses" in raised(G, c, r, names[:3]) == alone(G, c[1], r[1])
+    assert "already restricted" in raised(G, c[[0, 2]], r[[0, 2]], names[:2]) == alone(G, c[0],
+                                                                                       r[0])
+    assert isinstance(G.restrict_each(c[[2]], r[[2]], names[:1])[0], SetValuedMap)
+    # within one group, a pin of a row with a ball fails before a miss
+    H = SetValuedMap(grid_domain_1d(2), [UNIT_SQUARE[[0, 1, 2]]] * 2, HullTarget(UNIT_SQUARE))
+    H = H.restrict(np.zeros((2, 2)), [0.5, np.inf])
+    c, r = np.zeros((2, 2, 2)), np.array([[np.inf, 0.1], [0.5, np.inf]])
+    c[0, 1] = [5.0, 5.0]
+    assert "misses" in alone(H, c[0], r[0])
+    assert "already restricted" in raised(H, c, r, ["a", "b"]) == alone(H, c[1], r[1])
 
 
 def test_dedupe_points_keeps_first_seen_rows():
