@@ -189,18 +189,16 @@ class BallRestrictedValue:
 
 
 def restrict_value(value: HullProjector, center, radius):
-    """The value intersected with the closed ball B(center, radius): the
-    one-row case of SetValuedMap.restrict, as a HullProjector for a point or
-    segment and a BallRestrictedValue sharing the value's faces otherwise."""
+    """The value intersected with the closed ball B(center, radius), as a
+    BallRestrictedValue sharing the value's faces: the one-row case of
+    SetValuedMap.restrict, whose checks it runs."""
     if value.generators is None:
         raise ValueError("the value at row 0 is already restricted to a ball;"
                          " a value holds one ball")
-    ((group,),) = _restrict_group(_ValueGroup(np.zeros(1, dtype=np.intp), value.stack, None),
-                                  np.asarray(center, dtype=np.float64).reshape(1, 1, -1),
-                                  np.array([[radius]], dtype=np.float64))
-    if group.balls is not None:
-        return BallRestrictedValue(value, center, radius)
-    return HullProjector(group.stack.generators[0])
+    _restrict_group(_ValueGroup(np.zeros(1, dtype=np.intp), value.stack, None),
+                    np.asarray(center, dtype=np.float64).reshape(1, 1, -1),
+                    np.array([[radius]], dtype=np.float64), [""])
+    return BallRestrictedValue(value, center, radius)
 
 
 @dataclass
@@ -220,32 +218,31 @@ def _by_count(arrays):
             for k in np.unique(counts)]
 
 
-def _hull_groups(rows, generators):
-    """Groups of the rows (ascending) from their deduped generator arrays."""
-    return [_ValueGroup(rows[at], HullStack(stack), None) for at, stack in _by_count(generators)]
+def _restrict_group(group, center, radius, names):
+    """The group with its rows intersected with the closed balls
+    B(center[j], radius[j]), one group per restriction j, for center
+    (count, V, dim) and radius (count, V), radius inf on the rows left as
+    they are.  Every restriction keeps the group's stack, and one that pins
+    some row takes its balls, whatever the generator count: the kernel
+    projects exactly onto a hull intersected with a ball.  Raises the
+    ValueError of the first restriction that pins a row with a ball, naming
+    its first such row; failing that, of the first restriction whose ball
+    misses a hull, naming its first such row; either message starts with
+    the restriction's name from names, when it has one.  The restrictions
+    that pin some row take each kernel pass together, one set of balls per
+    query row."""
+    def refuse(j, message):
+        raise ValueError(f"{names[j]}: {message}" if names[j] else message)
 
-
-def _restrict_group(group, center, radius):
-    """The groups that the group's rows fall into once intersected with the
-    closed balls B(center[j], radius[j]), one list per restriction j, for
-    center (count, V, dim) and radius (count, V), radius inf on the rows
-    left as they are.  Raises the ValueError of the first restriction that
-    pins a row with a ball, naming its first such row; failing that, of the
-    first restriction whose ball misses a hull, naming its first such row.
-    A point is its own restriction.  A segment's endpoints projected onto
-    its intersection with the ball are the endpoints clipped to the ball,
-    which replace them, deduped.  Larger hulls keep their stack and take the
-    balls.  The restrictions that pin some row take each kernel pass
-    together, one set of balls per query row."""
     pinned = np.isfinite(radius)
-    restricted = [[group] for _ in radius]
     old_center, old_radius = (0.0, np.inf) if group.balls is None else (
         group.balls.center, group.balls.radius)
     held = pinned & np.isfinite(old_radius)
     if held.any():
         j = held.any(axis=1).argmax()
-        raise ValueError(f"the value at row {int(group.rows[held[j].argmax()])} is"
-                         " already restricted to a ball; a value holds one ball")
+        refuse(j, f"the value at row {int(group.rows[held[j].argmax()])} is"
+                  " already restricted to a ball; a value holds one ball")
+    restricted = [group] * len(radius)
     active = np.flatnonzero(pinned.any(axis=1))
     if not active.size:
         return restricted
@@ -257,24 +254,10 @@ def _restrict_group(group, center, radius):
     if missed.any():
         at = missed.any(axis=1).argmax()
         i = missed[at].argmax()
-        raise ValueError(f"the ball B({balls.center[at, i].tolist()}, {balls.radius[at, i]})"
-                         f" misses the hull at row {int(group.rows[i])}")
-    k = stack.generators.shape[1]
-    if k == 1:
-        return restricted
-    if k == 2:
-        ends = np.stack([stack.project_runs(np.broadcast_to(stack.generators[:, e],
-                                                            balls.center.shape), balls)[0]
-                         for e in range(2)], axis=2)
-        clipped = iter(dedupe_points(ends[pinned]))
-        for j, pins in zip(active, pinned):
-            generators = list(stack.generators)
-            for i in np.flatnonzero(pins):
-                generators[i] = next(clipped)
-            restricted[j] = _hull_groups(group.rows, generators)
-        return restricted
+        refuse(active[at], f"the ball B({balls.center[at, i].tolist()}, {balls.radius[at, i]})"
+                           f" misses the hull at row {int(group.rows[i])}")
     for at, j in enumerate(active):
-        restricted[j] = [_ValueGroup(group.rows, stack, balls.take(at))]
+        restricted[j] = _ValueGroup(group.rows, stack, balls.take(at))
     return restricted
 
 
@@ -297,7 +280,8 @@ class SetValuedMap:
                 deduped[i] = g
         if not bool(np.all(target.contains(np.concatenate(deduped)))):
             raise ValueError("value generators must lie in the target set C")
-        self.groups = _hull_groups(np.arange(len(domain)), deduped)
+        self.groups = [_ValueGroup(rows, HullStack(stack), None)
+                       for rows, stack in _by_count(deduped)]
         self.target = target
         self.name = name
         self.slope_hint = slope_hint
@@ -315,34 +299,29 @@ class SetValuedMap:
 
     def restrict(self, center, radius, name=""):
         """The map with row i's value intersected with the closed ball
-        B(center[i], radius[i]), radius inf on the rows left as they are,
-        sharing this map's stacks where a group keeps its generators.  Raises
-        ValueError when a ball misses its hull, or pins a row with a ball."""
+        B(center[i], radius[i]), radius inf on the rows left as they are.
+        It keeps every stack of this map, and a group with a pinned row
+        takes the balls.  Raises ValueError, its message led by the name
+        when there is one, when a ball misses its hull or pins a row with a
+        ball."""
         (restricted,) = self.restrict_each(np.asarray(center, dtype=np.float64)[None],
                                            np.asarray(radius, dtype=np.float64)[None], [name])
         return restricted
 
     def restrict_each(self, center, radius, names):
         """self.restrict(center[j], radius[j], names[j]) for each j, in one
-        pass per group over the rows of every restriction.  Raises the
-        ValueError of the first group that some restriction fails in (see
-        `_restrict_group`)."""
+        pass per group over the rows of every restriction: restriction j
+        keeps every stack and holds group g's restricted group j (see
+        `_restrict_group`).  Raises the ValueError of the first group that
+        some restriction fails in, led by that restriction's name."""
         center = np.asarray(center, dtype=np.float64)
         radius = np.asarray(radius, dtype=np.float64)
-        split = [_restrict_group(g, center[:, g.rows], radius[:, g.rows]) for g in self.groups]
+        split = [_restrict_group(g, center[:, g.rows], radius[:, g.rows], names)
+                 for g in self.groups]
         restricted = []
         for j, name in enumerate(names):
-            groups = [h for parts in split for h in parts[j]]
-            # the groups keep ascending counts, so the point rows and the
-            # segments clipped to a point lead
-            points = [g for g in groups if g.stack.generators.shape[1] == 1]
-            if len(points) > 1:
-                rows = np.concatenate([g.rows for g in points])
-                order = np.argsort(rows)
-                generators = np.concatenate([g.stack.generators for g in points])[order]
-                groups[:len(points)] = [_ValueGroup(rows[order], HullStack(generators), None)]
             restricted.append(copy.copy(self))
-            restricted[-1].groups, restricted[-1].name = groups, name
+            restricted[-1].groups, restricted[-1].name = [parts[j] for parts in split], name
         return restricted
 
 
@@ -373,8 +352,8 @@ _FILTER_MARGIN = 1e-9
 @dataclass
 class _Shared:
     """One stack and the maps that hold it.  A stack belongs to one set of
-    rows, and a restriction keeps the stack of a group with k >= 3, so a
-    dense family's members share F's stacks there."""
+    rows, and a restriction keeps every stack, so a dense family's members
+    share all of F's stacks."""
 
     rows: np.ndarray    # the domain rows of the stack's hulls
     stack: HullStack
@@ -412,10 +391,14 @@ class _Lockstep:
             self.shared.append(_Shared(rows, stack, np.array([i for i, _ in parts]), balls))
 
     def means(self):
-        """Each value's hull-generator mean, (M, n, dim)."""
+        """Each value's start point (M, n, dim): its ball's centre on a row
+        with a finite ball, its hull-generator mean on every other row."""
         means = np.empty((self.count, len(self.domain), self.target.dim))
         for s in self.shared:
-            means[s.maps[:, None], s.rows] = s.stack.generators.mean(axis=1)
+            mean = s.stack.generators.mean(axis=1)
+            if s.balls is not None:
+                mean = np.where(s.balls.clipped, s.balls.center, mean)
+            means[s.maps[:, None], s.rows] = mean
         return means
 
     def nearest(self, points):
@@ -600,10 +583,12 @@ def michael_selection(F, tol=1e-3):
     is inside eps = 3 * 2^-(k+4), and its projection onto F(x) lies within
     d(f_k(x), F(x)) + 2^-(k+5) < 3 * 2^-(k+3) + 2^-(k+5) < r = 2^-(k+1) of
     the anchor f_k(x).  The first round has the same margin (cell
-    1/(32 sqrt(dim)) against eps 3/16), with the projections of each
-    value's hull-generator mean onto the value as its net and no ball.  The
-    projections that give round k's defects seed round k+1's net, so each
-    is computed once.  IterationStall still guards a round that leaves a
+    1/(32 sqrt(dim)) against eps 3/16) and no anchor; its net is the
+    projection onto each value of its start point (`_Lockstep.means`): the
+    hull-generator mean, or the centre of a value's ball, so a row pinned to
+    B(v, r) starts at the point of the value nearest v.  The projections
+    that give round k's defects seed round k+1's net, so each is computed
+    once.  IterationStall still guards a round that leaves a
     point uncovered.
 
     This is the one-map case of the lockstep iteration that runs a dense
@@ -697,11 +682,15 @@ def dense_selection_family(F, net, m_max, tol=1e-3):
     The members run in lockstep, one code path with michael_selection:
     their maps are built in one restriction over the members' rows
     (F.restrict_each), and they, with F once when some member pins
-    nothing, run through one selection iteration (`_michael_lockstep`).  A
-    restriction that fails raises its ValueError before any selection runs
-    (see `SetValuedMap.restrict_each`); otherwise the first round in which
-    some member stalls raises the IterationStall of the first such member
-    in (n, m) order, named F.name|n=...,m=..., or F.name for F itself.
+    nothing, run through one selection iteration (`_michael_lockstep`).
+    Every restriction keeps F's stacks, so the members share all of them
+    and none builds a stack, and a pinned row starts the iteration at the
+    point of F(x) nearest v_n.  A restriction that fails raises its
+    ValueError before any selection runs, its message led by the member's
+    name (see `SetValuedMap.restrict_each`); otherwise the first round in
+    which some member stalls raises the IterationStall of the first such
+    member in (n, m) order.  A member is named F.name|n=...,m=..., and F
+    itself F.name.
     """
     net = np.atleast_2d(np.asarray(net, dtype=np.float64))
     if not bool(np.all(F.target.contains(net))):

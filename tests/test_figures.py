@@ -7,14 +7,17 @@ from the scenario's own inputs, within a bound set from the measured error
 of the written digits.
 """
 import json
+import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hyperselect.algebras import adjoint_modulus, build_fS, default_strong_spec
 from hyperselect.norms import dyadic_weights, eval_norm
 from hyperselect.scenarios import (SCENARIOS, block_subsets, matrix_unit_probes,
                                    parse_config_file)
+from hyperselect.selection import BUNDLED_MAPS
 
 SAMPLE_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -91,6 +94,25 @@ def test_every_duality_route_gap_is_within_its_norms_tolerance(tmp_path):
     worst = {kind: max(float(row[4]) for row in rows if row[1] == kind) for kind in norms}
     print(f"duality.csv: worst abs_diff per norm {worst} against {gate}")
     assert all(worst[kind] <= gate[kind] for kind in norms)
+
+
+def test_duality_summary_is_the_maxima_of_its_rows(tmp_path):
+    # summary.json holds, per norm, the largest abs_diff written to
+    # duality.csv, the number of its rows and the config's tolerance for
+    # that norm; both files keep 12 significant digits of the same float,
+    # so they agree exactly
+    params = parse_config_file(SAMPLE_CONFIGS / "duality.cfg")
+    SCENARIOS["duality"](params, 0, tmp_path)
+    _, rows = _csv_rows(tmp_path / "duality.csv")
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert summary["seed"] == 0
+    norms = params["norms"].split(",")
+    assert sorted(summary["per_norm"]) == sorted(norms)
+    for kind in norms:
+        diffs = [float(row[4]) for row in rows if row[1] == kind]
+        tol = float(params["tol_l2" if kind == "l2" else "tol_polyhedral"])
+        assert summary["per_norm"][kind] == {"max_abs_diff": max(diffs), "tol": tol,
+                                             "trials": len(diffs)}
 
 
 def test_counterexample_gaps_and_witness_are_dyadic(tmp_path):
@@ -196,3 +218,97 @@ def test_finiteness_witness_norms_are_probe_weight_sums(tmp_path):
     assert header == ["block_size", "unit_index", "rho_strong"]
     assert [(int(size), int(index), float(r)) for size, index, r in rows] == expected
     assert expected[4] == (1, 4, 0.48046875)  # w_1 + w_2 + w_3 + w_4 + w_6 + w_7
+
+
+# ---------------------------------------------------------------------------
+# selection and marechal: the dense family and the selection iteration
+
+
+@pytest.fixture(scope="module")
+def selection_run(tmp_path_factory):
+    """The selection scenario's sample config and the directory it wrote."""
+    out = tmp_path_factory.mktemp("selection")
+    params = parse_config_file(SAMPLE_CONFIGS / "selection.cfg")
+    SCENARIOS["selection"](params, 0, out)
+    return params, out
+
+
+def test_selection_decay_keeps_its_logged_invariants(selection_run):
+    # No closed form is known for max_defect past k = 4 (round 5 reads
+    # 0.0009375 and round 9 1.77e-12, off any 2^-k pattern), so each round
+    # is gated by the invariants the iteration logs: defect < 2^-(k+1)
+    # after round k, and step <= 2^-k = step_bound between rounds k - 1
+    # and k.  Rounds run while 2^-k >= tol.
+    params, out = selection_run
+    tol = float(params["tol"])
+    header, rows = _csv_rows(out / "decay.csv")
+    assert header == ["k", "max_defect", "max_step", "step_bound"]
+    assert [int(row[0]) for row in rows] == list(range(math.floor(math.log2(1.0 / tol)) + 1))
+    assert rows[0][2:] == ["", ""]
+    slack = min(0.5 ** (int(k) + 1) - float(defect) for k, defect, *_ in rows)
+    for k, defect, step, bound in rows[1:]:
+        assert float(bound) == 0.5 ** int(k)
+        assert float(step) <= float(bound)
+    print(f"decay.csv: least slack {slack:.3g} of a round's defect under 2^-(k+1)")
+    assert slack > 0
+
+
+def test_selection_family_audit_gaps_are_within_their_bounds(selection_run):
+    # The audit slices the family at m <= m_max // 2 and at m_max.  Every
+    # generator of the sample map lies within 1/4 of a net point, so each
+    # slice's gap is under its bound 1/m + 2 family_tol, and members counts
+    # the family.csv rows in the slice.
+    params, out = selection_run
+    m_max, family_tol = int(params["m_max"]), float(params["family_tol"])
+    _, family = _csv_rows(out / "family.csv")
+    header, rows = _csv_rows(out / "family_audit.csv")
+    assert header == ["m_max", "members", "audit_gap", "bound"]
+    assert [int(row[0]) for row in rows] == sorted({max(1, m_max // 2), m_max})
+    for m_used, members, gap, bound in rows:
+        assert int(members) == sum(int(row[2]) <= int(m_used) for row in family)
+        assert float(bound) == pytest.approx(1.0 / int(m_used) + 2.0 * family_tol, abs=1e-12)
+        print(f"family_audit.csv: gap {gap} against bound {bound} at m_max {m_used}")
+        assert float(gap) <= float(bound)
+
+
+def test_selection_restricted_counts_are_the_pinned_rows(selection_run):
+    # member (n, m) is pinned exactly where d(v_n, F(x)) < 1/m.  The sample
+    # map is 1-D, so each value is the interval between its least and
+    # largest generator, and d(v, [lo, hi]) = max(lo - v, v - hi, 0)
+    params, out = selection_run
+    F = BUNDLED_MAPS[params["map"]](int(params["n1d"]), int(params["n2d"]))
+    assert F.target.dim == 1
+    net = [float(v) for v in params["net"].split(",")]
+    ends = np.array([[gens.min(), gens.max()] for gens in F.generators().values()])
+    header, rows = _csv_rows(out / "family.csv")
+    assert header == ["member", "net_index", "m", "restricted_count"]
+    members = [(n, m) for n in range(len(net)) for m in range(1, int(params["m_max"]) + 1)]
+    assert [(int(i), int(n), int(m)) for i, n, m, _ in rows] == [
+        (i, n, m) for i, (n, m) in enumerate(members)]
+    for _, n, m, count in rows:
+        v = net[int(n)]
+        dist = np.maximum(np.maximum(ends[:, 0] - v, v - ends[:, 1]), 0.0)
+        assert int(count) == int((dist < 1.0 / int(m)).sum())
+
+
+def test_marechal_summary_is_read_from_its_audit_and_family(tmp_path):
+    # summary.json's worst figures are the column maxima of hw_audit.csv,
+    # family_members the number of distinct members in hw_family.csv, and
+    # audit_bound_l2 is 1/hw_m_max + 2 hw_tol, which the worst l2 gap keeps
+    # under.  Both files keep 12 significant digits of the same floats, so
+    # the maxima agree exactly.
+    params = parse_config_file(SAMPLE_CONFIGS / "marechal.cfg")
+    SCENARIOS["marechal"](params, 0, tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    header, audit = _csv_rows(tmp_path / "hw_audit.csv")
+    assert header == ["theta", "generator", "audit_l2", "audit_strong_star"]
+    assert summary["worst_audit_l2"] == max(float(row[2]) for row in audit)
+    assert summary["worst_audit_strong_star"] == max(float(row[3]) for row in audit)
+    _, family = _csv_rows(tmp_path / "hw_family.csv")
+    assert summary["family_members"] == len({row[0] for row in family})
+    assert len(family) == summary["family_members"] * int(params["hw_points"])
+    bound = 1.0 / int(params["hw_m_max"]) + 2.0 * float(params["hw_tol"])
+    assert summary["audit_bound_l2"] == pytest.approx(bound, abs=1e-12)
+    print(f"marechal/summary.json: worst l2 gap {summary['worst_audit_l2']} against"
+          f" {summary['audit_bound_l2']}")
+    assert summary["worst_audit_l2"] <= summary["audit_bound_l2"]
