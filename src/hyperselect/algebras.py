@@ -55,8 +55,8 @@ class MatrixAlgebra:
 
     n: int
     hs_basis: np.ndarray  # (dim, n, n)
-    # False only for bases closed by construction (build_fS); the tests run
-    # the check on those bases instead
+    # False only for bases closed by construction (build_fS,
+    # rotated_diagonal_algebra); the tests run the check on those bases instead
     check: bool = True
 
     def __post_init__(self):
@@ -430,7 +430,11 @@ def scalar_algebra(n):
 
 
 def rotated_diagonal_algebra(theta, n=2):
-    """u_theta D u_theta* for the planar rotation in the first two coordinates."""
+    """u_theta D u_theta* for the planar rotation u_theta in the first two
+    coordinates.  The basis u e_kk u* is a *-algebra by construction, as
+    u (.) u* is a *-isomorphism of the diagonal algebra D, so the
+    constructor's closure check is skipped, as build_fS skips it;
+    tests/test_algebras.py runs the check on these bases."""
     u = np.eye(n, dtype=np.complex128)
     c, s = np.cos(theta), np.sin(theta)
     u[0, 0], u[0, 1], u[1, 0], u[1, 1] = c, -s, s, c
@@ -439,4 +443,4 @@ def rotated_diagonal_algebra(theta, n=2):
         e = np.zeros((n, n), dtype=np.complex128)
         e[k, k] = 1.0
         basis[k] = u @ e @ u.conj().T
-    return MatrixAlgebra(n=n, hs_basis=basis)
+    return MatrixAlgebra(n=n, hs_basis=basis, check=False)

@@ -89,11 +89,10 @@ def _square_sum(x):
     return total
 
 
-def dedupe_points(points, tol=1e-12):
-    """Drop duplicate rows (within tol), preserving first-seen order: a row is
-    dropped iff it lies within tol of an earlier row that is kept.  A stack
-    (V, k, dim) is deduped hull by hull in one pass, into a list of V arrays."""
-    points = np.atleast_2d(points)
+def first_seen(points, tol=1e-12):
+    """The rows that dedupe_points keeps, as a mask (..., k) over points
+    (..., k, dim): a row is dropped iff it lies within tol of an earlier row
+    that is kept.  Leading axes are deduped apart, in one batched pass."""
     dist = np.linalg.norm(points[..., :, None, :] - points[..., None, :, :], axis=-1)
     close = np.tril(dist <= tol, k=-1)  # close[.., j, i]: row i < j lies within tol
     keep = ~close.any(axis=-1)
@@ -102,8 +101,17 @@ def dedupe_points(points, tol=1e-12):
     while True:
         settled = ~(close & keep[..., None, :]).any(axis=-1)
         if np.array_equal(settled, keep):
-            return points[keep] if points.ndim == 2 else [p[k] for p, k in zip(points, keep)]
+            return keep
         keep = settled
+
+
+def dedupe_points(points, tol=1e-12):
+    """Drop duplicate rows (within tol), preserving first-seen order (see
+    first_seen).  A stack (V, k, dim) is deduped hull by hull in one pass,
+    into a list of V arrays."""
+    points = np.atleast_2d(points)
+    keep = first_seen(points, tol)
+    return points[keep] if points.ndim == 2 else [p[k] for p, k in zip(points, keep)]
 
 
 @dataclass(frozen=True)

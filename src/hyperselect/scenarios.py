@@ -119,6 +119,11 @@ def _parse(raw, default, listed=False):
 
 
 def _fmt(value):
+    """A CSV cell: a Python float, the common case, first, with -0.0 written
+    as 0.0 (adding 0.0 maps it there); a numpy scalar as the Python value it
+    holds."""
+    if type(value) is float:
+        return "%.12g" % (value + 0.0)
     if isinstance(value, str):
         return value
     if not isinstance(value, (bool, int, float)):
@@ -127,10 +132,7 @@ def _fmt(value):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    f = float(value)
-    if f == 0.0:
-        f = 0.0  # normalize -0.0
-    return "%.12g" % f
+    return "%.12g" % (value + 0.0)
 
 
 def _write_csv(path, header, rows):
@@ -270,14 +272,18 @@ def run_counterexample(params, seed, out):
                           ambient=linf(), side="dual")
     subspaces = [counterexample_subspace(n, trunc) for n in range(1, terms + 1)]
     fixed_gaps = convergence_gap(subspaces, limit_span, probes)
+    # term n's escaping probe is e_n.  V_n and the limit span both live on
+    # coordinates 0 and n, so both supports vanish exactly at every e_j with
+    # j other than 0 and n: one call over the fixed probes and e_1 ... e_terms
+    # gives each term the gap over its own fixed probes and e_n.
+    escape_gaps = convergence_gap(subspaces, limit_span,
+                                  np.vstack([probes, np.eye(trunc)[1:terms + 1]]))
     rows = []
-    for n, V_n, fixed_gap in zip(range(1, terms + 1), subspaces, fixed_gaps):
+    for n, fixed_gap, escape_gap in zip(range(1, terms + 1), fixed_gaps, escape_gaps):
         ball = counterexample_ball(n, trunc)
         ok_n = is_subspace_ball(ball, scales, tol=cfg["tol"], spec=space)["ok"]
         vals = exact_support(ball, probes)
         weighted_gap = float(np.dot(weights, np.abs(vals - limit_vals)))
-        escape = np.vstack([probes, np.eye(trunc)[n]])
-        escape_gap = convergence_gap([V_n], limit_span, escape)[0]
         rows.append((n, ok_n, weighted_gap, fixed_gap, escape_gap))
     files.append(_write_csv(
         out / "counterexample.csv",
@@ -515,10 +521,9 @@ def run_marechal(params, seed, out):
     gens = np.unique(np.round(np.concatenate(list(F.generators().values())), 12), axis=0)
     net = np.concatenate([np.zeros((1, gens.shape[1])), gens])
     members = dense_selection_family(F, net, cfg["hw_m_max"], tol=cfg["hw_tol"])
-    member_rows = []
-    for i, mem in enumerate(members):
-        for j, t in enumerate(grid):
-            member_rows.append((i, mem.net_index, mem.m, t) + tuple(mem.values[j]))
+    hw_thetas = grid.tolist()
+    member_rows = [(i, mem.net_index, mem.m, t, *v) for i, mem in enumerate(members)
+                   for t, v in zip(hw_thetas, mem.values.tolist())]
     files.append(_write_csv(
         out / "hw_family.csv",
         ("member", "net_index", "m", "theta", "v0", "v1", "v2"), member_rows))
@@ -527,7 +532,7 @@ def run_marechal(params, seed, out):
     worst_l2, l2_rows = density_audit(members, F)
     worst_ss, ss_rows = density_audit(members, F, metric=lambda a, b: eval_norm(
         coords_to_sym(a) - coords_to_sym(b), ss_spec))
-    audit_rows = [(grid[j], g, best_l2, best_ss)
+    audit_rows = [(hw_thetas[j], g, best_l2, best_ss)
                   for (j, g, _, best_l2), (_, _, _, best_ss) in zip(l2_rows, ss_rows)]
     files.append(_write_csv(out / "hw_audit.csv",
                             ("theta", "generator", "audit_l2", "audit_strong_star"),

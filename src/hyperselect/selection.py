@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .hulls import (BallSections, HullProjector, HullStack, capped_runs, dedupe_points,
-                    lattice_round)
+                    first_seen, lattice_round)
 from .norms import InvariantViolation, UnsupportedNorm
 
 
@@ -358,6 +358,7 @@ class _Shared:
     rows: np.ndarray    # the domain rows of the stack's hulls
     stack: HullStack
     maps: np.ndarray    # the maps holding it, ascending
+    position: np.ndarray  # each map's index in maps, -1 for a map not holding it
     balls: BallSections | None  # the maps' balls along a leading axis, one set per
                                 # map, radius inf on rows without a ball; None
                                 # when no map has one
@@ -388,7 +389,10 @@ class _Lockstep:
                                     np.full(len(rows), np.inf))
                 balls = BallSections.stacked([plain if g.balls is None else g.balls
                                               for _, g in parts])
-            self.shared.append(_Shared(rows, stack, np.array([i for i, _ in parts]), balls))
+            held = np.array([i for i, _ in parts])
+            position = np.full(self.count, -1)
+            position[held] = np.arange(len(held))
+            self.shared.append(_Shared(rows, stack, held, position, balls))
 
     def means(self):
         """Each value's start point (M, n, dim): its ball's centre on a row
@@ -411,101 +415,132 @@ class _Lockstep:
         return proj, dist
 
     def nets(self, projections, cell):
-        """Per map, the net of its projections (M, n, dim): snapped to the
-        cell lattice and pulled back into C, deduped and lex-sorted.  The
-        dedupe takes the maps in batches whose (n, n, dim) distance
-        temporaries stay under hulls.KERNEL_ENTRIES entries."""
+        """The flat net of every map's projections (M, n, dim): each snapped
+        to the cell lattice and pulled back into C, deduped within its map
+        by one batched first-seen mask (hulls.first_seen), taken over
+        batches of maps whose (n, n, dim) distance temporaries stay under
+        hulls.KERNEL_ENTRIES entries, and sorted by (map, coordinates) in
+        one lexsort.  Returns the points (Q, dim) and each point's map (Q,),
+        ascending.  A deduped net has no ties, so map i's slice is its own
+        net, deduped and lex-sorted."""
         count, n, dim = projections.shape
         snapped = self.target.project(lattice_round(projections, cell).reshape(
             -1, dim)).reshape(projections.shape)
-        return [net[_lex_sort(net)] for run in capped_runs(count, n * n * dim)
-                for net in dedupe_points(snapped[run])]
+        keep = np.concatenate([first_seen(snapped[run])
+                               for run in capped_runs(count, n * n * dim)])
+        points, owner = snapped[keep], np.nonzero(keep)[0]
+        order = np.lexsort((*points.T[::-1], owner))
+        return points[order], owner[order]
 
-    def cover_average(self, nets, eps, anchors=None, r=None):
+    def cover_average(self, net, eps, anchors=None, r=None):
         """f(x) = sum_v rho_v(x) v for each map i, over the cover labelled by
-        the points of nets[i]: self.average(nets, self.cover(nets, eps,
-        anchors, r))."""
-        return self.average(nets, self.cover(nets, eps, anchors, r))
+        map i's points of the flat net: self.average(net, self.cover(net,
+        eps, anchors, r))."""
+        return self.average(net, self.cover(net, eps, anchors, r))
 
-    def cover(self, nets, eps, anchors=None, r=None):
-        """The cover elements (M, max net size, n) of each map i over the
-        points of nets[i], False past a map's net.
+    def cover(self, net, eps, anchors=None, r=None):
+        """The cover elements (M, max net size, n) of each map i over its
+        points of the flat net (points, owner) (see nets), in net order,
+        False past a map's points.
 
         The element of net point v is U_v = {x : d(v, F(x)) < eps}; given
         anchors (M, n, dim), it keeps only the x whose projection Pv of v
         onto F(x) lies within r of a = anchors[map, x].  Each net point is
-        projected onto its own map's values only.  With no anchors, one
-        all-pairs pass per stack projects the nets of the maps holding it,
-        with no padding.  With anchors, an x in U_v has |v - Pv| < eps and
-        |Pv - a| < r, so |v - a| < eps + r by the triangle inequality: the
-        (net point, row) distance table to the anchors is taken first, and
-        only the pairs within eps + r + _FILTER_MARGIN are projected, in one
-        gathered pass per stack (HullStack.project_pairs); every other pair
-        is outside its element.  A row's bits do not depend on the call
-        that projects it, so each projected pair's bits, and so the cover,
-        are those of the all-pairs pass.
+        projected onto its own map's values only: a stack's query rows are
+        the net points whose map holds it, picked with one gather through
+        the stack's map -> position table.  With no anchors, one all-pairs
+        pass per stack projects them, with no padding.  With anchors, an x
+        in U_v has |v - Pv| < eps and |Pv - a| < r, so |v - a| < eps + r by
+        the triangle inequality: the (net point, row) distance table to the
+        anchors is taken first, and only the pairs within eps + r +
+        _FILTER_MARGIN are projected, in one gathered pass per stack
+        (HullStack.project_pairs); every other pair is outside its element.
+        A row's bits do not depend on the call that projects it, so each
+        projected pair's bits, and so the cover, are those of the all-pairs
+        pass.
         """
+        points, owner = net
         n = len(self.domain)
-        inside = np.zeros((self.count, max(len(net) for net in nets), n), dtype=bool)
+        point, sizes = _places(owner, self.count)
+        inside = np.zeros((self.count, sizes.max(), n), dtype=bool)
         for s in self.shared:
-            queries = np.concatenate([nets[i] for i in s.maps])
-            sizes = [len(nets[i]) for i in s.maps]
-            owner = np.repeat(np.arange(len(s.maps)), sizes)  # each query row's map, among s.maps
-            point = np.concatenate([np.arange(size) for size in sizes])
+            at = s.position[owner]
+            held = np.flatnonzero(at >= 0)
+            queries, local, maps, rows = points[held], at[held], owner[held], point[held]
             if anchors is None:
-                dist = s.stack.project_runs(queries[:, None, :], s.balls, owner)[1]
-                inside[s.maps[owner, None], point[:, None], s.rows] = dist < eps
+                dist = s.stack.project_runs(queries[:, None, :], s.balls, local)[1]
+                inside[maps[:, None], rows[:, None], s.rows] = dist < eps
                 continue
-            anchor = anchors[s.maps[owner, None], s.rows]
+            anchor = anchors[maps[:, None], s.rows]
             q, h = np.nonzero(np.linalg.norm(queries[:, None, :] - anchor, axis=2)
                               < eps + r + _FILTER_MARGIN)
-            proj, dist = s.stack.project_pairs(queries[q], h, s.balls, owner[q])
-            inside[s.maps[owner[q]], point[q], s.rows[h]] = (
+            proj, dist = s.stack.project_pairs(queries[q], h, s.balls, local[q])
+            inside[maps[q], rows[q], s.rows[h]] = (
                 (dist < eps) & (np.linalg.norm(proj - anchor[q, h], axis=1) < r))
         return inside
 
-    def average(self, nets, inside):
-        """Each map's values over its cover elements inside (see cover).
-        Empty elements are dropped, and above _MAX_ELEMENTS a greedy pass
-        keeps only elements that cover new points.  The partitions of unity
-        are built for many maps at once, their covers padded with empty
-        elements; each map's values are its own rho.T @ net.
+    def average(self, net, inside):
+        """Each map's values over its cover elements inside (see cover), for
+        the flat net (points, owner).  Empty elements are dropped, and above
+        _MAX_ELEMENTS a greedy pass keeps only elements that cover new
+        points, both by one keep mask, which then picks the kept points of
+        the flat net.  The partitions of unity are built for many maps at
+        once, their covers padded with empty elements, and each batch's
+        values are one stacked product of its partitions with its nets,
+        padded with -0.0 rows: rho is 0 past each net.  A matrix product
+        adds each entry's terms in element order, so the padding leaves
+        every map's values the bits of its own rho.T @ net; a product with
+        one domain point or one coordinate is a matrix-vector product, whose
+        BLAS kernel groups the terms by the padded length, so those run map
+        by map.
 
         Returns the values (M, n, dim), the first domain index that no
         element covers per map (-1 for a cover), the partitions of unity
-        (one per batch of maps) and the kept net points; when some map has
-        no cover, only that index, with None for the rest.
+        (one per batch of maps) and the kept flat net; when some map has no
+        cover, only that index, with None for the rest.
         """
         n, dim = len(self.domain), self.target.dim
         covered = inside.any(axis=1)
         missing = np.where(covered.all(axis=1), -1, covered.argmin(axis=1))
         if (missing >= 0).any():
             return None, missing, None, None
+        points, owner = net
         keep = inside.any(axis=2)
-        kept = keep.sum(axis=1)
-        # the kept elements first, in net order; the rest are empty
-        order = np.argsort(~keep, axis=1, kind="stable")[:, :kept.max()]
-        inside = np.take_along_axis(inside, order[:, :, None], axis=1)
-        nets = [net[o[:c]] for net, o, c in zip(nets, order, kept)]
-        for j in np.flatnonzero(kept > _MAX_ELEMENTS):
+        for j in np.flatnonzero(keep.sum(axis=1) > _MAX_ELEMENTS):
             covers = np.zeros(n, dtype=bool)
-            chosen = []
-            for e, element in enumerate(inside[j, :kept[j]]):
-                if (element & ~covers).any():
-                    chosen.append(e)
-                    covers |= element
-            inside[j, :len(chosen)] = inside[j, chosen]
-            inside[j, len(chosen):] = False
-            nets[j] = nets[j][chosen]
-        values = np.zeros((self.count, n, dim))
+            for e in np.flatnonzero(keep[j]):
+                keep[j, e] = (inside[j, e] & ~covers).any()
+                covers |= inside[j, e]
+        kept = keep.sum(axis=1)
+        # net point j of map i labels element j; the kept ones move up, in
+        # net order, and the rest are empty
+        held = keep[owner, _places(owner, self.count)[0]]
+        points, owner = points[held], owner[held]
+        place = _places(owner, self.count)[0]
+        packed = np.zeros((self.count, kept.max(), n), dtype=bool)
+        packed[owner, place] = inside[keep]
+        # -0.0 pads: x + -0.0 is x for every x, a zero's sign included
+        padded = np.full((self.count, kept.max(), dim), -0.0)
+        padded[owner, place] = points
+        values = np.empty((self.count, n, dim))
         pous = []
-        for run in capped_runs(self.count, inside.shape[1] * n):
-            elements = max(len(net) for net in nets[run])
+        for run in capped_runs(self.count, packed.shape[1] * n):
+            elements = kept[run].max()
             pous.append(build_partition_of_unity(
-                self.domain, OpenCover(self.domain, inside[run, :elements])))
-            values[run] = [rho[:len(net)].T @ net
-                           for rho, net in zip(pous[-1].values, nets[run])]
-        return values, missing, pous, nets
+                self.domain, OpenCover(self.domain, packed[run, :elements])))
+            rho = pous[-1].values.swapaxes(-1, -2)
+            if n > 1 and dim > 1:
+                values[run] = np.matmul(rho, padded[run, :elements])
+            else:
+                values[run] = [r[:, :c] @ v[:c] for r, v, c in zip(rho, padded[run], kept[run])]
+        return values, missing, pous, (points, owner)
+
+
+def _places(owner, count):
+    """Each point's index among its map's points in a flat net whose maps
+    owner are ascending, and the net size (count,) of each map."""
+    sizes = np.bincount(owner, minlength=count)
+    return np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner], sizes
 
 
 def _project_all(F, queries):
@@ -546,7 +581,8 @@ def approx_selection(F, eps, net):
     if not bool(np.all(F.target.contains(net))):
         raise ValueError("net points must lie in the target set C")
     run = _Lockstep([F])
-    values, missing, pous, kept = run.cover_average([net[_lex_sort(net)]], eps)
+    values, missing, pous, kept = run.cover_average(
+        (net[_lex_sort(net)], np.zeros(len(net), dtype=np.intp)), eps)
     if missing[0] >= 0:
         raise NetTooCoarse(f"no net point is eps-close to F at domain index {missing[0]}")
     (pou,) = pous
@@ -607,10 +643,12 @@ def _michael_lockstep(maps, tol):
     all-pairs.  Round k >= 1 is anchored at f_k: a pair (net point v, row
     x) is a hit only when d(v, F(x)) < eps and |Pv - f_k(x)| < r, so only
     when |v - f_k(x)| < eps + r, and its cover pass projects only the pairs
-    within that distance, gathered (`_Lockstep.cover`).  Only the lex sort of
-    each net and the final rho.T @ net run map by map.  Every map takes the
-    same number of rounds, and its values and rounds are bit for bit those
-    of its own run.  Returns each map's MichaelResult.  The first round in
+    within that distance, gathered (`_Lockstep.cover`).  A round's nets are
+    one flat array over every map, sorted in one lexsort (`_Lockstep.nets`),
+    its values one stacked product (`_Lockstep.average`), and its log the
+    maps' largest defects and steps, read out in one list each.  Every map
+    takes the same number of rounds, and its values and rounds are bit for
+    bit those of its own run.  Returns each map's MichaelResult.  The first round in
     which some map leaves a point uncovered raises IterationStall, naming
     the first such map in list order, the round and the map's first
     uncovered domain index."""
@@ -620,8 +658,8 @@ def _michael_lockstep(maps, tol):
         return []
     run = _Lockstep(maps)
 
-    def covered(k, nets, eps, anchors=None, r=None):
-        values, missing, _, _ = run.cover_average(nets, eps, anchors, r)
+    def covered(k, net, eps, anchors=None, r=None):
+        values, missing, _, _ = run.cover_average(net, eps, anchors, r)
         if values is None:
             i = int(np.flatnonzero(missing >= 0)[0])
             raise IterationStall(f"round k={k} left domain index {int(missing[i])} uncovered"
@@ -634,7 +672,8 @@ def _michael_lockstep(maps, tol):
     start, _ = run.nearest(run.means())
     values = covered(0, run.nets(start, 0.25 / (8.0 * dim_sqrt)), 0.75 * 0.25)
     nearest, defects = run.nearest(values)
-    rounds = [[{"k": 0, "max_defect": float(d.max()), "max_step": None}] for d in defects]
+    rounds = [[{"k": 0, "max_defect": d, "max_step": None}]
+              for d in defects.max(axis=1).tolist()]
     k = 1
     while 0.5 ** k >= tol:
         r = 0.5 ** (k + 1)
@@ -644,8 +683,8 @@ def _michael_lockstep(maps, tol):
         steps = np.linalg.norm(new_values - values, axis=2).max(axis=1)
         values = new_values
         nearest, defects = run.nearest(values)
-        for logged, d, step in zip(rounds, defects, steps):
-            logged.append({"k": k, "max_defect": float(d.max()), "max_step": float(step)})
+        for logged, d, step in zip(rounds, defects.max(axis=1).tolist(), steps.tolist()):
+            logged.append({"k": k, "max_defect": d, "max_step": step})
         k += 1
     return [MichaelResult(values=v, rounds=logged, defects=d)
             for v, logged, d in zip(values, rounds, defects)]

@@ -29,6 +29,7 @@ from hyperselect.algebras import (
     scalar_algebra,
     trace_norm,
     unit_ball_sample,
+    _orthonormalize,
 )
 from hyperselect.norms import eval_norm
 from hyperselect.scenarios import block_subsets
@@ -416,6 +417,23 @@ def _closure_checked(A):
     # the constructor's adjoint, unit and product checks, which build_fS
     # skips because its basis is closed by construction; raises if not closed
     MatrixAlgebra(n=A.n, hs_basis=A.hs_basis)
+
+
+def test_rotated_diagonal_algebra_is_closed():
+    # u D u* is a *-algebra for every rotation u, so the constructor skips
+    # its check; run it on the marechal curve grid and on n = 3
+    for theta in np.linspace(0.0, np.pi / 8, 16):
+        _closure_checked(rotated_diagonal_algebra(theta))
+    for theta in (0.0, 0.3, np.pi / 4, 1.0):
+        _closure_checked(rotated_diagonal_algebra(theta, 3))
+    # a basis that rotates only one of its projections holds neither the
+    # unit nor the products of its elements
+    for n in (2, 3):
+        rotated, plain = rotated_diagonal_algebra(0.3, n).hs_basis, diagonal_algebra(n).hs_basis
+        mutant = MatrixAlgebra(n=n, hs_basis=_orthonormalize(
+            np.concatenate([rotated[:1], plain[1:]]), n), check=False)
+        with pytest.raises(ValueError, match="closure residual"):
+            _closure_checked(mutant)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

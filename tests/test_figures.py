@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from hyperselect.algebras import adjoint_modulus, build_fS, default_strong_spec
 from hyperselect.norms import dyadic_weights, eval_norm
@@ -312,3 +313,45 @@ def test_marechal_summary_is_read_from_its_audit_and_family(tmp_path):
     print(f"marechal/summary.json: worst l2 gap {summary['worst_audit_l2']} against"
           f" {summary['audit_bound_l2']}")
     assert summary["worst_audit_l2"] <= summary["audit_bound_l2"]
+
+
+def test_marechal_family_values_are_selections_of_the_rotated_squares(tmp_path):
+    # hw_family.csv holds one row per member and grid point theta.  The
+    # members are the pairs (n, m), m <= hw_m_max, over the net: the zero
+    # matrix and the values' distinct corners +-I and +-D_theta, 2 + 2
+    # hw_points of them.  Each member is a selection of F run to tolerance
+    # hw_tol, so each value lies in the target, the operator-norm unit
+    # ball, and within hw_tol of its square F(theta) = conv{+-I, +-D_theta},
+    # D_theta = u diag(1, -1) u* for the rotation u by theta: in isometric
+    # coordinates I = (1, 1, 0) and D_theta = (cos 2t, -cos 2t, sqrt2 sin 2t).
+    # The distance to the square is bounded by that of the convex
+    # combination nnls finds, a weighted row holding its weights to sum 1.
+    params = parse_config_file(SAMPLE_CONFIGS / "marechal.cfg")
+    SCENARIOS["marechal"](params, 0, tmp_path)
+    points, tol = int(params["hw_points"]), float(params["hw_tol"])
+    grid = np.linspace(0.0, float(params["hw_theta_max"]), points)
+    members = [(n, m) for n in range(3 + 2 * points)
+               for m in range(1, int(params["hw_m_max"]) + 1)]
+    header, rows = _csv_rows(tmp_path / "hw_family.csv")
+    assert header == ["member", "net_index", "m", "theta", "v0", "v1", "v2"]
+    assert [tuple(map(int, row[:3])) for row in rows] == [
+        (i, n, m) for i, (n, m) in enumerate(members) for _ in grid]
+    table = np.array([[float(v) for v in row[3:]] for row in rows])
+    theta, values = table[:, 0], table[:, 1:]
+    # the file keeps 12 significant digits of each grid point
+    assert np.abs(theta - np.tile(grid, len(members))).max() <= 1e-12
+    off = values[:, 2] / math.sqrt(2.0)
+    sym = np.stack([np.stack([values[:, 0], off], axis=-1),
+                    np.stack([off, values[:, 1]], axis=-1)], axis=-2)
+    norm = np.abs(np.linalg.eigvalsh(sym)).max(axis=1)
+    dist = np.empty(len(values))
+    for j, (t, v) in enumerate(zip(theta, values)):
+        eye = np.array([1.0, 1.0, 0.0])
+        d = np.array([math.cos(2 * t), -math.cos(2 * t), math.sqrt(2.0) * math.sin(2 * t)])
+        corners = np.array([eye, -eye, d, -d]).T
+        lam, _ = nnls(np.vstack([corners, np.full(4, 1e3)]), np.append(v, 1e3))
+        dist[j] = np.linalg.norm(corners @ (lam / lam.sum()) - v)
+    print(f"marechal/hw_family.csv: largest operator norm {norm.max():.6g}, largest"
+          f" distance to the square {dist.max():.3g} against hw_tol {tol}")
+    assert norm.max() <= 1.0 + 1e-9
+    assert dist.max() <= tol

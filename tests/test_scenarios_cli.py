@@ -304,6 +304,49 @@ def test_marechal_audit_gap_over_its_bound_raises(tmp_path, monkeypatch):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_marechal_runs_no_algebra_closure_check(tmp_path, monkeypatch):
+    # the curve's rotated diagonal algebras are closed by construction, so
+    # the pass builds them unchecked (tests/test_algebras.py checks them)
+    from hyperselect.algebras import MatrixAlgebra
+    calls = []
+    residual = MatrixAlgebra._closure_residual
+    monkeypatch.setattr(MatrixAlgebra, "_closure_residual",
+                        lambda self, mats: calls.append(1) or residual(self, mats))
+    SCENARIOS["marechal"](parse_config_file(SAMPLE_CONFIGS / "marechal.cfg"), 0, tmp_path)
+    assert calls == []
+
+
+@pytest.mark.parametrize("params", [{}, {"terms": "5", "trunc_dim": "9", "probe_count": "3"}])
+def test_counterexample_escape_gaps_are_the_per_term_gaps(tmp_path, monkeypatch, params):
+    # the pass takes every term's escaping gap in one convergence_gap call
+    # over the fixed probes and e_1 ... e_terms; each term's gap keeps the
+    # bits of its own call over the fixed probes and its e_n
+    import hyperselect.duality as duality
+    import hyperselect.scenarios as scenarios
+    from hyperselect.norms import Subspace, linf
+    params = {**parse_config_file(SAMPLE_CONFIGS / "counterexample.cfg"), **params}
+    written, calls = {}, []
+    write_csv, gap = scenarios._write_csv, duality.convergence_gap
+    monkeypatch.setattr(scenarios, "_write_csv", lambda path, header, rows: (
+        written.__setitem__(Path(path).name, rows), write_csv(path, header, rows))[1])
+    monkeypatch.setattr(duality, "convergence_gap",
+                        lambda *args: calls.append(1) or gap(*args))
+    SCENARIOS["counterexample"](params, 0, tmp_path)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    terms, probe_count = int(params["terms"]), int(params["probe_count"])
+    trunc = int(params["trunc_dim"]) or terms + 2
+    probes = np.eye(trunc)[:probe_count]
+    limit = Subspace(basis=np.eye(trunc)[:1].astype(np.complex128), ambient=linf(),
+                     side="dual")
+    rows = written["counterexample.csv"]
+    assert [row[0] for row in rows] == list(range(1, terms + 1))
+    for n, *_, escape_gap in rows:
+        want = gap([duality.counterexample_subspace(n, trunc)], limit,
+                   np.vstack([probes, np.eye(trunc)[n]]))[0]
+        assert type(escape_gap) is float and escape_gap.hex() == want.hex()
+
+
 # a nan tolerance would switch the primal/dual gate off (diff > nan is never
 # true), and a non-finite block size used to surface as an invariant violation
 @pytest.mark.parametrize("scenario,text,key", [

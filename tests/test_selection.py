@@ -17,6 +17,7 @@ from hyperselect.hulls import (
     TooManyGenerators,
     capped_runs,
     dedupe_points,
+    lattice_round,
 )
 from hyperselect.selection import (
     BUNDLED_MAPS,
@@ -42,6 +43,7 @@ from hyperselect.selection import (
     restrict_value,
     _MAX_ELEMENTS,
     _Lockstep,
+    _lex_sort,
     _michael_lockstep,
     _project_all,
 )
@@ -692,16 +694,19 @@ def test_a_restriction_error_then_the_earliest_stall_decides_the_error(monkeypat
     assert len(calls) == (0 if refused else 1)
 
 
-def _all_pairs_cover(run, nets, eps, anchors=None, r=None):
-    """Reference for _Lockstep.cover: every net point projected onto every
-    row of its own map, map by map, with no distance filter."""
-    inside = np.zeros((run.count, max(len(net) for net in nets), len(run.domain)), dtype=bool)
-    for i, net in enumerate(nets):
+def _all_pairs_cover(run, net, eps, anchors=None, r=None):
+    """Reference for _Lockstep.cover: every point of the flat net (points,
+    owner) projected onto every row of its own map, map by map, with no
+    distance filter."""
+    points, owner = net
+    inside = np.zeros((run.count, np.bincount(owner).max(), len(run.domain)), dtype=bool)
+    for i in range(run.count):
+        net = points[owner == i]
         for s in run.shared:
             if i not in s.maps:
                 continue
-            owner = np.full(len(net), np.searchsorted(s.maps, i))
-            proj, dist = s.stack.project_runs(net[:, None, :], s.balls, owner)
+            balls = np.full(len(net), np.searchsorted(s.maps, i))  # map i's ball set
+            proj, dist = s.stack.project_runs(net[:, None, :], s.balls, balls)
             hit = dist < eps
             if anchors is not None:
                 hit &= np.linalg.norm(proj - anchors[i, s.rows], axis=2) < r
@@ -714,9 +719,9 @@ def _recorded_covers(monkeypatch, runs):
     recorded = []
     cover = _Lockstep.cover
 
-    def recording(self, nets, eps, anchors=None, r=None):
-        recorded.append((self, nets, eps, anchors, r))
-        return cover(self, nets, eps, anchors, r)
+    def recording(self, net, eps, anchors=None, r=None):
+        recorded.append((self, net, eps, anchors, r))
+        return cover(self, net, eps, anchors, r)
 
     monkeypatch.setattr(_Lockstep, "cover", recording)
     got = runs()
@@ -747,24 +752,24 @@ def test_anchored_cover_matches_the_all_pairs_reference(monkeypatch, name):
     anchored = [call for call in covers if call[4] is not None]
     assert len(anchored) >= 5
     pairs = 0
-    for run, nets, eps, anchors, r in anchored:
+    for run, net, eps, anchors, r in anchored:
         # the family's restrictions put balls on the hulls of every size
         assert any(s.balls is not None for s in run.shared)
         monkeypatch.setattr(HullStack, "project_pairs", counted)
-        inside = run.cover(nets, eps, anchors, r)
+        inside = run.cover(net, eps, anchors, r)
         monkeypatch.undo()
-        want = _all_pairs_cover(run, nets, eps, anchors, r)
+        want = _all_pairs_cover(run, net, eps, anchors, r)
         assert np.array_equal(inside, want)
-        pairs += sum(len(net) * len(run.domain) for net in nets)
-        got, ref = run.cover_average(nets, eps, anchors, r), run.average(nets, want)
+        pairs += len(net[0]) * len(run.domain)
+        got, ref = run.cover_average(net, eps, anchors, r), run.average(net, want)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-        assert len(got[3]) == len(ref[3])
+        # the kept flat nets: their points and their maps
         assert all(np.array_equal(a, b) for a, b in zip(got[3], ref[3]))
         assert len(got[2]) == len(ref[2])
         for a, b in zip(got[2], ref[2]):
             assert np.array_equal(a.cover.bitmaps, b.cover.bitmaps)
             assert np.array_equal(a.values, b.values) and a.max_active == b.max_active
-    # on marechal the filter drops about 70% of the pairs; the rising
+    # on marechal the filter drops about 75% of the pairs; the rising
     # triangle's nets sit near every anchor, and it drops none
     assert 0 < sum(projected) <= pairs
     if name == "marechal":
@@ -796,6 +801,159 @@ def test_a_stall_names_its_first_uncovered_point_and_logged_round(monkeypatch, s
     index = int(covered[i].argmin())
     assert str(err).startswith(f"round k={k} left domain index {index} uncovered"
                                f" in map {maps[i].name!r}")
+
+
+def _per_map_nets(run, projections, cell):
+    """Reference for _Lockstep.nets: each map's projections snapped and
+    pulled back into C, then deduped and lex-sorted on their own."""
+    dim = projections.shape[-1]
+    snapped = run.target.project(lattice_round(projections, cell).reshape(-1, dim))
+    return [net[_lex_sort(net)] for net in map(dedupe_points,
+                                                snapped.reshape(projections.shape))]
+
+
+def _assert_flat_net_is_per_map(run, projections, cell):
+    points, owner = run.nets(projections, cell)
+    assert np.all(np.diff(owner) >= 0)
+    want = _per_map_nets(run, projections, cell)
+    assert len(points) == len(owner) == sum(map(len, want))
+    for i, net in enumerate(want):
+        assert points[owner == i].tobytes() == net.tobytes()
+
+
+class _IdentityTarget:
+    """A target that leaves every point where it is."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def project(self, points):
+        return np.asarray(points, dtype=np.float64)
+
+    def contains(self, points):
+        return np.ones(len(np.atleast_2d(points)), dtype=bool)
+
+
+def test_flat_net_is_each_maps_deduped_lex_sorted_net(monkeypatch):
+    # one lexsort by (map, coordinates) over the maps' deduped points gives,
+    # map by map, the bits of dedupe_points followed by _lex_sort: a deduped
+    # net has no ties
+    recorded = []
+    nets = _Lockstep.nets
+
+    def recording(self, projections, cell):
+        recorded.append((self, projections, cell))
+        return nets(self, projections, cell)
+
+    monkeypatch.setattr(_Lockstep, "nets", recording)
+    F, net = _marechal_case()
+    dense_selection_family(F, net, 2, tol=1e-2)
+    marechal = len(recorded)
+    F = BUNDLED_MAPS["sliding-left-end"]()
+    michael_selection(F, tol=1e-3)
+    dense_selection_family(F, np.linspace(0.0, 1.0, 5)[:, None], 2, tol=1e-2)
+    monkeypatch.undo()
+    assert 0 < marechal < len(recorded)
+    assert max(run.count for run, _, _ in recorded) > 1
+    for run, projections, cell in recorded:
+        _assert_flat_net_is_per_map(run, projections, cell)
+    # random maps on a coarse lattice, so many points repeat exactly or tie
+    # in a coordinate, with planted exact duplicates, a pair 4e-13 apart
+    # that the dedupe drops, one map repeating another's points, and a
+    # cell of 2^-60 that leaves points in [1/4, 1) as they are
+    rng = np.random.default_rng(12)
+    run = _Lockstep([F] * 6)
+    run.target = _IdentityTarget(3)
+    projections = 0.25 + 0.125 * rng.integers(0, 4, (6, len(F), 3))
+    projections[:, 5:60:7] = projections[:, :1]
+    projections[:, 3] = projections[:, 2] + [4e-13, 0.0, 0.0]
+    projections[4] = projections[1]
+    _, near = run.nets(projections, 2.0 ** -60)
+    assert np.bincount(near).max() < len(F) - 8
+    _assert_flat_net_is_per_map(run, projections, 2.0 ** -60)
+    assert not np.array_equal(projections[0, 2], projections[0, 3])
+
+
+def test_each_round_sorts_its_nets_in_one_lexsort(monkeypatch):
+    # a round's nets are one flat array over every map, sorted once
+    F, net = _marechal_case()
+    counts, inside = [], []
+    nets, lexsort = _Lockstep.nets, np.lexsort
+
+    def counted_nets(self, projections, cell):
+        counts.append(0)
+        inside.append(True)
+        try:
+            return nets(self, projections, cell)
+        finally:
+            inside.pop()
+
+    def counted_lexsort(keys, *args, **kwargs):
+        if inside:
+            counts[-1] += 1
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(_Lockstep, "nets", counted_nets)
+    monkeypatch.setattr(np, "lexsort", counted_lexsort)
+    members = dense_selection_family(F, net, 2, tol=1e-2)
+    monkeypatch.undo()
+    assert counts == [1] * len(members[0].rounds)
+
+
+def test_cover_gathers_the_rows_of_maps_holding_different_stacks():
+    # sliding-left-end holds a point stack (x = 1) and a segment stack,
+    # which its restriction keeps, and growing-right-end a third, so each
+    # stack is held by some maps only: each cover pass must take just its
+    # holders' net points
+    F = BUNDLED_MAPS["sliding-left-end"]()
+    G = BUNDLED_MAPS["growing-right-end"]()
+    pinned = F.restrict(np.full((len(F), 1), 0.25), np.where(F.domain.points[:, 0] < 0.5,
+                                                             0.5, np.inf), "pinned")
+    run = _Lockstep([F, G, pinned])
+    assert len(run.shared) == 3 and {len(s.maps) for s in run.shared} == {1, 2}
+    assert any(s.stack.generators.shape[1] == 1 for s in run.shared)
+    start, _ = run.nearest(run.means())
+    net = run.nets(start, 1.0 / 32)
+    assert set(net[1].tolist()) == {0, 1, 2}
+    inside = run.cover(net, 0.1875)
+    assert np.array_equal(inside, _all_pairs_cover(run, net, 0.1875))
+    values = run.average(net, inside)[0]
+    nearest, _ = run.nearest(values)
+    anchored = run.nets(nearest, 1.0 / 64)
+    got = run.cover(anchored, 0.09375, values, 0.25)
+    assert got.any() and not got.all()
+    assert np.array_equal(got, _all_pairs_cover(run, anchored, 0.09375, values, 0.25))
+
+
+@pytest.mark.parametrize("points, dim", [(7, 3), (21, 2), (2, 3), (7, 1), (101, 1)])
+def test_stacked_average_keeps_each_maps_product_bits(points, dim):
+    # every map's values are the bits of its own rho.T @ net, for net sizes
+    # 1 to the padded width: one stacked product where it is a matrix
+    # product, map by map where a coordinate is alone.  One map's first
+    # coordinates are all -0.0, so its sums there are zeros whose sign the
+    # padding must keep
+    rng = np.random.default_rng(points * 10 + dim)
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=dim)))
+    F = SetValuedMap(grid_domain_1d(points), [corners] * points, HullTarget(corners))
+    width = 24
+    run = _Lockstep([F] * width)
+    sizes = np.arange(1, width + 1)
+    owner = np.repeat(np.arange(width), sizes)
+    net = (rng.random((len(owner), dim)), owner)
+    net[0][owner == 5, 0] = -0.0
+    inside = np.zeros((width, width, points), dtype=bool)
+    for i, size in enumerate(sizes):
+        element = rng.integers(0, size, points)  # each point in one element or more
+        inside[i, element, np.arange(points)] = True
+        inside[i, :size] |= rng.random((size, points)) < 0.4
+        inside[i, :size, 0] = True  # no element empty
+    values, missing, pous, kept = run.average(net, inside)
+    assert (missing == -1).all() and np.array_equal(kept[1], owner)
+    rho = [r for pou in pous for r in pou.values]  # each map's, padded
+    assert len(pous) > 1 or points < 101
+    for i, size in enumerate(sizes):
+        want = rho[i][:size].T @ net[0][owner == i]
+        assert values[i].tobytes() == want.tobytes(), size
 
 
 def test_kernel_calls_stay_under_the_entry_cap(monkeypatch):
