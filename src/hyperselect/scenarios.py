@@ -119,11 +119,8 @@ def _parse(raw, default, listed=False):
 
 
 def _fmt(value):
-    """A CSV cell: a Python float, the common case, first, with -0.0 written
-    as 0.0 (adding 0.0 maps it there); a numpy scalar as the Python value it
-    holds."""
-    if type(value) is float:
-        return "%.12g" % (value + 0.0)
+    """A CSV cell: a numpy scalar as the Python value it holds, and a float
+    with -0.0 written as 0.0 (adding 0.0 maps it there)."""
     if isinstance(value, str):
         return value
     if not isinstance(value, (bool, int, float)):

@@ -485,14 +485,8 @@ class _Lockstep:
         _MAX_ELEMENTS a greedy pass keeps only elements that cover new
         points, both by one keep mask, which then picks the kept points of
         the flat net.  The partitions of unity are built for many maps at
-        once, their covers padded with empty elements, and each batch's
-        values are one stacked product of its partitions with its nets,
-        padded with -0.0 rows: rho is 0 past each net.  A matrix product
-        adds each entry's terms in element order, so the padding leaves
-        every map's values the bits of its own rho.T @ net; a product with
-        one domain point or one coordinate is a matrix-vector product, whose
-        BLAS kernel groups the terms by the padded length, so those run map
-        by map.
+        once, their covers padded with empty elements; each map's values are
+        its own rho.T @ net, over its slice of the kept flat net.
 
         Returns the values (M, n, dim), the first domain index that no
         element covers per map (-1 for a cover), the partitions of unity
@@ -519,20 +513,14 @@ class _Lockstep:
         place = _places(owner, self.count)[0]
         packed = np.zeros((self.count, kept.max(), n), dtype=bool)
         packed[owner, place] = inside[keep]
-        # -0.0 pads: x + -0.0 is x for every x, a zero's sign included
-        padded = np.full((self.count, kept.max(), dim), -0.0)
-        padded[owner, place] = points
+        start = np.cumsum(kept) - kept
         values = np.empty((self.count, n, dim))
         pous = []
         for run in capped_runs(self.count, packed.shape[1] * n):
-            elements = kept[run].max()
             pous.append(build_partition_of_unity(
-                self.domain, OpenCover(self.domain, packed[run, :elements])))
-            rho = pous[-1].values.swapaxes(-1, -2)
-            if n > 1 and dim > 1:
-                values[run] = np.matmul(rho, padded[run, :elements])
-            else:
-                values[run] = [r[:, :c] @ v[:c] for r, v, c in zip(rho, padded[run], kept[run])]
+                self.domain, OpenCover(self.domain, packed[run, :kept[run].max()])))
+            values[run] = [rho[:c].T @ points[s:s + c]
+                           for rho, s, c in zip(pous[-1].values, start[run], kept[run])]
         return values, missing, pous, (points, owner)
 
 
@@ -645,8 +633,8 @@ def _michael_lockstep(maps, tol):
     when |v - f_k(x)| < eps + r, and its cover pass projects only the pairs
     within that distance, gathered (`_Lockstep.cover`).  A round's nets are
     one flat array over every map, sorted in one lexsort (`_Lockstep.nets`),
-    its values one stacked product (`_Lockstep.average`), and its log the
-    maps' largest defects and steps, read out in one list each.  Every map
+    its kept elements one mask over it (`_Lockstep.average`), and its log
+    the maps' largest defects and steps, read out in one list each.  Every map
     takes the same number of rounds, and its values and rounds are bit for
     bit those of its own run.  Returns each map's MichaelResult.  The first round in
     which some map leaves a point uncovered raises IterationStall, naming

@@ -926,12 +926,9 @@ def test_cover_gathers_the_rows_of_maps_holding_different_stacks():
 
 
 @pytest.mark.parametrize("points, dim", [(7, 3), (21, 2), (2, 3), (7, 1), (101, 1)])
-def test_stacked_average_keeps_each_maps_product_bits(points, dim):
+def test_average_keeps_each_maps_product_bits(points, dim):
     # every map's values are the bits of its own rho.T @ net, for net sizes
-    # 1 to the padded width: one stacked product where it is a matrix
-    # product, map by map where a coordinate is alone.  One map's first
-    # coordinates are all -0.0, so its sums there are zeros whose sign the
-    # padding must keep
+    # 1 to the padded width, read through the packed flat net
     rng = np.random.default_rng(points * 10 + dim)
     corners = np.array(list(itertools.product((0.0, 1.0), repeat=dim)))
     F = SetValuedMap(grid_domain_1d(points), [corners] * points, HullTarget(corners))
@@ -940,7 +937,6 @@ def test_stacked_average_keeps_each_maps_product_bits(points, dim):
     sizes = np.arange(1, width + 1)
     owner = np.repeat(np.arange(width), sizes)
     net = (rng.random((len(owner), dim)), owner)
-    net[0][owner == 5, 0] = -0.0
     inside = np.zeros((width, width, points), dtype=bool)
     for i, size in enumerate(sizes):
         element = rng.integers(0, size, points)  # each point in one element or more
