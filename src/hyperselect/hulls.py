@@ -135,12 +135,6 @@ class BallSections:
         """The sections of the sets of balls at index, along the leading axis."""
         return BallSections(*(getattr(self, f.name)[index] for f in dataclasses.fields(self)))
 
-    @classmethod
-    def stacked(cls, sections):
-        """Several sets of balls on one stack, along a new leading axis."""
-        return cls(*(np.stack([getattr(s, f.name) for s in sections])
-                     for f in dataclasses.fields(cls)))
-
 
 class HullStack:
     """Faces of V hulls with k generators each, for exact projection.

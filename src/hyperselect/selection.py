@@ -2,23 +2,25 @@
 
 Domains are finite metric grids standing in for a metric space X; set-valued
 maps carry one convex value per grid point.  Values live in Euclidean
-coordinates: a value is the hull of a few generators, intersected, on the
-restricted maps of the dense family, with one closed ball.  A map holds its
-values only as arrays grouped by generator count, each group a stack of
-generators (V, k, dim) for the hull kernel (see `hulls`) with the sections
-of its rows' balls.  Maps on one domain run in lockstep (`_Lockstep`): the
-maps that hold one stack share each projection pass (diagonal,
-all-pairs or gathered pairs) over it, split into kernel calls whose
-temporaries stay under `hulls.KERNEL_ENTRIES` entries.  One
-cover-and-average step serves the approximate selection and each round of
-the iteration, for every map at once, which keeps two logged invariants at
-every grid point: membership defect < 2^-(k+1) after round k and sup-step
-<= 2^-k between consecutive rounds.  Every round after the first has an
-anchor f_k(x), and a net point v can enter the cover element at x only
-when d(v, F(x)) < eps and its projection lies within r of f_k(x), so only
-when |v - f_k(x)| < eps + r, by the triangle inequality; those rounds
-project only the (net point, row) pairs that pass this test.  A single map
-is the one-map lockstep, so there is one selection path.
+coordinates: a value is the hull of a few generators, intersected, where a
+row is pinned, with one closed ball.  A map holds its values only as arrays
+grouped by generator count, each group a stack of generators (V, k, dim)
+for the hull kernel (see `hulls`) with the sections of its rows' balls.  A
+dense family's member is its map F with one set of balls, so the family
+runs as F with M ball sets, in lockstep (`_Lockstep`): each group's stack
+serves every set, the sets stacked along a leading axis of its balls, and
+each projection pass (diagonal, all-pairs or gathered pairs) over it is
+split into kernel calls whose temporaries stay under
+`hulls.KERNEL_ENTRIES` entries.  One cover-and-average step serves the
+approximate selection and each round of the iteration, for every set at
+once, which keeps two logged invariants at every grid point: membership
+defect < 2^-(k+1) after round k and sup-step <= 2^-k between consecutive
+rounds.  Every round after the first has an anchor f_k(x), and a net point
+v can enter the cover element at x only when d(v, F(x)) < eps and its
+projection lies within r of f_k(x), so only when |v - f_k(x)| < eps + r, by
+the triangle inequality; those rounds project only the (net point, row)
+pairs that pass this test.  A single selection is the lockstep with F's
+own balls as its one set, so there is one selection path.
 """
 from __future__ import annotations
 
@@ -207,8 +209,9 @@ class _ValueGroup:
 
     rows: np.ndarray            # the map's rows in this group, ascending
     stack: HullStack            # their deduped generators, (V, k, dim)
-    balls: BallSections | None  # the rows' balls, radius inf on rows without one;
-                                # None when no row has a ball
+    balls: BallSections | None  # the rows' balls, radius inf on rows without one,
+                                # in a lockstep M sets of them (M, V); None when
+                                # no row has a ball
 
 
 def _by_count(arrays):
@@ -219,22 +222,26 @@ def _by_count(arrays):
 
 
 def _restrict_group(group, center, radius, names):
-    """The group with its rows intersected with the closed balls
-    B(center[j], radius[j]), one group per restriction j, for center
-    (count, V, dim) and radius (count, V), radius inf on the rows left as
-    they are.  Every restriction keeps the group's stack, and one that pins
-    some row takes its balls, whatever the generator count: the kernel
+    """The group's balls under M restrictions, restriction j intersecting
+    its rows with the closed balls B(center[j], radius[j]), for center
+    (M, V, dim) and radius (M, V), radius inf on the rows left as they are:
+    the sections of every restriction's balls along a leading set axis
+    (M, V), a row keeping its own ball where it is left, or None when no
+    restriction pins a row and the group holds no ball.  Every restriction
+    keeps the group's stack, whatever the generator count: the kernel
     projects exactly onto a hull intersected with a ball.  Raises the
     ValueError of the first restriction that pins a row with a ball, naming
     its first such row; failing that, of the first restriction whose ball
     misses a hull, naming its first such row; either message starts with
-    the restriction's name from names, when it has one.  The restrictions
-    that pin some row take each kernel pass together, one set of balls per
-    query row."""
+    the restriction's name from names, when it has one.  Only the pinned
+    (restriction, row) pairs can miss, and they are projected in one
+    gathered pass (HullStack.project_pairs)."""
     def refuse(j, message):
         raise ValueError(f"{names[j]}: {message}" if names[j] else message)
 
     pinned = np.isfinite(radius)
+    if group.balls is None and not pinned.any():
+        return None
     old_center, old_radius = (0.0, np.inf) if group.balls is None else (
         group.balls.center, group.balls.radius)
     held = pinned & np.isfinite(old_radius)
@@ -242,23 +249,17 @@ def _restrict_group(group, center, radius, names):
         j = held.any(axis=1).argmax()
         refuse(j, f"the value at row {int(group.rows[held[j].argmax()])} is"
                   " already restricted to a ball; a value holds one ball")
-    restricted = [group] * len(radius)
-    active = np.flatnonzero(pinned.any(axis=1))
-    if not active.size:
-        return restricted
-    pinned, center, radius = pinned[active], center[active], radius[active]
     stack = group.stack
     balls = stack.balls(np.where(pinned[..., None], center, old_center),
                         np.where(pinned, radius, old_radius))
-    missed = ~np.isfinite(stack.project_runs(balls.center, balls)[1])
+    j, i = np.nonzero(pinned)  # in (restriction, row) order
+    missed = np.isinf(stack.project_pairs(balls.center[j, i], i, balls, j)[1])
     if missed.any():
-        at = missed.any(axis=1).argmax()
-        i = missed[at].argmax()
-        refuse(active[at], f"the ball B({balls.center[at, i].tolist()}, {balls.radius[at, i]})"
-                           f" misses the hull at row {int(group.rows[i])}")
-    for at, j in enumerate(active):
-        restricted[j] = _ValueGroup(group.rows, stack, balls.take(at))
-    return restricted
+        at = missed.argmax()
+        j, i = j[at], i[at]
+        refuse(j, f"the ball B({balls.center[j, i].tolist()}, {balls.radius[j, i]})"
+                  f" misses the hull at row {int(group.rows[i])}")
+    return balls
 
 
 class SetValuedMap:
@@ -301,28 +302,26 @@ class SetValuedMap:
         """The map with row i's value intersected with the closed ball
         B(center[i], radius[i]), radius inf on the rows left as they are.
         It keeps every stack of this map, and a group with a pinned row
-        takes the balls.  Raises ValueError, its message led by the name
-        when there is one, when a ball misses its hull or pins a row with a
-        ball."""
-        (restricted,) = self.restrict_each(np.asarray(center, dtype=np.float64)[None],
-                                           np.asarray(radius, dtype=np.float64)[None], [name])
+        takes the balls: the one-set case of ball_sets.  Raises ValueError,
+        its message led by the name when there is one, when a ball misses
+        its hull or pins a row with a ball."""
+        sets = self.ball_sets(np.asarray(center, dtype=np.float64)[None],
+                              np.asarray(radius, dtype=np.float64)[None], [name])
+        restricted = copy.copy(self)
+        restricted.groups = [_ValueGroup(g.rows, g.stack, None if balls is None else balls.take(0))
+                             for g, balls in zip(self.groups, sets)]
+        restricted.name = name
         return restricted
 
-    def restrict_each(self, center, radius, names):
-        """self.restrict(center[j], radius[j], names[j]) for each j, in one
-        pass per group over the rows of every restriction: restriction j
-        keeps every stack and holds group g's restricted group j (see
-        `_restrict_group`).  Raises the ValueError of the first group that
-        some restriction fails in, led by that restriction's name."""
-        center = np.asarray(center, dtype=np.float64)
-        radius = np.asarray(radius, dtype=np.float64)
-        split = [_restrict_group(g, center[:, g.rows], radius[:, g.rows], names)
-                 for g in self.groups]
-        restricted = []
-        for j, name in enumerate(names):
-            restricted.append(copy.copy(self))
-            restricted[-1].groups, restricted[-1].name = [parts[j] for parts in split], name
-        return restricted
+    def ball_sets(self, center, radius, names):
+        """Each group's balls under the M restrictions self.restrict(
+        center[j], radius[j], names[j]), for center (M, n, dim) and radius
+        (M, n): one set per restriction along a leading axis (M, V), or
+        None for a group that none clips (see `_restrict_group`).  Raises
+        the ValueError of the first group that some restriction fails in,
+        led by that restriction's name."""
+        return [_restrict_group(g, center[:, g.rows], radius[:, g.rows], names)
+                for g in self.groups]
 
 
 class HullTarget:
@@ -349,79 +348,51 @@ _MAX_ELEMENTS = 900
 _FILTER_MARGIN = 1e-9
 
 
-@dataclass
-class _Shared:
-    """One stack and the maps that hold it.  A stack belongs to one set of
-    rows, and a restriction keeps every stack, so a dense family's members
-    share all of F's stacks."""
-
-    rows: np.ndarray    # the domain rows of the stack's hulls
-    stack: HullStack
-    maps: np.ndarray    # the maps holding it, ascending
-    position: np.ndarray  # each map's index in maps, -1 for a map not holding it
-    balls: BallSections | None  # the maps' balls along a leading axis, one set per
-                                # map, radius inf on rows without a ball; None
-                                # when no map has one
-
-
 class _Lockstep:
-    """Maps on one domain and into one target, projected together.  The
-    maps that hold one stack fold into the query axis of its kernel calls,
-    each query row with its own map's balls, so a pass makes one call per
-    stack, not one per map, split where a call's temporaries would pass
-    hulls.KERNEL_ENTRIES entries.  The maps keep their own stacks and balls;
-    each shared stack's balls are stacked once, and a call gathers its query
-    rows' sets by map (HullStack.project_runs)."""
+    """One map F with M sets of balls on its values, projected together:
+    under set i, each row's value is F's hull intersected with set i's ball
+    there, radius inf on the rows the set leaves, as F.restrict would give
+    it.  The lockstep holds F's value groups, each with its sets along a
+    leading axis (M, V), or None when no set clips the group; sets defaults
+    to F's own balls, the one set.  Every set folds into the query axis of
+    a group's kernel calls, each query row taking its own set's balls
+    (HullStack.project_runs), so a pass makes one call per group, not one
+    per set, split where a call's temporaries would pass
+    hulls.KERNEL_ENTRIES entries."""
 
-    def __init__(self, maps):
-        self.domain, self.target, self.count = maps[0].domain, maps[0].target, len(maps)
-        holders = {}
-        for i, G in enumerate(maps):
-            for g in G.groups:
-                holders.setdefault(id(g.stack), []).append((i, g))
-        self.shared = []
-        for parts in holders.values():
-            rows, stack = parts[0][1].rows, parts[0][1].stack
-            balls = None
-            if any(g.balls is not None for _, g in parts):
-                # radius inf projects to the same bits as no ball
-                plain = stack.balls(np.zeros(stack.generators[:, 0].shape),
-                                    np.full(len(rows), np.inf))
-                balls = BallSections.stacked([plain if g.balls is None else g.balls
-                                              for _, g in parts])
-            held = np.array([i for i, _ in parts])
-            position = np.full(self.count, -1)
-            position[held] = np.arange(len(held))
-            self.shared.append(_Shared(rows, stack, held, position, balls))
+    def __init__(self, F, sets=None, count=1):
+        if sets is None:
+            sets = [None if g.balls is None else g.balls.take(np.newaxis) for g in F.groups]
+        self.domain, self.target, self.count = F.domain, F.target, count
+        self.groups = [_ValueGroup(g.rows, g.stack, balls) for g, balls in zip(F.groups, sets)]
 
     def means(self):
         """Each value's start point (M, n, dim): its ball's centre on a row
         with a finite ball, its hull-generator mean on every other row."""
         means = np.empty((self.count, len(self.domain), self.target.dim))
-        for s in self.shared:
-            mean = s.stack.generators.mean(axis=1)
-            if s.balls is not None:
-                mean = np.where(s.balls.clipped, s.balls.center, mean)
-            means[s.maps[:, None], s.rows] = mean
+        for g in self.groups:
+            mean = g.stack.generators.mean(axis=1)
+            if g.balls is not None:
+                mean = np.where(g.balls.clipped, g.balls.center, mean)
+            means[:, g.rows] = mean
         return means
 
     def nearest(self, points):
-        """Projections (M, n, dim) of points[i, x] onto map i's value at x,
-        and their distances (M, n): one diagonal pass per stack."""
+        """Projections (M, n, dim) of points[i, x] onto set i's value at x,
+        and their distances (M, n): one diagonal pass per group."""
         proj, dist = np.empty(points.shape), np.empty(points.shape[:-1])
-        for s in self.shared:
-            at = (s.maps[:, None], s.rows)
-            proj[at], dist[at] = s.stack.project_runs(points[at], s.balls)
+        for g in self.groups:
+            proj[:, g.rows], dist[:, g.rows] = g.stack.project_runs(points[:, g.rows], g.balls)
         return proj, dist
 
     def nets(self, projections, cell):
-        """The flat net of every map's projections (M, n, dim): each snapped
-        to the cell lattice and pulled back into C, deduped within its map
+        """The flat net of every set's projections (M, n, dim): each snapped
+        to the cell lattice and pulled back into C, deduped within its set
         by one batched first-seen mask (hulls.first_seen), taken over
-        batches of maps whose (n, n, dim) distance temporaries stay under
-        hulls.KERNEL_ENTRIES entries, and sorted by (map, coordinates) in
-        one lexsort.  Returns the points (Q, dim) and each point's map (Q,),
-        ascending.  A deduped net has no ties, so map i's slice is its own
+        batches of sets whose (n, n, dim) distance temporaries stay under
+        hulls.KERNEL_ENTRIES entries, and sorted by (set, coordinates) in
+        one lexsort.  Returns the points (Q, dim) and each point's set (Q,),
+        ascending.  A deduped net has no ties, so set i's slice is its own
         net, deduped and lex-sorted."""
         count, n, dim = projections.shape
         snapped = self.target.project(lattice_round(projections, cell).reshape(
@@ -433,64 +404,59 @@ class _Lockstep:
         return points[order], owner[order]
 
     def cover_average(self, net, eps, anchors=None, r=None):
-        """f(x) = sum_v rho_v(x) v for each map i, over the cover labelled by
-        map i's points of the flat net: self.average(net, self.cover(net,
+        """f(x) = sum_v rho_v(x) v for each set i, over the cover labelled by
+        set i's points of the flat net: self.average(net, self.cover(net,
         eps, anchors, r))."""
         return self.average(net, self.cover(net, eps, anchors, r))
 
     def cover(self, net, eps, anchors=None, r=None):
-        """The cover elements (M, max net size, n) of each map i over its
+        """The cover elements (M, max net size, n) of each set i over its
         points of the flat net (points, owner) (see nets), in net order,
-        False past a map's points.
+        False past a set's points.
 
-        The element of net point v is U_v = {x : d(v, F(x)) < eps}; given
-        anchors (M, n, dim), it keeps only the x whose projection Pv of v
-        onto F(x) lies within r of a = anchors[map, x].  Each net point is
-        projected onto its own map's values only: a stack's query rows are
-        the net points whose map holds it, picked with one gather through
-        the stack's map -> position table.  With no anchors, one all-pairs
-        pass per stack projects them, with no padding.  With anchors, an x
-        in U_v has |v - Pv| < eps and |Pv - a| < r, so |v - a| < eps + r by
-        the triangle inequality: the (net point, row) distance table to the
-        anchors is taken first, and only the pairs within eps + r +
-        _FILTER_MARGIN are projected, in one gathered pass per stack
-        (HullStack.project_pairs); every other pair is outside its element.
-        A row's bits do not depend on the call that projects it, so each
-        projected pair's bits, and so the cover, are those of the all-pairs
-        pass.
+        The element of net point v is U_v = {x : d(v, F(x)) < eps}, F(x)
+        the value clipped by its set's ball; given anchors (M, n, dim), it
+        keeps only the x whose projection Pv of v onto F(x) lies within r of
+        a = anchors[set, x].  Each net point is projected onto its own set's
+        values only, clipped by that set's balls.  With no anchors, one
+        all-pairs pass per group projects them, with no padding.  With
+        anchors, an x in U_v has |v - Pv| < eps and |Pv - a| < r, so
+        |v - a| < eps + r by the triangle inequality: the (net point, row)
+        distance table to the anchors is taken first, and only the pairs
+        within eps + r + _FILTER_MARGIN are projected, in one gathered pass
+        per group (HullStack.project_pairs); every other pair is outside its
+        element.  A row's bits do not depend on the call that projects it,
+        so each projected pair's bits, and so the cover, are those of the
+        all-pairs pass.
         """
         points, owner = net
-        n = len(self.domain)
-        point, sizes = _places(owner, self.count)
-        inside = np.zeros((self.count, sizes.max(), n), dtype=bool)
-        for s in self.shared:
-            at = s.position[owner]
-            held = np.flatnonzero(at >= 0)
-            queries, local, maps, rows = points[held], at[held], owner[held], point[held]
+        place, sizes = _places(owner, self.count)
+        inside = np.zeros((self.count, sizes.max(), len(self.domain)), dtype=bool)
+        for g in self.groups:
             if anchors is None:
-                dist = s.stack.project_runs(queries[:, None, :], s.balls, local)[1]
-                inside[maps[:, None], rows[:, None], s.rows] = dist < eps
+                dist = g.stack.project_runs(points[:, None, :], g.balls, owner)[1]
+                inside[owner[:, None], place[:, None], g.rows] = dist < eps
                 continue
-            anchor = anchors[maps[:, None], s.rows]
-            q, h = np.nonzero(np.linalg.norm(queries[:, None, :] - anchor, axis=2)
+            anchor = anchors[owner[:, None], g.rows]
+            q, h = np.nonzero(np.linalg.norm(points[:, None, :] - anchor, axis=2)
                               < eps + r + _FILTER_MARGIN)
-            proj, dist = s.stack.project_pairs(queries[q], h, s.balls, local[q])
-            inside[maps[q], rows[q], s.rows[h]] = (
+            proj, dist = g.stack.project_pairs(points[q], h, g.balls, owner[q])
+            inside[owner[q], place[q], g.rows[h]] = (
                 (dist < eps) & (np.linalg.norm(proj - anchor[q, h], axis=1) < r))
         return inside
 
     def average(self, net, inside):
-        """Each map's values over its cover elements inside (see cover), for
+        """Each set's values over its cover elements inside (see cover), for
         the flat net (points, owner).  Empty elements are dropped, and above
         _MAX_ELEMENTS a greedy pass keeps only elements that cover new
         points, both by one keep mask, which then picks the kept points of
-        the flat net.  The partitions of unity are built for many maps at
-        once, their covers padded with empty elements; each map's values are
+        the flat net.  The partitions of unity are built for many sets at
+        once, their covers padded with empty elements; each set's values are
         its own rho.T @ net, over its slice of the kept flat net.
 
         Returns the values (M, n, dim), the first domain index that no
-        element covers per map (-1 for a cover), the partitions of unity
-        (one per batch of maps) and the kept flat net; when some map has no
+        element covers per set (-1 for a cover), the partitions of unity
+        (one per batch of sets) and the kept flat net; when some set has no
         cover, only that index, with None for the rest.
         """
         n, dim = len(self.domain), self.target.dim
@@ -506,7 +472,7 @@ class _Lockstep:
                 keep[j, e] = (inside[j, e] & ~covers).any()
                 covers |= inside[j, e]
         kept = keep.sum(axis=1)
-        # net point j of map i labels element j; the kept ones move up, in
+        # net point j of set i labels element j; the kept ones move up, in
         # net order, and the rest are empty
         held = keep[owner, _places(owner, self.count)[0]]
         points, owner = points[held], owner[held]
@@ -525,8 +491,8 @@ class _Lockstep:
 
 
 def _places(owner, count):
-    """Each point's index among its map's points in a flat net whose maps
-    owner are ascending, and the net size (count,) of each map."""
+    """Each point's index among its set's points in a flat net whose sets
+    owner are ascending, and the net size (count,) of each set."""
     sizes = np.bincount(owner, minlength=count)
     return np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner], sizes
 
@@ -568,7 +534,7 @@ def approx_selection(F, eps, net):
     net = np.atleast_2d(np.asarray(net, dtype=np.float64))
     if not bool(np.all(F.target.contains(net))):
         raise ValueError("net points must lie in the target set C")
-    run = _Lockstep([F])
+    run = _Lockstep(F)
     values, missing, pous, kept = run.cover_average(
         (net[_lex_sort(net)], np.zeros(len(net), dtype=np.intp)), eps)
     if missing[0] >= 0:
@@ -615,43 +581,46 @@ def michael_selection(F, tol=1e-3):
     once.  IterationStall still guards a round that leaves a
     point uncovered.
 
-    This is the one-map case of the lockstep iteration that runs a dense
-    family's members together (`_michael_lockstep`): one code path.
+    This is the one-set case, F's own balls, of the lockstep iteration that
+    runs a dense family's members together (`_michael_lockstep`): one code
+    path.
     """
-    (result,) = _michael_lockstep([F], tol)
+    (result,) = _michael_lockstep(F, tol)
     return result
 
 
-def _michael_lockstep(maps, tol):
-    """michael_selection for maps on one domain and into one target, run in
-    lockstep, round by round: each round makes, over every map at once, one
-    target projection, one batched dedupe, one cover pass and one diagonal
-    pass per stack (the maps that share a stack share its passes; see
-    `_Lockstep`) and one partition-of-unity pass.  Round 0's cover pass is
-    all-pairs.  Round k >= 1 is anchored at f_k: a pair (net point v, row
-    x) is a hit only when d(v, F(x)) < eps and |Pv - f_k(x)| < r, so only
-    when |v - f_k(x)| < eps + r, and its cover pass projects only the pairs
-    within that distance, gathered (`_Lockstep.cover`).  A round's nets are
-    one flat array over every map, sorted in one lexsort (`_Lockstep.nets`),
-    its kept elements one mask over it (`_Lockstep.average`), and its log
-    the maps' largest defects and steps, read out in one list each.  Every map
-    takes the same number of rounds, and its values and rounds are bit for
-    bit those of its own run.  Returns each map's MichaelResult.  The first round in
-    which some map leaves a point uncovered raises IterationStall, naming
-    the first such map in list order, the round and the map's first
-    uncovered domain index."""
+def _michael_lockstep(F, tol, sets=None, names=None):
+    """michael_selection for F under each of M sets of balls (see
+    `_Lockstep`; sets defaults to F's own balls), run in lockstep, round by
+    round: each round makes, over every set at once, one target
+    projection, one batched dedupe, one cover pass and one diagonal pass
+    per value group and one partition-of-unity pass.  Round 0's cover pass
+    is all-pairs.  Round k >= 1 is anchored at f_k: a pair (net point v,
+    row x) is a hit only when d(v, F(x)) < eps and |Pv - f_k(x)| < r, so
+    only when |v - f_k(x)| < eps + r, and its cover pass projects only the
+    pairs within that distance, gathered (`_Lockstep.cover`).  A round's
+    nets are one flat array over every set, sorted in one lexsort
+    (`_Lockstep.nets`), its kept elements one mask over it
+    (`_Lockstep.average`), and its log the sets' largest defects and steps,
+    read out in one list each.  Every set takes the same number of rounds,
+    and its values and rounds are bit for bit those of michael_selection
+    on F.restrict to that set.  Returns each set's MichaelResult.  The
+    first round in which some set leaves a point uncovered raises
+    IterationStall, naming from names (default [F.name]) the first such
+    set, the round and the set's first uncovered domain index."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not maps:
+    names = [F.name] if names is None else names
+    if not names:
         return []
-    run = _Lockstep(maps)
+    run = _Lockstep(F, sets, len(names))
 
     def covered(k, net, eps, anchors=None, r=None):
         values, missing, _, _ = run.cover_average(net, eps, anchors, r)
         if values is None:
             i = int(np.flatnonzero(missing >= 0)[0])
             raise IterationStall(f"round k={k} left domain index {int(missing[i])} uncovered"
-                                 f" in map {maps[i].name!r}"
+                                 f" in map {names[i]!r}"
                                  + (": the initial approximate selection failed" if k == 0
                                     else ""))
         return values
@@ -706,18 +675,19 @@ def dense_selection_family(F, net, m_max, tol=1e-3):
     d(v_n, F(x)) < 1/m; members pinning no point share one selection of F.
     Members are enumerated in lexicographic (n, m) order.
 
-    The members run in lockstep, one code path with michael_selection:
-    their maps are built in one restriction over the members' rows
-    (F.restrict_each), and they, with F once when some member pins
-    nothing, run through one selection iteration (`_michael_lockstep`).
-    Every restriction keeps F's stacks, so the members share all of them
-    and none builds a stack, and a pinned row starts the iteration at the
+    The members run in lockstep, one code path with michael_selection: F
+    runs once with one set of balls per member that pins some point, and
+    one more, F's own balls, shared by every member that pins none
+    (`_michael_lockstep`).  One index array sends each member to its set:
+    a pinning member to its own, every other member to that of the first
+    member pinning none.  The sets are built in one restriction pass over
+    F's groups (SetValuedMap.ball_sets); every set keeps F's stacks, so no
+    member builds a stack, and a pinned row starts the iteration at the
     point of F(x) nearest v_n.  A restriction that fails raises its
     ValueError before any selection runs, its message led by the member's
-    name (see `SetValuedMap.restrict_each`); otherwise the first round in
-    which some member stalls raises the IterationStall of the first such
-    member in (n, m) order.  A member is named F.name|n=...,m=..., and F
-    itself F.name.
+    name; otherwise the first round in which some member stalls raises the
+    IterationStall of the first such member in (n, m) order.  A member is
+    named F.name|n=...,m=..., and F's own set F.name.
     """
     net = np.atleast_2d(np.asarray(net, dtype=np.float64))
     if not bool(np.all(F.target.contains(net))):
@@ -725,19 +695,17 @@ def dense_selection_family(F, net, m_max, tol=1e-3):
     members = [(n, m) for n in range(len(net)) for m in range(1, m_max + 1)]
     radius = np.array([1.0 / m for _, m in members])
     pinned = _project_all(F, net)[1][[n for n, _ in members]] < radius[:, None]
-    held = np.flatnonzero(pinned.any(axis=1))  # the members that pin some point
-    restricted = F.restrict_each(
-        np.repeat(net[[members[j][0] for j in held]][:, None], len(F), axis=1),
-        np.where(pinned[held], radius[held, None], np.inf),
-        [f"{F.name}|n={members[j][0]},m={members[j][1]}" for j in held]) if held.size else []
-    # each member's map, F for a member that pins nothing
-    chosen = [F] * len(members)
-    for j, G in zip(held, restricted):
-        chosen[j] = G
-    maps = list({id(G): G for G in chosen}.values())
-    selections = dict(zip(map(id, maps), _michael_lockstep(maps, tol)))
-    return [FamilyMember(n, m, selections[id(G)].values, selections[id(G)].rounds, int(count))
-            for (n, m), G, count in zip(members, chosen, pinned.sum(axis=1))]
+    pins = pinned.any(axis=1)
+    own = np.arange(len(members))
+    own[~pins] = own[~pins][:1]
+    chosen, index = np.unique(own, return_inverse=True)
+    names = [f"{F.name}|n={members[j][0]},m={members[j][1]}" if pins[j] else F.name
+             for j in chosen]
+    sets = F.ball_sets(np.repeat(net[[members[j][0] for j in chosen]][:, None], len(F), axis=1),
+                       np.where(pinned[chosen], radius[chosen, None], np.inf), names)
+    selections = _michael_lockstep(F, tol, sets, names)
+    return [FamilyMember(n, m, selections[i].values, selections[i].rounds, int(count))
+            for (n, m), i, count in zip(members, index, pinned.sum(axis=1))]
 
 
 def density_audit(members, F, metric=None):

@@ -254,6 +254,71 @@ def test_selection_decay_keeps_its_logged_invariants(selection_run):
     assert slack > 0
 
 
+def test_selection_defects_are_the_last_logged_round(selection_run):
+    # selection.csv holds d(f(x), F(x)) for the last round's f, and the
+    # last decay.csv row logs the largest of them; both files keep 12
+    # significant digits of the same float, so they agree exactly
+    # (1.76980652355e-12 at seed 0).  The invariant after the last round K
+    # puts every row below 2^-(K+1).
+    params, out = selection_run
+    F = BUNDLED_MAPS[params["map"]](int(params["n1d"]), int(params["n2d"]))
+    _, decay = _csv_rows(out / "decay.csv")
+    header, rows = _csv_rows(out / "selection.csv")
+    assert header == ["x0", "f0", "defect"] and len(rows) == len(F)
+    worst = max(float(row[2]) for row in rows)
+    k, logged = int(decay[-1][0]), float(decay[-1][1])
+    print(f"selection.csv: largest defect {worst:.12g}, {abs(worst - logged):.3g} from the"
+          f" logged {logged:.12g}; bound 2^-{k + 1}")
+    assert worst == logged
+    assert worst < 0.5 ** (k + 1)
+
+
+def test_approx_defects_are_below_eps(selection_run):
+    # approx_selection's partition of unity is subordinate to the cover
+    # U_v = {x : d(v, F(x)) < eps}, so f(x) is a convex combination of net
+    # points within eps of the convex F(x), and d(f(x), F(x)) < eps.  The
+    # worst written defect reads 1.9e-15 at seed 0, so it is also gated at
+    # 1e-14: a bound set from that measurement, not from a theorem
+    params, out = selection_run
+    F = BUNDLED_MAPS[params["map"]](int(params["n1d"]), int(params["n2d"]))
+    eps = float(params["eps"])
+    header, rows = _csv_rows(out / "approx.csv")
+    assert header == ["x0", "f0", "defect"] and len(rows) == len(F)
+    worst = max(float(row[2]) for row in rows)
+    print(f"approx.csv: largest defect {worst:.3g} against eps {eps} and the measured 1e-14")
+    assert worst < eps
+    assert worst <= 1e-14
+
+
+def test_selection_continuity_is_the_sliding_intervals_excess(selection_run):
+    # On sliding-left-end, F(x) = [x, 1], so e(F(x), F(x')) = max(0, x' - x):
+    # over an adjacent pair the excess is the grid step h to the right and
+    # 0 to the left, and the least passing slope e / d is 1.  The worst
+    # defect e - (L d + 1e-9), at L = slope_hint = 2, is then h - 2h - 1e-9
+    # = -(h + 1e-9), at a pair x' = x + 1, witnessed by F(x)'s left end x.
+    # The jump map's values jump by 1 over one step, so it is rejected.
+    params, out = selection_run
+    assert params["map"] == "sliding-left-end"
+    F = BUNDLED_MAPS[params["map"]](int(params["n1d"]), int(params["n2d"]))
+    report = json.loads((out / "continuity.json").read_text(encoding="utf-8"))
+    check, worst = report["continuity"], report["continuity"]["worst"]
+    assert report["jump_rejected"] is True and check["ok"] is True
+    assert check["slope"] == F.slope_hint == 2.0
+    # 12 significant digits of a ratio within a few ulps of 1
+    assert check["least_slope"] == 1.0
+    points = F.domain.points[:, 0]
+    x = worst["x"]
+    assert worst["x_prime"] == x + 1
+    h = points[x + 1] - points[x]
+    assert h == pytest.approx(1.0 / (len(F) - 1), abs=1e-15)
+    deviation = abs(worst["defect"] + (h + 1e-9))
+    print(f"continuity.json: worst defect {worst['defect']} at x = {x}, {deviation:.2e}"
+          f" from -(h + 1e-9)")
+    # the file keeps 12 significant digits of the defect, about 1e-2
+    assert deviation <= 1e-14
+    assert worst["witness"] == [float("%.12g" % points[x])]
+
+
 def test_selection_family_audit_gaps_are_within_their_bounds(selection_run):
     # The audit slices the family at m <= m_max // 2 and at m_max.  Every
     # generator of the sample map lies within 1/4 of a net point, so each

@@ -59,7 +59,7 @@ def _interval_map(domain, lo_fn, hi_fn, name=""):
 
 def _nearest(F, points):
     """Projection of points[i] onto F(x_i) and its distance, per domain point."""
-    proj, dist = _Lockstep([F]).nearest(points[None])
+    proj, dist = _Lockstep(F).nearest(points[None])
     return proj[0], dist[0]
 
 
@@ -472,14 +472,15 @@ def test_family_selects_once_per_distinct_modified_map(monkeypatch):
     tol = 1e-2
     calls = []
 
-    def counted(maps, tol):
-        calls.append(maps)
-        return _michael_lockstep(maps, tol)
+    def counted(G, tol, sets=None, names=None):
+        calls.append((G, sets, names))
+        return _michael_lockstep(G, tol, sets, names)
 
     monkeypatch.setattr("hyperselect.selection._michael_lockstep", counted)
     members = dense_selection_family(F, net, m_max=2, tol=tol)
     monkeypatch.undo()
-    (calls,) = calls  # the members run in one lockstep
+    ((G, sets, names),) = calls  # the members run in one lockstep, on F itself
+    assert G is F
 
     # member (n, m) is pinned on exactly U_nm = {x : d(v_n, F(x)) < 1/m},
     # and is the selection of F with each pinned row restricted to the ball
@@ -497,9 +498,12 @@ def test_family_selects_once_per_distinct_modified_map(monkeypatch):
         assert mem.rounds == expected.rounds
     assert [(mem.net_index, mem.m) for mem in members] == [(n, m) for n in range(3)
                                                            for m in (1, 2)]
-    # (v = 0, m = 2) pins nothing and takes the one selection of F
+    # (v = 0, m = 2) pins nothing and takes the one selection of F, whose
+    # set clips no row
     assert 0 < pinning < len(members)
-    assert len(calls) == pinning + 1 and sum(G is F for G in calls) == 1
+    plain = [all(b is None or np.isinf(b.radius[i]).all() for b in sets)
+             for i in range(len(names))]
+    assert len(names) == pinning + 1 and sum(plain) == 1
 
 
 def test_family_members_build_no_stack(monkeypatch):
@@ -507,9 +511,8 @@ def test_family_members_build_no_stack(monkeypatch):
     # solves no face again: the members share all of F's stacks
     F = BUNDLED_MAPS["sliding-left-end"](41, 5)
     net = np.linspace(0.0, 1.0, 5)[:, None]
-    maps = _restricted_maps(monkeypatch, F, net)
-    stacks = {id(g.stack) for g in F.groups}
-    assert maps and all({id(g.stack) for g in G.groups} == stacks for G in maps)
+    sets, names = _family_sets(monkeypatch, F, net)  # run on F's own groups
+    assert len(names) > 1 and all(b is not None for b in sets)
     built = []
     init = HullStack.__init__
 
@@ -537,8 +540,10 @@ def test_a_pinned_row_starts_at_its_ball_centre():
     means = np.array([g.mean(axis=0) for g in gens])
     want = np.where(pinned[:, None], center, means)
     assert not np.array_equal(want[pinned], means[pinned])
-    assert np.array_equal(_Lockstep([G]).means(), want[None])
-    assert np.array_equal(_Lockstep([F, G]).means(), np.stack([means, want]))
+    assert np.array_equal(_Lockstep(G).means(), want[None])
+    sets = F.ball_sets(np.stack([np.zeros_like(center), center]),
+                       np.stack([np.full(len(gens), np.inf), radius]), ["", ""])
+    assert np.array_equal(_Lockstep(F, sets, 2).means(), np.stack([means, want]))
 
 
 def _sequential_family(F, net, m_max, tol):
@@ -566,11 +571,6 @@ def _sequential_family(F, net, m_max, tol):
     return members
 
 
-def _group_layout(G):
-    return [(g.stack.generators.shape[1], tuple(g.rows), g.balls is not None)
-            for g in G.groups]
-
-
 def _marechal_case():
     """The marechal scenario's map and net."""
     F, _ = rotated_ball_map(7, np.pi / 4)
@@ -596,13 +596,16 @@ def test_lockstep_family_matches_the_members_one_at_a_time(monkeypatch):
         (shifted, np.array([[0.0], [0.5], [1.0]]), "unpinned"),
     ]
     for F, net, case in cases:
-        maps = _restricted_maps(monkeypatch, F, net)
-        layouts = {tuple(_group_layout(G)) for G in maps}
+        sets, names = _family_sets(monkeypatch, F, net)
+        # the groups each pinning set clips
+        layouts = {layout for layout in (
+            tuple(b is not None and bool(np.isfinite(b.radius[i]).any()) for b in sets)
+            for i in range(len(names))) if any(layout)}
         if case == "layouts-differ":
             assert len(layouts) > 1
         if case == "triangle-balls":
-            assert any(g.stack.generators.shape[1] == 3 and g.balls is not None
-                       for G in maps for g in G.groups)
+            assert any(g.stack.generators.shape[1] == 3 and b is not None
+                       and np.isfinite(b.radius).any() for g, b in zip(F.groups, sets))
         want = _sequential_family(F, net, 2, 1e-2)
         got = dense_selection_family(F, net, 2, tol=1e-2)
         if case == "unpinned":
@@ -682,9 +685,9 @@ def test_a_restriction_error_then_the_earliest_stall_decides_the_error(monkeypat
             assert str(expected).startswith(f"{F.name}|n=0,m=1: the value at row 8 is")
     calls = []
 
-    def counted(maps, tol):
-        calls.append(maps)
-        return _michael_lockstep(maps, tol)
+    def counted(G, tol, sets=None, names=None):
+        calls.append(names)
+        return _michael_lockstep(G, tol, sets, names)
 
     monkeypatch.setattr("hyperselect.selection._michael_lockstep", counted)
     with pytest.raises(type(expected)) as got:
@@ -696,21 +699,18 @@ def test_a_restriction_error_then_the_earliest_stall_decides_the_error(monkeypat
 
 def _all_pairs_cover(run, net, eps, anchors=None, r=None):
     """Reference for _Lockstep.cover: every point of the flat net (points,
-    owner) projected onto every row of its own map, map by map, with no
-    distance filter."""
+    owner) projected onto every row under its own set of balls, set by set,
+    with no distance filter."""
     points, owner = net
     inside = np.zeros((run.count, np.bincount(owner).max(), len(run.domain)), dtype=bool)
     for i in range(run.count):
         net = points[owner == i]
-        for s in run.shared:
-            if i not in s.maps:
-                continue
-            balls = np.full(len(net), np.searchsorted(s.maps, i))  # map i's ball set
-            proj, dist = s.stack.project_runs(net[:, None, :], s.balls, balls)
+        for g in run.groups:
+            proj, dist = g.stack.project_runs(net[:, None, :], g.balls, np.full(len(net), i))
             hit = dist < eps
             if anchors is not None:
-                hit &= np.linalg.norm(proj - anchors[i, s.rows], axis=2) < r
-            inside[i, :len(net)][:, s.rows] = hit
+                hit &= np.linalg.norm(proj - anchors[i, g.rows], axis=2) < r
+            inside[i, :len(net)][:, g.rows] = hit
     return inside
 
 
@@ -754,7 +754,7 @@ def test_anchored_cover_matches_the_all_pairs_reference(monkeypatch, name):
     pairs = 0
     for run, net, eps, anchors, r in anchored:
         # the family's restrictions put balls on the hulls of every size
-        assert any(s.balls is not None for s in run.shared)
+        assert any(g.balls is not None for g in run.groups)
         monkeypatch.setattr(HullStack, "project_pairs", counted)
         inside = run.cover(net, eps, anchors, r)
         monkeypatch.undo()
@@ -786,11 +786,16 @@ def test_a_stall_names_its_first_uncovered_point_and_logged_round(monkeypatch, s
     dom = grid_domain_1d(21)
     F = SetValuedMap(dom, [np.array([[0.2 + 0.3 * x], [0.9]]) for x in dom.points[:, 0]],
                      _DriftingTarget(np.array([[0.0], [1.0]]), [shift]))
-    maps = [F] + _restricted_maps(monkeypatch, F, np.array([[0.0], [0.5], [1.0]]))
+    sets, names = _family_sets(monkeypatch, F, np.array([[0.0], [0.5], [1.0]]))
+    # F's own set, which clips no row, first
+    center, radius = _set_balls(F, sets, len(names))
+    names = [F.name] + names
+    sets = F.ball_sets(np.concatenate([np.zeros_like(center[:1]), center]),
+                       np.concatenate([np.full_like(radius[:1], np.inf), radius]), names)
 
     def stall():
         with pytest.raises(IterationStall) as err:
-            _michael_lockstep(maps, 0.125)
+            _michael_lockstep(F, 0.125, sets, names)
         return err.value
 
     err, covers = _recorded_covers(monkeypatch, stall)
@@ -800,7 +805,7 @@ def test_a_stall_names_its_first_uncovered_point_and_logged_round(monkeypatch, s
     i = int(np.flatnonzero(~covered.all(axis=1))[0])
     index = int(covered[i].argmin())
     assert str(err).startswith(f"round k={k} left domain index {index} uncovered"
-                               f" in map {maps[i].name!r}")
+                               f" in map {names[i]!r}")
 
 
 def _per_map_nets(run, projections, cell):
@@ -862,7 +867,7 @@ def test_flat_net_is_each_maps_deduped_lex_sorted_net(monkeypatch):
     # that the dedupe drops, one map repeating another's points, and a
     # cell of 2^-60 that leaves points in [1/4, 1) as they are
     rng = np.random.default_rng(12)
-    run = _Lockstep([F] * 6)
+    run = _Lockstep(F, [None] * len(F.groups), 6)
     run.target = _IdentityTarget(3)
     projections = 0.25 + 0.125 * rng.integers(0, 4, (6, len(F), 3))
     projections[:, 5:60:7] = projections[:, :1]
@@ -900,31 +905,6 @@ def test_each_round_sorts_its_nets_in_one_lexsort(monkeypatch):
     assert counts == [1] * len(members[0].rounds)
 
 
-def test_cover_gathers_the_rows_of_maps_holding_different_stacks():
-    # sliding-left-end holds a point stack (x = 1) and a segment stack,
-    # which its restriction keeps, and growing-right-end a third, so each
-    # stack is held by some maps only: each cover pass must take just its
-    # holders' net points
-    F = BUNDLED_MAPS["sliding-left-end"]()
-    G = BUNDLED_MAPS["growing-right-end"]()
-    pinned = F.restrict(np.full((len(F), 1), 0.25), np.where(F.domain.points[:, 0] < 0.5,
-                                                             0.5, np.inf), "pinned")
-    run = _Lockstep([F, G, pinned])
-    assert len(run.shared) == 3 and {len(s.maps) for s in run.shared} == {1, 2}
-    assert any(s.stack.generators.shape[1] == 1 for s in run.shared)
-    start, _ = run.nearest(run.means())
-    net = run.nets(start, 1.0 / 32)
-    assert set(net[1].tolist()) == {0, 1, 2}
-    inside = run.cover(net, 0.1875)
-    assert np.array_equal(inside, _all_pairs_cover(run, net, 0.1875))
-    values = run.average(net, inside)[0]
-    nearest, _ = run.nearest(values)
-    anchored = run.nets(nearest, 1.0 / 64)
-    got = run.cover(anchored, 0.09375, values, 0.25)
-    assert got.any() and not got.all()
-    assert np.array_equal(got, _all_pairs_cover(run, anchored, 0.09375, values, 0.25))
-
-
 @pytest.mark.parametrize("points, dim", [(7, 3), (21, 2), (2, 3), (7, 1), (101, 1)])
 def test_average_keeps_each_maps_product_bits(points, dim):
     # every map's values are the bits of its own rho.T @ net, for net sizes
@@ -933,7 +913,7 @@ def test_average_keeps_each_maps_product_bits(points, dim):
     corners = np.array(list(itertools.product((0.0, 1.0), repeat=dim)))
     F = SetValuedMap(grid_domain_1d(points), [corners] * points, HullTarget(corners))
     width = 24
-    run = _Lockstep([F] * width)
+    run = _Lockstep(F, [None], width)
     sizes = np.arange(1, width + 1)
     owner = np.repeat(np.arange(width), sizes)
     net = (rng.random((len(owner), dim)), owner)
@@ -1344,19 +1324,48 @@ def _assert_same_projections(stacked, reference):
     assert np.abs(p[finite] - p_ref[finite]).max(initial=0.0) <= 1e-12
 
 
-def _restricted_maps(monkeypatch, F, net):
-    """The modified maps dense_selection_family hands to the lockstep."""
-    maps = []
+def _family_sets(monkeypatch, F, net):
+    """The ball sets, one per distinct member, and their names that
+    dense_selection_family hands to the lockstep, which it runs on F."""
+    calls = []
 
-    def capture(given, tol):
-        maps.extend(given)
+    def capture(G, tol, sets=None, names=None):
+        calls.append((G, sets, names))
         return [MichaelResult(np.zeros((len(G), G.target.dim)), [], np.zeros(len(G)))
-                for G in given]
+                for _ in names]
 
     monkeypatch.setattr("hyperselect.selection._michael_lockstep", capture)
     dense_selection_family(F, net, m_max=2)
     monkeypatch.undo()
-    return [G for G in maps if G is not F]
+    ((G, sets, names),) = calls
+    assert G is F and len(sets) == len(F.groups)
+    return sets, names
+
+
+def _set_balls(F, sets, count):
+    """Each set's ball centres (count, n, dim) and radii (count, n), radius
+    inf on the rows it leaves, read back from its groups."""
+    center = np.zeros((count, len(F), F.target.dim))
+    radius = np.full((count, len(F)), np.inf)
+    for g, balls in zip(F.groups, sets):
+        if balls is not None:
+            center[:, g.rows], radius[:, g.rows] = balls.center, balls.radius
+    return center, radius
+
+
+def _restricted_maps(monkeypatch, F, net):
+    """The family's sets that pin some row of F, a map with no balls, each
+    as the map F.restrict gives for it.  The lockstep of all the sets
+    projects each set's rows to the bits of its map."""
+    sets, names = _family_sets(monkeypatch, F, net)
+    center, radius = _set_balls(F, sets, len(names))
+    maps = [F.restrict(c, r, name) for c, r, name in zip(center, radius, names)]
+    points = np.random.default_rng(0).uniform(-1.5, 1.5, center.shape)
+    proj, dist = _Lockstep(F, sets, len(names)).nearest(points)
+    for G, p, q, d in zip(maps, points, proj, dist):
+        alone = _nearest(G, p)
+        assert np.array_equal(alone[0], q) and np.array_equal(alone[1], d)
+    return [G for G, r in zip(maps, radius) if np.isfinite(r).any()]
 
 
 # one group mixing plain rows with balls tangent at a vertex and at an edge,
@@ -1687,6 +1696,15 @@ def test_value_groups_hold_the_sections_of_their_own_balls(monkeypatch):
     assert len(restricted) == len(pins)
     cases += [(G, np.broadcast_to(net[n], (len(G), 3)), np.where(pinned, r, np.inf))
               for G, (n, pinned, r) in zip(restricted, pins)]
+    # the family's sets along their leading axis, each group's built by one
+    # stack.balls call
+    sets, names = _family_sets(monkeypatch, marechal, net)
+    assert len(names) == len(pins) + (len(pins) < 2 * len(net))
+    for g, balls in zip(marechal.groups, sets):
+        rebuilt = g.stack.balls(balls.center, balls.radius)
+        assert balls.radius.shape == (len(names), len(g.rows))
+        for field in dataclasses.fields(BallSections):
+            assert np.array_equal(getattr(balls, field.name), getattr(rebuilt, field.name))
     mixed = _mixed_square_map()
     cases.append((mixed, MIXED_CENTERS, MIXED_RADII))
     # pinning the plain rows of a map with balls keeps the other rows' balls
@@ -1741,11 +1759,12 @@ def test_map_restriction_is_the_one_value_restriction_row_by_row():
         F.restrict(center, [np.inf, np.inf, np.inf, 0.05, np.inf, np.inf])
 
 
-def test_restrict_each_is_one_restriction_at_a_time():
-    # the tiled pass gives each restriction's groups bit for bit and keeps
-    # every stack of the map; a failing pass raises the error of the first
-    # group that some restriction fails in, as that restriction on its own
-    # raises it, led by its name
+def test_ball_sets_are_one_restriction_at_a_time():
+    # the pass over every restriction gives each restriction's balls bit for
+    # bit along the set axis of each group, on the map's own stacks; a
+    # failing pass raises the error of the first group that some
+    # restriction fails in, as that restriction on its own raises it, led by
+    # its name
     gens = [np.array([[0.5, 0.5]]), UNIT_SQUARE[[0, 1]], np.array([[0.2, 0.2]]),
             UNIT_SQUARE[[0, 3]], UNIT_SQUARE[[0, 1, 2]], UNIT_SQUARE[[1, 2]]]
     F = SetValuedMap(grid_domain_1d(len(gens)), gens, HullTarget(UNIT_SQUARE))
@@ -1758,23 +1777,24 @@ def test_restrict_each_is_one_restriction_at_a_time():
     center[2, 0] = gens[0][0]
     center[3, 1], radius[3, 1] = [-0.5, 0.0], 0.5  # a segment touched at its end point
     names = [f"r{j}" for j in range(5)]
-    each = F.restrict_each(center, radius, names)
-    for j, G in enumerate(each):
+    sets = F.ball_sets(center, radius, names)
+    assert all(balls.radius.shape == (5, len(g.rows)) for g, balls in zip(F.groups, sets))
+    for j in range(5):
         one = F.restrict(center[j], radius[j], names[j])
-        assert G.name == one.name == names[j]
-        assert len(G.groups) == len(one.groups) == len(F.groups)
-        for g, h, f in zip(G.groups, one.groups, F.groups):
-            assert g.stack is h.stack is f.stack
-            assert g.rows is h.rows is f.rows
-            assert (g.balls is None) == (h.balls is None)
-            if g.balls is not None:
+        assert one.name == names[j]
+        assert len(sets) == len(one.groups) == len(F.groups)
+        for balls, h, f in zip(sets, one.groups, F.groups):
+            assert h.stack is f.stack and h.rows is f.rows
+            # a group that restriction j leaves holds no ball in its map
+            assert (h.balls is None) == np.isinf(balls.radius[j]).all()
+            if h.balls is not None:
                 for field in dataclasses.fields(BallSections):
-                    assert np.array_equal(getattr(g.balls, field.name),
+                    assert np.array_equal(getattr(balls, field.name)[j],
                                           getattr(h.balls, field.name))
 
     def raised(G, c, r, names):
         with pytest.raises(ValueError) as err:
-            G.restrict_each(c, r, names)
+            G.ball_sets(c, r, names)
         return str(err.value)
 
     def alone(G, c, r, name):
@@ -1804,7 +1824,7 @@ def test_restrict_each_is_one_restriction_at_a_time():
     assert "r1: the ball" in raised(G, c, r, names[:3]) == alone(G, c[1], r[1], names[1])
     assert "r0: the value at row 4 is already restricted" in raised(
         G, c[[0, 2]], r[[0, 2]], names[:2]) == alone(G, c[0], r[0], names[0])
-    assert isinstance(G.restrict_each(c[[2]], r[[2]], names[:1])[0], SetValuedMap)
+    assert len(G.ball_sets(c[[2]], r[[2]], names[:1])) == len(G.groups)
     # within one group, a pin of a row with a ball fails before a miss
     H = SetValuedMap(grid_domain_1d(2), [UNIT_SQUARE[[0, 1, 2]]] * 2, HullTarget(UNIT_SQUARE))
     H = H.restrict(np.zeros((2, 2)), [0.5, np.inf])
