@@ -16,11 +16,13 @@ approximate selection and each round of the iteration, for every set at
 once, which keeps two logged invariants at every grid point: membership
 defect < 2^-(k+1) after round k and sup-step <= 2^-k between consecutive
 rounds.  Every round after the first has an anchor f_k(x), and a net point
-v can enter the cover element at x only when d(v, F(x)) < eps and its
-projection lies within r of f_k(x), so only when |v - f_k(x)| < eps + r, by
-the triangle inequality; those rounds project only the (net point, row)
-pairs that pass this test.  A single selection is the lockstep with F's
-own balls as its one set, so there is one selection path.
+v enters the cover element at x only when d(v, F(x)) < eps and its
+projection lies within r of f_k(x).  So it cannot when |v - f_k(x)| >=
+eps + r, by the triangle inequality, and it does when s = |v - p| < eps and
+s + d < r, p the projection of f_k(x) onto F(x) and d its distance, which
+the round already holds; those rounds project only the (net point, row)
+pairs that neither bound settles.  A single selection is the lockstep with
+F's own balls as its one set, so there is one selection path.
 """
 from __future__ import annotations
 
@@ -403,13 +405,13 @@ class _Lockstep:
         order = np.lexsort((*points.T[::-1], owner))
         return points[order], owner[order]
 
-    def cover_average(self, net, eps, anchors=None, r=None):
+    def cover_average(self, net, eps, anchors=None, r=None, nearest=None):
         """f(x) = sum_v rho_v(x) v for each set i, over the cover labelled by
         set i's points of the flat net: self.average(net, self.cover(net,
-        eps, anchors, r))."""
-        return self.average(net, self.cover(net, eps, anchors, r))
+        eps, anchors, r, nearest))."""
+        return self.average(net, self.cover(net, eps, anchors, r, nearest))
 
-    def cover(self, net, eps, anchors=None, r=None):
+    def cover(self, net, eps, anchors=None, r=None, nearest=None):
         """The cover elements (M, max net size, n) of each set i over its
         points of the flat net (points, owner) (see nets), in net order,
         False past a set's points.
@@ -420,14 +422,22 @@ class _Lockstep:
         a = anchors[set, x].  Each net point is projected onto its own set's
         values only, clipped by that set's balls.  With no anchors, one
         all-pairs pass per group projects them, with no padding.  With
-        anchors, an x in U_v has |v - Pv| < eps and |Pv - a| < r, so
-        |v - a| < eps + r by the triangle inequality: the (net point, row)
-        distance table to the anchors is taken first, and only the pairs
-        within eps + r + _FILTER_MARGIN are projected, in one gathered pass
-        per group (HullStack.project_pairs); every other pair is outside its
-        element.  A row's bits do not depend on the call that projects it,
-        so each projected pair's bits, and so the cover, are those of the
-        all-pairs pass.
+        anchors, the pairs are settled by two bounds first, each with a
+        _FILTER_MARGIN of slack for rounding:
+        - outside: an x in U_v has |v - Pv| < eps and |Pv - a| < r, so
+          |v - a| < eps + r by the triangle inequality; the (net point,
+          row) distance table to the anchors is taken, and every pair
+          beyond eps + r is outside its element;
+        - inside: nearest = (p, d) holds the projection p (M, n, dim) of
+          each anchor onto its value and its distance d (M, n).  p lies in
+          F(x), so d(v, F(x)) <= s = |v - p|, and the projection onto F(x)
+          is 1-Lipschitz and fixes p, so |Pv - a| <= s + d; a pair with
+          s < eps and s + d < r is a hit.
+        Only the pairs that neither bound settles are projected, in one
+        gathered pass per group (HullStack.project_pairs), none when no
+        such pair is left.  A row's bits do not depend on the call that
+        projects it, so each projected pair's bits, and so the cover, are
+        those of the all-pairs pass.
         """
         points, owner = net
         place, sizes = _places(owner, self.count)
@@ -440,9 +450,16 @@ class _Lockstep:
             anchor = anchors[owner[:, None], g.rows]
             q, h = np.nonzero(np.linalg.norm(points[:, None, :] - anchor, axis=2)
                               < eps + r + _FILTER_MARGIN)
-            proj, dist = g.stack.project_pairs(points[q], h, g.balls, owner[q])
-            inside[owner[q], place[q], g.rows[h]] = (
-                (dist < eps) & (np.linalg.norm(proj - anchor[q, h], axis=1) < r))
+            near, defect = nearest
+            at = owner[q], g.rows[h]
+            s = np.linalg.norm(points[q] - near[at], axis=1)
+            hit = (s < eps - _FILTER_MARGIN) & (s + defect[at] < r - _FILTER_MARGIN)
+            inside[owner[q[hit]], place[q[hit]], g.rows[h[hit]]] = True
+            q, h = q[~hit], h[~hit]
+            if q.size:
+                proj, dist = g.stack.project_pairs(points[q], h, g.balls, owner[q])
+                inside[owner[q], place[q], g.rows[h]] = (
+                    (dist < eps) & (np.linalg.norm(proj - anchor[q, h], axis=1) < r))
         return inside
 
     def average(self, net, inside):
@@ -577,9 +594,11 @@ def michael_selection(F, tol=1e-3):
     projection onto each value of its start point (`_Lockstep.means`): the
     hull-generator mean, or the centre of a value's ball, so a row pinned to
     B(v, r) starts at the point of the value nearest v.  The projections
-    that give round k's defects seed round k+1's net, so each is computed
-    once.  IterationStall still guards a round that leaves a
-    point uncovered.
+    that give round k's defects seed round k+1's net and, with their
+    distances d, settle most of its cover without projecting (a net point
+    v with |v - p| < eps and |v - p| + d < r lies in the element at x; see
+    `_Lockstep.cover`), so each is computed once.  IterationStall still
+    guards a round that leaves a point uncovered.
 
     This is the one-set case, F's own balls, of the lockstep iteration that
     runs a dense family's members together (`_michael_lockstep`): one code
@@ -597,8 +616,11 @@ def _michael_lockstep(F, tol, sets=None, names=None):
     per value group and one partition-of-unity pass.  Round 0's cover pass
     is all-pairs.  Round k >= 1 is anchored at f_k: a pair (net point v,
     row x) is a hit only when d(v, F(x)) < eps and |Pv - f_k(x)| < r, so
-    only when |v - f_k(x)| < eps + r, and its cover pass projects only the
-    pairs within that distance, gathered (`_Lockstep.cover`).  A round's
+    only when |v - f_k(x)| < eps + r.  The previous round's diagonal pass
+    gives the projection p of f_k(x) onto F(x) and its distance d, and the
+    pair is a hit when s = |v - p| < eps and s + d < r.  The cover pass
+    projects only the pairs that neither bound settles, gathered, and
+    makes no call when none is left (`_Lockstep.cover`).  A round's
     nets are one flat array over every set, sorted in one lexsort
     (`_Lockstep.nets`), its kept elements one mask over it
     (`_Lockstep.average`), and its log the sets' largest defects and steps,
@@ -615,8 +637,8 @@ def _michael_lockstep(F, tol, sets=None, names=None):
         return []
     run = _Lockstep(F, sets, len(names))
 
-    def covered(k, net, eps, anchors=None, r=None):
-        values, missing, _, _ = run.cover_average(net, eps, anchors, r)
+    def covered(k, net, eps, anchors=None, r=None, nearest=None):
+        values, missing, _, _ = run.cover_average(net, eps, anchors, r, nearest)
         if values is None:
             i = int(np.flatnonzero(missing >= 0)[0])
             raise IterationStall(f"round k={k} left domain index {int(missing[i])} uncovered"
@@ -636,7 +658,7 @@ def _michael_lockstep(F, tol, sets=None, names=None):
         r = 0.5 ** (k + 1)
         eps = 0.75 * 0.5 ** (k + 2)
         cell = 0.5 ** (k + 4) / dim_sqrt
-        new_values = covered(k, run.nets(nearest, cell), eps, values, r)
+        new_values = covered(k, run.nets(nearest, cell), eps, values, r, (nearest, defects))
         steps = np.linalg.norm(new_values - values, axis=2).max(axis=1)
         values = new_values
         nearest, defects = run.nearest(values)

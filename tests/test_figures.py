@@ -48,6 +48,14 @@ def test_marechal_curve_is_the_off_diagonal_weight_times_sin_2theta(tmp_path):
     # the file keeps 12 significant digits of theta and of the value, which
     # read 7.2e-13 apart from the closed form at worst
     assert deviation.max() <= 1e-12
+    # summary.json's curve figures: the curve vanishes at theta = 0 and
+    # peaks at theta_max, where |sin 2 theta| peaks on [0, pi/4]
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    peak = w_off * abs(math.sin(2.0 * float(params["theta_max"])))
+    print(f"marechal/summary.json: curve_max {summary['curve_max']} against"
+          f" w_off |sin 2 theta_max| = {peak}, curve_min {summary['curve_min']}")
+    assert summary["curve_min"] == 0.0
+    assert abs(summary["curve_max"] - peak) <= 1e-12
 
 
 def _csv_rows(path):
@@ -378,6 +386,35 @@ def test_marechal_summary_is_read_from_its_audit_and_family(tmp_path):
     print(f"marechal/summary.json: worst l2 gap {summary['worst_audit_l2']} against"
           f" {summary['audit_bound_l2']}")
     assert summary["worst_audit_l2"] <= summary["audit_bound_l2"]
+
+
+def test_marechal_audit_is_each_corners_distance_to_the_nearest_member(tmp_path):
+    # hw_audit.csv holds one row per grid point theta and corner of
+    # F(theta), in the order I, -I, D_theta, -D_theta (isometric
+    # coordinates, as below), and audit_l2 is the least L2 distance from
+    # that corner to the members' values at theta, read from hw_family.csv.
+    # Both files keep 12 significant digits, which read 2.0e-12 apart from
+    # the recomputed distance at worst.
+    params = parse_config_file(SAMPLE_CONFIGS / "marechal.cfg")
+    SCENARIOS["marechal"](params, 0, tmp_path)
+    points = int(params["hw_points"])
+    grid = np.linspace(0.0, float(params["hw_theta_max"]), points)
+    _, family = _csv_rows(tmp_path / "hw_family.csv")
+    values = np.array([[float(v) for v in row[4:]] for row in family]).reshape(-1, points, 3)
+    _, audit = _csv_rows(tmp_path / "hw_audit.csv")
+    assert [int(row[1]) for row in audit] == list(range(4)) * points
+    theta = np.array([float(row[0]) for row in audit])
+    assert np.abs(theta - np.repeat(grid, 4)).max() <= 1e-12
+    eye = np.array([1.0, 1.0, 0.0])
+    deviation = []
+    for (j, g), row in zip(np.ndindex(points, 4), audit):
+        t = grid[j]
+        d = np.array([math.cos(2 * t), -math.cos(2 * t), math.sqrt(2.0) * math.sin(2 * t)])
+        corner = [eye, -eye, d, -d][g]
+        deviation.append(abs(float(row[2]) - np.linalg.norm(values[:, j] - corner, axis=1).min()))
+    print(f"marechal/hw_audit.csv: worst deviation {max(deviation):.2e} from the least"
+          f" distance to a member")
+    assert max(deviation) <= 1e-11
 
 
 def test_marechal_family_values_are_selections_of_the_rotated_squares(tmp_path):

@@ -8,12 +8,19 @@ consecutive rounds move no point by more than 2^-k.  The Haagerup-Winslow
 dense family pins one map F to a ball B(v_n, 1/m) on some rows per member,
 so it runs as F with one set of balls per member, in one lockstep; each
 set's run must be that of F restricted to the set on its own.
+
+An anchored round settles a (net point v, row x) pair as a hit without
+projecting it when s = |v - p| < eps and s + d < r, p the projection of
+the anchor f_k(x) onto F(x) and d its distance: d(v, F(x)) <= s, since p
+lies in F(x), and the projection P onto F(x) is 1-Lipschitz and fixes p,
+so |Pv - f_k(x)| <= s + d.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperselect.selection import (HullTarget, SetValuedMap, _michael_lockstep,
+from hyperselect import selection
+from hyperselect.selection import (HullTarget, SetValuedMap, _Lockstep, _michael_lockstep,
                                    grid_domain_1d, michael_selection)
 
 _LATTICE = 16  # interval ends on the 1/16 lattice, so values repeat, touch and shrink to points
@@ -62,3 +69,41 @@ def test_each_ball_set_keeps_michaels_invariants_and_its_own_run(case):
         assert got.values.tobytes() == want.values.tobytes()
         assert got.defects.tobytes() == want.defects.tobytes()
         assert got.rounds == want.rounds
+
+
+@settings(max_examples=60)
+@given(case=_interval_map_with_ball_sets())
+def test_every_pair_the_inside_bound_settles_is_a_hit(case):
+    F, center, radius = case
+    names = [f"set {i}" for i in range(len(radius))]
+    anchored = []
+    cover = _Lockstep.cover
+
+    def recording(self, net, eps, anchors=None, r=None, nearest=None):
+        if anchors is not None:
+            anchored.append((self, net, eps, anchors, r, nearest))
+        return cover(self, net, eps, anchors, r, nearest)
+
+    _Lockstep.cover = recording
+    try:
+        _michael_lockstep(F, 1.0 / 32, F.ball_sets(center, radius, names), names)
+    finally:
+        _Lockstep.cover = cover
+    assert len(anchored) == 5
+    margin = selection._FILTER_MARGIN
+    for run, (points, owner), eps, anchors, r, (near, defect) in anchored:
+        # every net point against every row under its own set, unfiltered
+        want = np.zeros((run.count, np.bincount(owner).max(), len(F)), dtype=bool)
+        settled = np.zeros_like(want)
+        for i in range(run.count):
+            net = points[owner == i]
+            for g in run.groups:
+                proj, dist = g.stack.project_runs(net[:, None, :], g.balls,
+                                                  np.full(len(net), i))
+                want[i, :len(net)][:, g.rows] = (
+                    (dist < eps) & (np.linalg.norm(proj - anchors[i, g.rows], axis=2) < r))
+                s = np.linalg.norm(net[:, None, :] - near[i, g.rows], axis=2)
+                settled[i, :len(net)][:, g.rows] = (
+                    (s < eps - margin) & (s + defect[i, g.rows] < r - margin))
+        assert not (settled & ~want).any()
+        assert np.array_equal(cover(run, (points, owner), eps, anchors, r, (near, defect)), want)
